@@ -63,6 +63,35 @@ std::pair<size_t, size_t> SegmentBounds(size_t chunk_begin, size_t chunk_end,
   return {b, e};
 }
 
+/// Receives segment (step, chunk, j) of a segmented-ring conversation from
+/// `left`, selecting it by all six fields so duplicates and reorderings
+/// cannot be consumed out of turn. Cancelled on shutdown; Timeout once the
+/// deadline's tick callback gives up.
+Status RecvSegment(Endpoint* ep, NodeId left, uint64_t tag, int kind,
+                   size_t step, size_t chunk, size_t j,
+                   const RingDeadline& deadline, Buffer* out) {
+  const auto match = [&](const Envelope& e) {
+    return e.from == left && e.tag == tag && e.kind == kind &&
+           e.ints.size() == 3 && e.ints[0] == static_cast<int64_t>(step) &&
+           e.ints[1] == static_cast<int64_t>(chunk) &&
+           e.ints[2] == static_cast<int64_t>(j);
+  };
+  while (true) {
+    std::optional<Envelope> env =
+        ep->RecvWhereFor(match, deadline.recv_timeout_seconds);
+    if (env.has_value()) {
+      *out = std::move(env->payload);
+      return Status::OK();
+    }
+    if (ep->closed() || deadline.recv_timeout_seconds < 0.0) {
+      return Status::Cancelled("transport shut down during ring all-reduce");
+    }
+    if (deadline.on_tick && !deadline.on_tick()) {
+      return Status::Timeout("ring all-reduce abandoned at its deadline");
+    }
+  }
+}
+
 }  // namespace
 
 Status LeaderWeightedAllReduce(Endpoint* ep,
@@ -217,7 +246,8 @@ Status SegmentedRingWeightedAllReduce(Endpoint* ep,
                                       const std::vector<double>& weights,
                                       size_t my_index, uint64_t tag,
                                       float* data, size_t n,
-                                      size_t segment_floats) {
+                                      size_t segment_floats,
+                                      const RingDeadline& deadline) {
   PR_CHECK(ep != nullptr);
   PR_CHECK(data != nullptr || n == 0);
   PR_CHECK_GE(segment_floats, size_t{1});
@@ -239,18 +269,16 @@ Status SegmentedRingWeightedAllReduce(Endpoint* ep,
                      static_cast<int64_t>(j)},
                     std::move(b));
   };
-  // Per-pair FIFO plus the deterministic (step, chunk, segment) schedule
-  // means the next left-neighbour message of this kind *is* the expected
-  // one; the PR_CHECKs assert the protocol rather than select.
+  // Under per-pair FIFO with no faults the selected segment is the head of
+  // the mailbox, so selecting costs nothing over taking the next message.
   auto recv_seg = [&](int kind, size_t step, size_t chunk, size_t j,
-                      size_t expect_len) -> std::optional<Buffer> {
-    std::optional<Envelope> env = ep->RecvMatching(left, tag, kind);
-    if (!env.has_value()) return std::nullopt;
-    PR_CHECK_EQ(env->ints[0], static_cast<int64_t>(step));
-    PR_CHECK_EQ(env->ints[1], static_cast<int64_t>(chunk));
-    PR_CHECK_EQ(env->ints[2], static_cast<int64_t>(j));
-    PR_CHECK_EQ(env->payload.size(), expect_len);
-    return std::move(env->payload);
+                      size_t expect_len, Buffer* out) -> Status {
+    PR_RETURN_NOT_OK(
+        RecvSegment(ep, left, tag, kind, step, chunk, j, deadline, out));
+    if (out->size() != expect_len) {
+      return Status::InvalidArgument("segmented ring: segment length mismatch");
+    }
+    return Status::OK();
   };
 
   // Reduce-scatter, buffer-forwarding form. The only payload
@@ -275,12 +303,9 @@ Status SegmentedRingWeightedAllReduce(Endpoint* ep,
     if (final_hop) retained.resize(nseg);
     for (size_t j = 0; j < nseg; ++j) {
       auto [sb, se] = SegmentBounds(rb, re, segment_floats, j);
-      std::optional<Buffer> got =
-          recv_seg(kKindSegRsChunk, step, recv_chunk, j, se - sb);
-      if (!got.has_value()) {
-        return Status::Cancelled("transport shut down during reduce-scatter");
-      }
-      Buffer b = std::move(*got);
+      Buffer b;
+      PR_RETURN_NOT_OK(
+          recv_seg(kKindSegRsChunk, step, recv_chunk, j, se - sb, &b));
       if (se > sb) {
         // partial += mine: same per-element additions as the classic ring's
         // mine += partial (float addition commutes), so results are
@@ -318,16 +343,13 @@ Status SegmentedRingWeightedAllReduce(Endpoint* ep,
     const bool final_hop = (step + 2 == p);
     for (size_t j = 0; j < nseg; ++j) {
       auto [sb, se] = SegmentBounds(rb, re, segment_floats, j);
-      std::optional<Buffer> got =
-          recv_seg(kKindSegAgChunk, step, recv_chunk, j, se - sb);
-      if (!got.has_value()) {
-        return Status::Cancelled("transport shut down during all-gather");
-      }
-      if (se > sb) std::copy(got->data(), got->data() + (se - sb), data + sb);
+      Buffer got;
+      PR_RETURN_NOT_OK(
+          recv_seg(kKindSegAgChunk, step, recv_chunk, j, se - sb, &got));
+      if (se > sb) std::copy(got.data(), got.data() + (se - sb), data + sb);
       if (!final_hop) {
         PR_RETURN_NOT_OK(
-            send_seg(kKindSegAgChunk, step + 1, recv_chunk, j,
-                     std::move(*got)));
+            send_seg(kKindSegAgChunk, step + 1, recv_chunk, j, std::move(got)));
       }
     }
   }
@@ -340,7 +362,8 @@ Status SegmentedRingCompressedAllReduce(Endpoint* ep,
                                         size_t my_index, uint64_t tag,
                                         float* data, size_t n,
                                         Compressor* compressor,
-                                        size_t segment_floats) {
+                                        size_t segment_floats,
+                                        const RingDeadline& deadline) {
   PR_CHECK(ep != nullptr);
   PR_CHECK(compressor != nullptr);
   PR_CHECK(compressor->enabled());
@@ -365,18 +388,13 @@ Status SegmentedRingCompressedAllReduce(Endpoint* ep,
                      static_cast<int64_t>(j)},
                     std::move(blob), enc);
   };
-  // Unlike the raw ring, the payload length is *not* asserted on receive:
+  // Unlike the raw ring, the payload length is *not* checked on receive:
   // blob sizes are codec-dependent (top-k blobs scale with k, not the
   // segment length). DecodeInto validates the decoded element count instead,
   // turning a mismatched blob into an error status rather than a crash.
-  auto recv_seg = [&](int kind, size_t step, size_t chunk,
-                      size_t j) -> std::optional<Buffer> {
-    std::optional<Envelope> env = ep->RecvMatching(left, tag, kind);
-    if (!env.has_value()) return std::nullopt;
-    PR_CHECK_EQ(env->ints[0], static_cast<int64_t>(step));
-    PR_CHECK_EQ(env->ints[1], static_cast<int64_t>(chunk));
-    PR_CHECK_EQ(env->ints[2], static_cast<int64_t>(j));
-    return std::move(env->payload);
+  auto recv_seg = [&](int kind, size_t step, size_t chunk, size_t j,
+                      Buffer* out) {
+    return RecvSegment(ep, left, tag, kind, step, chunk, j, deadline, out);
   };
 
   std::vector<float> scratch;
@@ -403,14 +421,11 @@ Status SegmentedRingCompressedAllReduce(Endpoint* ep,
     const bool final_hop = (step + 2 == p);
     for (size_t j = 0; j < nseg; ++j) {
       auto [sb, se] = SegmentBounds(rb, re, segment_floats, j);
-      std::optional<Buffer> got =
-          recv_seg(kKindSegRsChunk, step, recv_chunk, j);
-      if (!got.has_value()) {
-        return Status::Cancelled("transport shut down during reduce-scatter");
-      }
+      Buffer got;
+      PR_RETURN_NOT_OK(recv_seg(kKindSegRsChunk, step, recv_chunk, j, &got));
       const size_t len = se - sb;
       scratch.resize(len);
-      PR_RETURN_NOT_OK(compressor->DecodeInto(*got, scratch.data(), len));
+      PR_RETURN_NOT_OK(compressor->DecodeInto(got, scratch.data(), len));
       if (len > 0) Axpy(1.0f, data + sb, scratch.data(), len);
       if (!final_hop) {
         PR_RETURN_NOT_OK(
@@ -446,15 +461,12 @@ Status SegmentedRingCompressedAllReduce(Endpoint* ep,
     const bool final_hop = (step + 2 == p);
     for (size_t j = 0; j < nseg; ++j) {
       auto [sb, se] = SegmentBounds(rb, re, segment_floats, j);
-      std::optional<Buffer> got =
-          recv_seg(kKindSegAgChunk, step, recv_chunk, j);
-      if (!got.has_value()) {
-        return Status::Cancelled("transport shut down during all-gather");
-      }
-      PR_RETURN_NOT_OK(compressor->DecodeInto(*got, data + sb, se - sb));
+      Buffer got;
+      PR_RETURN_NOT_OK(recv_seg(kKindSegAgChunk, step, recv_chunk, j, &got));
+      PR_RETURN_NOT_OK(compressor->DecodeInto(got, data + sb, se - sb));
       if (!final_hop) {
         PR_RETURN_NOT_OK(send_seg(kKindSegAgChunk, step + 1, recv_chunk, j,
-                                  std::move(*got)));
+                                  std::move(got)));
       }
     }
   }
@@ -464,14 +476,16 @@ Status SegmentedRingCompressedAllReduce(Endpoint* ep,
 Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
                               const std::vector<double>& weights,
                               size_t my_index, uint64_t tag, float* data,
-                              size_t n, Compressor* compressor) {
+                              size_t n, Compressor* compressor,
+                              const RingDeadline& deadline) {
   if (compressor != nullptr && compressor->enabled()) {
     return SegmentedRingCompressedAllReduce(ep, members, weights, my_index,
                                             tag, data, n, compressor,
-                                            kDefaultSegmentFloats);
+                                            kDefaultSegmentFloats, deadline);
   }
   return SegmentedRingWeightedAllReduce(ep, members, weights, my_index, tag,
-                                        data, n, kDefaultSegmentFloats);
+                                        data, n, kDefaultSegmentFloats,
+                                        deadline);
 }
 
 Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,

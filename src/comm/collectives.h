@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "comm/transport.h"
@@ -45,6 +46,20 @@ Status RingWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
                              size_t my_index, uint64_t tag,
                              std::vector<float>* data);
 
+/// \brief Optional receive deadline for the segmented rings.
+///
+/// The default (negative timeout) is no deadline: every segment receive
+/// blocks until the segment arrives or the transport shuts down. With a
+/// non-negative `recv_timeout_seconds`, a segment wait that stays silent
+/// that long calls `on_tick` and then keeps waiting; `on_tick` returning
+/// false abandons the reduce with a kTimeout status, distinct from the
+/// kCancelled a shutdown returns. The fault-tolerant P-Reduce worker hangs
+/// its lease upkeep, stuck reports and abort checks on this tick.
+struct RingDeadline {
+  double recv_timeout_seconds = -1.0;
+  std::function<bool()> on_tick;
+};
+
 /// Segment granularity (in floats) for the pipelined ring: 32Ki floats =
 /// 128 KiB per message, small enough to overlap transfer of segment k with
 /// accumulation of segment k-1, large enough to amortize envelope overhead.
@@ -68,6 +83,11 @@ inline constexpr size_t kDefaultSegmentFloats = size_t{1} << 15;
 /// the same additions happen in the same order per element (float addition
 /// is commutative), and segmentation only splits the element ranges.
 ///
+/// Each receive selects its segment by (left neighbour, tag, kind, step,
+/// chunk, segment), so a duplicated or reordered delivery is parked or
+/// ignored rather than consumed out of turn; `deadline` bounds the waits.
+/// A wrong-length segment returns InvalidArgument.
+///
 /// `data` may be null only when n == 0. Every chunk circulates at least one
 /// (possibly empty) segment so the message schedule is uniform even when
 /// n < P or n == 0.
@@ -77,7 +97,8 @@ Status SegmentedRingWeightedAllReduce(Endpoint* ep,
                                       size_t my_index, uint64_t tag,
                                       float* data, size_t n,
                                       size_t segment_floats =
-                                          kDefaultSegmentFloats);
+                                          kDefaultSegmentFloats,
+                                      const RingDeadline& deadline = {});
 
 /// \brief Segmented ring all-reduce with per-hop payload compression
 /// (DESIGN.md §5i). Same pipelined schedule as the uncompressed segmented
@@ -89,6 +110,9 @@ Status SegmentedRingWeightedAllReduce(Endpoint* ep,
 /// `compressor` carries each encode's error into the worker's next encode
 /// at the same element positions.
 ///
+/// Segments are selected and `deadline` applies exactly as in the
+/// uncompressed segmented ring.
+///
 /// `compressor` must be enabled and is this member's private state (one per
 /// worker, reused across reduces so residuals accumulate).
 Status SegmentedRingCompressedAllReduce(Endpoint* ep,
@@ -98,17 +122,20 @@ Status SegmentedRingCompressedAllReduce(Endpoint* ep,
                                         float* data, size_t n,
                                         Compressor* compressor,
                                         size_t segment_floats =
-                                            kDefaultSegmentFloats);
+                                            kDefaultSegmentFloats,
+                                        const RingDeadline& deadline = {});
 
 /// \brief The single dispatch point strategies use for a group's weighted
 /// reduce. With no compressor (or a disabled one) this is the segmented
 /// pipelined ring, bitwise-identical to the unsegmented reference; an
 /// enabled compressor selects the compressed ring, which reuses the same
-/// segmented schedule with encoded payloads.
+/// segmented schedule with encoded payloads. `deadline` is forwarded to
+/// either ring (default: none).
 Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
                               const std::vector<double>& weights,
                               size_t my_index, uint64_t tag, float* data,
-                              size_t n, Compressor* compressor = nullptr);
+                              size_t n, Compressor* compressor = nullptr,
+                              const RingDeadline& deadline = {});
 
 /// Compatibility overload over a whole vector.
 Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,

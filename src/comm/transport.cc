@@ -262,6 +262,7 @@ std::optional<Envelope> Endpoint::RecvAny() {
 }
 
 std::optional<Envelope> Endpoint::RecvAnyFor(double timeout_seconds) {
+  if (timeout_seconds < 0.0) return RecvAny();
   if (!stash_.empty()) {
     Envelope env = std::move(stash_.front());
     stash_.pop_front();

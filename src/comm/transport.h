@@ -68,7 +68,8 @@ class Transport {
   virtual std::optional<Envelope> Recv(NodeId me) = 0;
 
   /// Bounded-wait receive: nullopt on timeout as well as after shutdown;
-  /// callers distinguish via closed().
+  /// callers distinguish via closed(). `timeout_seconds` must be >= 0; the
+  /// Endpoint *For receives map a negative (no-deadline) timeout to Recv.
   virtual std::optional<Envelope> RecvFor(NodeId me,
                                           double timeout_seconds) = 0;
 
@@ -194,7 +195,9 @@ class Endpoint {
   /// Deadline variant of RecvMatching: additionally returns nullopt once
   /// `timeout_seconds` elapse with no matching message (non-matching
   /// arrivals are stashed as usual and do not reset the deadline). Callers
-  /// tell timeout from shutdown via closed(). This is the primitive under
+  /// tell timeout from shutdown via closed(). Like every *For receive, a
+  /// negative `timeout_seconds` means no deadline: it blocks exactly like
+  /// RecvMatching. This is the primitive under
   /// the data-plane retry/escalation loop: a worker stuck waiting on a dead
   /// group peer wakes up here and escalates to the controller instead of
   /// blocking forever.
@@ -207,20 +210,22 @@ class Endpoint {
   std::optional<Envelope> RecvFrom(NodeId from);
 
   /// Deadline variant of RecvFrom (same timeout semantics as
-  /// RecvMatchingFor).
+  /// RecvMatchingFor; negative = no deadline, blocks like RecvFrom).
   std::optional<Envelope> RecvFromFor(NodeId from, double timeout_seconds);
 
   /// Blocks for any message (stash first, then mailbox).
   std::optional<Envelope> RecvAny();
 
-  /// Deadline variant of RecvAny.
+  /// Deadline variant of RecvAny (same timeout semantics as
+  /// RecvMatchingFor; negative = no deadline, blocks like RecvAny).
   std::optional<Envelope> RecvAnyFor(double timeout_seconds);
 
   /// Fully general deadline receive: blocks until a message satisfying
   /// `match` arrives (stash first, parking non-matches), or the deadline
-  /// passes. The fault-tolerant ring reduce uses this to match on payload
-  /// fields (the step counter) so duplicated chunks cannot be mistaken for
-  /// the next step's.
+  /// passes (negative = no deadline, as for RecvMatchingFor). The segmented
+  /// ring collectives use this to match on payload fields (step, chunk,
+  /// segment), so a duplicated segment cannot be mistaken for the next
+  /// one.
   std::optional<Envelope> RecvWhereFor(
       const std::function<bool(const Envelope&)>& match,
       double timeout_seconds);

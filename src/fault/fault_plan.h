@@ -152,16 +152,18 @@ struct FaultPlan {
   /// window from these).
   int reregister_report_groups = 8;
 
-  /// Runs the fault-tolerant protocol (leases, eviction, abort/retry) even
+  /// Arms the protocol's deadlines (leases, eviction, abort/retry) even
   /// with nothing scheduled above. Multi-process runs set this so *real*
   /// failures — a killed worker process, a torn connection — are survived:
-  /// over sockets a dead peer is simply silent, and only the hardened
-  /// protocol reacts to silence.
+  /// over sockets a dead peer is simply silent, and only a deadline reacts
+  /// to silence.
   bool force_fault_tolerant = false;
 
-  /// True when this plan can inject anything (or force_fault_tolerant is
-  /// set); false plans leave every runtime code path on the fault-free fast
-  /// path.
+  /// True when this plan can inject anything — message faults, worker or
+  /// controller events, partitions — or force_fault_tolerant is set. It arms
+  /// the P-Reduce protocol's deadlines (receive timeouts, leases, abort and
+  /// retry) and registers the fault.* metrics in both engines; a false plan
+  /// runs the same protocol with every wait blocking.
   bool enabled() const;
 
   /// Fault plans are only meaningful for a controller-mediated P-Reduce run;
@@ -173,7 +175,7 @@ struct FaultPlan {
   bool has_controller_faults() const;
 
   /// True when the plan schedules at least one network partition (switches
-  /// the threaded runtime to the severable transport + hardened protocol).
+  /// the threaded runtime to the severable transport).
   bool has_partitions() const;
 
   const EdgeFaultSpec& EdgeSpec(int from, int to) const;

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -16,10 +17,15 @@
 #include "fault/fault_plan.h"
 #include "runtime/threaded_strategies.h"
 #include "runtime/worker_runtime.h"
-#include "tensor/ops.h"
 
 namespace pr {
 namespace {
+
+/// Increments `c` when the counter was registered (the fault.* family
+/// exists only in fault-tolerant runs).
+void Bump(Counter* c) {
+  if (c != nullptr) c->Increment();
+}
 
 // Control-plane message kinds (collectives use their own range).
 constexpr int kKindReady = 1;
@@ -44,162 +50,6 @@ constexpr int kKindReregisterAck = 12;  ///< controller: snapshot recorded
 // reports {epoch, iteration, completed}; the controller assembles the
 // manifest once every worker of the run has reported the epoch.
 constexpr int kKindCkptReport = 13;
-
-// Data-plane kinds of the fault-aware ring reduce. Distinct from the stock
-// collectives' 101-107 because matching here must include the step counter
-// (a duplicated chunk would otherwise satisfy the next step's receive and
-// corrupt the sum).
-constexpr int kKindFaultRsChunk = 111;
-constexpr int kKindFaultAgChunk = 112;
-
-/// Chunk boundaries for splitting `n` elements into `p` near-equal parts
-/// (mirrors the stock ring collectives' layout).
-std::pair<size_t, size_t> ChunkBounds(size_t n, size_t p, size_t chunk) {
-  const size_t base = n / p;
-  const size_t rem = n % p;
-  const size_t begin = chunk * base + std::min(chunk, rem);
-  const size_t len = base + (chunk < rem ? 1 : 0);
-  return {begin, begin + len};
-}
-
-enum class ReduceOutcome { kDone, kAborted, kShutdown };
-
-/// Ring weighted all-reduce hardened for a lossy fabric: every receive is
-/// matched on (left neighbour, group tag, kind, step) and carries a
-/// deadline. On each timeout tick the worker renews its controller lease,
-/// checks for a parked group Abort, and periodically escalates a
-/// kKindGroupStuck report; the controller answers a hopeless stall (dead
-/// peer or dropped chunk) with an Abort, turning a would-be deadlock into a
-/// group retry.
-ReduceOutcome FaultAwareRingReduce(WorkerContext* ctx,
-                                   const std::vector<NodeId>& members,
-                                   const std::vector<double>& weights,
-                                   size_t my_index, uint64_t group_id,
-                                   float* buf, size_t n) {
-  Endpoint* ep = ctx->endpoint();
-  Compressor* comp = ctx->compressor();
-  const FaultPlan& plan = ctx->run().fault;
-  const NodeId controller = ctx->service_node();
-  const size_t p = members.size();
-  Scale(static_cast<float>(weights[my_index]), buf, n);
-  if (p == 1) return ReduceOutcome::kDone;
-
-  const NodeId right = members[(my_index + 1) % p];
-  const NodeId left = members[(my_index + p - 1) % p];
-
-  // Under compression every hop's chunk travels encoded; this unsegmented
-  // fault-path ring re-encodes per hop (all-gather included), so replicas
-  // may diverge by one quantization step — acceptable here, since an abort /
-  // retry already re-synchronizes the group, and the exactness-sensitive
-  // fast path uses the compressed segmented ring instead.
-  auto send_chunk = [&](int kind, size_t step, size_t chunk, size_t sb,
-                        size_t se) {
-    if (comp != nullptr) {
-      (void)ep->Send(right, group_id, kind,
-                     {static_cast<int64_t>(step), static_cast<int64_t>(chunk)},
-                     comp->EncodeRange(buf + sb, sb, se - sb),
-                     comp->encoding_tag());
-    } else {
-      (void)ep->Send(right, group_id, kind,
-                     {static_cast<int64_t>(step), static_cast<int64_t>(chunk)},
-                     std::vector<float>(buf + sb, buf + se));
-    }
-  };
-
-  const double begin = ctx->Now();
-  int ticks = 0;
-  // Waits for one specific ring chunk; nullopt means abort or shutdown (the
-  // caller distinguishes via the outcome out-param).
-  ReduceOutcome outcome = ReduceOutcome::kDone;
-  auto wait_chunk = [&](int kind, int64_t step) -> std::optional<Envelope> {
-    while (true) {
-      std::optional<Envelope> env = ep->RecvWhereFor(
-          [&](const Envelope& e) {
-            return e.from == left && e.tag == group_id && e.kind == kind &&
-                   !e.ints.empty() && e.ints[0] == step;
-          },
-          plan.recv_timeout_seconds);
-      if (env.has_value()) return env;
-      if (ep->closed()) {
-        outcome = ReduceOutcome::kShutdown;
-        return std::nullopt;
-      }
-      // Timeout tick: an Abort that landed during a selective receive is
-      // parked in the stash — take it from there.
-      if (auto abort = ep->TryTakeStashed([&](const Envelope& e) {
-            return e.from == controller && e.kind == kKindAbort &&
-                   !e.ints.empty() &&
-                   e.ints[0] == static_cast<int64_t>(group_id);
-          })) {
-        // The Abort names the evicted member (when there is one); its parked
-        // chunks can never be selected again, so drop them now.
-        if (abort->ints.size() >= 2 && abort->ints[1] >= 0) {
-          ep->PurgeStashFrom(static_cast<NodeId>(abort->ints[1]));
-        }
-        outcome = ReduceOutcome::kAborted;
-        return std::nullopt;
-      }
-      (void)ep->Send(controller, 0, kKindHeartbeat, {});
-      ++ticks;
-      if (plan.stuck_report_ticks > 0 &&
-          ticks % plan.stuck_report_ticks == 0) {
-        (void)ep->Send(controller, group_id, kKindGroupStuck,
-                       {static_cast<int64_t>(group_id)});
-      }
-      if (ctx->Now() - begin > plan.max_reduce_stall_seconds) {
-        // Liveness valve: abandon the reduce even without a controller
-        // verdict; the group-stuck escalation will (or did) abort it.
-        outcome = ReduceOutcome::kAborted;
-        return std::nullopt;
-      }
-    }
-  };
-
-  std::vector<float> scratch;
-  // Reduce-scatter.
-  for (size_t step = 0; step < p - 1; ++step) {
-    const size_t out_chunk = (my_index + p - step) % p;
-    const size_t recv_chunk = (my_index + p - step - 1) % p;
-    auto [sb, se] = ChunkBounds(n, p, out_chunk);
-    send_chunk(kKindFaultRsChunk, step, out_chunk, sb, se);
-    std::optional<Envelope> env =
-        wait_chunk(kKindFaultRsChunk, static_cast<int64_t>(step));
-    if (!env.has_value()) return outcome;
-    auto [rb, re] = ChunkBounds(n, p, recv_chunk);
-    if (comp != nullptr) {
-      scratch.resize(re - rb);
-      // A mismatched decode (wrong blob for this chunk length) is treated
-      // like a wrong-size raw chunk: abort and let the group retry.
-      if (!comp->DecodeInto(env->payload, scratch.data(), re - rb).ok()) {
-        return ReduceOutcome::kAborted;
-      }
-      Axpy(1.0f, scratch.data(), buf + rb, re - rb);
-    } else {
-      if (env->payload.size() != re - rb) return ReduceOutcome::kAborted;
-      Axpy(1.0f, env->payload.data(), buf + rb, re - rb);
-    }
-  }
-  // All-gather.
-  for (size_t step = 0; step < p - 1; ++step) {
-    const size_t out_chunk = (my_index + 1 + p - step) % p;
-    const size_t recv_chunk = (my_index + p - step) % p;
-    auto [sb, se] = ChunkBounds(n, p, out_chunk);
-    send_chunk(kKindFaultAgChunk, step, out_chunk, sb, se);
-    std::optional<Envelope> env =
-        wait_chunk(kKindFaultAgChunk, static_cast<int64_t>(step));
-    if (!env.has_value()) return outcome;
-    auto [rb, re] = ChunkBounds(n, p, recv_chunk);
-    if (comp != nullptr) {
-      if (!comp->DecodeInto(env->payload, buf + rb, re - rb).ok()) {
-        return ReduceOutcome::kAborted;
-      }
-    } else {
-      if (env->payload.size() != re - rb) return ReduceOutcome::kAborted;
-      std::copy(env->payload.begin(), env->payload.end(), buf + rb);
-    }
-  }
-  return ReduceOutcome::kDone;
-}
 
 /// Controller-side half of the coordinated checkpoint (P-Reduce): workers
 /// write their shards at local-iteration cuts and report them; once every
@@ -286,10 +136,12 @@ class ServiceCkpt {
 /// filter -> weight generator -> group broadcaster) plus the termination
 /// protocol, and elastic membership (Pause/Rejoin) rides the same channel.
 ///
-/// An enabled fault plan switches both sides to the hardened protocol:
-/// heartbeat leases with controller-side eviction, at-least-once control
-/// messages with explicit dedup, and group abort/retry on stalls (see
-/// DESIGN.md "Fault tolerance").
+/// There is one protocol, hardened for a lossy fabric: heartbeat leases with
+/// controller-side eviction, at-least-once control messages with explicit
+/// dedup, and group abort/retry on stalls (see DESIGN.md "Fault
+/// tolerance"). Every one of those reactions fires on a receive timeout, so
+/// a run whose fault plan is disabled simply has no deadlines: its waits
+/// block, its leases never lapse, and its group reduces cannot abort.
 class ThreadedPReduce : public ThreadedStrategy {
  public:
   explicit ThreadedPReduce(const StrategyOptions& options)
@@ -312,8 +164,6 @@ class ThreadedPReduce : public ThreadedStrategy {
 
  private:
   Controller MakeController(int num_workers, const Topology& topology) const;
-  void RunServiceFaulty(ServiceContext* ctx);
-  void RunWorkerFaulty(WorkerContext* ctx);
 
   StrategyOptions options_;
   // Written by the service thread; read after every thread joined.
@@ -339,172 +189,43 @@ Controller ThreadedPReduce::MakeController(int num_workers,
 }
 
 void ThreadedPReduce::RunService(ServiceContext* ctx) {
-  if (ctx->run().fault.enabled()) return RunServiceFaulty(ctx);
-  const int n = ctx->run().num_workers;
-  PR_CHECK_LE(options_.group_size, n);
-  Endpoint* ep = ctx->endpoint();
-
-  Controller controller = MakeController(n, ctx->run().topology);
-  controller.AttachObservers(ctx->metrics(), ctx->trace(),
-                             [ctx] { return ctx->Now(); });
-  TraceRecorder* trace = ctx->trace();
-  ServiceCkpt ckpt(ctx, options_);
-  if (const RunManifest* rm = ctx->resume()) {
-    ControllerRestoreState rs;
-    rs.history = rm->history;
-    rs.next_group_id = rm->next_group_id;
-    controller.Restore(rs);
-  }
-
-  int remaining = n;  // workers that have not permanently left
-  int active = n;     // currently in the pool (excludes paused workers)
-
-  // Graceful-degradation gates (strategy.scale_policy.*): `min_p` is the
-  // smallest group worth forming when churn pulls the pool below P, and the
-  // liveness floor releases waiters to local SGD no matter what can form.
-  const ScalePolicyConfig& scale_cfg = options_.scale_policy;
-  const bool degrade =
-      scale_cfg.degradation_enabled() || scale_cfg.enabled();
-  const int min_p =
-      scale_cfg.min_group_size > 0
-          ? std::max(2, std::min(scale_cfg.min_group_size,
-                                 options_.group_size))
-          : options_.group_size;
-  Counter* small_groups =
-      degrade ? ctx->metrics()->GetCounter("scenario.degrade.small_groups")
-              : nullptr;
-  Counter* local_steps =
-      degrade ? ctx->metrics()->GetCounter("scenario.degrade.local_steps")
-              : nullptr;
-  auto below_floor = [&] {
-    return scale_cfg.liveness_floor > 0 &&
-           active < scale_cfg.liveness_floor;
-  };
-
-  // Releases queued waiters that can never form a full group. Sends fail
-  // only when the fabric was shut down mid-run (hard abort); the main loop's
-  // next RecvAny observes the closure and drains, so failures are ignored.
-  auto release_pending = [&] {
-    for (const ReadySignal& s : controller.DrainPending()) {
-      (void)ep->Send(s.worker, 0, kKindRelease, {});
-    }
-  };
-
-  // Broadcasts the group filter's decisions to their members.
-  auto broadcast = [&](const std::vector<GroupDecision>& decisions) {
-    for (const GroupDecision& decision : decisions) {
-      ++group_reduces_;
-      std::vector<int64_t> ints;
-      ints.push_back(static_cast<int64_t>(decision.group_id));
-      ints.push_back(decision.advanced_iteration);
-      for (int m : decision.members) ints.push_back(m);
-      // Convert the weights once per decision; every member shares the one
-      // payload buffer.
-      Buffer weights = Buffer::FromVector(std::vector<float>(
-          decision.weights.begin(), decision.weights.end()));
-      for (int member : decision.members) {
-        (void)ep->Send(member, decision.group_id, kKindGroupInfo, ints,
-                       weights);
-      }
-    }
-  };
-
-  // Shrink-before-hold: track the pool and form groups of
-  // clamp(active, min_p, P) instead of parking waiters behind a full P.
-  auto update_effective_p = [&] {
-    if (min_p >= options_.group_size) return;  // gate disabled
-    const int target =
-        std::max(min_p, std::min(active, options_.group_size));
-    if (target == controller.effective_group_size()) return;
-    if (target < controller.effective_group_size() &&
-        small_groups != nullptr) {
-      small_groups->Increment();
-    }
-    broadcast(controller.SetEffectiveGroupSize(target));
-  };
-
-  while (remaining > 0) {
-    std::optional<Envelope> env = ep->RecvAny();
-    if (!env.has_value()) break;  // transport shut down
-    switch (env->kind) {
-      case kKindReady:
-        if (active < min_p) {
-          // Too few pool members remain for this signal to ever group (the
-          // sender may have raced a Leave or Pause); release it immediately.
-          PR_CHECK(controller.OnReadySignal(env->from, env->ints[0]).empty());
-          release_pending();
-        } else if (below_floor()) {
-          // Liveness-floor degradation: small groups could form, but the
-          // policy demands local SGD until membership recovers — answer
-          // with an immediate release, never enqueue.
-          if (local_steps != nullptr) local_steps->Increment();
-          (void)ep->Send(env->from, 0, kKindRelease, {});
-        } else {
-          broadcast(controller.OnReadySignal(env->from, env->ints[0]));
-        }
-        break;
-      case kKindLeave:
-        --remaining;
-        --active;
-        // A departure can release frozen-avoidance holds.
-        broadcast(controller.NotifyWorkerLeft(env->from));
-        update_effective_p();
-        if (active < min_p) release_pending();
-        break;
-      case kKindPause:
-        // Elastic leave: the worker will rejoin, but until then it must not
-        // be grouped and must not block frozen-avoidance holds.
-        --active;
-        trace->Record(ctx->Now(), TraceEventKind::kChurnLeave, env->from);
-        broadcast(controller.NotifyWorkerLeft(env->from));
-        update_effective_p();
-        if (active < min_p) release_pending();
-        break;
-      case kKindRejoin:
-        ++active;
-        trace->Record(ctx->Now(), TraceEventKind::kChurnRejoin, env->from);
-        broadcast(controller.NotifyWorkerRejoined(env->from));
-        update_effective_p();
-        break;
-      case kKindCkptReport:
-        ckpt.OnReport(*env, controller, group_reduces_);
-        break;
-      default:
-        PR_CHECK(false) << "controller got unexpected kind " << env->kind;
-    }
-  }
-  controller_stats_ = controller.stats();
-}
-
-void ThreadedPReduce::RunServiceFaulty(ServiceContext* ctx) {
   const int n = ctx->run().num_workers;
   const FaultPlan& plan = ctx->run().fault;
   PR_CHECK_LE(options_.group_size, n);
   Endpoint* ep = ctx->endpoint();
   TraceRecorder* trace = ctx->trace();
+  // Without a fault plan every wait blocks and every lease is infinite.
+  const bool ft = plan.enabled();
+  const double tick = ft ? plan.recv_timeout_seconds : -1.0;
 
   // Eagerly register the whole fault.* family so a chaos run's report
-  // always carries the names, even when an injector never fired.
-  Counter* evictions_counter = ctx->metrics()->GetCounter("fault.evictions");
-  Counter* aborted_counter =
-      ctx->metrics()->GetCounter("fault.aborted_groups");
-  Counter* heartbeats_counter =
-      ctx->metrics()->GetCounter("fault.heartbeats");
-  ctx->metrics()->GetCounter("fault.retries");
-  ctx->metrics()->GetCounter("fault.injected_drops");
-  ctx->metrics()->GetCounter("fault.injected_dups");
-  ctx->metrics()->GetCounter("fault.injected_delays");
-  ctx->metrics()->GetCounter("fault.severed_drops");
-  Counter* failovers_counter =
-      ctx->metrics()->GetCounter("controller.failovers");
-  Counter* reregs_counter =
-      ctx->metrics()->GetCounter("controller.reregistrations");
+  // always carries the names, even when an injector never fired. The
+  // condition matches the simulator's, so both engines report one name set.
+  Counter* evictions_counter = nullptr;
+  Counter* aborted_counter = nullptr;
+  Counter* heartbeats_counter = nullptr;
+  Counter* failovers_counter = nullptr;
+  Counter* reregs_counter = nullptr;
+  if (ft) {
+    MetricsShard* m = ctx->metrics();
+    evictions_counter = m->GetCounter("fault.evictions");
+    aborted_counter = m->GetCounter("fault.aborted_groups");
+    heartbeats_counter = m->GetCounter("fault.heartbeats");
+    for (const char* name :
+         {"fault.retries", "fault.injected_drops", "fault.injected_dups",
+          "fault.injected_delays", "fault.severed_drops"}) {
+      m->GetCounter(name);
+    }
+    failovers_counter = m->GetCounter("controller.failovers");
+    reregs_counter = m->GetCounter("controller.reregistrations");
+  }
 
   ServiceCkpt ckpt(ctx, options_);
 
-  // Graceful-degradation gates — same semantics as the fault-free service
-  // (shrink-before-hold, liveness-floor local SGD), shared across
-  // controller incarnations.
+  // Graceful-degradation gates (strategy.scale_policy.*): `min_p` is the
+  // smallest group worth forming when churn pulls the pool below P, and the
+  // liveness floor releases waiters to local SGD no matter what can form.
+  // Shared across controller incarnations.
   const ScalePolicyConfig& scale_cfg = options_.scale_policy;
   const bool degrade =
       scale_cfg.degradation_enabled() || scale_cfg.enabled();
@@ -579,8 +300,9 @@ void ThreadedPReduce::RunServiceFaulty(ServiceContext* ctx) {
   std::vector<uint64_t> wgroup(static_cast<size_t>(n), 0);
   std::vector<bool> paused(static_cast<size_t>(n), false);
   std::map<uint64_t, InFlightGroup> in_flight;
-  FailureDetector detector(n, plan.lease_seconds, plan.missed_threshold,
-                           ctx->Now());
+  FailureDetector detector(
+      n, ft ? plan.lease_seconds : std::numeric_limits<double>::infinity(),
+      plan.missed_threshold, ctx->Now());
 
   int remaining = 0;
   for (int w = 0; w < n; ++w) {
@@ -646,7 +368,7 @@ void ThreadedPReduce::RunServiceFaulty(ServiceContext* ctx) {
       if (it == in_flight.end()) return;
       InFlightGroup f = std::move(it->second);
       in_flight.erase(it);
-      aborted_counter->Increment();
+      Bump(aborted_counter);
       trace->Record(ctx->Now(), TraceEventKind::kGroupAborted, -1,
                     static_cast<int64_t>(g));
       for (int m : f.members) {
@@ -664,10 +386,7 @@ void ThreadedPReduce::RunServiceFaulty(ServiceContext* ctx) {
       const int target =
           std::max(min_p, std::min(active, options_.group_size));
       if (target == controller.effective_group_size()) return;
-      if (target < controller.effective_group_size() &&
-          small_groups != nullptr) {
-        small_groups->Increment();
-      }
+      if (target < controller.effective_group_size()) Bump(small_groups);
       broadcast(controller.SetEffectiveGroupSize(target));
     };
     auto below_floor = [&] {
@@ -676,7 +395,7 @@ void ThreadedPReduce::RunServiceFaulty(ServiceContext* ctx) {
     };
 
     auto evict = [&](int w) {
-      evictions_counter->Increment();
+      Bump(evictions_counter);
       trace->Record(ctx->Now(), TraceEventKind::kWorkerEvicted, w);
       const size_t sw = static_cast<size_t>(w);
       const bool was_in_group = wstate[sw] == WState::kInGroup;
@@ -741,7 +460,7 @@ void ThreadedPReduce::RunServiceFaulty(ServiceContext* ctx) {
               }
             }
             if (!known) regs.push_back(std::move(r));
-            reregs_counter->Increment();
+            Bump(reregs_counter);
             trace->Record(ctx->Now(), TraceEventKind::kWorkerReregister, w,
                           env->ints.empty() ? 0 : env->ints[0]);
             (void)ep->Send(w, 0, kKindReregisterAck, {});
@@ -856,7 +575,7 @@ void ThreadedPReduce::RunServiceFaulty(ServiceContext* ctx) {
         exit_reason = Exit::kCrash;
         break;
       }
-      std::optional<Envelope> env = ep->RecvAnyFor(plan.recv_timeout_seconds);
+      std::optional<Envelope> env = ep->RecvAnyFor(tick);
       const double now = ctx->Now();
       for (int w : detector.Expired(now)) evict(w);
       if (!env.has_value()) {
@@ -875,7 +594,7 @@ void ThreadedPReduce::RunServiceFaulty(ServiceContext* ctx) {
       detector.Beat(w, now);
       switch (env->kind) {
         case kKindHeartbeat:
-          heartbeats_counter->Increment();
+          Bump(heartbeats_counter);
           trace->Record(now, TraceEventKind::kHeartbeat, w);
           break;
 
@@ -883,7 +602,7 @@ void ThreadedPReduce::RunServiceFaulty(ServiceContext* ctx) {
           // Under a healthy controller a re-registration is just a beefy
           // ready signal: acknowledge it (so the sender stops probing) and
           // let the Ready logic below dedup or queue it.
-          reregs_counter->Increment();
+          Bump(reregs_counter);
           trace->Record(now, TraceEventKind::kWorkerReregister, w,
                         env->ints.empty() ? 0 : env->ints[0]);
           (void)ep->Send(w, 0, kKindReregisterAck, {});
@@ -927,7 +646,7 @@ void ThreadedPReduce::RunServiceFaulty(ServiceContext* ctx) {
             // Liveness-floor degradation: answer with an immediate release
             // (local SGD) instead of enqueuing; membership recovery lifts
             // the gate.
-            if (local_steps != nullptr) local_steps->Increment();
+            Bump(local_steps);
             (void)ep->Send(w, 0, kKindRelease, {});
             release_pending();
             break;
@@ -1041,6 +760,8 @@ void ThreadedPReduce::RunServiceFaulty(ServiceContext* ctx) {
     controller_stats_.groups_formed += stats.groups_formed;
     controller_stats_.bridged_groups += stats.bridged_groups;
     controller_stats_.frozen_detections += stats.frozen_detections;
+    controller_stats_.cross_node_groups += stats.cross_node_groups;
+    controller_stats_.intra_node_groups += stats.intra_node_groups;
 
     if (exit_reason != Exit::kCrash) break;
 
@@ -1071,184 +792,31 @@ void ThreadedPReduce::RunServiceFaulty(ServiceContext* ctx) {
     ep->PurgeStash([](const Envelope&) { return true; });
     faulty->RestoreNode(ep->id());
     ++failovers;
-    failovers_counter->Increment();
+    Bump(failovers_counter);
     trace->Record(ctx->Now(), TraceEventKind::kControllerRestart, -1,
                   static_cast<int64_t>(failovers));
   }
 }
 
 void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
-  if (ctx->run().fault.enabled()) return RunWorkerFaulty(ctx);
-  const ThreadedRunOptions& run = ctx->run();
-  const NodeId controller = ctx->service_node();
-  Endpoint* ep = ctx->endpoint();
-  MutableSlice params = ctx->params();
-  std::vector<float> grad;
-  int64_t iteration = ctx->resume_iteration();
-
-  // This worker's absence windows, in firing order. A trace can schedule
-  // several (Poisson churn revisits workers), and an arrive event compiles
-  // to a window at iteration 0 — served before the first local step.
-  std::vector<ThreadedChurnEvent> churns;
-  for (const ThreadedChurnEvent& c : run.churn) {
-    if (c.worker == ctx->worker()) churns.push_back(c);
-  }
-  std::sort(churns.begin(), churns.end(),
-            [](const ThreadedChurnEvent& a, const ThreadedChurnEvent& b) {
-              return a.after_iterations < b.after_iterations;
-            });
-  size_t next_churn = 0;
-  // Serves every window due at or before boundary `k` (windows behind a
-  // resume's start point are skipped). Returns false on fabric shutdown.
-  auto run_churn = [&](size_t k) -> bool {
-    while (next_churn < churns.size() &&
-           churns[next_churn].after_iterations <= k) {
-      if (churns[next_churn].after_iterations == k) {
-        if (!ep->Send(controller, 0, kKindPause, {}).ok()) return false;
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            churns[next_churn].pause_seconds));
-        if (!ep->Send(controller, 0, kKindRejoin, {}).ok()) return false;
-      }
-      ++next_churn;
-    }
-    return true;
-  };
-  // Autoscaling pause: the policy thread flags this worker out; sit out on
-  // the same elastic path a trace departure uses. The wait is bounded
-  // (lease-like) so a policy stuck at its minimum can never deadlock the
-  // run's termination.
-  ScaleDirector* scale = ctx->scale_director();
-  const double scale_pause_budget =
-      8.0 * ctx->strategy_options().scale_policy.interval_seconds;
-  auto scale_pause = [&]() -> bool {
-    if (scale == nullptr || !scale->ShouldPause(ctx->worker())) return true;
-    if (!ep->Send(controller, 0, kKindPause, {}).ok()) return false;
-    const double deadline = ctx->Now() + scale_pause_budget;
-    while (scale->ShouldPause(ctx->worker()) && ctx->Now() < deadline) {
-      if (ep->closed()) return false;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    return ep->Send(controller, 0, kKindRejoin, {}).ok();
-  };
-
-  // Checkpoint cut: shard written after iteration k's synchronization
-  // resolved (reduce or release), reported to the controller, which writes
-  // the manifest once every worker reported the epoch. The final iteration
-  // never cuts — the run is about to end anyway. Under the sustained-
-  // partition gate the *next* epoch index is cut early, at every boundary,
-  // until the service lands a manifest.
-  auto maybe_checkpoint = [&](size_t k) {
-    const CheckpointConfig& ckpt = run.ckpt;
-    if (!ckpt.enabled() || ckpt.every_iterations == 0) return;
-    int64_t epoch;
-    if (ctx->forced_ckpt()) {
-      epoch = static_cast<int64_t>((k + ckpt.every_iterations - 1) /
-                                   ckpt.every_iterations);
-      if (epoch == 0) epoch = 1;
-    } else {
-      if (k % ckpt.every_iterations != 0) return;
-      epoch = static_cast<int64_t>(k / ckpt.every_iterations);
-    }
-    if (ctx->SaveCkptShard(epoch).ok()) {
-      (void)ep->Send(controller, 0, kKindCkptReport,
-                     {epoch, iteration, static_cast<int64_t>(k)});
-    }
-  };
-
-  if (!run_churn(ctx->start_iteration())) return;  // arrive-at-start windows
-  if (ctx->start_iteration() >= run.iterations_per_worker) {
-    // The manifest cut at this worker's full budget; nothing left to run.
-    // A failed send here (and below) means the fabric was shut down by a
-    // hard abort; the worker unwinds exactly like the Recv-shutdown path.
-    ctx->MarkFinished();
-    (void)ep->Send(controller, 0, kKindLeave, {});
-    return;
-  }
-
-  for (size_t k = ctx->start_iteration() + 1; k <= run.iterations_per_worker;
-       ++k) {
-    if (run.control != nullptr && run.control->cancel_requested()) {
-      // Cooperative cancel: leave the pool exactly like a worker whose
-      // budget ran out. The controller handles the Leave through its normal
-      // membership path, so the remaining workers keep forming groups and
-      // the run drains cleanly with partial progress.
-      ctx->MarkFinished();
-      (void)ep->Send(controller, 0, kKindLeave, {});
-      return;
-    }
-    ctx->ComputeGradient(params.data(), &grad);
-    ctx->sgd()->Step(grad.data(), params.data(), params.size());
-    ++iteration;
-
-    if (k == run.iterations_per_worker) {
-      ctx->MarkFinished();
-      (void)ep->Send(controller, 0, kKindLeave, {});
-      break;
-    }
-
-    // Elastic pause: leave the pool, nap, rejoin with the parameters we
-    // last held. Trace-driven windows first, then the autoscaler's verdict.
-    if (!run_churn(k)) return;   // shutdown
-    if (!scale_pause()) return;  // shutdown
-
-    if (!ep->Send(controller, 0, kKindReady, {iteration}).ok()) {
-      return;  // fabric shut down (abort/eviction) while we were computing
-    }
-
-    // Wait for the controller's verdict; ring chunks from other groups that
-    // land meanwhile are stashed by RecvFrom and replayed to the collective.
-    const double wait_begin = ctx->Now();
-    std::optional<Envelope> env = ep->RecvFrom(controller);
-    if (!env.has_value()) return;  // shutdown
-    ctx->RecordIdle(wait_begin, ctx->Now());
-    if (env->kind == kKindRelease) {
-      maybe_checkpoint(k);
-      continue;
-    }
-    PR_CHECK_EQ(env->kind, kKindGroupInfo);
-
-    const uint64_t group_id = static_cast<uint64_t>(env->ints[0]);
-    const int64_t advanced = env->ints[1];
-    std::vector<NodeId> members;
-    for (size_t i = 2; i < env->ints.size(); ++i) {
-      members.push_back(static_cast<NodeId>(env->ints[i]));
-    }
-    std::vector<double> weights(env->payload.begin(), env->payload.end());
-    const size_t my_index = static_cast<size_t>(
-        std::find(members.begin(), members.end(), ctx->worker()) -
-        members.begin());
-    PR_CHECK_LT(my_index, members.size()) << "not a member of my own group";
-
-    const double comm_begin = ctx->Now();
-    ctx->trace()->Record(comm_begin, TraceEventKind::kReduceStart,
-                         ctx->worker(), static_cast<int64_t>(group_id));
-    // On the fault-free fast path the collective only fails when the fabric
-    // was shut down under us (hard abort/eviction) — unwind, don't crash.
-    if (!GroupWeightedAllReduce(ep, members, weights, my_index, group_id,
-                                params.data(), params.size(),
-                                ctx->compressor())
-             .ok()) {
-      return;
-    }
-    ctx->RecordComm(comm_begin, ctx->Now());
-    ctx->trace()->Record(ctx->Now(), TraceEventKind::kReduceEnd,
-                         ctx->worker(), static_cast<int64_t>(group_id));
-    if (options_.kind == StrategyKind::kPReduceDynamic) iteration = advanced;
-    maybe_checkpoint(k);
-  }
-}
-
-void ThreadedPReduce::RunWorkerFaulty(WorkerContext* ctx) {
   const ThreadedRunOptions& run = ctx->run();
   const FaultPlan& plan = run.fault;
   const NodeId controller = ctx->service_node();
   Endpoint* ep = ctx->endpoint();
   MutableSlice params = ctx->params();
   std::vector<float> grad;
+  // Pre-reduce parameters, restored when a group reduce aborts. Only a
+  // reduce with a deadline can abort, so fault-free runs never fill it.
   std::vector<float> backup;
   int64_t iteration = ctx->resume_iteration();
   uint64_t last_group_id = 0;  // workers dedup GroupInfo by ascending id
-  Counter* retries_counter = ctx->metrics()->GetCounter("fault.retries");
+  // Without a fault plan every wait blocks: the heartbeats, Ready re-sends,
+  // stuck reports and liveness valves below all run on timeout ticks, so
+  // they never fire.
+  const bool ft = plan.enabled();
+  const double tick = ft ? plan.recv_timeout_seconds : -1.0;
+  Counter* retries_counter =
+      ft ? ctx->metrics()->GetCounter("fault.retries") : nullptr;
   const bool cf = plan.has_controller_faults();
   // How long a verdict wait may stay silent before the worker gives up and
   // proceeds locally. Under controller faults the budget covers a full
@@ -1273,9 +841,11 @@ void ThreadedPReduce::RunWorkerFaulty(WorkerContext* ctx) {
       hangs.push_back(&e);
     }
   }
-  // All of this worker's absence windows, in firing order (see RunWorker).
-  // Sends here are best-effort: on the faulty path a failed send can mean a
-  // controller outage, not shutdown, and the protocol tolerates the loss.
+  // This worker's absence windows, in firing order. A trace can schedule
+  // several (Poisson churn revisits workers), and an arrive event compiles
+  // to a window at iteration 0 — served before the first local step.
+  // Control sends are best-effort throughout: the protocol tolerates a lost
+  // message, and a shut-down fabric shows up in closed().
   std::vector<ThreadedChurnEvent> churns;
   for (const ThreadedChurnEvent& c : run.churn) {
     if (c.worker == ctx->worker()) churns.push_back(c);
@@ -1285,34 +855,43 @@ void ThreadedPReduce::RunWorkerFaulty(WorkerContext* ctx) {
               return a.after_iterations < b.after_iterations;
             });
   size_t next_churn = 0;
-  auto run_churn = [&](size_t k) {
+  // Serves every window due at or before boundary `k` (windows behind a
+  // resume's start point are skipped). Returns false on fabric shutdown.
+  auto run_churn = [&](size_t k) -> bool {
     while (next_churn < churns.size() &&
            churns[next_churn].after_iterations <= k) {
       if (churns[next_churn].after_iterations == k) {
         (void)ep->Send(controller, 0, kKindPause, {});
+        if (ep->closed()) return false;
         std::this_thread::sleep_for(std::chrono::duration<double>(
             churns[next_churn].pause_seconds));
         (void)ep->Send(controller, 0, kKindRejoin, {});
       }
       ++next_churn;
     }
+    return !ep->closed();
   };
+  // Autoscaling pause: the policy thread flags this worker out; sit out on
+  // the same elastic path a trace departure uses. The wait is bounded
+  // (lease-like) so a policy stuck at its minimum can never deadlock the
+  // run's termination. Returns false on fabric shutdown.
   ScaleDirector* scale = ctx->scale_director();
   const double scale_pause_budget =
       8.0 * ctx->strategy_options().scale_policy.interval_seconds;
-  auto scale_pause = [&] {
-    if (scale == nullptr || !scale->ShouldPause(ctx->worker())) return;
+  auto scale_pause = [&]() -> bool {
+    if (scale == nullptr || !scale->ShouldPause(ctx->worker())) return true;
     (void)ep->Send(controller, 0, kKindPause, {});
     const double deadline = ctx->Now() + scale_pause_budget;
     while (scale->ShouldPause(ctx->worker()) && ctx->Now() < deadline) {
-      if (ep->closed()) return;
+      if (ep->closed()) return false;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     (void)ep->Send(controller, 0, kKindRejoin, {});
+    return !ep->closed();
   };
 
   auto note_retry = [&] {
-    retries_counter->Increment();
+    Bump(retries_counter);
     ctx->trace()->Record(ctx->Now(), TraceEventKind::kWorkerRetry,
                          ctx->worker(), iteration);
   };
@@ -1327,13 +906,17 @@ void ThreadedPReduce::RunWorkerFaulty(WorkerContext* ctx) {
     (void)ep->Send(controller, 0, kKindReregister, std::move(ints));
   };
 
+  // Checkpoint cut: shard written after iteration k's synchronization
+  // resolved (reduce, release or local fallback), reported to the
+  // controller, which writes the manifest once every worker reported the
+  // epoch. The final iteration never cuts — the run is about to end anyway.
   auto maybe_checkpoint = [&](size_t k) {
     const CheckpointConfig& ckpt = run.ckpt;
     if (!ckpt.enabled() || ckpt.every_iterations == 0) return;
     int64_t epoch;
     if (ctx->forced_ckpt()) {
       // Sustained-partition gate: cut the upcoming epoch at every boundary
-      // until the service lands a manifest (see RunWorker).
+      // until the service lands a manifest.
       epoch = static_cast<int64_t>((k + ckpt.every_iterations - 1) /
                                    ckpt.every_iterations);
       if (epoch == 0) epoch = 1;
@@ -1347,8 +930,9 @@ void ThreadedPReduce::RunWorkerFaulty(WorkerContext* ctx) {
     }
   };
 
-  run_churn(ctx->start_iteration());  // arrive-at-start windows
+  if (!run_churn(ctx->start_iteration())) return;  // arrive-at-start windows
   if (ctx->start_iteration() >= run.iterations_per_worker) {
+    // The manifest cut at this worker's full budget; nothing left to run.
     ctx->MarkFinished();
     (void)ep->Send(controller, 0, kKindLeave, {});
     return;
@@ -1357,8 +941,10 @@ void ThreadedPReduce::RunWorkerFaulty(WorkerContext* ctx) {
   for (size_t k = ctx->start_iteration() + 1; k <= run.iterations_per_worker;
        ++k) {
     if (run.control != nullptr && run.control->cancel_requested()) {
-      // Cooperative cancel (same as the fast path): a clean Leave at the
-      // iteration boundary drains this worker out of the membership.
+      // Cooperative cancel: leave the pool exactly like a worker whose
+      // budget ran out. The controller handles the Leave through its normal
+      // membership path, so the remaining workers keep forming groups and
+      // the run drains cleanly with partial progress.
       ctx->MarkFinished();
       (void)ep->Send(controller, 0, kKindLeave, {});
       return;
@@ -1388,14 +974,17 @@ void ThreadedPReduce::RunWorkerFaulty(WorkerContext* ctx) {
         (void)ep->Send(controller, 0, kKindRejoin, {});
       }
     }
-    run_churn(k);
-    scale_pause();
+    // Elastic pause: leave the pool, nap, rejoin with the parameters we
+    // last held. Trace-driven windows first, then the autoscaler's verdict.
+    if (!run_churn(k) || !scale_pause()) return;  // shutdown
 
     (void)ep->Send(controller, 0, kKindReady, {iteration});
 
     // Verdict wait with lease upkeep, bounded re-sends, and a liveness
     // valve: if the controller stays silent past the deadline the worker
-    // falls back to local computation and re-synchronizes next round.
+    // falls back to local computation and re-synchronizes next round. Ring
+    // segments from other groups that land meanwhile are stashed and
+    // replayed to the collective.
     // Under controller faults the plain Ready re-send escalates to a
     // re-registration probe with doubling backoff — the park loop a worker
     // sits in while the controller is down.
@@ -1410,7 +999,7 @@ void ThreadedPReduce::RunWorkerFaulty(WorkerContext* ctx) {
         (controller_lost ? plan.reregister_backoff_max_seconds : full_wait);
     while (!proceed) {
       std::optional<Envelope> env =
-          ep->RecvFromFor(controller, plan.recv_timeout_seconds);
+          ep->RecvFromFor(controller, tick);
       if (!env.has_value()) {
         if (ep->closed()) return;
         ++ticks;
@@ -1496,18 +1085,55 @@ void ThreadedPReduce::RunWorkerFaulty(WorkerContext* ctx) {
             return;
           }
           ctx->RecordIdle(idle_begin, ctx->Now());
-          backup = params.ToVector();
+          if (ft) backup = params.ToVector();
           const double comm_begin = ctx->Now();
           ctx->trace()->Record(comm_begin, TraceEventKind::kReduceStart,
                                ctx->worker(),
                                static_cast<int64_t>(group_id));
-          const ReduceOutcome outcome =
-              FaultAwareRingReduce(ctx, members, weights, my_index, group_id,
-                                   params.data(), params.size());
-          if (outcome == ReduceOutcome::kShutdown) return;
-          if (outcome == ReduceOutcome::kAborted) {
-            // Roll back the half-reduced vector, drop the conversation's
-            // leftovers, and put our signal back in the queue.
+          // Under a fault plan the ring's segment waits carry a deadline.
+          // Each timeout tick renews this worker's lease, takes a parked
+          // Abort for the group, and periodically escalates a GroupStuck
+          // report; the controller answers a hopeless stall (dead peer or
+          // dropped segment) with an Abort, turning a would-be deadlock into
+          // a group retry.
+          RingDeadline deadline;
+          int ring_ticks = 0;
+          if (ft) {
+            deadline.recv_timeout_seconds = plan.recv_timeout_seconds;
+            deadline.on_tick = [&] {
+              if (auto abort = ep->TryTakeStashed([&](const Envelope& e) {
+                    return e.from == controller && e.kind == kKindAbort &&
+                           !e.ints.empty() &&
+                           e.ints[0] == static_cast<int64_t>(group_id);
+                  })) {
+                // The Abort names the evicted member (when there is one);
+                // its parked segments can never be selected again.
+                if (abort->ints.size() >= 2 && abort->ints[1] >= 0) {
+                  ep->PurgeStashFrom(static_cast<NodeId>(abort->ints[1]));
+                }
+                return false;
+              }
+              (void)ep->Send(controller, 0, kKindHeartbeat, {});
+              ++ring_ticks;
+              if (plan.stuck_report_ticks > 0 &&
+                  ring_ticks % plan.stuck_report_ticks == 0) {
+                (void)ep->Send(controller, group_id, kKindGroupStuck,
+                               {static_cast<int64_t>(group_id)});
+              }
+              // Liveness valve: abandon the reduce even without a verdict;
+              // the stuck escalation will (or did) abort it.
+              return ctx->Now() - comm_begin <= plan.max_reduce_stall_seconds;
+            };
+          }
+          const Status reduced = GroupWeightedAllReduce(
+              ep, members, weights, my_index, group_id, params.data(),
+              params.size(), ctx->compressor(), deadline);
+          if (!reduced.ok()) {
+            // Shutdown, or a ring without a deadline failing: unwind.
+            if (!ft || ep->closed()) return;
+            // Abort: roll back the half-reduced vector, drop the
+            // conversation's leftovers, and put our signal back in the
+            // queue.
             params.CopyFrom(backup);
             ep->PurgeStash(
                 [&](const Envelope& e) { return e.tag == group_id; });
@@ -1516,11 +1142,16 @@ void ThreadedPReduce::RunWorkerFaulty(WorkerContext* ctx) {
             idle_begin = ctx->Now();
             break;  // back to the verdict wait
           }
+          ctx->RecordComm(comm_begin, ctx->Now());
+          ctx->trace()->Record(ctx->Now(), TraceEventKind::kReduceEnd,
+                               ctx->worker(),
+                               static_cast<int64_t>(group_id));
+          // Duplicated segments of this conversation may still be parked.
           ep->PurgeStash(
               [&](const Envelope& e) { return e.tag == group_id; });
           (void)ep->Send(controller, 0, kKindGroupDone,
                          {static_cast<int64_t>(group_id)});
-          if (plan.reregister_report_groups > 0) {
+          if (cf && plan.reregister_report_groups > 0) {
             // Remember recent completions so a re-registration after a
             // controller crash can vouch for groups whose GroupDone died
             // with the old incarnation.
@@ -1530,10 +1161,6 @@ void ThreadedPReduce::RunWorkerFaulty(WorkerContext* ctx) {
             }
             done_groups.push_back(group_id);
           }
-          ctx->RecordComm(comm_begin, ctx->Now());
-          ctx->trace()->Record(ctx->Now(), TraceEventKind::kReduceEnd,
-                               ctx->worker(),
-                               static_cast<int64_t>(group_id));
           if (options_.kind == StrategyKind::kPReduceDynamic) {
             iteration = advanced;
           }

@@ -22,11 +22,6 @@
 
 namespace pr {
 
-/// Deprecated alias: the threaded runtime now names its runnable proxy
-/// architectures through the shared models catalog (ProxyModelSpec), so a
-/// spec means the same thing to the simulator and the threaded engine.
-using ThreadedModelSpec = ProxyModelSpec;
-
 /// \brief Cross-thread control handle over a live threaded run.
 ///
 /// Created by whoever owns the run (a job service, a signal handler) and
@@ -172,9 +167,10 @@ struct ThreadedRunOptions {
   /// Fault-injection schedule (P-Reduce kinds only): per-edge message
   /// drop/dup/delay via a FaultyTransport wrapped around the in-proc
   /// fabric, plus per-worker crash/hang/slowdown events. An enabled plan
-  /// also switches the P-Reduce control plane to its fault-tolerant
-  /// protocol (heartbeat leases, lease-based eviction, group abort/retry);
-  /// a default-constructed plan leaves every fast path untouched.
+  /// also arms the P-Reduce protocol's deadlines (heartbeat leases,
+  /// lease-based eviction, group abort/retry on a stalled ring); under a
+  /// default-constructed plan the same protocol runs with every wait
+  /// blocking, so none of those reactions can fire.
   FaultPlan fault;
 
   /// Cluster placement (nodes × workers). Flat (the default) reproduces the

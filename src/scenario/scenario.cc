@@ -658,12 +658,6 @@ Status CompileScenario(const ScenarioSpec& spec, int num_workers,
             [](const PartitionEvent& a, const PartitionEvent& b) {
               return a.start_seconds < b.start_seconds;
             });
-  // Crash / hang / partition recovery needs the hardened protocol even when
-  // the base plan was empty.
-  if (!compiled.fault.worker_events.empty() ||
-      compiled.fault.has_partitions()) {
-    compiled.fault.force_fault_tolerant = true;
-  }
   if (compiled.fault.seed == 0) compiled.fault.seed = spec.seed;
   compiled.counts = ScenarioMetricCounts(spec);
   *out = std::move(compiled);

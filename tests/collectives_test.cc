@@ -6,12 +6,14 @@
 
 #include "comm/collectives.h"
 #include "common/rng.h"
+#include "compress/compressor.h"
+#include "fault/faulty_transport.h"
 
 namespace pr {
 namespace {
 
 /// Runs `fn(member_index, endpoint)` on one thread per member and joins.
-void RunMembers(InProcTransport* transport, const std::vector<NodeId>& members,
+void RunMembers(Transport* transport, const std::vector<NodeId>& members,
                 const std::function<void(size_t, Endpoint*)>& fn) {
   std::vector<std::thread> threads;
   for (size_t i = 0; i < members.size(); ++i) {
@@ -467,6 +469,85 @@ TEST(SegmentedRingTest, GroupDispatchMatchesReference) {
     for (size_t j = 0; j < n; ++j) {
       EXPECT_EQ(dispatched[i][j], classic[i][j]);
     }
+  }
+}
+
+/// Runs the raw (`codec` kNone) or compressed segmented ring over
+/// `transport`, one fresh compressor per member, and returns the results.
+std::vector<std::vector<float>> RunRingOver(
+    Transport* transport, const std::vector<NodeId>& members,
+    const std::vector<double>& weights,
+    std::vector<std::vector<float>> data, CompressionKind codec) {
+  RunMembers(transport, members, [&](size_t i, Endpoint* ep) {
+    Status s;
+    if (codec == CompressionKind::kNone) {
+      s = SegmentedRingWeightedAllReduce(ep, members, weights, i, 1,
+                                         data[i].data(), data[i].size(), 7);
+    } else {
+      Compressor comp(codec);
+      s = SegmentedRingCompressedAllReduce(ep, members, weights, i, 1,
+                                           data[i].data(), data[i].size(),
+                                           &comp, 7);
+    }
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  });
+  return data;
+}
+
+TEST(SegmentedRingTest, DuplicatedSegmentsLeaveResultUnchanged) {
+  // Every message is delivered twice. The ring selects each segment by
+  // (step, chunk, segment), so the copies are parked, never consumed out of
+  // turn: members end bitwise identical and equal to the fault-free run.
+  const std::vector<NodeId> members = {0, 1, 2};
+  const std::vector<double> weights = {0.2, 0.3, 0.5};
+  const auto inputs = MakeInputs(3, 101, 53);
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.default_edge.dup_prob = 1.0;
+  for (CompressionKind codec : {CompressionKind::kNone, CompressionKind::kInt8}) {
+    InProcTransport clean_fabric(3);
+    const auto clean =
+        RunRingOver(&clean_fabric, members, weights, inputs, codec);
+    InProcTransport inner(3);
+    FaultyTransport faulty(&inner, plan);
+    const auto duped = RunRingOver(&faulty, members, weights, inputs, codec);
+    EXPECT_GT(faulty.injected_dups(), 0u);
+    for (size_t i = 0; i < members.size(); ++i) {
+      for (size_t j = 0; j < inputs[0].size(); ++j) {
+        EXPECT_EQ(duped[i][j], clean[i][j]) << "member " << i << " elem " << j;
+        EXPECT_EQ(duped[i][j], duped[0][j]) << "member " << i << " elem " << j;
+      }
+    }
+  }
+}
+
+TEST(SegmentedRingTest, DeadlineAbortsRingOnDroppedSegments) {
+  // Member 0's sends to member 1 are all lost, so the ring can never
+  // finish. With a deadline every member wakes on its timeout tick, the
+  // tick callback gives up, and the ring returns kTimeout (not the
+  // kCancelled of a shutdown) instead of blocking.
+  const std::vector<NodeId> members = {0, 1, 2};
+  const std::vector<double> weights(3, 1.0 / 3.0);
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.edges[{0, 1}].drop_prob = 1.0;
+  InProcTransport inner(3);
+  FaultyTransport faulty(&inner, plan);
+  auto data = MakeInputs(3, 64, 59);
+  std::vector<int> ticks(3, 0);
+  std::vector<StatusCode> codes(3, StatusCode::kOk);
+  RunMembers(&faulty, members, [&](size_t i, Endpoint* ep) {
+    RingDeadline deadline;
+    deadline.recv_timeout_seconds = 0.005;
+    deadline.on_tick = [&ticks, i] { return ++ticks[i] < 3; };
+    codes[i] = GroupWeightedAllReduce(ep, members, weights, i, 1,
+                                      data[i].data(), data[i].size(),
+                                      nullptr, deadline)
+                   .code();
+  });
+  for (size_t i = 0; i < members.size(); ++i) {
+    EXPECT_EQ(codes[i], StatusCode::kTimeout) << "member " << i;
+    EXPECT_EQ(ticks[i], 3) << "member " << i;
   }
 }
 

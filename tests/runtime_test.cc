@@ -269,7 +269,7 @@ TEST(ThreadedRuntimeTest, ElasticWorkerPausesAndRejoins) {
 
 TEST(ThreadedRuntimeTest, ConvNetTrainsOnThreads) {
   ThreadedRunOptions opt = SmallOptions();
-  opt.model.kind = ThreadedModelSpec::Kind::kConvNet;
+  opt.model.kind = ProxyModelSpec::Kind::kConvNet;
   opt.model.conv_filters = 8;  // dataset dim 16 -> 4x4 single-channel
   ThreadedRunResult result =
       RunPair(Strat(StrategyKind::kPReduceConst), opt);

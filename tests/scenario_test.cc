@@ -286,7 +286,7 @@ TEST(ScenarioCompileTest, CombinedFaultCompileIsDeterministicAcrossSeeds) {
     // protocol.
     EXPECT_EQ(a.fault.link_delay_seconds.size(), 1u);
     EXPECT_EQ(a.fault.controller_events.size(), 1u);
-    EXPECT_TRUE(a.fault.force_fault_tolerant);
+    EXPECT_TRUE(a.fault.enabled());
     EXPECT_EQ(a.fault.seed, seed);
 
     // The partition event targeted node 1 = workers {2, 3}.

@@ -157,6 +157,41 @@ TEST(TransportTest, TimedRecvDistinguishesShutdownFromTimeout) {
   EXPECT_TRUE(ep.closed());  // shutdown: unwind, don't retry
 }
 
+TEST(TransportTest, NegativeTimeoutMeansNoDeadlineOnEveryTimedRecv) {
+  // A negative timeout blocks like the untimed receive: each *For variant
+  // must wait for the late message instead of returning at once.
+  InProcTransport transport(2);
+  Endpoint a(&transport, 0), b(&transport, 1);
+  auto late_send = [&] {
+    return std::thread([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      ASSERT_TRUE(a.Send(1, /*tag=*/3, /*kind=*/7, {1}).ok());
+    });
+  };
+  std::thread s1 = late_send();
+  EXPECT_TRUE(b.RecvAnyFor(-1.0).has_value());
+  s1.join();
+  std::thread s2 = late_send();
+  EXPECT_TRUE(b.RecvMatchingFor(0, 3, 7, -1.0).has_value());
+  s2.join();
+  std::thread s3 = late_send();
+  EXPECT_TRUE(b.RecvFromFor(0, -1.0).has_value());
+  s3.join();
+  std::thread s4 = late_send();
+  EXPECT_TRUE(
+      b.RecvWhereFor([](const Envelope& e) { return e.kind == 7; }, -1.0)
+          .has_value());
+  s4.join();
+  // Shutdown still ends an unbounded wait.
+  std::thread closer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    transport.Shutdown();
+  });
+  EXPECT_FALSE(b.RecvAnyFor(-1.0).has_value());
+  EXPECT_TRUE(b.closed());
+  closer.join();
+}
+
 TEST(TransportTest, RecvWhereForMatchesOnPayloadFields) {
   InProcTransport transport(2);
   Endpoint a(&transport, 0), b(&transport, 1);
