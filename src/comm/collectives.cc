@@ -13,10 +13,7 @@ namespace {
 constexpr int kKindLeaderGather = 101;
 constexpr int kKindLeaderResult = 102;
 constexpr int kKindRsChunk = 103;
-constexpr int kKindBroadcast = 104;
 constexpr int kKindAgChunk = 105;
-constexpr int kKindGather = 106;
-constexpr int kKindBarrier = 107;
 constexpr int kKindSegRsChunk = 108;
 constexpr int kKindSegAgChunk = 109;
 
@@ -92,6 +89,46 @@ Status RecvSegment(Endpoint* ep, NodeId left, uint64_t tag, int kind,
   }
 }
 
+/// One phase of RingWeightedAllReduce: P-1 steps, each passing a chunk to
+/// the right neighbour. The reduce-scatter phase (`gather` false) adds each
+/// received chunk in, leaving member i with the full sum of chunk
+/// (i + 1) % P; the all-gather phase (`gather` true) circulates those owned
+/// chunks and copies them into place.
+Status RingPhase(Endpoint* ep, const std::vector<NodeId>& members,
+                 size_t my_index, uint64_t tag, bool gather,
+                 std::vector<float>* data) {
+  const size_t p = members.size();
+  const size_t n = data->size();
+  const NodeId right = members[(my_index + 1) % p];
+  const NodeId left = members[(my_index + p - 1) % p];
+  const int kind = gather ? kKindAgChunk : kKindRsChunk;
+  const size_t first = my_index + (gather ? 1 : 0);
+  float* buf = data->data();
+  for (size_t step = 0; step + 1 < p; ++step) {
+    const size_t send_chunk = (first + p - step) % p;
+    const size_t recv_chunk = (first + p - step - 1) % p;
+    auto [sb, se] = ChunkBounds(n, p, send_chunk);
+    PR_RETURN_NOT_OK(
+        ep->Send(right, tag, kind,
+                 {static_cast<int64_t>(step), static_cast<int64_t>(send_chunk)},
+                 std::vector<float>(buf + sb, buf + se)));
+    std::optional<Envelope> env = ep->RecvMatching(left, tag, kind);
+    if (!env.has_value()) {
+      return Status::Cancelled("transport shut down during ring all-reduce");
+    }
+    PR_CHECK_EQ(env->ints[0], static_cast<int64_t>(step));
+    PR_CHECK_EQ(env->ints[1], static_cast<int64_t>(recv_chunk));
+    auto [rb, re] = ChunkBounds(n, p, recv_chunk);
+    PR_CHECK_EQ(env->payload.size(), re - rb);
+    if (gather) {
+      std::copy(env->payload.begin(), env->payload.end(), buf + rb);
+    } else {
+      Axpy(1.0f, env->payload.data(), buf + rb, re - rb);
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status LeaderWeightedAllReduce(Endpoint* ep,
@@ -145,85 +182,6 @@ Status LeaderWeightedAllReduce(Endpoint* ep,
   return Status::OK();
 }
 
-Status RingReduceScatter(Endpoint* ep, const std::vector<NodeId>& members,
-                         size_t my_index, uint64_t tag,
-                         std::vector<float>* data, size_t* chunk_begin,
-                         size_t* chunk_end) {
-  PR_CHECK(ep != nullptr);
-  PR_CHECK(data != nullptr);
-  PR_RETURN_NOT_OK(ValidateGroup(members, my_index));
-  const size_t p = members.size();
-  const size_t n = data->size();
-  const size_t owned = (my_index + 1) % p;
-  if (chunk_begin != nullptr && chunk_end != nullptr) {
-    auto [ob, oe] = ChunkBounds(n, p, owned);
-    *chunk_begin = ob;
-    *chunk_end = oe;
-  }
-  if (p == 1) return Status::OK();
-
-  const NodeId right = members[(my_index + 1) % p];
-  const NodeId left = members[(my_index + p - 1) % p];
-  float* buf = data->data();
-
-  // After P-1 steps, chunk (my_index + 1) % p holds the full sum here.
-  for (size_t step = 0; step < p - 1; ++step) {
-    const size_t send_chunk = (my_index + p - step) % p;
-    const size_t recv_chunk = (my_index + p - step - 1) % p;
-    auto [sb, se] = ChunkBounds(n, p, send_chunk);
-    PR_RETURN_NOT_OK(
-        ep->Send(right, tag, kKindRsChunk,
-                 {static_cast<int64_t>(step), static_cast<int64_t>(send_chunk)},
-                 std::vector<float>(buf + sb, buf + se)));
-    std::optional<Envelope> env = ep->RecvMatching(left, tag, kKindRsChunk);
-    if (!env.has_value()) {
-      return Status::Cancelled("transport shut down during reduce-scatter");
-    }
-    PR_CHECK_EQ(env->ints[0], static_cast<int64_t>(step));
-    PR_CHECK_EQ(env->ints[1], static_cast<int64_t>(recv_chunk));
-    auto [rb, re] = ChunkBounds(n, p, recv_chunk);
-    PR_CHECK_EQ(env->payload.size(), re - rb);
-    Axpy(1.0f, env->payload.data(), buf + rb, re - rb);
-  }
-  return Status::OK();
-}
-
-Status RingAllGather(Endpoint* ep, const std::vector<NodeId>& members,
-                     size_t my_index, uint64_t tag,
-                     std::vector<float>* data) {
-  PR_CHECK(ep != nullptr);
-  PR_CHECK(data != nullptr);
-  PR_RETURN_NOT_OK(ValidateGroup(members, my_index));
-  const size_t p = members.size();
-  const size_t n = data->size();
-  if (p == 1) return Status::OK();
-
-  const NodeId right = members[(my_index + 1) % p];
-  const NodeId left = members[(my_index + p - 1) % p];
-  float* buf = data->data();
-
-  // Circulate the owned chunks: member i starts owning chunk (i + 1) % p.
-  for (size_t step = 0; step < p - 1; ++step) {
-    const size_t send_chunk = (my_index + 1 + p - step) % p;
-    const size_t recv_chunk = (my_index + p - step) % p;
-    auto [sb, se] = ChunkBounds(n, p, send_chunk);
-    PR_RETURN_NOT_OK(ep->Send(
-        right, tag, kKindAgChunk,
-        {static_cast<int64_t>(step), static_cast<int64_t>(send_chunk)},
-        std::vector<float>(buf + sb, buf + se)));
-    std::optional<Envelope> env = ep->RecvMatching(left, tag, kKindAgChunk);
-    if (!env.has_value()) {
-      return Status::Cancelled("transport shut down during all-gather");
-    }
-    PR_CHECK_EQ(env->ints[0], static_cast<int64_t>(step));
-    PR_CHECK_EQ(env->ints[1], static_cast<int64_t>(recv_chunk));
-    auto [rb, re] = ChunkBounds(n, p, recv_chunk);
-    PR_CHECK_EQ(env->payload.size(), re - rb);
-    std::copy(env->payload.begin(), env->payload.end(), buf + rb);
-  }
-  return Status::OK();
-}
-
 Status RingWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
                              const std::vector<double>& weights,
                              size_t my_index, uint64_t tag,
@@ -236,9 +194,9 @@ Status RingWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
   // Pre-scale by our weight; reduce-scatter + all-gather then compute a
   // plain sum (Patarasuk & Yuan's bandwidth-optimal composition).
   Scale(static_cast<float>(weights[my_index]), data->data(), data->size());
-  PR_RETURN_NOT_OK(RingReduceScatter(ep, members, my_index, tag, data,
-                                     nullptr, nullptr));
-  return RingAllGather(ep, members, my_index, tag, data);
+  PR_RETURN_NOT_OK(
+      RingPhase(ep, members, my_index, tag, /*gather=*/false, data));
+  return RingPhase(ep, members, my_index, tag, /*gather=*/true, data);
 }
 
 Status SegmentedRingWeightedAllReduce(Endpoint* ep,
@@ -505,106 +463,6 @@ Status GroupAverageAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
                                     1.0 / static_cast<double>(members.size()));
   return GroupWeightedAllReduce(ep, members, weights, my_index, tag, data, n,
                                 compressor);
-}
-
-Status Broadcast(Endpoint* ep, const std::vector<NodeId>& members,
-                 size_t my_index, size_t root_index, uint64_t tag,
-                 std::vector<float>* data) {
-  PR_CHECK(ep != nullptr);
-  PR_CHECK(data != nullptr);
-  if (members.empty() || my_index >= members.size() ||
-      root_index >= members.size()) {
-    return Status::InvalidArgument("broadcast: bad member indices");
-  }
-  if (my_index == root_index) {
-    // One materialization shared by every receiver: payload copies per
-    // broadcast are O(1), not O(P).
-    Buffer payload = ep->MakePayload(data->data(), data->size());
-    for (size_t j = 0; j < members.size(); ++j) {
-      if (j == root_index) continue;
-      PR_RETURN_NOT_OK(
-          ep->Send(members[j], tag, kKindBroadcast, {}, payload));
-    }
-    return Status::OK();
-  }
-  std::optional<Envelope> env =
-      ep->RecvMatching(members[root_index], tag, kKindBroadcast);
-  if (!env.has_value()) {
-    return Status::Cancelled("transport shut down during broadcast");
-  }
-  *data = env->payload.Take();
-  return Status::OK();
-}
-
-Status RingAverageAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
-                            size_t my_index, uint64_t tag,
-                            std::vector<float>* data) {
-  const std::vector<double> weights(members.size(),
-                                    1.0 / static_cast<double>(members.size()));
-  return RingWeightedAllReduce(ep, members, weights, my_index, tag, data);
-}
-
-Status Gather(Endpoint* ep, const std::vector<NodeId>& members,
-              size_t my_index, size_t root_index, uint64_t tag,
-              const std::vector<float>& data, std::vector<Buffer>* gathered) {
-  PR_CHECK(ep != nullptr);
-  PR_CHECK(gathered != nullptr);
-  PR_RETURN_NOT_OK(ValidateGroup(members, my_index));
-  if (root_index >= members.size()) {
-    return Status::InvalidArgument("gather: root_index out of range");
-  }
-  gathered->clear();
-  if (my_index != root_index) {
-    return ep->Send(members[root_index], tag, kKindGather, {},
-                    ep->MakePayload(data.data(), data.size()));
-  }
-  gathered->resize(members.size());
-  (*gathered)[root_index] = ep->MakePayload(data.data(), data.size());
-  for (size_t j = 0; j < members.size(); ++j) {
-    if (j == root_index) continue;
-    std::optional<Envelope> env =
-        ep->RecvMatching(members[j], tag, kKindGather);
-    if (!env.has_value()) {
-      return Status::Cancelled("transport shut down during gather");
-    }
-    (*gathered)[j] = std::move(env->payload);
-  }
-  return Status::OK();
-}
-
-Status RingBarrier(Endpoint* ep, const std::vector<NodeId>& members,
-                   size_t my_index, uint64_t tag) {
-  PR_CHECK(ep != nullptr);
-  PR_RETURN_NOT_OK(ValidateGroup(members, my_index));
-  const size_t p = members.size();
-  if (p == 1) return Status::OK();
-  const NodeId right = members[(my_index + 1) % p];
-  const NodeId left = members[(my_index + p - 1) % p];
-  // Token circulation: a token originating at member 0 completes a full
-  // circle only once every member has entered (round 0); a second circle
-  // (round 1) releases everyone.
-  auto pass = [&](int64_t round) -> Status {
-    std::optional<Envelope> env = ep->RecvMatching(left, tag, kKindBarrier);
-    if (!env.has_value()) {
-      return Status::Cancelled("transport shut down during barrier");
-    }
-    PR_CHECK_EQ(env->ints[0], round);
-    return ep->Send(right, tag, kKindBarrier, {round}, Buffer());
-  };
-  for (int64_t round = 0; round < 2; ++round) {
-    if (my_index == 0) {
-      PR_RETURN_NOT_OK(ep->Send(right, tag, kKindBarrier, {round}, Buffer()));
-      std::optional<Envelope> env =
-          ep->RecvMatching(left, tag, kKindBarrier);
-      if (!env.has_value()) {
-        return Status::Cancelled("transport shut down during barrier");
-      }
-      PR_CHECK_EQ(env->ints[0], round);
-    } else {
-      PR_RETURN_NOT_OK(pass(round));
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace pr

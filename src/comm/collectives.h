@@ -16,14 +16,14 @@ class Compressor;
 /// `weights` and `tag`; `tag` isolates concurrent collectives (two parallel
 /// partial-reduce groups use distinct tags).
 ///
-/// These are the data-plane of the threaded P-Reduce runtime and are also
-/// exercised standalone in tests/benchmarks as the reproduction of the
-/// paper's "collective operation" substrate.
+/// GroupWeightedAllReduce and GroupAverageAllReduce are the data plane
+/// every threaded strategy calls. LeaderWeightedAllReduce and
+/// RingWeightedAllReduce are the reference schedules tests and benches
+/// compare the segmented rings against.
 
 /// \brief Weighted all-reduce via a leader: members send their vectors to
 /// members[0], which computes sum_j weights[j] * x_j and broadcasts the
-/// result. Simple O(P * n) reference implementation used for validation and
-/// for small groups.
+/// result. Simple O(P * n) reference implementation.
 ///
 /// `data` is this member's vector (length must agree across members) and is
 /// overwritten with the weighted sum. `my_index` is this member's position
@@ -149,48 +149,5 @@ Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
 Status GroupAverageAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
                              size_t my_index, uint64_t tag, float* data,
                              size_t n, Compressor* compressor = nullptr);
-
-/// \brief Broadcast from members[root_index] to the rest of `members`.
-/// On the root, `data` is the payload; on others it is overwritten.
-Status Broadcast(Endpoint* ep, const std::vector<NodeId>& members,
-                 size_t my_index, size_t root_index, uint64_t tag,
-                 std::vector<float>* data);
-
-/// \brief Uniform-average all-reduce (weights = 1/P each), the classic
-/// All-Reduce primitive, over the ring algorithm.
-Status RingAverageAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
-                            size_t my_index, uint64_t tag,
-                            std::vector<float>* data);
-
-/// \brief Ring reduce-scatter: on return, `data`'s chunk
-/// (my_index + 1) % P holds the element-wise sum over all members; other
-/// chunks hold partial sums and must be treated as garbage. `chunk_begin` /
-/// `chunk_end` receive this member's owned range.
-Status RingReduceScatter(Endpoint* ep, const std::vector<NodeId>& members,
-                         size_t my_index, uint64_t tag,
-                         std::vector<float>* data, size_t* chunk_begin,
-                         size_t* chunk_end);
-
-/// \brief Ring all-gather: each member owns chunk (my_index + 1) % P of
-/// `data` on entry; on return every member holds all chunks. Composes with
-/// RingReduceScatter into an all-reduce (which is exactly how
-/// RingWeightedAllReduce is built — these entry points expose the halves
-/// for gradient-bucketing use cases).
-Status RingAllGather(Endpoint* ep, const std::vector<NodeId>& members,
-                     size_t my_index, uint64_t tag, std::vector<float>* data);
-
-/// \brief Gather: every member sends its vector to members[root_index];
-/// on the root, `gathered` receives P shared payload handles in member
-/// order (empty elsewhere). The root adopts each arriving Buffer instead of
-/// materializing P full float-vector copies; callers needing a private
-/// vector use Buffer::Take() per entry.
-Status Gather(Endpoint* ep, const std::vector<NodeId>& members,
-              size_t my_index, size_t root_index, uint64_t tag,
-              const std::vector<float>& data, std::vector<Buffer>* gathered);
-
-/// \brief Barrier over `members`: returns once every member has entered.
-/// Implemented as a zero-payload ring circulation (2(P-1) messages).
-Status RingBarrier(Endpoint* ep, const std::vector<NodeId>& members,
-                   size_t my_index, uint64_t tag);
 
 }  // namespace pr

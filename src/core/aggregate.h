@@ -10,7 +10,7 @@ namespace pr {
 ///
 /// `inputs` are borrowed pointers to the members' parameter vectors, each of
 /// length `n`. Used directly by the simulator; the threaded runtime realizes
-/// the same computation distributively via RingWeightedAllReduce.
+/// the same computation distributively via GroupWeightedAllReduce.
 void WeightedAverage(const std::vector<const float*>& inputs,
                      const std::vector<double>& weights, size_t n,
                      float* out);

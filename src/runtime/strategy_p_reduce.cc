@@ -17,6 +17,7 @@
 #include "fault/fault_plan.h"
 #include "runtime/threaded_strategies.h"
 #include "runtime/worker_runtime.h"
+#include "strategies/p_reduce_policy.h"
 
 namespace pr {
 namespace {
@@ -91,11 +92,8 @@ class ServiceCkpt {
     m.seed = ctx_->run().seed;
     m.epoch = static_cast<uint64_t>(epoch);
     m.updates_done = updates_done;
-    m.next_group_id = controller.next_group_id();
     m.saved_at_seconds = ctx_->Now();
-    for (const std::vector<int>& g : controller.history().groups()) {
-      m.history.push_back(g);
-    }
+    StampManifest(controller, &m);
     for (const auto& [w, info] : e.reports) {
       ManifestWorker mw;
       mw.worker = w;
@@ -163,30 +161,11 @@ class ThreadedPReduce : public ThreadedStrategy {
   }
 
  private:
-  Controller MakeController(int num_workers, const Topology& topology) const;
-
   StrategyOptions options_;
   // Written by the service thread; read after every thread joined.
   uint64_t group_reduces_ = 0;
   ControllerStats controller_stats_;
 };
-
-Controller ThreadedPReduce::MakeController(int num_workers,
-                                           const Topology& topology) const {
-  ControllerOptions copts;
-  copts.num_workers = num_workers;
-  copts.group_size = options_.group_size;
-  copts.mode = options_.kind == StrategyKind::kPReduceDynamic
-                   ? PartialReduceMode::kDynamic
-                   : PartialReduceMode::kConstant;
-  copts.dynamic = options_.dynamic;
-  copts.frozen_avoidance = options_.frozen_avoidance;
-  copts.history_window = options_.history_window;
-  copts.topology = topology;
-  copts.hierarchy = options_.hierarchy;
-  copts.group_cost_budget = options_.group_cost_budget;
-  return Controller(copts);
-}
 
 void ThreadedPReduce::RunService(ServiceContext* ctx) {
   const int n = ctx->run().num_workers;
@@ -198,56 +177,12 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
   const bool ft = plan.enabled();
   const double tick = ft ? plan.recv_timeout_seconds : -1.0;
 
-  // Eagerly register the whole fault.* family so a chaos run's report
-  // always carries the names, even when an injector never fired. The
-  // condition matches the simulator's, so both engines report one name set.
-  Counter* evictions_counter = nullptr;
-  Counter* aborted_counter = nullptr;
-  Counter* heartbeats_counter = nullptr;
-  Counter* failovers_counter = nullptr;
-  Counter* reregs_counter = nullptr;
-  if (ft) {
-    MetricsShard* m = ctx->metrics();
-    evictions_counter = m->GetCounter("fault.evictions");
-    aborted_counter = m->GetCounter("fault.aborted_groups");
-    heartbeats_counter = m->GetCounter("fault.heartbeats");
-    for (const char* name :
-         {"fault.retries", "fault.injected_drops", "fault.injected_dups",
-          "fault.injected_delays", "fault.severed_drops"}) {
-      m->GetCounter(name);
-    }
-    failovers_counter = m->GetCounter("controller.failovers");
-    reregs_counter = m->GetCounter("controller.reregistrations");
-  }
-
+  const FaultMetrics fault =
+      ft ? RegisterFaultMetrics(ctx->metrics()) : FaultMetrics{};
   ServiceCkpt ckpt(ctx, options_);
-
-  // Graceful-degradation gates (strategy.scale_policy.*): `min_p` is the
-  // smallest group worth forming when churn pulls the pool below P, and the
-  // liveness floor releases waiters to local SGD no matter what can form.
-  // Shared across controller incarnations.
-  const ScalePolicyConfig& scale_cfg = options_.scale_policy;
-  const bool degrade =
-      scale_cfg.degradation_enabled() || scale_cfg.enabled();
-  const int min_p =
-      scale_cfg.min_group_size > 0
-          ? std::max(2, std::min(scale_cfg.min_group_size,
-                                 options_.group_size))
-          : options_.group_size;
-  Counter* small_groups =
-      degrade ? ctx->metrics()->GetCounter("scenario.degrade.small_groups")
-              : nullptr;
-  Counter* local_steps =
-      degrade ? ctx->metrics()->GetCounter("scenario.degrade.local_steps")
-              : nullptr;
-
-  // Controller outage schedule, ordered by trigger point. Triggers are
-  // cumulative group counts, so they stay meaningful across restarts.
-  std::vector<ControllerFaultEvent> outages = plan.controller_events;
-  std::sort(outages.begin(), outages.end(),
-            [](const ControllerFaultEvent& a, const ControllerFaultEvent& b) {
-              return a.after_groups < b.after_groups;
-            });
+  // The degradation gates, shared across controller incarnations.
+  const PReducePolicy policy(options_, ctx->scenario_metrics());
+  const std::vector<ControllerFaultEvent> outages = SortedOutages(plan);
   size_t next_outage = 0;
 
   // State that survives a controller crash. A worker that deregistered
@@ -283,16 +218,12 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
 
   while (true) {
     // One controller incarnation: a fresh Controller plus fresh bookkeeping.
-  Controller controller = MakeController(n, ctx->run().topology);
+  Controller controller(
+      ControllerOptionsFrom(options_, n, ctx->run().topology));
   controller.AttachObservers(ctx->metrics(), ctx->trace(),
                              [ctx] { return ctx->Now(); });
-  if (failovers == 0) {
-    if (const RunManifest* rm = ctx->resume()) {
-      ControllerRestoreState rs;
-      rs.history = rm->history;
-      rs.next_group_id = rm->next_group_id;
-      controller.Restore(rs);
-    }
+  if (failovers == 0 && ctx->resume() != nullptr) {
+    RestoreController(*ctx->resume(), &controller);
   }
 
   std::vector<WState> wstate(static_cast<size_t>(n), WState::kIdle);
@@ -368,7 +299,7 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
       if (it == in_flight.end()) return;
       InFlightGroup f = std::move(it->second);
       in_flight.erase(it);
-      Bump(aborted_counter);
+      Bump(fault.aborted_groups);
       trace->Record(ctx->Now(), TraceEventKind::kGroupAborted, -1,
                     static_cast<int64_t>(g));
       for (int m : f.members) {
@@ -381,21 +312,15 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
       }
     };
 
-    auto update_effective_p = [&] {
-      if (min_p >= options_.group_size) return;  // gate disabled
-      const int target =
-          std::max(min_p, std::min(active, options_.group_size));
-      if (target == controller.effective_group_size()) return;
-      if (target < controller.effective_group_size()) Bump(small_groups);
-      broadcast(controller.SetEffectiveGroupSize(target));
-    };
-    auto below_floor = [&] {
-      return scale_cfg.liveness_floor > 0 &&
-             active < scale_cfg.liveness_floor;
+    // After every membership change: retarget the effective P, and release
+    // the queued waiters once a fresh signal would not be queued either.
+    auto membership_changed = [&] {
+      broadcast(policy.Retarget(active, &controller));
+      if (policy.Verdict(active) != SignalVerdict::kQueue) release_pending();
     };
 
     auto evict = [&](int w) {
-      Bump(evictions_counter);
+      Bump(fault.evictions);
       trace->Record(ctx->Now(), TraceEventKind::kWorkerEvicted, w);
       const size_t sw = static_cast<size_t>(w);
       const bool was_in_group = wstate[sw] == WState::kInGroup;
@@ -405,8 +330,7 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
       --remaining;
       --active;
       broadcast(controller.EvictWorker(w));
-      update_effective_p();
-      if (active < min_p) release_pending();
+      membership_changed();
     };
 
     auto unevict = [&](int w) {
@@ -416,9 +340,9 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
       detector.Resume(w, ctx->Now());
       trace->Record(ctx->Now(), TraceEventKind::kChurnRejoin, w);
       broadcast(controller.NotifyWorkerRejoined(w));
-      update_effective_p();
+      membership_changed();
     };
-    update_effective_p();
+    membership_changed();
 
     if (failovers > 0) {
       // Recovery window: the restarted controller has no signal queue, no
@@ -460,7 +384,7 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
               }
             }
             if (!known) regs.push_back(std::move(r));
-            Bump(reregs_counter);
+            Bump(fault.reregistrations);
             trace->Record(ctx->Now(), TraceEventKind::kWorkerReregister, w,
                           env->ints.empty() ? 0 : env->ints[0]);
             (void)ep->Send(w, 0, kKindReregisterAck, {});
@@ -520,13 +444,11 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
       // and the history window, clustered from reported memberships.
       // Partial member sets only remove sync-graph edges, which makes
       // frozen detection more eager, never less.
-      ControllerRestoreState rs;
       std::map<uint64_t, std::vector<int>> reported;
-      uint64_t max_gid = 0;
+      uint64_t watermark = 0;
       for (const Rereg& r : regs) {
-        max_gid = std::max(max_gid, r.last_group_id);
+        watermark = std::max(watermark, r.last_group_id);
         for (uint64_t g : r.done_groups) {
-          max_gid = std::max(max_gid, g);
           std::vector<int>& members = reported[g];
           if (std::find(members.begin(), members.end(), r.worker) ==
               members.end()) {
@@ -534,11 +456,7 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
           }
         }
       }
-      for (auto& [g, members] : reported) {
-        if (members.size() >= 2) rs.history.push_back(std::move(members));
-      }
-      rs.next_group_id = max_gid + 1;
-      controller.Restore(rs);
+      controller.Restore(RestoreStateFromGroups(reported, watermark));
 
       remaining = 0;
       for (int w = 0; w < n; ++w) {
@@ -564,8 +482,7 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
         queued_iter[sw] = r.iteration;
         broadcast(controller.OnReadySignal(r.worker, r.iteration));
       }
-      update_effective_p();
-      if (active < min_p) release_pending();
+      membership_changed();
     }
 
     Exit exit_reason = Exit::kAllLeft;
@@ -594,7 +511,7 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
       detector.Beat(w, now);
       switch (env->kind) {
         case kKindHeartbeat:
-          Bump(heartbeats_counter);
+          Bump(fault.heartbeats);
           trace->Record(now, TraceEventKind::kHeartbeat, w);
           break;
 
@@ -602,7 +519,7 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
           // Under a healthy controller a re-registration is just a beefy
           // ready signal: acknowledge it (so the sender stops probing) and
           // let the Ready logic below dedup or queue it.
-          Bump(reregs_counter);
+          Bump(fault.reregistrations);
           trace->Record(now, TraceEventKind::kWorkerReregister, w,
                         env->ints.empty() ? 0 : env->ints[0]);
           (void)ep->Send(w, 0, kKindReregisterAck, {});
@@ -642,11 +559,12 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
             controller.PurgePending(w);
             wstate[sw] = WState::kIdle;
           }
-          if (below_floor()) {
+          const SignalVerdict verdict = policy.Verdict(active);
+          if (verdict == SignalVerdict::kLocalStep) {
             // Liveness-floor degradation: answer with an immediate release
             // (local SGD) instead of enqueuing; membership recovery lifts
             // the gate.
-            Bump(local_steps);
+            policy.CountLocalStep();
             (void)ep->Send(w, 0, kKindRelease, {});
             release_pending();
             break;
@@ -654,7 +572,7 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
           wstate[sw] = WState::kQueued;
           queued_iter[sw] = it;
           broadcast(controller.OnReadySignal(w, it));
-          if (active < min_p) release_pending();
+          if (verdict == SignalVerdict::kRelease) release_pending();
           break;
         }
 
@@ -674,8 +592,7 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
           --remaining;
           --active;
           broadcast(controller.NotifyWorkerLeft(w));
-          update_effective_p();
-          if (active < min_p) release_pending();
+          membership_changed();
           break;
         }
 
@@ -689,8 +606,7 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
           --active;
           trace->Record(now, TraceEventKind::kChurnLeave, w);
           broadcast(controller.NotifyWorkerLeft(w));
-          update_effective_p();
-          if (active < min_p) release_pending();
+          membership_changed();
           break;
         }
 
@@ -701,7 +617,7 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
             detector.Resume(w, now);
             trace->Record(now, TraceEventKind::kChurnRejoin, w);
             broadcast(controller.NotifyWorkerRejoined(w));
-            update_effective_p();
+            membership_changed();
           } else if (wstate[sw] == WState::kEvicted) {
             unevict(w);
           }
@@ -753,15 +669,7 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
       }
     }
 
-    // Controller stats are per-incarnation; the run result reports their
-    // sum so a failover shows up as continuity, not a reset.
-    const ControllerStats stats = controller.stats();
-    controller_stats_.signals_received += stats.signals_received;
-    controller_stats_.groups_formed += stats.groups_formed;
-    controller_stats_.bridged_groups += stats.bridged_groups;
-    controller_stats_.frozen_detections += stats.frozen_detections;
-    controller_stats_.cross_node_groups += stats.cross_node_groups;
-    controller_stats_.intra_node_groups += stats.intra_node_groups;
+    AccumulateControllerStats(controller.stats(), &controller_stats_);
 
     if (exit_reason != Exit::kCrash) break;
 
@@ -792,7 +700,7 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
     ep->PurgeStash([](const Envelope&) { return true; });
     faulty->RestoreNode(ep->id());
     ++failovers;
-    Bump(failovers_counter);
+    Bump(fault.failovers);
     trace->Record(ctx->Now(), TraceEventKind::kControllerRestart, -1,
                   static_cast<int64_t>(failovers));
   }
@@ -816,7 +724,7 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
   const bool ft = plan.enabled();
   const double tick = ft ? plan.recv_timeout_seconds : -1.0;
   Counter* retries_counter =
-      ft ? ctx->metrics()->GetCounter("fault.retries") : nullptr;
+      ft ? RegisterFaultMetrics(ctx->metrics()).retries : nullptr;
   const bool cf = plan.has_controller_faults();
   // How long a verdict wait may stay silent before the worker gives up and
   // proceeds locally. Under controller faults the budget covers a full

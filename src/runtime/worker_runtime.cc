@@ -252,6 +252,10 @@ const RunManifest* ServiceContext::resume() const {
   return runtime_->resume_.has_value() ? &*runtime_->resume_ : nullptr;
 }
 
+const ScenarioMetrics& ServiceContext::scenario_metrics() const {
+  return runtime_->scenario_metrics_;
+}
+
 // ---------------------------------------------------------------------------
 // WorkerRuntime
 // ---------------------------------------------------------------------------
@@ -423,30 +427,12 @@ ThreadedRunResult WorkerRuntime::Run(ThreadedStrategy* strategy) {
     if (resume_.has_value()) restores->Increment();
   }
 
-  // Scenario observability + drivers. The scenario.* name set (and the
-  // per-kind compile counts) registers eagerly under exactly the same
-  // condition the simulator uses, so cross-engine metric-name parity holds
-  // for scenario runs too.
   const ScalePolicyConfig& scale_cfg = strategy_options_.scale_policy;
-  const bool scenario_obs = options_.scenario.enabled() ||
-                            scale_cfg.enabled() ||
-                            scale_cfg.degradation_enabled();
-  Counter* partitions_applied = nullptr;
-  Counter* scale_grow = nullptr;
-  Counter* scale_shrink = nullptr;
-  Counter* forced_ckpts = nullptr;
-  if (scenario_obs) {
-    MetricsShard* shard = registry_.NewShard();
-    for (const auto& [name, count] : ScenarioMetricCounts(options_.scenario)) {
-      shard->GetCounter(name)->Increment(count);
-    }
-    partitions_applied = shard->GetCounter("scenario.partitions_applied");
-    scale_grow = shard->GetCounter("scenario.scale.grow");
-    scale_shrink = shard->GetCounter("scenario.scale.shrink");
-    shard->GetCounter("scenario.degrade.small_groups");
-    shard->GetCounter("scenario.degrade.local_steps");
-    forced_ckpts = shard->GetCounter("scenario.degrade.forced_ckpts");
+  if (ScenarioMode(options_.scenario, scale_cfg)) {
+    scenario_metrics_ =
+        RegisterScenarioMetrics(registry_.NewShard(), options_.scenario);
   }
+  const ScenarioMetrics& sm = scenario_metrics_;
 
   // The workers this process actually runs (all of them unless RestrictTo
   // carved out a multi-process slice).
@@ -515,8 +501,8 @@ ThreadedRunResult WorkerRuntime::Run(ThreadedStrategy* strategy) {
           const PartitionAction& a = actions[next_action];
           if (a.sever) {
             faulty_->SeverNode(a.worker);
-            if (partitions_applied != nullptr) {
-              partitions_applied->Increment();
+            if (sm.partitions_applied != nullptr) {
+              sm.partitions_applied->Increment();
             }
             if (a.forces_ckpt && !forcing) {
               ckpt_baseline =
@@ -535,7 +521,7 @@ ThreadedRunResult WorkerRuntime::Run(ThreadedStrategy* strategy) {
           // landed, stand the gate down.
           force_ckpt_.store(false, std::memory_order_release);
           forcing = false;
-          if (forced_ckpts != nullptr) forced_ckpts->Increment();
+          sm.forced_ckpts->Increment();
         }
         if (drive_policy && now >= next_tick) {
           ScaleSample sample;
@@ -553,11 +539,8 @@ ThreadedRunResult WorkerRuntime::Run(ThreadedStrategy* strategy) {
           sample.mean_idle_fraction =
               span > 0.0 ? idle_delta / (span * live) : 0.0;
           const int delta = scale_director_->SetTarget(policy.Decide(sample));
-          if (delta > 0 && scale_grow != nullptr) {
-            scale_grow->Increment(delta);
-          } else if (delta < 0 && scale_shrink != nullptr) {
-            scale_shrink->Increment(-delta);
-          }
+          if (delta > 0) sm.scale_grow->Increment(delta);
+          if (delta < 0) sm.scale_shrink->Increment(-delta);
           next_tick += scale_cfg.interval_seconds;
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(2));

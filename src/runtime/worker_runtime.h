@@ -23,6 +23,7 @@
 #include "scenario/scale_policy.h"
 #include "scenario/scenario.h"
 #include "sim/timeline.h"
+#include "strategies/p_reduce_policy.h"
 #include "strategies/strategy.h"
 #include "tensor/tensor.h"
 
@@ -181,6 +182,8 @@ class ServiceContext {
   FaultyTransport* faulty();
   /// The manifest this run resumed from, or null on a fresh run.
   const RunManifest* resume() const;
+  /// The run's scenario.* handles; null handles outside scenario mode.
+  const ScenarioMetrics& scenario_metrics() const;
 
  private:
   friend class WorkerRuntime;
@@ -275,6 +278,8 @@ class WorkerRuntime {
   /// and the autoscaler from a wall-clock scenario thread.
   std::unique_ptr<ScaleDirector> scale_director_;
   std::atomic<bool> force_ckpt_{false};
+  /// Registered by Run() in scenario mode.
+  ScenarioMetrics scenario_metrics_;
 
   /// Resume state (empty on a fresh run): the manifest this run restarted
   /// from, plus the per-worker optimizer velocity and counters read from

@@ -10,27 +10,17 @@ namespace pr {
 
 PReduceStrategy::PReduceStrategy(SimTraining* ctx,
                                  const StrategyOptions& options)
-    : ctx_(ctx), options_(options) {
-  PR_CHECK(ctx != nullptr);
-  ControllerOptions copts;
-  copts.num_workers = ctx->num_workers();
-  copts.group_size = options.group_size;
-  copts.mode = options.kind == StrategyKind::kPReduceDynamic
-                   ? PartialReduceMode::kDynamic
-                   : PartialReduceMode::kConstant;
-  copts.dynamic = options.dynamic;
-  copts.frozen_avoidance = options.frozen_avoidance;
-  copts.history_window = options.history_window;
-  copts.record_sync_matrices = options.record_sync_matrices;
-  copts.topology = ctx->options().topology;
-  copts.hierarchy = options.hierarchy;
-  copts.group_cost_budget = options.group_cost_budget;
-  if (!copts.topology.flat()) {
-    PR_CHECK_EQ(copts.topology.num_workers(), ctx->num_workers())
-        << "topology places a different worker count than the run";
-  }
-  controller_options_ = copts;
-  controller_ = std::make_unique<Controller>(copts);
+    : ctx_(ctx),
+      options_(options),
+      controller_(std::make_unique<Controller>(ControllerOptionsFrom(
+          options, ctx->num_workers(), ctx->options().topology))),
+      scenario_mode_(
+          ScenarioMode(ctx->options().scenario, options.scale_policy)),
+      scenario_metrics_(scenario_mode_
+                            ? RegisterScenarioMetrics(ctx->metrics(),
+                                                      ctx->options().scenario)
+                            : ScenarioMetrics{}),
+      policy_(options, scenario_metrics_) {
   controller_->AttachObservers(ctx->metrics(), ctx->trace(),
                                [ctx] { return ctx->engine()->now(); });
 
@@ -51,80 +41,30 @@ PReduceStrategy::PReduceStrategy(SimTraining* ctx,
   crashed_.assign(static_cast<size_t>(ctx->num_workers()), false);
   signal_seq_.assign(static_cast<size_t>(ctx->num_workers()), 0);
   if (ctx->options().fault.enabled()) {
-    // Register the whole fault.* family eagerly — including the injector
-    // counters only the threaded engine can drive — so both engines' run
-    // reports carry identical metric names.
-    fault_drops_ = ctx->metrics()->GetCounter("fault.injected_drops");
-    fault_retries_ = ctx->metrics()->GetCounter("fault.retries");
-    fault_evictions_ = ctx->metrics()->GetCounter("fault.evictions");
-    fault_aborted_ = ctx->metrics()->GetCounter("fault.aborted_groups");
-    ctx->metrics()->GetCounter("fault.injected_dups");
-    fault_delays_ = ctx->metrics()->GetCounter("fault.injected_delays");
-    ctx->metrics()->GetCounter("fault.heartbeats");
-    failovers_counter_ = ctx->metrics()->GetCounter("controller.failovers");
-    reregs_counter_ = ctx->metrics()->GetCounter("controller.reregistrations");
-    severed_drops_counter_ = ctx->metrics()->GetCounter("fault.severed_drops");
-    outages_ = ctx->options().fault.controller_events;
-    std::sort(outages_.begin(), outages_.end(),
-              [](const ControllerFaultEvent& a, const ControllerFaultEvent& b) {
-                return a.after_groups < b.after_groups;
-              });
+    fault_ = RegisterFaultMetrics(ctx->metrics());
+    outages_ = SortedOutages(ctx->options().fault);
   }
 
-  // Scenario replay + autoscaling + graceful degradation. The scenario.*
-  // name set (including the per-kind compile counts) registers under
-  // exactly the same condition the threaded runtime uses, so cross-engine
-  // metric-name parity is structural for scenario runs too.
-  const ScalePolicyConfig& scale_cfg = options.scale_policy;
-  min_p_ = options.group_size;
-  if (scale_cfg.min_group_size > 0) {
-    min_p_ = std::max(2, std::min(scale_cfg.min_group_size,
-                                  options.group_size));
-  }
-  liveness_floor_ = scale_cfg.liveness_floor;
   scale_paused_.assign(static_cast<size_t>(ctx->num_workers()), false);
-  scenario_mode_ = ctx->options().scenario.enabled() || scale_cfg.enabled() ||
-                   scale_cfg.degradation_enabled();
-  if (scenario_mode_) {
-    for (const auto& [name, count] :
-         ScenarioMetricCounts(ctx->options().scenario)) {
-      ctx->metrics()->GetCounter(name)->Increment(count);
-    }
-    scenario_partitions_applied_ =
-        ctx->metrics()->GetCounter("scenario.partitions_applied");
-    scale_grow_ = ctx->metrics()->GetCounter("scenario.scale.grow");
-    scale_shrink_ = ctx->metrics()->GetCounter("scenario.scale.shrink");
-    degrade_small_groups_ =
-        ctx->metrics()->GetCounter("scenario.degrade.small_groups");
-    degrade_local_steps_ =
-        ctx->metrics()->GetCounter("scenario.degrade.local_steps");
-    // The forced-checkpoint gate is wall-clock machinery; the name still
-    // registers (as zero) for parity.
-    ctx->metrics()->GetCounter("scenario.degrade.forced_ckpts");
-  }
-  if (scale_cfg.enabled()) {
-    scale_policy_ = std::make_unique<ScalePolicy>(scale_cfg,
+  if (options.scale_policy.enabled()) {
+    scale_policy_ = std::make_unique<ScalePolicy>(options.scale_policy,
                                                   ctx->num_workers());
   }
 
   // Coordinated checkpointing: SimTraining cuts the shards; the strategy
   // stamps the controller-owned restore state into each manifest.
   ctx->ConfigureCheckpoint(Name(), [this](RunManifest* m) {
-    m->next_group_id = controller_->next_group_id();
-    m->history.clear();
-    for (const std::vector<int>& g : controller_->history().groups()) {
-      m->history.push_back(g);
-    }
+    StampManifest(*controller_, m);
   });
   if (const RunManifest* rm = ctx->resume()) {
-    PR_CHECK(rm->strategy == Name())
-        << "manifest strategy " << rm->strategy << " does not match "
-        << Name();
-    ControllerRestoreState rs;
-    rs.history = rm->history;
-    rs.next_group_id = rm->next_group_id;
-    controller_->Restore(rs);
+    RestoreController(*rm, controller_.get());
   }
+}
+
+ControllerStats PReduceStrategy::controller_stats() const {
+  ControllerStats total = retired_stats_;
+  AccumulateControllerStats(controller_->stats(), &total);
+  return total;
 }
 
 std::string PReduceStrategy::Name() const {
@@ -144,7 +84,7 @@ bool PReduceStrategy::CrashArmed(int worker, bool in_group) const {
 }
 
 void PReduceStrategy::EvictNow(int worker) {
-  fault_evictions_->Increment();
+  fault_.evictions->Increment();
   ctx_->trace()->Record(ctx_->engine()->now(),
                         TraceEventKind::kWorkerEvicted, worker);
   active_[static_cast<size_t>(worker)] = false;
@@ -182,16 +122,8 @@ void PReduceStrategy::ScenarioRejoin(int worker) {
 }
 
 void PReduceStrategy::UpdateEffectiveGroupSize() {
-  if (min_p_ >= options_.group_size) return;  // gate disabled
   if (controller_down_) return;  // the next incarnation re-syncs
-  const int target =
-      std::max(min_p_, std::min(active_count_, options_.group_size));
-  if (target == controller_->effective_group_size()) return;
-  if (target < controller_->effective_group_size() &&
-      degrade_small_groups_ != nullptr) {
-    degrade_small_groups_->Increment();
-  }
-  HandleDecisions(controller_->SetEffectiveGroupSize(target));
+  HandleDecisions(policy_.Retarget(active_count_, controller_.get()));
 }
 
 void PReduceStrategy::ScalePolicyTick() {
@@ -226,7 +158,7 @@ void PReduceStrategy::ScalePolicyTick() {
           !scale_paused_[i]) {
         scale_paused_[i] = true;
         leave_requested_[i] = true;
-        if (scale_shrink_ != nullptr) scale_shrink_->Increment();
+        scenario_metrics_.scale_shrink->Increment();
         break;
       }
     }
@@ -241,7 +173,7 @@ void PReduceStrategy::ScalePolicyTick() {
       } else {
         ScenarioRejoin(w);
       }
-      if (scale_grow_ != nullptr) scale_grow_->Increment();
+      scenario_metrics_.scale_grow->Increment();
       break;
     }
   }
@@ -286,8 +218,8 @@ void PReduceStrategy::Start() {
   // group, which is exactly what leaving models.
   for (const PartitionEvent& p : ctx_->options().fault.partition_events) {
     ctx_->engine()->ScheduleAt(p.start_seconds, [this, p] {
-      if (scenario_partitions_applied_ != nullptr) {
-        scenario_partitions_applied_->Increment();
+      if (scenario_metrics_.partitions_applied != nullptr) {
+        scenario_metrics_.partitions_applied->Increment();
       }
       ScenarioLeave(p.worker);
     });
@@ -384,8 +316,8 @@ void PReduceStrategy::SendSignal(int worker) {
     // with the next sequence number.
     const uint64_t seq = signal_seq_[static_cast<size_t>(worker)]++;
     if (plan.RollDrop(worker, ctx_->num_workers(), seq)) {
-      fault_drops_->Increment();
-      fault_retries_->Increment();
+      fault_.injected_drops->Increment();
+      fault_.retries->Increment();
       ctx_->trace()->Record(ctx_->engine()->now(),
                             TraceEventKind::kWorkerRetry, worker,
                             ctx_->iteration(worker));
@@ -402,7 +334,7 @@ void PReduceStrategy::SendSignal(int worker) {
   const double link = plan.LinkDelay(worker, ctx_->num_workers());
   if (link > 0.0) {
     hop += link;
-    if (fault_delays_ != nullptr) fault_delays_->Increment();
+    fault_.injected_delays->Increment();
   }
   ctx_->engine()->ScheduleAfter(hop,
                                 [this, worker] { OnSignalArrival(worker); });
@@ -412,22 +344,17 @@ void PReduceStrategy::OnSignalArrival(int worker) {
   if (controller_down_) {
     // The signal dies at the severed endpoint; the worker parks and
     // re-registers when the controller returns.
-    severed_drops_counter_->Increment();
+    fault_.severed_drops->Increment();
     parked_.push_back(worker);
     return;
   }
   if (scenario_mode_) {
-    // Graceful degradation: below the liveness floor the verdict path is
-    // hopeless, so the worker takes local SGD steps until membership
-    // recovers; below min_p the signal would just sit in a queue no group
-    // can drain, so it is released back to compute (the threaded service's
-    // immediate-release reply).
-    const bool below_floor =
-        liveness_floor_ > 0 && active_count_ < liveness_floor_;
-    if (below_floor || active_count_ < min_p_) {
-      if (below_floor && degrade_local_steps_ != nullptr) {
-        degrade_local_steps_->Increment();
-      }
+    // Graceful degradation: a signal no group can take (or one below the
+    // liveness floor) goes straight back to compute, the simulator's form
+    // of the threaded service's immediate-release reply.
+    const SignalVerdict verdict = policy_.Verdict(active_count_);
+    if (verdict != SignalVerdict::kQueue) {
+      if (verdict == SignalVerdict::kLocalStep) policy_.CountLocalStep();
       ctx_->MarkWaitEnd(worker);
       if (!ctx_->stopped() && active_[static_cast<size_t>(worker)]) {
         BeginCompute(worker);
@@ -496,7 +423,7 @@ void PReduceStrategy::HandleDecisions(
           info_delay + 2.0 * static_cast<double>(p - 1) * worst_edge;
       if (stall > 0.0) {
         comm += stall;
-        if (fault_delays_ != nullptr) fault_delays_->Increment();
+        fault_.injected_delays->Increment();
       }
     }
     for (int m : decision.members) {
@@ -510,7 +437,7 @@ void PReduceStrategy::HandleDecisions(
 
 void PReduceStrategy::OnGroupAborted(const GroupDecision& decision,
                                      const std::vector<int>& crashed) {
-  fault_aborted_->Increment();
+  fault_.aborted_groups->Increment();
   ctx_->trace()->Record(ctx_->engine()->now(), TraceEventKind::kGroupAborted,
                         -1, static_cast<int64_t>(decision.group_id));
   for (int m : crashed) EvictNow(m);
@@ -520,7 +447,7 @@ void PReduceStrategy::OnGroupAborted(const GroupDecision& decision,
     // Survivors roll back to their pre-reduce replicas (never touched in
     // the simulator — the average is only applied on success) and put their
     // signals back in the queue.
-    fault_retries_->Increment();
+    fault_.retries->Increment();
     ctx_->trace()->Record(ctx_->engine()->now(),
                           TraceEventKind::kWorkerRetry, m,
                           ctx_->iteration(m));
@@ -567,11 +494,11 @@ void PReduceStrategy::OnGroupReduceDone(const GroupDecision& decision) {
   if (!outages_.empty()) {
     const FaultPlan& plan = ctx_->options().fault;
     if (plan.reregister_report_groups > 0) {
-      if (recent_groups_.size() >=
+      recent_groups_.emplace(decision.group_id, decision.members);
+      if (recent_groups_.size() >
           static_cast<size_t>(plan.reregister_report_groups)) {
-        recent_groups_.pop_front();
+        recent_groups_.erase(recent_groups_.begin());
       }
-      recent_groups_.emplace_back(decision.group_id, decision.members);
     }
   }
   ctx_->RecordReduceTraffic(decision.members, options_.compression);
@@ -606,7 +533,7 @@ void PReduceStrategy::CrashController() {
 void PReduceStrategy::RestartController() {
   ++next_outage_;
   controller_down_ = false;
-  failovers_counter_->Increment();
+  fault_.failovers->Increment();
   ctx_->trace()->Record(ctx_->engine()->now(),
                         TraceEventKind::kControllerRestart, -1,
                         static_cast<int64_t>(completed_groups_));
@@ -616,17 +543,11 @@ void PReduceStrategy::RestartController() {
   // the groups recent re-registrations can vouch for, then re-apply the
   // cluster-membership facts (departures survive a controller crash — they
   // are knowledge about the cluster, not controller state).
-  controller_ = std::make_unique<Controller>(controller_options_);
+  AccumulateControllerStats(controller_->stats(), &retired_stats_);
+  controller_ = std::make_unique<Controller>(controller_->options());
   controller_->AttachObservers(ctx_->metrics(), ctx_->trace(),
                                [ctx = ctx_] { return ctx->engine()->now(); });
-  ControllerRestoreState rs;
-  uint64_t max_gid = 0;
-  for (const auto& [gid, members] : recent_groups_) {
-    if (members.size() >= 2) rs.history.push_back(members);
-    max_gid = std::max(max_gid, gid);
-  }
-  rs.next_group_id = max_gid + 1;
-  controller_->Restore(rs);
+  controller_->Restore(RestoreStateFromGroups(recent_groups_));
   for (int w = 0; w < ctx_->num_workers(); ++w) {
     if (!active_[static_cast<size_t>(w)]) {
       HandleDecisions(controller_->NotifyWorkerLeft(w));
@@ -641,7 +562,7 @@ void PReduceStrategy::RestartController() {
   parked.swap(parked_);
   for (int w = 0; w < ctx_->num_workers(); ++w) {
     if (!active_[static_cast<size_t>(w)]) continue;
-    reregs_counter_->Increment();
+    fault_.reregistrations->Increment();
     ctx_->trace()->Record(ctx_->engine()->now(),
                           TraceEventKind::kWorkerReregister, w,
                           ctx_->iteration(w));

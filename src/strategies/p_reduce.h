@@ -1,12 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "compress/compressor.h"
+#include "strategies/p_reduce_policy.h"
 #include "strategies/strategy.h"
 
 namespace pr {
@@ -28,6 +28,7 @@ class PReduceStrategy : public Strategy {
   void Start() override;
   std::string Name() const override;
   const Controller* controller() const override { return controller_.get(); }
+  ControllerStats controller_stats() const override;
 
  private:
   void BeginCompute(int worker);
@@ -60,8 +61,8 @@ class PReduceStrategy : public Strategy {
   /// windows; the engines must diverge on none of them.
   void ScenarioLeave(int worker);
   void ScenarioRejoin(int worker);
-  /// Degradation gate: retargets the controller's effective group size at
-  /// clamp(active_count_, min_p_, P) after every membership change.
+  /// Degradation gate: retargets the controller's effective group size
+  /// after every membership change (PReducePolicy::Retarget).
   void UpdateEffectiveGroupSize();
   /// One autoscaler tick in virtual time: samples the workers' wait-seconds
   /// delta, feeds the policy, and pauses/readmits workers through the
@@ -70,8 +71,9 @@ class PReduceStrategy : public Strategy {
 
   SimTraining* ctx_;
   StrategyOptions options_;
-  ControllerOptions controller_options_;
   std::unique_ptr<Controller> controller_;
+  /// Stats of the controller incarnations a restart replaced.
+  ControllerStats retired_stats_;
   /// Per-worker compression emulation (empty when compression is none):
   /// each member's contribution is quantize-dequantized through its own
   /// error-feedback residual before the group average, mirroring what the
@@ -87,13 +89,9 @@ class PReduceStrategy : public Strategy {
   std::vector<bool> crashed_;
   /// Per-worker ready-signal sequence numbers for deterministic drop rolls.
   std::vector<uint64_t> signal_seq_;
-  Counter* fault_drops_ = nullptr;
-  Counter* fault_retries_ = nullptr;
-  Counter* fault_evictions_ = nullptr;
-  Counter* fault_aborted_ = nullptr;
-  /// Mirrors the threaded FaultyTransport's injected-delay count for the
-  /// deterministic link-delay matrix (virtual time, same metric name).
-  Counter* fault_delays_ = nullptr;
+  /// Registered when the fault plan is enabled; injected_delays mirrors the
+  /// threaded FaultyTransport's count for the deterministic link delays.
+  FaultMetrics fault_;
 
   // --- Controller outage mirroring ---
   bool controller_down_ = false;
@@ -104,23 +102,18 @@ class PReduceStrategy : public Strategy {
   /// Workers whose ready signals hit the severed controller; they
   /// re-register when it restarts.
   std::vector<int> parked_;
-  /// Recently completed groups (id + members), bounded by
+  /// Recently completed groups (id -> members), bounded by
   /// reregister_report_groups — what re-registration can vouch for.
-  std::deque<std::pair<uint64_t, std::vector<int>>> recent_groups_;
-  Counter* failovers_counter_ = nullptr;
-  Counter* reregs_counter_ = nullptr;
-  Counter* severed_drops_counter_ = nullptr;
+  std::map<uint64_t, std::vector<int>> recent_groups_;
 
   // --- Scenario replay + autoscaling + graceful degradation ---
   /// True when the run carries a scenario, a scale policy, or degradation
   /// gates; relaxes the membership invariants deep churn legitimately
   /// violates (never set for hand-written churn schedules).
   bool scenario_mode_ = false;
-  /// Smallest group size the degradation gate may shrink to (== group_size
-  /// when the gate is off, so the clamp is a no-op).
-  int min_p_ = 0;
-  /// Active count below which queued signals are released to local SGD.
-  int liveness_floor_ = 0;
+  /// Registered in scenario mode; null handles otherwise.
+  ScenarioMetrics scenario_metrics_;
+  PReducePolicy policy_;
   /// Workers currently paused by the scale policy (not by the trace).
   std::vector<bool> scale_paused_;
   /// Last-sampled per-run wait-seconds total, for the policy's idle deltas.
@@ -128,11 +121,6 @@ class PReduceStrategy : public Strategy {
   double last_tick_time_ = 0.0;
   size_t last_updates_ = 0;
   std::unique_ptr<ScalePolicy> scale_policy_;
-  Counter* scenario_partitions_applied_ = nullptr;
-  Counter* scale_grow_ = nullptr;
-  Counter* scale_shrink_ = nullptr;
-  Counter* degrade_small_groups_ = nullptr;
-  Counter* degrade_local_steps_ = nullptr;
 };
 
 }  // namespace pr

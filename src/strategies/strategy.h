@@ -95,6 +95,10 @@ class Strategy {
 
   /// The P-Reduce controller, for stats/spectral queries; null otherwise.
   virtual const Controller* controller() const { return nullptr; }
+
+  /// Controller stats summed over every controller incarnation of the run
+  /// (a restart replaces controller()); zero without a controller.
+  virtual ControllerStats controller_stats() const { return {}; }
 };
 
 /// \brief Factory. `ctx` must outlive the strategy.

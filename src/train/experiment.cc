@@ -19,10 +19,9 @@ SimRunResult RunPrepared(SimTraining* ctx, const ExperimentConfig& config) {
   // Final evaluation if the run ended between periodic evals.
   ctx->EvaluateNow();
   SimRunResult result = ctx->BuildResult(strategy->Name());
-  if (const Controller* controller = strategy->controller()) {
-    result.bridged_groups = controller->stats().bridged_groups;
-    result.frozen_detections = controller->stats().frozen_detections;
-  }
+  const ControllerStats stats = strategy->controller_stats();
+  result.bridged_groups = stats.bridged_groups;
+  result.frozen_detections = stats.frozen_detections;
   return result;
 }
 

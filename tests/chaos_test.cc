@@ -325,6 +325,31 @@ TEST(ChaosTest, SimulatorControllerFailoverIsDeterministic) {
             b.metrics.counter("fault.severed_drops"));
 }
 
+TEST(ChaosTest, SimControllerStatsSurviveRestart) {
+  // The run result sums the controller stats of every incarnation, so it
+  // agrees with the controller.* counters all incarnations increment.
+  for (uint64_t seed : {2u, 3u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    ExperimentConfig config;
+    config.training.num_workers = 6;
+    config.training.max_updates = 60;
+    config.training.accuracy_threshold = -1.0;
+    config.training.seed = seed;
+    config.training.sgd.learning_rate = kFailoverLr;
+    config.training.fault =
+        MakeControllerRestartPlan(seed, /*after_groups=*/5,
+                                  /*down_seconds=*/0.2, /*drop_prob=*/0.0);
+    config.strategy.kind = StrategyKind::kPReduceConst;
+    config.strategy.group_size = 2;
+    const SimRunResult result = RunExperiment(config);
+    ASSERT_EQ(result.metrics.counter("controller.failovers"), 1.0);
+    EXPECT_EQ(static_cast<double>(result.frozen_detections),
+              result.metrics.counter("controller.frozen_detections"));
+    EXPECT_EQ(static_cast<double>(result.bridged_groups),
+              result.metrics.counter("controller.bridged_groups"));
+  }
+}
+
 TEST(ChaosTest, FailoverMetricNamesMatchAcrossEngines) {
   ThreadedRunResult threaded =
       RunThreaded(ThreadedFailoverConfig(1, /*restart=*/true));

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <atomic>
 #include <thread>
 
 #include "comm/collectives.h"
@@ -138,7 +137,8 @@ TEST(CollectivesTest, RingAverageEqualsMean) {
   InProcTransport transport(4);
   auto data = inputs;
   RunMembers(&transport, members, [&](size_t i, Endpoint* ep) {
-    ASSERT_TRUE(RingAverageAllReduce(ep, members, i, 3, &data[i]).ok());
+    ASSERT_TRUE(
+        GroupAverageAllReduce(ep, members, i, 3, data[i].data(), n).ok());
   });
   for (size_t i = 0; i < p; ++i) {
     for (size_t j = 0; j < n; ++j) EXPECT_NEAR(data[i][j], mean[j], 1e-5);
@@ -178,11 +178,15 @@ TEST(CollectivesTest, ConcurrentGroupsWithDistinctTags) {
   for (size_t i = 0; i < 2; ++i) {
     threads.emplace_back([&, i] {
       Endpoint ep(&transport, g1[i]);
-      ASSERT_TRUE(RingAverageAllReduce(&ep, g1, i, /*tag=*/100, &d1[i]).ok());
+      ASSERT_TRUE(GroupAverageAllReduce(&ep, g1, i, /*tag=*/100, d1[i].data(),
+                                        d1[i].size())
+                      .ok());
     });
     threads.emplace_back([&, i] {
       Endpoint ep(&transport, g2[i]);
-      ASSERT_TRUE(RingAverageAllReduce(&ep, g2, i, /*tag=*/200, &d2[i]).ok());
+      ASSERT_TRUE(GroupAverageAllReduce(&ep, g2, i, /*tag=*/200, d2[i].data(),
+                                        d2[i].size())
+                      .ok());
     });
   }
   for (auto& t : threads) t.join();
@@ -191,19 +195,6 @@ TEST(CollectivesTest, ConcurrentGroupsWithDistinctTags) {
       EXPECT_NEAR(d1[i][j], e1[j], 1e-5);
       EXPECT_NEAR(d2[i][j], e2[j], 1e-5);
     }
-  }
-}
-
-TEST(CollectivesTest, BroadcastDeliversRootPayload) {
-  std::vector<NodeId> members = {0, 1, 2};
-  InProcTransport transport(3);
-  std::vector<std::vector<float>> data(3, std::vector<float>{0, 0});
-  data[1] = {3.5f, -1.0f};  // root is member index 1
-  RunMembers(&transport, members, [&](size_t i, Endpoint* ep) {
-    ASSERT_TRUE(Broadcast(ep, members, i, /*root_index=*/1, 5, &data[i]).ok());
-  });
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(data[i], (std::vector<float>{3.5f, -1.0f}));
   }
 }
 
@@ -221,100 +212,6 @@ TEST(CollectivesTest, InvalidArgumentsRejected) {
   // Empty members.
   EXPECT_EQ(RingWeightedAllReduce(&ep, {}, {}, 0, 1, &data).code(),
             StatusCode::kInvalidArgument);
-}
-
-TEST(CollectivesTest, ReduceScatterOwnedChunkHoldsSum) {
-  const size_t p = 4, n = 21;
-  std::vector<NodeId> members = {0, 1, 2, 3};
-  auto inputs = MakeInputs(p, n, 31);
-  std::vector<float> sum(n, 0.0f);
-  for (const auto& in : inputs) {
-    for (size_t j = 0; j < n; ++j) sum[j] += in[j];
-  }
-  InProcTransport transport(4);
-  auto data = inputs;
-  std::vector<std::pair<size_t, size_t>> chunks(p);
-  RunMembers(&transport, members, [&](size_t i, Endpoint* ep) {
-    ASSERT_TRUE(RingReduceScatter(ep, members, i, 5, &data[i],
-                                  &chunks[i].first, &chunks[i].second)
-                    .ok());
-  });
-  // Owned chunks are disjoint, cover [0, n), and hold the full sum.
-  std::vector<bool> covered(n, false);
-  for (size_t i = 0; i < p; ++i) {
-    auto [b, e] = chunks[i];
-    for (size_t j = b; j < e; ++j) {
-      EXPECT_FALSE(covered[j]);
-      covered[j] = true;
-      EXPECT_NEAR(data[i][j], sum[j], 1e-4);
-    }
-  }
-  for (size_t j = 0; j < n; ++j) EXPECT_TRUE(covered[j]);
-}
-
-TEST(CollectivesTest, ReduceScatterPlusAllGatherEqualsAllReduce) {
-  const size_t p = 3, n = 17;
-  std::vector<NodeId> members = {0, 1, 2};
-  auto inputs = MakeInputs(p, n, 33);
-  std::vector<float> sum(n, 0.0f);
-  for (const auto& in : inputs) {
-    for (size_t j = 0; j < n; ++j) sum[j] += in[j];
-  }
-  InProcTransport transport(3);
-  auto data = inputs;
-  RunMembers(&transport, members, [&](size_t i, Endpoint* ep) {
-    ASSERT_TRUE(
-        RingReduceScatter(ep, members, i, 7, &data[i], nullptr, nullptr)
-            .ok());
-    ASSERT_TRUE(RingAllGather(ep, members, i, 7, &data[i]).ok());
-  });
-  for (size_t i = 0; i < p; ++i) {
-    for (size_t j = 0; j < n; ++j) EXPECT_NEAR(data[i][j], sum[j], 1e-4);
-  }
-}
-
-TEST(CollectivesTest, GatherCollectsInMemberOrder) {
-  std::vector<NodeId> members = {0, 1, 2};
-  InProcTransport transport(3);
-  std::vector<std::vector<Buffer>> gathered(3);
-  RunMembers(&transport, members, [&](size_t i, Endpoint* ep) {
-    std::vector<float> mine = {static_cast<float>(i + 1)};
-    ASSERT_TRUE(
-        Gather(ep, members, i, /*root_index=*/1, 9, mine, &gathered[i]).ok());
-  });
-  // Only the root received anything; contributions arrive as shared
-  // Buffer handles, in member order.
-  EXPECT_TRUE(gathered[0].empty());
-  EXPECT_TRUE(gathered[2].empty());
-  ASSERT_EQ(gathered[1].size(), 3u);
-  EXPECT_EQ(gathered[1][0].ToVector(), (std::vector<float>{1.0f}));
-  EXPECT_EQ(gathered[1][1].ToVector(), (std::vector<float>{2.0f}));
-  EXPECT_EQ(gathered[1][2].ToVector(), (std::vector<float>{3.0f}));
-}
-
-TEST(CollectivesTest, BarrierWaitsForAllMembers) {
-  std::vector<NodeId> members = {0, 1, 2, 3};
-  InProcTransport transport(4);
-  std::atomic<int> entered{0};
-  std::atomic<int> min_seen_at_exit{100};
-  RunMembers(&transport, members, [&](size_t i, Endpoint* ep) {
-    if (i == 2) std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    ++entered;
-    ASSERT_TRUE(RingBarrier(ep, members, i, 13).ok());
-    int e = entered.load();
-    int expected = min_seen_at_exit.load();
-    while (e < expected &&
-           !min_seen_at_exit.compare_exchange_weak(expected, e)) {
-    }
-  });
-  // Nobody may exit the barrier before everyone entered.
-  EXPECT_EQ(min_seen_at_exit.load(), 4);
-}
-
-TEST(CollectivesTest, BarrierSingleMemberIsNoop) {
-  InProcTransport transport(1);
-  Endpoint ep(&transport, 0);
-  EXPECT_TRUE(RingBarrier(&ep, {0}, 0, 1).ok());
 }
 
 // --- Segmented pipelined ring ---------------------------------------------
