@@ -203,8 +203,8 @@ int main(int argc, char** argv) {
       return s;
     };
     const MemberFn segmented = [&](pr::Endpoint* ep, size_t i, float* data) {
-      return pr::SegmentedRingWeightedAllReduce(ep, ids, weights, i,
-                                                /*tag=*/1, data, n);
+      return pr::GroupWeightedAllReduce(ep, ids, weights, i, /*tag=*/1, data,
+                                        n);
     };
 
     std::vector<AlgoResult> results;

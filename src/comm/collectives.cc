@@ -45,19 +45,34 @@ std::pair<size_t, size_t> ChunkBounds(size_t n, size_t p, size_t chunk) {
   return {begin, begin + len};
 }
 
-/// Segments per chunk. An empty chunk still circulates one empty segment so
-/// every (step, chunk) transfer has a uniform message schedule.
-size_t NumSegments(size_t chunk_len, size_t segment_floats) {
-  if (chunk_len == 0) return 1;
-  return (chunk_len + segment_floats - 1) / segment_floats;
+/// Calls `fn(j, begin, end)` for every segment j of chunk `chunk` when `n`
+/// elements are split into `p` chunks and each chunk into segments of
+/// `segment_floats`, stopping at the first error. An empty chunk still
+/// circulates one empty segment, so every (step, chunk) transfer has a
+/// uniform message schedule. The ring and its traffic model both walk the
+/// layout through this.
+template <typename Fn>
+Status ForEachSegment(size_t n, size_t p, size_t chunk, size_t segment_floats,
+                      Fn&& fn) {
+  auto [cb, ce] = ChunkBounds(n, p, chunk);
+  const size_t nseg =
+      cb == ce ? 1 : (ce - cb + segment_floats - 1) / segment_floats;
+  for (size_t j = 0; j < nseg; ++j) {
+    const size_t b = cb + j * segment_floats;
+    PR_RETURN_NOT_OK(fn(j, b, std::min(b + segment_floats, ce)));
+  }
+  return Status::OK();
 }
 
-/// Bounds of segment `j` within chunk [chunk_begin, chunk_end).
-std::pair<size_t, size_t> SegmentBounds(size_t chunk_begin, size_t chunk_end,
-                                        size_t segment_floats, size_t j) {
-  const size_t b = std::min(chunk_begin + j * segment_floats, chunk_end);
-  const size_t e = std::min(b + segment_floats, chunk_end);
-  return {b, e};
+Status SegmentLengthMismatch() {
+  return Status::InvalidArgument("segmented ring: segment length mismatch");
+}
+
+/// The one place a codec choice is normalized: null and a disabled (kNone)
+/// compressor both mean raw fp32 payloads.
+Compressor* ActiveCodec(Compressor* compressor) {
+  return compressor != nullptr && compressor->enabled() ? compressor
+                                                        : nullptr;
 }
 
 /// Receives segment (step, chunk, j) of a segmented-ring conversation from
@@ -199,251 +214,161 @@ Status RingWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
   return RingPhase(ep, members, my_index, tag, /*gather=*/true, data);
 }
 
-Status SegmentedRingWeightedAllReduce(Endpoint* ep,
-                                      const std::vector<NodeId>& members,
-                                      const std::vector<double>& weights,
-                                      size_t my_index, uint64_t tag,
-                                      float* data, size_t n,
-                                      size_t segment_floats,
-                                      const RingDeadline& deadline) {
+Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
+                              const std::vector<double>& weights,
+                              size_t my_index, uint64_t tag, float* data,
+                              size_t n, Compressor* compressor,
+                              const RingDeadline& deadline,
+                              size_t segment_floats) {
   PR_CHECK(ep != nullptr);
   PR_CHECK(data != nullptr || n == 0);
   PR_CHECK_GE(segment_floats, size_t{1});
   PR_RETURN_NOT_OK(ValidateGroup(members, my_index));
   PR_RETURN_NOT_OK(ValidateWeights(members, weights));
   const size_t p = members.size();
+  Compressor* codec = ActiveCodec(compressor);  // null: raw fp32 hops
 
   Scale(static_cast<float>(weights[my_index]), data, n);
   if (p == 1) return Status::OK();
 
   const NodeId right = members[(my_index + 1) % p];
   const NodeId left = members[(my_index + p - 1) % p];
-  const size_t owned = (my_index + 1) % p;
-
+  const uint8_t enc = PayloadEncoding(codec);
   auto send_seg = [&](int kind, size_t step, size_t chunk, size_t j,
                       Buffer b) -> Status {
     return ep->Send(right, tag, kind,
                     {static_cast<int64_t>(step), static_cast<int64_t>(chunk),
                      static_cast<int64_t>(j)},
-                    std::move(b));
+                    std::move(b), enc);
   };
+
+  // One phase: send every segment of chunk `first` as `start` builds it,
+  // then for each of the P-1 steps receive the segments of chunk
+  // (first - step - 1) from the left, let `hop` fold each in, and forward
+  // what `hop` leaves in the buffer unless this was the phase's last hop.
   // Under per-pair FIFO with no faults the selected segment is the head of
   // the mailbox, so selecting costs nothing over taking the next message.
-  auto recv_seg = [&](int kind, size_t step, size_t chunk, size_t j,
-                      size_t expect_len, Buffer* out) -> Status {
-    PR_RETURN_NOT_OK(
-        RecvSegment(ep, left, tag, kind, step, chunk, j, deadline, out));
-    if (out->size() != expect_len) {
-      return Status::InvalidArgument("segmented ring: segment length mismatch");
+  auto phase = [&](int kind, size_t first, auto&& start,
+                   auto&& hop) -> Status {
+    PR_RETURN_NOT_OK(ForEachSegment(
+        n, p, first, segment_floats, [&](size_t j, size_t b, size_t e) {
+          return send_seg(kind, 0, first, j, start(j, b, e));
+        }));
+    for (size_t step = 0; step + 1 < p; ++step) {
+      const size_t chunk = (first + p - step - 1) % p;
+      const bool last = step + 2 == p;
+      PR_RETURN_NOT_OK(ForEachSegment(
+          n, p, chunk, segment_floats,
+          [&](size_t j, size_t b, size_t e) -> Status {
+            Buffer got;
+            PR_RETURN_NOT_OK(RecvSegment(ep, left, tag, kind, step, chunk, j,
+                                         deadline, &got));
+            PR_RETURN_NOT_OK(hop(&got, b, e - b, last));
+            if (last) return Status::OK();
+            return send_seg(kind, step + 1, chunk, j, std::move(got));
+          }));
     }
     return Status::OK();
   };
 
-  // Reduce-scatter, buffer-forwarding form. The only payload
-  // materializations are the step-0 copies of this member's own chunk; every
-  // later hop accumulates into the received buffer in place (it is uniquely
-  // owned on arrival) and forwards the same handle.
-  {
-    auto [ob, oe] = ChunkBounds(n, p, my_index);
-    const size_t nseg = NumSegments(oe - ob, segment_floats);
-    for (size_t j = 0; j < nseg; ++j) {
-      auto [sb, se] = SegmentBounds(ob, oe, segment_floats, j);
-      PR_RETURN_NOT_OK(send_seg(kKindSegRsChunk, 0, my_index, j,
-                                ep->MakePayload(data + sb, se - sb)));
-    }
-  }
-  std::vector<Buffer> retained;  // Reduced owned-chunk segments, for the AG.
-  for (size_t step = 0; step + 1 < p; ++step) {
-    const size_t recv_chunk = (my_index + p - step - 1) % p;
-    auto [rb, re] = ChunkBounds(n, p, recv_chunk);
-    const size_t nseg = NumSegments(re - rb, segment_floats);
-    const bool final_hop = (step + 2 == p);
-    if (final_hop) retained.resize(nseg);
-    for (size_t j = 0; j < nseg; ++j) {
-      auto [sb, se] = SegmentBounds(rb, re, segment_floats, j);
-      Buffer b;
-      PR_RETURN_NOT_OK(
-          recv_seg(kKindSegRsChunk, step, recv_chunk, j, se - sb, &b));
-      if (se > sb) {
-        // partial += mine: same per-element additions as the classic ring's
-        // mine += partial (float addition commutes), so results are
-        // bitwise-identical.
-        Axpy(1.0f, data + sb, b.mutable_data(), se - sb);
-      }
-      if (!final_hop) {
-        PR_RETURN_NOT_OK(
-            send_seg(kKindSegRsChunk, step + 1, recv_chunk, j, std::move(b)));
-      } else {
-        // recv_chunk == owned here: the segment is fully reduced. Publish it
-        // into the caller's buffer and retain the handle so the all-gather's
-        // first hop re-circulates it without copying.
-        if (se > sb) std::copy(b.data(), b.data() + (se - sb), data + sb);
-        retained[j] = std::move(b);
-      }
-    }
-  }
-
-  // All-gather: zero payload materializations — the first hop sends the
-  // retained reduced buffers, later hops copy into place and forward.
-  {
-    auto [ob, oe] = ChunkBounds(n, p, owned);
-    const size_t nseg = NumSegments(oe - ob, segment_floats);
-    PR_CHECK_EQ(nseg, retained.size());
-    for (size_t j = 0; j < nseg; ++j) {
-      PR_RETURN_NOT_OK(
-          send_seg(kKindSegAgChunk, 0, owned, j, std::move(retained[j])));
-    }
-  }
-  for (size_t step = 0; step + 1 < p; ++step) {
-    const size_t recv_chunk = (my_index + p - step) % p;
-    auto [rb, re] = ChunkBounds(n, p, recv_chunk);
-    const size_t nseg = NumSegments(re - rb, segment_floats);
-    const bool final_hop = (step + 2 == p);
-    for (size_t j = 0; j < nseg; ++j) {
-      auto [sb, se] = SegmentBounds(rb, re, segment_floats, j);
-      Buffer got;
-      PR_RETURN_NOT_OK(
-          recv_seg(kKindSegAgChunk, step, recv_chunk, j, se - sb, &got));
-      if (se > sb) std::copy(got.data(), got.data() + (se - sb), data + sb);
-      if (!final_hop) {
-        PR_RETURN_NOT_OK(
-            send_seg(kKindSegAgChunk, step + 1, recv_chunk, j, std::move(got)));
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status SegmentedRingCompressedAllReduce(Endpoint* ep,
-                                        const std::vector<NodeId>& members,
-                                        const std::vector<double>& weights,
-                                        size_t my_index, uint64_t tag,
-                                        float* data, size_t n,
-                                        Compressor* compressor,
-                                        size_t segment_floats,
-                                        const RingDeadline& deadline) {
-  PR_CHECK(ep != nullptr);
-  PR_CHECK(compressor != nullptr);
-  PR_CHECK(compressor->enabled());
-  PR_CHECK(data != nullptr || n == 0);
-  PR_CHECK_GE(segment_floats, size_t{1});
-  PR_RETURN_NOT_OK(ValidateGroup(members, my_index));
-  PR_RETURN_NOT_OK(ValidateWeights(members, weights));
-  const size_t p = members.size();
-
-  Scale(static_cast<float>(weights[my_index]), data, n);
-  if (p == 1) return Status::OK();
-
-  const NodeId right = members[(my_index + 1) % p];
-  const NodeId left = members[(my_index + p - 1) % p];
-  const size_t owned = (my_index + 1) % p;
-  const uint8_t enc = compressor->encoding_tag();
-
-  auto send_seg = [&](int kind, size_t step, size_t chunk, size_t j,
-                      Buffer blob) -> Status {
-    return ep->Send(right, tag, kind,
-                    {static_cast<int64_t>(step), static_cast<int64_t>(chunk),
-                     static_cast<int64_t>(j)},
-                    std::move(blob), enc);
-  };
-  // Unlike the raw ring, the payload length is *not* checked on receive:
-  // blob sizes are codec-dependent (top-k blobs scale with k, not the
-  // segment length). DecodeInto validates the decoded element count instead,
-  // turning a mismatched blob into an error status rather than a crash.
-  auto recv_seg = [&](int kind, size_t step, size_t chunk, size_t j,
-                      Buffer* out) {
-    return RecvSegment(ep, left, tag, kind, step, chunk, j, deadline, out);
-  };
-
+  // Reduce-scatter: afterwards this member holds the full sum of chunk
+  // (my_index + 1) % P. Raw hops accumulate into the received buffer in
+  // place (it is uniquely owned on arrival) and forward the same handle, so
+  // the only payload materializations are the step-0 copies of this
+  // member's own chunk; the final hop's reduced buffers are retained for
+  // the all-gather. Encoded hops decode, accumulate and re-encode; each
+  // re-encode's loss goes to this member's error-feedback residual at those
+  // positions. partial += mine performs the classic ring's per-element
+  // additions (float addition commutes), so raw results are bitwise
+  // identical to RingWeightedAllReduce.
+  std::vector<Buffer> retained;
   std::vector<float> scratch;
+  PR_RETURN_NOT_OK(phase(
+      kKindSegRsChunk, my_index,
+      [&](size_t, size_t b, size_t e) {
+        return codec != nullptr ? codec->EncodeRange(data + b, b, e - b)
+                                : ep->MakePayload(data + b, e - b);
+      },
+      [&](Buffer* got, size_t b, size_t len, bool last) -> Status {
+        if (codec == nullptr) {
+          if (got->size() != len) return SegmentLengthMismatch();
+          if (len > 0) Axpy(1.0f, data + b, got->mutable_data(), len);
+          if (last) {
+            if (len > 0) std::copy(got->data(), got->data() + len, data + b);
+            retained.push_back(std::move(*got));
+          }
+          return Status::OK();
+        }
+        scratch.resize(len);
+        PR_RETURN_NOT_OK(codec->DecodeInto(*got, scratch.data(), len));
+        if (len > 0) Axpy(1.0f, data + b, scratch.data(), len);
+        if (last) {
+          std::copy(scratch.begin(), scratch.end(), data + b);
+        } else {
+          *got = codec->EncodeRange(scratch.data(), b, len);
+        }
+        return Status::OK();
+      }));
 
-  // Reduce-scatter. Step 0 encodes this member's own chunk; every later hop
-  // decodes the incoming partial sum, folds in its own (pre-scaled)
-  // contribution, and re-encodes. Each re-encode's loss is charged to this
-  // member's error-feedback residual at those element positions and folded
-  // into its next encode there.
-  {
-    auto [ob, oe] = ChunkBounds(n, p, my_index);
-    const size_t nseg = NumSegments(oe - ob, segment_floats);
-    for (size_t j = 0; j < nseg; ++j) {
-      auto [sb, se] = SegmentBounds(ob, oe, segment_floats, j);
-      PR_RETURN_NOT_OK(
-          send_seg(kKindSegRsChunk, 0, my_index, j,
-                   compressor->EncodeRange(data + sb, sb, se - sb)));
-    }
-  }
-  for (size_t step = 0; step + 1 < p; ++step) {
-    const size_t recv_chunk = (my_index + p - step - 1) % p;
-    auto [rb, re] = ChunkBounds(n, p, recv_chunk);
-    const size_t nseg = NumSegments(re - rb, segment_floats);
-    const bool final_hop = (step + 2 == p);
-    for (size_t j = 0; j < nseg; ++j) {
-      auto [sb, se] = SegmentBounds(rb, re, segment_floats, j);
-      Buffer got;
-      PR_RETURN_NOT_OK(recv_seg(kKindSegRsChunk, step, recv_chunk, j, &got));
-      const size_t len = se - sb;
-      scratch.resize(len);
-      PR_RETURN_NOT_OK(compressor->DecodeInto(got, scratch.data(), len));
-      if (len > 0) Axpy(1.0f, data + sb, scratch.data(), len);
-      if (!final_hop) {
-        PR_RETURN_NOT_OK(
-            send_seg(kKindSegRsChunk, step + 1, recv_chunk, j,
-                     compressor->EncodeRange(scratch.data(), sb, len)));
-      } else {
-        // recv_chunk == owned: fully reduced. The owner's own contribution
-        // was just added exactly (never re-encoded before the all-gather).
-        if (len > 0) std::copy(scratch.data(), scratch.data() + len,
-                               data + sb);
-      }
-    }
-  }
-
-  // All-gather. The chunk owner encodes once and *publishes the decoded
-  // values locally* (EncodeRangePublish); every later hop decodes into place
-  // and forwards the same blob unchanged — so all members publish bitwise
-  // the same chunk values, exactly like the uncompressed ring.
-  {
-    auto [ob, oe] = ChunkBounds(n, p, owned);
-    const size_t nseg = NumSegments(oe - ob, segment_floats);
-    for (size_t j = 0; j < nseg; ++j) {
-      auto [sb, se] = SegmentBounds(ob, oe, segment_floats, j);
-      PR_RETURN_NOT_OK(
-          send_seg(kKindSegAgChunk, 0, owned, j,
-                   compressor->EncodeRangePublish(data + sb, sb, se - sb)));
-    }
-  }
-  for (size_t step = 0; step + 1 < p; ++step) {
-    const size_t recv_chunk = (my_index + p - step) % p;
-    auto [rb, re] = ChunkBounds(n, p, recv_chunk);
-    const size_t nseg = NumSegments(re - rb, segment_floats);
-    const bool final_hop = (step + 2 == p);
-    for (size_t j = 0; j < nseg; ++j) {
-      auto [sb, se] = SegmentBounds(rb, re, segment_floats, j);
-      Buffer got;
-      PR_RETURN_NOT_OK(recv_seg(kKindSegAgChunk, step, recv_chunk, j, &got));
-      PR_RETURN_NOT_OK(compressor->DecodeInto(got, data + sb, se - sb));
-      if (!final_hop) {
-        PR_RETURN_NOT_OK(send_seg(kKindSegAgChunk, step + 1, recv_chunk, j,
-                                  std::move(got)));
-      }
-    }
-  }
-  return Status::OK();
+  // All-gather: the owner starts its chunk round. Raw, that re-circulates
+  // the retained buffers (zero materializations); encoded, the owner
+  // encodes once and publishes the decoded values locally. Every later hop
+  // copies or decodes into place and forwards the same payload unchanged,
+  // so all members publish bitwise the same values.
+  return phase(
+      kKindSegAgChunk, (my_index + 1) % p,
+      [&](size_t j, size_t b, size_t e) {
+        return codec != nullptr ? codec->EncodeRangePublish(data + b, b, e - b)
+                                : std::move(retained.at(j));
+      },
+      [&](Buffer* got, size_t b, size_t len, bool) -> Status {
+        if (codec != nullptr) return codec->DecodeInto(*got, data + b, len);
+        if (got->size() != len) return SegmentLengthMismatch();
+        if (len > 0) std::copy(got->data(), got->data() + len, data + b);
+        return Status::OK();
+      });
 }
 
-Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
-                              const std::vector<double>& weights,
-                              size_t my_index, uint64_t tag, float* data,
-                              size_t n, Compressor* compressor,
-                              const RingDeadline& deadline) {
-  if (compressor != nullptr && compressor->enabled()) {
-    return SegmentedRingCompressedAllReduce(ep, members, weights, my_index,
-                                            tag, data, n, compressor,
-                                            kDefaultSegmentFloats, deadline);
+double ChargeGroupAllReduceTraffic(size_t n, size_t p, CompressionKind kind,
+                                   MetricsShard* metrics,
+                                   size_t segment_floats) {
+  PR_CHECK(metrics != nullptr);
+  PR_CHECK_GE(segment_floats, size_t{1});
+  if (p < 2) return 0.0;
+  const bool raw = kind == CompressionKind::kNone;
+  // One circulation of every segment of every chunk.
+  double raw_bytes = 0.0;
+  double wire_bytes = 0.0;
+  double copies = 0.0;
+  for (size_t chunk = 0; chunk < p; ++chunk) {
+    (void)ForEachSegment(n, p, chunk, segment_floats,
+                         [&](size_t, size_t b, size_t e) {
+                           raw_bytes += static_cast<double>((e - b) *
+                                                            sizeof(float));
+                           wire_bytes += static_cast<double>(
+                               EncodedBlobBytes(kind, e - b));
+                           // Raw: the step-0 copy of a non-empty segment.
+                           if (raw && e > b) copies += 1.0;
+                           return Status::OK();
+                         });
   }
-  return SegmentedRingWeightedAllReduce(ep, members, weights, my_index, tag,
-                                        data, n, kDefaultSegmentFloats,
-                                        deadline);
+  // Each segment crosses P-1 ring edges in each of the two phases.
+  const double bytes = 2.0 * static_cast<double>(p - 1) * wire_bytes;
+  metrics->GetCounter("transport.bytes_sent")->Increment(bytes);
+  metrics->GetCounter("transport.bytes_received")->Increment(bytes);
+  metrics->GetCounter("transport.payload_copies")->Increment(copies);
+  if (!raw) {
+    // Each segment is encoded P times: by the P-1 reduce-scatter senders
+    // (the last hop keeps its sum) and once by its all-gather owner.
+    Counter* in = metrics->GetCounter("compress.bytes_in");
+    Counter* out = metrics->GetCounter("compress.bytes_out");
+    in->Increment(static_cast<double>(p) * raw_bytes);
+    out->Increment(static_cast<double>(p) * wire_bytes);
+    if (out->value() > 0.0) {
+      metrics->GetGauge("compress.ratio")->Set(in->value() / out->value());
+    }
+  }
+  return bytes;
 }
 
 Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
@@ -463,6 +388,32 @@ Status GroupAverageAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
                                     1.0 / static_cast<double>(members.size()));
   return GroupWeightedAllReduce(ep, members, weights, my_index, tag, data, n,
                                 compressor);
+}
+
+Buffer EncodePayload(Endpoint* ep, Compressor* compressor, const float* data,
+                     size_t n) {
+  Compressor* codec = ActiveCodec(compressor);
+  return codec != nullptr ? codec->EncodeRange(data, 0, n)
+                          : ep->MakePayload(data, n);
+}
+
+uint8_t PayloadEncoding(Compressor* compressor) {
+  Compressor* codec = ActiveCodec(compressor);
+  return codec != nullptr ? codec->encoding_tag() : 0;
+}
+
+Status DecodePayload(Envelope* env, size_t n, std::vector<float>* out) {
+  PR_CHECK(env != nullptr);
+  PR_CHECK(out != nullptr);
+  if (env->encoding != 0) {
+    PR_RETURN_NOT_OK(DecodeTaggedPayload(env->encoding, env->payload, out));
+  } else {
+    *out = env->payload.Take();
+  }
+  if (out->size() != n) {
+    return Status::InvalidArgument("payload: element count mismatch");
+  }
+  return Status::OK();
 }
 
 }  // namespace pr

@@ -6,6 +6,8 @@
 
 #include "comm/transport.h"
 #include "common/status.h"
+#include "compress/codec.h"
+#include "obs/metrics.h"
 
 namespace pr {
 
@@ -17,9 +19,10 @@ class Compressor;
 /// partial-reduce groups use distinct tags).
 ///
 /// GroupWeightedAllReduce and GroupAverageAllReduce are the data plane
-/// every threaded strategy calls. LeaderWeightedAllReduce and
-/// RingWeightedAllReduce are the reference schedules tests and benches
-/// compare the segmented rings against.
+/// every threaded strategy calls, and EncodePayload/DecodePayload carry the
+/// point-to-point strategies' models and gradients. LeaderWeightedAllReduce
+/// and RingWeightedAllReduce are the reference schedules tests and benches
+/// compare the segmented ring against.
 
 /// \brief Weighted all-reduce via a leader: members send their vectors to
 /// members[0], which computes sum_j weights[j] * x_j and broadcasts the
@@ -46,7 +49,7 @@ Status RingWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
                              size_t my_index, uint64_t tag,
                              std::vector<float>* data);
 
-/// \brief Optional receive deadline for the segmented rings.
+/// \brief Optional receive deadline for the segmented ring.
 ///
 /// The default (negative timeout) is no deadline: every segment receive
 /// blocks until the segment arrives or the transport shuts down. With a
@@ -65,23 +68,31 @@ struct RingDeadline {
 /// accumulation of segment k-1, large enough to amortize envelope overhead.
 inline constexpr size_t kDefaultSegmentFloats = size_t{1} << 15;
 
-/// \brief Segmented, pipelined ring weighted all-reduce with buffer
-/// forwarding.
+/// \brief The group weighted all-reduce every strategy calls: one
+/// segmented, pipelined ring computing sum_j weights[j] * x_j over raw or
+/// encoded payloads.
 ///
 /// Same schedule as RingWeightedAllReduce (pre-scale, reduce-scatter,
-/// all-gather) but each chunk is split into fixed-size segments that flow
-/// through the ring independently: the send of segment k overlaps the
-/// receive+accumulate of segment k-1. Payload handles are *forwarded*, not
-/// re-materialized — an intermediate hop accumulates its contribution into
-/// the received Buffer in place (it is uniquely owned on arrival) and sends
-/// the same handle on, so a full all-reduce performs one payload
-/// materialization per own-chunk segment instead of one per hop. The
-/// reduced owned-chunk buffers from the last reduce-scatter hop are retained
-/// and re-circulated as the all-gather's first hop, making it zero-copy.
+/// all-gather), but each chunk is split into `segment_floats`-sized
+/// segments that flow through the ring independently: the send of segment
+/// k overlaps the receive and accumulate of segment k-1. The codec changes
+/// only what a hop does with a segment's payload:
 ///
-/// Bitwise-identical to RingWeightedAllReduce for the same members/weights:
-/// the same additions happen in the same order per element (float addition
-/// is commutative), and segmentation only splits the element ranges.
+/// - Raw (`compressor` null or disabled): an intermediate hop accumulates
+///   its contribution into the received Buffer in place (it is uniquely
+///   owned on arrival) and forwards the same handle, so a full all-reduce
+///   performs one payload materialization per own-chunk segment instead of
+///   one per hop. The reduced owned-chunk buffers are re-circulated as the
+///   all-gather's first hop, making it zero-copy. Bitwise-identical to
+///   RingWeightedAllReduce: the same additions happen in the same order per
+///   element, and segmentation only splits the element ranges.
+/// - Encoded (DESIGN.md §5i): every segment travels as `compressor`'s blob.
+///   Reduce-scatter hops decode, accumulate and re-encode with error
+///   feedback; the all-gather owner encodes once and publishes the decoded
+///   values (EncodeRangePublish), and later hops decode into place and
+///   forward the same blob, so members end bitwise identical. `compressor`
+///   is this member's private state, reused across reduces so its residuals
+///   accumulate.
 ///
 /// Each receive selects its segment by (left neighbour, tag, kind, step,
 /// chunk, segment), so a duplicated or reordered delivery is parked or
@@ -91,51 +102,27 @@ inline constexpr size_t kDefaultSegmentFloats = size_t{1} << 15;
 /// `data` may be null only when n == 0. Every chunk circulates at least one
 /// (possibly empty) segment so the message schedule is uniform even when
 /// n < P or n == 0.
-Status SegmentedRingWeightedAllReduce(Endpoint* ep,
-                                      const std::vector<NodeId>& members,
-                                      const std::vector<double>& weights,
-                                      size_t my_index, uint64_t tag,
-                                      float* data, size_t n,
-                                      size_t segment_floats =
-                                          kDefaultSegmentFloats,
-                                      const RingDeadline& deadline = {});
-
-/// \brief Segmented ring all-reduce with per-hop payload compression
-/// (DESIGN.md §5i). Same pipelined schedule as the uncompressed segmented
-/// ring, but every hop's segment travels as `compressor`'s encoded blob:
-/// reduce-scatter hops decode, accumulate their contribution, and re-encode
-/// with error feedback; all-gather hops decode into place and forward the
-/// *same* blob unchanged, so every member publishes bitwise-identical
-/// values. Lossy by design — the per-worker error-feedback residual inside
-/// `compressor` carries each encode's error into the worker's next encode
-/// at the same element positions.
-///
-/// Segments are selected and `deadline` applies exactly as in the
-/// uncompressed segmented ring.
-///
-/// `compressor` must be enabled and is this member's private state (one per
-/// worker, reused across reduces so residuals accumulate).
-Status SegmentedRingCompressedAllReduce(Endpoint* ep,
-                                        const std::vector<NodeId>& members,
-                                        const std::vector<double>& weights,
-                                        size_t my_index, uint64_t tag,
-                                        float* data, size_t n,
-                                        Compressor* compressor,
-                                        size_t segment_floats =
-                                            kDefaultSegmentFloats,
-                                        const RingDeadline& deadline = {});
-
-/// \brief The single dispatch point strategies use for a group's weighted
-/// reduce. With no compressor (or a disabled one) this is the segmented
-/// pipelined ring, bitwise-identical to the unsegmented reference; an
-/// enabled compressor selects the compressed ring, which reuses the same
-/// segmented schedule with encoded payloads. `deadline` is forwarded to
-/// either ring (default: none).
 Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
                               const std::vector<double>& weights,
                               size_t my_index, uint64_t tag, float* data,
                               size_t n, Compressor* compressor = nullptr,
-                              const RingDeadline& deadline = {});
+                              const RingDeadline& deadline = {},
+                              size_t segment_floats = kDefaultSegmentFloats);
+
+/// \brief The traffic GroupWeightedAllReduce moves when `p` members reduce
+/// `n` floats under codec `kind`, summed over the members and walked from
+/// the ring's own chunk and segment layout.
+///
+/// Charges `metrics` under the names each member's Endpoint and Compressor
+/// count: transport.bytes_sent and transport.bytes_received (every segment
+/// crosses P-1 edges per phase), transport.payload_copies (raw: one per
+/// non-empty segment), and under compression compress.bytes_in/bytes_out
+/// (P encodes per segment) with the compress.ratio gauge. Returns the bytes
+/// sent; a group of fewer than two members moves nothing.
+double ChargeGroupAllReduceTraffic(size_t n, size_t p, CompressionKind kind,
+                                   MetricsShard* metrics,
+                                   size_t segment_floats =
+                                       kDefaultSegmentFloats);
 
 /// Compatibility overload over a whole vector.
 Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
@@ -149,5 +136,21 @@ Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
 Status GroupAverageAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
                              size_t my_index, uint64_t tag, float* data,
                              size_t n, Compressor* compressor = nullptr);
+
+/// \brief Builds a point-to-point payload carrying `n` floats: an enabled
+/// `compressor`'s error-feedback blob of positions 0..n, else one counted
+/// raw copy (Endpoint::MakePayload). Send it with PayloadEncoding's tag.
+Buffer EncodePayload(Endpoint* ep, Compressor* compressor, const float* data,
+                     size_t n);
+
+/// The wire encoding tag of EncodePayload's output: the codec's tag, or 0
+/// for raw fp32.
+uint8_t PayloadEncoding(Compressor* compressor);
+
+/// \brief Decodes a received point-to-point payload into `out`: an encoded
+/// blob through the codec its tag names, a raw payload by Buffer::Take (a
+/// move when the handle was never shared). InvalidArgument unless it holds
+/// `n` elements.
+Status DecodePayload(Envelope* env, size_t n, std::vector<float>* out);
 
 }  // namespace pr

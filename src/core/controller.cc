@@ -31,7 +31,9 @@ Controller::Controller(const ControllerOptions& options)
   PR_CHECK_LE(options.group_size, options.num_workers);
   hierarchical_ = options.hierarchy.enabled && !options.topology.flat() &&
                   options.topology.num_nodes() > 1;
-  if (hierarchical_) PR_CHECK_GE(options.hierarchy.cross_period, 1);
+  if (hierarchical_) {
+    PR_CHECK_GE(options.hierarchy.cross_period, 1);
+  }
 }
 
 void Controller::Restore(const ControllerRestoreState& state) {
@@ -95,6 +97,28 @@ bool Controller::BridgeEventuallyPossible() const {
     }
   }
   return false;
+}
+
+bool Controller::MergeAwaitsAnotherNode() const {
+  const Topology& topo = options_.topology;
+  const int node = topo.NodeOf(pending_.front().worker);
+  for (const ReadySignal& s : pending_) {
+    if (topo.NodeOf(s.worker) != node) return false;
+  }
+  for (int w = 0; w < options_.num_workers; ++w) {
+    if (!departed_[static_cast<size_t>(w)] && topo.NodeOf(w) != node) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void Controller::RecordHold() {
+  if (holds_counter_ != nullptr) holds_counter_->Increment();
+  if (trace_ != nullptr) {
+    trace_->Record(TraceNow(), TraceEventKind::kGroupHeld, -1,
+                   static_cast<int64_t>(pending_.size()));
+  }
 }
 
 std::vector<GroupDecision> Controller::OnReadySignal(int worker,
@@ -169,11 +193,7 @@ std::vector<GroupDecision> Controller::TryFormGroups() {
           // Hold: the queued workers cannot bridge the frozen components
           // yet, but a live worker from another component will signal (or
           // depart) eventually, re-triggering this check.
-          if (holds_counter_ != nullptr) holds_counter_->Increment();
-          if (trace_ != nullptr) {
-            trace_->Record(TraceNow(), TraceEventKind::kGroupHeld, -1,
-                           static_cast<int64_t>(pending_.size()));
-          }
+          RecordHold();
           break;
         }
       }
@@ -192,17 +212,22 @@ std::vector<GroupDecision> Controller::TryFormGroups() {
         mode = (merge_due || !IntraNodeGroupPossible())
                    ? GroupSelectMode::kCrossNode
                    : GroupSelectMode::kIntraNode;
+        // Merge hold: reduce partners leave a reduce together and signal
+        // together, so a merge drawn from a one-node queue would form
+        // inside that node every time and leave the nodes group-frozen.
+        // Hold while another node has a live worker that will signal (or
+        // depart); with none left, the merge forms where it can.
+        if (mode == GroupSelectMode::kCrossNode && MergeAwaitsAnotherNode()) {
+          RecordHold();
+          break;
+        }
       }
       selection = filter_.Select(pending_, history_, mode);
       if (selection.queue_positions.empty()) {
         // Locality hold: some node can fill a group but none has yet. Every
         // live worker signals (or departs) eventually, and held signals
         // stay queued, so a capable node's complement must arrive.
-        if (holds_counter_ != nullptr) holds_counter_->Increment();
-        if (trace_ != nullptr) {
-          trace_->Record(TraceNow(), TraceEventKind::kGroupHeld, -1,
-                         static_cast<int64_t>(pending_.size()));
-        }
+        RecordHold();
         break;
       }
     } else {

@@ -184,6 +184,14 @@ class Controller {
   /// eventually yield a bridging group.
   bool BridgeEventuallyPossible() const;
 
+  /// True when every queued signal comes from one node and another node
+  /// still has a live worker, i.e. holding a due cross-node merge can
+  /// eventually make it span nodes.
+  bool MergeAwaitsAnotherNode() const;
+
+  /// Counts and traces a hold: TryFormGroups leaves the queue as it is.
+  void RecordHold();
+
   /// Forms as many groups as the queue and hold policy allow.
   std::vector<GroupDecision> TryFormGroups();
 

@@ -2,6 +2,7 @@
 #include <optional>
 #include <vector>
 
+#include "comm/collectives.h"
 #include "common/check.h"
 #include "runtime/threaded_strategies.h"
 #include "runtime/worker_runtime.h"
@@ -69,20 +70,14 @@ void ThreadedAdPsgd::RunWorker(WorkerContext* ctx) {
   // models; each worker's error-feedback residual tracks its own outgoing
   // model stream (positions 0..num_params).
   Compressor* comp = ctx->compressor();
-  const uint8_t enc = comp != nullptr ? comp->encoding_tag() : 0;
-  std::vector<float> decoded;
+  const uint8_t enc = PayloadEncoding(comp);
+  std::vector<float> other;
   auto model_payload = [&]() -> Buffer {
-    return comp != nullptr ? comp->EncodeRange(params.data(), 0, num_params)
-                           : ep->MakePayload(params.data(), num_params);
+    return EncodePayload(ep, comp, params.data(), num_params);
   };
-  auto payload_floats = [&](const Envelope& env) -> const float* {
-    if (env.encoding != 0) {
-      PR_CHECK(DecodeTaggedPayload(env.encoding, env.payload, &decoded).ok());
-      PR_CHECK_EQ(decoded.size(), num_params);
-      return decoded.data();
-    }
-    PR_CHECK_EQ(env.payload.size(), num_params);
-    return env.payload.data();
+  auto peer_model = [&](Envelope* env) -> const float* {
+    PR_CHECK(DecodePayload(env, num_params, &other).ok());
+    return other.data();
   };
 
   for (size_t k = 1; k <= run.iterations_per_worker; ++k) {
@@ -114,7 +109,7 @@ void ThreadedAdPsgd::RunWorker(WorkerContext* ctx) {
           if (env->from == peer) break;
         } else if (env->kind == kKindGossipReq) {
           // Serve a concurrent initiator so it cannot deadlock on us.
-          average_in(payload_floats(*env));
+          average_in(peer_model(&*env));
           if (!ep->Send(env->from, env->tag, kKindGossipReply, {},
                         model_payload(), enc)
                    .ok()) {
@@ -128,12 +123,9 @@ void ThreadedAdPsgd::RunWorker(WorkerContext* ctx) {
           if (served_while_waiting) {
             // Our model moved while the reply was in flight; folding the
             // reply in (instead of adopting it) keeps the served updates.
-            average_in(payload_floats(*env));
-          } else if (env->encoding != 0) {
-            const float* other = payload_floats(*env);
-            std::copy(other, other + num_params, params.data());
+            average_in(peer_model(&*env));
           } else {
-            params.CopyFrom(env->payload);
+            params.CopyFrom(peer_model(&*env), num_params);
           }
           pair_averages_.fetch_add(1);
           break;

@@ -2,6 +2,7 @@
 #include <optional>
 #include <vector>
 
+#include "comm/collectives.h"
 #include "common/check.h"
 #include "optim/sgd.h"
 #include "runtime/threaded_strategies.h"
@@ -57,10 +58,11 @@ void ThreadedEagerReduce::RunService(ServiceContext* ctx) {
 
   global_ = ctx->init_params();
   Sgd opt(num_params, ctx->run().sgd);
-  // Deposited gradients are kept as shared payload handles: adopting a push
-  // is a refcount move, not a vector copy.
-  std::vector<Buffer> last_grad(static_cast<size_t>(n));
-  for (auto& g : last_grad) g = Buffer::Zeros(num_params);
+  // Deposited gradients: adopting a raw push moves its vector out of the
+  // payload, a compressed one is decoded once here so the round averaging
+  // below reads plain fp32.
+  std::vector<std::vector<float>> last_grad(
+      static_cast<size_t>(n), std::vector<float>(num_params, 0.0f));
   std::vector<bool> fresh(static_cast<size_t>(n), false);
   int fresh_count = 0;
   std::vector<NodeId> waiting;
@@ -71,17 +73,9 @@ void ThreadedEagerReduce::RunService(ServiceContext* ctx) {
     if (!env.has_value()) break;  // transport shut down
     PR_CHECK_EQ(env->kind, kKindErPush);
     const bool is_last = env->ints[0] != 0;
-    if (env->encoding != 0) {
-      // Compressed push: decode once at deposit so the round averaging
-      // below keeps reading plain fp32 buffers.
-      std::vector<float> decoded;
-      PR_CHECK(DecodeTaggedPayload(env->encoding, env->payload, &decoded)
-                   .ok());
-      last_grad[static_cast<size_t>(env->from)] =
-          Buffer::FromVector(std::move(decoded));
-    } else {
-      last_grad[static_cast<size_t>(env->from)] = std::move(env->payload);
-    }
+    PR_CHECK(DecodePayload(&*env, num_params,
+                           &last_grad[static_cast<size_t>(env->from)])
+                 .ok());
     if (!fresh[static_cast<size_t>(env->from)]) {
       fresh[static_cast<size_t>(env->from)] = true;
       ++fresh_count;
@@ -100,8 +94,7 @@ void ThreadedEagerReduce::RunService(ServiceContext* ctx) {
     if (fresh_count < effective_quorum) continue;
 
     std::vector<float> mean(num_params, 0.0f);
-    for (const Buffer& g : last_grad) {
-      PR_CHECK_EQ(g.size(), num_params);
+    for (const std::vector<float>& g : last_grad) {
       Axpy(1.0f / static_cast<float>(n), g.data(), mean.data(), num_params);
     }
     opt.Step(mean.data(), &global_);
@@ -116,11 +109,8 @@ void ThreadedEagerReduce::RunService(ServiceContext* ctx) {
     // round; its error feedback carries the encode loss into next round's
     // broadcast (the server-side model itself stays exact fp32).
     Compressor* comp = ctx->compressor();
-    Buffer model =
-        comp != nullptr
-            ? comp->EncodeRange(global_.data(), 0, global_.size())
-            : ep->MakePayload(global_.data(), global_.size());
-    const uint8_t enc = comp != nullptr ? comp->encoding_tag() : 0;
+    Buffer model = EncodePayload(ep, comp, global_.data(), global_.size());
+    const uint8_t enc = PayloadEncoding(comp);
     for (NodeId w : waiting) {
       // Best-effort: a failed send means the fabric was shut down (hard
       // abort); the server's RecvAny loop observes the closure and drains.
@@ -137,7 +127,7 @@ void ThreadedEagerReduce::RunWorker(WorkerContext* ctx) {
   Compressor* comp = ctx->compressor();
   MutableSlice params = ctx->params();
   std::vector<float> grad;
-  std::vector<float> decoded;
+  std::vector<float> model;
 
   for (size_t k = 1; k <= run.iterations_per_worker; ++k) {
     ctx->ComputeGradient(params.data(), &grad);
@@ -145,15 +135,11 @@ void ThreadedEagerReduce::RunWorker(WorkerContext* ctx) {
     if (is_last) ctx->MarkFinished();
     // Compressed pushes run the gradient stream through this worker's
     // error-feedback residual (positions 0..n of its gradient vector).
-    Status sent =
-        comp != nullptr
-            ? ep->Send(server, 0, kKindErPush,
-                       {static_cast<int64_t>(is_last ? 1 : 0)},
-                       comp->EncodeRange(grad.data(), 0, grad.size()),
-                       comp->encoding_tag())
-            : ep->Send(server, 0, kKindErPush,
-                       {static_cast<int64_t>(is_last ? 1 : 0)}, grad);
-    if (!sent.ok()) {
+    if (!ep->Send(server, 0, kKindErPush,
+                  {static_cast<int64_t>(is_last ? 1 : 0)},
+                  EncodePayload(ep, comp, grad.data(), grad.size()),
+                  PayloadEncoding(comp))
+             .ok()) {
       return;  // fabric shut down (hard abort) — unwind like Recv-shutdown
     }
     if (is_last) break;
@@ -163,14 +149,8 @@ void ThreadedEagerReduce::RunWorker(WorkerContext* ctx) {
     if (!env.has_value()) return;  // shutdown
     ctx->RecordIdle(wait_begin, ctx->Now());
     PR_CHECK_EQ(env->kind, kKindErModel);
-    if (env->encoding != 0) {
-      PR_CHECK(DecodeTaggedPayload(env->encoding, env->payload, &decoded)
-                   .ok());
-      PR_CHECK_EQ(decoded.size(), params.size());
-      std::copy(decoded.begin(), decoded.end(), params.data());
-    } else {
-      params.CopyFrom(env->payload);
-    }
+    PR_CHECK(DecodePayload(&*env, params.size(), &model).ok());
+    params.CopyFrom(model);
   }
 }
 

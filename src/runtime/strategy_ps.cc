@@ -3,6 +3,7 @@
 #include <optional>
 #include <vector>
 
+#include "comm/collectives.h"
 #include "common/check.h"
 #include "optim/sgd.h"
 #include "runtime/threaded_strategies.h"
@@ -97,16 +98,13 @@ void ThreadedPs::RunService(ServiceContext* ctx) {
   // by the service compressor (whose error feedback tracks the model
   // stream), then shared by every pull of that version.
   Compressor* comp = ctx->compressor();
-  const uint8_t enc = comp != nullptr ? comp->encoding_tag() : 0;
+  const uint8_t enc = PayloadEncoding(comp);
   Buffer model_payload;
   auto reply_model = [&](NodeId to) {
     trace->Record(ctx->Now(), TraceEventKind::kPsPull, to,
                   static_cast<int64_t>(versions_));
     if (model_payload.empty()) {
-      model_payload =
-          comp != nullptr
-              ? comp->EncodeRange(global_.data(), 0, global_.size())
-              : ep->MakePayload(global_.data(), global_.size());
+      model_payload = EncodePayload(ep, comp, global_.data(), global_.size());
     }
     // Best-effort: a failed send means the fabric was shut down (hard
     // abort); the server's receive loop observes the closure and drains.
@@ -130,6 +128,7 @@ void ThreadedPs::RunService(ServiceContext* ctx) {
     parked_pulls.clear();
   };
 
+  std::vector<float> grad;  // the push being applied, decoded
   while (active > 0) {
     std::optional<Envelope> env = ep->RecvAny();
     if (!env.has_value()) break;  // transport shut down
@@ -142,16 +141,7 @@ void ThreadedPs::RunService(ServiceContext* ctx) {
         }
         break;
       case kKindPush: {
-        if (env->encoding != 0) {
-          // Decode compressed pushes once on arrival; the policy code below
-          // then reads plain fp32 regardless of the wire encoding.
-          std::vector<float> decoded;
-          PR_CHECK(DecodeTaggedPayload(env->encoding, env->payload, &decoded)
-                       .ok());
-          PR_CHECK_EQ(decoded.size(), num_params);
-          env->payload = Buffer::FromVector(std::move(decoded));
-          env->encoding = 0;
-        }
+        PR_CHECK(DecodePayload(&*env, num_params, &grad).ok());
         const uint64_t pulled = static_cast<uint64_t>(env->ints[0]);
         const uint64_t staleness = versions_ - pulled;
         staleness_hist->Observe(static_cast<double>(staleness));
@@ -169,7 +159,7 @@ void ThreadedPs::RunService(ServiceContext* ctx) {
             scale *= ExcessStalenessLrScale(staleness,
                                             static_cast<size_t>(n));
           }
-          opt.Step(env->payload.data(), &global_, scale);
+          opt.Step(grad.data(), &global_, scale);
           bump_version();
           break;
         }
@@ -180,7 +170,7 @@ void ThreadedPs::RunService(ServiceContext* ctx) {
           // served immediately so it rejoins the current round.
           wasted_counter->Increment();
         } else {
-          Axpy(1.0f, env->payload.data(), round_sum.data(), num_params);
+          Axpy(1.0f, grad.data(), round_sum.data(), num_params);
           in_round[static_cast<size_t>(env->from)] = true;
           ++round_accepted;
         }
@@ -223,28 +213,18 @@ void ThreadedPs::RunWorker(WorkerContext* ctx) {
     ctx->RecordIdle(wait_begin, ctx->Now());
     PR_CHECK_EQ(env->kind, kKindModel);
     const int64_t version = env->ints[0];
-    if (env->encoding != 0) {
-      PR_CHECK(DecodeTaggedPayload(env->encoding, env->payload, &params)
-                   .ok());
-    } else {
-      params = env->payload.Take();
-    }
+    PR_CHECK(DecodePayload(&*env, ctx->num_params(), &params).ok());
 
     ctx->ComputeGradient(params.data(), &grad);
     const bool is_last = k == run.iterations_per_worker;
     if (is_last) ctx->MarkFinished();
     // Compressed pushes run this worker's gradient stream through its
     // error-feedback residual (positions 0..num_params).
-    Status sent =
-        comp != nullptr
-            ? ep->Send(server, 0, kKindPush,
-                       {version, static_cast<int64_t>(is_last ? 1 : 0)},
-                       comp->EncodeRange(grad.data(), 0, grad.size()),
-                       comp->encoding_tag())
-            : ep->Send(server, 0, kKindPush,
-                       {version, static_cast<int64_t>(is_last ? 1 : 0)},
-                       grad);
-    if (!sent.ok()) {
+    if (!ep->Send(server, 0, kKindPush,
+                  {version, static_cast<int64_t>(is_last ? 1 : 0)},
+                  EncodePayload(ep, comp, grad.data(), grad.size()),
+                  PayloadEncoding(comp))
+             .ok()) {
       return;  // shutdown
     }
     // Keep the replica in sync with the last pulled model so run-level

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "comm/collectives.h"
 #include "common/check.h"
 #include "common/logging.h"
 #include "tensor/ops.h"
@@ -391,12 +392,13 @@ void SimTraining::CountWastedGradient() {
 }
 
 void SimTraining::RecordReduceTraffic(size_t p, CompressionKind kind) {
-  (void)AccountReduceTraffic(p, kind);
+  (void)ChargeGroupAllReduceTraffic(num_params(), p, kind, metrics_shard_);
 }
 
 void SimTraining::RecordReduceTraffic(const std::vector<int>& members,
                                       CompressionKind kind) {
-  const double bytes = AccountReduceTraffic(members.size(), kind);
+  const double bytes = ChargeGroupAllReduceTraffic(
+      num_params(), members.size(), kind, metrics_shard_);
   if (bytes <= 0.0 || options_.topology.flat()) return;
   // Each ring edge carries an equal 1/p share of the group total; credit
   // the node-crossing edges' share to the inter-node counter.
@@ -412,57 +414,6 @@ void SimTraining::RecordReduceTraffic(const std::vector<int>& members,
     metrics_shard_->GetCounter("transport.inter_node_bytes")
         ->Increment(per_edge * static_cast<double>(cross_edges));
   }
-}
-
-double SimTraining::AccountReduceTraffic(size_t p, CompressionKind kind) {
-  if (p < 2) return 0.0;
-  const size_t n = num_params();
-  double one_way;
-  if (kind == CompressionKind::kNone) {
-    one_way = static_cast<double>(n) * static_cast<double>(p - 1) *
-              sizeof(float);
-  } else {
-    // Mirror the compressed segmented ring's schedule: split the vector
-    // into p chunks (the ring layout), each chunk into segments of
-    // kDefaultSegmentFloats, and ship every segment's encoded blob p−1
-    // hops per phase. Empty chunks still circulate one empty blob, exactly
-    // like the real data plane.
-    constexpr size_t kSeg = size_t{1} << 15;  // kDefaultSegmentFloats
-    const size_t base = n / p;
-    const size_t rem = n % p;
-    double per_circulation = 0.0;
-    double raw_per_circulation = 0.0;
-    for (size_t c = 0; c < p; ++c) {
-      const size_t len = base + (c < rem ? 1 : 0);
-      const size_t nseg = len == 0 ? 1 : (len + kSeg - 1) / kSeg;
-      for (size_t j = 0; j < nseg; ++j) {
-        const size_t seg_len = std::min(kSeg, len - std::min(len, j * kSeg));
-        per_circulation +=
-            static_cast<double>(EncodedBlobBytes(kind, seg_len));
-        raw_per_circulation += static_cast<double>(seg_len * sizeof(float));
-      }
-    }
-    one_way = per_circulation * static_cast<double>(p - 1);
-    // Metric-name parity with the threaded engine's Compressor: every hop
-    // of every phase is one encode of a segment.
-    const double encodes = 2.0 * static_cast<double>(p - 1);
-    const double in_bytes = raw_per_circulation * encodes;
-    const double out_bytes = per_circulation * encodes;
-    metrics_shard_->GetCounter("compress.bytes_in")->Increment(in_bytes);
-    metrics_shard_->GetCounter("compress.bytes_out")->Increment(out_bytes);
-    compress_in_total_ += in_bytes;
-    compress_out_total_ += out_bytes;
-    if (compress_out_total_ > 0.0) {
-      metrics_shard_->GetGauge("compress.ratio")
-          ->Set(compress_in_total_ / compress_out_total_);
-    }
-  }
-  const double bytes = 2.0 * one_way;
-  metrics_shard_->GetCounter("transport.bytes_sent")->Increment(bytes);
-  metrics_shard_->GetCounter("transport.bytes_received")->Increment(bytes);
-  metrics_shard_->GetCounter("transport.payload_copies")
-      ->Increment(static_cast<double>(p));
-  return bytes;
 }
 
 SimRunResult SimTraining::BuildResult(const std::string& strategy_name) {

@@ -276,19 +276,10 @@ class SimTraining {
   /// Counts a discarded gradient (PS-BK).
   void CountWastedGradient();
 
-  /// Accounts the transport traffic a `p`-member ring reduce over the full
-  /// model would move, under the same transport.* names the threaded
-  /// engine's real Endpoint maintains. A ring all-reduce ships
-  /// 2·n·(p−1)/p floats per member, so the group total is 2·n·(p−1)
-  /// floats each way; the zero-copy data plane materializes one payload
-  /// copy per member (the initial chunk send), hence payload_copies += p.
-  ///
-  /// Under compression (`kind` != kNone) the bytes mirror the compressed
-  /// segmented ring exactly: each chunk's segments circulate p−1 hops per
-  /// phase as encoded blobs, so the group total is 2·(p−1)·Σ over segments
-  /// of EncodedBlobBytes(kind, segment_len). The compress.bytes_in/out
-  /// counters and compress.ratio gauge move by the same model, keeping
-  /// cross-engine metric parity.
+  /// Accounts the traffic a `p`-member group reduce over the full model
+  /// moves on the threaded engine's data plane, under the same transport.*
+  /// and compress.* names: ChargeGroupAllReduceTraffic, the ring's own
+  /// traffic model, walked from the ring's chunk and segment layout.
   void RecordReduceTraffic(size_t p,
                            CompressionKind kind = CompressionKind::kNone);
 
@@ -350,9 +341,6 @@ class SimTraining {
   void MaybeCheckpoint();
   const float* EvalParams();
   double CurrentLr() const;
-  /// Shared body of the RecordReduceTraffic overloads; returns the total
-  /// bytes accounted (0 when p < 2).
-  double AccountReduceTraffic(size_t p, CompressionKind kind);
 
   SimTrainingOptions options_;
   SimEngine engine_;
@@ -389,9 +377,6 @@ class SimTraining {
   std::vector<CurvePoint> curve_;
   SampleSet update_intervals_;
   size_t wasted_gradients_ = 0;
-  /// Running totals behind the compress.ratio gauge (compressed runs only).
-  double compress_in_total_ = 0.0;
-  double compress_out_total_ = 0.0;
 };
 
 }  // namespace pr

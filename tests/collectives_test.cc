@@ -225,9 +225,9 @@ std::vector<std::vector<float>> RunSegmented(
   InProcTransport transport(world > 0 ? world
                                       : static_cast<int>(members.size()));
   RunMembers(&transport, members, [&](size_t i, Endpoint* ep) {
-    ASSERT_TRUE(SegmentedRingWeightedAllReduce(
-                    ep, members, weights, i, /*tag=*/1, inputs[i].data(),
-                    inputs[i].size(), segment_floats)
+    ASSERT_TRUE(GroupWeightedAllReduce(ep, members, weights, i, /*tag=*/1,
+                                       inputs[i].data(), inputs[i].size(),
+                                       nullptr, {}, segment_floats)
                     .ok());
   });
   return inputs;
@@ -285,8 +285,8 @@ TEST(SegmentedRingTest, EmptyVector) {
   std::vector<double> weights(3, 1.0 / 3.0);
   InProcTransport transport(3);
   RunMembers(&transport, members, [&](size_t i, Endpoint* ep) {
-    ASSERT_TRUE(SegmentedRingWeightedAllReduce(ep, members, weights, i, 1,
-                                               nullptr, 0)
+    ASSERT_TRUE(GroupWeightedAllReduce(ep, members, weights, i, 1, nullptr,
+                                       size_t{0})
                     .ok());
   });
 }
@@ -295,9 +295,9 @@ TEST(SegmentedRingTest, SingleMemberScalesByOwnWeight) {
   InProcTransport transport(1);
   Endpoint ep(&transport, 0);
   std::vector<float> data = {2.0f, 4.0f};
-  ASSERT_TRUE(SegmentedRingWeightedAllReduce(&ep, {0}, {0.5}, 0, 1,
-                                             data.data(), data.size())
-                  .ok());
+  ASSERT_TRUE(
+      GroupWeightedAllReduce(&ep, {0}, {0.5}, 0, 1, data.data(), data.size())
+          .ok());
   EXPECT_FLOAT_EQ(data[0], 1.0f);
   EXPECT_FLOAT_EQ(data[1], 2.0f);
 }
@@ -376,16 +376,10 @@ std::vector<std::vector<float>> RunRingOver(
     const std::vector<double>& weights,
     std::vector<std::vector<float>> data, CompressionKind codec) {
   RunMembers(transport, members, [&](size_t i, Endpoint* ep) {
-    Status s;
-    if (codec == CompressionKind::kNone) {
-      s = SegmentedRingWeightedAllReduce(ep, members, weights, i, 1,
-                                         data[i].data(), data[i].size(), 7);
-    } else {
-      Compressor comp(codec);
-      s = SegmentedRingCompressedAllReduce(ep, members, weights, i, 1,
-                                           data[i].data(), data[i].size(),
-                                           &comp, 7);
-    }
+    Compressor comp(codec);
+    const Status s = GroupWeightedAllReduce(
+        ep, members, weights, i, 1, data[i].data(), data[i].size(), &comp, {},
+        /*segment_floats=*/7);
     ASSERT_TRUE(s.ok()) << s.ToString();
   });
   return data;
@@ -446,6 +440,70 @@ TEST(SegmentedRingTest, DeadlineAbortsRingOnDroppedSegments) {
     EXPECT_EQ(codes[i], StatusCode::kTimeout) << "member " << i;
     EXPECT_EQ(ticks[i], 3) << "member " << i;
   }
+}
+
+// --- Ring traffic model ----------------------------------------------------
+
+class RingTrafficTest
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+
+TEST_P(RingTrafficTest, ModelMatchesCountedTraffic) {
+  // ChargeGroupAllReduceTraffic against what the members' Endpoints and
+  // Compressors count on a real ring, raw and under every codec. Segments
+  // of 7 floats make most chunks span several segments; n < P leaves some
+  // chunks empty.
+  const auto [p, n] = GetParam();
+  const size_t segment = 7;
+  std::vector<NodeId> members;
+  for (size_t i = 0; i < p; ++i) members.push_back(static_cast<NodeId>(i));
+  const std::vector<double> weights(p, 1.0 / static_cast<double>(p));
+  for (CompressionKind codec :
+       {CompressionKind::kNone, CompressionKind::kFp16, CompressionKind::kInt8,
+        CompressionKind::kTopK}) {
+    MetricsRegistry counted;
+    std::vector<MetricsShard*> shards;
+    for (size_t i = 0; i < p; ++i) shards.push_back(counted.NewShard());
+    auto data = MakeInputs(p, n, 61);
+    InProcTransport transport(static_cast<int>(p));
+    RunMembers(&transport, members, [&](size_t i, Endpoint* ep) {
+      ep->AttachObservers(shards[i], "", nullptr, nullptr);
+      Compressor comp(codec);
+      comp.AttachMetrics(shards[i]);
+      ASSERT_TRUE(GroupWeightedAllReduce(ep, members, weights, i, 1,
+                                         data[i].data(), n, &comp, {},
+                                         segment)
+                      .ok());
+    });
+
+    MetricsRegistry modeled;
+    const double bytes = ChargeGroupAllReduceTraffic(n, p, codec,
+                                                     modeled.NewShard(),
+                                                     segment);
+    const MetricsSnapshot real = counted.Snapshot();
+    const MetricsSnapshot model = modeled.Snapshot();
+    EXPECT_EQ(bytes, real.counter("transport.bytes_sent"));
+    for (const char* name :
+         {"transport.bytes_sent", "transport.bytes_received",
+          "transport.payload_copies", "compress.bytes_in",
+          "compress.bytes_out"}) {
+      EXPECT_EQ(model.counter(name), real.counter(name))
+          << name << " codec " << CompressionKindName(codec);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GroupSizesAndLengths, RingTrafficTest,
+    ::testing::Values(std::make_tuple(2, 0), std::make_tuple(2, 30),
+                      std::make_tuple(3, 2), std::make_tuple(3, 101),
+                      std::make_tuple(4, 64), std::make_tuple(5, 333)));
+
+TEST(RingTrafficTest, SingleMemberMovesNothing) {
+  MetricsRegistry registry;
+  EXPECT_EQ(ChargeGroupAllReduceTraffic(100, 1, CompressionKind::kInt8,
+                                        registry.NewShard()),
+            0.0);
+  EXPECT_EQ(registry.Snapshot().counter("transport.bytes_sent"), 0.0);
 }
 
 TEST(CollectivesTest, VectorShorterThanGroupStillReduces) {

@@ -407,17 +407,10 @@ std::vector<std::vector<float>> RunCompressed(
   }
   auto data = inputs;
   RunMembers(transport, members, [&](size_t i, Endpoint* ep) {
-    if (segment_floats == kDefaultSegmentFloats) {
-      ASSERT_TRUE(GroupWeightedAllReduce(ep, members, weights, i, /*tag=*/1,
-                                         data[i].data(), data[i].size(),
-                                         comps[i].get())
-                      .ok());
-    } else {
-      ASSERT_TRUE(SegmentedRingCompressedAllReduce(
-                      ep, members, weights, i, /*tag=*/1, data[i].data(),
-                      data[i].size(), comps[i].get(), segment_floats)
-                      .ok());
-    }
+    ASSERT_TRUE(GroupWeightedAllReduce(ep, members, weights, i, /*tag=*/1,
+                                       data[i].data(), data[i].size(),
+                                       comps[i].get(), {}, segment_floats)
+                    .ok());
   });
   return data;
 }

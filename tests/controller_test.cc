@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <set>
 
 #include "common/rng.h"
 #include "core/controller.h"
 #include "core/spectral.h"
+#include "core/sync_graph.h"
 
 namespace pr {
 namespace {
@@ -352,6 +354,31 @@ TEST(ControllerHierarchyTest, FallsBackToMergesWhenNoNodeCanFill) {
   ASSERT_EQ(decisions.size(), 1u);
   EXPECT_EQ(decisions[0].members, (std::vector<int>{0, 2}));
   EXPECT_EQ(c.stats().cross_node_groups, 1u);
+}
+
+TEST(ControllerHierarchyTest, DueMergeWaitsForAnotherNode) {
+  // Lockstep pair arrivals: the members of every formed group signal again
+  // together, right after the reduce. A due merge whose queue holds one
+  // node's pair must wait for the other node instead of forming inside its
+  // own node, or the two nodes never exchange a group (group-frozen).
+  Controller c(HierOptions(/*cross_period=*/2));
+  std::deque<int> arrivals = {0, 1, 2, 3};
+  std::vector<int64_t> iteration(4, 0);
+  SyncGraph graph(4);
+  size_t formed = 0;
+  while (formed < 12) {
+    ASSERT_FALSE(arrivals.empty()) << "controller deadlocked";
+    const int w = arrivals.front();
+    arrivals.pop_front();
+    for (const GroupDecision& d :
+         c.OnReadySignal(w, ++iteration[static_cast<size_t>(w)])) {
+      graph.AddGroup(d.members);
+      for (int m : d.members) arrivals.push_back(m);
+      ++formed;
+    }
+  }
+  EXPECT_GT(c.stats().cross_node_groups, 0u);
+  EXPECT_TRUE(graph.IsConnected());
 }
 
 TEST(ControllerHierarchyTest, FlatTopologyIgnoresHierarchy) {

@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <tuple>
+
+#include "common/rng.h"
+#include "data/synthetic.h"
+#include "models/catalog.h"
 #include "runtime/threaded_runtime.h"
 
 namespace pr {
@@ -100,6 +108,73 @@ TEST(RuntimePsTest, PsMetricsAccountForEveryPush) {
             static_cast<uint64_t>(config.run.num_workers) *
                 config.run.iterations_per_worker);
 }
+
+/// Test-set loss of the initial model a run of `run` starts from: the same
+/// seed, dataset and model the runtime builds before training.
+double InitialLoss(const ThreadedRunOptions& run) {
+  Rng rng(run.seed);
+  SyntheticSpec spec = run.dataset;
+  spec.seed = run.seed;
+  const TrainTestSplit split = GenerateSynthetic(spec);
+  const std::unique_ptr<Model> model =
+      MakeProxyModel(run.model, spec.dim, spec.num_classes);
+  std::vector<float> init;
+  model->InitParams(&init, &rng);
+  return EvaluateLoss(*model, init.data(), split.test);
+}
+
+// The point-to-point strategies (ER, AD-PSGD and the PS family) ship whole
+// models and gradients through the codec. Each compressed run must finish
+// its budget with a finite loss, learn under the loss-gated codecs, and put
+// fewer bytes on the wire than fp32.
+class CompressedStrategyTest
+    : public ::testing::TestWithParam<
+          std::tuple<StrategyKind, CompressionKind>> {};
+
+TEST_P(CompressedStrategyTest, FinishesLearnsAndShrinksTheWire) {
+  const auto [kind, codec] = GetParam();
+  RunConfig config = SmallConfig(kind);
+  // A full quorum keeps ER's stale-gradient re-application, its documented
+  // failure mode (it can stall learning under scheduling noise even in
+  // fp32), out of a test about the codec path.
+  config.strategy.er_quorum = config.run.num_workers;
+  const ThreadedRunResult fp32 = RunThreaded(config);
+  config.strategy.compression = codec;
+  const ThreadedRunResult compressed = RunThreaded(config);
+
+  ASSERT_EQ(compressed.worker_iterations.size(), 4u);
+  for (size_t done : compressed.worker_iterations) {
+    EXPECT_EQ(done, config.run.iterations_per_worker);
+  }
+  EXPECT_TRUE(std::isfinite(compressed.final_loss));
+  // Top-k is reported, not loss-gated (DESIGN.md §5i): on these strategies
+  // it also sparsifies whole-model replies, whose error-feedback residual
+  // piles up the unsent part of the model, so its loss is not held to the
+  // initial one here.
+  if (codec != CompressionKind::kTopK) {
+    EXPECT_LT(compressed.final_loss, InitialLoss(config.run));
+  }
+  const double in = compressed.metrics.counter("compress.bytes_in");
+  EXPECT_GT(in, 0.0);
+  EXPECT_LT(compressed.metrics.counter("compress.bytes_out"), in);
+  EXPECT_LT(compressed.metrics.counter("transport.bytes_sent"),
+            fp32.metrics.counter("transport.bytes_sent"));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PointToPoint, CompressedStrategyTest,
+    ::testing::Combine(
+        ::testing::Values(StrategyKind::kEagerReduce, StrategyKind::kAdPsgd,
+                          StrategyKind::kPsBsp, StrategyKind::kPsAsp,
+                          StrategyKind::kPsHete, StrategyKind::kPsBackup),
+        ::testing::Values(CompressionKind::kFp16, CompressionKind::kInt8,
+                          CompressionKind::kTopK)),
+    [](const auto& info) {
+      std::string name = StrategyKindName(std::get<0>(info.param)) + "_" +
+                         CompressionKindName(std::get<1>(info.param));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 }  // namespace
 }  // namespace pr

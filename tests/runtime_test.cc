@@ -386,6 +386,42 @@ TEST(ThreadedRuntimeTest, SimAndThreadedShareMetricNames) {
   }
 }
 
+TEST(ThreadedRuntimeTest, SimChargesTheThreadedRingTrafficPerReduce) {
+  // Two AR workers on an MLP {256, 256}: each ring chunk spans two
+  // segments. Per reduce, the simulator must charge the data-plane counters
+  // the threaded ring counts, raw and int8.
+  for (CompressionKind codec :
+       {CompressionKind::kNone, CompressionKind::kInt8}) {
+    StrategyOptions strat = Strat(StrategyKind::kAllReduce);
+    strat.compression = codec;
+    ThreadedRunOptions opt = SmallOptions();
+    opt.num_workers = 2;
+    opt.iterations_per_worker = 2;
+    opt.model.hidden = {256, 256};
+    ThreadedRunResult threaded = RunPair(strat, opt);
+
+    ExperimentConfig sim;
+    sim.training.num_workers = 2;
+    sim.training.max_updates = 3;
+    sim.training.accuracy_threshold = -1.0;
+    sim.training.model = opt.model;
+    sim.training.custom_dataset = opt.dataset;
+    sim.strategy = strat;
+    SimRunResult simulated = RunExperiment(sim);
+
+    ASSERT_EQ(threaded.group_reduces, 2u);
+    ASSERT_GT(simulated.updates, 0u);
+    for (const char* name :
+         {"transport.bytes_sent", "transport.payload_copies",
+          "compress.bytes_in", "compress.bytes_out"}) {
+      EXPECT_EQ(threaded.metrics.counter(name) / 2.0,
+                simulated.metrics.counter(name) /
+                    static_cast<double>(simulated.updates))
+          << name << " codec " << CompressionKindName(codec);
+    }
+  }
+}
+
 TEST(ThreadedRuntimeTest, TopologyMetricsAgreeAcrossEngines) {
   // Hierarchical run on 2x2 nodes in both engines: the topo.* and
   // transport.inter_node_bytes families must be live (non-zero) under the
