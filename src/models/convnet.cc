@@ -135,10 +135,7 @@ float ConvNet::LossAndGradient(const float* params, const Tensor& x,
   const size_t feat_dim = filters_ * hw;
 
   // Dense head gradients: dW = features^T * dlogits, db = col sums.
-  Tensor ddense_w;
-  MatMulTransA(features, dlogits, &ddense_w);
-  std::memcpy(grad + dense_w_off_, ddense_w.data(),
-              ddense_w.size() * sizeof(float));
+  MatMulTransAInto(features, dlogits, grad + dense_w_off_);
   for (size_t r = 0; r < batch; ++r) {
     Axpy(1.0f, dlogits.Row(r), grad + dense_b_off_,
          static_cast<size_t>(num_classes_));

@@ -1,7 +1,7 @@
 #include "models/mlp.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <sstream>
 
 #include "tensor/ops.h"
@@ -100,16 +100,15 @@ float Mlp::LossAndGradient(const float* params, const Tensor& x,
   Tensor delta;  // gradient w.r.t. current layer's pre-activation output
   const float loss = CrossEntropyFromProbs(probs, y, &delta);
 
-  std::memset(grad, 0, num_params_ * sizeof(float));
-  // Backward pass, last layer to first.
+  // Backward pass, last layer to first. Each layer overwrites its own W and
+  // b slots, and the slots tile `grad`, so it needs no clearing first.
   for (size_t l = layers_.size(); l-- > 0;) {
     const LayerOffsets& lo = layers_[l];
     const Tensor& input = (l == 0) ? x : acts[l - 1];
 
     // dW = input^T * delta; db = column sums of delta.
-    Tensor dw;
-    MatMulTransA(input, delta, &dw);
-    std::memcpy(grad + lo.w, dw.data(), dw.size() * sizeof(float));
+    MatMulTransAInto(input, delta, grad + lo.w);
+    std::fill_n(grad + lo.b, lo.out, 0.0f);
     for (size_t r = 0; r < delta.rows(); ++r) {
       Axpy(1.0f, delta.Row(r), grad + lo.b, lo.out);
     }

@@ -3,7 +3,20 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/gemm.h"
+
 namespace pr {
+namespace {
+
+// Row-major storage of an [rows, cols] matrix, read as is or transposed.
+gemm::StridedMatrix RowMajor(const float* data, size_t cols) {
+  return {data, cols, 1};
+}
+gemm::StridedMatrix Transposed(const float* data, size_t cols) {
+  return {data, 1, cols};
+}
+
+}  // namespace
 
 void MatMul(const Tensor& a, const Tensor& b, Tensor* out) {
   PR_CHECK(out != nullptr);
@@ -12,17 +25,8 @@ void MatMul(const Tensor& a, const Tensor& b, Tensor* out) {
   PR_CHECK_EQ(a.cols(), b.rows());
   const size_t m = a.rows(), k = a.cols(), n = b.cols();
   *out = Tensor(m, n);
-  // i-k-j loop order: streams through B rows, cache-friendly for row-major.
-  for (size_t i = 0; i < m; ++i) {
-    const float* arow = a.Row(i);
-    float* orow = out->Row(i);
-    for (size_t p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0f) continue;
-      const float* brow = b.Row(p);
-      for (size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-    }
-  }
+  gemm::Gemm(m, n, k, RowMajor(a.data(), k), RowMajor(b.data(), n),
+             out->data());
 }
 
 void MatMulTransB(const Tensor& a, const Tensor& b, Tensor* out) {
@@ -32,30 +36,23 @@ void MatMulTransB(const Tensor& a, const Tensor& b, Tensor* out) {
   PR_CHECK_EQ(a.cols(), b.cols());
   const size_t m = a.rows(), k = a.cols(), n = b.rows();
   *out = Tensor(m, n);
-  for (size_t i = 0; i < m; ++i) {
-    const float* arow = a.Row(i);
-    float* orow = out->Row(i);
-    for (size_t j = 0; j < n; ++j) orow[j] = Dot(arow, b.Row(j), k);
-  }
+  gemm::Gemm(m, n, k, RowMajor(a.data(), k), Transposed(b.data(), k),
+             out->data());
 }
 
 void MatMulTransA(const Tensor& a, const Tensor& b, Tensor* out) {
+  PR_CHECK(out != nullptr);
+  *out = Tensor(a.cols(), b.cols());
+  MatMulTransAInto(a, b, out->data());
+}
+
+void MatMulTransAInto(const Tensor& a, const Tensor& b, float* out) {
   PR_CHECK(out != nullptr);
   PR_CHECK_EQ(a.rank(), 2u);
   PR_CHECK_EQ(b.rank(), 2u);
   PR_CHECK_EQ(a.rows(), b.rows());
   const size_t k = a.rows(), m = a.cols(), n = b.cols();
-  *out = Tensor(m, n);
-  for (size_t p = 0; p < k; ++p) {
-    const float* arow = a.Row(p);
-    const float* brow = b.Row(p);
-    for (size_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      float* orow = out->Row(i);
-      for (size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-    }
-  }
+  gemm::Gemm(m, n, k, Transposed(a.data(), m), RowMajor(b.data(), n), out);
 }
 
 void MatMulSpan(const Tensor& a, const float* b, size_t k, size_t n,
@@ -66,17 +63,7 @@ void MatMulSpan(const Tensor& a, const float* b, size_t k, size_t n,
   PR_CHECK_EQ(a.cols(), k);
   const size_t m = a.rows();
   *out = Tensor(m, n);
-  // Same i-k-j order as MatMul: streams through B rows.
-  for (size_t i = 0; i < m; ++i) {
-    const float* arow = a.Row(i);
-    float* orow = out->Row(i);
-    for (size_t p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0f) continue;
-      const float* brow = b + p * n;
-      for (size_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-    }
-  }
+  gemm::Gemm(m, n, k, RowMajor(a.data(), k), RowMajor(b, n), out->data());
 }
 
 void MatMulTransBSpan(const Tensor& a, const float* b, size_t n, size_t k,
@@ -87,11 +74,7 @@ void MatMulTransBSpan(const Tensor& a, const float* b, size_t n, size_t k,
   PR_CHECK_EQ(a.cols(), k);
   const size_t m = a.rows();
   *out = Tensor(m, n);
-  for (size_t i = 0; i < m; ++i) {
-    const float* arow = a.Row(i);
-    float* orow = out->Row(i);
-    for (size_t j = 0; j < n; ++j) orow[j] = Dot(arow, b + j * k, k);
-  }
+  gemm::Gemm(m, n, k, RowMajor(a.data(), k), Transposed(b, k), out->data());
 }
 
 void AddBiasRowsSpan(const float* bias, size_t n, Tensor* m) {

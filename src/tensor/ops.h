@@ -10,6 +10,11 @@ namespace pr {
 /// Free-function kernels over Tensors and raw float spans. These are the
 /// only numeric primitives the model zoo uses, so correctness tests here
 /// cover the whole math substrate.
+///
+/// The matrix products share one kernel (tensor/gemm.h): each output
+/// element sums A(i,p)*B(p,j) over ascending p in one float accumulator,
+/// rounding every product before its add, so the results are the same bits
+/// on every CPU the library runs on.
 
 /// out = A * B for matrices A [m,k] and B [k,n]. `out` is resized/overwritten.
 void MatMul(const Tensor& a, const Tensor& b, Tensor* out);
@@ -19,6 +24,11 @@ void MatMulTransB(const Tensor& a, const Tensor& b, Tensor* out);
 
 /// out = A^T * B for matrices A [k,m] and B [k,n].
 void MatMulTransA(const Tensor& a, const Tensor& b, Tensor* out);
+
+/// MatMulTransA written into a raw row-major span [m, n], such as a weight's
+/// slot in a flat gradient vector. Every element is overwritten; `out` must
+/// not overlap A or B.
+void MatMulTransAInto(const Tensor& a, const Tensor& b, float* out);
 
 /// out = A * B where B is a raw row-major span [k, n]. This is the
 /// zero-copy path for weights living inside a flat parameter arena: the

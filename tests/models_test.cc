@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <thread>
 
 #include "data/synthetic.h"
 #include "models/catalog.h"
+#include "models/convnet.h"
 #include "models/mlp.h"
 #include "optim/sgd.h"
 #include "tensor/ops.h"
@@ -210,6 +215,69 @@ TEST(CatalogTest, DenseNetHasMostTensors) {
       EXPECT_GT(LookupPaperModel("densenet121").num_tensors,
                 info.num_tensors);
     }
+  }
+}
+
+/// Model promises thread-safe concurrent calls on distinct buffers, and the
+/// matrix kernel packs into a per-thread buffer: threads interleaving two
+/// architectures and several batch sizes must each get a serial call's bytes.
+TEST(ModelConcurrencyTest, ConcurrentGradientsMatchSerialBytes) {
+  constexpr size_t kThreads = 4;
+  constexpr int kRounds = 3;
+  const Mlp mlp(64, {256, 256}, 10);
+  const ConvNet convnet(1, 8, 8, 8, 10);
+  const Model* models[] = {&mlp, &convnet};
+
+  struct Job {
+    const Model* model;
+    std::vector<float> params;
+    Tensor x;
+    std::vector<int> y;
+    std::vector<float> serial;
+  };
+  std::vector<Job> jobs;
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (const Model* model : models) {
+      Rng rng(40 + t);
+      Job job{model, {}, Tensor(16 * t + 5, 64), {}, {}};
+      model->InitParams(&job.params, &rng);
+      job.x.FillNormal(&rng, 1.0f);
+      for (size_t r = 0; r < job.x.rows(); ++r) {
+        job.y.push_back(static_cast<int>(rng.UniformInt(uint64_t{10})));
+      }
+      job.serial.resize(model->NumParams());
+      model->LossAndGradient(job.params.data(), job.x, job.y,
+                             job.serial.data());
+      jobs.push_back(std::move(job));
+    }
+  }
+
+  // 0 = bytes match; otherwise the 1-based round that first differed.
+  std::vector<int> mismatch(jobs.size(), 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 1; round <= kRounds; ++round) {
+        for (size_t j = 2 * t; j < 2 * t + 2; ++j) {
+          const Job& job = jobs[j];
+          // Stale contents must not leak into the result.
+          std::vector<float> grad(job.params.size(),
+                                  std::numeric_limits<float>::quiet_NaN());
+          job.model->LossAndGradient(job.params.data(), job.x, job.y,
+                                     grad.data());
+          if (mismatch[j] == 0 &&
+              std::memcmp(grad.data(), job.serial.data(),
+                          grad.size() * sizeof(float)) != 0) {
+            mismatch[j] = round;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    EXPECT_EQ(mismatch[j], 0) << jobs[j].model->Name() << ", batch "
+                              << jobs[j].x.rows();
   }
 }
 
