@@ -310,11 +310,6 @@ size_t Controller::PurgePending(int worker) {
   return before - pending_.size();
 }
 
-std::vector<GroupDecision> Controller::EvictWorker(int worker) {
-  PurgePending(worker);
-  return NotifyWorkerLeft(worker);
-}
-
 std::vector<ReadySignal> Controller::DrainPending() {
   std::vector<ReadySignal> out(pending_.begin(), pending_.end());
   pending_.clear();

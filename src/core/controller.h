@@ -121,7 +121,9 @@ class Controller {
 
   /// Marks a worker as departed (it will send no more ready signals until
   /// it rejoins). Holds that were waiting for that worker's component
-  /// re-check and may release groups — returned like OnReadySignal's.
+  /// re-check and may release groups — returned like OnReadySignal's. The
+  /// history window T stays sized for the original N: the frozen bound
+  /// T >= ceil((N-1)/(P-1)) only loosens as N falls.
   std::vector<GroupDecision> NotifyWorkerLeft(int worker);
 
   /// Re-admits a previously departed worker (elastic membership): it may
@@ -140,14 +142,6 @@ class Controller {
   /// A dead worker's stale signals must not be matched into future groups.
   size_t PurgePending(int worker);
 
-  /// Failure-recovery composite: purge the dead worker's queued signals,
-  /// then mark it departed (which may release held groups, returned like
-  /// OnReadySignal's). The effective N shrinks; the history window T was
-  /// fixed at construction from the *original* N, and the paper's frozen
-  /// bound T >= ceil((N-1)/(P-1)) only loosens as N falls, so the
-  /// frozen-avoidance invariant survives eviction unchanged.
-  std::vector<GroupDecision> EvictWorker(int worker);
-
   /// Seeds a fresh controller with recovered state. Call before the first
   /// signal: the history window resumes frozen-avoidance with pre-crash
   /// knowledge and the id watermark never moves backwards.
@@ -161,6 +155,10 @@ class Controller {
   /// frozen detection may fire more eagerly while degraded, never less.
   std::vector<GroupDecision> SetEffectiveGroupSize(int p);
   int effective_group_size() const { return effective_group_size_; }
+  /// True between NotifyWorkerLeft and NotifyWorkerRejoined.
+  bool departed(int worker) const {
+    return departed_[static_cast<size_t>(worker)];
+  }
 
   const ControllerOptions& options() const { return options_; }
   const ControllerStats& stats() const { return stats_; }

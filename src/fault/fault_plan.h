@@ -133,8 +133,8 @@ struct FaultPlan {
 
   // --- Controller-failover knobs ---
   /// While the controller is unreachable a worker parks in a bounded
-  /// backoff loop: it re-sends its registration (iteration counter, last
-  /// group id, ready status) starting at `reregister_backoff_seconds`
+  /// backoff loop: it re-sends its registration (iteration counter and
+  /// recently completed group ids) starting at `reregister_backoff_seconds`
   /// between attempts, doubling up to `reregister_backoff_max_seconds`.
   double reregister_backoff_seconds = 0.05;
   double reregister_backoff_max_seconds = 0.4;

@@ -3,8 +3,8 @@
 #include <deque>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
-#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -12,45 +12,14 @@
 #include "ckpt/manifest.h"
 #include "comm/collectives.h"
 #include "common/check.h"
-#include "core/controller.h"
 #include "fault/failure_detector.h"
 #include "fault/fault_plan.h"
 #include "runtime/threaded_strategies.h"
 #include "runtime/worker_runtime.h"
-#include "strategies/p_reduce_policy.h"
+#include "strategies/p_reduce_service.h"
 
 namespace pr {
 namespace {
-
-/// Increments `c` when the counter was registered (the fault.* family
-/// exists only in fault-tolerant runs).
-void Bump(Counter* c) {
-  if (c != nullptr) c->Increment();
-}
-
-// Control-plane message kinds (collectives use their own range).
-constexpr int kKindReady = 1;
-constexpr int kKindLeave = 2;
-constexpr int kKindGroupInfo = 3;
-constexpr int kKindRelease = 4;
-constexpr int kKindPause = 5;
-constexpr int kKindRejoin = 6;
-// Fault-tolerant protocol extensions.
-constexpr int kKindHeartbeat = 7;   ///< off-cycle lease renewal
-constexpr int kKindGroupDone = 8;   ///< member finished its group reduce
-constexpr int kKindGroupStuck = 9;  ///< member stalled mid-reduce; escalate
-constexpr int kKindAbort = 10;      ///< controller: give up on this group
-// Controller-failover extensions: a worker that has gone long enough
-// without a controller verdict re-announces its full protocol state
-// (iteration counter, local-iteration count, group-id watermark, recently
-// completed group ids); a restarted controller rebuilds its signal queue,
-// history window, and id watermark from these.
-constexpr int kKindReregister = 11;     ///< worker state snapshot
-constexpr int kKindReregisterAck = 12;  ///< controller: snapshot recorded
-// Coordinated checkpointing: a worker that wrote its shard for a cut
-// reports {epoch, iteration, completed}; the controller assembles the
-// manifest once every worker of the run has reported the epoch.
-constexpr int kKindCkptReport = 13;
 
 /// Controller-side half of the coordinated checkpoint (P-Reduce): workers
 /// write their shards at local-iteration cuts and report them; once every
@@ -73,8 +42,7 @@ class ServiceCkpt {
                                               CkptSaveSecondsBuckets());
   }
 
-  void OnReport(const Envelope& env, const Controller& controller,
-                uint64_t updates_done) {
+  void OnReport(const Envelope& env, const PReduceService& service) {
     if (!enabled_ || env.ints.size() < 3) return;
     const int64_t epoch = env.ints[0];
     if (epoch <= last_written_) return;  // stale straggler
@@ -91,9 +59,9 @@ class ServiceCkpt {
     m.num_params = static_cast<uint64_t>(ctx_->num_params());
     m.seed = ctx_->run().seed;
     m.epoch = static_cast<uint64_t>(epoch);
-    m.updates_done = updates_done;
+    m.updates_done = service.groups_formed();
     m.saved_at_seconds = ctx_->Now();
-    StampManifest(controller, &m);
+    service.StampManifest(&m);
     for (const auto& [w, info] : e.reports) {
       ManifestWorker mw;
       mw.worker = w;
@@ -108,7 +76,7 @@ class ServiceCkpt {
     if (s.ok()) {
       manifests_counter_->Increment();
       ctx_->trace()->Record(ctx_->Now(), TraceEventKind::kCkptSaved, -1,
-                            epoch, static_cast<int64_t>(updates_done));
+                            epoch, static_cast<int64_t>(m.updates_done));
     }
     last_written_ = epoch;
     epochs_.erase(epochs_.begin(), epochs_.upper_bound(epoch));
@@ -130,15 +98,9 @@ class ServiceCkpt {
 };
 
 /// Partial reduce on real threads (Alg. 2): worker threads send ready
-/// signals; the service thread runs the controller (signal queue -> group
-/// filter -> weight generator -> group broadcaster) plus the termination
-/// protocol, and elastic membership (Pause/Rejoin) rides the same channel.
-///
-/// There is one protocol, hardened for a lossy fabric: heartbeat leases with
-/// controller-side eviction, at-least-once control messages with explicit
-/// dedup, and group abort/retry on stalls (see DESIGN.md "Fault
-/// tolerance"). Every one of those reactions fires on a receive timeout, so
-/// a run whose fault plan is disabled simply has no deadlines: its waits
+/// signals; the service thread pumps them through the PReduceService core
+/// and sends its answers. Every fault reaction fires on a receive timeout,
+/// so a run whose fault plan is disabled simply has no deadlines: its waits
 /// block, its leases never lapse, and its group reduces cannot abort.
 class ThreadedPReduce : public ThreadedStrategy {
  public:
@@ -172,538 +134,129 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
   const FaultPlan& plan = ctx->run().fault;
   PR_CHECK_LE(options_.group_size, n);
   Endpoint* ep = ctx->endpoint();
-  TraceRecorder* trace = ctx->trace();
   // Without a fault plan every wait blocks and every lease is infinite.
   const bool ft = plan.enabled();
   const double tick = ft ? plan.recv_timeout_seconds : -1.0;
-
-  const FaultMetrics fault =
-      ft ? RegisterFaultMetrics(ctx->metrics()) : FaultMetrics{};
+  const double lease =
+      ft ? plan.lease_seconds : std::numeric_limits<double>::infinity();
   ServiceCkpt ckpt(ctx, options_);
-  // The degradation gates, shared across controller incarnations.
-  const PReducePolicy policy(options_, ctx->scenario_metrics());
-  const std::vector<ControllerFaultEvent> outages = SortedOutages(plan);
-  size_t next_outage = 0;
+  PReduceService service(options_, n, ctx->run().topology, plan,
+                         ctx->scenario_metrics(),
+                         {ctx->metrics(), ctx->trace(),
+                          [ctx] { return ctx->Now(); }},
+                         ctx->resume());
 
-  // State that survives a controller crash. A worker that deregistered
-  // (Leave) is cluster-membership knowledge, not controller state: it will
-  // never re-register, so forgetting it would deadlock the restarted
-  // controller's termination count. Everything else — pending signals,
-  // in-flight groups, history, per-worker leases — dies with the
-  // incarnation and is rebuilt from re-registrations.
-  std::vector<bool> left_global(static_cast<size_t>(n), false);
-  uint64_t failovers = 0;
-
-  // Per-worker control-plane state machine. The raw message stream is
-  // at-least-once (drops trigger re-sends, dups come from the injector), so
-  // every transition below is idempotent.
-  enum class WState { kIdle, kQueued, kInGroup, kLeft, kEvicted };
-  struct InFlightGroup {
-    std::vector<int> members;
-    std::vector<int64_t> iterations;  ///< each member's iteration at grouping
-    std::vector<int64_t> info_ints;   ///< GroupInfo payload, kept for re-sends
-    Buffer info_weights;              ///< shared across members and re-sends
-    std::set<int> done;
-    int stuck_reports = 0;
-  };
-  /// A worker's state snapshot from the recovery window after a restart.
-  struct Rereg {
-    int worker = -1;
-    int64_t iteration = 0;
-    uint64_t completed = 0;
-    uint64_t last_group_id = 0;
-    std::vector<uint64_t> done_groups;
-  };
-  enum class Exit { kAllLeft, kShutdown, kCrash };
-
-  while (true) {
-    // One controller incarnation: a fresh Controller plus fresh bookkeeping.
-  Controller controller(
-      ControllerOptionsFrom(options_, n, ctx->run().topology));
-  controller.AttachObservers(ctx->metrics(), ctx->trace(),
-                             [ctx] { return ctx->Now(); });
-  if (failovers == 0 && ctx->resume() != nullptr) {
-    RestoreController(*ctx->resume(), &controller);
-  }
-
-  std::vector<WState> wstate(static_cast<size_t>(n), WState::kIdle);
-  std::vector<int64_t> queued_iter(static_cast<size_t>(n), -1);
-  std::vector<uint64_t> wgroup(static_cast<size_t>(n), 0);
-  std::vector<bool> paused(static_cast<size_t>(n), false);
-  std::map<uint64_t, InFlightGroup> in_flight;
-  FailureDetector detector(
-      n, ft ? plan.lease_seconds : std::numeric_limits<double>::infinity(),
-      plan.missed_threshold, ctx->Now());
-
-  int remaining = 0;
-  for (int w = 0; w < n; ++w) {
-    if (left_global[static_cast<size_t>(w)]) {
-      wstate[static_cast<size_t>(w)] = WState::kLeft;
-      detector.Suspend(w);
-    } else {
-      ++remaining;
+  // Encodes the service's actions as sends. A group's weights are encoded
+  // once and shared by every member's GroupInfo.
+  std::shared_ptr<const GroupDecision> encoded;
+  std::vector<int64_t> info;
+  Buffer weights;
+  auto emit = [&](const ServiceActions& actions) {
+    for (const ServiceAction& a : actions) {
+      switch (a.kind) {
+        case ServiceAction::Kind::kGroupInfo:
+          if (a.group != encoded) {
+            encoded = a.group;
+            info = {static_cast<int64_t>(a.group_id),
+                    a.group->advanced_iteration};
+            info.insert(info.end(), a.group->members.begin(),
+                        a.group->members.end());
+            weights = Buffer::FromVector(std::vector<float>(
+                a.group->weights.begin(), a.group->weights.end()));
+          }
+          (void)ep->Send(a.worker, a.group_id, kKindGroupInfo, info, weights);
+          break;
+        case ServiceAction::Kind::kRelease:
+          (void)ep->Send(a.worker, 0, kKindRelease, {});
+          break;
+        case ServiceAction::Kind::kAbort:
+          (void)ep->Send(a.worker, a.group_id, kKindAbort,
+                         {static_cast<int64_t>(a.group_id),
+                          static_cast<int64_t>(a.dead)});
+          break;
+        case ServiceAction::Kind::kReregisterAck:
+          (void)ep->Send(a.worker, 0, kKindReregisterAck, {});
+          break;
+      }
     }
-  }
-  int active = remaining;
+  };
 
-    auto release_pending = [&] {
-      for (const ReadySignal& s : controller.DrainPending()) {
-        const size_t w = static_cast<size_t>(s.worker);
-        if (wstate[w] == WState::kQueued) wstate[w] = WState::kIdle;
-        (void)ep->Send(s.worker, 0, kKindRelease, {});
+  // Leases follow the service's membership view: any message renews the
+  // sender's lease, and paused, evicted or departed workers are silent on
+  // purpose. A fresh controller incarnation starts fresh leases.
+  std::unique_ptr<FailureDetector> detector;
+  auto renew = [&](int w, double now) {
+    if (!service.active(w)) {
+      detector->Suspend(w);
+    } else if (!detector->alive(w)) {
+      detector->Resume(w, now);
+    } else {
+      detector->Beat(w, now);
+    }
+  };
+  auto start_leases = [&] {
+    const double now = ctx->Now();
+    detector = std::make_unique<FailureDetector>(n, lease,
+                                                 plan.missed_threshold, now);
+    for (int w = 0; w < n; ++w) renew(w, now);
+  };
+  start_leases();
+
+  while (service.remaining() > 0) {
+    if (service.CrashDue(service.groups_formed())) {
+      const ControllerFaultEvent event = service.Crash();
+      FaultyTransport* faulty = ctx->faulty();
+      PR_CHECK(faulty != nullptr)
+          << "controller faults need the fault-injecting fabric";
+      faulty->SeverNode(ep->id());
+      // Without a restart the controller is gone for good: parked workers
+      // re-register into the void until their outage budget runs out, then
+      // fall back to local-only progress.
+      if (!event.restart) break;
+      const double down_until = ctx->Now() + event.down_seconds;
+      while (ctx->Now() < down_until && !ep->closed()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
-    };
-
-    auto send_group_info = [&](const InFlightGroup& f, int member) {
-      (void)ep->Send(member, static_cast<uint64_t>(f.info_ints[0]),
-                     kKindGroupInfo, f.info_ints, f.info_weights);
-    };
-
-    auto broadcast = [&](const std::vector<GroupDecision>& decisions) {
-      for (const GroupDecision& decision : decisions) {
-        ++group_reduces_;
-        InFlightGroup f;
-        f.members = decision.members;
-        f.iterations = decision.iterations;
-        f.info_ints.push_back(static_cast<int64_t>(decision.group_id));
-        f.info_ints.push_back(decision.advanced_iteration);
-        for (int m : decision.members) f.info_ints.push_back(m);
-        f.info_weights = Buffer::FromVector(std::vector<float>(
-            decision.weights.begin(), decision.weights.end()));
-        for (int m : decision.members) {
-          wstate[static_cast<size_t>(m)] = WState::kInGroup;
-          wgroup[static_cast<size_t>(m)] = decision.group_id;
-          send_group_info(f, m);
-        }
-        in_flight.emplace(decision.group_id, std::move(f));
+      if (ep->closed()) break;
+      // A restarted process boots with an empty mailbox: everything that
+      // arrived before the crash — stash included — predates the failover.
+      while (ep->RecvAnyFor(0.0).has_value()) {
       }
-    };
-
-    auto mark_done = [&](uint64_t g, int w) {
-      if (wstate[static_cast<size_t>(w)] == WState::kInGroup &&
-          wgroup[static_cast<size_t>(w)] == g) {
-        wstate[static_cast<size_t>(w)] = WState::kIdle;
-      }
-      auto it = in_flight.find(g);
-      if (it == in_flight.end()) return;
-      it->second.done.insert(w);
-      if (it->second.done.size() >= it->second.members.size()) {
-        in_flight.erase(it);
-      }
-    };
-
-    // `dead` >= 0 names an evicted member; the Abort carries it so survivors
-    // can purge that peer's stashed chunks (transport.stash_purged).
-    auto abort_group = [&](uint64_t g, int dead) {
-      auto it = in_flight.find(g);
-      if (it == in_flight.end()) return;
-      InFlightGroup f = std::move(it->second);
-      in_flight.erase(it);
-      Bump(fault.aborted_groups);
-      trace->Record(ctx->Now(), TraceEventKind::kGroupAborted, -1,
-                    static_cast<int64_t>(g));
-      for (int m : f.members) {
-        if (f.done.count(m) != 0) continue;  // completed before the stall
-        const size_t mw = static_cast<size_t>(m);
-        if (wstate[mw] != WState::kInGroup || wgroup[mw] != g) continue;
-        (void)ep->Send(m, g, kKindAbort,
-                       {static_cast<int64_t>(g), static_cast<int64_t>(dead)});
-        wstate[mw] = WState::kIdle;
-      }
-    };
-
-    // After every membership change: retarget the effective P, and release
-    // the queued waiters once a fresh signal would not be queued either.
-    auto membership_changed = [&] {
-      broadcast(policy.Retarget(active, &controller));
-      if (policy.Verdict(active) != SignalVerdict::kQueue) release_pending();
-    };
-
-    auto evict = [&](int w) {
-      Bump(fault.evictions);
-      trace->Record(ctx->Now(), TraceEventKind::kWorkerEvicted, w);
-      const size_t sw = static_cast<size_t>(w);
-      const bool was_in_group = wstate[sw] == WState::kInGroup;
-      const uint64_t g = wgroup[sw];
-      wstate[sw] = WState::kEvicted;
-      if (was_in_group) abort_group(g, w);
-      --remaining;
-      --active;
-      broadcast(controller.EvictWorker(w));
-      membership_changed();
-    };
-
-    auto unevict = [&](int w) {
-      ++remaining;
-      ++active;
-      wstate[static_cast<size_t>(w)] = WState::kIdle;
-      detector.Resume(w, ctx->Now());
-      trace->Record(ctx->Now(), TraceEventKind::kChurnRejoin, w);
-      broadcast(controller.NotifyWorkerRejoined(w));
-      membership_changed();
-    };
-    membership_changed();
-
-    if (failovers > 0) {
-      // Recovery window: the restarted controller has no signal queue, no
-      // in-flight groups, no history, and no leases. Survivors are parked
-      // in their re-registration loops; collect their snapshots for a
-      // bounded window before serving again.
-      std::vector<Rereg> regs;  // first-arrival order
-      bool closed_in_recovery = false;
+      ep->PurgeStash([](const Envelope&) { return true; });
+      faulty->RestoreNode(ep->id());
+      // Recovery window: survivors are parked in their re-registration
+      // loops; collect their snapshots before serving again.
+      service.BeginRecovery();
       const double window_end = ctx->Now() + plan.reregister_window_seconds;
-      while (ctx->Now() < window_end) {
+      while (ctx->Now() < window_end && !ep->closed()) {
         std::optional<Envelope> env = ep->RecvAnyFor(
             std::min(plan.recv_timeout_seconds, window_end - ctx->Now()));
-        if (!env.has_value()) {
-          if (ep->closed()) {
-            closed_in_recovery = true;
-            break;
-          }
-          continue;
-        }
-        const int w = env->from;
-        if (w < 0 || w >= n || left_global[static_cast<size_t>(w)]) continue;
-        switch (env->kind) {
-          case kKindReregister: {
-            Rereg r;
-            r.worker = w;
-            if (env->ints.size() >= 3) {
-              r.iteration = env->ints[0];
-              r.completed = static_cast<uint64_t>(env->ints[1]);
-              r.last_group_id = static_cast<uint64_t>(env->ints[2]);
-              for (size_t i = 3; i < env->ints.size(); ++i) {
-                r.done_groups.push_back(static_cast<uint64_t>(env->ints[i]));
-              }
-            }
-            bool known = false;
-            for (Rereg& existing : regs) {
-              if (existing.worker == w) {
-                existing = r;  // re-sent snapshot supersedes the old one
-                known = true;
-              }
-            }
-            if (!known) regs.push_back(std::move(r));
-            Bump(fault.reregistrations);
-            trace->Record(ctx->Now(), TraceEventKind::kWorkerReregister, w,
-                          env->ints.empty() ? 0 : env->ints[0]);
-            (void)ep->Send(w, 0, kKindReregisterAck, {});
-            break;
-          }
-          case kKindReady: {
-            // A worker that never noticed the outage; its plain signal is a
-            // state-poor implicit re-registration.
-            bool known = false;
-            for (const Rereg& existing : regs) {
-              if (existing.worker == w) known = true;
-            }
-            if (!known) {
-              Rereg r;
-              r.worker = w;
-              r.iteration = env->ints.empty() ? 0 : env->ints[0];
-              regs.push_back(std::move(r));
-            }
-            break;
-          }
-          case kKindLeave:
-            left_global[static_cast<size_t>(w)] = true;
-            regs.erase(std::remove_if(regs.begin(), regs.end(),
-                                      [&](const Rereg& r) {
-                                        return r.worker == w;
-                                      }),
-                       regs.end());
-            break;
-          case kKindGroupDone:
-            // A pre-crash group that finished during the outage: credit the
-            // membership so the rebuilt history window sees its edges.
-            if (!env->ints.empty()) {
-              for (Rereg& existing : regs) {
-                if (existing.worker == w) {
-                  existing.done_groups.push_back(
-                      static_cast<uint64_t>(env->ints[0]));
-                }
-              }
-            }
-            break;
-          case kKindGroupStuck:
-            // The group predates this incarnation and cannot be resolved;
-            // force its members to roll back and re-signal.
-            if (!env->ints.empty()) {
-              (void)ep->Send(w, static_cast<uint64_t>(env->ints[0]),
-                             kKindAbort, {env->ints[0]});
-            }
-            break;
-          default:
-            break;  // heartbeats etc. carry no recovery state
+        if (env.has_value()) {
+          emit(service.Receive(env->from, env->kind, env->ints));
         }
       }
-      if (closed_in_recovery) break;
-
-      // Rebuild the controller's durable state from the snapshots: the
-      // group-id watermark (so ascending-id dedup survives the failover)
-      // and the history window, clustered from reported memberships.
-      // Partial member sets only remove sync-graph edges, which makes
-      // frozen detection more eager, never less.
-      std::map<uint64_t, std::vector<int>> reported;
-      uint64_t watermark = 0;
-      for (const Rereg& r : regs) {
-        watermark = std::max(watermark, r.last_group_id);
-        for (uint64_t g : r.done_groups) {
-          std::vector<int>& members = reported[g];
-          if (std::find(members.begin(), members.end(), r.worker) ==
-              members.end()) {
-            members.push_back(r.worker);
-          }
-        }
-      }
-      controller.Restore(RestoreStateFromGroups(reported, watermark));
-
-      remaining = 0;
-      for (int w = 0; w < n; ++w) {
-        if (left_global[static_cast<size_t>(w)]) {
-          wstate[static_cast<size_t>(w)] = WState::kLeft;
-          detector.Suspend(w);
-        } else {
-          ++remaining;
-          detector.Beat(w, ctx->Now());
-        }
-      }
-      active = remaining;
-      if (remaining == 0) break;  // everyone finished during the outage
-
-      // Refill the signal queue in arrival order. Workers that did not
-      // re-register in time stay kIdle with a fresh lease: they are either
-      // finishing a pre-crash reduce (their next Ready lands normally) or
-      // dead (the detector evicts them at the horizon).
-      for (const Rereg& r : regs) {
-        const size_t sw = static_cast<size_t>(r.worker);
-        if (wstate[sw] != WState::kIdle) continue;
-        wstate[sw] = WState::kQueued;
-        queued_iter[sw] = r.iteration;
-        broadcast(controller.OnReadySignal(r.worker, r.iteration));
-      }
-      membership_changed();
+      if (ep->closed()) break;
+      emit(service.EndRecovery());
+      start_leases();
+      continue;
     }
-
-    Exit exit_reason = Exit::kAllLeft;
-    while (remaining > 0) {
-      if (next_outage < outages.size() &&
-          group_reduces_ >= outages[next_outage].after_groups) {
-        exit_reason = Exit::kCrash;
-        break;
-      }
-      std::optional<Envelope> env = ep->RecvAnyFor(tick);
-      const double now = ctx->Now();
-      for (int w : detector.Expired(now)) evict(w);
-      if (!env.has_value()) {
-        if (ep->closed()) {
-          exit_reason = Exit::kShutdown;
-          break;
-        }
-        continue;
-      }
-      const int w = env->from;
-      if (w < 0 || w >= n) continue;
-      const size_t sw = static_cast<size_t>(w);
-      // Any message renews the sender's lease (ready signals piggyback
-      // their heartbeat; kKindHeartbeat exists for the otherwise-silent
-      // stretches).
-      detector.Beat(w, now);
-      switch (env->kind) {
-        case kKindHeartbeat:
-          Bump(fault.heartbeats);
-          trace->Record(now, TraceEventKind::kHeartbeat, w);
-          break;
-
-        case kKindReregister:
-          // Under a healthy controller a re-registration is just a beefy
-          // ready signal: acknowledge it (so the sender stops probing) and
-          // let the Ready logic below dedup or queue it.
-          Bump(fault.reregistrations);
-          trace->Record(now, TraceEventKind::kWorkerReregister, w,
-                        env->ints.empty() ? 0 : env->ints[0]);
-          (void)ep->Send(w, 0, kKindReregisterAck, {});
-          [[fallthrough]];
-
-        case kKindReady: {
-          const int64_t it = env->ints.empty() ? 0 : env->ints[0];
-          if (wstate[sw] == WState::kLeft) break;  // delayed stale signal
-          if (wstate[sw] == WState::kEvicted) unevict(w);  // implicit rejoin
-          if (wstate[sw] == WState::kInGroup) {
-            auto itf = in_flight.find(wgroup[sw]);
-            if (itf == in_flight.end()) {
-              wstate[sw] = WState::kIdle;  // defensive: group already resolved
-            } else {
-              int64_t grouped_iter = 0;
-              for (size_t i = 0; i < itf->second.members.size(); ++i) {
-                if (itf->second.members[i] == w) {
-                  grouped_iter = itf->second.iterations[i];
-                }
-              }
-              if (it == grouped_iter) {
-                // Re-sent signal for the very iteration we grouped: its
-                // GroupInfo was lost — retransmit.
-                send_group_info(itf->second, w);
-                break;
-              }
-              if (it < grouped_iter) break;  // stale duplicate from the past
-              // The worker has moved past the group (its GroupDone was
-              // dropped, or it abandoned the wait): implicit completion.
-              mark_done(wgroup[sw], w);
-            }
-          }
-          if (wstate[sw] == WState::kQueued) {
-            if (it == queued_iter[sw]) break;  // duplicated ready
-            // Superseded signal (the worker gave up a verdict wait and
-            // advanced); the stale queue entry must not be grouped.
-            controller.PurgePending(w);
-            wstate[sw] = WState::kIdle;
-          }
-          const SignalVerdict verdict = policy.Verdict(active);
-          if (verdict == SignalVerdict::kLocalStep) {
-            // Liveness-floor degradation: answer with an immediate release
-            // (local SGD) instead of enqueuing; membership recovery lifts
-            // the gate.
-            policy.CountLocalStep();
-            (void)ep->Send(w, 0, kKindRelease, {});
-            release_pending();
-            break;
-          }
-          wstate[sw] = WState::kQueued;
-          queued_iter[sw] = it;
-          broadcast(controller.OnReadySignal(w, it));
-          if (verdict == SignalVerdict::kRelease) release_pending();
-          break;
-        }
-
-        case kKindLeave: {
-          if (wstate[sw] == WState::kLeft) break;  // duplicate
-          left_global[sw] = true;
-          if (wstate[sw] == WState::kEvicted) {
-            // The lease eviction already shrank the pool; just record that
-            // the worker did in fact exit.
-            wstate[sw] = WState::kLeft;
-            break;
-          }
-          if (wstate[sw] == WState::kInGroup) mark_done(wgroup[sw], w);
-          if (wstate[sw] == WState::kQueued) controller.PurgePending(w);
-          wstate[sw] = WState::kLeft;
-          detector.Suspend(w);
-          --remaining;
-          --active;
-          broadcast(controller.NotifyWorkerLeft(w));
-          membership_changed();
-          break;
-        }
-
-        case kKindPause: {
-          if (paused[sw] || wstate[sw] == WState::kLeft ||
-              wstate[sw] == WState::kEvicted) {
-            break;
-          }
-          paused[sw] = true;
-          detector.Suspend(w);  // intentional silence, not a failure
-          --active;
-          trace->Record(now, TraceEventKind::kChurnLeave, w);
-          broadcast(controller.NotifyWorkerLeft(w));
-          membership_changed();
-          break;
-        }
-
-        case kKindRejoin: {
-          if (paused[sw]) {
-            paused[sw] = false;
-            ++active;
-            detector.Resume(w, now);
-            trace->Record(now, TraceEventKind::kChurnRejoin, w);
-            broadcast(controller.NotifyWorkerRejoined(w));
-            membership_changed();
-          } else if (wstate[sw] == WState::kEvicted) {
-            unevict(w);
-          }
-          // A rejoin from a worker that was never evicted (a hang shorter
-          // than the eviction horizon) needs nothing: its lease just
-          // renewed.
-          break;
-        }
-
-        case kKindGroupDone: {
-          if (!env->ints.empty()) {
-            mark_done(static_cast<uint64_t>(env->ints[0]), w);
-          }
-          break;
-        }
-
-        case kKindGroupStuck: {
-          if (env->ints.empty()) break;
-          const uint64_t g = static_cast<uint64_t>(env->ints[0]);
-          auto itf = in_flight.find(g);
-          if (itf == in_flight.end()) {
-            // Already aborted (the reporter's Abort was lost), long
-            // resolved, or formed by a previous incarnation: tell just the
-            // reporter to stand down.
-            (void)ep->Send(w, g, kKindAbort, {static_cast<int64_t>(g)});
-            break;
-          }
-          int dead_member = -1;
-          for (int m : itf->second.members) {
-            if (wstate[static_cast<size_t>(m)] == WState::kEvicted) {
-              dead_member = m;
-            }
-          }
-          if (dead_member >= 0 ||
-              ++itf->second.stuck_reports >= plan.stuck_abort_reports) {
-            // Either a member is dead, or the ring has stalled long enough
-            // that a dropped chunk is the likely cause — retry the group.
-            abort_group(g, dead_member);
-          }
-          break;
-        }
-
-        case kKindCkptReport:
-          ckpt.OnReport(*env, controller, group_reduces_);
-          break;
-
-        default:
-          break;  // unknown or stale kinds are dropped under chaos
-      }
+    std::optional<Envelope> env = ep->RecvAnyFor(tick);
+    const double now = ctx->Now();
+    for (int w : detector->Expired(now)) emit(service.Evict(w));
+    if (!env.has_value()) {
+      if (ep->closed()) break;
+      continue;
     }
-
-    AccumulateControllerStats(controller.stats(), &controller_stats_);
-
-    if (exit_reason != Exit::kCrash) break;
-
-    const ControllerFaultEvent event = outages[next_outage];
-    ++next_outage;
-    trace->Record(ctx->Now(), TraceEventKind::kControllerCrash, -1,
-                  static_cast<int64_t>(group_reduces_));
-    FaultyTransport* faulty = ctx->faulty();
-    PR_CHECK(faulty != nullptr)
-        << "controller faults need the fault-injecting fabric";
-    faulty->SeverNode(ep->id());
-    if (!event.restart) {
-      // Permanent loss: the controller's state dies with this thread.
-      // Parked workers re-register into the void until their outage budget
-      // runs out, then fall back to local-only progress; their trailing
-      // Leaves are severed along with everything else.
-      break;
+    if (env->from < 0 || env->from >= n) continue;
+    if (env->kind == kKindCkptReport) {
+      ckpt.OnReport(*env, service);
+    } else {
+      emit(service.Receive(env->from, env->kind, env->ints));
     }
-    const double down_until = ctx->Now() + event.down_seconds;
-    while (ctx->Now() < down_until && !ep->closed()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    if (ep->closed()) break;
-    // A restarted process boots with an empty mailbox: everything that
-    // arrived before the crash — stash included — predates the failover.
-    while (ep->RecvAnyFor(0.0).has_value()) {
-    }
-    ep->PurgeStash([](const Envelope&) { return true; });
-    faulty->RestoreNode(ep->id());
-    ++failovers;
-    Bump(fault.failovers);
-    trace->Record(ctx->Now(), TraceEventKind::kControllerRestart, -1,
-                  static_cast<int64_t>(failovers));
+    renew(env->from, now);
   }
+  group_reduces_ = service.groups_formed();
+  controller_stats_ = service.stats();
 }
 
 void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
@@ -736,7 +289,7 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
          : plan.max_verdict_wait_seconds;
   bool controller_lost = false;
   // Recently completed group ids (bounded), reported on re-registration so
-  // a restarted controller can rebuild its history window and id watermark.
+  // a restarted controller can rebuild its history window.
   std::deque<uint64_t> done_groups;
 
   const WorkerFaultEvent* crash = nullptr;
@@ -799,17 +352,15 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
   };
 
   auto note_retry = [&] {
-    Bump(retries_counter);
+    if (retries_counter != nullptr) retries_counter->Increment();
     ctx->trace()->Record(ctx->Now(), TraceEventKind::kWorkerRetry,
                          ctx->worker(), iteration);
   };
 
-  auto send_reregister = [&](size_t completed) {
+  auto send_reregister = [&] {
     std::vector<int64_t> ints;
-    ints.reserve(3 + done_groups.size());
+    ints.reserve(1 + done_groups.size());
     ints.push_back(iteration);
-    ints.push_back(static_cast<int64_t>(completed));
-    ints.push_back(static_cast<int64_t>(last_group_id));
     for (uint64_t g : done_groups) ints.push_back(static_cast<int64_t>(g));
     (void)ep->Send(controller, 0, kKindReregister, std::move(ints));
   };
@@ -915,7 +466,7 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
         if (cf) {
           if (ctx->Now() >= reregister_at) {
             note_retry();
-            send_reregister(k);
+            send_reregister();
             backoff =
                 std::min(backoff * 2.0, plan.reregister_backoff_max_seconds);
             reregister_at = ctx->Now() + backoff;

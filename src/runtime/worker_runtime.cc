@@ -525,7 +525,6 @@ ThreadedRunResult WorkerRuntime::Run(ThreadedStrategy* strategy) {
         }
         if (drive_policy && now >= next_tick) {
           ScaleSample sample;
-          sample.time = now;
           sample.active_workers = scale_director_->active();
           double idle_delta = 0.0;
           for (size_t i = 0; i < ctxs.size(); ++i) {
@@ -533,11 +532,9 @@ ThreadedRunResult WorkerRuntime::Run(ThreadedStrategy* strategy) {
             idle_delta += idle - last_idle[i];
             last_idle[i] = idle;
           }
-          const double span = now - last_sample;
+          sample.mean_idle_fraction = MeanIdleFraction(
+              idle_delta, now - last_sample, sample.active_workers);
           last_sample = now;
-          const int live = std::max(1, sample.active_workers);
-          sample.mean_idle_fraction =
-              span > 0.0 ? idle_delta / (span * live) : 0.0;
           const int delta = scale_director_->SetTarget(policy.Decide(sample));
           if (delta > 0) sm.scale_grow->Increment(delta);
           if (delta < 0) sm.scale_shrink->Increment(-delta);

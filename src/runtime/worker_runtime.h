@@ -23,7 +23,7 @@
 #include "scenario/scale_policy.h"
 #include "scenario/scenario.h"
 #include "sim/timeline.h"
-#include "strategies/p_reduce_policy.h"
+#include "strategies/p_reduce_service.h"
 #include "strategies/strategy.h"
 #include "tensor/tensor.h"
 

@@ -36,6 +36,14 @@ ScalePolicy::ScalePolicy(const ScalePolicyConfig& config, int num_workers)
   config_.trend_window = std::max(2, config_.trend_window);
 }
 
+double MeanIdleFraction(double idle_delta_seconds, double span_seconds,
+                        int active_workers) {
+  if (span_seconds <= 0.0 || active_workers <= 0) return 0.0;
+  return std::clamp(idle_delta_seconds /
+                        (span_seconds * static_cast<double>(active_workers)),
+                    0.0, 1.0);
+}
+
 int ScalePolicy::Clamp(int desired) const {
   return std::max(config_.min_workers,
                   std::min(config_.max_workers, desired));

@@ -60,15 +60,18 @@ struct ScalePolicyConfig {
 
 /// \brief One observation of the run, engine-agnostic. The threaded engine
 /// samples the live metrics registry on the wall clock; the simulator
-/// samples its counters on virtual-time ticks. Metric sources:
-/// `worker.<i>.wait_seconds` deltas for idle, `controller.updates` deltas
-/// for throughput.
+/// samples its counters on virtual-time ticks. Both build the idle fraction
+/// with MeanIdleFraction.
 struct ScaleSample {
-  double time = 0.0;
   double mean_idle_fraction = 0.0;
   int active_workers = 0;
-  double updates_per_second = 0.0;
 };
+
+/// The live workers' mean idle fraction over one sampling span:
+/// idle_delta / (span * active), clamped to [0, 1]; 0 when the span or the
+/// active count is not positive.
+double MeanIdleFraction(double idle_delta_seconds, double span_seconds,
+                        int active_workers);
 
 /// \brief Pure decision engine: feed samples, get desired live-set sizes.
 ///

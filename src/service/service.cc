@@ -327,26 +327,10 @@ void TrainingService::MonitorLoop() {
 }
 
 void TrainingService::PolicyTickLocked(double now) {
-  const double span = now - last_policy_tick_;
-  uint64_t progress = 0;
-  for (const auto& [id, job] : jobs_) {
-    (void)id;
-    if (job->state == JobState::kRunning && job->control) {
-      progress += job->control->progress();
-    }
-  }
   ScaleSample sample;
-  sample.time = now;
   sample.mean_idle_fraction = 1.0 - pool_.BusyFraction();
   sample.active_workers = lease_cap_;
-  sample.updates_per_second =
-      span > 0.0
-          ? static_cast<double>(progress - std::min(progress,
-                                                    last_policy_progress_)) /
-                span
-          : 0.0;
   last_policy_tick_ = now;
-  last_policy_progress_ = progress;
   const int desired = scale_policy_->Decide(sample);
   if (desired > lease_cap_) {
     ++lease_cap_;

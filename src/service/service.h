@@ -176,7 +176,6 @@ class TrainingService {
   std::unique_ptr<ScalePolicy> scale_policy_;
   int lease_cap_ = 0;
   double last_policy_tick_ = 0.0;
-  uint64_t last_policy_progress_ = 0;
 
   // Declared after jobs_ so it is destroyed (agents joined) first: pool
   // endpoints hold observer pointers into per-job registries.

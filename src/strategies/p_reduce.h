@@ -1,12 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <memory>
 #include <vector>
 
 #include "compress/compressor.h"
-#include "strategies/p_reduce_policy.h"
+#include "strategies/p_reduce_service.h"
 #include "strategies/strategy.h"
 
 namespace pr {
@@ -27,32 +27,40 @@ class PReduceStrategy : public Strategy {
 
   void Start() override;
   std::string Name() const override;
-  const Controller* controller() const override { return controller_.get(); }
-  ControllerStats controller_stats() const override;
+  const Controller* controller() const override {
+    return &service_.controller();
+  }
+  ControllerStats controller_stats() const override {
+    return service_.stats();
+  }
 
  private:
   void BeginCompute(int worker);
   void OnGradientReady(int worker);
   void SendSignal(int worker);
   void OnSignalArrival(int worker);
+  /// The worker re-registers with the recovering service: its iteration
+  /// and the recent groups it can vouch for.
+  void Reregister(int worker);
+  /// Turns the service's actions into virtual-time events: a new group
+  /// starts its reduce, a release sends the worker back to compute.
+  void Apply(const ServiceActions& actions);
+  void StartGroup(const GroupDecision& decision);
   void OnGroupReduceDone(const GroupDecision& decision);
-  void OnGroupAborted(const GroupDecision& decision,
+  /// A group with a crashed member stalls until the lease horizon: the
+  /// crashed members are evicted and the survivors retry.
+  void OnGroupStalled(const GroupDecision& decision,
                       const std::vector<int>& crashed);
-  void HandleDecisions(const std::vector<GroupDecision>& decisions);
-  /// Lease-horizon eviction of a crashed worker (mirrors the threaded
-  /// controller's FailureDetector verdict in virtual time).
-  void EvictNow(int worker);
   /// True when `worker` carries an armed crash event of the given placement
   /// that its iteration counter has reached.
   bool CrashArmed(int worker, bool in_group) const;
 
   /// Controller outage mirroring (see FaultPlan::controller_events): fires
   /// the next scheduled crash once enough groups completed, parks signals
-  /// that arrive while the controller is down, and on restart rebuilds a
-  /// fresh controller from the state workers can vouch for — the virtual-
-  /// time analogue of the threaded incarnation loop.
+  /// that arrive while the controller is down, and on restart opens the
+  /// re-registration window — the virtual-time analogue of the threaded
+  /// recovery window.
   void MaybeCrashController();
-  void CrashController();
   void RestartController();
 
   /// Scenario-driven membership changes are *lenient*: a leave for an
@@ -61,9 +69,6 @@ class PReduceStrategy : public Strategy {
   /// windows; the engines must diverge on none of them.
   void ScenarioLeave(int worker);
   void ScenarioRejoin(int worker);
-  /// Degradation gate: retargets the controller's effective group size
-  /// after every membership change (PReducePolicy::Retarget).
-  void UpdateEffectiveGroupSize();
   /// One autoscaler tick in virtual time: samples the workers' wait-seconds
   /// delta, feeds the policy, and pauses/readmits workers through the
   /// scenario churn paths. Reschedules itself every interval.
@@ -71,55 +76,42 @@ class PReduceStrategy : public Strategy {
 
   SimTraining* ctx_;
   StrategyOptions options_;
-  std::unique_ptr<Controller> controller_;
-  /// Stats of the controller incarnations a restart replaced.
-  ControllerStats retired_stats_;
+  /// True when the run carries a scenario, a scale policy, or degradation
+  /// gates: deep churn may then legitimately drive the pool below P (never
+  /// set for hand-written churn schedules).
+  bool scenario_mode_ = false;
+  /// Registered in scenario mode; null handles otherwise.
+  ScenarioMetrics scenario_metrics_;
+  PReduceService service_;
   /// Per-worker compression emulation (empty when compression is none):
   /// each member's contribution is quantize-dequantized through its own
   /// error-feedback residual before the group average, mirroring what the
   /// threaded engine's compressed ring does to the values.
   std::vector<std::unique_ptr<Compressor>> compressors_;
-  /// Elastic membership: pending leave requests (applied at the worker's
-  /// next gradient boundary) and current activity flags.
+  /// Elastic membership: pending leave requests, applied at the worker's
+  /// next gradient boundary.
   std::vector<bool> leave_requested_;
-  std::vector<bool> active_;
-  int active_count_ = 0;
 
   // --- Fault mirroring (see SimTrainingOptions::fault) ---
   std::vector<bool> crashed_;
   /// Per-worker ready-signal sequence numbers for deterministic drop rolls.
   std::vector<uint64_t> signal_seq_;
-  /// Registered when the fault plan is enabled; injected_delays mirrors the
-  /// threaded FaultyTransport's count for the deterministic link delays.
-  FaultMetrics fault_;
 
   // --- Controller outage mirroring ---
-  bool controller_down_ = false;
-  size_t next_outage_ = 0;
-  /// controller_events sorted by after_groups.
-  std::vector<ControllerFaultEvent> outages_;
   uint64_t completed_groups_ = 0;
-  /// Workers whose ready signals hit the severed controller; they
-  /// re-register when it restarts.
+  /// Workers whose ready signals hit the severed controller, in arrival
+  /// order; they re-register when it restarts.
   std::vector<int> parked_;
-  /// Recently completed groups (id -> members), bounded by
-  /// reregister_report_groups — what re-registration can vouch for.
-  std::map<uint64_t, std::vector<int>> recent_groups_;
+  /// Each worker's recently completed group ids (bounded by
+  /// reregister_report_groups), reported on re-registration.
+  std::vector<std::deque<uint64_t>> done_groups_;
 
-  // --- Scenario replay + autoscaling + graceful degradation ---
-  /// True when the run carries a scenario, a scale policy, or degradation
-  /// gates; relaxes the membership invariants deep churn legitimately
-  /// violates (never set for hand-written churn schedules).
-  bool scenario_mode_ = false;
-  /// Registered in scenario mode; null handles otherwise.
-  ScenarioMetrics scenario_metrics_;
-  PReducePolicy policy_;
+  // --- Autoscaling ---
   /// Workers currently paused by the scale policy (not by the trace).
   std::vector<bool> scale_paused_;
   /// Last-sampled per-run wait-seconds total, for the policy's idle deltas.
   double last_wait_total_ = 0.0;
   double last_tick_time_ = 0.0;
-  size_t last_updates_ = 0;
   std::unique_ptr<ScalePolicy> scale_policy_;
 };
 

@@ -135,6 +135,51 @@ TEST(ChaosTest, HungWorkerIsEvictedAndReadmitted) {
   }
 }
 
+// Pause and Rejoin are best-effort sends: a dropped Rejoin, or a Ready that
+// overtakes its Rejoin, reaches the service while it still holds the worker
+// as paused. Such a Ready is an implicit rejoin, like one from an evicted
+// worker, and must not reach the controller for a departed worker.
+RunConfig PausedReadyConfig(uint64_t seed, const EdgeFaultSpec& to_service) {
+  constexpr int kN = 4;
+  RunConfig config = ChaosConfig(seed, StrategyKind::kPReduceConst);
+  config.strategy.group_size = 2;
+  config.run.num_workers = kN;
+  config.run.iterations_per_worker = 40;
+  config.run.worker_delay_seconds.assign(kN, 0.001);
+  config.run.fault = FaultPlan{};
+  config.run.fault.seed = seed;
+  for (int w = 0; w < kN; ++w) {
+    config.run.fault.edges[{w, kN}] = to_service;
+    for (size_t k = 5 + static_cast<size_t>(w); k < 40; k += 7) {
+      config.run.churn.push_back({w, k, 0.005});
+    }
+  }
+  return config;
+}
+
+void ExpectEveryWorkerFinishes(const RunConfig& config) {
+  const ThreadedRunResult result = RunThreaded(config);
+  ASSERT_EQ(result.worker_iterations.size(),
+            static_cast<size_t>(config.run.num_workers));
+  for (size_t iters : result.worker_iterations) {
+    EXPECT_EQ(iters, config.run.iterations_per_worker);
+  }
+}
+
+TEST(ChaosTest, ThreadedReadyFromPausedWorkerRejoinsIt) {
+  EdgeFaultSpec drops;
+  drops.drop_prob = 0.05;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("drops, seed=" + std::to_string(seed));
+    ExpectEveryWorkerFinishes(PausedReadyConfig(seed, drops));
+  }
+  EdgeFaultSpec delays;
+  delays.delay_prob = 0.5;
+  delays.delay_seconds = 0.03;
+  SCOPED_TRACE("delays, seed=1");
+  ExpectEveryWorkerFinishes(PausedReadyConfig(1, delays));
+}
+
 TEST(ChaosTest, SlowdownFaultStretchesCompute) {
   RunConfig slow = ChaosConfig(4, StrategyKind::kPReduceConst);
   slow.run.fault.worker_events.clear();

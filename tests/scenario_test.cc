@@ -300,9 +300,8 @@ TEST(ScenarioCompileTest, CombinedFaultCompileIsDeterministicAcrossSeeds) {
 // ScalePolicy / ScaleDirector units.
 // ---------------------------------------------------------------------------
 
-ScaleSample Sample(double time, double idle, int active) {
+ScaleSample Sample(double idle, int active) {
   ScaleSample s;
-  s.time = time;
   s.mean_idle_fraction = idle;
   s.active_workers = active;
   return s;
@@ -317,15 +316,15 @@ TEST(ScalePolicyTest, ThresholdHysteresisWithClamps) {
   ScalePolicy policy(config, 8);
 
   // In the dead band: no change.
-  EXPECT_EQ(policy.Decide(Sample(0.0, 0.3, 8)), 8);
+  EXPECT_EQ(policy.Decide(Sample(0.3, 8)), 8);
   // Above idle_high: shrink by one.
-  EXPECT_EQ(policy.Decide(Sample(1.0, 0.8, 8)), 7);
+  EXPECT_EQ(policy.Decide(Sample(0.8, 8)), 7);
   // Below idle_low: grow by one.
-  EXPECT_EQ(policy.Decide(Sample(2.0, 0.05, 7)), 8);
+  EXPECT_EQ(policy.Decide(Sample(0.05, 7)), 8);
   // Clamped at max (= num_workers when max_workers is 0).
-  EXPECT_EQ(policy.Decide(Sample(3.0, 0.01, 8)), 8);
+  EXPECT_EQ(policy.Decide(Sample(0.01, 8)), 8);
   // Clamped at min_workers.
-  EXPECT_EQ(policy.Decide(Sample(4.0, 0.9, 2)), 2);
+  EXPECT_EQ(policy.Decide(Sample(0.9, 2)), 2);
 }
 
 TEST(ScalePolicyTest, TrendFiresOnRisingIdleBeforeThreshold) {
@@ -339,14 +338,40 @@ TEST(ScalePolicyTest, TrendFiresOnRisingIdleBeforeThreshold) {
 
   // Idle climbing through the band midpoint but still below idle_high:
   // the threshold policy would hold; the trend shrinks early.
-  EXPECT_EQ(policy.Decide(Sample(0.0, 0.20, 8)), 8);  // window filling
-  EXPECT_EQ(policy.Decide(Sample(1.0, 0.32, 8)), 8);  // window filling
-  EXPECT_EQ(policy.Decide(Sample(2.0, 0.44, 8)), 7);  // slope > 0, > mid
+  EXPECT_EQ(policy.Decide(Sample(0.20, 8)), 8);  // window filling
+  EXPECT_EQ(policy.Decide(Sample(0.32, 8)), 8);  // window filling
+  EXPECT_EQ(policy.Decide(Sample(0.44, 8)), 7);  // slope > 0, > mid
   // Falling idle below the midpoint grows again.
   ScalePolicy recover(config, 8);
-  EXPECT_EQ(recover.Decide(Sample(0.0, 0.30, 6)), 6);
-  EXPECT_EQ(recover.Decide(Sample(1.0, 0.18, 6)), 6);
-  EXPECT_EQ(recover.Decide(Sample(2.0, 0.06, 6)), 7);
+  EXPECT_EQ(recover.Decide(Sample(0.30, 6)), 6);
+  EXPECT_EQ(recover.Decide(Sample(0.18, 6)), 6);
+  EXPECT_EQ(recover.Decide(Sample(0.06, 6)), 7);
+}
+
+// Both engines build their idle sample with this one formula.
+TEST(ScalePolicyTest, MeanIdleFractionIsClampedAndGuarded) {
+  struct Row {
+    double idle_delta;
+    double span;
+    int active;
+    double expected;
+  };
+  const Row rows[] = {
+      {1.0, 1.0, 4, 0.25},   // idle / (span * active)
+      {0.3, 0.2, 3, 0.5},
+      {3.0, 0.5, 4, 1.0},    // clamped above
+      {-0.5, 1.0, 2, 0.0},   // clamped below
+      {1.0, 0.0, 4, 0.0},    // no span yet
+      {1.0, -1.0, 4, 0.0},
+      {1.0, 1.0, 0, 0.0},    // nobody active
+      {1.0, 1.0, -1, 0.0},
+  };
+  for (const Row& row : rows) {
+    EXPECT_DOUBLE_EQ(MeanIdleFraction(row.idle_delta, row.span, row.active),
+                     row.expected)
+        << row.idle_delta << " over " << row.span << " s, " << row.active
+        << " active";
+  }
 }
 
 TEST(ScaleDirectorTest, PausesHighestIdsFirstAndResumesInReverse) {
