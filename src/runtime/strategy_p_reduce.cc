@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <limits>
 #include <map>
 #include <memory>
@@ -17,6 +16,7 @@
 #include "runtime/threaded_strategies.h"
 #include "runtime/worker_runtime.h"
 #include "strategies/p_reduce_service.h"
+#include "strategies/p_reduce_worker.h"
 
 namespace pr {
 namespace {
@@ -97,11 +97,12 @@ class ServiceCkpt {
   Histogram* save_hist_ = nullptr;
 };
 
-/// Partial reduce on real threads (Alg. 2): worker threads send ready
-/// signals; the service thread pumps them through the PReduceService core
-/// and sends its answers. Every fault reaction fires on a receive timeout,
-/// so a run whose fault plan is disabled simply has no deadlines: its waits
-/// block, its leases never lapse, and its group reduces cannot abort.
+/// Partial reduce on real threads (Alg. 2): each worker thread pumps its
+/// PReduceWorker core and the service thread the PReduceService core, and
+/// both carry out their cores' actions. Every fault reaction fires on a
+/// receive timeout, so a run whose fault plan is disabled simply has no
+/// deadlines: its waits block, its leases never lapse, and its group
+/// reduces cannot abort.
 class ThreadedPReduce : public ThreadedStrategy {
  public:
   explicit ThreadedPReduce(const StrategyOptions& options)
@@ -116,6 +117,11 @@ class ThreadedPReduce : public ThreadedStrategy {
 
   void RunService(ServiceContext* ctx) override;
   void RunWorker(WorkerContext* ctx) override;
+  void OnWorkersReturned(WorkerContext* last) override {
+    // Wakes the service, which may be blocked on a receive with no deadline.
+    (void)last->endpoint()->Send(last->service_node(), 0,
+                                 kKindWorkersReturned, {});
+  }
 
   void FillResult(ThreadedRunResult* result) const override {
     result->group_reduces = group_reduces_;
@@ -146,38 +152,12 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
                           [ctx] { return ctx->Now(); }},
                          ctx->resume());
 
-  // Encodes the service's actions as sends. A group's weights are encoded
-  // once and shared by every member's GroupInfo.
-  std::shared_ptr<const GroupDecision> encoded;
-  std::vector<int64_t> info;
-  Buffer weights;
   auto emit = [&](const ServiceActions& actions) {
     for (const ServiceAction& a : actions) {
-      switch (a.kind) {
-        case ServiceAction::Kind::kGroupInfo:
-          if (a.group != encoded) {
-            encoded = a.group;
-            info = {static_cast<int64_t>(a.group_id),
-                    a.group->advanced_iteration};
-            info.insert(info.end(), a.group->members.begin(),
-                        a.group->members.end());
-            weights = Buffer::FromVector(std::vector<float>(
-                a.group->weights.begin(), a.group->weights.end()));
-          }
-          (void)ep->Send(a.worker, a.group_id, kKindGroupInfo, info, weights);
-          break;
-        case ServiceAction::Kind::kRelease:
-          (void)ep->Send(a.worker, 0, kKindRelease, {});
-          break;
-        case ServiceAction::Kind::kAbort:
-          (void)ep->Send(a.worker, a.group_id, kKindAbort,
-                         {static_cast<int64_t>(a.group_id),
-                          static_cast<int64_t>(a.dead)});
-          break;
-        case ServiceAction::Kind::kReregisterAck:
-          (void)ep->Send(a.worker, 0, kKindReregisterAck, {});
-          break;
-      }
+      ControlMessage m = EncodeServiceAction(a);
+      (void)ep->Send(a.worker, m.tag, m.kind, std::move(m.ints),
+                     Buffer::FromVector(std::vector<float>(m.weights.begin(),
+                                                          m.weights.end())));
     }
   };
 
@@ -202,7 +182,16 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
   };
   start_leases();
 
-  while (service.remaining() > 0) {
+  // Stop once every worker has left or been evicted and every worker body
+  // of this process has returned (the last one wakes us with a
+  // kKindWorkersReturned): an evicted worker may still be alive (a hang
+  // past its lease) and must find a service that re-admits it. A
+  // service-only process (a multi-process slice) runs no worker bodies and
+  // cannot see the remote ones, so there membership alone decides.
+  auto done = [&] {
+    return service.remaining() == 0 && ctx->workers_returned();
+  };
+  while (!done()) {
     if (service.CrashDue(service.groups_formed())) {
       const ControllerFaultEvent event = service.Crash();
       FaultyTransport* faulty = ctx->faulty();
@@ -248,6 +237,7 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
       continue;
     }
     if (env->from < 0 || env->from >= n) continue;
+    if (env->kind == kKindWorkersReturned) continue;
     if (env->kind == kKindCkptReport) {
       ckpt.OnReport(*env, service);
     } else {
@@ -269,44 +259,19 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
   // Pre-reduce parameters, restored when a group reduce aborts. Only a
   // reduce with a deadline can abort, so fault-free runs never fill it.
   std::vector<float> backup;
-  int64_t iteration = ctx->resume_iteration();
-  uint64_t last_group_id = 0;  // workers dedup GroupInfo by ascending id
-  // Without a fault plan every wait blocks: the heartbeats, Ready re-sends,
-  // stuck reports and liveness valves below all run on timeout ticks, so
-  // they never fire.
+  // Without a fault plan every wait blocks: the core's re-sends, stuck
+  // reports and liveness valves all run on receive timeouts, so they never
+  // fire. Control sends are best-effort throughout: the protocol tolerates
+  // a lost message, and a shut-down fabric shows up in closed().
   const bool ft = plan.enabled();
   const double tick = ft ? plan.recv_timeout_seconds : -1.0;
-  Counter* retries_counter =
-      ft ? RegisterFaultMetrics(ctx->metrics()).retries : nullptr;
-  const bool cf = plan.has_controller_faults();
-  // How long a verdict wait may stay silent before the worker gives up and
-  // proceeds locally. Under controller faults the budget covers a full
-  // outage plus recovery; once the controller looks gone for good the
-  // worker stops granting it that much and degrades to quick probes.
-  const double full_wait =
-      cf ? std::max(plan.max_verdict_wait_seconds,
-                    plan.max_controller_outage_seconds)
-         : plan.max_verdict_wait_seconds;
-  bool controller_lost = false;
-  // Recently completed group ids (bounded), reported on re-registration so
-  // a restarted controller can rebuild its history window.
-  std::deque<uint64_t> done_groups;
+  PReduceWorker core(ctx->worker(), options_, plan,
+                     {ctx->metrics(), ctx->trace()}, ctx->resume_iteration(),
+                     ctx->start_iteration(), run.iterations_per_worker);
 
-  const WorkerFaultEvent* crash = nullptr;
-  std::vector<const WorkerFaultEvent*> hangs;
-  for (const WorkerFaultEvent& e : plan.worker_events) {
-    if (e.worker != ctx->worker()) continue;
-    if (e.kind == WorkerFaultEvent::Kind::kCrash && crash == nullptr) {
-      crash = &e;
-    } else if (e.kind == WorkerFaultEvent::Kind::kHang) {
-      hangs.push_back(&e);
-    }
-  }
   // This worker's absence windows, in firing order. A trace can schedule
   // several (Poisson churn revisits workers), and an arrive event compiles
   // to a window at iteration 0 — served before the first local step.
-  // Control sends are best-effort throughout: the protocol tolerates a lost
-  // message, and a shut-down fabric shows up in closed().
   std::vector<ThreadedChurnEvent> churns;
   for (const ThreadedChurnEvent& c : run.churn) {
     if (c.worker == ctx->worker()) churns.push_back(c);
@@ -316,53 +281,40 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
               return a.after_iterations < b.after_iterations;
             });
   size_t next_churn = 0;
-  // Serves every window due at or before boundary `k` (windows behind a
-  // resume's start point are skipped). Returns false on fabric shutdown.
-  auto run_churn = [&](size_t k) -> bool {
+  ScaleDirector* scale = ctx->scale_director();
+  double pause_seconds = 0.0;  // the trace windows of the requested pause
+  // Asks the core to sit out boundary `k` when trace windows fall due there
+  // (windows behind a resume's start point are skipped) or, with `scaled`,
+  // when the autoscaler flags this worker out.
+  auto plan_pause = [&](size_t k, bool scaled) {
+    pause_seconds = 0.0;
+    bool due = false;
     while (next_churn < churns.size() &&
            churns[next_churn].after_iterations <= k) {
       if (churns[next_churn].after_iterations == k) {
-        (void)ep->Send(controller, 0, kKindPause, {});
-        if (ep->closed()) return false;
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            churns[next_churn].pause_seconds));
-        (void)ep->Send(controller, 0, kKindRejoin, {});
+        pause_seconds += churns[next_churn].pause_seconds;
+        due = true;
       }
       ++next_churn;
     }
-    return !ep->closed();
+    if (due || (scaled && scale != nullptr &&
+                scale->ShouldPause(ctx->worker()))) {
+      core.RequestPause();
+    }
   };
-  // Autoscaling pause: the policy thread flags this worker out; sit out on
-  // the same elastic path a trace departure uses. The wait is bounded
-  // (lease-like) so a policy stuck at its minimum can never deadlock the
-  // run's termination. Returns false on fabric shutdown.
-  ScaleDirector* scale = ctx->scale_director();
+  // Naps through the trace windows, then through the autoscaler's verdict.
+  // That wait is bounded (lease-like) so a policy stuck at its minimum can
+  // never deadlock the run's termination.
   const double scale_pause_budget =
       8.0 * ctx->strategy_options().scale_policy.interval_seconds;
-  auto scale_pause = [&]() -> bool {
-    if (scale == nullptr || !scale->ShouldPause(ctx->worker())) return true;
-    (void)ep->Send(controller, 0, kKindPause, {});
+  auto sit_out = [&] {
+    std::this_thread::sleep_for(std::chrono::duration<double>(pause_seconds));
+    if (scale == nullptr) return;
     const double deadline = ctx->Now() + scale_pause_budget;
-    while (scale->ShouldPause(ctx->worker()) && ctx->Now() < deadline) {
-      if (ep->closed()) return false;
+    while (scale->ShouldPause(ctx->worker()) && ctx->Now() < deadline &&
+           !ep->closed()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-    (void)ep->Send(controller, 0, kKindRejoin, {});
-    return !ep->closed();
-  };
-
-  auto note_retry = [&] {
-    if (retries_counter != nullptr) retries_counter->Increment();
-    ctx->trace()->Record(ctx->Now(), TraceEventKind::kWorkerRetry,
-                         ctx->worker(), iteration);
-  };
-
-  auto send_reregister = [&] {
-    std::vector<int64_t> ints;
-    ints.reserve(1 + done_groups.size());
-    ints.push_back(iteration);
-    for (uint64_t g : done_groups) ints.push_back(static_cast<int64_t>(g));
-    (void)ep->Send(controller, 0, kKindReregister, std::move(ints));
   };
 
   // Checkpoint cut: shard written after iteration k's synchronization
@@ -385,252 +337,153 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
     }
     if (ctx->SaveCkptShard(epoch).ok()) {
       (void)ep->Send(controller, 0, kKindCkptReport,
-                     {epoch, iteration, static_cast<int64_t>(k)});
+                     {epoch, core.iteration(), static_cast<int64_t>(k)});
     }
   };
 
-  if (!run_churn(ctx->start_iteration())) return;  // arrive-at-start windows
-  if (ctx->start_iteration() >= run.iterations_per_worker) {
-    // The manifest cut at this worker's full budget; nothing left to run.
-    ctx->MarkFinished();
-    (void)ep->Send(controller, 0, kKindLeave, {});
-    return;
-  }
+  // Carries out the core's actions. Returns false on kDie; kStopReduce
+  // raises `stop_reduce`. Time in a verdict wait is idle and time in a ring
+  // is comm, aborted rings included.
+  bool stop_reduce = false;
+  double since = 0.0;  // when the core's current phase began
+  auto execute = [&](WorkerActions& actions) -> bool {
+    for (WorkerAction& a : actions) {
+      switch (a.kind) {
+        case WorkerAction::Kind::kPhaseChange:
+          if (a.from == WorkerPhase::kWaiting) {
+            ctx->RecordIdle(since, ctx->Now());
+          }
+          if (a.from == WorkerPhase::kReducing) {
+            ctx->RecordComm(since, ctx->Now());
+          }
+          since = ctx->Now();
+          break;
+        case WorkerAction::Kind::kSend:
+          (void)ep->Send(controller, 0, a.message, std::move(a.ints));
+          break;
+        case WorkerAction::Kind::kStartReduce:
+          if (ft) backup = params.ToVector();
+          ctx->trace()->Record(ctx->Now(), TraceEventKind::kReduceStart,
+                               ctx->worker(),
+                               static_cast<int64_t>(a.group->group_id));
+          break;
+        case WorkerAction::Kind::kStopReduce:
+          stop_reduce = true;
+          break;
+        case WorkerAction::Kind::kRollback:
+          params.CopyFrom(backup);
+          break;
+        case WorkerAction::Kind::kPurgeGroup:
+          ep->PurgeStash(
+              [g = a.group_id](const Envelope& e) { return e.tag == g; });
+          break;
+        case WorkerAction::Kind::kPurgePeer:
+          ep->PurgeStashFrom(static_cast<NodeId>(a.peer));
+          break;
+        case WorkerAction::Kind::kSleep:
+          std::this_thread::sleep_for(std::chrono::duration<double>(a.seconds));
+          break;
+        case WorkerAction::Kind::kDie:
+          return false;  // vanish without a word
+        case WorkerAction::Kind::kFinish:
+          ctx->MarkFinished();
+          break;
+        case WorkerAction::Kind::kProceed:
+          break;
+      }
+    }
+    return true;
+  };
 
-  for (size_t k = ctx->start_iteration() + 1; k <= run.iterations_per_worker;
-       ++k) {
+  // The group's ring. Under a fault plan its segment waits carry a
+  // deadline, and each timeout tick hands the core either the group's
+  // parked Abort or a ring tick (lease renewal, stuck reports, the stall
+  // valve); the core's kStopReduce ends the ring with a timeout.
+  auto reduce = [&]() -> Status {
+    const GroupDecision& g = core.group();
+    const size_t my_index = static_cast<size_t>(
+        std::find(g.members.begin(), g.members.end(), ctx->worker()) -
+        g.members.begin());
+    RingDeadline deadline;
+    if (ft) {
+      deadline.recv_timeout_seconds = plan.recv_timeout_seconds;
+      deadline.on_tick = [&] {
+        std::optional<Envelope> abort =
+            ep->TryTakeStashed([&](const Envelope& e) {
+              return e.from == controller && core.Deliverable(e.kind, e.ints);
+            });
+        WorkerActions actions =
+            abort.has_value()
+                ? core.Receive(ctx->Now(), abort->kind, abort->ints)
+                : core.RingTick(ctx->Now());
+        stop_reduce = false;
+        execute(actions);
+        return !stop_reduce;
+      };
+    }
+    return GroupWeightedAllReduce(ep, g.members, g.weights, my_index,
+                                  g.group_id, params.data(), params.size(),
+                                  ctx->compressor(), deadline);
+  };
+
+  // Feeds the core until it wants the next local step (true) or the body
+  // must return (false: finished, dead, or the fabric shut down).
+  auto drive = [&](WorkerActions actions) -> bool {
+    for (;;) {
+      if (!execute(actions)) return false;
+      switch (core.phase()) {
+        case WorkerPhase::kComputing:
+          return true;
+        case WorkerPhase::kFinished:
+        case WorkerPhase::kDead:
+          return false;
+        case WorkerPhase::kPaused:
+          sit_out();
+          if (ep->closed()) return false;
+          actions = core.Resume(ctx->Now());
+          break;
+        case WorkerPhase::kWaiting: {
+          std::optional<Envelope> env = ep->RecvFromFor(controller, tick);
+          if (!env.has_value()) {
+            if (ep->closed()) return false;
+            actions = core.WaitTick(ctx->Now());
+          } else {
+            actions = core.Receive(
+                ctx->Now(), env->kind, env->ints,
+                std::vector<double>(env->payload.begin(), env->payload.end()));
+          }
+          break;
+        }
+        case WorkerPhase::kReducing: {
+          const Status reduced = reduce();
+          // Shutdown, or a ring without a deadline failing: unwind.
+          if (!reduced.ok() && (!ft || ep->closed())) return false;
+          if (reduced.ok()) {
+            ctx->trace()->Record(ctx->Now(), TraceEventKind::kReduceEnd,
+                                 ctx->worker(),
+                                 static_cast<int64_t>(core.group().group_id));
+          }
+          actions = core.ReduceEnd(ctx->Now(), reduced.ok());
+          break;
+        }
+      }
+    }
+  };
+
+  plan_pause(ctx->start_iteration(), /*scaled=*/false);  // arrive windows
+  if (!drive(core.Start())) return;
+  for (;;) {
     if (run.control != nullptr && run.control->cancel_requested()) {
       // Cooperative cancel: leave the pool exactly like a worker whose
-      // budget ran out. The controller handles the Leave through its normal
-      // membership path, so the remaining workers keep forming groups and
-      // the run drains cleanly with partial progress.
-      ctx->MarkFinished();
-      (void)ep->Send(controller, 0, kKindLeave, {});
+      // budget ran out, so the run drains cleanly with partial progress.
+      (void)drive(core.Cancel());
       return;
     }
     ctx->ComputeGradient(params.data(), &grad);
     ctx->sgd()->Step(grad.data(), params.data(), params.size());
-    ++iteration;
-
-    if (crash != nullptr && !crash->in_group &&
-        k >= static_cast<size_t>(crash->after_iterations)) {
-      // Boundary crash: vanish without a word; the controller's lease
-      // eviction is the only cleanup path.
-      return;
-    }
-    if (k == run.iterations_per_worker) {
-      ctx->MarkFinished();
-      (void)ep->Send(controller, 0, kKindLeave, {});
-      return;
-    }
-    for (const WorkerFaultEvent* h : hangs) {
-      if (k == static_cast<size_t>(h->after_iterations)) {
-        // Go dark long enough to (usually) lose the lease, then announce
-        // the comeback — the controller treats a rejoin from an evicted
-        // worker as re-admission.
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(h->hang_seconds));
-        (void)ep->Send(controller, 0, kKindRejoin, {});
-      }
-    }
-    // Elastic pause: leave the pool, nap, rejoin with the parameters we
-    // last held. Trace-driven windows first, then the autoscaler's verdict.
-    if (!run_churn(k) || !scale_pause()) return;  // shutdown
-
-    (void)ep->Send(controller, 0, kKindReady, {iteration});
-
-    // Verdict wait with lease upkeep, bounded re-sends, and a liveness
-    // valve: if the controller stays silent past the deadline the worker
-    // falls back to local computation and re-synchronizes next round. Ring
-    // segments from other groups that land meanwhile are stashed and
-    // replayed to the collective.
-    // Under controller faults the plain Ready re-send escalates to a
-    // re-registration probe with doubling backoff — the park loop a worker
-    // sits in while the controller is down.
-    const double wait_begin = ctx->Now();
-    double idle_begin = wait_begin;
-    int ticks = 0;
-    bool proceed = false;
-    double backoff = plan.reregister_backoff_seconds;
-    double reregister_at = wait_begin + backoff;
-    double give_up_at =
-        wait_begin +
-        (controller_lost ? plan.reregister_backoff_max_seconds : full_wait);
-    while (!proceed) {
-      std::optional<Envelope> env =
-          ep->RecvFromFor(controller, tick);
-      if (!env.has_value()) {
-        if (ep->closed()) return;
-        ++ticks;
-        (void)ep->Send(controller, 0, kKindHeartbeat, {});
-        if (cf) {
-          if (ctx->Now() >= reregister_at) {
-            note_retry();
-            send_reregister();
-            backoff =
-                std::min(backoff * 2.0, plan.reregister_backoff_max_seconds);
-            reregister_at = ctx->Now() + backoff;
-          }
-        } else if (plan.resend_ready_ticks > 0 &&
-                   ticks % plan.resend_ready_ticks == 0) {
-          note_retry();
-          (void)ep->Send(controller, 0, kKindReady, {iteration});
-        }
-        if (ctx->Now() >= give_up_at) {
-          ctx->RecordIdle(idle_begin, ctx->Now());
-          if (cf) controller_lost = true;
-          proceed = true;
-        }
-        continue;
-      }
-      if (controller_lost) {
-        // Any controller traffic refutes the "gone for good" verdict:
-        // grant the full silence budget again.
-        controller_lost = false;
-        give_up_at = ctx->Now() + full_wait;
-      }
-      switch (env->kind) {
-        case kKindReregisterAck:
-          // The (possibly restarted) controller recorded our snapshot; our
-          // signal is queued on its side, so keep waiting for the verdict.
-          give_up_at = ctx->Now() + full_wait;
-          break;
-
-        case kKindRelease:
-          ctx->RecordIdle(idle_begin, ctx->Now());
-          proceed = true;
-          break;
-
-        case kKindAbort: {
-          if (env->ints.empty()) break;
-          // Peer-death hygiene: an Abort naming an evicted worker means
-          // every message of theirs still parked in the stash is garbage.
-          if (env->ints.size() >= 2 && env->ints[1] >= 0) {
-            ep->PurgeStashFrom(static_cast<NodeId>(env->ints[1]));
-          }
-          const uint64_t g = static_cast<uint64_t>(env->ints[0]);
-          if (g > last_group_id) {
-            // Abort for a group whose GroupInfo we never received: adopt
-            // the id (so a late re-send is ignored) and drop any chunks
-            // peers already sent us for it.
-            last_group_id = g;
-            ep->PurgeStash([&](const Envelope& e) { return e.tag == g; });
-          }
-          break;  // stale aborts for finished groups are ignored
-        }
-
-        case kKindGroupInfo: {
-          const uint64_t group_id = static_cast<uint64_t>(env->ints[0]);
-          if (group_id <= last_group_id) break;  // duplicate / re-sent
-          last_group_id = group_id;
-          const int64_t advanced = env->ints[1];
-          std::vector<NodeId> members;
-          for (size_t i = 2; i < env->ints.size(); ++i) {
-            members.push_back(static_cast<NodeId>(env->ints[i]));
-          }
-          std::vector<double> weights(env->payload.begin(),
-                                      env->payload.end());
-          const size_t my_index = static_cast<size_t>(
-              std::find(members.begin(), members.end(), ctx->worker()) -
-              members.begin());
-          if (my_index >= members.size() ||
-              weights.size() != members.size()) {
-            break;  // malformed under chaos: ignore rather than die
-          }
-          if (crash != nullptr && crash->in_group &&
-              k >= static_cast<size_t>(crash->after_iterations)) {
-            // Mid-group crash: the nastiest case — peers are already
-            // blocked on our chunks. Die silently inside the group.
-            return;
-          }
-          ctx->RecordIdle(idle_begin, ctx->Now());
-          if (ft) backup = params.ToVector();
-          const double comm_begin = ctx->Now();
-          ctx->trace()->Record(comm_begin, TraceEventKind::kReduceStart,
-                               ctx->worker(),
-                               static_cast<int64_t>(group_id));
-          // Under a fault plan the ring's segment waits carry a deadline.
-          // Each timeout tick renews this worker's lease, takes a parked
-          // Abort for the group, and periodically escalates a GroupStuck
-          // report; the controller answers a hopeless stall (dead peer or
-          // dropped segment) with an Abort, turning a would-be deadlock into
-          // a group retry.
-          RingDeadline deadline;
-          int ring_ticks = 0;
-          if (ft) {
-            deadline.recv_timeout_seconds = plan.recv_timeout_seconds;
-            deadline.on_tick = [&] {
-              if (auto abort = ep->TryTakeStashed([&](const Envelope& e) {
-                    return e.from == controller && e.kind == kKindAbort &&
-                           !e.ints.empty() &&
-                           e.ints[0] == static_cast<int64_t>(group_id);
-                  })) {
-                // The Abort names the evicted member (when there is one);
-                // its parked segments can never be selected again.
-                if (abort->ints.size() >= 2 && abort->ints[1] >= 0) {
-                  ep->PurgeStashFrom(static_cast<NodeId>(abort->ints[1]));
-                }
-                return false;
-              }
-              (void)ep->Send(controller, 0, kKindHeartbeat, {});
-              ++ring_ticks;
-              if (plan.stuck_report_ticks > 0 &&
-                  ring_ticks % plan.stuck_report_ticks == 0) {
-                (void)ep->Send(controller, group_id, kKindGroupStuck,
-                               {static_cast<int64_t>(group_id)});
-              }
-              // Liveness valve: abandon the reduce even without a verdict;
-              // the stuck escalation will (or did) abort it.
-              return ctx->Now() - comm_begin <= plan.max_reduce_stall_seconds;
-            };
-          }
-          const Status reduced = GroupWeightedAllReduce(
-              ep, members, weights, my_index, group_id, params.data(),
-              params.size(), ctx->compressor(), deadline);
-          if (!reduced.ok()) {
-            // Shutdown, or a ring without a deadline failing: unwind.
-            if (!ft || ep->closed()) return;
-            // Abort: roll back the half-reduced vector, drop the
-            // conversation's leftovers, and put our signal back in the
-            // queue.
-            params.CopyFrom(backup);
-            ep->PurgeStash(
-                [&](const Envelope& e) { return e.tag == group_id; });
-            note_retry();
-            (void)ep->Send(controller, 0, kKindReady, {iteration});
-            idle_begin = ctx->Now();
-            break;  // back to the verdict wait
-          }
-          ctx->RecordComm(comm_begin, ctx->Now());
-          ctx->trace()->Record(ctx->Now(), TraceEventKind::kReduceEnd,
-                               ctx->worker(),
-                               static_cast<int64_t>(group_id));
-          // Duplicated segments of this conversation may still be parked.
-          ep->PurgeStash(
-              [&](const Envelope& e) { return e.tag == group_id; });
-          (void)ep->Send(controller, 0, kKindGroupDone,
-                         {static_cast<int64_t>(group_id)});
-          if (cf && plan.reregister_report_groups > 0) {
-            // Remember recent completions so a re-registration after a
-            // controller crash can vouch for groups whose GroupDone died
-            // with the old incarnation.
-            if (done_groups.size() >=
-                static_cast<size_t>(plan.reregister_report_groups)) {
-              done_groups.pop_front();
-            }
-            done_groups.push_back(group_id);
-          }
-          if (options_.kind == StrategyKind::kPReduceDynamic) {
-            iteration = advanced;
-          }
-          proceed = true;
-          break;
-        }
-
-        default:
-          break;  // unknown or stale control messages are ignored
-      }
-    }
+    const size_t k = core.completed() + 1;
+    plan_pause(k, /*scaled=*/true);
+    if (!drive(core.Boundary(ctx->Now()))) return;
     maybe_checkpoint(k);
   }
 }

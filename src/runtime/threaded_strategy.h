@@ -49,6 +49,10 @@ class ThreadedStrategy {
   /// ctx->MarkFinished() when its final iteration completes.
   virtual void RunWorker(WorkerContext* ctx) = 0;
 
+  /// Runs on the thread of the last local worker body to return, right
+  /// after it returned, in a process that also runs the service.
+  virtual void OnWorkersReturned(WorkerContext* last) { (void)last; }
+
   /// Parameters evaluated for final accuracy/loss. Null (default) selects
   /// the element-wise average of all worker replicas (Alg. 2 line 8);
   /// centralized strategies (PS family, Eager-Reduce) return their global

@@ -252,6 +252,10 @@ const RunManifest* ServiceContext::resume() const {
   return runtime_->resume_.has_value() ? &*runtime_->resume_ : nullptr;
 }
 
+bool ServiceContext::workers_returned() const {
+  return runtime_->running_workers_.load(std::memory_order_acquire) == 0;
+}
+
 const ScenarioMetrics& ServiceContext::scenario_metrics() const {
   return runtime_->scenario_metrics_;
 }
@@ -553,6 +557,16 @@ ThreadedRunResult WorkerRuntime::Run(ThreadedStrategy* strategy) {
     control->BindAbort([fabric] { fabric->Shutdown(); });
   }
 
+  // Set before the service starts, so it never sees a count of zero early.
+  running_workers_.store(static_cast<int>(contexts.size()),
+                         std::memory_order_release);
+  auto run_worker = [this, strategy, with_service](WorkerContext* ctx) {
+    strategy->RunWorker(ctx);
+    if (running_workers_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+        with_service) {
+      strategy->OnWorkersReturned(ctx);
+    }
+  };
   std::unique_ptr<ServiceContext> service_ctx;
   std::thread service_thread;
   const bool pooled = options_.launcher != nullptr;
@@ -571,7 +585,7 @@ ThreadedRunResult WorkerRuntime::Run(ThreadedStrategy* strategy) {
     for (auto& context : contexts) {
       WorkerContext* ctx = context.get();
       options_.launcher->Launch(ctx->worker(),
-                                [strategy, ctx] { strategy->RunWorker(ctx); });
+                                [run_worker, ctx] { run_worker(ctx); });
     }
     if (with_service) strategy->RunService(service_ctx.get());
     options_.launcher->JoinAll();
@@ -580,7 +594,7 @@ ThreadedRunResult WorkerRuntime::Run(ThreadedStrategy* strategy) {
     workers.reserve(locals.size());
     for (auto& context : contexts) {
       WorkerContext* ctx = context.get();
-      workers.emplace_back([strategy, ctx] { strategy->RunWorker(ctx); });
+      workers.emplace_back([run_worker, ctx] { run_worker(ctx); });
     }
     for (auto& t : workers) t.join();
     if (service_thread.joinable()) service_thread.join();

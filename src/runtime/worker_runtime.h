@@ -184,6 +184,9 @@ class ServiceContext {
   const RunManifest* resume() const;
   /// The run's scenario.* handles; null handles outside scenario mode.
   const ScenarioMetrics& scenario_metrics() const;
+  /// True once every worker body this process runs has returned (always,
+  /// in a multi-process run's service-only slice).
+  bool workers_returned() const;
 
  private:
   friend class WorkerRuntime;
@@ -267,6 +270,8 @@ class WorkerRuntime {
   std::vector<int> local_workers_;
   bool run_service_ = true;
   bool restricted_ = false;
+  /// Worker bodies of the current Run() that have not returned yet.
+  std::atomic<int> running_workers_{0};
   MetricsRegistry registry_;
   TraceRecorder trace_;
   std::chrono::steady_clock::time_point start_;

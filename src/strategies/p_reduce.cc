@@ -24,7 +24,17 @@ PReduceStrategy::PReduceStrategy(SimTraining* ctx,
                 [ctx] { return ctx->engine()->now(); }},
                ctx->resume()) {
   const size_t n = static_cast<size_t>(ctx->num_workers());
-  leave_requested_.assign(n, false);
+  const FaultPlan& plan = ctx->options().fault;
+  workers_.reserve(n);
+  for (int w = 0; w < ctx->num_workers(); ++w) {
+    // A resumed worker's local count is its restored iteration counter.
+    const int64_t it = ctx->iteration(w);
+    workers_.emplace_back(w, options, plan,
+                          PReduceWorker::Observers{ctx->metrics(),
+                                                   ctx->trace()},
+                          it, static_cast<size_t>(std::max<int64_t>(it, 0)));
+  }
+  envs_.resize(n);
 
   if (options.compression != CompressionKind::kNone) {
     // No AttachMetrics here: RecordReduceTraffic models the compress.*
@@ -36,11 +46,6 @@ PReduceStrategy::PReduceStrategy(SimTraining* ctx,
     }
   }
 
-  crashed_.assign(n, false);
-  signal_seq_.assign(n, 0);
-  done_groups_.resize(n);
-
-  scale_paused_.assign(n, false);
   if (options.scale_policy.enabled()) {
     scale_policy_ = std::make_unique<ScalePolicy>(options.scale_policy,
                                                   ctx->num_workers());
@@ -57,34 +62,18 @@ std::string PReduceStrategy::Name() const {
   return options_.kind == StrategyKind::kPReduceDynamic ? "DYN" : "CON";
 }
 
-bool PReduceStrategy::CrashArmed(int worker, bool in_group) const {
-  if (crashed_[static_cast<size_t>(worker)]) return false;
-  for (const WorkerFaultEvent& e : ctx_->options().fault.worker_events) {
-    if (e.worker == worker && e.kind == WorkerFaultEvent::Kind::kCrash &&
-        e.in_group == in_group &&
-        ctx_->iteration(worker) >= e.after_iterations) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void PReduceStrategy::ScenarioLeave(int worker) {
-  const size_t w = static_cast<size_t>(worker);
-  if (!service_.active(worker) || crashed_[w]) return;  // overlapping windows
-  leave_requested_[w] = true;  // takes effect at the gradient boundary
+  // Takes effect at the gradient boundary; the core ignores it while
+  // paused (overlapping windows) or dead (a crash outliving them).
+  workers_[static_cast<size_t>(worker)].RequestPause();
 }
 
 void PReduceStrategy::ScenarioRejoin(int worker) {
   const size_t w = static_cast<size_t>(worker);
-  if (crashed_[w]) return;         // a crash outlives any window
-  if (scale_paused_[w]) return;    // the autoscaler owns this pause now
+  if (envs_[w].scale_paused) return;  // the autoscaler owns this pause now
   // A leave that never reached a boundary (window shorter than one step)
   // is cancelled instead of rejoining twice.
-  leave_requested_[w] = false;
-  if (service_.active(worker)) return;
-  Apply(service_.Rejoin(worker));
-  if (!ctx_->stopped()) BeginCompute(worker);
+  Run(worker, workers_[w].Resume(ctx_->engine()->now()));
 }
 
 void PReduceStrategy::ScalePolicyTick() {
@@ -108,10 +97,12 @@ void PReduceStrategy::ScalePolicyTick() {
     // matching the threaded ScaleDirector's deterministic order.
     for (int w = ctx_->num_workers() - 1; w >= 0; --w) {
       const size_t i = static_cast<size_t>(w);
-      if (service_.active(w) && !crashed_[i] && !leave_requested_[i] &&
-          !scale_paused_[i]) {
-        scale_paused_[i] = true;
-        leave_requested_[i] = true;
+      PReduceWorker& core = workers_[i];
+      if (service_.active(w) && core.phase() != PReduceWorker::Phase::kDead &&
+          core.phase() != PReduceWorker::Phase::kPaused &&
+          !core.pause_requested() && !envs_[i].scale_paused) {
+        envs_[i].scale_paused = true;
+        core.RequestPause();
         scenario_metrics_.scale_shrink->Increment();
         break;
       }
@@ -120,8 +111,8 @@ void PReduceStrategy::ScalePolicyTick() {
     // Readmit the lowest-id policy-paused worker.
     for (int w = 0; w < ctx_->num_workers(); ++w) {
       const size_t i = static_cast<size_t>(w);
-      if (!scale_paused_[i]) continue;
-      scale_paused_[i] = false;
+      if (!envs_[i].scale_paused) continue;
+      envs_[i].scale_paused = false;
       ScenarioRejoin(w);
       scenario_metrics_.scale_grow->Increment();
       break;
@@ -136,13 +127,13 @@ void PReduceStrategy::Start() {
   // Scenario arrive windows (time 0) hold their workers out before the
   // first compute event is ever scheduled.
   for (const ChurnWindow& w : ctx_->scenario_churn()) {
-    if (w.time_seconds <= 0.0 && service_.active(w.worker)) {
-      Apply(service_.Pause(w.worker));
+    if (w.time_seconds <= 0.0) {
+      workers_[static_cast<size_t>(w.worker)].RequestPause();
     }
   }
 
   for (int w = 0; w < ctx_->num_workers(); ++w) {
-    if (service_.active(w)) BeginCompute(w);
+    Run(w, workers_[static_cast<size_t>(w)].Start());
   }
 
   // Scenario churn windows become virtual-time leave/rejoin pairs. The
@@ -186,17 +177,15 @@ void PReduceStrategy::Start() {
     PR_CHECK_GE(event.worker, 0);
     PR_CHECK_LT(event.worker, ctx_->num_workers());
     ctx_->engine()->ScheduleAt(event.time, [this, event] {
-      const size_t w = static_cast<size_t>(event.worker);
+      PReduceWorker& core = workers_[static_cast<size_t>(event.worker)];
+      const bool paused = core.phase() == PReduceWorker::Phase::kPaused;
       if (event.leave) {
-        PR_CHECK(service_.active(event.worker))
+        PR_CHECK(!paused && !core.pause_requested())
             << "leave for already-departed worker";
-        leave_requested_[w] = true;
+        core.RequestPause();
       } else {
-        PR_CHECK(!service_.active(event.worker))
-            << "join for already-active worker";
-        leave_requested_[w] = false;
-        Apply(service_.Rejoin(event.worker));
-        if (!ctx_->stopped()) BeginCompute(event.worker);
+        PR_CHECK(paused) << "join for already-active worker";
+        Run(event.worker, core.Resume(ctx_->engine()->now()));
       }
     });
   }
@@ -214,154 +203,155 @@ void PReduceStrategy::BeginCompute(int worker) {
 }
 
 void PReduceStrategy::OnGradientReady(int worker) {
-  // Alg. 2 lines 3-5: local update, then signal the controller.
+  // Alg. 2 lines 3-5: local update, then the core signals the controller.
   std::vector<float> grad;
   ctx_->GradientAtSnapshot(worker, &grad);
   ctx_->LocalStep(worker, grad.data());
-  ctx_->increment_iteration(worker);
-
-  if (leave_requested_[static_cast<size_t>(worker)]) {
-    // Gradient boundary: this worker departs instead of signaling.
-    leave_requested_[static_cast<size_t>(worker)] = false;
-    if (!scenario_mode_) {
-      // Hand-written churn schedules promise this; scenario traces and the
-      // autoscaler legitimately drive the live set below P (that is what
-      // the degradation gates are for).
-      PR_CHECK_GE(service_.active_count() - 1, options_.group_size)
-          << "churn dropped the cluster below the group size";
-    }
-    Apply(service_.Pause(worker));
-    return;
+  PReduceWorker& core = workers_[static_cast<size_t>(worker)];
+  Run(worker, core.Boundary(ctx_->engine()->now()));
+  if (core.phase() == PReduceWorker::Phase::kPaused && !scenario_mode_) {
+    // Hand-written churn schedules promise this; scenario traces and the
+    // autoscaler legitimately drive the live set below P (that is what the
+    // degradation gates are for).
+    const int live = static_cast<int>(std::count_if(
+        workers_.begin(), workers_.end(), [](const PReduceWorker& w) {
+          return w.phase() != PReduceWorker::Phase::kPaused &&
+                 w.phase() != PReduceWorker::Phase::kDead;
+        }));
+    PR_CHECK_GE(live, options_.group_size)
+        << "churn dropped the cluster below the group size";
   }
-
-  if (CrashArmed(worker, /*in_group=*/false)) {
-    // Boundary crash: the worker vanishes without signaling. The controller
-    // notices when the lease horizon elapses and evicts it.
-    crashed_[static_cast<size_t>(worker)] = true;
-    const FaultPlan& plan = ctx_->options().fault;
-    ctx_->engine()->ScheduleAfter(
-        plan.lease_seconds * plan.missed_threshold,
-        [this, worker] { Apply(service_.Evict(worker)); });
-    return;
-  }
-
-  ctx_->MarkWaitStart(worker);
-  SendSignal(worker);
 }
 
-void PReduceStrategy::SendSignal(int worker) {
-  const FaultPlan& plan = ctx_->options().fault;
-  if (plan.has_message_faults()) {
-    // Mirror the worker->controller edge of the threaded fabric: a dropped
-    // ready signal costs the protocol one resend interval, then retries
-    // with the next sequence number.
-    const uint64_t seq = signal_seq_[static_cast<size_t>(worker)]++;
-    if (plan.RollDrop(worker, ctx_->num_workers(), seq)) {
-      service_.fault_metrics().injected_drops->Increment();
-      service_.fault_metrics().retries->Increment();
-      ctx_->trace()->Record(ctx_->engine()->now(),
-                            TraceEventKind::kWorkerRetry, worker,
-                            ctx_->iteration(worker));
-      ctx_->engine()->ScheduleAfter(
-          plan.recv_timeout_seconds * plan.resend_ready_ticks,
-          [this, worker] { SendSignal(worker); });
-      return;
+void PReduceStrategy::Run(int worker, WorkerActions actions) {
+  PReduceWorker& core = workers_[static_cast<size_t>(worker)];
+  ctx_->set_iteration(worker, core.iteration());
+  bool stop_reduce = false;
+  for (WorkerAction& a : actions) {
+    switch (a.kind) {
+      case WorkerAction::Kind::kPhaseChange:
+        Transition(worker, a.from, a.to);
+        break;
+      case WorkerAction::Kind::kSend:
+        SendToService(worker, a.message, std::move(a.ints));
+        break;
+      case WorkerAction::Kind::kStartReduce:
+        Join(a.group);
+        break;
+      case WorkerAction::Kind::kStopReduce:
+        stop_reduce = true;
+        break;
+      case WorkerAction::Kind::kDie: {
+        // The worker vanishes; the controller's lease verdict is the only
+        // cleanup, one eviction horizon later.
+        const FaultPlan& plan = ctx_->options().fault;
+        ctx_->engine()->ScheduleAfter(
+            plan.lease_seconds * plan.missed_threshold,
+            [this, worker] { Apply(service_.Evict(worker)); });
+        break;
+      }
+      case WorkerAction::Kind::kSleep:
+        // Hangs are threaded-only: no lease is modeled here to lose.
+      case WorkerAction::Kind::kRollback:
+      case WorkerAction::Kind::kPurgeGroup:
+      case WorkerAction::Kind::kPurgePeer:
+        // Replicas change only when a ring completes, and nothing is ever
+        // parked: nothing to undo or purge.
+      case WorkerAction::Kind::kFinish:
+        break;
+      case WorkerAction::Kind::kProceed:
+        if (!ctx_->stopped()) BeginCompute(worker);
+        break;
     }
   }
-  // The worker->controller hop pays any deterministic link latency the
-  // plan lists on that edge (the controller sits at endpoint id N), same
-  // as the FaultyTransport holding the real message.
+  if (stop_reduce) {
+    // The ring is broken for every member; this one re-signals at once and
+    // the members still inside are stalled from now on.
+    const uint64_t group_id = core.group().group_id;
+    const std::vector<int> members = core.group().members;
+    rings_[group_id].broken = true;
+    Run(worker, core.ReduceEnd(ctx_->engine()->now(), false));
+    for (int m : members) {
+      const PReduceWorker& peer = workers_[static_cast<size_t>(m)];
+      if (peer.phase() == PReduceWorker::Phase::kReducing &&
+          peer.group().group_id == group_id) {
+        ScheduleTick(m, ++envs_[static_cast<size_t>(m)].epoch);
+      }
+    }
+  }
+}
+
+void PReduceStrategy::Transition(int worker, PReduceWorker::Phase from,
+                                 PReduceWorker::Phase to) {
+  using Phase = PReduceWorker::Phase;
+  WorkerEnv& env = envs_[static_cast<size_t>(worker)];
+  const double now = ctx_->engine()->now();
+  if (from == Phase::kWaiting) ctx_->MarkWaitEnd(worker);
+  if (from == Phase::kReducing) {
+    ctx_->RecordActivity(worker, WorkerActivity::kComm, env.since, now);
+  }
+  env.since = now;
+  if (to == Phase::kWaiting) ctx_->MarkWaitStart(worker);
+  ++env.epoch;  // a pending tick belongs to the phase that ended
+  if (to == Phase::kWaiting || to == Phase::kReducing) {
+    ScheduleTick(worker, env.epoch);
+  }
+  if (controller_gone_) MaybeStopWithoutController();
+}
+
+void PReduceStrategy::SendToService(int worker, int kind,
+                                    std::vector<int64_t> ints) {
+  const FaultPlan& plan = ctx_->options().fault;
+  const int controller = ctx_->num_workers();
+  if (plan.has_message_faults() &&
+      plan.RollDrop(worker, controller,
+                    envs_[static_cast<size_t>(worker)].send_seq++)) {
+    // Mirror the worker->controller edge of the threaded fabric; the core's
+    // re-sends recover.
+    service_.fault_metrics().injected_drops->Increment();
+    return;
+  }
+  // The hop pays any deterministic link latency the plan lists on that
+  // edge (the controller sits at endpoint id N), same as the
+  // FaultyTransport holding the real message.
   double hop = ctx_->cost().controller_delay();
-  const double link = plan.LinkDelay(worker, ctx_->num_workers());
+  const double link = plan.LinkDelay(worker, controller);
   if (link > 0.0) {
     hop += link;
     service_.fault_metrics().injected_delays->Increment();
   }
-  ctx_->engine()->ScheduleAfter(hop,
-                                [this, worker] { OnSignalArrival(worker); });
-}
-
-void PReduceStrategy::OnSignalArrival(int worker) {
-  if (service_.down()) {
-    // The signal dies at the severed endpoint; the worker parks and
-    // re-registers when the controller returns.
-    service_.fault_metrics().severed_drops->Increment();
-    parked_.push_back(worker);
-  } else if (!service_.serving()) {
-    Reregister(worker);  // inside the recovery window
-  } else {
-    Apply(service_.Ready(worker, ctx_->iteration(worker)));
-  }
-}
-
-void PReduceStrategy::Reregister(int worker) {
-  ReregisterSnapshot snapshot;
-  snapshot.worker = worker;
-  snapshot.iteration = ctx_->iteration(worker);
-  const std::deque<uint64_t>& done = done_groups_[static_cast<size_t>(worker)];
-  snapshot.done_groups.assign(done.begin(), done.end());
-  Apply(service_.Reregister(snapshot));
+  ctx_->engine()->ScheduleAfter(
+      hop, [this, worker, kind, ints = std::move(ints)] {
+        if (service_.down()) {
+          // The message dies at the severed endpoint.
+          service_.fault_metrics().severed_drops->Increment();
+          return;
+        }
+        Apply(service_.Receive(worker, kind, ints));
+      });
 }
 
 void PReduceStrategy::Apply(const ServiceActions& actions) {
   for (const ServiceAction& a : actions) {
-    switch (a.kind) {
-      case ServiceAction::Kind::kGroupInfo:
-        // One event per group, started by its first member's GroupInfo.
-        if (!a.resend && a.worker == a.group->members.front()) {
-          StartGroup(*a.group);
-        }
-        break;
-      case ServiceAction::Kind::kRelease:
-        // No group can take the signal (graceful degradation): the worker
-        // goes straight back to compute.
-        ctx_->MarkWaitEnd(a.worker);
-        if (!ctx_->stopped() && service_.active(a.worker)) {
-          BeginCompute(a.worker);
-        }
-        break;
-      case ServiceAction::Kind::kAbort:
-        // Only evictions abort groups here, and OnGroupStalled retries the
-        // survivors at that same instant.
-      case ServiceAction::Kind::kReregisterAck:
-        break;
-    }
+    PReduceWorker& core = workers_[static_cast<size_t>(a.worker)];
+    ControlMessage m = EncodeServiceAction(a);
+    if (!core.Deliverable(m.kind, m.ints)) continue;
+    Run(a.worker, core.Receive(ctx_->engine()->now(), m.kind, m.ints,
+                               std::move(m.weights)));
   }
 }
 
-void PReduceStrategy::StartGroup(const GroupDecision& decision) {
-  // A member with an armed mid-group crash kills the whole reduce: the
-  // survivors stall on its chunks until the controller's lease verdict
-  // aborts the group (the threaded engine's recovery path, in virtual
-  // time).
-  std::vector<int> crashed;
-  for (int m : decision.members) {
-    if (CrashArmed(m, /*in_group=*/true)) crashed.push_back(m);
-  }
-  if (!crashed.empty()) {
-    const FaultPlan& plan = ctx_->options().fault;
-    const double stall = plan.lease_seconds * plan.missed_threshold;
-    for (int m : decision.members) {
-      crashed_[static_cast<size_t>(m)] =
-          crashed_[static_cast<size_t>(m)] ||
-          std::find(crashed.begin(), crashed.end(), m) != crashed.end();
-      ctx_->MarkWaitEnd(m);
-      ctx_->RecordActivity(m, WorkerActivity::kComm, ctx_->engine()->now(),
-                           ctx_->engine()->now() + stall);
-    }
-    ctx_->engine()->ScheduleAfter(
-        stall, [this, d = decision, crashed] { OnGroupStalled(d, crashed); });
-    return;
-  }
-
-  // Group formed: members leave the wait state and spend the group-info
-  // delay plus the P-member ring reduce communicating. Groups synchronize
-  // in parallel — nothing here blocks other workers or other groups. The
-  // ring cost is topology-aware: one slow inter-node edge paces the
-  // pipelined ring.
-  for (int m : decision.members) ctx_->MarkWaitEnd(m);
+void PReduceStrategy::Join(const std::shared_ptr<const GroupDecision>& group) {
+  Ring& ring = rings_[group->group_id];
+  if (ring.group == nullptr) ring.group = group;
+  if (++ring.joined < group->members.size() || ring.broken) return;
+  // Every member is in: the ring spends the group-info delay plus the
+  // P-member reduce. Groups synchronize in parallel — nothing here blocks
+  // other workers or other groups. The ring cost is topology-aware: one
+  // slow inter-node edge paces the pipelined ring.
+  const std::vector<int>& members = group->members;
   double comm = ctx_->cost().controller_delay() +
-                ctx_->cost().RingAllReduceSeconds(decision.members,
+                ctx_->cost().RingAllReduceSeconds(members,
                                                   ctx_->options().topology);
   // Deterministic link delays stretch the group the same way the
   // FaultyTransport stretches real chunks: the group-info broadcast waits
@@ -371,13 +361,12 @@ void PReduceStrategy::StartGroup(const GroupDecision& decision) {
   if (fplan.has_link_delays()) {
     double info_delay = 0.0;
     double worst_edge = 0.0;
-    const size_t p = decision.members.size();
+    const size_t p = members.size();
     for (size_t i = 0; i < p; ++i) {
-      const int m = decision.members[i];
       info_delay = std::max(info_delay,
-                            fplan.LinkDelay(ctx_->num_workers(), m));
-      worst_edge = std::max(
-          worst_edge, fplan.LinkDelay(m, decision.members[(i + 1) % p]));
+                            fplan.LinkDelay(ctx_->num_workers(), members[i]));
+      worst_edge = std::max(worst_edge,
+                            fplan.LinkDelay(members[i], members[(i + 1) % p]));
     }
     const double stall =
         info_delay + 2.0 * static_cast<double>(p - 1) * worst_edge;
@@ -386,33 +375,58 @@ void PReduceStrategy::StartGroup(const GroupDecision& decision) {
       service_.fault_metrics().injected_delays->Increment();
     }
   }
-  for (int m : decision.members) {
-    ctx_->RecordActivity(m, WorkerActivity::kComm, ctx_->engine()->now(),
-                         ctx_->engine()->now() + comm);
-  }
   ctx_->engine()->ScheduleAfter(
-      comm, [this, d = decision] { OnGroupReduceDone(d); });
+      comm, [this, id = group->group_id] { CompleteRing(id); });
 }
 
-void PReduceStrategy::OnGroupStalled(const GroupDecision& decision,
-                                     const std::vector<int>& crashed) {
-  for (int m : crashed) Apply(service_.Evict(m));
-  if (ctx_->stopped()) return;
-  for (int m : decision.members) {
-    if (crashed_[static_cast<size_t>(m)]) continue;
-    // Survivors roll back to their pre-reduce replicas (never touched in
-    // the simulator — the average is only applied on success) and put their
-    // signals back in the queue.
-    service_.fault_metrics().retries->Increment();
-    ctx_->trace()->Record(ctx_->engine()->now(),
-                          TraceEventKind::kWorkerRetry, m,
-                          ctx_->iteration(m));
-    ctx_->MarkWaitStart(m);
-    SendSignal(m);
+void PReduceStrategy::ScheduleTick(int worker, uint64_t epoch) {
+  const FaultPlan& plan = ctx_->options().fault;
+  if (!plan.enabled()) return;  // a disabled plan's waits block
+  ctx_->engine()->ScheduleAfter(plan.recv_timeout_seconds,
+                                [this, worker, epoch] { Tick(worker, epoch); });
+}
+
+bool PReduceStrategy::Stalled(int worker) const {
+  const PReduceWorker& core = workers_[static_cast<size_t>(worker)];
+  if (core.phase() == PReduceWorker::Phase::kWaiting) return true;
+  if (core.phase() != PReduceWorker::Phase::kReducing) return false;
+  // A ring stalls until its last member joins, and again once a member
+  // stopped; a ring that runs makes progress and times nothing out.
+  const auto it = rings_.find(core.group().group_id);
+  return it == rings_.end() || it->second.broken ||
+         it->second.joined < it->second.group->members.size();
+}
+
+void PReduceStrategy::Tick(int worker, uint64_t epoch) {
+  const size_t w = static_cast<size_t>(worker);
+  // Moved on, or a ring that is running now: this clock ends here.
+  if (envs_[w].epoch != epoch || ctx_->stopped() || !Stalled(worker)) return;
+  PReduceWorker& core = workers_[w];
+  const double now = ctx_->engine()->now();
+  Run(worker, core.phase() == PReduceWorker::Phase::kWaiting
+                  ? core.WaitTick(now)
+                  : core.RingTick(now));
+  if (envs_[w].epoch == epoch) ScheduleTick(worker, epoch);
+}
+
+void PReduceStrategy::MaybeStopWithoutController() {
+  for (const PReduceWorker& w : workers_) {
+    if (w.phase() != PReduceWorker::Phase::kDead &&
+        w.phase() != PReduceWorker::Phase::kPaused && !w.controller_lost()) {
+      return;
+    }
   }
+  ctx_->Stop();
 }
 
-void PReduceStrategy::OnGroupReduceDone(const GroupDecision& decision) {
+void PReduceStrategy::CompleteRing(uint64_t group_id) {
+  auto it = rings_.find(group_id);
+  const Ring ring = std::move(it->second);
+  rings_.erase(it);
+  // A member stopped before the ring finished: nobody's replica changed,
+  // and the members still inside stall until their own Abort or valve.
+  if (ring.broken) return;
+  const GroupDecision& decision = *ring.group;
   std::vector<float*> models;
   models.reserve(decision.members.size());
   for (int m : decision.members) models.push_back(ctx_->params(m).data());
@@ -439,55 +453,36 @@ void PReduceStrategy::OnGroupReduceDone(const GroupDecision& decision) {
     WeightedAverageInPlace(velocities, decision.weights, ctx_->num_params());
   }
 
-  if (options_.kind == StrategyKind::kPReduceDynamic) {
-    // §3.3.3: members adopt the group's max iteration — their models now
-    // reflect the newest information in the group.
-    for (int m : decision.members) {
-      ctx_->set_iteration(m, decision.advanced_iteration);
-    }
-  }
-  for (int m : decision.members) service_.GroupDone(m, decision.group_id);
   ++completed_groups_;
-  const FaultPlan& plan = ctx_->options().fault;
-  if (plan.has_controller_faults()) {
-    // What each member can vouch for when it re-registers.
-    for (int m : decision.members) {
-      std::deque<uint64_t>& done = done_groups_[static_cast<size_t>(m)];
-      done.push_back(decision.group_id);
-      if (done.size() > static_cast<size_t>(plan.reregister_report_groups)) {
-        done.pop_front();
-      }
-    }
-  }
   ctx_->RecordReduceTraffic(decision.members, options_.compression);
   ctx_->RecordUpdate();
-  if (ctx_->stopped()) return;
-  for (int m : decision.members) BeginCompute(m);
-  MaybeCrashController();
+  // Each core reports GroupDone, adopts the DYN iteration and proceeds.
+  for (int m : decision.members) {
+    Run(m, workers_[static_cast<size_t>(m)].ReduceEnd(ctx_->engine()->now(),
+                                                       /*ok=*/true));
+  }
+  if (!ctx_->stopped()) MaybeCrashController();
 }
 
 void PReduceStrategy::MaybeCrashController() {
   if (!service_.CrashDue(completed_groups_)) return;
   const ControllerFaultEvent event = service_.Crash();
-  // Without a restart the controller is gone for good: workers park as
-  // their signals arrive, the event queue drains, and the run ends with
-  // whatever updates it had — the simulator's analogue of the threaded
-  // workers giving up after max_controller_outage_seconds.
+  // Without a restart the controller is gone for good: the workers give up
+  // on it after max_controller_outage_seconds, as the threaded ones do, and
+  // the run ends with whatever updates it had.
   if (event.restart) {
     ctx_->engine()->ScheduleAfter(event.down_seconds,
                                   [this] { RestartController(); });
+  } else {
+    controller_gone_ = true;
   }
 }
 
 void PReduceStrategy::RestartController() {
-  // The recovery window: parked workers re-register at once, in arrival
-  // order, and workers that become ready inside the window re-register as
-  // their signals land; the fresh incarnation rebuilds from those snapshots
-  // when the window closes, as the threaded service does.
+  // The recovery window: the waiting workers' re-registration probes land
+  // as their backoff fires; the fresh incarnation rebuilds from those
+  // snapshots when the window closes, as the threaded service does.
   service_.BeginRecovery();
-  std::vector<int> parked;
-  parked.swap(parked_);
-  for (int worker : parked) Reregister(worker);
   ctx_->engine()->ScheduleAfter(
       ctx_->options().fault.reregister_window_seconds,
       [this] { Apply(service_.EndRecovery()); });

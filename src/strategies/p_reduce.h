@@ -1,12 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <map>
 #include <memory>
 #include <vector>
 
 #include "compress/compressor.h"
 #include "strategies/p_reduce_service.h"
+#include "strategies/p_reduce_worker.h"
 #include "strategies/strategy.h"
 
 namespace pr {
@@ -21,6 +22,11 @@ namespace pr {
 /// global barrier ever forms. Constant mode averages with 1/P; dynamic mode
 /// uses staleness-aware EMA weights and fast-forwards members' iteration
 /// counters to the group max.
+///
+/// The protocol is the engines' shared pair of cores: one PReduceWorker per
+/// worker and the PReduceService. This class is their virtual-time pump and
+/// keeps only the environment: compute time, the network model (drop
+/// rolls, link delay, a severed controller) and the analytic ring.
 class PReduceStrategy : public Strategy {
  public:
   PReduceStrategy(SimTraining* ctx, const StrategyOptions& options);
@@ -35,31 +41,57 @@ class PReduceStrategy : public Strategy {
   }
 
  private:
+  /// The engine's side of one worker, next to its protocol core.
+  struct WorkerEnv {
+    /// Bumped by every phase change and ring break, so a tick scheduled
+    /// for an earlier wait or stall is recognised as stale.
+    uint64_t epoch = 0;
+    double since = 0.0;  ///< when the current phase began
+    /// Drop-roll sequence on the worker->controller edge.
+    uint64_t send_seq = 0;
+    bool scale_paused = false;  ///< paused by the autoscaler, not the trace
+  };
+  /// The analytic ring of one group: it completes `comm` seconds after its
+  /// last member joins, unless a member stopped first.
+  struct Ring {
+    std::shared_ptr<const GroupDecision> group;
+    size_t joined = 0;
+    bool broken = false;
+  };
+
   void BeginCompute(int worker);
   void OnGradientReady(int worker);
-  void SendSignal(int worker);
-  void OnSignalArrival(int worker);
-  /// The worker re-registers with the recovering service: its iteration
-  /// and the recent groups it can vouch for.
-  void Reregister(int worker);
-  /// Turns the service's actions into virtual-time events: a new group
-  /// starts its reduce, a release sends the worker back to compute.
+  /// Carries out a core's actions.
+  void Run(int worker, WorkerActions actions);
+  /// Charges the phase that ended and starts the new one's clocks.
+  void Transition(int worker, PReduceWorker::Phase from,
+                  PReduceWorker::Phase to);
+  /// The worker->controller hop: drop roll, link delay, severed endpoint.
+  void SendToService(int worker, int kind, std::vector<int64_t> ints);
+  /// Service messages arrive at once (the ring charges the GroupInfo
+  /// broadcast); one the core does not take on arrival is lost, and the
+  /// protocol's re-sends recover as from a drop.
   void Apply(const ServiceActions& actions);
-  void StartGroup(const GroupDecision& decision);
-  void OnGroupReduceDone(const GroupDecision& decision);
-  /// A group with a crashed member stalls until the lease horizon: the
-  /// crashed members are evicted and the survivors retry.
-  void OnGroupStalled(const GroupDecision& decision,
-                      const std::vector<int>& crashed);
-  /// True when `worker` carries an armed crash event of the given placement
-  /// that its iteration counter has reached.
-  bool CrashArmed(int worker, bool in_group) const;
+  void Join(const std::shared_ptr<const GroupDecision>& group);
+  void CompleteRing(uint64_t group_id);
+  /// The next receive timeout of the worker's stall `epoch`, one
+  /// recv_timeout_seconds from now (enabled plans only).
+  void ScheduleTick(int worker, uint64_t epoch);
+  /// True for a core that times out: one in a verdict wait, or in a ring
+  /// that a member has not joined yet or has stopped. A running ring times
+  /// nothing out, like the threaded ring's segment waits while segments
+  /// flow.
+  bool Stalled(int worker) const;
+  void Tick(int worker, uint64_t epoch);
+  /// Ends the run once every worker not dead or paused has given up on a
+  /// permanently lost controller: no group can form again, and the
+  /// simulator has no per-worker budget to finish locally.
+  void MaybeStopWithoutController();
 
   /// Controller outage mirroring (see FaultPlan::controller_events): fires
-  /// the next scheduled crash once enough groups completed, parks signals
-  /// that arrive while the controller is down, and on restart opens the
-  /// re-registration window — the virtual-time analogue of the threaded
-  /// recovery window.
+  /// the next scheduled crash once enough groups completed and, on restart,
+  /// opens the re-registration window — the virtual-time analogue of the
+  /// threaded recovery window.
   void MaybeCrashController();
   void RestartController();
 
@@ -83,32 +115,20 @@ class PReduceStrategy : public Strategy {
   /// Registered in scenario mode; null handles otherwise.
   ScenarioMetrics scenario_metrics_;
   PReduceService service_;
+  std::vector<PReduceWorker> workers_;
+  std::vector<WorkerEnv> envs_;
+  std::map<uint64_t, Ring> rings_;
   /// Per-worker compression emulation (empty when compression is none):
   /// each member's contribution is quantize-dequantized through its own
   /// error-feedback residual before the group average, mirroring what the
   /// threaded engine's compressed ring does to the values.
   std::vector<std::unique_ptr<Compressor>> compressors_;
-  /// Elastic membership: pending leave requests, applied at the worker's
-  /// next gradient boundary.
-  std::vector<bool> leave_requested_;
-
-  // --- Fault mirroring (see SimTrainingOptions::fault) ---
-  std::vector<bool> crashed_;
-  /// Per-worker ready-signal sequence numbers for deterministic drop rolls.
-  std::vector<uint64_t> signal_seq_;
 
   // --- Controller outage mirroring ---
   uint64_t completed_groups_ = 0;
-  /// Workers whose ready signals hit the severed controller, in arrival
-  /// order; they re-register when it restarts.
-  std::vector<int> parked_;
-  /// Each worker's recently completed group ids (bounded by
-  /// reregister_report_groups), reported on re-registration.
-  std::vector<std::deque<uint64_t>> done_groups_;
+  bool controller_gone_ = false;  ///< crashed without a restart
 
   // --- Autoscaling ---
-  /// Workers currently paused by the scale policy (not by the trace).
-  std::vector<bool> scale_paused_;
   /// Last-sampled per-run wait-seconds total, for the policy's idle deltas.
   double last_wait_total_ = 0.0;
   double last_tick_time_ = 0.0;

@@ -53,6 +53,35 @@ void AccumulateControllerStats(const ControllerStats& incarnation,
 
 }  // namespace
 
+ControlMessage EncodeServiceAction(const ServiceAction& action) {
+  ControlMessage m;
+  switch (action.kind) {
+    case ServiceAction::Kind::kGroupInfo: {
+      const GroupDecision& g = *action.group;
+      m.kind = kKindGroupInfo;
+      m.tag = g.group_id;
+      m.ints = {static_cast<int64_t>(g.group_id), g.advanced_iteration};
+      m.ints.insert(m.ints.end(), g.members.begin(), g.members.end());
+      m.weights = g.weights;
+      break;
+    }
+    case ServiceAction::Kind::kRelease:
+      m.kind = kKindRelease;
+      m.ints = {action.iteration};
+      break;
+    case ServiceAction::Kind::kAbort:
+      m.kind = kKindAbort;
+      m.tag = action.group_id;
+      m.ints = {static_cast<int64_t>(action.group_id),
+                static_cast<int64_t>(action.dead)};
+      break;
+    case ServiceAction::Kind::kReregisterAck:
+      m.kind = kKindReregisterAck;
+      break;
+  }
+  return m;
+}
+
 FaultMetrics RegisterFaultMetrics(MetricsShard* metrics) {
   FaultMetrics m;
   m.injected_drops = metrics->GetCounter("fault.injected_drops");
@@ -237,10 +266,19 @@ void PReduceService::Enqueue(int worker, int64_t iteration,
   Broadcast(controller_->OnReadySignal(worker, iteration), out);
 }
 
+void PReduceService::Release(int worker, int64_t iteration,
+                             ServiceActions* out) {
+  Worker& w = workers_[static_cast<size_t>(worker)];
+  w.wait = Wait::kIdle;
+  w.released = iteration;
+  w.fresh_from = std::max(w.fresh_from, iteration + 1);
+  out->push_back(Action(ServiceAction::Kind::kRelease, worker));
+  out->back().iteration = iteration;
+}
+
 void PReduceService::ReleasePending(ServiceActions* out) {
   for (const ReadySignal& s : controller_->DrainPending()) {
-    workers_[static_cast<size_t>(s.worker)].wait = Wait::kIdle;
-    out->push_back(Action(ServiceAction::Kind::kRelease, s.worker));
+    Release(s.worker, s.iteration, out);
   }
 }
 
@@ -339,12 +377,16 @@ ServiceActions PReduceService::Ready(int worker, int64_t iteration) {
       // was lost — retransmit.
       out.push_back(Action(ServiceAction::Kind::kGroupInfo, worker, w.group));
       out.back().group = f.group;
-      out.back().resend = true;
       return out;
     }
     // The worker moved past the group (its GroupDone was dropped, or it
     // abandoned the wait): implicit completion.
     if (iteration > grouped) MarkDone(w.group, worker);
+  }
+  if (w.wait == Wait::kIdle && iteration == w.released) {
+    // Re-sent signal for the iteration we released: the Release was lost.
+    Release(worker, iteration, &out);
+    return out;
   }
   if (iteration < w.fresh_from) return out;  // stale copy
   if (w.wait == Wait::kQueued) {
@@ -365,7 +407,7 @@ ServiceActions PReduceService::Ready(int worker, int64_t iteration) {
     // Liveness-floor degradation: answer with an immediate release (local
     // SGD) instead of enqueuing; membership recovery lifts the gate.
     Bump(local_steps_);
-    out.push_back(Action(ServiceAction::Kind::kRelease, worker));
+    Release(worker, iteration, &out);
     ReleasePending(&out);
     return out;
   }
@@ -506,6 +548,7 @@ ControllerFaultEvent PReduceService::Crash() {
   for (Worker& w : workers_) {
     w.wait = Wait::kIdle;
     w.fresh_from = std::numeric_limits<int64_t>::min();
+    w.released = std::numeric_limits<int64_t>::min();
   }
   return outages_[next_outage_++];
 }

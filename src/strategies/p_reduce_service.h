@@ -24,7 +24,7 @@ namespace pr {
 constexpr int kKindReady = 1;           ///< worker: {iteration}
 constexpr int kKindLeave = 2;           ///< worker: budget done, gone for good
 constexpr int kKindGroupInfo = 3;       ///< service: {id, advanced, members...}
-constexpr int kKindRelease = 4;         ///< service: proceed without a group
+constexpr int kKindRelease = 4;         ///< service: {iteration} go on alone
 constexpr int kKindPause = 5;           ///< worker: elastic pause begins
 constexpr int kKindRejoin = 6;          ///< worker: back from a pause or hang
 constexpr int kKindHeartbeat = 7;       ///< worker: off-cycle lease renewal
@@ -34,6 +34,7 @@ constexpr int kKindAbort = 10;          ///< service: {group id, dead or -1}
 constexpr int kKindReregister = 11;     ///< worker: {iteration, done ids...}
 constexpr int kKindReregisterAck = 12;  ///< service: snapshot recorded
 constexpr int kKindCkptReport = 13;     ///< worker: {epoch, iteration, done}
+constexpr int kKindWorkersReturned = 14;  ///< the last local body returned
 
 /// \brief The fault.* family plus controller.failovers and
 /// controller.reregistrations. Fault-tolerant runs register every name, so a
@@ -87,11 +88,22 @@ struct ServiceAction {
   int worker = -1;        ///< the recipient
   uint64_t group_id = 0;  ///< kGroupInfo, kAbort
   int dead = -1;          ///< kAbort: the evicted member, or -1
+  int64_t iteration = 0;  ///< kRelease: the signal it answers
   /// kGroupInfo: the group, shared by every member's action and re-sends.
   std::shared_ptr<const GroupDecision> group;
-  bool resend = false;  ///< kGroupInfo: re-sent for a lost copy
 };
 using ServiceActions = std::vector<ServiceAction>;
+
+/// \brief A control message as the transport carries it: a kKind*, the
+/// envelope tag, the ints and (GroupInfo only) the member weights.
+struct ControlMessage {
+  int kind = 0;
+  uint64_t tag = 0;
+  std::vector<int64_t> ints;
+  std::vector<double> weights;
+};
+/// The wire form of a service action; PReduceWorker::Receive decodes it.
+ControlMessage EncodeServiceAction(const ServiceAction& action);
 
 /// \brief The controller side of the P-Reduce protocol (Alg. 2, Fig. 6) as
 /// one sans-IO state machine that both engines drive.
@@ -192,9 +204,12 @@ class PReduceService {
     Wait wait = Wait::kIdle;
     uint64_t group = 0;
     /// Readies below this iteration are stale: the worker has signaled a
-    /// later one, or a completed group consumed it. While the worker is
-    /// queued this is the queued iteration.
+    /// later one, or a completed group or a Release consumed it. While the
+    /// worker is queued this is the queued iteration.
     int64_t fresh_from = std::numeric_limits<int64_t>::min();
+    /// The iteration the last Release answered; a Ready for it again means
+    /// that Release was lost.
+    int64_t released = std::numeric_limits<int64_t>::min();
   };
   enum class Verdict { kQueue, kRelease, kLocalStep };
 
@@ -202,6 +217,9 @@ class PReduceService {
   void Trace(TraceEventKind kind, int worker, int64_t a = 0) const;
   void Broadcast(std::vector<GroupDecision> decisions, ServiceActions* out);
   void Enqueue(int worker, int64_t iteration, ServiceActions* out);
+  /// Answers `worker`'s signal at `iteration` without a group; the
+  /// iteration is consumed.
+  void Release(int worker, int64_t iteration, ServiceActions* out);
   void ReleasePending(ServiceActions* out);
   void MarkDone(uint64_t group_id, int worker);
   void AbortGroup(uint64_t group_id, int dead, ServiceActions* out);

@@ -135,6 +135,34 @@ TEST(ChaosTest, HungWorkerIsEvictedAndReadmitted) {
   }
 }
 
+// The service outlives every worker body: a worker evicted while it hangs,
+// and waking after its peers have left, still finds a service that
+// re-admits it and releases its signals, instead of waiting out a verdict
+// valve for every remaining iteration.
+TEST(ChaosTest, WorkerWakingAfterItsPeersLeftIsServed) {
+  RunConfig config = ChaosConfig(3, StrategyKind::kPReduceConst);
+  config.strategy.group_size = 2;
+  config.run.num_workers = 3;
+  config.run.worker_delay_seconds.assign(3, 0.001);
+  FaultPlan& plan = config.run.fault;
+  plan = FaultPlan{};
+  WorkerFaultEvent hang;
+  hang.worker = 2;
+  hang.kind = WorkerFaultEvent::Kind::kHang;
+  hang.after_iterations = static_cast<int>(kIterations) - 2;
+  // Long past the eviction horizon, and past the peers' last iteration.
+  hang.hang_seconds = plan.lease_seconds * plan.missed_threshold + 0.3;
+  plan.worker_events.push_back(hang);
+  const ThreadedRunResult result = RunThreaded(config);
+
+  EXPECT_GE(result.metrics.counter("fault.evictions"), 1.0);
+  for (size_t iters : result.worker_iterations) {
+    EXPECT_EQ(iters, kIterations);
+  }
+  EXPECT_LT(result.metrics.counter("worker.2.idle_seconds"),
+            plan.max_verdict_wait_seconds);
+}
+
 // Pause and Rejoin are best-effort sends: a dropped Rejoin, or a Ready that
 // overtakes its Rejoin, reaches the service while it still holds the worker
 // as paused. Such a Ready is an implicit rejoin, like one from an evicted
@@ -489,6 +517,33 @@ TEST(ChaosTest, SimulatorCompressedChaosKeepsLossParity) {
   const double plain_loss = plain_run.curve.back().loss;
   EXPECT_NEAR(compressed_run.curve.back().loss, plain_loss,
               0.02 * plain_loss);
+}
+
+// A healthy ring is never reported stuck, however long it runs: 30 ms on
+// every worker->worker link stretches each P=4 reduce to about 0.2 s, past
+// stuck_report_ticks x recv_timeout_seconds (0.15 s). Like the threaded
+// ring, whose segment waits only time out on a silent peer, a ring whose
+// members have all joined gets no ticks, so no member sends GroupStuck.
+TEST(ChaosTest, SimulatorLongHealthyRingIsNeverAborted) {
+  ExperimentConfig config;
+  config.training.num_workers = kWorkers;
+  config.training.max_updates = 30;
+  config.training.accuracy_threshold = -1.0;
+  config.training.seed = 4;
+  FaultPlan& plan = config.training.fault;
+  plan.force_fault_tolerant = true;
+  for (int a = 0; a < kWorkers; ++a) {
+    for (int b = 0; b < kWorkers; ++b) {
+      if (a != b) plan.link_delay_seconds[{a, b}] = 0.03;
+    }
+  }
+  ASSERT_GT(6 * 0.03, plan.stuck_report_ticks * plan.recv_timeout_seconds);
+  config.strategy.kind = StrategyKind::kPReduceConst;
+  config.strategy.group_size = kGroupSize;
+  const SimRunResult result = RunExperiment(config);
+
+  EXPECT_EQ(result.updates, 30u);
+  EXPECT_EQ(result.metrics.counter("fault.aborted_groups"), 0.0);
 }
 
 TEST(ChaosTest, SimulatorChaosIsDeterministic) {

@@ -1,15 +1,17 @@
-// A schedule explorer over the P-Reduce service core.
+// A schedule explorer over the P-Reduce protocol cores.
 //
-// Scripted workers follow the threaded worker's protocol: Ready re-sends
-// every few ticks, GroupInfo deduplicated by ascending id, GroupDone after
-// the reduce, Ready again after an Abort, Pause/Rejoin windows, and Leave at
-// the end of the budget. Their messages reach the service through
-// PReduceService::Receive, the decoder the threaded pump uses, and a lease
-// detector evicts silent workers the way the pump does. At every step a
-// seeded RNG picks the next delivery (any in-flight message, so delivery
-// order is arbitrary), a drop, a duplicate, or a clock tick; a controller
-// crash with restart is optional. After every step the explorer asserts the
-// protocol invariants, and every schedule must let every worker finish.
+// N real PReduceWorker cores and one PReduceService talk through an
+// in-flight network, in the wire form both engines use: worker messages
+// reach the service through PReduceService::Receive, service messages are
+// encoded with EncodeServiceAction and decoded by PReduceWorker::Receive. The
+// explorer keeps only the environment: compute and pause timers, the
+// network, the threaded pump's lease detector, a controller crash with
+// restart, and an abstract ring per group that completes once every member
+// has joined and none has left. At every step a seeded RNG picks the next
+// delivery (any message the recipient would take now, so delivery order is
+// arbitrary), a drop, a duplicate, or a clock tick. After every step the
+// explorer asserts the protocol invariants, and every schedule must let
+// every worker finish.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -19,7 +21,6 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -30,23 +31,31 @@
 #include "core/sync_matrix.h"
 #include "fault/failure_detector.h"
 #include "strategies/p_reduce_service.h"
+#include "strategies/p_reduce_worker.h"
 
 namespace pr {
 namespace {
+
+/// The degradation gates a configuration turns on.
+enum class Gates { kOff, kMinGroupSize, kLivenessFloor };
 
 struct ExploreConfig {
   int n = 4;
   int p = 2;
   bool dynamic = false;
   bool crash = false;
+  Gates gates = Gates::kOff;
 };
 
 std::string ConfigName(const ExploreConfig& c) {
+  static const char* const kGates[] = {"", " min_group_size=2",
+                                       " liveness_floor=N-1"};
   return "N=" + std::to_string(c.n) + " P=" + std::to_string(c.p) +
-         (c.dynamic ? " DYN" : " CON") + (c.crash ? " crash" : "");
+         (c.dynamic ? " DYN" : " CON") + (c.crash ? " crash" : "") +
+         kGates[static_cast<int>(c.gates)];
 }
 
-// The schedule being explored, printed if the core aborts mid-schedule.
+// The schedule being explored, printed if a core aborts mid-schedule.
 char g_current[128];
 const std::string* g_log = nullptr;
 
@@ -65,13 +74,19 @@ class Explorer {
  public:
   Explorer(const ExploreConfig& config, uint64_t seed)
       : config_(config), rng_(seed * 0x9E3779B97F4A7C15ULL + 0x1234567ULL) {
+    // Every duration below is in ticks.
     plan_.seed = seed;
     plan_.force_fault_tolerant = true;
     plan_.resend_ready_ticks = 3;
     plan_.stuck_report_ticks = 2;
     plan_.stuck_abort_reports = 2;
-    plan_.lease_seconds = 6.0;  // in ticks
+    plan_.lease_seconds = 6.0;
     plan_.missed_threshold = 2;
+    plan_.max_verdict_wait_seconds = 40.0;
+    plan_.max_reduce_stall_seconds = 30.0;
+    plan_.reregister_backoff_seconds = 3.0;
+    plan_.reregister_backoff_max_seconds = 6.0;
+    plan_.max_controller_outage_seconds = 40.0;
     if (config.crash) {
       ControllerFaultEvent outage;
       outage.after_groups = 1 + Below(4);
@@ -83,23 +98,33 @@ class Explorer {
     options.kind = config.dynamic ? StrategyKind::kPReduceDynamic
                                   : StrategyKind::kPReduceConst;
     options.group_size = config.p;
+    if (config.gates == Gates::kMinGroupSize) {
+      options.scale_policy.min_group_size = 2;
+    } else if (config.gates == Gates::kLivenessFloor) {
+      options.scale_policy.liveness_floor = config.n - 1;
+    }
     service_ = std::make_unique<PReduceService>(
         options, config.n, Topology(), plan_, ScenarioMetrics{},
         PReduceService::Observers{});
-    budget_ = 4 + static_cast<int>(Below(5));
+    const size_t budget = 4 + Below(5);
     drops_left_ = static_cast<int>(Below(6));
     dups_left_ = static_cast<int>(Below(4));
-    workers_.resize(static_cast<size_t>(config.n));
-    for (Worker& w : workers_) {
-      w.timer = ComputeTicks();
+    envs_.resize(static_cast<size_t>(config.n));
+    cores_.reserve(static_cast<size_t>(config.n));
+    for (int w = 0; w < config.n; ++w) {
+      cores_.emplace_back(w, options, plan_, PReduceWorker::Observers{}, 0,
+                          0, budget);
+      Env& env = envs_[static_cast<size_t>(w)];
       if (Below(2) == 0) {
-        w.pause_at = 1 + static_cast<int>(Below(
-                             static_cast<uint64_t>(budget_ - 1)));
-        w.pause_ticks = 1 + static_cast<int>(Below(3));
+        env.pause_at = 1 + Below(budget - 1);
+        env.pause_ticks = 1 + static_cast<int>(Below(3));
       }
     }
     StartLeases();
     log_.reserve(1 << 14);
+    for (int w = 0; w < config.n; ++w) {
+      Run(w, cores_[static_cast<size_t>(w)].Start());
+    }
   }
 
   /// Runs the schedule to completion; false on a violated invariant or a
@@ -119,33 +144,24 @@ class Explorer {
   const std::string& failure() const { return failure_; }
 
  private:
-  enum class Phase { kComputing, kPaused, kWaiting, kReducing, kFinished };
-  struct Worker {
-    Phase phase = Phase::kComputing;
-    int timer = 0;  ///< ticks left computing or paused
-    int ticks = 0;  ///< ticks spent in the current wait or reduce
-    int k = 0;      ///< completed local iterations
-    int64_t iteration = 0;
-    uint64_t last_group_id = 0;
-    uint64_t group = 0;  ///< the group being reduced
-    std::deque<uint64_t> done_groups;
-    int pause_at = -1;
+  using Phase = PReduceWorker::Phase;
+  /// The environment of one worker core.
+  struct Env {
+    int timer = 0;        ///< ticks left computing or paused
+    size_t pause_at = 0;  ///< the boundary that pauses (0: none)
     int pause_ticks = 0;
+    uint64_t last_started = 0;  ///< the last group the core started
   };
-  /// A message on the wire: worker -> service as a kind and ints (decoded
-  /// by the service), service -> worker as the typed action.
+  /// A message on the wire, in its encoded form.
   struct Message {
     bool to_service = true;
     int worker = -1;  ///< the sender or the recipient
-    int kind = 0;
-    std::vector<int64_t> ints;
-    ServiceAction action;
+    ControlMessage body;
   };
   /// The abstract ring of one group: it completes once every member has
-  /// joined and none has rolled back.
+  /// joined and none has left.
   struct Ring {
-    std::shared_ptr<const GroupDecision> group;
-    std::set<int> joined;
+    size_t joined = 0;
     bool broken = false;
   };
 
@@ -166,35 +182,13 @@ class Explorer {
   }
 
   bool AllFinished() const {
-    for (const Worker& w : workers_) {
-      if (w.phase != Phase::kFinished) return false;
+    for (const PReduceWorker& core : cores_) {
+      if (core.phase() != Phase::kFinished) return false;
     }
     return true;
   }
 
-  void Send(int worker, int kind, std::vector<int64_t> ints = {}) {
-    Message m;
-    m.worker = worker;
-    m.kind = kind;
-    m.ints = std::move(ints);
-    net_.push_back(std::move(m));
-  }
-
-  void SendReady(int w) {
-    const Worker& wk = workers_[static_cast<size_t>(w)];
-    if (config_.crash) {
-      // Under controller faults the re-send is a re-registration probe.
-      std::vector<int64_t> ints = {wk.iteration};
-      for (uint64_t g : wk.done_groups) {
-        ints.push_back(static_cast<int64_t>(g));
-      }
-      Send(w, kKindReregister, std::move(ints));
-    } else {
-      Send(w, kKindReady, {wk.iteration});
-    }
-  }
-
-  // --- The service side: what the threaded pump does. ---
+  // --- The service side: what the threaded service pump does. ---
 
   void StartLeases() {
     detector_ = std::make_unique<FailureDetector>(
@@ -216,155 +210,127 @@ class Explorer {
     for (const ServiceAction& a : actions) {
       Log(static_cast<char>('a' + static_cast<int>(a.kind)), a.worker,
           static_cast<long long>(a.group_id));
-      if (a.kind == ServiceAction::Kind::kGroupInfo && !a.resend) {
-        CheckNewGroup(a);
+      if (a.kind == ServiceAction::Kind::kGroupInfo &&
+          groups_.count(a.group_id) == 0) {
+        CheckNewGroup(*a.group);
       }
       if (a.kind == ServiceAction::Kind::kAbort) aborted_.insert(a.group_id);
-      Message m;
-      m.to_service = false;
-      m.worker = a.worker;
-      m.action = a;
-      net_.push_back(std::move(m));
+      net_.push_back({false, a.worker, EncodeServiceAction(a)});
     }
   }
 
   void DeliverToService(const Message& m) {
     if (service_->down()) return;  // severed endpoint
-    Emit(service_->Receive(m.worker, m.kind, m.ints));
+    Emit(service_->Receive(m.worker, m.body.kind, m.body.ints));
     if (service_->serving()) Renew(m.worker);
   }
 
-  // --- The scripted workers: what the threaded worker does. ---
+  // --- The worker side: the real cores and their environment. ---
 
-  void Boundary(int w) {
-    Worker& wk = workers_[static_cast<size_t>(w)];
-    ++wk.k;
-    ++wk.iteration;
-    if (wk.k == budget_) {
-      Send(w, kKindLeave);
-      wk.phase = Phase::kFinished;
-    } else if (wk.k == wk.pause_at) {
-      Send(w, kKindPause);
-      wk.phase = Phase::kPaused;
-      wk.timer = wk.pause_ticks;
-    } else {
-      Send(w, kKindReady, {wk.iteration});
-      wk.phase = Phase::kWaiting;
-      wk.ticks = 0;
-    }
-  }
-
-  void TickWorker(int w) {
-    Worker& wk = workers_[static_cast<size_t>(w)];
-    switch (wk.phase) {
-      case Phase::kComputing:
-        if (--wk.timer <= 0) Boundary(w);
-        break;
-      case Phase::kPaused:
-        if (--wk.timer <= 0) {
-          Send(w, kKindRejoin);
-          Send(w, kKindReady, {wk.iteration});
-          wk.phase = Phase::kWaiting;
-          wk.ticks = 0;
+  void Run(int w, const WorkerActions& actions) {
+    PReduceWorker& core = cores_[static_cast<size_t>(w)];
+    bool stop_reduce = false;
+    for (const WorkerAction& a : actions) {
+      switch (a.kind) {
+        case WorkerAction::Kind::kSend: {
+          Message m;
+          m.worker = w;
+          m.body.kind = a.message;
+          m.body.ints = a.ints;
+          net_.push_back(std::move(m));
+          break;
         }
-        break;
-      case Phase::kWaiting:
-        if (++wk.ticks % plan_.resend_ready_ticks == 0) SendReady(w);
-        break;
-      case Phase::kReducing:
-        if (++wk.ticks % plan_.stuck_report_ticks == 0) {
-          Send(w, kKindGroupStuck, {static_cast<int64_t>(wk.group)});
-        }
-        break;
-      case Phase::kFinished:
-        break;
-    }
-  }
-
-  /// True when the worker's receive loop would take this message now.
-  bool Deliverable(const Message& m) const {
-    if (m.to_service) return true;
-    const Worker& wk = workers_[static_cast<size_t>(m.worker)];
-    switch (wk.phase) {
-      case Phase::kWaiting:
-      case Phase::kFinished:
-        return true;
-      case Phase::kReducing:
-        // The ring's deadline tick only takes an Abort for its own group.
-        return m.action.kind == ServiceAction::Kind::kAbort &&
-               m.action.group_id == wk.group;
-      default:
-        return false;
-    }
-  }
-
-  void DeliverToWorker(const ServiceAction& a) {
-    Worker& wk = workers_[static_cast<size_t>(a.worker)];
-    if (wk.phase == Phase::kFinished) return;
-    if (wk.phase == Phase::kReducing) {
-      // Abort for the group in progress: roll back and re-queue.
-      rings_[wk.group].broken = true;
-      wk.phase = Phase::kWaiting;
-      Send(a.worker, kKindReady, {wk.iteration});
-      return;
-    }
-    switch (a.kind) {
-      case ServiceAction::Kind::kGroupInfo: {
-        if (a.group_id <= wk.last_group_id) return;  // duplicate / re-sent
-        wk.last_group_id = a.group_id;
-        wk.phase = Phase::kReducing;
-        wk.group = a.group_id;
-        wk.ticks = 0;
-        Ring& ring = rings_[a.group_id];
-        if (ring.group != a.group) ring = Ring{a.group, {}, false};
-        ring.joined.insert(a.worker);
-        if (!ring.broken && ring.joined.size() == a.group->members.size()) {
-          CompleteRing(ring);
-        }
-        break;
+        case WorkerAction::Kind::kStartReduce:
+          Join(w, a.group);
+          break;
+        case WorkerAction::Kind::kStopReduce:
+          stop_reduce = true;
+          break;
+        case WorkerAction::Kind::kProceed:
+          envs_[static_cast<size_t>(w)].timer = ComputeTicks();
+          break;
+        case WorkerAction::Kind::kSleep:
+        case WorkerAction::Kind::kDie:
+          Fail("worker " + std::to_string(w) + " ran an unarmed fault");
+          break;
+        default:
+          break;  // rollback and purges touch nothing here
       }
-      case ServiceAction::Kind::kRelease:
-        wk.phase = Phase::kComputing;
-        wk.timer = ComputeTicks();
-        break;
-      case ServiceAction::Kind::kAbort:
-        // For a group whose GroupInfo never arrived: adopt the id so a late
-        // re-send is ignored.
-        wk.last_group_id = std::max(wk.last_group_id, a.group_id);
-        break;
-      case ServiceAction::Kind::kReregisterAck:
-        break;
+    }
+    if (stop_reduce) {
+      const uint64_t g = core.group().group_id;
+      Log('S', w, static_cast<long long>(g));
+      rings_[g].broken = true;
+      Run(w, core.ReduceEnd(clock_, /*ok=*/false));
     }
   }
 
-  void CompleteRing(Ring& ring) {
-    const GroupDecision& g = *ring.group;
-    ring.broken = true;  // a ring completes once
+  void Join(int w, const std::shared_ptr<const GroupDecision>& group) {
+    CheckStart(w, *group);
+    Ring& ring = rings_[group->group_id];
+    if (++ring.joined == group->members.size() && !ring.broken) {
+      CompleteRing(group->group_id);
+    }
+  }
+
+  void CompleteRing(uint64_t group_id) {
+    rings_[group_id].broken = true;  // a ring completes once
+    const GroupDecision& g = groups_.at(group_id);
     for (size_t i = 0; i < g.members.size(); ++i) {
-      const int m = g.members[i];
-      // (d) A completed group consumes each member's signalled iteration.
-      const std::pair<int, int64_t> key{m, g.iterations[i]};
+      // (d) A completed group consumes each member's signalled iteration,
+      // and so does a Release the worker took.
+      const std::pair<int, int64_t> key{g.members[i], g.iterations[i]};
+      if (released_.count(key) != 0) {
+        Fail("worker " + std::to_string(g.members[i]) + " iteration " +
+             std::to_string(g.iterations[i]) + " released and grouped in " +
+             std::to_string(g.group_id));
+      }
       auto [it, fresh] = consumed_.emplace(key, g.group_id);
       if (!fresh) {
         if (aborted_.count(it->second) == 0) {
-          Fail("worker " + std::to_string(m) + " iteration " +
+          Fail("worker " + std::to_string(g.members[i]) + " iteration " +
                std::to_string(g.iterations[i]) + " consumed by groups " +
                std::to_string(it->second) + " and " +
                std::to_string(g.group_id));
         }
         it->second = g.group_id;
       }
-      Worker& wk = workers_[static_cast<size_t>(m)];
-      wk.done_groups.push_back(g.group_id);
-      if (wk.done_groups.size() > 8) wk.done_groups.pop_front();
-      Send(m, kKindGroupDone, {static_cast<int64_t>(g.group_id)});
-      if (config_.dynamic) wk.iteration = g.advanced_iteration;
-      wk.phase = Phase::kComputing;
-      wk.timer = ComputeTicks();
+    }
+    for (int m : g.members) {
+      Run(m, cores_[static_cast<size_t>(m)].ReduceEnd(clock_, /*ok=*/true));
+    }
+  }
+
+  void TickWorker(int w) {
+    PReduceWorker& core = cores_[static_cast<size_t>(w)];
+    Env& env = envs_[static_cast<size_t>(w)];
+    switch (core.phase()) {
+      case Phase::kComputing:
+        if (--env.timer > 0) break;
+        if (core.completed() + 1 == env.pause_at) core.RequestPause();
+        Run(w, core.Boundary(clock_));
+        if (core.phase() == Phase::kPaused) env.timer = env.pause_ticks;
+        break;
+      case Phase::kPaused:
+        if (--env.timer <= 0) Run(w, core.Resume(clock_));
+        break;
+      case Phase::kWaiting:
+        Run(w, core.WaitTick(clock_));
+        break;
+      case Phase::kReducing:
+        Run(w, core.RingTick(clock_));
+        break;
+      default:
+        break;
     }
   }
 
   // --- The scheduler. ---
+
+  bool Deliverable(const Message& m) const {
+    return m.to_service || cores_[static_cast<size_t>(m.worker)].Deliverable(
+                               m.body.kind, m.body.ints);
+  }
 
   void Tick() {
     clock_ += 1.0;
@@ -419,12 +385,18 @@ class Explorer {
       } else {
         net_.erase(net_.begin() + static_cast<ptrdiff_t>(i));
       }
-      Log(m.to_service ? 's' : 'w', m.worker,
-          m.to_service ? m.kind : static_cast<int>(m.action.kind));
+      Log(m.to_service ? 's' : 'w', m.worker, m.body.kind);
       if (m.to_service) {
         DeliverToService(m);
       } else {
-        DeliverToWorker(m.action);
+        PReduceWorker& core = cores_[static_cast<size_t>(m.worker)];
+        const Phase before = core.phase();
+        Run(m.worker, core.Receive(clock_, m.body.kind, m.body.ints,
+                                   m.body.weights));
+        if (m.body.kind == kKindRelease && before == Phase::kWaiting &&
+            core.phase() != Phase::kWaiting) {
+          released_.insert({m.worker, m.body.ints[0]});
+        }
       }
     }
     if (service_->CrashDue(service_->groups_formed())) {
@@ -440,10 +412,8 @@ class Explorer {
     if (failure_.empty()) failure_ = why;
   }
 
-  void CheckNewGroup(const ServiceAction& a) {
-    if (a.group == last_new_group_) return;  // the same group's next member
-    last_new_group_ = a.group;
-    const GroupDecision& g = *a.group;
+  void CheckNewGroup(const GroupDecision& g) {
+    groups_[g.group_id] = g;
     // (c) New group ids strictly increase, across failovers too.
     if (g.group_id <= last_group_id_) {
       Fail("group id " + std::to_string(g.group_id) + " after " +
@@ -456,6 +426,25 @@ class Explorer {
     if (w.RowStochasticError() >= 1e-9) Fail("W_k not row stochastic");
     if (!config_.dynamic && w.ColumnStochasticError() >= 1e-9) {
       Fail("CON W_k not doubly stochastic");
+    }
+  }
+
+  /// (f) The groups a core starts have strictly increasing ids, and every
+  /// member starts a group with the members, weights and advanced
+  /// iteration the service decided.
+  void CheckStart(int w, const GroupDecision& g) {
+    Env& env = envs_[static_cast<size_t>(w)];
+    if (g.group_id <= env.last_started) {
+      Fail("worker " + std::to_string(w) + " started group " +
+           std::to_string(g.group_id) + " after " +
+           std::to_string(env.last_started));
+    }
+    env.last_started = g.group_id;
+    const GroupDecision& decided = groups_.at(g.group_id);
+    if (g.members != decided.members || g.weights != decided.weights ||
+        g.advanced_iteration != decided.advanced_iteration) {
+      Fail("worker " + std::to_string(w) + " started group " +
+           std::to_string(g.group_id) + " unlike the service decided");
     }
   }
 
@@ -486,10 +475,10 @@ class Explorer {
   FaultPlan plan_;
   std::unique_ptr<PReduceService> service_;
   std::unique_ptr<FailureDetector> detector_;
-  std::vector<Worker> workers_;
+  std::vector<PReduceWorker> cores_;
+  std::vector<Env> envs_;
   std::vector<Message> net_;
   std::map<uint64_t, Ring> rings_;
-  int budget_ = 0;
   int drops_left_ = 0;
   int dups_left_ = 0;
   double clock_ = 0.0;
@@ -497,10 +486,12 @@ class Explorer {
   int window_ticks_ = 0;
   int down_left_ = 0;
   int window_left_ = 0;
-  std::shared_ptr<const GroupDecision> last_new_group_;
   uint64_t last_group_id_ = 0;
+  /// Every group the service formed, by id.
+  std::map<uint64_t, GroupDecision> groups_;
   std::set<uint64_t> aborted_;
   std::map<std::pair<int, int64_t>, uint64_t> consumed_;
+  std::set<std::pair<int, int64_t>> released_;
   std::string log_;
   std::string failure_;
 };
@@ -511,7 +502,14 @@ std::vector<ExploreConfig> Grid() {
     for (int p : {2, 3, 4}) {
       if (p > n) continue;
       for (bool dynamic : {false, true}) {
-        for (bool crash : {false, true}) grid.push_back({n, p, dynamic, crash});
+        for (bool crash : {false, true}) {
+          grid.push_back({n, p, dynamic, crash, Gates::kOff});
+        }
+        // The gates turn departures into smaller groups, Releases and
+        // local-step verdicts.
+        for (Gates gates : {Gates::kMinGroupSize, Gates::kLivenessFloor}) {
+          grid.push_back({n, p, dynamic, false, gates});
+        }
       }
     }
   }
@@ -519,7 +517,7 @@ std::vector<ExploreConfig> Grid() {
 }
 
 TEST(PReduceExplorerTest, InvariantsHoldOnEverySchedule) {
-  constexpr uint64_t kSeedsPerConfig = 230;  // 44 configs: 10,120 schedules
+  constexpr uint64_t kSeedsPerConfig = 230;  // 88 configs: 20,240 schedules
   std::signal(SIGABRT, DumpScheduleOnAbort);
   int failures = 0;
   for (const ExploreConfig& config : Grid()) {
@@ -542,7 +540,9 @@ TEST(PReduceExplorerTest, InvariantsHoldOnEverySchedule) {
 
 TEST(PReduceExplorerTest, SameSeedGivesByteIdenticalLog) {
   for (const ExploreConfig& config :
-       {ExploreConfig{6, 3, false, true}, ExploreConfig{4, 2, true, false}}) {
+       {ExploreConfig{6, 3, false, true, Gates::kOff},
+        ExploreConfig{4, 2, true, false, Gates::kOff},
+        ExploreConfig{4, 3, false, false, Gates::kLivenessFloor}}) {
     for (uint64_t seed = 1; seed <= 20; ++seed) {
       Explorer a(config, seed);
       Explorer b(config, seed);

@@ -134,5 +134,29 @@ TEST(PReduceServiceTest, ConsumedReadyIsNeverGroupedTwice) {
   EXPECT_EQ(next[0].group->iterations, (std::vector<int64_t>{4, 4}));
 }
 
+// A Release consumes the iteration it answers: a duplicated or re-sent
+// Ready for it gets the Release again and is never queued, so it cannot be
+// grouped after the worker moved on.
+TEST(PReduceServiceTest, ReleasedReadyIsAnsweredAgainNotRequeued) {
+  PReduceService service(Con(2), 3, Topology(), FaultPlan{},
+                         ScenarioMetrics{}, {});
+  EXPECT_TRUE(service.Ready(0, 5).empty());
+  service.Pause(1);
+  const ServiceActions released = service.Pause(2);  // the pool drops below P
+  ASSERT_TRUE(IsRelease(released, 0));
+  EXPECT_EQ(released[0].iteration, 5);
+  service.Rejoin(1);
+  service.Rejoin(2);
+
+  const ServiceActions again = service.Ready(0, 5);
+  ASSERT_TRUE(IsRelease(again, 0));
+  EXPECT_EQ(again[0].iteration, 5);
+  EXPECT_TRUE(service.Ready(1, 7).empty());  // nothing to pair with
+  EXPECT_TRUE(service.Ready(0, 4).empty());  // older still: stale
+  const ServiceActions formed = service.Ready(0, 6);
+  ASSERT_EQ(formed.size(), 2u);
+  EXPECT_EQ(formed[0].group->iterations, (std::vector<int64_t>{7, 6}));
+}
+
 }  // namespace
 }  // namespace pr
