@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Socket-transport smoke: drive `prlaunch` with 4 worker processes through
-# short CON, DYN, and AR runs, asserting final loss matches the in-proc
-# engine within 1e-3 (prlaunch exits non-zero on a parity violation), then
-# a kill-one-worker chaos variant that must survive the loss of a worker
-# and still land within tolerance.
+# Socket-transport smoke: reject a malformed flag with exit 2, then drive
+# `prlaunch` with 4 worker processes through short CON, DYN, and AR runs,
+# asserting final loss matches the in-proc engine within 1e-3 (prlaunch
+# exits non-zero on a parity violation), then a kill-one-worker chaos
+# variant that must survive the loss of a worker and still land within
+# tolerance.
 #
 # The clean runs use lr=0.01/momentum=0 and the kill run lr=1e-4: partial
 # reduce group formation is timing-dependent, so parity across engines is
@@ -24,6 +25,15 @@ smoke_tmpdir WORK
 
 COMMON=(-n 4 --iters 400 --batch 16 --lr 0.01 --momentum 0.0 --seed 7
         --loss-tol 1e-3 --compare-inproc)
+
+# A flag value that does not parse in full is a usage error (exit 2), never
+# a silently truncated run: `--iters 10x` must not run 10 iterations.
+set +e
+"$PRLAUNCH" --iters 10x --workdir "$WORK/bad-flag" > "$WORK/bad-flag.log" 2>&1
+rc=$?
+set -e
+[ "$rc" -eq 2 ] || smoke_fail "prlaunch --iters 10x exited $rc, want 2"
+smoke_expect_grep "usage:" "$WORK/bad-flag.log" "usage on a malformed flag"
 
 for strategy in CON DYN AR; do
   log="$WORK/$strategy.log"

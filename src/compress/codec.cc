@@ -296,35 +296,6 @@ const Codec* CodecFor(CompressionKind kind) {
 
 }  // namespace
 
-std::string CompressionKindName(CompressionKind kind) {
-  switch (kind) {
-    case CompressionKind::kNone:
-      return "none";
-    case CompressionKind::kFp16:
-      return "fp16";
-    case CompressionKind::kInt8:
-      return "int8";
-    case CompressionKind::kTopK:
-      return "topk";
-  }
-  return "none";
-}
-
-bool ParseCompressionKind(const std::string& token, CompressionKind* out) {
-  if (token == "none") {
-    *out = CompressionKind::kNone;
-  } else if (token == "fp16") {
-    *out = CompressionKind::kFp16;
-  } else if (token == "int8") {
-    *out = CompressionKind::kInt8;
-  } else if (token == "topk") {
-    *out = CompressionKind::kTopK;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 std::unique_ptr<Codec> MakeCodec(CompressionKind kind) {
   switch (kind) {
     case CompressionKind::kFp16:

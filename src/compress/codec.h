@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/buffer.h"
+#include "common/enum_names.h"
 #include "common/status.h"
 
 namespace pr {
@@ -32,11 +33,23 @@ inline bool IsValidEncodingTag(uint8_t tag) {
   return tag < kNumCompressionKinds;
 }
 
-/// Config/report token: "none" | "fp16" | "int8" | "topk".
-std::string CompressionKindName(CompressionKind kind);
+/// Config, report and `prlaunch --compression` tokens.
+inline constexpr EnumName<CompressionKind> kCompressionKindNames[] = {
+    {CompressionKind::kNone, "none"},
+    {CompressionKind::kFp16, "fp16"},
+    {CompressionKind::kInt8, "int8"},
+    {CompressionKind::kTopK, "topk"},
+};
 
-/// Parses a config token; false on an unknown name.
-bool ParseCompressionKind(const std::string& token, CompressionKind* out);
+inline std::string CompressionKindName(CompressionKind kind) {
+  return NameOf(kCompressionKindNames, kind);
+}
+
+/// False on an unknown name.
+inline bool ParseCompressionKind(const std::string& token,
+                                 CompressionKind* out) {
+  return ParseEnum(kCompressionKindNames, token, out);
+}
 
 /// Elements per int8 quantization chunk: each chunk carries its own
 /// min/scale pair, so a single outlier only degrades 1 KiB of neighbours.

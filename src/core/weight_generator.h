@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/enum_names.h"
+
 namespace pr {
 
 /// \brief Policy for the EMA probability mass of relative-iteration slots
@@ -21,6 +23,13 @@ enum class MissingSlotPolicy {
   /// paper's explicitly suggested alternative: "approximate intermediate
   /// model to the version of the closest iteration number".
   kAssignToNearest,
+};
+
+/// Tokens of the `strategy.dynamic.missing_slot` config key.
+inline constexpr EnumName<MissingSlotPolicy> kMissingSlotPolicyNames[] = {
+    {MissingSlotPolicy::kRenormalize, "renormalize"},
+    {MissingSlotPolicy::kAssignToStaler, "staler"},
+    {MissingSlotPolicy::kAssignToNearest, "nearest"},
 };
 
 /// \brief Options for dynamic (staleness-aware) weight generation.

@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/enum_names.h"
+
 namespace pr {
 
 /// \brief Per-edge message fault probabilities.
@@ -42,6 +44,13 @@ struct WorkerFaultEvent {
   double hang_seconds = 0.0;        ///< kHang
   double slowdown_factor = 1.0;     ///< kSlowdown: compute time multiplier
   int slowdown_iterations = 0;      ///< kSlowdown: 0 = rest of run
+};
+
+/// Tokens of the `fault.worker_event` config key.
+inline constexpr EnumName<WorkerFaultEvent::Kind> kWorkerFaultKindNames[] = {
+    {WorkerFaultEvent::Kind::kCrash, "crash"},
+    {WorkerFaultEvent::Kind::kHang, "hang"},
+    {WorkerFaultEvent::Kind::kSlowdown, "slowdown"},
 };
 
 /// \brief One scheduled network partition: a worker's links are severed for

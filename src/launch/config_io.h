@@ -20,8 +20,9 @@ namespace pr {
 std::string SerializeRunConfig(const RunConfig& config);
 
 /// Parses text produced by SerializeRunConfig. Strict: unknown keys, bad
-/// header, or malformed values fail with kInvalidArgument (a version skew
-/// between launcher and worker binaries must not be silently half-applied).
+/// header, malformed values or trailing tokens fail with kInvalidArgument (a
+/// version skew between launcher and worker binaries must not be silently
+/// half-applied).
 Status ParseRunConfig(const std::string& text, RunConfig* out);
 
 /// Convenience wrappers: write (atomically, temp + rename) / read a config
@@ -29,16 +30,17 @@ Status ParseRunConfig(const std::string& text, RunConfig* out);
 Status SaveRunConfig(const std::string& path, const RunConfig& config);
 Status LoadRunConfig(const std::string& path, RunConfig* out);
 
-/// \brief JSON view of a RunConfig, derived mechanically from the text dialect.
+/// \brief JSON view of a RunConfig, written and read from the same field
+/// table as the text dialect.
 ///
 /// The JSON form is a flat object whose members mirror the `key value...`
-/// lines one-to-one ({"prconfig": 1, "strategy.kind": "CON", ...}); repeated
-/// keys (run.model.hidden, run.delay, run.churn, fault.edge,
-/// fault.worker_event, fault.controller_event) become arrays, and
-/// multi-token lines become arrays of tokens. Because both directions are
-/// re-encodings of SerializeRunConfig/ParseRunConfig there is no second
-/// serialization dialect to drift: every key the text parser accepts is the
-/// key the JSON parser accepts, with the same strictness.
+/// lines one-to-one ({"prconfig": 1, "strategy.kind": "CON", ...}): a
+/// one-value line is a scalar, a several-value line an array, and a
+/// repeated key (run.delay, fault.edge, ...) an array of per-line arrays.
+/// Values are typed: an enum or path is a string, everything else a number,
+/// and integer keys take only integral numbers in range (2.0 reads as 2;
+/// 2.5, true and "2" fail); bool keys read 0/1 or true/false. Every key the
+/// text parser accepts is the key the JSON parser accepts.
 std::string RunConfigToJson(const RunConfig& config);
 
 /// Parses the JSON form back into a RunConfig. Unknown members, malformed

@@ -21,9 +21,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ckpt/manifest.h"
+#include "common/line_reader.h"
 #include "launch/config_io.h"
 #include "launch/launcher.h"
 #include "launch/process_runner.h"
@@ -71,16 +73,15 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-bool ParseDelays(const std::string& arg, std::vector<double>* out) {
+bool ParseDelays(std::string_view arg, std::vector<double>* out) {
   out->clear();
   size_t start = 0;
   while (start <= arg.size()) {
     size_t comma = arg.find(',', start);
-    if (comma == std::string::npos) comma = arg.size();
-    const std::string token = arg.substr(start, comma - start);
-    char* end = nullptr;
-    out->push_back(std::strtod(token.c_str(), &end));
-    if (end == token.c_str() || *end != '\0') return false;
+    if (comma == std::string_view::npos) comma = arg.size();
+    if (!ParseToken(arg.substr(start, comma - start), &out->emplace_back())) {
+      return false;
+    }
     start = comma + 1;
   }
   return true;
@@ -108,8 +109,7 @@ int NodeMain(int argc, char** argv) {
       next();  // already dispatched on
     } else if (arg == "--node") {
       const char* v = next();
-      if (!v) return Usage(argv[0]);
-      options.node = std::atoi(v);
+      if (!v || !ParseToken(v, &options.node)) return Usage(argv[0]);
     } else if (arg == "--config") {
       const char* v = next();
       if (!v) return Usage(argv[0]);
@@ -161,51 +161,36 @@ int LauncherMain(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    // A flag value that does not parse in full is a usage error (exit 2).
+    auto take = [&](auto* out) { return (v = next()) && ParseToken(v, out); };
     if (arg == "-n" || arg == "--workers") {
-      if (!(v = next())) return Usage(argv[0]);
-      config.run.num_workers = std::atoi(v);
+      if (!take(&config.run.num_workers)) return Usage(argv[0]);
     } else if (arg == "--iters") {
-      if (!(v = next())) return Usage(argv[0]);
-      config.run.iterations_per_worker =
-          static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (!take(&config.run.iterations_per_worker)) return Usage(argv[0]);
     } else if (arg == "--strategy") {
-      if (!(v = next())) return Usage(argv[0]);
-      if (std::strcmp(v, "CON") == 0) {
-        config.strategy.kind = StrategyKind::kPReduceConst;
-      } else if (std::strcmp(v, "DYN") == 0) {
-        config.strategy.kind = StrategyKind::kPReduceDynamic;
-      } else if (std::strcmp(v, "AR") == 0) {
-        config.strategy.kind = StrategyKind::kAllReduce;
-      } else {
-        std::fprintf(stderr, "unsupported strategy %s\n", v);
-        return 2;
+      // Any strategy name parses; Launch rejects the kinds it cannot run.
+      if (!(v = next()) ||
+          !ParseEnum(kStrategyKindNames, v, &config.strategy.kind)) {
+        return Usage(argv[0]);
       }
     } else if (arg == "--compression") {
-      if (!(v = next())) return Usage(argv[0]);
-      if (!ParseCompressionKind(v, &config.strategy.compression)) {
-        std::fprintf(stderr, "unsupported compression %s\n", v);
-        return 2;
+      if (!(v = next()) ||
+          !ParseEnum(kCompressionKindNames, v, &config.strategy.compression)) {
+        return Usage(argv[0]);
       }
     } else if (arg == "--group-size") {
-      if (!(v = next())) return Usage(argv[0]);
-      config.strategy.group_size = std::atoi(v);
+      if (!take(&config.strategy.group_size)) return Usage(argv[0]);
     } else if (arg == "--seed") {
-      if (!(v = next())) return Usage(argv[0]);
-      config.run.seed = std::strtoull(v, nullptr, 10);
+      if (!take(&config.run.seed)) return Usage(argv[0]);
     } else if (arg == "--batch") {
-      if (!(v = next())) return Usage(argv[0]);
-      config.run.batch_size = static_cast<size_t>(std::atoi(v));
+      if (!take(&config.run.batch_size)) return Usage(argv[0]);
     } else if (arg == "--lr") {
-      if (!(v = next())) return Usage(argv[0]);
-      config.run.sgd.learning_rate = std::strtod(v, nullptr);
+      if (!take(&config.run.sgd.learning_rate)) return Usage(argv[0]);
     } else if (arg == "--momentum") {
-      if (!(v = next())) return Usage(argv[0]);
-      config.run.sgd.momentum = std::strtod(v, nullptr);
+      if (!take(&config.run.sgd.momentum)) return Usage(argv[0]);
     } else if (arg == "--delay") {
-      if (!(v = next())) return Usage(argv[0]);
-      if (!ParseDelays(v, &config.run.worker_delay_seconds)) {
-        std::fprintf(stderr, "bad --delay list %s\n", v);
-        return 2;
+      if (!(v = next()) || !ParseDelays(v, &config.run.worker_delay_seconds)) {
+        return Usage(argv[0]);
       }
     } else if (arg == "--topology") {
       if (!(v = next())) return Usage(argv[0]);
@@ -224,8 +209,7 @@ int LauncherMain(int argc, char** argv) {
     } else if (arg == "--hierarchical") {
       config.strategy.hierarchy.enabled = true;
     } else if (arg == "--cross-period") {
-      if (!(v = next())) return Usage(argv[0]);
-      config.strategy.hierarchy.cross_period = std::atoi(v);
+      if (!take(&config.strategy.hierarchy.cross_period)) return Usage(argv[0]);
     } else if (arg == "--workdir") {
       if (!(v = next())) return Usage(argv[0]);
       options.workdir = v;
@@ -234,26 +218,21 @@ int LauncherMain(int argc, char** argv) {
     } else if (arg == "--ft") {
       config.run.fault.force_fault_tolerant = true;
     } else if (arg == "--kill-worker") {
-      if (!(v = next())) return Usage(argv[0]);
-      options.kill.worker = std::atoi(v);
+      if (!take(&options.kill.worker)) return Usage(argv[0]);
     } else if (arg == "--kill-after") {
-      if (!(v = next())) return Usage(argv[0]);
-      options.kill.after_seconds = std::strtod(v, nullptr);
+      if (!take(&options.kill.after_seconds)) return Usage(argv[0]);
     } else if (arg == "--ckpt-dir") {
       if (!(v = next())) return Usage(argv[0]);
       config.run.ckpt.dir = v;
     } else if (arg == "--ckpt-every") {
-      if (!(v = next())) return Usage(argv[0]);
-      config.run.ckpt.every_iterations =
-          static_cast<size_t>(std::strtoull(v, nullptr, 10));
+      if (!take(&config.run.ckpt.every_iterations)) return Usage(argv[0]);
     } else if (arg == "--resume") {
       if (!(v = next())) return Usage(argv[0]);
       options.resume_manifest = v;
     } else if (arg == "--compare-inproc") {
       compare_inproc = true;
     } else if (arg == "--loss-tol") {
-      if (!(v = next())) return Usage(argv[0]);
-      loss_tol = std::strtod(v, nullptr);
+      if (!take(&loss_tol)) return Usage(argv[0]);
     } else if (arg == "--report") {
       if (!(v = next())) return Usage(argv[0]);
       json_path = v;

@@ -1,18 +1,12 @@
 #include "launch/report_io.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
+
+#include "common/line_reader.h"
 
 namespace pr {
 namespace {
-
-std::string Num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 // Floats get the shorter exact form: 9 significant decimal digits
 // round-trip any binary32 value.
@@ -20,11 +14,6 @@ std::string NumF(float v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.9g", static_cast<double>(v));
   return buf;
-}
-
-Status BadLine(int line_no, const std::string& what) {
-  return Status::InvalidArgument("report line " + std::to_string(line_no) +
-                                 ": " + what);
 }
 
 }  // namespace
@@ -35,7 +24,7 @@ std::string SerializeProcessReport(const ProcessReport& report) {
   out << "node " << report.node << "\n";
   out << "role " << report.role << "\n";
   out << "strategy " << report.strategy << "\n";
-  out << "wall_seconds " << Num(report.wall_seconds) << "\n";
+  out << "wall_seconds " << FormatExact(report.wall_seconds) << "\n";
   out << "group_reduces " << report.group_reduces << "\n";
   for (size_t w = 0; w < report.worker_iterations.size(); ++w) {
     if (report.worker_iterations[w] == 0) continue;
@@ -44,23 +33,23 @@ std::string SerializeProcessReport(const ProcessReport& report) {
   out << "num_workers " << report.worker_iterations.size() << "\n";
   for (size_t w = 0; w < report.worker_finish_seconds.size(); ++w) {
     if (report.worker_finish_seconds[w] == 0.0) continue;
-    out << "finish " << w << " " << Num(report.worker_finish_seconds[w])
+    out << "finish " << w << " " << FormatExact(report.worker_finish_seconds[w])
         << "\n";
   }
   out << "replica " << report.replica.size();
   for (float v : report.replica) out << " " << NumF(v);
   out << "\n";
   for (const auto& [name, value] : report.metrics.counters) {
-    out << "counter " << name << " " << Num(value) << "\n";
+    out << "counter " << name << " " << FormatExact(value) << "\n";
   }
   for (const auto& [name, value] : report.metrics.gauges) {
-    out << "gauge " << name << " " << Num(value) << "\n";
+    out << "gauge " << name << " " << FormatExact(value) << "\n";
   }
   for (const auto& [name, h] : report.metrics.histograms) {
     out << "hist " << name << " " << h.upper_bounds.size();
-    for (double b : h.upper_bounds) out << " " << Num(b);
+    for (double b : h.upper_bounds) out << " " << FormatExact(b);
     for (uint64_t c : h.counts) out << " " << c;
-    out << " " << h.total_count << " " << Num(h.sum) << "\n";
+    out << " " << h.total_count << " " << FormatExact(h.sum) << "\n";
   }
   out << "end\n";
   return out.str();
@@ -68,10 +57,7 @@ std::string SerializeProcessReport(const ProcessReport& report) {
 
 Status ParseProcessReport(const std::string& text, ProcessReport* out) {
   ProcessReport report;
-  std::istringstream lines(text);
-  std::string line;
-  int line_no = 0;
-  bool saw_header = false;
+  LineReader lines(text, "prreport", 1);
   bool saw_end = false;
   size_t num_workers = 0;
   // Sparse per-worker entries arrive before the num_workers line is
@@ -79,98 +65,64 @@ Status ParseProcessReport(const std::string& text, ProcessReport* out) {
   std::vector<std::pair<size_t, size_t>> iteration_entries;
   std::vector<std::pair<size_t, double>> finish_entries;
 
-  while (std::getline(lines, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    if (saw_end) return BadLine(line_no, "content after 'end' sentinel");
-    std::istringstream values(line);
-    std::string key;
-    values >> key;
-    if (key.empty()) continue;
-
-    if (!saw_header) {
-      int version = 0;
-      if (key != "prreport" || !(values >> version) || version != 1) {
-        return Status::InvalidArgument(
-            "report does not start with a 'prreport 1' header");
-      }
-      saw_header = true;
-      continue;
-    }
-
+  while (lines.Next()) {
+    const std::string_view key = lines.key();
+    if (saw_end) return lines.Error("content after 'end' sentinel");
     if (key == "node") {
-      if (!(values >> report.node)) return BadLine(line_no, "bad node");
+      PR_RETURN_NOT_OK(lines.Take(&report.node));
     } else if (key == "role") {
-      if (!(values >> report.role)) return BadLine(line_no, "bad role");
+      PR_RETURN_NOT_OK(lines.Take(&report.role));
     } else if (key == "strategy") {
-      if (!(values >> report.strategy)) {
-        return BadLine(line_no, "bad strategy");
-      }
+      PR_RETURN_NOT_OK(lines.Take(&report.strategy));
     } else if (key == "wall_seconds") {
-      if (!(values >> report.wall_seconds)) {
-        return BadLine(line_no, "bad wall_seconds");
-      }
+      PR_RETURN_NOT_OK(lines.Take(&report.wall_seconds));
     } else if (key == "group_reduces") {
-      if (!(values >> report.group_reduces)) {
-        return BadLine(line_no, "bad group_reduces");
-      }
+      PR_RETURN_NOT_OK(lines.Take(&report.group_reduces));
     } else if (key == "num_workers") {
-      if (!(values >> num_workers)) return BadLine(line_no, "bad num_workers");
+      PR_RETURN_NOT_OK(lines.Take(&num_workers));
     } else if (key == "iterations") {
-      size_t w = 0, n = 0;
-      if (!(values >> w >> n)) return BadLine(line_no, "bad iterations");
-      iteration_entries.emplace_back(w, n);
+      auto& [w, n] = iteration_entries.emplace_back();
+      PR_RETURN_NOT_OK(lines.Take(&w));
+      PR_RETURN_NOT_OK(lines.Take(&n));
     } else if (key == "finish") {
-      size_t w = 0;
-      double t = 0.0;
-      if (!(values >> w >> t)) return BadLine(line_no, "bad finish");
-      finish_entries.emplace_back(w, t);
+      auto& [w, t] = finish_entries.emplace_back();
+      PR_RETURN_NOT_OK(lines.Take(&w));
+      PR_RETURN_NOT_OK(lines.Take(&t));
     } else if (key == "replica") {
       size_t n = 0;
-      if (!(values >> n)) return BadLine(line_no, "bad replica length");
-      report.replica.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (!(values >> report.replica[i])) {
-          return BadLine(line_no, "replica truncated at element " +
-                                      std::to_string(i));
-        }
+      PR_RETURN_NOT_OK(lines.Take(&n));
+      report.replica.clear();
+      PR_RETURN_NOT_OK(lines.TakeAll(&report.replica));
+      if (report.replica.size() != n) {
+        return lines.Error("replica holds " +
+                           std::to_string(report.replica.size()) +
+                           " values, not " + std::to_string(n));
       }
-    } else if (key == "counter") {
+    } else if (key == "counter" || key == "gauge") {
+      auto& metrics = key == "counter" ? report.metrics.counters
+                                       : report.metrics.gauges;
       std::string name;
-      double value = 0.0;
-      if (!(values >> name >> value)) return BadLine(line_no, "bad counter");
-      report.metrics.counters[name] = value;
-    } else if (key == "gauge") {
-      std::string name;
-      double value = 0.0;
-      if (!(values >> name >> value)) return BadLine(line_no, "bad gauge");
-      report.metrics.gauges[name] = value;
+      PR_RETURN_NOT_OK(lines.Take(&name));
+      PR_RETURN_NOT_OK(lines.Take(&metrics[name]));
     } else if (key == "hist") {
       std::string name;
       size_t num_bounds = 0;
-      if (!(values >> name >> num_bounds)) {
-        return BadLine(line_no, "bad histogram");
-      }
-      HistogramSnapshot h;
+      PR_RETURN_NOT_OK(lines.Take(&name));
+      PR_RETURN_NOT_OK(lines.Take(&num_bounds));
+      HistogramSnapshot& h = report.metrics.histograms[name];
       h.upper_bounds.resize(num_bounds);
-      for (double& b : h.upper_bounds) {
-        if (!(values >> b)) return BadLine(line_no, "histogram bounds cut");
-      }
+      for (double& b : h.upper_bounds) PR_RETURN_NOT_OK(lines.Take(&b));
       h.counts.resize(num_bounds + 1);
-      for (uint64_t& c : h.counts) {
-        if (!(values >> c)) return BadLine(line_no, "histogram counts cut");
-      }
-      if (!(values >> h.total_count >> h.sum)) {
-        return BadLine(line_no, "histogram tail cut");
-      }
-      report.metrics.histograms[name] = h;
+      for (uint64_t& c : h.counts) PR_RETURN_NOT_OK(lines.Take(&c));
+      PR_RETURN_NOT_OK(lines.Take(&h.total_count));
+      PR_RETURN_NOT_OK(lines.Take(&h.sum));
     } else if (key == "end") {
       saw_end = true;
     } else {
-      return BadLine(line_no, "unknown key '" + key + "'");
+      return lines.Error("unknown key '" + std::string(key) + "'");
     }
   }
-  if (!saw_header) return Status::InvalidArgument("report has no header");
+  PR_RETURN_NOT_OK(lines.status());
   if (!saw_end) {
     return Status::InvalidArgument(
         "report has no 'end' sentinel (writer died mid-report?)");
@@ -191,26 +143,13 @@ Status ParseProcessReport(const std::string& text, ProcessReport* out) {
 
 Status SaveProcessReport(const std::string& path,
                          const ProcessReport& report) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return Status::Internal("cannot open " + tmp + " for writing");
-    out << SerializeProcessReport(report);
-    out.flush();
-    if (!out) return Status::Internal("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Internal("rename " + tmp + " -> " + path + " failed");
-  }
-  return Status::OK();
+  return WriteFileAtomically(path, SerializeProcessReport(report));
 }
 
 Status LoadProcessReport(const std::string& path, ProcessReport* out) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("report file " + path + " not readable");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return ParseProcessReport(text.str(), out);
+  std::string text;
+  PR_RETURN_NOT_OK(ReadTextFile(path, &text));
+  return ParseProcessReport(text, out);
 }
 
 }  // namespace pr

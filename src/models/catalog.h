@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.h"
+
 namespace pr {
 
 class Model;
@@ -61,6 +63,12 @@ struct ProxyModelSpec {
   /// kConvNet: filter count; the input dim must be a perfect square
   /// (interpreted as a 1-channel sqrt(dim) x sqrt(dim) image).
   size_t conv_filters = 8;
+};
+
+/// Tokens of the `run.model.kind` config key.
+inline constexpr EnumName<ProxyModelSpec::Kind> kProxyModelKindNames[] = {
+    {ProxyModelSpec::Kind::kMlp, "mlp"},
+    {ProxyModelSpec::Kind::kConvNet, "conv"},
 };
 
 /// \brief Constructs the proxy model for `spec` on `input_dim` features and

@@ -1,9 +1,12 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -130,5 +133,35 @@ class JsonValue {
 /// accepts the full escape set JsonWriter emits (including \uXXXX with
 /// surrogate pairs, decoded to UTF-8). Errors carry a byte offset.
 Status ParseJson(std::string_view text, JsonValue* out);
+
+/// True when the first non-blank character of `text` opens a JSON object:
+/// how a loader that takes either dialect tells JSON from text.
+inline bool IsJsonObjectText(std::string_view text) {
+  const size_t first = text.find_first_not_of(" \t\r\n");
+  return first != std::string_view::npos && text[first] == '{';
+}
+
+/// \brief The one conversion from a JSON number to an integer.
+///
+/// Fails unless `value` is a finite, integral number inside T's range, so
+/// true, "6", 2.7 and (for an int) 1e10 are all rejected while 2.0 reads as
+/// 2. `what` names the value in the error: "<what> must be a number" or
+/// "<what> must be an integer".
+template <typename T>
+  requires std::is_integral_v<T>
+Status JsonInt(const JsonValue& value, std::string_view what, T* out) {
+  if (!value.is_number()) {
+    return Status::InvalidArgument(std::string(what) + " must be a number");
+  }
+  const double v = value.number_value();
+  // T's max rounds up to 2^bits for 64-bit types, so `< max + 1` stays exact.
+  if (v != std::floor(v) ||
+      v < static_cast<double>(std::numeric_limits<T>::min()) ||
+      !(v < static_cast<double>(std::numeric_limits<T>::max()) + 1.0)) {
+    return Status::InvalidArgument(std::string(what) + " must be an integer");
+  }
+  *out = static_cast<T>(v);
+  return Status::OK();
+}
 
 }  // namespace pr

@@ -2,52 +2,6 @@
 
 namespace pr {
 
-const char* TraceEventKindName(TraceEventKind kind) {
-  switch (kind) {
-    case TraceEventKind::kSignalEnqueued:
-      return "signal_enqueued";
-    case TraceEventKind::kGroupFormed:
-      return "group_formed";
-    case TraceEventKind::kGroupBridged:
-      return "group_bridged";
-    case TraceEventKind::kGroupHeld:
-      return "group_held";
-    case TraceEventKind::kReduceStart:
-      return "reduce_start";
-    case TraceEventKind::kReduceEnd:
-      return "reduce_end";
-    case TraceEventKind::kStashHighWater:
-      return "stash_high_water";
-    case TraceEventKind::kPsPull:
-      return "ps_pull";
-    case TraceEventKind::kPsPush:
-      return "ps_push";
-    case TraceEventKind::kChurnLeave:
-      return "churn_leave";
-    case TraceEventKind::kChurnRejoin:
-      return "churn_rejoin";
-    case TraceEventKind::kFaultInjected:
-      return "fault_injected";
-    case TraceEventKind::kHeartbeat:
-      return "heartbeat";
-    case TraceEventKind::kWorkerEvicted:
-      return "worker_evicted";
-    case TraceEventKind::kGroupAborted:
-      return "group_aborted";
-    case TraceEventKind::kWorkerRetry:
-      return "worker_retry";
-    case TraceEventKind::kControllerCrash:
-      return "controller_crash";
-    case TraceEventKind::kControllerRestart:
-      return "controller_restart";
-    case TraceEventKind::kWorkerReregister:
-      return "worker_reregister";
-    case TraceEventKind::kCkptSaved:
-      return "ckpt_saved";
-  }
-  return "unknown";
-}
-
 TraceRecorder::TraceRecorder(size_t capacity) : capacity_(capacity) {
   ring_.reserve(capacity_);
 }

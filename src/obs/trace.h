@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.h"
+
 namespace pr {
 
 /// \brief Kinds of structured run events. The `a`/`b` payload fields are
@@ -32,8 +34,33 @@ enum class TraceEventKind {
   kCkptSaved,        ///< checkpoint manifest written; a = epoch, b = updates
 };
 
-/// Stable lower_snake name ("group_formed", ...), used in JSON output.
-const char* TraceEventKindName(TraceEventKind kind);
+/// Stable lower_snake names ("group_formed", ...), used in JSON output.
+inline constexpr EnumName<TraceEventKind> kTraceEventKindNames[] = {
+    {TraceEventKind::kSignalEnqueued, "signal_enqueued"},
+    {TraceEventKind::kGroupFormed, "group_formed"},
+    {TraceEventKind::kGroupBridged, "group_bridged"},
+    {TraceEventKind::kGroupHeld, "group_held"},
+    {TraceEventKind::kReduceStart, "reduce_start"},
+    {TraceEventKind::kReduceEnd, "reduce_end"},
+    {TraceEventKind::kStashHighWater, "stash_high_water"},
+    {TraceEventKind::kPsPull, "ps_pull"},
+    {TraceEventKind::kPsPush, "ps_push"},
+    {TraceEventKind::kChurnLeave, "churn_leave"},
+    {TraceEventKind::kChurnRejoin, "churn_rejoin"},
+    {TraceEventKind::kFaultInjected, "fault_injected"},
+    {TraceEventKind::kHeartbeat, "heartbeat"},
+    {TraceEventKind::kWorkerEvicted, "worker_evicted"},
+    {TraceEventKind::kGroupAborted, "group_aborted"},
+    {TraceEventKind::kWorkerRetry, "worker_retry"},
+    {TraceEventKind::kControllerCrash, "controller_crash"},
+    {TraceEventKind::kControllerRestart, "controller_restart"},
+    {TraceEventKind::kWorkerReregister, "worker_reregister"},
+    {TraceEventKind::kCkptSaved, "ckpt_saved"},
+};
+
+inline const char* TraceEventKindName(TraceEventKind kind) {
+  return NameOf(kTraceEventKindNames, kind);
+}
 
 /// \brief One timestamped run event. `time` is seconds on the recording
 /// engine's clock: wall-clock since run start (threaded) or virtual time

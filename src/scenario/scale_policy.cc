@@ -6,26 +6,6 @@
 
 namespace pr {
 
-const char* ScalePolicyKindName(ScalePolicyKind kind) {
-  switch (kind) {
-    case ScalePolicyKind::kNone:
-      return "none";
-    case ScalePolicyKind::kThreshold:
-      return "threshold";
-    case ScalePolicyKind::kTrend:
-      return "trend";
-  }
-  return "unknown";
-}
-
-bool ScalePolicyKindFromName(const std::string& name, ScalePolicyKind* out) {
-  if (name == "none") *out = ScalePolicyKind::kNone;
-  else if (name == "threshold") *out = ScalePolicyKind::kThreshold;
-  else if (name == "trend") *out = ScalePolicyKind::kTrend;
-  else return false;
-  return true;
-}
-
 ScalePolicy::ScalePolicy(const ScalePolicyConfig& config, int num_workers)
     : config_(config), num_workers_(num_workers) {
   PR_CHECK_GT(num_workers_, 0);

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "common/enum_names.h"
+
 namespace pr {
 
 /// \brief Which autoscaling policy watches the run.
@@ -20,8 +22,11 @@ namespace pr {
 ///   earlier than the threshold on the same schedule).
 enum class ScalePolicyKind { kNone = 0, kThreshold = 1, kTrend = 2 };
 
-const char* ScalePolicyKindName(ScalePolicyKind kind);
-bool ScalePolicyKindFromName(const std::string& name, ScalePolicyKind* out);
+inline constexpr EnumName<ScalePolicyKind> kScalePolicyKindNames[] = {
+    {ScalePolicyKind::kNone, "none"},
+    {ScalePolicyKind::kThreshold, "threshold"},
+    {ScalePolicyKind::kTrend, "trend"},
+};
 
 /// \brief Autoscaling + graceful-degradation knobs, serialized under
 /// `strategy.scale_policy.*` in both config dialects.

@@ -2,33 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "common/check.h"
+#include "common/line_reader.h"
 #include "common/rng.h"
 #include "obs/json.h"
 
 namespace pr {
 namespace {
-
-// Mirrors config_io's number formatting: shortest exact-round-trip doubles so
-// SerializeScenario(ParseScenario(...)) is byte-identical.
-std::string FormatDouble(double value) {
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::ostringstream out;
-    out.precision(precision);
-    out << value;
-    double parsed = 0.0;
-    std::istringstream in(out.str());
-    in >> parsed;
-    if (parsed == value) return out.str();
-  }
-  std::ostringstream out;
-  out.precision(17);
-  out << value;
-  return out.str();
-}
 
 bool IsNameToken(const std::string& name) {
   if (name.empty()) return false;
@@ -38,6 +20,15 @@ bool IsNameToken(const std::string& name) {
     if (!ok) return false;
   }
   return true;
+}
+
+Status JsonNumber(const JsonValue& value, const char* field, double* out) {
+  if (!value.is_number()) {
+    return Status::InvalidArgument(std::string("scenario json: bad event ") +
+                                   field);
+  }
+  *out = value.number_value();
+  return Status::OK();
 }
 
 // Converts a scenario time to the iteration index at which an
@@ -50,155 +41,68 @@ int TimeToIteration(double time, double expected_iteration_seconds) {
 
 }  // namespace
 
-const char* ScenarioEventKindName(ScenarioEventKind kind) {
-  switch (kind) {
-    case ScenarioEventKind::kDepart:
-      return "depart";
-    case ScenarioEventKind::kArrive:
-      return "arrive";
-    case ScenarioEventKind::kSlowdown:
-      return "slowdown";
-    case ScenarioEventKind::kCrash:
-      return "crash";
-    case ScenarioEventKind::kHang:
-      return "hang";
-    case ScenarioEventKind::kPartition:
-      return "partition";
-  }
-  return "unknown";
-}
-
-bool ScenarioEventKindFromName(const std::string& name,
-                               ScenarioEventKind* out) {
-  if (name == "depart") *out = ScenarioEventKind::kDepart;
-  else if (name == "arrive") *out = ScenarioEventKind::kArrive;
-  else if (name == "slowdown") *out = ScenarioEventKind::kSlowdown;
-  else if (name == "crash") *out = ScenarioEventKind::kCrash;
-  else if (name == "hang") *out = ScenarioEventKind::kHang;
-  else if (name == "partition") *out = ScenarioEventKind::kPartition;
-  else return false;
-  return true;
-}
-
 std::string SerializeScenario(const ScenarioSpec& spec) {
   std::ostringstream out;
   out << "prtrace 1\n";
   out << "name " << spec.name << '\n';
   out << "seed " << spec.seed << '\n';
   out << "expected_iteration_seconds "
-      << FormatDouble(spec.expected_iteration_seconds) << '\n';
+      << FormatShortest(spec.expected_iteration_seconds) << '\n';
   for (const ScenarioEvent& e : spec.events) {
     out << "event " << ScenarioEventKindName(e.kind) << " time "
-        << FormatDouble(e.time);
+        << FormatShortest(e.time);
     if (e.worker >= 0) out << " worker " << e.worker;
     if (e.node >= 0) out << " node " << e.node;
-    if (e.duration != 0.0) out << " duration " << FormatDouble(e.duration);
-    if (e.factor != 1.0) out << " factor " << FormatDouble(e.factor);
+    if (e.duration != 0.0) out << " duration " << FormatShortest(e.duration);
+    if (e.factor != 1.0) out << " factor " << FormatShortest(e.factor);
     out << '\n';
   }
   return out.str();
 }
 
 Status ParseScenario(const std::string& text, ScenarioSpec* out) {
-  std::istringstream in(text);
-  std::string line;
-  bool saw_header = false;
-  bool saw_event = false;
+  LineReader lines(text, "prtrace", 1);
   ScenarioSpec spec;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    size_t start = line.find_first_not_of(" \t");
-    if (start == std::string::npos || line[start] == '#') continue;
-    std::istringstream fields(line);
-    std::string key;
-    fields >> key;
-    if (!saw_header) {
-      int version = 0;
-      if (key != "prtrace" || !(fields >> version) || version != 1) {
-        return Status::InvalidArgument(
-            "scenario: expected 'prtrace 1' header, got: " + line);
-      }
-      saw_header = true;
-      continue;
-    }
+  while (lines.Next()) {
+    const std::string_view key = lines.key();
     if (key == "name") {
-      std::string name;
-      if (!(fields >> name) || !IsNameToken(name)) {
-        return Status::InvalidArgument("scenario: bad name in: " + line);
-      }
-      spec.name = name;
+      PR_RETURN_NOT_OK(lines.Take(&spec.name));
+      if (!IsNameToken(spec.name)) return lines.Bad();
     } else if (key == "seed") {
-      uint64_t seed = 0;
-      if (!(fields >> seed)) {
-        return Status::InvalidArgument("scenario: bad seed in: " + line);
-      }
-      spec.seed = seed;
+      PR_RETURN_NOT_OK(lines.Take(&spec.seed));
     } else if (key == "expected_iteration_seconds") {
-      double value = 0.0;
-      if (!(fields >> value) || !(value > 0.0)) {
-        return Status::InvalidArgument(
-            "scenario: bad expected_iteration_seconds in: " + line);
-      }
-      spec.expected_iteration_seconds = value;
+      PR_RETURN_NOT_OK(lines.Take(&spec.expected_iteration_seconds));
+      if (!(spec.expected_iteration_seconds > 0.0)) return lines.Bad();
     } else if (key == "event") {
-      if (!saw_event) {
-        // First occurrence clears: a re-parse replaces, never appends.
-        spec.events.clear();
-        saw_event = true;
-      }
-      std::string kind_name;
-      if (!(fields >> kind_name)) {
-        return Status::InvalidArgument("scenario: missing event kind in: " +
-                                       line);
-      }
       ScenarioEvent event;
-      if (!ScenarioEventKindFromName(kind_name, &event.kind)) {
-        return Status::InvalidArgument("scenario: unknown event kind '" +
-                                       kind_name + "' in: " + line);
-      }
+      PR_RETURN_NOT_OK(lines.Take(&event.kind, kScenarioEventKindNames));
       bool saw_time = false;
-      std::string field;
-      while (fields >> field) {
+      while (!lines.AtEnd()) {
+        std::string field;
+        PR_RETURN_NOT_OK(lines.Take(&field));
         if (field == "time") {
-          if (!(fields >> event.time)) {
-            return Status::InvalidArgument("scenario: bad time in: " + line);
-          }
+          PR_RETURN_NOT_OK(lines.Take(&event.time));
           saw_time = true;
         } else if (field == "worker") {
-          if (!(fields >> event.worker)) {
-            return Status::InvalidArgument("scenario: bad worker in: " + line);
-          }
+          PR_RETURN_NOT_OK(lines.Take(&event.worker));
         } else if (field == "node") {
-          if (!(fields >> event.node)) {
-            return Status::InvalidArgument("scenario: bad node in: " + line);
-          }
+          PR_RETURN_NOT_OK(lines.Take(&event.node));
         } else if (field == "duration") {
-          if (!(fields >> event.duration)) {
-            return Status::InvalidArgument("scenario: bad duration in: " +
-                                           line);
-          }
+          PR_RETURN_NOT_OK(lines.Take(&event.duration));
         } else if (field == "factor") {
-          if (!(fields >> event.factor)) {
-            return Status::InvalidArgument("scenario: bad factor in: " + line);
-          }
+          PR_RETURN_NOT_OK(lines.Take(&event.factor));
         } else {
-          return Status::InvalidArgument("scenario: unknown event field '" +
-                                         field + "' in: " + line);
+          return lines.Error("unknown event field '" + field + "'");
         }
       }
-      if (!saw_time) {
-        return Status::InvalidArgument("scenario: event missing time in: " +
-                                       line);
-      }
+      if (!saw_time) return lines.Error("event missing time");
       spec.events.push_back(event);
     } else {
       // Unknown keys are version skew, not noise to skip.
-      return Status::InvalidArgument("scenario: unknown key: " + key);
+      return lines.Error("unknown key '" + std::string(key) + "'");
     }
   }
-  if (!saw_header) {
-    return Status::InvalidArgument("scenario: missing 'prtrace 1' header");
-  }
+  PR_RETURN_NOT_OK(lines.status());
   *out = std::move(spec);
   return Status::OK();
 }
@@ -229,8 +133,7 @@ std::string ScenarioToJson(const ScenarioSpec& spec) {
 
 Status ScenarioFromJson(const std::string& json, ScenarioSpec* out) {
   JsonValue doc;
-  Status status = ParseJson(json, &doc);
-  if (!status.ok()) return status;
+  PR_RETURN_NOT_OK(ParseJson(json, &doc));
   if (!doc.is_object()) {
     return Status::InvalidArgument("scenario json: not an object");
   }
@@ -248,10 +151,7 @@ Status ScenarioFromJson(const std::string& json, ScenarioSpec* out) {
       }
       spec.name = value.string_value();
     } else if (key == "seed") {
-      if (!value.is_number() || value.number_value() < 0.0) {
-        return Status::InvalidArgument("scenario json: bad seed");
-      }
-      spec.seed = static_cast<uint64_t>(value.number_value());
+      PR_RETURN_NOT_OK(JsonInt(value, "scenario json: seed", &spec.seed));
     } else if (key == "expected_iteration_seconds") {
       if (!value.is_number() || !(value.number_value() > 0.0)) {
         return Status::InvalidArgument(
@@ -273,41 +173,25 @@ Status ScenarioFromJson(const std::string& json, ScenarioSpec* out) {
         for (const auto& [ekey, evalue] : item.members()) {
           if (ekey == "kind") {
             if (!evalue.is_string() ||
-                !ScenarioEventKindFromName(evalue.string_value(),
-                                           &event.kind)) {
+                !ParseEnum(kScenarioEventKindNames, evalue.string_value(),
+                           &event.kind)) {
               return Status::InvalidArgument(
                   "scenario json: bad event kind");
             }
             saw_kind = true;
           } else if (ekey == "time") {
-            if (!evalue.is_number()) {
-              return Status::InvalidArgument("scenario json: bad event time");
-            }
-            event.time = evalue.number_value();
+            PR_RETURN_NOT_OK(JsonNumber(evalue, "time", &event.time));
             saw_time = true;
           } else if (ekey == "worker") {
-            if (!evalue.is_number()) {
-              return Status::InvalidArgument(
-                  "scenario json: bad event worker");
-            }
-            event.worker = static_cast<int>(evalue.number_value());
+            PR_RETURN_NOT_OK(
+                JsonInt(evalue, "scenario json: event worker", &event.worker));
           } else if (ekey == "node") {
-            if (!evalue.is_number()) {
-              return Status::InvalidArgument("scenario json: bad event node");
-            }
-            event.node = static_cast<int>(evalue.number_value());
+            PR_RETURN_NOT_OK(
+                JsonInt(evalue, "scenario json: event node", &event.node));
           } else if (ekey == "duration") {
-            if (!evalue.is_number()) {
-              return Status::InvalidArgument(
-                  "scenario json: bad event duration");
-            }
-            event.duration = evalue.number_value();
+            PR_RETURN_NOT_OK(JsonNumber(evalue, "duration", &event.duration));
           } else if (ekey == "factor") {
-            if (!evalue.is_number()) {
-              return Status::InvalidArgument(
-                  "scenario json: bad event factor");
-            }
-            event.factor = evalue.number_value();
+            PR_RETURN_NOT_OK(JsonNumber(evalue, "factor", &event.factor));
           } else {
             return Status::InvalidArgument(
                 "scenario json: unknown event field: " + ekey);
@@ -328,18 +212,10 @@ Status ScenarioFromJson(const std::string& json, ScenarioSpec* out) {
 }
 
 Status LoadScenario(const std::string& path, ScenarioSpec* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("scenario: cannot open " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  size_t first = text.find_first_not_of(" \t\r\n");
-  if (first != std::string::npos && text[first] == '{') {
-    return ScenarioFromJson(text, out);
-  }
-  return ParseScenario(text, out);
+  std::string text;
+  PR_RETURN_NOT_OK(ReadTextFile(path, &text));
+  return IsJsonObjectText(text) ? ScenarioFromJson(text, out)
+                                : ParseScenario(text, out);
 }
 
 Status ValidateScenario(const ScenarioSpec& spec, int num_workers,

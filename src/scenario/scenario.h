@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/enum_names.h"
 #include "common/status.h"
 #include "fault/fault_plan.h"
 #include "topo/topology.h"
@@ -54,10 +55,19 @@ struct ScenarioSpec {
   bool enabled() const { return !events.empty(); }
 };
 
-/// Event-kind token used by both dialects ("depart", "crash", ...).
-const char* ScenarioEventKindName(ScenarioEventKind kind);
-bool ScenarioEventKindFromName(const std::string& name,
-                               ScenarioEventKind* out);
+/// Event-kind tokens of the prtrace dialects and the `scenario.event` key.
+inline constexpr EnumName<ScenarioEventKind> kScenarioEventKindNames[] = {
+    {ScenarioEventKind::kDepart, "depart"},
+    {ScenarioEventKind::kArrive, "arrive"},
+    {ScenarioEventKind::kSlowdown, "slowdown"},
+    {ScenarioEventKind::kCrash, "crash"},
+    {ScenarioEventKind::kHang, "hang"},
+    {ScenarioEventKind::kPartition, "partition"},
+};
+
+inline const char* ScenarioEventKindName(ScenarioEventKind kind) {
+  return NameOf(kScenarioEventKindNames, kind);
+}
 
 /// Text dialect: a `prtrace 1` header followed by key-value lines and one
 /// `event <kind> time <t> [worker <w>] [node <n>] [duration <d>]

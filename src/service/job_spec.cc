@@ -1,6 +1,5 @@
 #include "service/job_spec.h"
 
-#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -8,21 +7,6 @@
 
 namespace pr {
 namespace {
-
-Status JsonInt(const JsonValue& value, const char* key, int* out) {
-  if (!value.is_number()) {
-    return Status::InvalidArgument(std::string("job spec: \"") + key +
-                                   "\" must be a number");
-  }
-  const double v = value.number_value();
-  if (!std::isfinite(v) || v != std::floor(v) || v < -2147483648.0 ||
-      v > 2147483647.0) {
-    return Status::InvalidArgument(std::string("job spec: \"") + key +
-                                   "\" must be an integer");
-  }
-  *out = static_cast<int>(v);
-  return Status::OK();
-}
 
 Status JsonString(const JsonValue& value, const char* key, std::string* out) {
   if (!value.is_string()) {
@@ -75,13 +59,13 @@ Status JobSpecFromJsonValue(const JsonValue& value, JobSpec* out) {
         status = Status::InvalidArgument("job spec: \"tenant\" is empty");
       }
     } else if (key == "priority") {
-      status = JsonInt(v, "priority", &spec.priority);
+      status = JsonInt(v, "job spec: \"priority\"", &spec.priority);
     } else if (key == "min_workers") {
-      status = JsonInt(v, "min_workers", &spec.min_workers);
+      status = JsonInt(v, "job spec: \"min_workers\"", &spec.min_workers);
     } else if (key == "max_workers") {
-      status = JsonInt(v, "max_workers", &spec.max_workers);
+      status = JsonInt(v, "job spec: \"max_workers\"", &spec.max_workers);
     } else if (key == "data_shard") {
-      status = JsonInt(v, "data_shard", &spec.data_shard);
+      status = JsonInt(v, "job spec: \"data_shard\"", &spec.data_shard);
     } else if (key == "engine") {
       std::string token;
       status = JsonString(v, "engine", &token);

@@ -9,30 +9,6 @@
 
 namespace pr {
 
-std::string StrategyKindName(StrategyKind kind) {
-  switch (kind) {
-    case StrategyKind::kAllReduce:
-      return "AR";
-    case StrategyKind::kEagerReduce:
-      return "ER";
-    case StrategyKind::kAdPsgd:
-      return "AD";
-    case StrategyKind::kPsBsp:
-      return "PS-BSP";
-    case StrategyKind::kPsAsp:
-      return "PS-ASP";
-    case StrategyKind::kPsHete:
-      return "PS-HETE";
-    case StrategyKind::kPsBackup:
-      return "PS-BK";
-    case StrategyKind::kPReduceConst:
-      return "CON";
-    case StrategyKind::kPReduceDynamic:
-      return "DYN";
-  }
-  return "?";
-}
-
 std::unique_ptr<Strategy> MakeStrategy(const StrategyOptions& options,
                                        SimTraining* ctx) {
   PR_CHECK(ctx != nullptr);

@@ -3,6 +3,7 @@
 #include <memory>
 #include <string>
 
+#include "common/enum_names.h"
 #include "compress/codec.h"
 #include "core/controller.h"
 #include "scenario/scale_policy.h"
@@ -23,8 +24,23 @@ enum class StrategyKind {
   kPReduceDynamic,  ///< partial reduce, dynamic EMA weights (DYN)
 };
 
-/// Short display name matching the paper's tables ("AR", "CON", ...).
-std::string StrategyKindName(StrategyKind kind);
+/// Short display names matching the paper's tables; also the config and
+/// `prlaunch --strategy` tokens.
+inline constexpr EnumName<StrategyKind> kStrategyKindNames[] = {
+    {StrategyKind::kAllReduce, "AR"},
+    {StrategyKind::kEagerReduce, "ER"},
+    {StrategyKind::kAdPsgd, "AD"},
+    {StrategyKind::kPsBsp, "PS-BSP"},
+    {StrategyKind::kPsAsp, "PS-ASP"},
+    {StrategyKind::kPsHete, "PS-HETE"},
+    {StrategyKind::kPsBackup, "PS-BK"},
+    {StrategyKind::kPReduceConst, "CON"},
+    {StrategyKind::kPReduceDynamic, "DYN"},
+};
+
+inline std::string StrategyKindName(StrategyKind kind) {
+  return NameOf(kStrategyKindNames, kind);
+}
 
 /// \brief A membership change during a simulated P-Reduce run (elastic
 /// training): the worker stops participating after its in-flight iteration

@@ -2,33 +2,15 @@
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <unordered_set>
 
+#include "common/line_reader.h"
 #include "obs/json.h"
 
 namespace pr {
 namespace {
-
-// Mirrors config_io's number formatting: shortest exact-round-trip doubles so
-// Serialize(Parse(Serialize(t))) is byte-identical.
-std::string FormatDouble(double value) {
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::ostringstream out;
-    out.precision(precision);
-    out << value;
-    double parsed = 0.0;
-    std::istringstream in(out.str());
-    in >> parsed;
-    if (parsed == value) return out.str();
-  }
-  std::ostringstream out;
-  out.precision(17);
-  out << value;
-  return out.str();
-}
 
 Status ValidatePlacement(const std::vector<std::vector<int>>& nodes) {
   std::unordered_set<int> seen;
@@ -119,74 +101,33 @@ std::string Topology::Serialize() const {
     for (int worker : node) out << ' ' << worker;
     out << '\n';
   }
-  out << "inter_cost " << FormatDouble(inter_cost_) << '\n';
-  out << "inter_latency_factor " << FormatDouble(inter_latency_factor_)
+  out << "inter_cost " << FormatShortest(inter_cost_) << '\n';
+  out << "inter_latency_factor " << FormatShortest(inter_latency_factor_)
       << '\n';
   return out.str();
 }
 
 Status Topology::Parse(const std::string& text, Topology* out) {
-  std::istringstream in(text);
-  std::string line;
-  bool saw_header = false;
-  bool saw_node = false;
+  LineReader lines(text, "prtopo", 1);
   std::vector<std::vector<int>> nodes;
   Topology topo;
-  while (std::getline(in, line)) {
-    // Strip trailing CR and skip blanks/comments.
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    size_t start = line.find_first_not_of(" \t");
-    if (start == std::string::npos || line[start] == '#') continue;
-    std::istringstream fields(line);
-    std::string key;
-    fields >> key;
-    if (!saw_header) {
-      int version = 0;
-      if (key != "prtopo" || !(fields >> version) || version != 1) {
-        return Status::InvalidArgument(
-            "topology: expected 'prtopo 1' header, got: " + line);
-      }
-      saw_header = true;
-      continue;
-    }
+  while (lines.Next()) {
+    const std::string_view key = lines.key();
     if (key == "node") {
-      if (!saw_node) {
-        // First occurrence clears: a re-parse replaces, never appends.
-        nodes.clear();
-        saw_node = true;
-      }
-      std::vector<int> workers;
-      int worker = 0;
-      while (fields >> worker) workers.push_back(worker);
-      if (!fields.eof()) {
-        return Status::InvalidArgument("topology: bad worker id in: " + line);
-      }
-      nodes.push_back(std::move(workers));
+      PR_RETURN_NOT_OK(lines.TakeAll(&nodes.emplace_back()));
     } else if (key == "inter_cost") {
-      double value = 0.0;
-      if (!(fields >> value) || value <= 0.0) {
-        return Status::InvalidArgument("topology: bad inter_cost in: " + line);
-      }
-      topo.inter_cost_ = value;
+      PR_RETURN_NOT_OK(lines.Take(&topo.inter_cost_));
+      if (!(topo.inter_cost_ > 0.0)) return lines.Bad();
     } else if (key == "inter_latency_factor") {
-      double value = 0.0;
-      if (!(fields >> value) || value <= 0.0) {
-        return Status::InvalidArgument(
-            "topology: bad inter_latency_factor in: " + line);
-      }
-      topo.inter_latency_factor_ = value;
+      PR_RETURN_NOT_OK(lines.Take(&topo.inter_latency_factor_));
+      if (!(topo.inter_latency_factor_ > 0.0)) return lines.Bad();
     } else {
       // Unknown keys are version skew, not noise to skip.
-      return Status::InvalidArgument("topology: unknown key: " + key);
+      return lines.Error("unknown key '" + std::string(key) + "'");
     }
   }
-  if (!saw_header) {
-    return Status::InvalidArgument("topology: missing 'prtopo 1' header");
-  }
-  if (saw_node) {
-    Status status = FromNodes(nodes, &topo);
-    if (!status.ok()) return status;
-  }
+  PR_RETURN_NOT_OK(lines.status());
+  if (!nodes.empty()) PR_RETURN_NOT_OK(FromNodes(nodes, &topo));
   *out = std::move(topo);
   return Status::OK();
 }
@@ -210,8 +151,7 @@ std::string Topology::ToJson() const {
 
 Status Topology::FromJson(const std::string& json, Topology* out) {
   JsonValue doc;
-  Status status = ParseJson(json, &doc);
-  if (!status.ok()) return status;
+  PR_RETURN_NOT_OK(ParseJson(json, &doc));
   if (!doc.is_object()) {
     return Status::InvalidArgument("topology json: not an object");
   }
@@ -222,7 +162,6 @@ Status Topology::FromJson(const std::string& json, Topology* out) {
   }
   Topology topo;
   std::vector<std::vector<int>> nodes;
-  bool saw_nodes = false;
   for (const auto& [key, value] : doc.members()) {
     if (key == "prtopo") continue;
     if (key == "nodes") {
@@ -234,17 +173,12 @@ Status Topology::FromJson(const std::string& json, Topology* out) {
           return Status::InvalidArgument(
               "topology json: node entry not an array");
         }
-        std::vector<int> workers;
+        std::vector<int>& workers = nodes.emplace_back();
         for (const JsonValue& worker : node.items()) {
-          if (!worker.is_number()) {
-            return Status::InvalidArgument(
-                "topology json: worker id not a number");
-          }
-          workers.push_back(static_cast<int>(worker.number_value()));
+          PR_RETURN_NOT_OK(JsonInt(worker, "topology json: worker id",
+                                   &workers.emplace_back()));
         }
-        nodes.push_back(std::move(workers));
       }
-      saw_nodes = true;
     } else if (key == "inter_cost") {
       if (!value.is_number() || value.number_value() <= 0.0) {
         return Status::InvalidArgument("topology json: bad inter_cost");
@@ -260,27 +194,15 @@ Status Topology::FromJson(const std::string& json, Topology* out) {
       return Status::InvalidArgument("topology json: unknown key: " + key);
     }
   }
-  if (saw_nodes && !nodes.empty()) {
-    status = FromNodes(nodes, &topo);
-    if (!status.ok()) return status;
-  }
+  if (!nodes.empty()) PR_RETURN_NOT_OK(FromNodes(nodes, &topo));
   *out = std::move(topo);
   return Status::OK();
 }
 
 Status Topology::Load(const std::string& path, Topology* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("topology: cannot open " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  size_t first = text.find_first_not_of(" \t\r\n");
-  if (first != std::string::npos && text[first] == '{') {
-    return FromJson(text, out);
-  }
-  return Parse(text, out);
+  std::string text;
+  PR_RETURN_NOT_OK(ReadTextFile(path, &text));
+  return IsJsonObjectText(text) ? FromJson(text, out) : Parse(text, out);
 }
 
 }  // namespace pr

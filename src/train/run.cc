@@ -69,28 +69,6 @@ RunOutcome FromSim(SimRunResult result) {
 
 }  // namespace
 
-const char* EngineKindName(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kThreaded:
-      return "threaded";
-    case EngineKind::kSim:
-      return "sim";
-  }
-  return "threaded";
-}
-
-bool ParseEngineKind(const std::string& token, EngineKind* out) {
-  if (token == "threaded") {
-    *out = EngineKind::kThreaded;
-    return true;
-  }
-  if (token == "sim") {
-    *out = EngineKind::kSim;
-    return true;
-  }
-  return false;
-}
-
 ExperimentConfig ToExperimentConfig(const RunConfig& config) {
   ExperimentConfig out;
   out.strategy = config.strategy;

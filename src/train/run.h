@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "common/enum_names.h"
 #include "runtime/threaded_runtime.h"
 #include "train/experiment.h"
 
@@ -19,11 +20,19 @@ enum class EngineKind {
   kSim,
 };
 
-/// "threaded" / "sim".
-const char* EngineKindName(EngineKind kind);
+inline constexpr EnumName<EngineKind> kEngineKindNames[] = {
+    {EngineKind::kThreaded, "threaded"},
+    {EngineKind::kSim, "sim"},
+};
 
-/// Parses the names EngineKindName emits; false on anything else.
-bool ParseEngineKind(const std::string& token, EngineKind* out);
+inline const char* EngineKindName(EngineKind kind) {
+  return NameOf(kEngineKindNames, kind);
+}
+
+/// False on a name EngineKindName does not emit.
+inline bool ParseEngineKind(const std::string& token, EngineKind* out) {
+  return ParseEnum(kEngineKindNames, token, out);
+}
 
 /// \brief Engine-agnostic outcome of a run started through StartRun.
 ///

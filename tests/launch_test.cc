@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,17 @@ RunConfig FancyConfig() {
   config.strategy.hierarchy.enabled = true;
   config.strategy.hierarchy.cross_period = 6;
   config.strategy.group_cost_budget = 12.5;
+  ScalePolicyConfig& policy = config.strategy.scale_policy;
+  policy.kind = ScalePolicyKind::kTrend;
+  policy.interval_seconds = 0.375;
+  policy.idle_high = 0.625;
+  policy.idle_low = 0.125;
+  policy.min_workers = 3;
+  policy.max_workers = 6;
+  policy.trend_window = 5;
+  policy.min_group_size = 2;
+  policy.liveness_floor = 3;
+  policy.partition_ckpt_seconds = 1.5;
   config.run.num_workers = 7;
   config.run.iterations_per_worker = 123;
   config.run.batch_size = 48;
@@ -72,11 +84,13 @@ RunConfig FancyConfig() {
   config.run.dataset.separation = 1.75;
   config.run.dataset.noise = 0.9;
   config.run.dataset.label_noise = 0.05;
+  config.run.dataset.dirichlet_alpha = 0.3;
   config.run.dataset.seed = 1234;
   config.run.worker_delay_seconds = {0.001, 0.002, 0.0, 0.004, 0.0, 0.0, 0.1};
   config.run.churn.push_back({/*worker=*/2, /*after_iterations=*/10, 0.05});
   config.run.ckpt.dir = "/tmp/some ckpt dir";
   config.run.ckpt.every_iterations = 16;
+  config.run.ckpt.every_updates = 9;
   // Ragged placement: 7 workers over 3 nodes, plus off-default link costs.
   EXPECT_TRUE(
       Topology::FromNodes({{0, 1, 2}, {3, 4}, {5, 6}}, &config.run.topology)
@@ -108,6 +122,32 @@ RunConfig FancyConfig() {
   fault.missed_threshold = 3;
   fault.recv_timeout_seconds = 0.0625;
   fault.max_controller_outage_seconds = 7.5;
+  fault.stuck_report_ticks = 5;
+  fault.resend_ready_ticks = 6;
+  fault.stuck_abort_reports = 3;
+  fault.max_verdict_wait_seconds = 2.5;
+  fault.max_reduce_stall_seconds = 1.25;
+  fault.reregister_backoff_seconds = 0.03125;
+  fault.reregister_backoff_max_seconds = 0.5;
+  fault.reregister_window_seconds = 0.75;
+  fault.reregister_report_groups = 11;
+  ScenarioSpec& scenario = config.run.scenario;
+  scenario.name = "fancy-trace";
+  scenario.seed = 23;
+  scenario.expected_iteration_seconds = 0.02;
+  ScenarioEvent slowdown;
+  slowdown.kind = ScenarioEventKind::kSlowdown;
+  slowdown.time = 0.25;
+  slowdown.worker = 1;
+  slowdown.duration = 0.5;
+  slowdown.factor = 2.5;
+  scenario.events.push_back(slowdown);
+  ScenarioEvent rack;
+  rack.kind = ScenarioEventKind::kDepart;
+  rack.time = 0.5;
+  rack.node = 2;
+  rack.duration = 0.125;
+  scenario.events.push_back(rack);
   return config;
 }
 
@@ -146,6 +186,187 @@ TEST(ConfigIoTest, RoundTripIsExact) {
   const auto delay = parsed.run.fault.link_delay_seconds.find({3, 0});
   ASSERT_NE(delay, parsed.run.fault.link_delay_seconds.end());
   EXPECT_DOUBLE_EQ(delay->second, 0.02);
+}
+
+// Every key line of the default serialization must read differently in
+// FancyConfig's, so a writer or reader that dropped any key (or wrote its
+// default) fails the round trip above.
+TEST(ConfigIoTest, FancyConfigMovesEveryDefaultKey) {
+  const std::string fancy = "\n" + SerializeRunConfig(FancyConfig());
+  std::istringstream defaults(SerializeRunConfig(RunConfig{}));
+  std::string line;
+  std::getline(defaults, line);  // the header
+  int keys = 0;
+  while (std::getline(defaults, line)) {
+    ++keys;
+    const std::string key = line.substr(0, line.find(' '));
+    EXPECT_NE(fancy.find("\n" + key + " "), std::string::npos)
+        << "FancyConfig lacks " << key;
+    EXPECT_EQ(fancy.find("\n" + line + "\n"), std::string::npos)
+        << "FancyConfig leaves " << key << " at its default";
+  }
+  EXPECT_EQ(keys, 68);
+}
+
+// The text and JSON forms of FancyConfig, byte for byte. A writer change
+// that alters either one breaks every config already on disk.
+constexpr char kFancyText[] = R"(prconfig 1
+strategy.kind DYN
+strategy.group_size 4
+strategy.backup_workers 2
+strategy.er_quorum 5
+strategy.frozen_avoidance 0
+strategy.history_window 3
+strategy.record_sync_matrices 1
+strategy.average_momentum 1
+strategy.compression int8
+strategy.dynamic.alpha 0.625
+strategy.dynamic.staleness_tolerance 2
+strategy.dynamic.missing_slot renormalize
+strategy.hierarchy.enabled 1
+strategy.hierarchy.cross_period 6
+strategy.group_cost_budget 12.5
+strategy.scale_policy.kind trend
+strategy.scale_policy.interval_seconds 0.375
+strategy.scale_policy.idle_high 0.625
+strategy.scale_policy.idle_low 0.125
+strategy.scale_policy.min_workers 3
+strategy.scale_policy.max_workers 6
+strategy.scale_policy.trend_window 5
+strategy.scale_policy.min_group_size 2
+strategy.scale_policy.liveness_floor 3
+strategy.scale_policy.partition_ckpt_seconds 1.5
+run.num_workers 7
+run.iterations_per_worker 123
+run.batch_size 48
+run.seed 99
+run.record_timeline 1
+run.trace_capacity 256
+run.sgd.learning_rate 0.036999999999999998
+run.sgd.momentum 0.81000000000000005
+run.sgd.weight_decay 3.3000000000000003e-05
+run.model.kind conv
+run.model.hidden 24
+run.model.hidden 12
+run.model.conv_filters 6
+run.dataset.num_train 4096
+run.dataset.num_test 512
+run.dataset.dim 36
+run.dataset.num_classes 5
+run.dataset.modes_per_class 2
+run.dataset.separation 1.75
+run.dataset.noise 0.90000000000000002
+run.dataset.label_noise 0.050000000000000003
+run.dataset.dirichlet_alpha 0.29999999999999999
+run.dataset.seed 1234
+run.delay 0.001
+run.delay 0.002
+run.delay 0
+run.delay 0.0040000000000000001
+run.delay 0
+run.delay 0
+run.delay 0.10000000000000001
+run.churn 2 10 0.050000000000000003
+run.ckpt.dir /tmp/some ckpt dir
+run.ckpt.every_iterations 16
+run.ckpt.every_updates 9
+topology.inter_cost 5.5
+topology.inter_latency_factor 2.25
+topology.node 0 1 2
+topology.node 3 4
+topology.node 5 6
+fault.seed 17
+fault.force_fault_tolerant 1
+fault.default_edge 0.01 0.02 0.029999999999999999 0.0040000000000000001
+fault.edge 1 2 0.5 0 0.25 0.125
+fault.link_delay 0 3 0.014999999999999999
+fault.link_delay 3 0 0.02
+fault.worker_event 3 crash 5 1 0 1 0
+fault.worker_event 1 slowdown 2 0 0 3.5 4
+fault.controller_event 3 0.40000000000000002 0
+fault.lease_seconds 0.375
+fault.missed_threshold 3
+fault.recv_timeout_seconds 0.0625
+fault.stuck_report_ticks 5
+fault.resend_ready_ticks 6
+fault.stuck_abort_reports 3
+fault.max_verdict_wait_seconds 2.5
+fault.max_reduce_stall_seconds 1.25
+fault.reregister_backoff_seconds 0.03125
+fault.reregister_backoff_max_seconds 0.5
+fault.reregister_window_seconds 0.75
+fault.max_controller_outage_seconds 7.5
+fault.reregister_report_groups 11
+scenario.name fancy-trace
+scenario.seed 23
+scenario.expected_iteration_seconds 0.02
+scenario.event slowdown 0.25 1 -1 0.5 2.5
+scenario.event depart 0.5 -1 2 0.125 1
+)";
+
+constexpr char kFancyJson[] =
+    R"({"prconfig":1,"strategy.kind":"DYN","strategy.group_size":4)"
+    R"(,"strategy.backup_workers":2,"strategy.er_quorum":5)"
+    R"(,"strategy.frozen_avoidance":0,"strategy.history_window":3)"
+    R"(,"strategy.record_sync_matrices":1,"strategy.average_momentum":1)"
+    R"(,"strategy.compression":"int8","strategy.dynamic.alpha":0.625)"
+    R"(,"strategy.dynamic.staleness_tolerance":2)"
+    R"(,"strategy.dynamic.missing_slot":"renormalize")"
+    R"(,"strategy.hierarchy.enabled":1,"strategy.hierarchy.cross_period":6)"
+    R"(,"strategy.group_cost_budget":12.5)"
+    R"(,"strategy.scale_policy.kind":"trend")"
+    R"(,"strategy.scale_policy.interval_seconds":0.375)"
+    R"(,"strategy.scale_policy.idle_high":0.625)"
+    R"(,"strategy.scale_policy.idle_low":0.125)"
+    R"(,"strategy.scale_policy.min_workers":3)"
+    R"(,"strategy.scale_policy.max_workers":6)"
+    R"(,"strategy.scale_policy.trend_window":5)"
+    R"(,"strategy.scale_policy.min_group_size":2)"
+    R"(,"strategy.scale_policy.liveness_floor":3)"
+    R"(,"strategy.scale_policy.partition_ckpt_seconds":1.5)"
+    R"(,"run.num_workers":7,"run.iterations_per_worker":123)"
+    R"(,"run.batch_size":48,"run.seed":99,"run.record_timeline":1)"
+    R"(,"run.trace_capacity":256,"run.sgd.learning_rate":0.037)"
+    R"(,"run.sgd.momentum":0.81,"run.sgd.weight_decay":3.3e-05)"
+    R"(,"run.model.kind":"conv","run.model.hidden":[[24],[12]])"
+    R"(,"run.model.conv_filters":6,"run.dataset.num_train":4096)"
+    R"(,"run.dataset.num_test":512,"run.dataset.dim":36)"
+    R"(,"run.dataset.num_classes":5,"run.dataset.modes_per_class":2)"
+    R"(,"run.dataset.separation":1.75,"run.dataset.noise":0.9)"
+    R"(,"run.dataset.label_noise":0.05,"run.dataset.dirichlet_alpha":0.3)"
+    R"(,"run.dataset.seed":1234)"
+    R"(,"run.delay":[[0.001],[0.002],[0],[0.004],[0],[0],[0.1]])"
+    R"(,"run.churn":[[2,10,0.05]],"run.ckpt.dir":"/tmp/some ckpt dir")"
+    R"(,"run.ckpt.every_iterations":16,"run.ckpt.every_updates":9)"
+    R"(,"topology.inter_cost":5.5,"topology.inter_latency_factor":2.25)"
+    R"(,"topology.node":[[0,1,2],[3,4],[5,6]],"fault.seed":17)"
+    R"(,"fault.force_fault_tolerant":1)"
+    R"(,"fault.default_edge":[0.01,0.02,0.03,0.004])"
+    R"(,"fault.edge":[[1,2,0.5,0,0.25,0.125]])"
+    R"(,"fault.link_delay":[[0,3,0.015],[3,0,0.02]],"fault.worker_event":[[3)"
+    R"(,"crash",5,1,0,1,0],[1,"slowdown",2,0,0,3.5,4]])"
+    R"(,"fault.controller_event":[[3,0.4,0]],"fault.lease_seconds":0.375)"
+    R"(,"fault.missed_threshold":3,"fault.recv_timeout_seconds":0.0625)"
+    R"(,"fault.stuck_report_ticks":5,"fault.resend_ready_ticks":6)"
+    R"(,"fault.stuck_abort_reports":3,"fault.max_verdict_wait_seconds":2.5)"
+    R"(,"fault.max_reduce_stall_seconds":1.25)"
+    R"(,"fault.reregister_backoff_seconds":0.03125)"
+    R"(,"fault.reregister_backoff_max_seconds":0.5)"
+    R"(,"fault.reregister_window_seconds":0.75)"
+    R"(,"fault.max_controller_outage_seconds":7.5)"
+    R"(,"fault.reregister_report_groups":11,"scenario.name":"fancy-trace")"
+    R"(,"scenario.seed":23,"scenario.expected_iteration_seconds":0.02)"
+    R"(,"scenario.event":[["slowdown",0.25,1,-1,0.5,2.5],["depart",0.5,-1,2,0.125,1]]})";
+
+TEST(ConfigIoTest, FancyConfigMatchesGoldenText) {
+  EXPECT_EQ(SerializeRunConfig(FancyConfig()), kFancyText);
+}
+
+TEST(ConfigJsonTest, FancyConfigMatchesGoldenJson) {
+  EXPECT_EQ(RunConfigToJson(FancyConfig()), kFancyJson);
+  RunConfig parsed;
+  ASSERT_TRUE(RunConfigFromJson(kFancyJson, &parsed).ok());
+  EXPECT_EQ(SerializeRunConfig(parsed), kFancyText);
 }
 
 TEST(ConfigIoTest, RejectsMalformedTopologyAndFaultLines) {
@@ -245,6 +466,9 @@ TEST(ConfigIoTest, RejectsGarbage) {
       ParseRunConfig("prconfig 1\nstrategy.does_not_exist 3\n", &parsed).ok());
   EXPECT_FALSE(
       ParseRunConfig("prconfig 1\nrun.num_workers banana\n", &parsed).ok());
+  // A value followed by junk is malformed, not a value.
+  EXPECT_FALSE(
+      ParseRunConfig("prconfig 1\nrun.num_workers 5 junk\n", &parsed).ok());
   EXPECT_FALSE(ParseRunConfig("prconfig 1\nstrategy.kind\n", &parsed).ok());
   // An unknown compression token names no codec — version skew, rejected.
   EXPECT_FALSE(
@@ -438,6 +662,33 @@ TEST(ConfigJsonTest, RejectsBadJsonDocuments) {
   // Valid marker alone yields the defaults.
   ASSERT_TRUE(RunConfigFromJson("{\"prconfig\": 1}", &parsed).ok());
   EXPECT_EQ(SerializeRunConfig(parsed), SerializeRunConfig(RunConfig{}));
+}
+
+TEST(ConfigJsonTest, RejectsMistypedValues) {
+  RunConfig parsed;
+  // A bool or a string is not a number, and an integer key takes only
+  // integral numbers that fit it.
+  EXPECT_FALSE(RunConfigFromJson(
+                   R"({"prconfig": 1, "run.sgd.momentum": true})", &parsed)
+                   .ok());
+  EXPECT_FALSE(RunConfigFromJson(
+                   R"({"prconfig": 1, "run.num_workers": "6"})", &parsed)
+                   .ok());
+  EXPECT_FALSE(RunConfigFromJson(
+                   R"({"prconfig": 1, "run.num_workers": 2.5})", &parsed)
+                   .ok());
+  EXPECT_FALSE(RunConfigFromJson(
+                   R"({"prconfig": 1, "run.num_workers": 1e10})", &parsed)
+                   .ok());
+  EXPECT_FALSE(
+      RunConfigFromJson(R"({"prconfig": 1, "run.churn": [[1.5, 2, 0.1]]})",
+                        &parsed)
+          .ok());
+  // An integral double is an integer.
+  ASSERT_TRUE(RunConfigFromJson(
+                  R"({"prconfig": 1, "run.num_workers": 2.0})", &parsed)
+                  .ok());
+  EXPECT_EQ(parsed.run.num_workers, 2);
 }
 
 TEST(ConfigJsonTest, RejectsMalformedPlacements) {

@@ -116,6 +116,9 @@ TEST(ScenarioIoTest, MalformedTracesAreRejected) {
   // Unknown event field.
   EXPECT_FALSE(
       ParseScenario("prtrace 1\nevent depart time 1 blast 3\n", &out).ok());
+  // Trailing tokens: a name is one token, a seed one number.
+  EXPECT_FALSE(ParseScenario("prtrace 1\nseed 5 trailing\n", &out).ok());
+  EXPECT_FALSE(ParseScenario("prtrace 1\nname my scenario\n", &out).ok());
   // JSON dialect: bad kind, unknown key, missing marker.
   EXPECT_FALSE(ScenarioFromJson(
                    R"({"prtrace": 1, "events": [{"kind": "explode", "time": 1}]})",
@@ -124,6 +127,34 @@ TEST(ScenarioIoTest, MalformedTracesAreRejected) {
   EXPECT_FALSE(
       ScenarioFromJson(R"({"prtrace": 1, "bogus": 3})", &out).ok());
   EXPECT_FALSE(ScenarioFromJson(R"({"name": "x"})", &out).ok());
+}
+
+TEST(ScenarioIoTest, JsonRejectsNonIntegralTargets) {
+  auto one_event = [](const std::string& fields) {
+    return R"({"prtrace": 1, "events": [{)" + fields + "}]}";
+  };
+  ScenarioSpec out;
+  // Worker and node ids are integers: 2.7 is not worker 2, and 1e10 fits
+  // no int.
+  EXPECT_FALSE(ScenarioFromJson(
+                   one_event(R"("kind": "crash", "time": 1, "worker": 2.7)"),
+                   &out)
+                   .ok());
+  EXPECT_FALSE(ScenarioFromJson(
+                   one_event(R"("kind": "crash", "time": 1, "worker": 1e10)"),
+                   &out)
+                   .ok());
+  EXPECT_FALSE(ScenarioFromJson(
+                   one_event(R"("kind": "depart", "time": 1, "node": 1e10)"),
+                   &out)
+                   .ok());
+  EXPECT_FALSE(ScenarioFromJson(R"({"prtrace": 1, "seed": 1.5})", &out).ok());
+  ASSERT_TRUE(ScenarioFromJson(
+                  one_event(R"("kind": "crash", "time": 1, "worker": 2.0)"),
+                  &out)
+                  .ok());
+  ASSERT_EQ(out.events.size(), 1u);
+  EXPECT_EQ(out.events[0].worker, 2);
 }
 
 TEST(ScenarioIoTest, ValidateRejectsOutOfRangeTargets) {

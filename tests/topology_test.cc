@@ -145,6 +145,9 @@ TEST(TopologyTest, ParseRejectsNonPositiveCosts) {
       Topology::Parse("prtopo 1\ninter_latency_factor -2\nnode 0\nnode 1\n",
                       &topo)
           .ok());
+  // A cost followed by junk is malformed, not a cost.
+  EXPECT_FALSE(
+      Topology::Parse("prtopo 1\ninter_cost 2 junk\nnode 0 1\n", &topo).ok());
 }
 
 TEST(TopologyTest, ParseAcceptsCommentsAndBlankLines) {
@@ -175,6 +178,21 @@ TEST(TopologyTest, LoadSniffsJsonByLeadingBrace) {
   ASSERT_TRUE(Topology::Load(json_path, &from_json).ok());
   EXPECT_EQ(from_text.Serialize(), topo.Serialize());
   EXPECT_EQ(from_json.Serialize(), topo.Serialize());
+}
+
+TEST(TopologyTest, FromJsonRejectsNonIntegralWorkerIds) {
+  Topology topo;
+  // 2.7 is not worker 2, and 1e10 fits no int.
+  EXPECT_FALSE(Topology::FromJson(
+                   R"({"prtopo": 1, "nodes": [[0, 1], [2.7]]})", &topo)
+                   .ok());
+  EXPECT_FALSE(Topology::FromJson(
+                   R"({"prtopo": 1, "nodes": [[0, 1], [1e10]]})", &topo)
+                   .ok());
+  ASSERT_TRUE(Topology::FromJson(
+                  R"({"prtopo": 1, "nodes": [[0, 1], [2.0]]})", &topo)
+                  .ok());
+  EXPECT_EQ(topo.NodeOf(2), 1);
 }
 
 TEST(TopologyTest, FromJsonRejectsUnknownMember) {
