@@ -36,7 +36,7 @@ Run RunWithTimeline(pr::StrategyKind kind, int group_size) {
   ctx.engine()->RunUntil([&] { return ctx.stopped(); });
 
   Run run;
-  run.result = ctx.BuildResult(strategy->Name());
+  run.result = ctx.BuildResult(pr::StrategyKindName(kind));
   const pr::Timeline* timeline = ctx.timeline();
   // Render a 6-second window from mid-run (steady state).
   const double t0 = timeline->EndTime() / 2;

@@ -5,9 +5,36 @@
 #include <vector>
 
 #include "common/buffer.h"
+#include "common/enum_names.h"
 #include "common/status.h"
 
 namespace pr {
+
+/// \brief Which execution engine carries a run.
+///
+/// The same RunConfig drives both: kThreaded executes on real OS threads
+/// through WorkerRuntime (wall-clock time, real transport), kSim executes
+/// under the discrete-event simulator (virtual time, cost-model transport).
+/// Callers that schedule runs as workload — the job service, benches,
+/// examples — pick an engine per run instead of hard-coding an entry point.
+enum class EngineKind {
+  kThreaded,
+  kSim,
+};
+
+inline constexpr EnumName<EngineKind> kEngineKindNames[] = {
+    {EngineKind::kThreaded, "threaded"},
+    {EngineKind::kSim, "sim"},
+};
+
+inline const char* EngineKindName(EngineKind kind) {
+  return NameOf(kEngineKindNames, kind);
+}
+
+/// False on a name EngineKindName does not emit.
+inline bool ParseEngineKind(const std::string& token, EngineKind* out) {
+  return ParseEnum(kEngineKindNames, token, out);
+}
 
 /// \brief One worker's entry in a run manifest.
 struct ManifestWorker {
@@ -32,7 +59,7 @@ struct ManifestWorker {
 /// checksum and FindLatestManifest falls back to the previous epoch.
 struct RunManifest {
   uint32_t version = 1;
-  std::string engine;    ///< "threaded" or "sim"
+  std::string engine;    ///< EngineKindName of the engine that wrote it
   std::string strategy;  ///< StrategyKindName ("CON", "DYN", "AR", ...)
   int num_workers = 0;
   uint64_t num_params = 0;

@@ -31,7 +31,8 @@ Status RunNode(const NodeRunOptions& options) {
       MakeThreadedStrategy(config.strategy);
   const bool is_service = options.node == num_workers;
   if (is_service && !strategy->has_service()) {
-    return Status::InvalidArgument("strategy " + strategy->Name() +
+    return Status::InvalidArgument("strategy " +
+                                   StrategyKindName(config.strategy.kind) +
                                    " has no service node");
   }
 
@@ -47,9 +48,10 @@ Status RunNode(const NodeRunOptions& options) {
   if (!options.resume_manifest.empty()) {
     RunManifest m;
     PR_RETURN_NOT_OK(LoadManifest(options.resume_manifest, &m));
-    if (m.engine != "threaded") {
+    const std::string threaded = EngineKindName(EngineKind::kThreaded);
+    if (m.engine != threaded) {
       return Status::InvalidArgument("manifest engine '" + m.engine +
-                                     "' is not 'threaded'");
+                                     "' is not '" + threaded + "'");
     }
     if (m.strategy != StrategyKindName(config.strategy.kind)) {
       return Status::InvalidArgument(

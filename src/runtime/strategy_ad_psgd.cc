@@ -34,10 +34,6 @@ class ThreadedAdPsgd : public ThreadedStrategy {
     PR_CHECK(options.kind == StrategyKind::kAdPsgd);
   }
 
-  std::string Name() const override {
-    return StrategyKindName(StrategyKind::kAdPsgd);
-  }
-
   void RunWorker(WorkerContext* ctx) override;
 
   void FillResult(ThreadedRunResult* result) const override {

@@ -22,10 +22,6 @@ class ThreadedAllReduce : public ThreadedStrategy {
     PR_CHECK(options.kind == StrategyKind::kAllReduce);
   }
 
-  std::string Name() const override {
-    return StrategyKindName(StrategyKind::kAllReduce);
-  }
-
   void RunWorker(WorkerContext* ctx) override {
     const ThreadedRunOptions& run = ctx->run();
     Endpoint* ep = ctx->endpoint();
@@ -44,8 +40,8 @@ class ThreadedAllReduce : public ThreadedStrategy {
       const int64_t epoch = static_cast<int64_t>(k / ckpt.every_iterations);
       if (!ctx->SaveCkptShard(epoch).ok()) return;
       RunManifest m;
-      m.engine = "threaded";
-      m.strategy = Name();
+      m.engine = EngineKindName(EngineKind::kThreaded);
+      m.strategy = StrategyKindName(StrategyKind::kAllReduce);
       m.num_workers = run.num_workers;
       m.num_params = ctx->num_params();
       m.seed = run.seed;

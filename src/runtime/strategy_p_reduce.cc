@@ -53,7 +53,7 @@ class ServiceCkpt {
     }
 
     RunManifest m;
-    m.engine = "threaded";
+    m.engine = EngineKindName(EngineKind::kThreaded);
     m.strategy = StrategyKindName(sopts_.kind);
     m.num_workers = ctx_->run().num_workers;
     m.num_params = static_cast<uint64_t>(ctx_->num_params());
@@ -112,7 +112,6 @@ class ThreadedPReduce : public ThreadedStrategy {
     PR_CHECK_GE(options.group_size, 2);
   }
 
-  std::string Name() const override { return StrategyKindName(options_.kind); }
   bool has_service() const override { return true; }
 
   void RunService(ServiceContext* ctx) override;

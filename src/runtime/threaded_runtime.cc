@@ -77,7 +77,7 @@ ThreadedRunResult RestoreThreadedRun(const RunConfig& config,
   Status s = LoadManifest(manifest_path, &manifest);
   PR_CHECK(s.ok()) << "loading manifest " << manifest_path << ": "
                    << s.message();
-  PR_CHECK(manifest.engine == "threaded")
+  PR_CHECK(manifest.engine == EngineKindName(EngineKind::kThreaded))
       << "manifest was written by the '" << manifest.engine << "' engine";
   PR_CHECK(manifest.strategy == StrategyKindName(config.strategy.kind))
       << "manifest strategy " << manifest.strategy

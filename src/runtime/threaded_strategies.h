@@ -17,16 +17,12 @@ std::unique_ptr<ThreadedStrategy> MakeThreadedPReduce(
 std::unique_ptr<ThreadedStrategy> MakeThreadedAllReduce(
     const StrategyOptions& options);
 
-/// kEagerReduce.
-std::unique_ptr<ThreadedStrategy> MakeThreadedEagerReduce(
-    const StrategyOptions& options);
-
 /// kAdPsgd.
 std::unique_ptr<ThreadedStrategy> MakeThreadedAdPsgd(
     const StrategyOptions& options);
 
-/// kPsBsp / kPsAsp / kPsHete / kPsBackup.
-std::unique_ptr<ThreadedStrategy> MakeThreadedPs(
+/// kPsBsp / kPsAsp / kPsHete / kPsBackup / kEagerReduce.
+std::unique_ptr<ThreadedStrategy> MakeThreadedServer(
     const StrategyOptions& options);
 
 }  // namespace pr

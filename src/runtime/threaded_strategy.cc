@@ -13,15 +13,14 @@ std::unique_ptr<ThreadedStrategy> MakeThreadedStrategy(
       return MakeThreadedPReduce(options);
     case StrategyKind::kAllReduce:
       return MakeThreadedAllReduce(options);
-    case StrategyKind::kEagerReduce:
-      return MakeThreadedEagerReduce(options);
     case StrategyKind::kAdPsgd:
       return MakeThreadedAdPsgd(options);
+    case StrategyKind::kEagerReduce:
     case StrategyKind::kPsBsp:
     case StrategyKind::kPsAsp:
     case StrategyKind::kPsHete:
     case StrategyKind::kPsBackup:
-      return MakeThreadedPs(options);
+      return MakeThreadedServer(options);
   }
   PR_CHECK(false) << "unknown StrategyKind";
   return nullptr;

@@ -33,9 +33,6 @@ class ThreadedStrategy {
  public:
   virtual ~ThreadedStrategy() = default;
 
-  /// Display name matching the paper's tables ("CON", "AR", "PS-BSP", ...).
-  virtual std::string Name() const = 0;
-
   /// True when the strategy needs a central service thread. The service
   /// endpoint occupies transport node `num_workers` (workers are 0..N-1).
   virtual bool has_service() const { return false; }

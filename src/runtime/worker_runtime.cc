@@ -606,7 +606,7 @@ ThreadedRunResult WorkerRuntime::Run(ThreadedStrategy* strategy) {
   const double wall = NowSeconds();
 
   ThreadedRunResult result;
-  result.strategy = strategy->Name();
+  result.strategy = StrategyKindName(strategy_options_.kind);
   result.wall_seconds = wall;
   result.worker_iterations.assign(static_cast<size_t>(n), 0);
   for (size_t i = 0; i < locals.size(); ++i) {

@@ -181,17 +181,6 @@ void SimTraining::LocalStep(int worker, const float* grad, double lr_scale) {
   ws.optimizer->Step(grad, &ws.params, lr_scale);
 }
 
-void SimTraining::StepWith(Sgd* opt, const float* grad,
-                           std::vector<float>* params, double lr_scale) {
-  PR_CHECK(opt != nullptr);
-  opt->set_learning_rate(CurrentLr());
-  opt->Step(grad, params, lr_scale);
-}
-
-std::unique_ptr<Sgd> SimTraining::MakeOptimizer() const {
-  return std::make_unique<Sgd>(model_->NumParams(), options_.sgd);
-}
-
 double SimTraining::CurrentLr() const {
   if (!options_.lr_decay.enabled) return options_.sgd.learning_rate;
   const size_t progress =
@@ -251,7 +240,7 @@ void SimTraining::MaybeCheckpoint() {
   // leaves the previous manifest as the restore point.
   const auto begin = std::chrono::steady_clock::now();
   RunManifest m;
-  m.engine = "sim";
+  m.engine = EngineKindName(EngineKind::kSim);
   m.strategy = ckpt_strategy_;
   m.num_workers = options_.num_workers;
   m.num_params = num_params();
@@ -290,7 +279,7 @@ void SimTraining::MaybeCheckpoint() {
 void SimTraining::RestoreFromManifest(const RunManifest& manifest,
                                       const std::string& dir) {
   PR_CHECK(!options_.timing_only);
-  PR_CHECK(manifest.engine == "sim")
+  PR_CHECK(manifest.engine == EngineKindName(EngineKind::kSim))
       << "manifest was written by the '" << manifest.engine << "' engine";
   PR_CHECK_EQ(manifest.num_workers, options_.num_workers);
   PR_CHECK_EQ(manifest.num_params, num_params());
@@ -386,11 +375,6 @@ void SimTraining::EvaluateNow() {
   if (!options_.timing_only) MaybeEvaluate();
 }
 
-void SimTraining::CountWastedGradient() {
-  ++wasted_gradients_;
-  metrics_shard_->GetCounter("ps.wasted_gradients")->Increment();
-}
-
 void SimTraining::RecordReduceTraffic(size_t p, CompressionKind kind) {
   (void)ChargeGroupAllReduceTraffic(num_params(), p, kind, metrics_shard_);
 }
@@ -428,7 +412,6 @@ SimRunResult SimTraining::BuildResult(const std::string& strategy_name) {
   result.best_accuracy = best_accuracy_;
   result.curve = curve_;
   result.update_intervals = update_intervals_;
-  result.wasted_gradients = wasted_gradients_;
 
   double idle = 0.0;
   for (size_t w = 0; w < workers_.size(); ++w) {
@@ -463,6 +446,8 @@ SimRunResult SimTraining::BuildResult(const std::string& strategy_name) {
   // purge counter is always zero — registered for cross-engine name parity.
   metrics_shard_->GetCounter("transport.stash_purged");
   result.metrics = registry_.Snapshot();
+  result.wasted_gradients =
+      static_cast<size_t>(result.metrics.counter("ps.wasted_gradients"));
   result.trace = trace_.Log();
   return result;
 }

@@ -152,7 +152,8 @@ struct SimRunResult {
   /// Per-update intervals (time between consecutive global updates); the
   /// per-update-time distribution of Fig. 9.
   SampleSet update_intervals;
-  /// Total local gradient computations that were discarded (PS-BK drops).
+  /// Total local gradient computations that were discarded (PS-BK drops):
+  /// the run's ps.wasted_gradients counter.
   size_t wasted_gradients = 0;
   /// Groups bridged by frozen avoidance (P-Reduce only).
   uint64_t bridged_groups = 0;
@@ -213,13 +214,9 @@ class SimTraining {
   /// The worker replica's optimizer (momentum-averaging ablation).
   Sgd* optimizer(int worker);
 
-  /// SGD step on an arbitrary parameter vector using the given optimizer
-  /// (PS strategies own a server-side optimizer).
-  void StepWith(Sgd* opt, const float* grad, std::vector<float>* params,
-                double lr_scale = 1.0);
-
-  /// Creates a server-side optimizer with the run's SGD options.
-  std::unique_ptr<Sgd> MakeOptimizer() const;
+  /// The base learning rate now, after the run's decay schedule (the
+  /// central-server strategies hand it to their ServerCore).
+  double CurrentLr() const;
 
   /// Worker iteration counters (dynamic partial reduce advances these).
   int64_t iteration(int worker) const;
@@ -272,9 +269,6 @@ class SimTraining {
   const std::vector<ChurnWindow>& scenario_churn() const {
     return scenario_churn_;
   }
-
-  /// Counts a discarded gradient (PS-BK).
-  void CountWastedGradient();
 
   /// Accounts the traffic a `p`-member group reduce over the full model
   /// moves on the threaded engine's data plane, under the same transport.*
@@ -340,7 +334,6 @@ class SimTraining {
   void MaybeEvaluate();
   void MaybeCheckpoint();
   const float* EvalParams();
-  double CurrentLr() const;
 
   SimTrainingOptions options_;
   SimEngine engine_;
@@ -376,7 +369,6 @@ class SimTraining {
   double final_loss_ = 0.0;
   std::vector<CurvePoint> curve_;
   SampleSet update_intervals_;
-  size_t wasted_gradients_ = 0;
 };
 
 }  // namespace pr

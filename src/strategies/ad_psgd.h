@@ -27,7 +27,6 @@ class AdPsgdStrategy : public Strategy {
   explicit AdPsgdStrategy(SimTraining* ctx);
 
   void Start() override;
-  std::string Name() const override { return "AD"; }
 
  private:
   void BeginCompute(int worker);

@@ -23,7 +23,6 @@ class AllReduceStrategy : public Strategy {
       CompressionKind compression = CompressionKind::kNone);
 
   void Start() override;
-  std::string Name() const override { return "AR"; }
 
  private:
   void BeginCompute(int worker);

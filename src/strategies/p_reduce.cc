@@ -53,13 +53,9 @@ PReduceStrategy::PReduceStrategy(SimTraining* ctx,
 
   // Coordinated checkpointing: SimTraining cuts the shards; the strategy
   // stamps the controller-owned restore state into each manifest.
-  ctx->ConfigureCheckpoint(Name(), [this](RunManifest* m) {
-    service_.StampManifest(m);
-  });
-}
-
-std::string PReduceStrategy::Name() const {
-  return options_.kind == StrategyKind::kPReduceDynamic ? "DYN" : "CON";
+  ctx->ConfigureCheckpoint(
+      StrategyKindName(options.kind),
+      [this](RunManifest* m) { service_.StampManifest(m); });
 }
 
 void PReduceStrategy::ScenarioLeave(int worker) {

@@ -32,7 +32,6 @@ class PReduceStrategy : public Strategy {
   PReduceStrategy(SimTraining* ctx, const StrategyOptions& options);
 
   void Start() override;
-  std::string Name() const override;
   const Controller* controller() const override {
     return &service_.controller();
   }

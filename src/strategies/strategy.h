@@ -107,8 +107,6 @@ class Strategy {
   /// local computation at t = 0).
   virtual void Start() = 0;
 
-  virtual std::string Name() const = 0;
-
   /// The P-Reduce controller, for stats/spectral queries; null otherwise.
   virtual const Controller* controller() const { return nullptr; }
 

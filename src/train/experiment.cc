@@ -11,14 +11,15 @@ namespace {
 SimRunResult RunPrepared(SimTraining* ctx, const ExperimentConfig& config) {
   std::unique_ptr<Strategy> strategy = MakeStrategy(config.strategy, ctx);
   PR_CHECK(!config.training.ckpt.enabled() || ctx->checkpoint_configured())
-      << "strategy " << strategy->Name()
+      << "strategy " << StrategyKindName(config.strategy.kind)
       << " does not support coordinated checkpointing";
   strategy->Start();
   ctx->engine()->RunUntil([&] { return ctx->stopped(); },
                           config.training.max_sim_seconds);
   // Final evaluation if the run ended between periodic evals.
   ctx->EvaluateNow();
-  SimRunResult result = ctx->BuildResult(strategy->Name());
+  SimRunResult result =
+      ctx->BuildResult(StrategyKindName(config.strategy.kind));
   const ControllerStats stats = strategy->controller_stats();
   result.bridged_groups = stats.bridged_groups;
   result.frozen_detections = stats.frozen_detections;

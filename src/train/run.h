@@ -2,37 +2,11 @@
 
 #include <string>
 
-#include "common/enum_names.h"
+#include "ckpt/manifest.h"
 #include "runtime/threaded_runtime.h"
 #include "train/experiment.h"
 
 namespace pr {
-
-/// \brief Which execution engine carries a run.
-///
-/// The same RunConfig drives both: kThreaded executes on real OS threads
-/// through WorkerRuntime (wall-clock time, real transport), kSim executes
-/// under the discrete-event simulator (virtual time, cost-model transport).
-/// Callers that schedule runs as workload — the job service, benches,
-/// examples — pick an engine per run instead of hard-coding an entry point.
-enum class EngineKind {
-  kThreaded,
-  kSim,
-};
-
-inline constexpr EnumName<EngineKind> kEngineKindNames[] = {
-    {EngineKind::kThreaded, "threaded"},
-    {EngineKind::kSim, "sim"},
-};
-
-inline const char* EngineKindName(EngineKind kind) {
-  return NameOf(kEngineKindNames, kind);
-}
-
-/// False on a name EngineKindName does not emit.
-inline bool ParseEngineKind(const std::string& token, EngineKind* out) {
-  return ParseEnum(kEngineKindNames, token, out);
-}
 
 /// \brief Engine-agnostic outcome of a run started through StartRun.
 ///
