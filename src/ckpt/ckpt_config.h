@@ -7,24 +7,17 @@ namespace pr {
 
 /// \brief Periodic coordinated-checkpoint knobs, shared by both engines.
 ///
-/// Snapshots are cut at synchronization boundaries so every shard of one
-/// epoch is a consistent view: the threaded engine cuts when a worker
-/// finishes local iteration k with k % every_iterations == 0 (the
-/// controller assembles the manifest once every live worker reported the
-/// epoch), the simulator cuts after every_updates global updates (the
-/// single-threaded event loop makes any point between events consistent).
+/// P-Reduce has no global barrier, so each worker cuts its own shard every
+/// `every_iterations` local iterations and a manifest binds one epoch's
+/// shards together (CutEpoch and CkptCoordinator in ckpt/protocol.h).
 struct CheckpointConfig {
   /// Directory receiving manifests and per-worker shards; empty disables
   /// checkpointing entirely. Created on first save if missing.
   std::string dir;
-  /// Threaded engine: local iterations between cuts (0 = never).
+  /// Local iterations between cuts (0 = never).
   size_t every_iterations = 0;
-  /// Simulator: global updates between cuts (0 = never).
-  size_t every_updates = 0;
 
-  bool enabled() const {
-    return !dir.empty() && (every_iterations > 0 || every_updates > 0);
-  }
+  bool enabled() const { return !dir.empty() && every_iterations > 0; }
 };
 
 }  // namespace pr

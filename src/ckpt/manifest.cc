@@ -1,7 +1,6 @@
 #include "ckpt/manifest.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -82,6 +81,13 @@ class ByteReader {
   size_t pos_ = 0;
 };
 
+Status EnsureDir(const std::string& dir) {
+  std::error_code ec;
+  if (!dir.empty()) std::filesystem::create_directories(dir, ec);
+  return ec ? Status::Unavailable("cannot create checkpoint dir: " + dir)
+            : Status::OK();
+}
+
 }  // namespace
 
 std::string ManifestPath(const std::string& dir, uint64_t epoch) {
@@ -98,11 +104,7 @@ std::string ShardPath(const std::string& dir, uint64_t epoch, int worker) {
 }
 
 Status SaveManifest(const std::string& dir, const RunManifest& manifest) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    return Status::Unavailable("cannot create checkpoint dir: " + dir);
-  }
+  PR_RETURN_NOT_OK(EnsureDir(dir));
 
   ByteWriter w;
   w.U32(kVersion);
@@ -125,30 +127,11 @@ Status SaveManifest(const std::string& dir, const RunManifest& manifest) {
     w.Str(mw.shard_file);
   }
 
-  const std::string path = ManifestPath(dir, manifest.epoch);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::Unavailable("cannot open manifest for writing: " + tmp);
-    }
-    out.write(kMagic, sizeof(kMagic));
-    out.write(w.str().data(),
-              static_cast<std::streamsize>(w.str().size()));
-    const uint64_t checksum = Fnv1a(w.str().data(), w.str().size());
-    out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-    out.flush();
-    if (!out) {
-      out.close();
-      std::remove(tmp.c_str());
-      return Status::Unavailable("short write to manifest: " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Unavailable("cannot rename manifest into place: " + path);
-  }
-  return Status::OK();
+  const uint64_t checksum = Fnv1a(w.str().data(), w.str().size());
+  return WriteFileAtomically(ManifestPath(dir, manifest.epoch),
+                             {{kMagic, sizeof(kMagic)}, w.str(),
+                              AsBytes(&checksum)},
+                             "manifest");
 }
 
 Status LoadManifest(const std::string& path, RunManifest* out) {
@@ -244,15 +227,8 @@ Status SaveWorkerShard(const std::string& path, Slice params,
                        Slice velocity) {
   // Shards are written before their manifest, so the shard writer is the
   // first to touch a fresh checkpoint directory.
-  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
-  if (!parent.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(parent, ec);
-    if (ec) {
-      return Status::Unavailable("cannot create checkpoint dir: " +
-                                 parent.string());
-    }
-  }
+  PR_RETURN_NOT_OK(
+      EnsureDir(std::filesystem::path(path).parent_path().string()));
   return SaveCheckpointSpans(path, {params, velocity});
 }
 

@@ -64,10 +64,11 @@ struct RunManifest {
   int num_workers = 0;
   uint64_t num_params = 0;
   uint64_t seed = 0;
-  /// Checkpoint index: k / every_iterations (threaded) or updates /
-  /// every_updates (sim). Strictly increasing within one run.
+  /// Checkpoint index: k / every_iterations (CutEpoch). Strictly
+  /// increasing within one run.
   uint64_t epoch = 0;
-  /// Global updates (group reduces / rounds) performed at the cut.
+  /// Global updates (group reduces / rounds) performed when the manifest
+  /// was written.
   uint64_t updates_done = 0;
   /// Controller group-id watermark: the restored controller hands out ids
   /// from here so workers' ascending-id dedup keeps working across a

@@ -137,4 +137,10 @@ void BatchSampler::NextBatch(Tensor* x, std::vector<int>* y) {
   }
 }
 
+void BatchSampler::Skip(uint64_t batches) {
+  for (uint64_t i = 0; i < batches * batch_size_; ++i, ++cursor_) {
+    if (cursor_ >= shard_.size()) Reshuffle();
+  }
+}
+
 }  // namespace pr

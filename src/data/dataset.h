@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -63,6 +64,9 @@ class BatchSampler {
 
   /// Fills `x` with [b, dim] features and `y` with b labels.
   void NextBatch(Tensor* x, std::vector<int>* y);
+  /// Advances exactly as `batches` NextBatch calls would, without copying
+  /// (a resumed run skips the batches its checkpoint already consumed).
+  void Skip(uint64_t batches);
 
   size_t batch_size() const { return batch_size_; }
 

@@ -119,7 +119,6 @@ void VisitRunConfig(W& w, Config& c, Topo& topo) {
   // Writers omit an unset checkpoint dir; readers always accept the key.
   if (!W::kWrites || !r.ckpt.dir.empty()) w.Text("run.ckpt.dir", r.ckpt.dir);
   w("run.ckpt.every_iterations", r.ckpt.every_iterations);
-  w("run.ckpt.every_updates", r.ckpt.every_updates);
 
   // Flat (default) topologies emit nothing: a pre-topology config and a flat
   // config are byte-identical.

@@ -31,9 +31,7 @@ bool MultiProcessSupported(StrategyKind kind) {
   // which is exactly the evaluation rule for the decentralized collectives.
   // Centralized strategies (PS family, ER's server-held model) and AD-PSGD's
   // gossip pairing would need their own merge rules — not implemented.
-  return kind == StrategyKind::kAllReduce ||
-         kind == StrategyKind::kPReduceConst ||
-         kind == StrategyKind::kPReduceDynamic;
+  return kind == StrategyKind::kAllReduce || IsPReduce(kind);
 }
 
 double NowSeconds() {

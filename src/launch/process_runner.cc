@@ -1,12 +1,9 @@
 #include "launch/process_runner.h"
 
-#include <filesystem>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
-#include "ckpt/manifest.h"
 #include "launch/report_io.h"
 #include "runtime/threaded_strategy.h"
 #include "runtime/worker_runtime.h"
@@ -41,35 +38,12 @@ Status RunNode(const NodeRunOptions& options) {
   SocketTransport fabric(options.socket, {options.node}, num_workers + 1);
   PR_RETURN_NOT_OK(fabric.Start());
 
-  // Resume: every process loads the same manifest. Replica/optimizer shards
-  // for non-local workers are restored and then simply unused.
-  std::optional<RunManifest> manifest;
-  std::string manifest_dir;
+  WorkerRuntime runtime(config.strategy, config.run);
+  // Resume: every process loads the same checkpoint. Replica/optimizer
+  // shards for non-local workers are restored and then simply unused.
   if (!options.resume_manifest.empty()) {
-    RunManifest m;
-    PR_RETURN_NOT_OK(LoadManifest(options.resume_manifest, &m));
-    const std::string threaded = EngineKindName(EngineKind::kThreaded);
-    if (m.engine != threaded) {
-      return Status::InvalidArgument("manifest engine '" + m.engine +
-                                     "' is not '" + threaded + "'");
-    }
-    if (m.strategy != StrategyKindName(config.strategy.kind)) {
-      return Status::InvalidArgument(
-          "manifest strategy " + m.strategy + " does not match requested " +
-          StrategyKindName(config.strategy.kind));
-    }
-    if (m.seed != config.run.seed) {
-      return Status::InvalidArgument(
-          "resuming with a different seed would draw different batches");
-    }
-    manifest_dir = std::filesystem::path(options.resume_manifest)
-                       .parent_path()
-                       .string();
-    manifest = std::move(m);
+    PR_RETURN_NOT_OK(runtime.Resume(options.resume_manifest));
   }
-
-  WorkerRuntime runtime(config.strategy, config.run,
-                        manifest ? &*manifest : nullptr, manifest_dir);
   runtime.UseExternalFabric(&fabric);
   runtime.RestrictTo(is_service ? std::vector<int>{}
                                 : std::vector<int>{options.node},

@@ -21,43 +21,52 @@ uint64_t Fnv1a(const void* data, size_t bytes, uint64_t state) {
   return hash;
 }
 
-Status SaveCheckpointSpans(const std::string& path,
-                           const std::vector<Slice>& spans) {
-  // Crash safety: assemble under a tmp name, rename into place. rename(2)
-  // within one directory is atomic on POSIX, so readers only ever see the
-  // old complete file or the new complete file.
+Status WriteFileAtomically(const std::string& path,
+                           const std::vector<std::string_view>& pieces,
+                           const std::string& what) {
+  // rename(2) within one directory is atomic on POSIX, so readers only ever
+  // see the old complete file or the new complete file.
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
-      return Status::Unavailable("cannot open checkpoint for writing: " +
+      return Status::Unavailable("cannot open " + what + " for writing: " +
                                  tmp);
     }
-    out.write(kMagic, sizeof(kMagic));
-    uint64_t count = 0;
-    for (const Slice& s : spans) count += s.size();
-    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-    uint64_t checksum = 0xcbf29ce484222325ull;
-    for (const Slice& s : spans) {
-      const size_t bytes = s.size() * sizeof(float);
-      out.write(reinterpret_cast<const char*>(s.data()),
-                static_cast<std::streamsize>(bytes));
-      checksum = Fnv1a(s.data(), bytes, checksum);
+    for (std::string_view piece : pieces) {
+      out.write(piece.data(), static_cast<std::streamsize>(piece.size()));
     }
-    out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
     out.flush();
     if (!out) {
       out.close();
       std::remove(tmp.c_str());
-      return Status::Unavailable("short write to checkpoint: " + tmp);
+      return Status::Unavailable("short write to " + what + ": " + tmp);
     }
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
-    return Status::Unavailable("cannot rename checkpoint into place: " +
+    return Status::Unavailable("cannot rename " + what + " into place: " +
                                path);
   }
   return Status::OK();
+}
+
+Status SaveCheckpointSpans(const std::string& path,
+                           const std::vector<Slice>& spans) {
+  uint64_t count = 0;
+  uint64_t checksum = 0xcbf29ce484222325ull;
+  for (const Slice& s : spans) {
+    count += s.size();
+    checksum = Fnv1a(s.data(), s.size() * sizeof(float), checksum);
+  }
+  std::vector<std::string_view> pieces = {{kMagic, sizeof(kMagic)},
+                                          AsBytes(&count)};
+  for (const Slice& s : spans) {
+    pieces.emplace_back(reinterpret_cast<const char*>(s.data()),
+                        s.size() * sizeof(float));
+  }
+  pieces.push_back(AsBytes(&checksum));
+  return WriteFileAtomically(path, pieces, "checkpoint");
 }
 
 Status SaveCheckpoint(const std::string& path, Slice params) {

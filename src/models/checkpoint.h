@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/buffer.h"
@@ -13,12 +14,7 @@ namespace pr {
 /// Layout: 8-byte magic "PRCKPT01", uint64 parameter count, raw float32
 /// payload, uint64 FNV-1a checksum of the payload. Load validates magic,
 /// size and checksum and fails with a Status rather than returning
-/// corrupted weights.
-///
-/// Writes are crash-safe: the file is assembled under `path + ".tmp"` and
-/// renamed into place only after a successful full write, so a crash
-/// mid-write can never leave a torn file at `path` that passes the magic
-/// check — at worst a stale tmp file, which the next save overwrites.
+/// corrupted weights. Writes are crash-safe (WriteFileAtomically).
 
 /// Writes `params` to `path`, overwriting. Returns an IO error Status on
 /// failure (the previous file at `path`, if any, is left intact).
@@ -28,6 +24,20 @@ Status SaveCheckpoint(const std::string& path,
 /// Span form: checkpoints any contiguous float range — e.g. a ParamStore
 /// arena replica — without copying it into a vector first.
 Status SaveCheckpoint(const std::string& path, Slice params);
+
+/// Crash-safe file write shared by every checkpoint file: `pieces` are
+/// written back to back under `path + ".tmp"`, which is renamed into place
+/// only after a complete write, so a crash mid-write leaves at worst a
+/// stale tmp file, never a torn `path`. `what` names the file in errors.
+Status WriteFileAtomically(const std::string& path,
+                           const std::vector<std::string_view>& pieces,
+                           const std::string& what);
+
+/// The bytes of one trivially-copyable value, for WriteFileAtomically.
+template <typename T>
+std::string_view AsBytes(const T* value) {
+  return {reinterpret_cast<const char*>(value), sizeof(T)};
+}
 
 /// Multi-span form: the spans are written back to back as one logical
 /// vector (count = sum of span sizes, one checksum over the concatenation),

@@ -1,6 +1,6 @@
 #include <vector>
 
-#include "ckpt/manifest.h"
+#include "ckpt/protocol.h"
 #include "comm/collectives.h"
 #include "common/check.h"
 #include "runtime/threaded_strategies.h"
@@ -11,11 +11,8 @@ namespace {
 
 /// Classic all-reduce on real threads: one global ring collective per
 /// iteration is the barrier — nobody advances until everyone joined, so
-/// every worker runs at the straggler's pace.
-///
-/// Checkpointing exploits the barrier: after the step at iteration k every
-/// replica (and its optimizer velocity) is bitwise identical, so worker 0
-/// alone cuts one shard and a manifest whose entries all point at it.
+/// every worker runs at the straggler's pace (and worker 0's checkpoint
+/// shard stands for every replica).
 class ThreadedAllReduce : public ThreadedStrategy {
  public:
   explicit ThreadedAllReduce(const StrategyOptions& options) {
@@ -29,41 +26,6 @@ class ThreadedAllReduce : public ThreadedStrategy {
     std::vector<float> grad;
     std::vector<NodeId> all;
     for (int i = 0; i < run.num_workers; ++i) all.push_back(i);
-
-    auto maybe_checkpoint = [&](size_t k) {
-      const CheckpointConfig& ckpt = run.ckpt;
-      if (!ckpt.enabled() || ckpt.every_iterations == 0) return;
-      if (ctx->worker() != 0) return;
-      if (k % ckpt.every_iterations != 0 || k >= run.iterations_per_worker) {
-        return;
-      }
-      const int64_t epoch = static_cast<int64_t>(k / ckpt.every_iterations);
-      if (!ctx->SaveCkptShard(epoch).ok()) return;
-      RunManifest m;
-      m.engine = EngineKindName(EngineKind::kThreaded);
-      m.strategy = StrategyKindName(StrategyKind::kAllReduce);
-      m.num_workers = run.num_workers;
-      m.num_params = ctx->num_params();
-      m.seed = run.seed;
-      m.epoch = static_cast<uint64_t>(epoch);
-      m.updates_done = k;
-      m.saved_at_seconds = ctx->Now();
-      for (int w = 0; w < run.num_workers; ++w) {
-        ManifestWorker mw;
-        mw.worker = w;
-        mw.iteration = static_cast<int64_t>(k);
-        mw.completed = k;
-        // Post-barrier the replicas are identical: every entry shares
-        // worker 0's shard.
-        mw.shard_file = ShardFileName(static_cast<uint64_t>(epoch), 0);
-        m.workers.push_back(mw);
-      }
-      if (SaveManifest(ckpt.dir, m).ok()) {
-        ctx->metrics()->GetCounter("ckpt.manifests_written")->Increment();
-        ctx->trace()->Record(ctx->Now(), TraceEventKind::kCkptSaved,
-                             ctx->worker(), epoch);
-      }
-    };
 
     // Resumed run: the restored `completed` count is shared by all workers
     // (the cut was at a barrier), so the loop below continues with globally
@@ -92,7 +54,13 @@ class ThreadedAllReduce : public ThreadedStrategy {
       ctx->trace()->Record(ctx->Now(), TraceEventKind::kReduceEnd,
                            ctx->worker(), static_cast<int64_t>(k));
       ctx->sgd()->Step(grad.data(), params.data(), params.size());
-      maybe_checkpoint(k);
+      const uint64_t epoch = CutEpoch(run.ckpt, k, run.iterations_per_worker);
+      if (ctx->worker() == 0 && epoch != 0 &&
+          SaveCutShard(ctx->metrics(), run.ckpt.dir, epoch, 0, params,
+                       ctx->sgd()->velocity())
+              .ok()) {
+        ctx->ckpt()->ReportAll(epoch, k, {k, ctx->Now(), nullptr});
+      }
     }
     ctx->MarkFinished();
     // All workers execute the same count of global reduces; worker 0 records

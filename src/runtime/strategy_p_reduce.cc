@@ -1,14 +1,13 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "ckpt/manifest.h"
+#include "ckpt/protocol.h"
 #include "comm/collectives.h"
 #include "common/check.h"
 #include "fault/failure_detector.h"
@@ -21,81 +20,19 @@
 namespace pr {
 namespace {
 
-/// Controller-side half of the coordinated checkpoint (P-Reduce): workers
-/// write their shards at local-iteration cuts and report them; once every
-/// worker of the run has reported an epoch, the manifest — binding the
-/// shards to the controller's group-history window and id watermark — is
-/// written atomically. Reports lost to chaos (or a worker crash) leave that
-/// epoch incomplete and unwritten; the previous manifest stays the restore
-/// point.
-class ServiceCkpt {
- public:
-  ServiceCkpt(ServiceContext* ctx, const StrategyOptions& sopts)
-      : ctx_(ctx), sopts_(sopts) {
-    if (!ctx->run().ckpt.enabled() ||
-        ctx->run().ckpt.every_iterations == 0) {
-      return;
-    }
-    enabled_ = true;
-    manifests_counter_ = ctx->metrics()->GetCounter("ckpt.manifests_written");
-    save_hist_ = ctx->metrics()->GetHistogram("ckpt.save_seconds",
-                                              CkptSaveSecondsBuckets());
-  }
-
-  void OnReport(const Envelope& env, const PReduceService& service) {
-    if (!enabled_ || env.ints.size() < 3) return;
-    const int64_t epoch = env.ints[0];
-    if (epoch <= last_written_) return;  // stale straggler
-    Epoch& e = epochs_[epoch];
-    e.reports[env.from] = {env.ints[1], static_cast<uint64_t>(env.ints[2])};
-    if (e.reports.size() < static_cast<size_t>(ctx_->run().num_workers)) {
-      return;
-    }
-
-    RunManifest m;
-    m.engine = EngineKindName(EngineKind::kThreaded);
-    m.strategy = StrategyKindName(sopts_.kind);
-    m.num_workers = ctx_->run().num_workers;
-    m.num_params = static_cast<uint64_t>(ctx_->num_params());
-    m.seed = ctx_->run().seed;
-    m.epoch = static_cast<uint64_t>(epoch);
-    m.updates_done = service.groups_formed();
-    m.saved_at_seconds = ctx_->Now();
-    service.StampManifest(&m);
-    for (const auto& [w, info] : e.reports) {
-      ManifestWorker mw;
-      mw.worker = w;
-      mw.iteration = info.first;
-      mw.completed = info.second;
-      mw.shard_file = ShardFileName(static_cast<uint64_t>(epoch), w);
-      m.workers.push_back(mw);
-    }
-    const double begin = ctx_->Now();
-    const Status s = SaveManifest(ctx_->run().ckpt.dir, m);
-    save_hist_->Observe(ctx_->Now() - begin);
-    if (s.ok()) {
-      manifests_counter_->Increment();
-      ctx_->trace()->Record(ctx_->Now(), TraceEventKind::kCkptSaved, -1,
-                            epoch, static_cast<int64_t>(m.updates_done));
-    }
-    last_written_ = epoch;
-    epochs_.erase(epochs_.begin(), epochs_.upper_bound(epoch));
-  }
-
- private:
-  struct Epoch {
-    /// worker -> {protocol iteration, completed local iterations}.
-    std::map<int, std::pair<int64_t, uint64_t>> reports;
-  };
-
-  ServiceContext* ctx_;
-  StrategyOptions sopts_;
-  bool enabled_ = false;
-  int64_t last_written_ = 0;
-  std::map<int64_t, Epoch> epochs_;
-  Counter* manifests_counter_ = nullptr;
-  Histogram* save_hist_ = nullptr;
-};
+/// A worker's cut report {epoch, protocol iteration, completed}, stamped
+/// with the controller's history window and group-id watermark.
+void ReportCut(ServiceContext* ctx, const Envelope& env,
+               const PReduceService& service) {
+  CkptCoordinator* ckpt = ctx->ckpt();
+  if (ckpt == nullptr || env.ints.size() < 3 || env.ints[0] <= 0) return;
+  const uint64_t epoch = static_cast<uint64_t>(env.ints[0]);
+  ckpt->Report(epoch,
+               {env.from, env.ints[1], static_cast<uint64_t>(env.ints[2]),
+                ShardFileName(epoch, env.from)},
+               {service.groups_formed(), ctx->Now(),
+                [&service](RunManifest* m) { service.StampManifest(m); }});
+}
 
 /// Partial reduce on real threads (Alg. 2): each worker thread pumps its
 /// PReduceWorker core and the service thread the PReduceService core, and
@@ -107,8 +44,7 @@ class ThreadedPReduce : public ThreadedStrategy {
  public:
   explicit ThreadedPReduce(const StrategyOptions& options)
       : options_(options) {
-    PR_CHECK(options.kind == StrategyKind::kPReduceConst ||
-             options.kind == StrategyKind::kPReduceDynamic);
+    PR_CHECK(IsPReduce(options.kind));
     PR_CHECK_GE(options.group_size, 2);
   }
 
@@ -144,7 +80,6 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
   const double tick = ft ? plan.recv_timeout_seconds : -1.0;
   const double lease =
       ft ? plan.lease_seconds : std::numeric_limits<double>::infinity();
-  ServiceCkpt ckpt(ctx, options_);
   PReduceService service(options_, n, ctx->run().topology, plan,
                          ctx->scenario_metrics(),
                          {ctx->metrics(), ctx->trace(),
@@ -238,7 +173,7 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
     if (env->from < 0 || env->from >= n) continue;
     if (env->kind == kKindWorkersReturned) continue;
     if (env->kind == kKindCkptReport) {
-      ckpt.OnReport(*env, service);
+      ReportCut(ctx, *env, service);
     } else {
       emit(service.Receive(env->from, env->kind, env->ints));
     }
@@ -313,30 +248,6 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
     while (scale->ShouldPause(ctx->worker()) && ctx->Now() < deadline &&
            !ep->closed()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  };
-
-  // Checkpoint cut: shard written after iteration k's synchronization
-  // resolved (reduce, release or local fallback), reported to the
-  // controller, which writes the manifest once every worker reported the
-  // epoch. The final iteration never cuts — the run is about to end anyway.
-  auto maybe_checkpoint = [&](size_t k) {
-    const CheckpointConfig& ckpt = run.ckpt;
-    if (!ckpt.enabled() || ckpt.every_iterations == 0) return;
-    int64_t epoch;
-    if (ctx->forced_ckpt()) {
-      // Sustained-partition gate: cut the upcoming epoch at every boundary
-      // until the service lands a manifest.
-      epoch = static_cast<int64_t>((k + ckpt.every_iterations - 1) /
-                                   ckpt.every_iterations);
-      if (epoch == 0) epoch = 1;
-    } else {
-      if (k % ckpt.every_iterations != 0) return;
-      epoch = static_cast<int64_t>(k / ckpt.every_iterations);
-    }
-    if (ctx->SaveCkptShard(epoch).ok()) {
-      (void)ep->Send(controller, 0, kKindCkptReport,
-                     {epoch, core.iteration(), static_cast<int64_t>(k)});
     }
   };
 
@@ -483,7 +394,17 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
     const size_t k = core.completed() + 1;
     plan_pause(k, /*scaled=*/true);
     if (!drive(core.Boundary(ctx->Now()))) return;
-    maybe_checkpoint(k);
+    // Checkpoint cut (CutEpoch), reported to the controller's coordinator.
+    const uint64_t epoch = CutEpoch(run.ckpt, k, run.iterations_per_worker,
+                                    ctx->forced_ckpt());
+    if (epoch != 0 &&
+        SaveCutShard(ctx->metrics(), run.ckpt.dir, epoch, ctx->worker(),
+                     params, ctx->sgd()->velocity())
+            .ok()) {
+      (void)ep->Send(controller, 0, kKindCkptReport,
+                     {static_cast<int64_t>(epoch), core.iteration(),
+                      static_cast<int64_t>(k)});
+    }
   }
 }
 

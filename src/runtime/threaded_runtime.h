@@ -179,12 +179,9 @@ struct ThreadedRunOptions {
   /// each endpoint's sends into `transport.inter_node_bytes`.
   Topology topology;
 
-  /// Coordinated checkpointing (P-Reduce kinds and All-Reduce): every
-  /// `ckpt.every_iterations` local iterations each worker snapshots its
-  /// replica + optimizer state into a shard, and the controller (worker 0
-  /// under All-Reduce) writes a manifest once every live worker has
-  /// reported the epoch. A run killed after a manifest lands resumes via
-  /// RestoreThreadedRun. Disabled by default.
+  /// Coordinated checkpointing (CheckpointSupported kinds; see
+  /// ckpt/protocol.h). A run killed after a manifest lands resumes via
+  /// ResumeRun. Disabled by default.
   CheckpointConfig ckpt;
 
   /// Trace-driven chaos scenario (P-Reduce kinds only). A non-empty
@@ -292,19 +289,5 @@ void ValidateRunConfig(const RunConfig& config);
 /// pairwise gossip, and the PS family (BSP, ASP, HETE, BK). All dispatch
 /// through the same WorkerRuntime; see runtime/threaded_strategy.h.
 ThreadedRunResult RunThreaded(const RunConfig& config);
-
-/// \brief Resumes a threaded run from a checkpoint manifest written by an
-/// earlier (possibly killed) run of the same configuration.
-///
-/// Loads the manifest and every worker shard, seeds each replica and its
-/// optimizer momentum from its shard, fast-forwards each worker's batch
-/// sampler past the iterations already completed, re-seeds the controller's
-/// group-history window and group-id watermark, then runs the remaining
-/// `iterations_per_worker - completed` iterations per worker. `config` must
-/// match the original run (strategy kind, worker count, model, seed);
-/// mismatches fail a check. Metric continuity: worker.<i>.iterations
-/// counters start at the restored counts and ckpt.restore_count is 1.
-ThreadedRunResult RestoreThreadedRun(const RunConfig& config,
-                                     const std::string& manifest_path);
 
 }  // namespace pr

@@ -68,28 +68,19 @@ WorkerContext::WorkerContext(WorkerRuntime* runtime, int worker)
     compressor_->AttachMetrics(metrics_);
   }
   if (runtime->resume_.has_value()) {
-    const size_t idx = static_cast<size_t>(worker);
-    start_iteration_ = runtime->resume_completed_[idx];
-    resume_iteration_ = runtime->resume_iteration_[idx];
+    const WorkerResume& restored =
+        runtime->resume_->workers[static_cast<size_t>(worker)];
+    start_iteration_ = static_cast<size_t>(restored.completed);
+    resume_iteration_ = restored.iteration;
     completed_iterations_ = start_iteration_;
-    *sgd_.mutable_velocity() = runtime->resume_velocity_[idx];
+    *sgd_.mutable_velocity() = restored.velocity;
     // Metric continuity: the resumed run's iteration counters pick up
     // where the original left off, so dashboards see one run.
     iterations_counter_->Increment(static_cast<double>(start_iteration_));
   }
 }
 
-Status WorkerContext::SaveCkptShard(int64_t epoch) {
-  const std::vector<float>& velocity = sgd_.velocity();
-  const double begin = Now();
-  Status s = SaveWorkerShard(
-      ShardPath(run().ckpt.dir, epoch, worker_),
-      Slice(params().data(), num_params()),
-      Slice(velocity.data(), velocity.size()));
-  metrics_->GetHistogram("ckpt.save_seconds", CkptSaveSecondsBuckets())
-      ->Observe(Now() - begin);
-  return s;
-}
+CkptCoordinator* WorkerContext::ckpt() { return runtime_->ckpt_.get(); }
 
 int WorkerContext::num_workers() const {
   return runtime_->options_.num_workers;
@@ -249,8 +240,11 @@ double ServiceContext::Now() const { return runtime_->NowSeconds(); }
 FaultyTransport* ServiceContext::faulty() { return runtime_->faulty_.get(); }
 
 const RunManifest* ServiceContext::resume() const {
-  return runtime_->resume_.has_value() ? &*runtime_->resume_ : nullptr;
+  return runtime_->resume_.has_value() ? &runtime_->resume_->manifest
+                                       : nullptr;
 }
+
+CkptCoordinator* ServiceContext::ckpt() { return runtime_->ckpt_.get(); }
 
 bool ServiceContext::workers_returned() const {
   return runtime_->running_workers_.load(std::memory_order_acquire) == 0;
@@ -265,9 +259,7 @@ const ScenarioMetrics& ServiceContext::scenario_metrics() const {
 // ---------------------------------------------------------------------------
 
 WorkerRuntime::WorkerRuntime(const StrategyOptions& strategy_options,
-                             const ThreadedRunOptions& options,
-                             const RunManifest* resume,
-                             const std::string& resume_dir)
+                             const ThreadedRunOptions& options)
     : strategy_options_(strategy_options),
       options_(options),
       // Node num_workers is the service endpoint (unused mailbox for
@@ -338,8 +330,6 @@ WorkerRuntime::WorkerRuntime(const StrategyOptions& strategy_options,
         options_.batch_size, rng.Next()));
     worker_seeds_.push_back(rng.Next());
   }
-
-  if (resume != nullptr) ApplyResume(*resume, resume_dir);
 }
 
 void WorkerRuntime::UseExternalFabric(Transport* fabric) {
@@ -368,42 +358,23 @@ void WorkerRuntime::RestrictTo(std::vector<int> workers, bool run_service) {
   run_service_ = run_service;
 }
 
-void WorkerRuntime::ApplyResume(const RunManifest& manifest,
-                                const std::string& dir) {
-  const size_t n = static_cast<size_t>(options_.num_workers);
-  PR_CHECK_EQ(static_cast<size_t>(manifest.num_workers), n)
-      << "manifest was written by a run with a different worker count";
-  PR_CHECK_EQ(static_cast<size_t>(manifest.num_params), model_->NumParams())
-      << "manifest was written for a different model";
-  PR_CHECK_EQ(manifest.workers.size(), n);
-
-  resume_ = manifest;
-  resume_velocity_.assign(n, {});
-  resume_completed_.assign(n, 0);
-  resume_iteration_.assign(n, 0);
-
-  Tensor scratch_x;
-  std::vector<int> scratch_y;
-  for (const ManifestWorker& mw : manifest.workers) {
-    PR_CHECK_GE(mw.worker, 0);
-    PR_CHECK_LT(static_cast<size_t>(mw.worker), n);
-    const size_t w = static_cast<size_t>(mw.worker);
-    std::vector<float> params;
-    Status s = LoadWorkerShard(dir + "/" + mw.shard_file,
-                               model_->NumParams(), &params,
-                               &resume_velocity_[w]);
-    PR_CHECK(s.ok()) << "loading shard " << mw.shard_file << ": "
-                     << s.message();
-    replicas_->replica(w).CopyFrom(params.data(), params.size());
-    resume_completed_[w] = static_cast<size_t>(mw.completed);
-    resume_iteration_[w] = mw.iteration;
-    // Fast-forward the sampler past the batches the original run consumed,
-    // so the resumed run draws exactly the batches the uninterrupted run
-    // would have — the restore-determinism property.
-    for (uint64_t i = 0; i < mw.completed; ++i) {
-      samplers_[w]->NextBatch(&scratch_x, &scratch_y);
-    }
+Status WorkerRuntime::Resume(const std::string& manifest_path) {
+  ResumeState state;
+  PR_RETURN_NOT_OK(LoadResume(manifest_path, CkptIdentity(), &state));
+  for (size_t w = 0; w < state.workers.size(); ++w) {
+    WorkerResume& restored = state.workers[w];
+    replicas_->replica(w).CopyFrom(restored.params.data(),
+                                   restored.params.size());
+    restored.params = {};
+    samplers_[w]->Skip(restored.completed);
   }
+  resume_ = std::move(state);
+  return Status::OK();
+}
+
+RunIdentity WorkerRuntime::CkptIdentity() const {
+  return {EngineKind::kThreaded, StrategyKindName(strategy_options_.kind),
+          options_.num_workers, model_->NumParams(), options_.seed};
 }
 
 double WorkerRuntime::NowSeconds() const {
@@ -421,14 +392,9 @@ ThreadedRunResult WorkerRuntime::Run(ThreadedStrategy* strategy) {
                              [this] { return NowSeconds(); });
   }
   if (options_.ckpt.enabled() || resume_.has_value()) {
-    // Eagerly register the ckpt.* instruments so they appear in the
-    // snapshot (and the cross-engine parity test) even when the run ends
-    // before the first checkpoint cut.
-    MetricsShard* shard = registry_.NewShard();
-    shard->GetCounter("ckpt.manifests_written");
-    shard->GetHistogram("ckpt.save_seconds", CkptSaveSecondsBuckets());
-    Counter* restores = shard->GetCounter("ckpt.restore_count");
-    if (resume_.has_value()) restores->Increment();
+    ckpt_ = std::make_unique<CkptCoordinator>(
+        options_.ckpt.dir, CkptIdentity(), registry_.NewShard(), &trace_,
+        resume_.has_value() ? &resume_->manifest : nullptr);
   }
 
   const ScalePolicyConfig& scale_cfg = strategy_options_.scale_policy;

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/manifest.h"
+#include "ckpt/protocol.h"
 #include "comm/transport.h"
 #include "common/rng.h"
 #include "compress/compressor.h"
@@ -99,19 +99,14 @@ class WorkerContext {
   /// restored count on a resumed run.
   size_t completed_iterations() const { return completed_iterations_; }
 
-  /// Local iterations already completed before this run started (non-zero
-  /// only on a resumed run). Strategies begin their loop at
-  /// start_iteration() + 1.
+  /// The restored WorkerResume counters (0 on a fresh run); strategies
+  /// begin their loop at start_iteration() + 1.
   size_t start_iteration() const { return start_iteration_; }
-  /// Protocol iteration counter restored from the manifest (P-Reduce's
-  /// group-advanced counter, which can exceed the local count under
-  /// dynamic weights). 0 on a fresh run.
   int64_t resume_iteration() const { return resume_iteration_; }
 
-  /// Writes this worker's checkpoint shard (replica parameters + optimizer
-  /// velocity) for `epoch` into run().ckpt.dir, crash-safely, and observes
-  /// the write latency under ckpt.save_seconds.
-  Status SaveCkptShard(int64_t epoch);
+  /// The run's checkpoint coordinator (null when unused); All-Reduce
+  /// drives it from worker 0.
+  CkptCoordinator* ckpt();
 
   /// Graceful-degradation gate: true while a sustained partition demands a
   /// checkpoint cut at every iteration boundary (the scenario thread sets
@@ -182,6 +177,8 @@ class ServiceContext {
   FaultyTransport* faulty();
   /// The manifest this run resumed from, or null on a fresh run.
   const RunManifest* resume() const;
+  /// The run's checkpoint coordinator (null when unused).
+  CkptCoordinator* ckpt();
   /// The run's scenario.* handles; null handles outside scenario mode.
   const ScenarioMetrics& scenario_metrics() const;
   /// True once every worker body this process runs has returned (always,
@@ -210,15 +207,12 @@ class ServiceContext {
 /// entirely to the ThreadedStrategy passed to Run().
 class WorkerRuntime {
  public:
-  /// `resume` (optional) is a checkpoint manifest to restart from;
-  /// `resume_dir` is the directory holding its worker shards. The manifest
-  /// is copied, replicas/optimizer state are seeded from the shards, and
-  /// each worker's batch sampler is fast-forwarded past the restored
-  /// iterations so a resumed run draws the batches the original would have.
   WorkerRuntime(const StrategyOptions& strategy_options,
-                const ThreadedRunOptions& options,
-                const RunManifest* resume = nullptr,
-                const std::string& resume_dir = "");
+                const ThreadedRunOptions& options);
+
+  /// Seeds replicas, velocity, counters, samplers and the controller from
+  /// the checkpoint at `manifest_path` (LoadResume). Call before Run().
+  Status Resume(const std::string& manifest_path);
 
   /// Routes all traffic through `fabric` (a SocketTransport hosting this
   /// process's nodes, or a SocketFabric for in-process socket runs) instead
@@ -246,7 +240,7 @@ class WorkerRuntime {
   friend class ServiceContext;
 
   double NowSeconds() const;
-  void ApplyResume(const RunManifest& manifest, const std::string& dir);
+  RunIdentity CkptIdentity() const;
 
   StrategyOptions strategy_options_;
   ThreadedRunOptions options_;
@@ -286,13 +280,10 @@ class WorkerRuntime {
   /// Registered by Run() in scenario mode.
   ScenarioMetrics scenario_metrics_;
 
-  /// Resume state (empty on a fresh run): the manifest this run restarted
-  /// from, plus the per-worker optimizer velocity and counters read from
-  /// its shards.
-  std::optional<RunManifest> resume_;
-  std::vector<std::vector<float>> resume_velocity_;
-  std::vector<size_t> resume_completed_;
-  std::vector<int64_t> resume_iteration_;
+  /// Resume state (empty on a fresh run) and the checkpoint coordinator
+  /// (built by Run() when the run checkpoints or resumed).
+  std::optional<ResumeState> resume_;
+  std::unique_ptr<CkptCoordinator> ckpt_;
 };
 
 }  // namespace pr

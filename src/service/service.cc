@@ -10,16 +10,6 @@
 namespace pr {
 namespace {
 
-bool IsPsFamily(StrategyKind kind) {
-  return kind == StrategyKind::kPsBsp || kind == StrategyKind::kPsAsp ||
-         kind == StrategyKind::kPsHete || kind == StrategyKind::kPsBackup;
-}
-
-bool IsPReduce(StrategyKind kind) {
-  return kind == StrategyKind::kPReduceConst ||
-         kind == StrategyKind::kPReduceDynamic;
-}
-
 const std::vector<double>& QueueDelayBuckets() {
   static const std::vector<double> buckets = {0.001, 0.003, 0.01, 0.03, 0.1,
                                               0.3,   1.0,   3.0,  10.0, 30.0};
@@ -354,7 +344,9 @@ void TrainingService::RunJob(Job* job) {
   config.run.dataset.seed += static_cast<uint64_t>(
       job->spec.data_shard < 0 ? 0 : job->spec.data_shard);
   // Per-job checkpoint isolation: jobs never share a manifest directory.
-  if (config.run.ckpt.enabled()) {
+  if (!CheckpointSupported(config.strategy.kind)) {
+    config.run.ckpt = CheckpointConfig{};
+  } else if (config.run.ckpt.enabled()) {
     const std::string root = options_.ckpt_root.empty()
                                  ? config.run.ckpt.dir
                                  : options_.ckpt_root;
@@ -373,9 +365,6 @@ void TrainingService::RunJob(Job* job) {
       config.run.churn.clear();
       if (config.run.fault.enabled()) {
         config.run.fault = FaultPlan{};
-      }
-      if (strategy.kind != StrategyKind::kAllReduce) {
-        config.run.ckpt = CheckpointConfig{};
       }
     }
     if (strategy.kind == StrategyKind::kEagerReduce &&

@@ -1,8 +1,8 @@
 #include "sim/sim_training.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "comm/collectives.h"
@@ -91,17 +91,6 @@ SimTraining::SimTraining(const SimTrainingOptions& options)
     timeline_ = std::make_unique<Timeline>(options.num_workers);
   }
   eval_scratch_.resize(model_->NumParams());
-
-  if (options.ckpt.enabled()) {
-    PR_CHECK(!options.timing_only)
-        << "checkpointing needs real training state to snapshot";
-    // Eager-register the ckpt.* family so both engines' snapshots carry
-    // identical metric names whether or not a cut ever happens.
-    ckpt_manifests_counter_ = metrics_shard_->GetCounter("ckpt.manifests_written");
-    ckpt_save_hist_ = metrics_shard_->GetHistogram("ckpt.save_seconds",
-                                                   CkptSaveSecondsBuckets());
-    metrics_shard_->GetCounter("ckpt.restore_count");
-  }
 }
 
 void SimTraining::RecordActivity(int worker, WorkerActivity activity,
@@ -217,103 +206,58 @@ void SimTraining::RecordUpdate() {
       engine_.now() >= options_.max_sim_seconds) {
     stopped_ = true;
   }
-  if (!stopped_) MaybeCheckpoint();
 }
 
-void SimTraining::ConfigureCheckpoint(const std::string& strategy,
-                                      std::function<void(RunManifest*)> fill) {
-  ckpt_strategy_ = strategy;
-  ckpt_fill_ = std::move(fill);
+Status SimTraining::EnableCheckpoint(const std::string& strategy,
+                                     const std::string& resume_manifest) {
+  PR_CHECK(!options_.timing_only)
+      << "checkpointing needs real training state to snapshot";
+  const RunIdentity identity{EngineKind::kSim, strategy, options_.num_workers,
+                             num_params(), options_.seed};
+  if (!resume_manifest.empty()) {
+    ResumeState state;
+    PR_RETURN_NOT_OK(LoadResume(resume_manifest, identity, &state));
+    for (size_t w = 0; w < workers_.size(); ++w) {
+      WorkerState& ws = workers_[w];
+      WorkerResume& restored = state.workers[w];
+      ws.params = std::move(restored.params);
+      *ws.optimizer->mutable_velocity() = std::move(restored.velocity);
+      ws.iteration = restored.iteration;
+      ws.sampler->Skip(restored.completed);
+      ws.batches_drawn = static_cast<size_t>(restored.completed);
+      ws.cut_at = ws.batches_drawn;
+      gradients_computed_ += ws.batches_drawn;
+    }
+    updates_ = state.manifest.updates_done;
+    resume_ = std::move(state.manifest);
+  }
+  ckpt_ = std::make_unique<CkptCoordinator>(options_.ckpt.dir, identity,
+                                            metrics_shard_, &trace_, resume());
+  return Status::OK();
 }
 
-void SimTraining::MaybeCheckpoint() {
-  const CheckpointConfig& ckpt = options_.ckpt;
-  if (ckpt_fill_ == nullptr || !ckpt.enabled() || ckpt.every_updates == 0) {
+void SimTraining::CutCheckpoint(
+    int worker, int64_t iteration, size_t completed,
+    const std::function<void(RunManifest*)>& stamp, bool barrier) {
+  WorkerState& ws = workers_[static_cast<size_t>(worker)];
+  if (ckpt_ == nullptr || completed <= ws.cut_at) return;
+  ws.cut_at = completed;
+  const uint64_t epoch = CutEpoch(options_.ckpt, completed, SIZE_MAX);
+  if (epoch == 0 || !SaveCutShard(metrics_shard_, options_.ckpt.dir, epoch,
+                                  worker,
+                                  Slice(ws.params.data(), ws.params.size()),
+                                  ws.optimizer->velocity())
+                         .ok()) {
     return;
   }
-  if (updates_ % ckpt.every_updates != 0) return;
-  const uint64_t epoch = updates_ / ckpt.every_updates;
-  if (epoch <= last_ckpt_epoch_) return;  // restored epochs stay final
-
-  // The simulator is single-threaded, so the cut is trivially coordinated:
-  // every replica is quiescent right now. Best-effort — a failed write
-  // leaves the previous manifest as the restore point.
-  const auto begin = std::chrono::steady_clock::now();
-  RunManifest m;
-  m.engine = EngineKindName(EngineKind::kSim);
-  m.strategy = ckpt_strategy_;
-  m.num_workers = options_.num_workers;
-  m.num_params = num_params();
-  m.seed = options_.seed;
-  m.epoch = epoch;
-  m.updates_done = updates_;
-  m.saved_at_seconds = engine_.now();
-  ckpt_fill_(&m);
-  for (int w = 0; w < options_.num_workers; ++w) {
-    WorkerState& ws = workers_[static_cast<size_t>(w)];
-    const std::vector<float>& vel = *ws.optimizer->mutable_velocity();
-    if (!SaveWorkerShard(ShardPath(ckpt.dir, epoch, w),
-                         Slice(ws.params.data(), ws.params.size()),
-                         Slice(vel.data(), vel.size()))
-             .ok()) {
-      return;
-    }
-    ManifestWorker mw;
-    mw.worker = w;
-    mw.iteration = ws.iteration;
-    mw.completed = ws.batches_drawn;
-    mw.shard_file = ShardFileName(epoch, w);
-    m.workers.push_back(mw);
+  const CutState state{updates_, engine_.now(), stamp};
+  if (barrier) {
+    ckpt_->ReportAll(epoch, completed, state);
+  } else {
+    ckpt_->Report(epoch,
+                  {worker, iteration, completed, ShardFileName(epoch, worker)},
+                  state);
   }
-  if (!SaveManifest(ckpt.dir, m).ok()) return;
-  last_ckpt_epoch_ = epoch;
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
-          .count();
-  ckpt_save_hist_->Observe(elapsed);
-  ckpt_manifests_counter_->Increment();
-  trace_.Record(engine_.now(), TraceEventKind::kCkptSaved, -1,
-                static_cast<int64_t>(epoch));
-}
-
-void SimTraining::RestoreFromManifest(const RunManifest& manifest,
-                                      const std::string& dir) {
-  PR_CHECK(!options_.timing_only);
-  PR_CHECK(manifest.engine == EngineKindName(EngineKind::kSim))
-      << "manifest was written by the '" << manifest.engine << "' engine";
-  PR_CHECK_EQ(manifest.num_workers, options_.num_workers);
-  PR_CHECK_EQ(manifest.num_params, num_params());
-  PR_CHECK_EQ(manifest.seed, options_.seed)
-      << "resuming with a different seed would draw different batches";
-  PR_CHECK_EQ(manifest.workers.size(),
-              static_cast<size_t>(options_.num_workers));
-
-  Tensor scratch_x;
-  std::vector<int> scratch_y;
-  for (const ManifestWorker& mw : manifest.workers) {
-    PR_CHECK_GE(mw.worker, 0);
-    PR_CHECK_LT(mw.worker, options_.num_workers);
-    WorkerState& ws = workers_[static_cast<size_t>(mw.worker)];
-    std::vector<float> params;
-    std::vector<float> velocity;
-    Status s = LoadWorkerShard(dir + "/" + mw.shard_file, num_params(),
-                               &params, &velocity);
-    PR_CHECK(s.ok()) << "loading shard " << mw.shard_file << ": "
-                     << s.message();
-    ws.params = std::move(params);
-    ws.snapshot = ws.params;
-    *ws.optimizer->mutable_velocity() = std::move(velocity);
-    ws.iteration = mw.iteration;
-    for (uint64_t i = 0; i < mw.completed; ++i) {
-      ws.sampler->NextBatch(&scratch_x, &scratch_y);
-    }
-    ws.batches_drawn = static_cast<size_t>(mw.completed);
-    gradients_computed_ += static_cast<size_t>(mw.completed);
-  }
-  updates_ = manifest.updates_done;
-  last_ckpt_epoch_ = manifest.epoch;
-  resume_ = manifest;
-  metrics_shard_->GetCounter("ckpt.restore_count")->Increment();
 }
 
 void SimTraining::MarkWaitStart(int worker) {

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "ckpt/ckpt_config.h"
-#include "ckpt/manifest.h"
+#include "ckpt/protocol.h"
 #include "common/stats.h"
 #include "compress/codec.h"
 #include "data/synthetic.h"
@@ -100,11 +100,8 @@ struct SimTrainingOptions {
   /// threaded engine's.
   ScenarioSpec scenario;
 
-  /// Coordinated checkpointing (strategies that call ConfigureCheckpoint —
-  /// P-Reduce kinds and AR): every `ckpt.every_updates` global updates the
-  /// run snapshots every replica + optimizer into shards and writes a
-  /// manifest; RestoreSimRun resumes from it. Disabled by default, and
-  /// unavailable in timing-only mode.
+  /// Coordinated checkpointing (CheckpointSupported kinds; see
+  /// ckpt/protocol.h). Disabled by default; unavailable in timing-only mode.
   CheckpointConfig ckpt;
 
   /// Convergence criterion: stop when the evaluated model reaches this test
@@ -224,26 +221,30 @@ class SimTraining {
   void increment_iteration(int worker);
 
   /// Registers one global update (aggregation event). Triggers periodic
-  /// evaluation, stop-condition checks, and — when checkpointing is
-  /// configured — the every-K-updates coordinated cut.
+  /// evaluation and stop-condition checks.
   void RecordUpdate();
   size_t updates() const { return updates_; }
 
-  /// Opts this run's strategy into coordinated checkpointing: `strategy` is
-  /// the manifest's strategy name, `fill` stamps strategy-owned restore
-  /// state (controller history / group-id watermark) into each manifest.
-  /// Without this call an enabled ckpt config cuts nothing.
-  void ConfigureCheckpoint(const std::string& strategy,
-                           std::function<void(RunManifest*)> fill);
-  bool checkpoint_configured() const { return ckpt_fill_ != nullptr; }
+  /// Mini-batches `worker` has drawn: its completed local iterations.
+  size_t batches_drawn(int worker) const {
+    return workers_[static_cast<size_t>(worker)].batches_drawn;
+  }
 
-  /// Seeds this run from a checkpoint manifest written by an earlier sim
-  /// run: replicas, optimizer velocity, and iteration counters come from
-  /// the shards, each worker's batch sampler is fast-forwarded past the
-  /// restored draws, and the global update counter resumes at the cut.
-  /// Call before the strategy is constructed; ckpt.restore_count becomes 1.
-  void RestoreFromManifest(const RunManifest& manifest,
-                           const std::string& dir);
+  /// Opts the run into the coordinated checkpoint under `strategy`'s name
+  /// and, given `resume_manifest`, seeds replicas, velocity, counters,
+  /// samplers and the update count from it (LoadResume). Call before the
+  /// strategy is constructed.
+  Status EnableCheckpoint(const std::string& strategy,
+                          const std::string& resume_manifest = "");
+
+  /// At `worker`'s synchronization boundary: cuts its shard when local
+  /// iteration `completed` is a cut point (CutEpoch), once per count, and
+  /// reports it; `stamp` adds the controller's state. With `barrier`
+  /// (All-Reduce) worker 0's shard stands for every worker. No-op without
+  /// EnableCheckpoint.
+  void CutCheckpoint(int worker, int64_t iteration, size_t completed,
+                     const std::function<void(RunManifest*)>& stamp,
+                     bool barrier = false);
   /// The manifest this run resumed from, or null on a fresh run (strategies
   /// re-seed their controller from it during construction).
   const RunManifest* resume() const {
@@ -327,12 +328,12 @@ class SimTraining {
     /// Mini-batches drawn so far; a restore fast-forwards the sampler by
     /// this count so the resumed run draws the batches the original would.
     size_t batches_drawn = 0;
+    size_t cut_at = 0;  ///< the completed count last considered for a cut
     double wait_started = -1.0;  ///< -1 when not waiting
     double total_wait = 0.0;
   };
 
   void MaybeEvaluate();
-  void MaybeCheckpoint();
   const float* EvalParams();
 
   SimTrainingOptions options_;
@@ -351,13 +352,9 @@ class SimTraining {
   std::function<const float*()> eval_provider_;
   std::vector<float> eval_scratch_;
 
-  /// Checkpoint wiring (see ConfigureCheckpoint / RestoreFromManifest).
-  std::string ckpt_strategy_;
-  std::function<void(RunManifest*)> ckpt_fill_;
-  uint64_t last_ckpt_epoch_ = 0;
+  /// Checkpoint wiring (see EnableCheckpoint).
+  std::unique_ptr<CkptCoordinator> ckpt_;
   std::optional<RunManifest> resume_;
-  Counter* ckpt_manifests_counter_ = nullptr;
-  Histogram* ckpt_save_hist_ = nullptr;
 
   size_t updates_ = 0;
   size_t gradients_computed_ = 0;

@@ -4,15 +4,20 @@
 #include <vector>
 
 #include "common/check.h"
-#include "core/aggregate.h"
-#include "core/weight_generator.h"
+#include "tensor/ops.h"
 
 namespace pr {
 
-AdPsgdStrategy::AdPsgdStrategy(SimTraining* ctx) : ctx_(ctx) {
+AdPsgdStrategy::AdPsgdStrategy(SimTraining* ctx, CompressionKind compression)
+    : ctx_(ctx) {
   PR_CHECK(ctx != nullptr);
   PR_CHECK_GE(ctx->num_workers(), 2);
   comm_busy_.assign(static_cast<size_t>(ctx->num_workers()), 0.0);
+  if (compression == CompressionKind::kNone) return;
+  for (int w = 0; w < ctx->num_workers(); ++w) {
+    compressors_.push_back(std::make_unique<Compressor>(compression));
+    compressors_.back()->AttachMetrics(ctx->metrics());
+  }
 }
 
 void AdPsgdStrategy::Start() {
@@ -55,10 +60,24 @@ void AdPsgdStrategy::OnGradientReady(int worker) {
   ctx_->engine()->ScheduleAt(done, [this, worker, peer, grad] {
     ctx_->MarkWaitEnd(worker);
     // Atomic average of the two current models (peer may be mid-compute;
-    // its in-flight gradient becomes inconsistent — by design).
-    std::vector<float*> models = {ctx_->params(worker).data(),
-                                  ctx_->params(peer).data()};
-    WeightedAverageInPlace(models, ConstantWeights(2), ctx_->num_params());
+    // its in-flight gradient becomes inconsistent — by design), exchanged
+    // as on the threaded wire: our model reaches the peer through our
+    // codec, the peer folds it in and replies through its own, and we adopt
+    // the reply. Without a codec both end at the exact pair average.
+    const size_t n = ctx_->num_params();
+    auto send = [&](int from, std::vector<float>* model) {
+      if (compressors_.empty()) return;
+      (void)compressors_[static_cast<size_t>(from)]->EncodeRangePublish(
+          model->data(), 0, n);
+    };
+    std::vector<float>& mine = ctx_->params(worker);
+    std::vector<float>& theirs = ctx_->params(peer);
+    std::vector<float> request = mine;
+    send(worker, &request);
+    Scale(0.5f, theirs.data(), n);
+    Axpy(0.5f, request.data(), theirs.data(), n);
+    mine = theirs;
+    send(peer, &mine);
     // Apply our (now slightly stale) gradient to our averaged model.
     ctx_->LocalStep(worker, grad->data());
     ctx_->increment_iteration(worker);

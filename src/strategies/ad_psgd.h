@@ -1,7 +1,9 @@
 #pragma once
 
+#include <memory>
 #include <vector>
 
+#include "compress/compressor.h"
 #include "sim/cost_model.h"
 #include "strategies/strategy.h"
 
@@ -24,7 +26,8 @@ namespace pr {
 /// controller-scheduled groups.
 class AdPsgdStrategy : public Strategy {
  public:
-  explicit AdPsgdStrategy(SimTraining* ctx);
+  explicit AdPsgdStrategy(SimTraining* ctx,
+                          CompressionKind compression = CompressionKind::kNone);
 
   void Start() override;
 
@@ -37,6 +40,8 @@ class AdPsgdStrategy : public Strategy {
   std::vector<double> comm_busy_;
   /// Global atomicity lock busy horizon (CPU-staged averaging).
   double atomic_lock_busy_ = 0.0;
+  /// One codec per worker's outgoing model stream (empty without one).
+  std::vector<std::unique_ptr<Compressor>> compressors_;
 };
 
 }  // namespace pr

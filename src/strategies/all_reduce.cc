@@ -18,10 +18,6 @@ AllReduceStrategy::AllReduceStrategy(SimTraining* ctx,
       compressors_.push_back(std::make_unique<Compressor>(compression));
     }
   }
-  // AR checkpoints carry no controller state — the barrier is the
-  // coordination.
-  ctx->ConfigureCheckpoint(StrategyKindName(StrategyKind::kAllReduce),
-                           [](RunManifest*) {});
 }
 
 void AllReduceStrategy::Start() {
@@ -80,6 +76,8 @@ void AllReduceStrategy::OnReduceDone() {
                             compression_);
   ctx_->RecordUpdate();
   if (ctx_->stopped()) return;
+  const size_t k = static_cast<size_t>(ctx_->iteration(0));
+  ctx_->CutCheckpoint(0, ctx_->iteration(0), k, nullptr, /*barrier=*/true);
   for (int i = 0; i < ctx_->num_workers(); ++i) BeginCompute(i);
 }
 

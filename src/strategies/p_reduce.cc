@@ -27,12 +27,11 @@ PReduceStrategy::PReduceStrategy(SimTraining* ctx,
   const FaultPlan& plan = ctx->options().fault;
   workers_.reserve(n);
   for (int w = 0; w < ctx->num_workers(); ++w) {
-    // A resumed worker's local count is its restored iteration counter.
-    const int64_t it = ctx->iteration(w);
+    // A resumed worker continues from its restored counters.
     workers_.emplace_back(w, options, plan,
                           PReduceWorker::Observers{ctx->metrics(),
                                                    ctx->trace()},
-                          it, static_cast<size_t>(std::max<int64_t>(it, 0)));
+                          ctx->iteration(w), ctx->batches_drawn(w));
   }
   envs_.resize(n);
 
@@ -50,12 +49,6 @@ PReduceStrategy::PReduceStrategy(SimTraining* ctx,
     scale_policy_ = std::make_unique<ScalePolicy>(options.scale_policy,
                                                   ctx->num_workers());
   }
-
-  // Coordinated checkpointing: SimTraining cuts the shards; the strategy
-  // stamps the controller-owned restore state into each manifest.
-  ctx->ConfigureCheckpoint(
-      StrategyKindName(options.kind),
-      [this](RunManifest* m) { service_.StampManifest(m); });
 }
 
 void PReduceStrategy::ScenarioLeave(int worker) {
@@ -256,7 +249,12 @@ void PReduceStrategy::Run(int worker, WorkerActions actions) {
       case WorkerAction::Kind::kFinish:
         break;
       case WorkerAction::Kind::kProceed:
-        if (!ctx_->stopped()) BeginCompute(worker);
+        if (ctx_->stopped()) break;
+        // The completed iteration's synchronization resolved: the cut point.
+        ctx_->CutCheckpoint(
+            worker, core.iteration(), core.completed(),
+            [this](RunManifest* m) { service_.StampManifest(m); });
+        BeginCompute(worker);
         break;
     }
   }

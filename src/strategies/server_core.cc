@@ -9,6 +9,10 @@
 
 namespace pr {
 
+int EagerReduceQuorum(const StrategyOptions& options, int num_workers) {
+  return options.er_quorum > 0 ? options.er_quorum : num_workers / 2 + 1;
+}
+
 ServerCore::ServerCore(const StrategyOptions& options, int num_workers,
                        std::vector<float> init, const SgdOptions& sgd,
                        Observers observers)
@@ -34,7 +38,7 @@ ServerCore::ServerCore(const StrategyOptions& options, int num_workers,
       round_target_ = n_ - options.backup_workers;
       break;
     case StrategyKind::kEagerReduce:
-      round_target_ = options.er_quorum > 0 ? options.er_quorum : n_ / 2 + 1;
+      round_target_ = EagerReduceQuorum(options, n_);
       PR_CHECK_GE(round_target_, 1);
       PR_CHECK_LE(round_target_, n_);
       deposits_.assign(static_cast<size_t>(n_),

@@ -15,7 +15,7 @@ std::unique_ptr<Strategy> MakeStrategy(const StrategyOptions& options,
     case StrategyKind::kAllReduce:
       return std::make_unique<AllReduceStrategy>(ctx, options.compression);
     case StrategyKind::kAdPsgd:
-      return std::make_unique<AdPsgdStrategy>(ctx);
+      return std::make_unique<AdPsgdStrategy>(ctx, options.compression);
     case StrategyKind::kEagerReduce:
     case StrategyKind::kPsBsp:
     case StrategyKind::kPsAsp:

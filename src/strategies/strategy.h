@@ -42,6 +42,21 @@ inline std::string StrategyKindName(StrategyKind kind) {
   return NameOf(kStrategyKindNames, kind);
 }
 
+inline bool IsPReduce(StrategyKind kind) {
+  return kind == StrategyKind::kPReduceConst ||
+         kind == StrategyKind::kPReduceDynamic;
+}
+
+inline bool IsPsFamily(StrategyKind kind) {
+  return kind == StrategyKind::kPsBsp || kind == StrategyKind::kPsAsp ||
+         kind == StrategyKind::kPsHete || kind == StrategyKind::kPsBackup;
+}
+
+/// Kinds the coordinated checkpoint covers, in both engines.
+inline bool CheckpointSupported(StrategyKind kind) {
+  return IsPReduce(kind) || kind == StrategyKind::kAllReduce;
+}
+
 /// \brief A membership change during a simulated P-Reduce run (elastic
 /// training): the worker stops participating after its in-flight iteration
 /// (leave) or resumes with whatever parameters it last held (join).

@@ -1,25 +1,30 @@
 #include "train/experiment.h"
 
-#include <filesystem>
-
-#include "ckpt/manifest.h"
 #include "common/check.h"
 
 namespace pr {
 namespace {
 
-SimRunResult RunPrepared(SimTraining* ctx, const ExperimentConfig& config) {
-  std::unique_ptr<Strategy> strategy = MakeStrategy(config.strategy, ctx);
-  PR_CHECK(!config.training.ckpt.enabled() || ctx->checkpoint_configured())
-      << "strategy " << StrategyKindName(config.strategy.kind)
-      << " does not support coordinated checkpointing";
+/// One simulated run, resumed from `resume_manifest` when it is non-empty.
+SimRunResult RunSim(const ExperimentConfig& config,
+                    const std::string& resume_manifest) {
+  SimTraining ctx(config.training);
+  const std::string strategy_name = StrategyKindName(config.strategy.kind);
+  if (config.training.ckpt.enabled() || !resume_manifest.empty()) {
+    PR_CHECK(CheckpointSupported(config.strategy.kind))
+        << "strategy " << strategy_name
+        << " does not support coordinated checkpointing";
+    const Status s = ctx.EnableCheckpoint(strategy_name, resume_manifest);
+    PR_CHECK(s.ok()) << "resuming from " << resume_manifest << ": "
+                     << s.message();
+  }
+  std::unique_ptr<Strategy> strategy = MakeStrategy(config.strategy, &ctx);
   strategy->Start();
-  ctx->engine()->RunUntil([&] { return ctx->stopped(); },
-                          config.training.max_sim_seconds);
+  ctx.engine()->RunUntil([&] { return ctx.stopped(); },
+                         config.training.max_sim_seconds);
   // Final evaluation if the run ended between periodic evals.
-  ctx->EvaluateNow();
-  SimRunResult result =
-      ctx->BuildResult(StrategyKindName(config.strategy.kind));
+  ctx.EvaluateNow();
+  SimRunResult result = ctx.BuildResult(strategy_name);
   const ControllerStats stats = strategy->controller_stats();
   result.bridged_groups = stats.bridged_groups;
   result.frozen_detections = stats.frozen_detections;
@@ -29,24 +34,12 @@ SimRunResult RunPrepared(SimTraining* ctx, const ExperimentConfig& config) {
 }  // namespace
 
 SimRunResult RunExperiment(const ExperimentConfig& config) {
-  SimTraining ctx(config.training);
-  return RunPrepared(&ctx, config);
+  return RunSim(config, "");
 }
 
 SimRunResult RestoreSimRun(const ExperimentConfig& config,
                            const std::string& manifest_path) {
-  RunManifest manifest;
-  Status s = LoadManifest(manifest_path, &manifest);
-  PR_CHECK(s.ok()) << "loading manifest " << manifest_path << ": "
-                   << s.message();
-  PR_CHECK(manifest.strategy == StrategyKindName(config.strategy.kind))
-      << "manifest strategy " << manifest.strategy
-      << " does not match the requested "
-      << StrategyKindName(config.strategy.kind);
-  SimTraining ctx(config.training);
-  ctx.RestoreFromManifest(
-      manifest, std::filesystem::path(manifest_path).parent_path().string());
-  return RunPrepared(&ctx, config);
+  return RunSim(config, manifest_path);
 }
 
 AggregateResult RunExperimentSeeds(const ExperimentConfig& config,

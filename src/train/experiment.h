@@ -19,15 +19,10 @@ struct ExperimentConfig {
 SimRunResult RunExperiment(const ExperimentConfig& config);
 
 /// \brief Resumes a simulated experiment from a checkpoint manifest written
-/// by an earlier run of the same cell (see SimTrainingOptions::ckpt).
-///
-/// Replicas, optimizer velocity, iteration counters, the global update
-/// count, and the P-Reduce controller's history/watermark all come from the
-/// manifest; each worker's batch sampler is fast-forwarded past the
-/// restored draws. `config` must match the original run (strategy kind,
-/// worker count, model, seed); mismatches fail a check. The virtual clock
-/// restarts at 0 — the resumed run's sim_seconds covers only the remaining
-/// work. Restoring the same manifest twice yields identical results.
+/// by an earlier run of the same cell; LoadResume's checks failing aborts.
+/// The virtual clock restarts at 0, so sim_seconds covers only the
+/// remaining work. Restoring the same manifest twice yields identical
+/// results.
 SimRunResult RestoreSimRun(const ExperimentConfig& config,
                            const std::string& manifest_path);
 

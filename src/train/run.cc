@@ -3,6 +3,9 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "runtime/threaded_strategy.h"
+#include "runtime/worker_runtime.h"
+#include "strategies/server_core.h"
 
 namespace pr {
 namespace {
@@ -25,7 +28,8 @@ size_t DerivedUpdateBudget(const RunConfig& config) {
       per_update = static_cast<double>(std::max(1, config.strategy.group_size));
       break;
     case StrategyKind::kEagerReduce:
-      per_update = static_cast<double>(std::max(1, config.strategy.er_quorum));
+      per_update = static_cast<double>(
+          EagerReduceQuorum(config.strategy, config.run.num_workers));
       break;
     case StrategyKind::kAdPsgd:
       per_update = 2.0;
@@ -108,8 +112,15 @@ RunOutcome StartRun(const RunConfig& config, EngineKind engine) {
 RunOutcome ResumeRun(const RunConfig& config, EngineKind engine,
                      const std::string& manifest_path) {
   switch (engine) {
-    case EngineKind::kThreaded:
-      return FromThreaded(RestoreThreadedRun(config, manifest_path));
+    case EngineKind::kThreaded: {
+      ValidateRunConfig(config);
+      WorkerRuntime runtime(config.strategy, config.run);
+      const Status s = runtime.Resume(manifest_path);
+      PR_CHECK(s.ok()) << "resuming from " << manifest_path << ": "
+                       << s.message();
+      return FromThreaded(
+          runtime.Run(MakeThreadedStrategy(config.strategy).get()));
+    }
     case EngineKind::kSim:
       return FromSim(
           RestoreSimRun(ToExperimentConfig(config), manifest_path));

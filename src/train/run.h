@@ -51,9 +51,9 @@ ExperimentConfig ToExperimentConfig(const RunConfig& config);
 RunOutcome StartRun(const RunConfig& config,
                     EngineKind engine = EngineKind::kThreaded);
 
-/// \brief Unified resume entry over RestoreThreadedRun / RestoreSimRun:
-/// resumes `config` from a checkpoint manifest written by an earlier run of
-/// the same configuration on the same engine.
+/// \brief Unified resume entry: resumes `config` from a checkpoint manifest
+/// written by an earlier run of the same configuration on the same engine;
+/// LoadResume's checks (ckpt/protocol.h) failing aborts.
 RunOutcome ResumeRun(const RunConfig& config, EngineKind engine,
                      const std::string& manifest_path);
 

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "ckpt/manifest.h"
+#include "ckpt/protocol.h"
 #include "runtime/threaded_runtime.h"
 #include "train/experiment.h"
+#include "train/run.h"
 
 namespace pr {
 namespace {
@@ -167,7 +171,8 @@ TEST(CkptRestoreTest, AllReduceRestoreIsBitForBitIdentical) {
   ASSERT_TRUE(FindLatestManifest(dir.path(), &latest, &manifest_path).ok());
   EXPECT_EQ(latest.epoch, 2u);  // cuts at k=3 and k=6; k=9 ends the run
 
-  ThreadedRunResult restored = RestoreThreadedRun(config, manifest_path);
+  ThreadedRunResult restored =
+      ResumeRun(config, EngineKind::kThreaded, manifest_path).threaded;
   // The acceptance bar: a restored AR run must replay the exact remaining
   // iterations — same batches, same averaged gradients, same momentum — so
   // the final parameters match the never-interrupted run bit for bit.
@@ -194,7 +199,8 @@ TEST(CkptRestoreTest, PReduceRestoreFinishesTheBudget) {
   EXPECT_EQ(latest.strategy, "CON");
   EXPECT_EQ(latest.engine, "threaded");
 
-  ThreadedRunResult restored = RestoreThreadedRun(config, manifest_path);
+  ThreadedRunResult restored =
+      ResumeRun(config, EngineKind::kThreaded, manifest_path).threaded;
   // Metric continuity: iteration counters resume at the restored counts, so
   // a resumed run reports the same totals as an uninterrupted one.
   for (size_t iters : restored.worker_iterations) {
@@ -217,7 +223,8 @@ TEST(CkptRestoreTest, RestoreRejectsMismatchedStrategy) {
 
   RunConfig wrong = config;
   wrong.strategy.kind = StrategyKind::kPReduceConst;
-  EXPECT_DEATH(RestoreThreadedRun(wrong, manifest_path), "strategy");
+  EXPECT_DEATH(ResumeRun(wrong, EngineKind::kThreaded, manifest_path),
+               "strategy");
 }
 
 // ---------------------------------------------------------------------------
@@ -231,7 +238,7 @@ ExperimentConfig SmallSimConfig(StrategyKind kind, const std::string& dir) {
   config.training.accuracy_threshold = -1.0;
   config.training.seed = 5;
   config.training.ckpt.dir = dir;
-  config.training.ckpt.every_updates = 10;
+  config.training.ckpt.every_iterations = 10;
   config.strategy.kind = kind;
   config.strategy.group_size = 3;
   return config;
@@ -276,6 +283,12 @@ TEST(CkptRestoreTest, SimAllReduceCheckpoints) {
   SimRunResult restored = RestoreSimRun(config, manifest_path);
   EXPECT_EQ(restored.updates, 40u);
   EXPECT_EQ(restored.metrics.counter("ckpt.restore_count"), 1.0);
+  // The barrier cut holds the whole run state: the restored run replays the
+  // remaining rounds exactly, as the threaded AR restore does.
+  ASSERT_FALSE(full.curve.empty());
+  ASSERT_FALSE(restored.curve.empty());
+  EXPECT_EQ(restored.curve.back().loss, full.curve.back().loss);
+  EXPECT_EQ(restored.final_accuracy, full.final_accuracy);
 }
 
 // ---------------------------------------------------------------------------
@@ -298,6 +311,295 @@ TEST(CkptRestoreTest, CkptMetricNamesMatchAcrossEngines) {
   }
   ASSERT_NE(threaded.metrics.histogram("ckpt.save_seconds"), nullptr);
   ASSERT_NE(sim.metrics.histogram("ckpt.save_seconds"), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// One definition of ckpt.save_seconds and kCkptSaved for both engines.
+// ---------------------------------------------------------------------------
+
+size_t FilesIn(const std::string& dir) {
+  size_t files = 0;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    if (entry.is_regular_file()) ++files;
+  }
+  return files;
+}
+
+TEST(CkptRestoreTest, SaveSecondsSamplesEveryFileWritten) {
+  for (StrategyKind kind :
+       {StrategyKind::kPReduceConst, StrategyKind::kAllReduce}) {
+    for (EngineKind engine : {EngineKind::kThreaded, EngineKind::kSim}) {
+      const std::string where =
+          StrategyKindName(kind) + "_" + EngineKindName(engine);
+      SCOPED_TRACE(where);
+      CkptDir dir("save_seconds_" + where);
+      RunConfig config = SmallThreadedConfig(kind, dir.path());
+      config.run.trace_capacity = 1 << 12;
+      const RunOutcome run = StartRun(config, engine);
+      const double manifests = run.metrics.counter("ckpt.manifests_written");
+      ASSERT_GE(manifests, 1.0);
+
+      // One sample per shard and per manifest on disk.
+      const HistogramSnapshot* save = run.metrics.histogram("ckpt.save_seconds");
+      ASSERT_NE(save, nullptr);
+      EXPECT_EQ(save->total_count, FilesIn(dir.path()));
+
+      // One kCkptSaved per manifest: worker -1, a = epoch, b = updates_done.
+      size_t saved = 0;
+      for (const TraceEvent& e : run.trace.events) {
+        if (e.kind != TraceEventKind::kCkptSaved) continue;
+        ++saved;
+        EXPECT_EQ(e.worker, -1);
+        RunManifest m;
+        ASSERT_TRUE(LoadManifest(
+                        ManifestPath(dir.path(), static_cast<uint64_t>(e.a)),
+                        &m)
+                        .ok());
+        EXPECT_EQ(static_cast<uint64_t>(e.b), m.updates_done);
+      }
+      EXPECT_EQ(static_cast<double>(saved), manifests);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The cut rule and the coordinator, driven directly.
+// ---------------------------------------------------------------------------
+
+TEST(CkptCoordinatorTest, CutEpochRule) {
+  const CheckpointConfig every3{"dir", 3};
+  EXPECT_EQ(CutEpoch(every3, 0, 9), 0u);
+  EXPECT_EQ(CutEpoch(every3, 3, 9), 1u);
+  EXPECT_EQ(CutEpoch(every3, 4, 9), 0u);
+  EXPECT_EQ(CutEpoch(every3, 6, 9), 2u);
+  EXPECT_EQ(CutEpoch(every3, 9, 9), 0u);  // the final iteration never cuts
+  EXPECT_EQ(CutEpoch(every3, 9, SIZE_MAX), 3u);
+  // The partition gate cuts the upcoming epoch at every boundary.
+  EXPECT_EQ(CutEpoch(every3, 1, 9, /*forced=*/true), 1u);
+  EXPECT_EQ(CutEpoch(every3, 4, 9, /*forced=*/true), 2u);
+  EXPECT_EQ(CutEpoch(every3, 6, 9, /*forced=*/true), 2u);
+  EXPECT_EQ(CutEpoch(CheckpointConfig{}, 3, 9), 0u);
+  EXPECT_EQ(CutEpoch(CheckpointConfig{"dir", 0}, 3, 9), 0u);
+}
+
+RunIdentity ThreeWorkers() { return {EngineKind::kSim, "CON", 3, 7, 42}; }
+
+/// Worker `worker`'s cut of `epoch` after `completed` local iterations.
+ManifestWorker Cut(int worker, uint64_t epoch, uint64_t completed) {
+  return {worker, static_cast<int64_t>(completed) + 10, completed,
+          ShardFileName(epoch, worker)};
+}
+
+struct CoordinatorRig {
+  explicit CoordinatorRig(const std::string& dir,
+                          const RunManifest* resume = nullptr)
+      : coordinator(dir, ThreeWorkers(), registry.NewShard(), &trace,
+                    resume) {}
+
+  bool Report(uint64_t epoch, const ManifestWorker& report) {
+    return coordinator.Report(epoch, report, {5 * epoch, 0.5, nullptr});
+  }
+  size_t SavedEvents() {
+    const TraceLog log = trace.Log();
+    return static_cast<size_t>(std::count_if(
+        log.events.begin(), log.events.end(), [](const TraceEvent& e) {
+          return e.kind == TraceEventKind::kCkptSaved;
+        }));
+  }
+
+  MetricsRegistry registry;
+  TraceRecorder trace{64};
+  CkptCoordinator coordinator;
+};
+
+TEST(CkptCoordinatorTest, FillsTheHeaderOnceEveryWorkerReported) {
+  CkptDir dir("coord_header");
+  CoordinatorRig rig(dir.path());
+  const CutState state{12, 3.5, [](RunManifest* m) {
+                         m->next_group_id = 9;
+                         m->history = {{0, 2}};
+                       }};
+  EXPECT_FALSE(rig.coordinator.Report(1, Cut(2, 1, 3), state));
+  EXPECT_FALSE(rig.coordinator.Report(1, Cut(0, 1, 3), state));
+  EXPECT_TRUE(rig.coordinator.Report(1, Cut(1, 1, 3), state));
+
+  RunManifest m;
+  ASSERT_TRUE(LoadManifest(ManifestPath(dir.path(), 1), &m).ok());
+  EXPECT_EQ(m.engine, "sim");
+  EXPECT_EQ(m.strategy, "CON");
+  EXPECT_EQ(m.num_workers, 3);
+  EXPECT_EQ(m.num_params, 7u);
+  EXPECT_EQ(m.seed, 42u);
+  EXPECT_EQ(m.epoch, 1u);
+  EXPECT_EQ(m.updates_done, 12u);
+  EXPECT_EQ(m.saved_at_seconds, 3.5);
+  EXPECT_EQ(m.next_group_id, 9u);
+  EXPECT_EQ(m.history, (std::vector<std::vector<int>>{{0, 2}}));
+  ASSERT_EQ(m.workers.size(), 3u);
+  for (int w = 0; w < 3; ++w) {
+    const ManifestWorker& mw = m.workers[static_cast<size_t>(w)];
+    EXPECT_EQ(mw.worker, w);
+    EXPECT_EQ(mw.iteration, 13);
+    EXPECT_EQ(mw.completed, 3u);
+    EXPECT_EQ(mw.shard_file, ShardFileName(1, w));
+  }
+
+  const MetricsSnapshot metrics = rig.registry.Snapshot();
+  EXPECT_EQ(metrics.counter("ckpt.manifests_written"), 1.0);
+  EXPECT_EQ(metrics.counter("ckpt.restore_count"), 0.0);
+  ASSERT_NE(metrics.histogram("ckpt.save_seconds"), nullptr);
+  EXPECT_EQ(metrics.histogram("ckpt.save_seconds")->total_count, 1u);
+  const TraceLog log = rig.trace.Log();
+  ASSERT_EQ(log.events.size(), 1u);
+  EXPECT_EQ(log.events[0].kind, TraceEventKind::kCkptSaved);
+  EXPECT_EQ(log.events[0].time, 3.5);
+  EXPECT_EQ(log.events[0].worker, -1);
+  EXPECT_EQ(log.events[0].a, 1);
+  EXPECT_EQ(log.events[0].b, 12);
+}
+
+TEST(CkptCoordinatorTest, OutOfOrderAndInterleavedEpochs) {
+  CkptDir dir("coord_order");
+  CoordinatorRig rig(dir.path());
+  // Epoch 2 completes before epoch 1: its manifest lands, and epoch 1 can
+  // no longer complete.
+  EXPECT_FALSE(rig.Report(2, Cut(0, 2, 6)));
+  EXPECT_FALSE(rig.Report(1, Cut(1, 1, 3)));
+  EXPECT_FALSE(rig.Report(1, Cut(0, 1, 3)));
+  EXPECT_FALSE(rig.Report(2, Cut(1, 2, 6)));
+  EXPECT_TRUE(rig.Report(2, Cut(2, 2, 6)));
+  EXPECT_FALSE(rig.Report(1, Cut(2, 1, 3)));
+  EXPECT_FALSE(fs::exists(ManifestPath(dir.path(), 1)));
+  EXPECT_TRUE(fs::exists(ManifestPath(dir.path(), 2)));
+
+  // Two open epochs interleaved, completing in order: both land.
+  EXPECT_FALSE(rig.Report(3, Cut(0, 3, 9)));
+  EXPECT_FALSE(rig.Report(4, Cut(0, 4, 12)));
+  EXPECT_FALSE(rig.Report(3, Cut(1, 3, 9)));
+  EXPECT_FALSE(rig.Report(4, Cut(1, 4, 12)));
+  EXPECT_TRUE(rig.Report(3, Cut(2, 3, 9)));
+  EXPECT_TRUE(rig.Report(4, Cut(2, 4, 12)));
+  EXPECT_TRUE(fs::exists(ManifestPath(dir.path(), 3)));
+  RunManifest latest;
+  ASSERT_TRUE(FindLatestManifest(dir.path(), &latest).ok());
+  EXPECT_EQ(latest.epoch, 4u);
+  EXPECT_EQ(latest.updates_done, 20u);
+  EXPECT_EQ(rig.registry.Snapshot().counter("ckpt.manifests_written"), 3.0);
+  EXPECT_EQ(rig.SavedEvents(), 3u);
+}
+
+TEST(CkptCoordinatorTest, DuplicateReportsCountOnce) {
+  CkptDir dir("coord_dup");
+  CoordinatorRig rig(dir.path());
+  EXPECT_FALSE(rig.Report(1, Cut(0, 1, 3)));
+  EXPECT_FALSE(rig.Report(1, Cut(0, 1, 3)));
+  EXPECT_FALSE(rig.Report(1, Cut(1, 1, 3)));
+  EXPECT_FALSE(fs::exists(ManifestPath(dir.path(), 1)));
+  // A repeated report replaces the earlier one: the forced gate rewrote
+  // that worker's shard at a later iteration.
+  EXPECT_FALSE(rig.Report(1, Cut(0, 1, 4)));
+  EXPECT_TRUE(rig.Report(1, Cut(2, 1, 3)));
+  RunManifest m;
+  ASSERT_TRUE(LoadManifest(ManifestPath(dir.path(), 1), &m).ok());
+  ASSERT_EQ(m.workers.size(), 3u);
+  EXPECT_EQ(m.workers[0].completed, 4u);
+  EXPECT_EQ(rig.registry.Snapshot().counter("ckpt.manifests_written"), 1.0);
+}
+
+TEST(CkptCoordinatorTest, StaleEpochAfterAWriteIsDropped) {
+  CkptDir dir("coord_stale");
+  CoordinatorRig rig(dir.path());
+  for (int w = 0; w < 3; ++w) rig.Report(2, Cut(w, 2, 6));
+  ASSERT_TRUE(fs::exists(ManifestPath(dir.path(), 2)));
+  for (int w = 0; w < 3; ++w) {
+    EXPECT_FALSE(rig.Report(2, Cut(w, 2, 6)));
+    EXPECT_FALSE(rig.Report(1, Cut(w, 1, 3)));
+  }
+  EXPECT_FALSE(fs::exists(ManifestPath(dir.path(), 1)));
+  EXPECT_EQ(rig.registry.Snapshot().counter("ckpt.manifests_written"), 1.0);
+
+  // A resumed run's coordinator treats the restored epoch as written.
+  RunManifest restored;
+  ASSERT_TRUE(LoadManifest(ManifestPath(dir.path(), 2), &restored).ok());
+  CkptDir next("coord_stale_resumed");
+  CoordinatorRig resumed(next.path(), &restored);
+  EXPECT_EQ(resumed.registry.Snapshot().counter("ckpt.restore_count"), 1.0);
+  for (int w = 0; w < 3; ++w) EXPECT_FALSE(resumed.Report(2, Cut(w, 2, 6)));
+  for (int w = 0; w < 2; ++w) EXPECT_FALSE(resumed.Report(3, Cut(w, 3, 9)));
+  EXPECT_TRUE(resumed.Report(3, Cut(2, 3, 9)));
+}
+
+TEST(CkptCoordinatorTest, AMissingWorkerMeansNoManifest) {
+  CkptDir dir("coord_missing");
+  CoordinatorRig rig(dir.path());
+  for (uint64_t epoch = 1; epoch <= 3; ++epoch) {
+    EXPECT_FALSE(rig.Report(epoch, Cut(0, epoch, 3 * epoch)));
+    EXPECT_FALSE(rig.Report(epoch, Cut(2, epoch, 3 * epoch)));
+  }
+  // Out-of-range workers never stand in for the missing one.
+  EXPECT_FALSE(rig.Report(1, Cut(3, 1, 3)));
+  EXPECT_FALSE(rig.Report(1, Cut(-1, 1, 3)));
+  EXPECT_FALSE(fs::exists(dir.path()));
+  const MetricsSnapshot metrics = rig.registry.Snapshot();
+  EXPECT_EQ(metrics.counter("ckpt.manifests_written"), 0.0);
+  EXPECT_EQ(metrics.histogram("ckpt.save_seconds")->total_count, 0u);
+  EXPECT_EQ(rig.SavedEvents(), 0u);
+}
+
+TEST(CkptCoordinatorTest, ReportAllSharesWorkerZerosShard) {
+  CkptDir dir("coord_all");
+  CoordinatorRig rig(dir.path());
+  EXPECT_TRUE(rig.coordinator.ReportAll(2, 6, {6, 1.0, nullptr}));
+  RunManifest m;
+  ASSERT_TRUE(LoadManifest(ManifestPath(dir.path(), 2), &m).ok());
+  ASSERT_EQ(m.workers.size(), 3u);
+  for (const ManifestWorker& mw : m.workers) {
+    EXPECT_EQ(mw.iteration, 6);
+    EXPECT_EQ(mw.completed, 6u);
+    EXPECT_EQ(mw.shard_file, ShardFileName(2, 0));
+  }
+}
+
+TEST(CkptCoordinatorTest, LoadResumeChecksTheRunIdentity) {
+  CkptDir dir("load_resume");
+  CoordinatorRig rig(dir.path());
+  for (int w = 0; w < 3; ++w) {
+    const std::vector<float> params(7, static_cast<float>(w));
+    const std::vector<float> velocity(7, -static_cast<float>(w));
+    ASSERT_TRUE(SaveWorkerShard(ShardPath(dir.path(), 1, w),
+                                Slice(params.data(), params.size()),
+                                Slice(velocity.data(), velocity.size()))
+                    .ok());
+    rig.Report(1, Cut(w, 1, 3));
+  }
+  const std::string path = ManifestPath(dir.path(), 1);
+  ResumeState state;
+  ASSERT_TRUE(LoadResume(path, ThreeWorkers(), &state).ok());
+  EXPECT_EQ(state.manifest.epoch, 1u);
+  ASSERT_EQ(state.workers.size(), 3u);
+  for (int w = 0; w < 3; ++w) {
+    const WorkerResume& r = state.workers[static_cast<size_t>(w)];
+    EXPECT_EQ(r.params, std::vector<float>(7, static_cast<float>(w)));
+    EXPECT_EQ(r.velocity, std::vector<float>(7, -static_cast<float>(w)));
+    EXPECT_EQ(r.iteration, 13);
+    EXPECT_EQ(r.completed, 3u);
+  }
+
+  RunIdentity engine = ThreeWorkers();
+  engine.engine = EngineKind::kThreaded;
+  RunIdentity strategy = ThreeWorkers();
+  strategy.strategy = "DYN";
+  RunIdentity workers = ThreeWorkers();
+  workers.num_workers = 4;
+  RunIdentity params = ThreeWorkers();
+  params.num_params = 8;
+  RunIdentity seed = ThreeWorkers();
+  seed.seed = 43;
+  for (const RunIdentity& wrong : {engine, strategy, workers, params, seed}) {
+    EXPECT_FALSE(LoadResume(path, wrong, &state).ok());
+  }
+  fs::remove(ShardPath(dir.path(), 1, 1));
+  EXPECT_FALSE(LoadResume(path, ThreeWorkers(), &state).ok());
 }
 
 }  // namespace

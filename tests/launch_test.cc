@@ -90,7 +90,6 @@ RunConfig FancyConfig() {
   config.run.churn.push_back({/*worker=*/2, /*after_iterations=*/10, 0.05});
   config.run.ckpt.dir = "/tmp/some ckpt dir";
   config.run.ckpt.every_iterations = 16;
-  config.run.ckpt.every_updates = 9;
   // Ragged placement: 7 workers over 3 nodes, plus off-default link costs.
   EXPECT_TRUE(
       Topology::FromNodes({{0, 1, 2}, {3, 4}, {5, 6}}, &config.run.topology)
@@ -205,7 +204,7 @@ TEST(ConfigIoTest, FancyConfigMovesEveryDefaultKey) {
     EXPECT_EQ(fancy.find("\n" + line + "\n"), std::string::npos)
         << "FancyConfig leaves " << key << " at its default";
   }
-  EXPECT_EQ(keys, 68);
+  EXPECT_EQ(keys, 67);
 }
 
 // The text and JSON forms of FancyConfig, byte for byte. A writer change
@@ -269,7 +268,6 @@ run.delay 0.10000000000000001
 run.churn 2 10 0.050000000000000003
 run.ckpt.dir /tmp/some ckpt dir
 run.ckpt.every_iterations 16
-run.ckpt.every_updates 9
 topology.inter_cost 5.5
 topology.inter_latency_factor 2.25
 topology.node 0 1 2
@@ -337,7 +335,7 @@ constexpr char kFancyJson[] =
     R"(,"run.dataset.seed":1234)"
     R"(,"run.delay":[[0.001],[0.002],[0],[0.004],[0],[0],[0.1]])"
     R"(,"run.churn":[[2,10,0.05]],"run.ckpt.dir":"/tmp/some ckpt dir")"
-    R"(,"run.ckpt.every_iterations":16,"run.ckpt.every_updates":9)"
+    R"(,"run.ckpt.every_iterations":16)"
     R"(,"topology.inter_cost":5.5,"topology.inter_latency_factor":2.25)"
     R"(,"topology.node":[[0,1,2],[3,4],[5,6]],"fault.seed":17)"
     R"(,"fault.force_fault_tolerant":1)"

@@ -69,6 +69,9 @@ TEST(StartRunTest, SimBudgetMatchesStrategySemantics) {
   EXPECT_EQ(ToExperimentConfig(config).training.max_updates, 6u);
   config.strategy.kind = StrategyKind::kPsAsp;
   EXPECT_EQ(ToExperimentConfig(config).training.max_updates, 18u);
+  // Eager-Reduce rounds close at the majority quorum floor(3/2) + 1 = 2.
+  config.strategy.kind = StrategyKind::kEagerReduce;
+  EXPECT_EQ(ToExperimentConfig(config).training.max_updates, 9u);
 }
 
 TEST(ResumeRunTest, ThreadedResumeContinuesFromManifest) {
@@ -95,6 +98,33 @@ TEST(ResumeRunTest, ThreadedResumeContinuesFromManifest) {
   for (size_t iterations : resumed.threaded.worker_iterations) {
     EXPECT_EQ(iterations, 6u);
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ResumeRunTest, SimResumeContinuesFromManifest) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "pr_facade_sim_resume")
+          .string();
+  std::filesystem::remove_all(dir);
+
+  RunConfig config = SmallConfig();
+  config.run.ckpt.dir = dir;
+  config.run.ckpt.every_iterations = 2;
+  // The sim cuts on the same key as the threaded engine.
+  RunOutcome first = StartRun(config, EngineKind::kSim);
+  EXPECT_GE(first.metrics.counter("ckpt.manifests_written"), 1.0);
+
+  RunManifest manifest;
+  std::string manifest_path;
+  Status found = FindLatestManifest(dir, &manifest, &manifest_path);
+  ASSERT_TRUE(found.ok()) << found.message();
+  EXPECT_EQ(manifest.engine, "sim");
+  RunOutcome resumed = ResumeRun(config, EngineKind::kSim, manifest_path);
+  EXPECT_EQ(resumed.engine, EngineKind::kSim);
+  EXPECT_EQ(resumed.metrics.counter("ckpt.restore_count"), 1.0);
+  // The resumed run picks up the update count at the cut and finishes the
+  // same budget.
+  EXPECT_EQ(resumed.sim.updates, first.sim.updates);
   std::filesystem::remove_all(dir);
 }
 

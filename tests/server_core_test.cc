@@ -494,27 +494,31 @@ SimRun RunSim(const ExperimentConfig& config) {
 }
 
 TEST(ServerEngineParityTest, SimulatedPsTrainsThroughTheCodec) {
-  RunConfig config = SmallConfig(StrategyKind::kPsAsp);
-  config.run.iterations_per_worker = 30;
-  const ExperimentConfig fp32 = ToExperimentConfig(config);
-  ExperimentConfig int8 = fp32;
-  int8.strategy.compression = CompressionKind::kInt8;
-  const SimRun plain = RunSim(fp32);
-  const SimRun compressed = RunSim(int8);
+  // AD-PSGD's gossip ships models through the same codec.
+  for (StrategyKind kind : {StrategyKind::kPsAsp, StrategyKind::kAdPsgd}) {
+    SCOPED_TRACE(StrategyKindName(kind));
+    RunConfig config = SmallConfig(kind);
+    config.run.iterations_per_worker = 30;
+    const ExperimentConfig fp32 = ToExperimentConfig(config);
+    ExperimentConfig int8 = fp32;
+    int8.strategy.compression = CompressionKind::kInt8;
+    const SimRun plain = RunSim(fp32);
+    const SimRun compressed = RunSim(int8);
 
-  // The codec is in the path: the models differ and compress.* counts the
-  // encodes (~3.9x for int8).
-  EXPECT_NE(compressed.params, plain.params);
-  const MetricsSnapshot& m = compressed.result.metrics;
-  ASSERT_GT(m.counter("compress.bytes_in"), 0.0);
-  EXPECT_GE(m.counter("compress.bytes_in") / m.counter("compress.bytes_out"),
-            3.0);
-  // The threaded CompressedStrategyTest bound: int8 still learns.
-  const SimTraining fresh(fp32.training);
-  const double initial =
-      EvaluateLoss(fresh.model(), fresh.params(0).data(), fresh.test_set());
-  ASSERT_FALSE(compressed.result.curve.empty());
-  EXPECT_LT(compressed.result.curve.back().loss, initial);
+    // The codec is in the path: the models differ and compress.* counts the
+    // encodes (~3.9x for int8).
+    EXPECT_NE(compressed.params, plain.params);
+    const MetricsSnapshot& m = compressed.result.metrics;
+    ASSERT_GT(m.counter("compress.bytes_in"), 0.0);
+    EXPECT_GE(m.counter("compress.bytes_in") / m.counter("compress.bytes_out"),
+              3.0);
+    // The threaded CompressedStrategyTest bound: int8 still learns.
+    const SimTraining fresh(fp32.training);
+    const double initial =
+        EvaluateLoss(fresh.model(), fresh.params(0).data(), fresh.test_set());
+    ASSERT_FALSE(compressed.result.curve.empty());
+    EXPECT_LT(compressed.result.curve.back().loss, initial);
+  }
 }
 
 }  // namespace
