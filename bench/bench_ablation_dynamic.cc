@@ -9,31 +9,31 @@
 
 #include <cstdio>
 
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
 
-pr::ExperimentConfig Config(pr::StrategyKind kind, double alpha,
+pr::RunConfig Config(pr::StrategyKind kind, double alpha,
                             pr::MissingSlotPolicy policy, int64_t tolerance,
                             int sharing, uint64_t seed) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = 8;
-  config.training.model.hidden = {16};
-  config.training.batch_size = 16;
+  pr::RunConfig config = pr::PaperSimConfig();
+  config.run.num_workers = 8;
+  config.run.model.hidden = {16};
+  config.run.batch_size = 16;
   pr::SyntheticSpec spec;
   spec.num_train = 2048;
   spec.num_test = 512;
   spec.dim = 16;
   spec.num_classes = 4;
   spec.separation = 3.0;
-  config.training.custom_dataset = spec;
-  config.training.paper_model = "resnet18";
-  config.training.hetero = pr::HeteroSpec::GpuSharing(sharing);
-  config.training.accuracy_threshold = 0.9;
-  config.training.max_updates = 10000;
-  config.training.eval_every = 25;
-  config.training.seed = seed;
+  config.run.dataset = spec;
+  config.sim.paper_model = "resnet18";
+  config.sim.hetero = pr::HeteroSpec::GpuSharing(sharing);
+  config.sim.accuracy_threshold = 0.9;
+  config.sim.max_updates = 10000;
+  config.sim.eval_every = 25;
+  config.run.seed = seed;
   config.strategy.kind = kind;
   config.strategy.group_size = 3;
   config.strategy.dynamic.alpha = alpha;
@@ -53,10 +53,11 @@ Cell RunCell(pr::StrategyKind kind, double alpha,
   Cell cell;
   const int kSeeds = 3;
   for (uint64_t seed = 61; seed < 61 + kSeeds; ++seed) {
-    pr::SimRunResult r = pr::RunExperiment(
-        Config(kind, alpha, policy, tolerance, sharing, seed));
+    pr::RunResult r =
+        pr::StartRun(Config(kind, alpha, policy, tolerance, sharing, seed),
+                     pr::EngineKind::kSim);
     cell.mean_updates += static_cast<double>(r.updates) / kSeeds;
-    cell.mean_time += r.sim_seconds / kSeeds;
+    cell.mean_time += r.clock_seconds / kSeeds;
     cell.converged += r.converged ? 1 : 0;
   }
   return cell;
@@ -83,13 +84,13 @@ int main() {
       Cell c;
       const int kSeeds = 3;
       for (uint64_t seed = 61; seed < 61 + kSeeds; ++seed) {
-        pr::ExperimentConfig cfg =
+        pr::RunConfig cfg =
             Config(pr::StrategyKind::kPReduceConst, 0.5,
                    pr::MissingSlotPolicy::kRenormalize, 1, sharing, seed);
         cfg.strategy.average_momentum = true;
-        pr::SimRunResult r = pr::RunExperiment(cfg);
+        pr::RunResult r = pr::StartRun(cfg, pr::EngineKind::kSim);
         c.mean_updates += static_cast<double>(r.updates) / kSeeds;
-        c.mean_time += r.sim_seconds / kSeeds;
+        c.mean_time += r.clock_seconds / kSeeds;
         c.converged += r.converged ? 1 : 0;
       }
       table.AddRow({"constant + momentum avg",

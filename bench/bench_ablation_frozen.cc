@@ -11,27 +11,28 @@
 
 #include <cstdio>
 
-#include "train/experiment.h"
+#include "sim/sim_training.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
 
-pr::ExperimentConfig Config(bool frozen_avoidance, uint64_t seed) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = 4;
-  config.training.model.hidden = {16};
-  config.training.batch_size = 8;
-  config.training.dataset = "cifar10";
-  config.training.dirichlet_alpha = 0.3;
-  config.training.paper_model = "resnet18";
+pr::RunConfig Config(bool frozen_avoidance, uint64_t seed) {
+  pr::RunConfig config = pr::PaperSimConfig();
+  config.run.num_workers = 4;
+  config.run.model.hidden = {16};
+  config.run.batch_size = 8;
+  config.run.dataset = pr::SpecForDataset("cifar10");
+  config.run.dataset.dirichlet_alpha = 0.3;
+  config.sim.paper_model = "resnet18";
   // Two deterministic speed classes -> stable adversarial pairing.
   pr::HeteroSpec hetero = pr::HeteroSpec::FixedFactors({2.0, 2.0, 1.0, 1.0});
   hetero.jitter_sigma = 0.0005;
-  config.training.hetero = hetero;
-  config.training.accuracy_threshold = -1.0;  // run a fixed update budget
-  config.training.max_updates = 1500;
-  config.training.eval_every = 50;
-  config.training.seed = seed;
+  config.sim.hetero = hetero;
+  config.sim.accuracy_threshold = -1.0;  // run a fixed update budget
+  config.sim.max_updates = 1500;
+  config.sim.eval_every = 50;
+  config.run.seed = seed;
   config.strategy.kind = pr::StrategyKind::kPReduceConst;
   config.strategy.group_size = 2;
   config.strategy.frozen_avoidance = frozen_avoidance;
@@ -48,8 +49,8 @@ Cell RunCell(bool frozen_avoidance) {
   Cell cell;
   const int kSeeds = 3;
   for (uint64_t seed = 59; seed < 59 + kSeeds; ++seed) {
-    pr::ExperimentConfig config = Config(frozen_avoidance, seed);
-    pr::SimTraining ctx(config.training);
+    pr::RunConfig config = Config(frozen_avoidance, seed);
+    pr::SimTraining ctx(config);
     auto strategy = pr::MakeStrategy(config.strategy, &ctx);
     strategy->Start();
     ctx.engine()->RunUntil([&] { return ctx.stopped(); });

@@ -8,24 +8,24 @@
 
 #include <cstdio>
 
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
 
 double RunTime(pr::StrategyKind kind, double overlap) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = 8;
-  config.training.dataset = "cifar10";
-  config.training.dirichlet_alpha = 0.5;
-  config.training.paper_model = "vgg19";  // communication-heavy: overlap
+  pr::RunConfig config = pr::PaperSimConfig();
+  config.run.num_workers = 8;
+  config.run.dataset = pr::SpecForDataset("cifar10");
+  config.run.dataset.dirichlet_alpha = 0.5;
+  config.sim.paper_model = "vgg19";  // communication-heavy: overlap
                                           // helps AR the most here
-  config.training.cost.gradient_overlap = overlap;
-  config.training.hetero = pr::HeteroSpec::GpuSharing(3);
-  config.training.accuracy_threshold = 0.85;
-  config.training.max_updates = 30000;
-  config.training.eval_every = 25;
-  config.training.seed = 17;
+  config.sim.cost.gradient_overlap = overlap;
+  config.sim.hetero = pr::HeteroSpec::GpuSharing(3);
+  config.sim.accuracy_threshold = 0.85;
+  config.sim.max_updates = 30000;
+  config.sim.eval_every = 25;
+  config.run.seed = 17;
   config.strategy.kind = kind;
   config.strategy.group_size = 3;
   return pr::RunExperimentSeeds(config, 3).mean_run_time;

@@ -32,7 +32,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "runtime/threaded_runtime.h"
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
@@ -121,14 +121,14 @@ pr::RunConfig ThreadedLossConfig(pr::StrategyKind kind,
   return config;
 }
 
-pr::ExperimentConfig SimLossConfig(pr::StrategyKind kind,
+pr::RunConfig SimLossConfig(pr::StrategyKind kind,
                                    pr::CompressionKind codec) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = 4;
-  config.training.max_updates = 30;
-  config.training.accuracy_threshold = -1.0;
-  config.training.seed = 11;
-  config.training.sgd.learning_rate = 0.001;
+  pr::RunConfig config = pr::PaperSimConfig();
+  config.run.num_workers = 4;
+  config.sim.max_updates = 30;
+  config.sim.accuracy_threshold = -1.0;
+  config.run.seed = 11;
+  config.run.sgd.learning_rate = 0.001;
   config.strategy.kind = kind;
   config.strategy.group_size = 2;
   config.strategy.compression = codec;
@@ -301,8 +301,8 @@ int main(int argc, char** argv) {
     for (pr::CompressionKind codec : kCodecs) {
       pr::ThreadedRunResult threaded =
           pr::RunThreaded(ThreadedLossConfig(strat.kind, codec));
-      pr::SimRunResult sim =
-          pr::RunExperiment(SimLossConfig(strat.kind, codec));
+      pr::RunResult sim =
+          pr::StartRun(SimLossConfig(strat.kind, codec), pr::EngineKind::kSim);
       const double sim_loss = sim.curve.empty() ? 0.0 : sim.curve.back().loss;
       if (codec == pr::CompressionKind::kNone) {
         threaded_fp32 = threaded.final_loss;

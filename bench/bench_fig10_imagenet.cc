@@ -5,38 +5,38 @@
 
 #include <cstdio>
 
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
 
-pr::SimRunResult Run(const std::string& model, pr::StrategyKind kind) {
-  pr::ExperimentConfig config;
+pr::RunResult Run(const std::string& model, pr::StrategyKind kind) {
+  pr::RunConfig config = pr::PaperSimConfig();
   // The paper uses 32 workers; we halve to keep the bench's wall time
   // reasonable on one core (the scaling story lives in bench_fig11).
-  config.training.num_workers = 16;
+  config.run.num_workers = 16;
   pr::SyntheticSpec spec = pr::SpecForDataset("imagenet");
   spec.num_test = 1024;  // cheaper periodic evaluation
-  config.training.custom_dataset = spec;
-  config.training.dirichlet_alpha = 0.5;
-  config.training.model.hidden = {32};  // lean proxy; 1000-way softmax dominates
-  config.training.paper_model = model;
-  config.training.cost.compute_scale = 4.0;  // ImageNet crops vs CIFAR
-  config.training.hetero = pr::HeteroSpec::Production();
-  config.training.accuracy_threshold = 0.50;
-  config.training.max_updates = 30000;
-  config.training.max_sim_seconds = 50000;
-  config.training.eval_every = 200;
+  config.run.dataset = spec;
+  config.run.dataset.dirichlet_alpha = 0.5;
+  config.run.model.hidden = {32};  // lean proxy; 1000-way softmax dominates
+  config.sim.paper_model = model;
+  config.sim.cost.compute_scale = 4.0;  // ImageNet crops vs CIFAR
+  config.sim.hetero = pr::HeteroSpec::Production();
+  config.sim.accuracy_threshold = 0.50;
+  config.sim.max_updates = 30000;
+  config.sim.max_sim_seconds = 50000;
+  config.sim.eval_every = 200;
   // Step decay per *gradients consumed* — the fair analogue of the paper's
   // per-epoch schedule across strategies with different update semantics.
-  config.training.lr_decay.enabled = true;
-  config.training.lr_decay.per_gradient = true;
-  config.training.lr_decay.factor = 0.1;
-  config.training.lr_decay.every_updates = 80000;
-  config.training.seed = 47;
+  config.sim.lr_decay.enabled = true;
+  config.sim.lr_decay.per_gradient = true;
+  config.sim.lr_decay.factor = 0.1;
+  config.sim.lr_decay.every_updates = 80000;
+  config.run.seed = 47;
   config.strategy.kind = kind;
   config.strategy.group_size = 4;
-  return pr::RunExperiment(config);
+  return pr::StartRun(config, pr::EngineKind::kSim);
 }
 
 }  // namespace
@@ -51,8 +51,8 @@ int main() {
          {std::pair{pr::StrategyKind::kAllReduce, "AR"},
           std::pair{pr::StrategyKind::kPReduceConst, "CON"},
           std::pair{pr::StrategyKind::kPReduceDynamic, "DYN"}}) {
-      pr::SimRunResult r = Run(model, kind);
-      table.AddRow({label, pr::FormatDouble(r.sim_seconds, 0),
+      pr::RunResult r = Run(model, kind);
+      table.AddRow({label, pr::FormatDouble(r.clock_seconds, 0),
                     std::to_string(r.updates),
                     pr::FormatDouble(r.final_accuracy, 3),
                     r.converged ? "yes" : "NO"});

@@ -27,7 +27,7 @@
 #include <limits>
 
 #include "topo/topology.h"
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
@@ -49,14 +49,14 @@ double GradientsPerUpdate(pr::StrategyKind kind, int n, int p, int backups) {
 double Throughput(const std::string& model, pr::StrategyKind kind, int n) {
   const int p = std::min(4, n);
   const int backups = n / 4;
-  pr::ExperimentConfig config;
-  config.training.num_workers = n;
-  config.training.paper_model = model;
-  config.training.cost.compute_scale = 4.0;
-  config.training.hetero = pr::HeteroSpec::Production();
-  config.training.timing_only = true;
-  config.training.timing_updates = 800;
-  config.training.seed = 53;
+  pr::RunConfig config = pr::PaperSimConfig();
+  config.run.num_workers = n;
+  config.sim.paper_model = model;
+  config.sim.cost.compute_scale = 4.0;
+  config.sim.hetero = pr::HeteroSpec::Production();
+  config.sim.timing_only = true;
+  config.sim.timing_updates = 800;
+  config.run.seed = 53;
   config.strategy.kind = kind;
   config.strategy.group_size = p;
   config.strategy.backup_workers = backups;
@@ -65,14 +65,14 @@ double Throughput(const std::string& model, pr::StrategyKind kind, int n) {
     // Baseline: one *dedicated* worker (sequential SGD on an unshared
     // device) — a fixed reference, not a random draw from the production
     // skew distribution.
-    config.training.hetero = pr::HeteroSpec::Homogeneous();
+    config.sim.hetero = pr::HeteroSpec::Homogeneous();
     config.strategy.kind = pr::StrategyKind::kAllReduce;
   }
-  pr::SimRunResult r = pr::RunExperiment(config);
+  pr::RunResult r = pr::StartRun(config, pr::EngineKind::kSim);
   const double grads =
       static_cast<double>(r.updates) *
       GradientsPerUpdate(config.strategy.kind, n, p, backups);
-  return grads / r.sim_seconds;
+  return grads / r.clock_seconds;
 }
 
 struct TopoRun {
@@ -88,10 +88,10 @@ struct TopoRun {
 // the same topology so the byte accounting is identical; only the group
 // selection policy differs.
 TopoRun RunTopoArm(int n, bool hierarchical) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = n;
-  config.training.topology = pr::Topology::Uniform(n / 8, 8);
-  config.training.model = {pr::ProxyModelSpec::Kind::kMlp, {32}, 8};
+  pr::RunConfig config = pr::PaperSimConfig();
+  config.run.num_workers = n;
+  config.run.topology = pr::Topology::Uniform(n / 8, 8);
+  config.run.model = {pr::ProxyModelSpec::Kind::kMlp, {32}, 8};
   // Well-separated task: both arms reach the same loss plateau within the
   // update cap, so the end-loss gate compares converged models rather than
   // mid-descent transients.
@@ -102,18 +102,18 @@ TopoRun RunTopoArm(int n, bool hierarchical) {
   ds.num_classes = 4;
   ds.separation = 3.5;
   ds.noise = 0.6;
-  config.training.custom_dataset = ds;
-  config.training.batch_size = 8;
-  config.training.accuracy_threshold = 0.0;  // run to the update cap
-  config.training.max_updates = 1500;
-  config.training.eval_every = 100;
-  config.training.seed = 53;
+  config.run.dataset = ds;
+  config.run.batch_size = 8;
+  config.sim.accuracy_threshold = 0.0;  // run to the update cap
+  config.sim.max_updates = 1500;
+  config.sim.eval_every = 100;
+  config.run.seed = 53;
   config.strategy.kind = pr::StrategyKind::kPReduceConst;
   config.strategy.group_size = 8;
   config.strategy.hierarchy.enabled = hierarchical;
   config.strategy.hierarchy.cross_period = 4;
 
-  const pr::SimRunResult r = pr::RunExperiment(config);
+  const pr::RunResult r = pr::StartRun(config, pr::EngineKind::kSim);
   TopoRun out;
   // End loss = mean of the last three evaluations: single-eval noise at a
   // near-zero plateau would otherwise dominate the drift gate.

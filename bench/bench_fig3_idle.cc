@@ -6,31 +6,32 @@
 
 #include <cstdio>
 
-#include "train/experiment.h"
+#include "sim/sim_training.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
 
 struct Run {
-  pr::SimRunResult result;
+  pr::RunResult result;
   std::string gantt;
   double compute = 0.0, comm = 0.0, idle = 0.0;
 };
 
 Run RunWithTimeline(pr::StrategyKind kind, int group_size) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = 3;
-  config.training.paper_model = "resnet34";
+  pr::RunConfig config = pr::PaperSimConfig();
+  config.run.num_workers = 3;
+  config.sim.paper_model = "resnet34";
   // Fig. 3/4's setting: worker 0 ~2x slower than the others.
-  config.training.hetero = pr::HeteroSpec::FixedFactors({2.0, 1.0, 1.0});
-  config.training.timing_only = true;
-  config.training.timing_updates = 2000;
-  config.training.record_timeline = true;
-  config.training.seed = 23;
+  config.sim.hetero = pr::HeteroSpec::FixedFactors({2.0, 1.0, 1.0});
+  config.sim.timing_only = true;
+  config.sim.timing_updates = 2000;
+  config.run.record_timeline = true;
+  config.run.seed = 23;
   config.strategy.kind = kind;
   config.strategy.group_size = group_size;
 
-  pr::SimTraining ctx(config.training);
+  pr::SimTraining ctx(config);
   auto strategy = pr::MakeStrategy(config.strategy, &ctx);
   strategy->Start();
   ctx.engine()->RunUntil([&] { return ctx.stopped(); });

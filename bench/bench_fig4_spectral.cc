@@ -5,25 +5,26 @@
 
 #include <cstdio>
 
+#include "sim/sim_training.h"
 #include "core/spectral.h"
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
 
 double MeasuredRho(int n, int p, const pr::HeteroSpec& hetero,
                    uint64_t seed = 29) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = n;
-  config.training.timing_only = true;
-  config.training.timing_updates = 8000;
-  config.training.hetero = hetero;
-  config.training.seed = seed;
+  pr::RunConfig config = pr::PaperSimConfig();
+  config.run.num_workers = n;
+  config.sim.timing_only = true;
+  config.sim.timing_updates = 8000;
+  config.sim.hetero = hetero;
+  config.run.seed = seed;
   config.strategy.kind = pr::StrategyKind::kPReduceConst;
   config.strategy.group_size = p;
   config.strategy.record_sync_matrices = true;
 
-  pr::SimTraining ctx(config.training);
+  pr::SimTraining ctx(config);
   auto strategy = pr::MakeStrategy(config.strategy, &ctx);
   strategy->Start();
   ctx.engine()->RunUntil([&] { return ctx.stopped(); });

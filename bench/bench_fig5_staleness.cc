@@ -9,33 +9,33 @@
 
 #include <cstdio>
 
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
 
-pr::ExperimentConfig Config(pr::StrategyKind kind, uint64_t seed) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = 4;
-  config.training.model.hidden = {16};
-  config.training.batch_size = 16;
+pr::RunConfig Config(pr::StrategyKind kind, uint64_t seed) {
+  pr::RunConfig config = pr::PaperSimConfig();
+  config.run.num_workers = 4;
+  config.run.model.hidden = {16};
+  config.run.batch_size = 16;
   pr::SyntheticSpec spec;
   spec.num_train = 2048;
   spec.num_test = 512;
   spec.dim = 16;
   spec.num_classes = 4;
   spec.separation = 3.0;
-  config.training.custom_dataset = spec;
-  config.training.paper_model = "resnet18";
+  config.run.dataset = spec;
+  config.sim.paper_model = "resnet18";
   // The paper's Fig. 5 scenario: a worker 3x slower than its peers, so its
   // model is ~3 iterations stale whenever it meets a fast worker — beyond
   // the +-1 jitter tolerance, activating the dynamic weights.
-  config.training.hetero =
+  config.sim.hetero =
       pr::HeteroSpec::FixedFactors({3.0, 1.0, 1.0, 1.0});
-  config.training.accuracy_threshold = 0.9;
-  config.training.max_updates = 8000;
-  config.training.eval_every = 10;
-  config.training.seed = seed;
+  config.sim.accuracy_threshold = 0.9;
+  config.sim.max_updates = 8000;
+  config.sim.eval_every = 10;
+  config.run.seed = seed;
   config.strategy.kind = kind;
   config.strategy.group_size = 2;
   config.strategy.dynamic.alpha = 0.3;
@@ -58,9 +58,9 @@ int main() {
     int converged = 0;
     const int kSeeds = 5;
     for (uint64_t seed = 31; seed < 31 + kSeeds; ++seed) {
-      pr::SimRunResult r = pr::RunExperiment(Config(kind, seed));
+      pr::RunResult r = pr::StartRun(Config(kind, seed), pr::EngineKind::kSim);
       updates += static_cast<double>(r.updates) / kSeeds;
-      time += r.sim_seconds / kSeeds;
+      time += r.clock_seconds / kSeeds;
       acc += r.final_accuracy / kSeeds;
       converged += r.converged ? 1 : 0;
     }

@@ -9,35 +9,35 @@
 #include <cstring>
 #include <string>
 
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
 
-pr::ExperimentConfig CurveConfig(const std::string& dataset,
+pr::RunConfig CurveConfig(const std::string& dataset,
                                  const std::string& model,
                                  double threshold,
                                  pr::StrategyKind kind) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = 8;
-  config.training.dataset = dataset;
-  config.training.dirichlet_alpha = 0.5;  // mild non-IID (see bench_table1)
-  config.training.paper_model = model;
-  config.training.hetero = pr::HeteroSpec::GpuSharing(3);
-  config.training.accuracy_threshold = threshold;
-  config.training.max_updates = 25000;
-  config.training.eval_every = 25;
-  config.training.seed = 5;
+  pr::RunConfig config = pr::PaperSimConfig();
+  config.run.num_workers = 8;
+  config.run.dataset = pr::SpecForDataset(dataset);
+  config.run.dataset.dirichlet_alpha = 0.5;  // mild non-IID (see bench_table1)
+  config.sim.paper_model = model;
+  config.sim.hetero = pr::HeteroSpec::GpuSharing(3);
+  config.sim.accuracy_threshold = threshold;
+  config.sim.max_updates = 25000;
+  config.sim.eval_every = 25;
+  config.run.seed = 5;
   config.strategy.kind = kind;
   config.strategy.group_size = 3;
   return config;
 }
 
-void PrintSeries(const char* label, const pr::SimRunResult& result,
+void PrintSeries(const char* label, const pr::RunResult& result,
                  const std::string& csv_prefix) {
   std::printf("%-10s converged=%s  time=%.1fs  updates=%zu  final=%.3f\n",
               label, result.converged ? "yes" : "NO ",
-              result.sim_seconds, result.updates, result.final_accuracy);
+              result.clock_seconds, result.updates, result.final_accuracy);
   std::printf("  curve (time s -> accuracy): ");
   const size_t stride = std::max<size_t>(1, result.curve.size() / 8);
   for (size_t i = 0; i < result.curve.size(); i += stride) {
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
         std::pair{pr::StrategyKind::kAllReduce, "AR"},
         std::pair{pr::StrategyKind::kEagerReduce, "ER"}}) {
     auto config = CurveConfig("cifar10", "vgg19", 0.85, kind);
-    PrintSeries(label, pr::RunExperiment(config), csv_prefix);
+    PrintSeries(label, pr::StartRun(config, pr::EngineKind::kSim), csv_prefix);
   }
 
   std::printf("\n=== Fig. 7(b): ResNet-34-shaped workload, CIFAR100-like "
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
         std::pair{pr::StrategyKind::kPReduceDynamic, "DYN"},
         std::pair{pr::StrategyKind::kAllReduce, "AR"}}) {
     auto config = CurveConfig("cifar100", "resnet34", 0.52, kind);
-    PrintSeries(label, pr::RunExperiment(config), csv_prefix);
+    PrintSeries(label, pr::StartRun(config, pr::EngineKind::kSim), csv_prefix);
   }
   std::printf(
       "\nExpected shape: P-Reduce reaches the threshold first in wall time;\n"

@@ -6,7 +6,7 @@
 
 #include <cstdio>
 
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 int main() {
@@ -19,16 +19,16 @@ int main() {
   double best_time = 1e18;
   int best_p = 0;
   for (int p = 2; p <= 8; ++p) {
-    pr::ExperimentConfig config;
-    config.training.num_workers = 8;
-    config.training.dataset = "cifar10";
-    config.training.paper_model = "vgg19";
-    config.training.dirichlet_alpha = 0.5;
-    config.training.hetero = pr::HeteroSpec::GpuSharing(1);
-    config.training.accuracy_threshold = 0.85;
-    config.training.max_updates = 30000;
-    config.training.eval_every = 25;
-    config.training.seed = 41;
+    pr::RunConfig config = pr::PaperSimConfig();
+    config.run.num_workers = 8;
+    config.run.dataset = pr::SpecForDataset("cifar10");
+    config.sim.paper_model = "vgg19";
+    config.run.dataset.dirichlet_alpha = 0.5;
+    config.sim.hetero = pr::HeteroSpec::GpuSharing(1);
+    config.sim.accuracy_threshold = 0.85;
+    config.sim.max_updates = 30000;
+    config.sim.eval_every = 25;
+    config.run.seed = 41;
     config.strategy.kind = pr::StrategyKind::kPReduceConst;
     config.strategy.group_size = p;
 

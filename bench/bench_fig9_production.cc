@@ -5,22 +5,22 @@
 
 #include <cstdio>
 
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
 
-pr::ExperimentConfig Config(pr::StrategyKind kind) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = 16;
-  config.training.dataset = "cifar100";
-  config.training.dirichlet_alpha = 0.5;  // mild non-IID (see bench_table1)
-  config.training.paper_model = "resnet34";
-  config.training.hetero = pr::HeteroSpec::Production();
-  config.training.accuracy_threshold = 0.50;
-  config.training.max_updates = 60000;
-  config.training.eval_every = 50;
-  config.training.seed = 43;
+pr::RunConfig Config(pr::StrategyKind kind) {
+  pr::RunConfig config = pr::PaperSimConfig();
+  config.run.num_workers = 16;
+  config.run.dataset = pr::SpecForDataset("cifar100");
+  config.run.dataset.dirichlet_alpha = 0.5;  // mild non-IID (see bench_table1)
+  config.sim.paper_model = "resnet34";
+  config.sim.hetero = pr::HeteroSpec::Production();
+  config.sim.accuracy_threshold = 0.50;
+  config.sim.max_updates = 60000;
+  config.sim.eval_every = 50;
+  config.run.seed = 43;
   config.strategy.kind = kind;
   config.strategy.group_size = 3;
   return config;
@@ -42,8 +42,8 @@ int main() {
        {std::pair{pr::StrategyKind::kAllReduce, "AR"},
         std::pair{pr::StrategyKind::kPReduceConst, "CON"},
         std::pair{pr::StrategyKind::kPReduceDynamic, "DYN"}}) {
-    pr::SimRunResult r = pr::RunExperiment(Config(kind));
-    table.AddRow({label, pr::FormatDouble(r.sim_seconds, 1),
+    pr::RunResult r = pr::StartRun(Config(kind), pr::EngineKind::kSim);
+    table.AddRow({label, pr::FormatDouble(r.clock_seconds, 1),
                   std::to_string(r.updates),
                   pr::FormatDouble(r.per_update_seconds, 4),
                   r.update_intervals.empty()
@@ -52,11 +52,11 @@ int main() {
                                          3),
                   r.converged ? "yes" : "NO"});
     if (kind == pr::StrategyKind::kAllReduce) {
-      ar_time = r.sim_seconds;
+      ar_time = r.clock_seconds;
       ar_update = r.per_update_seconds;
     }
     if (kind == pr::StrategyKind::kPReduceConst) {
-      con_time = r.sim_seconds;
+      con_time = r.clock_seconds;
       con_update = r.per_update_seconds;
     }
   }

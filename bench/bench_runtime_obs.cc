@@ -1,7 +1,7 @@
 // Runtime observability bench: runs CON, DYN, AR, and PS-BSP through BOTH
-// engines — real threads (RunThreaded) and the event simulator
-// (RunExperiment) — under one straggler, and emits BENCH_runtime.json with
-// the observability payload of each run: wall time, the controller's
+// engines — real threads (RunThreaded) and the event simulator (StartRun
+// with EngineKind::kSim) — under one straggler, and emits BENCH_runtime.json
+// with the observability payload of each run: wall time, the controller's
 // decision-latency histogram, per-worker idle fractions, stash high-water
 // marks, the full metrics snapshot, and trace event counts. Because both
 // engines publish the same metric names, each strategy appears twice in the
@@ -19,7 +19,7 @@
 
 #include "obs/json.h"
 #include "runtime/threaded_runtime.h"
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
@@ -63,23 +63,23 @@ ObsRun RunThreadedObs(pr::StrategyKind kind, int workers, size_t iters) {
 }
 
 ObsRun RunSimObs(pr::StrategyKind kind, int workers, size_t iters) {
-  pr::ExperimentConfig config;
+  pr::RunConfig config = pr::PaperSimConfig();
   config.strategy.kind = kind;
   config.strategy.group_size = 2;
-  config.training.num_workers = workers;
-  config.training.max_updates = iters * static_cast<size_t>(workers);
-  config.training.accuracy_threshold = -1.0;
-  config.training.eval_every = 1000000;  // timing-focused: skip mid-run evals
-  config.training.trace_capacity = kTraceCapacity;
+  config.run.num_workers = workers;
+  config.sim.max_updates = iters * static_cast<size_t>(workers);
+  config.sim.accuracy_threshold = -1.0;
+  config.sim.eval_every = 1000000;  // timing-focused: skip mid-run evals
+  config.run.trace_capacity = kTraceCapacity;
   std::vector<double> factors(static_cast<size_t>(workers), 1.0);
   factors.back() = 2.0;  // same straggler shape as the threaded runs
-  config.training.hetero = pr::HeteroSpec::FixedFactors(factors);
+  config.sim.hetero = pr::HeteroSpec::FixedFactors(factors);
 
-  pr::SimRunResult result = pr::RunExperiment(config);
+  pr::RunResult result = pr::StartRun(config, pr::EngineKind::kSim);
   ObsRun run;
   run.engine = "sim";
   run.strategy = result.strategy;
-  run.clock_seconds = result.sim_seconds;
+  run.clock_seconds = result.clock_seconds;
   run.metrics = std::move(result.metrics);
   run.trace = std::move(result.trace);
   return run;

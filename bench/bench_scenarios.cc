@@ -32,7 +32,7 @@
 #include "obs/json.h"
 #include "scenario/scenario.h"
 #include "topo/topology.h"
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
@@ -40,18 +40,18 @@ namespace {
 constexpr int kNumWorkers = 8;
 constexpr int kGroupSize = 3;
 
-pr::ExperimentConfig BaseConfig(int iters, uint64_t seed) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = kNumWorkers;
-  config.training.batch_size = 8;
-  config.training.model = {pr::ProxyModelSpec::Kind::kMlp, {16}, 8};
-  config.training.topology = pr::Topology::Uniform(2, kNumWorkers / 2);
-  config.training.accuracy_threshold = -1.0;  // run the full budget
-  config.training.eval_every = 1u << 30;      // one evaluation at the end
-  config.training.seed = seed;
+pr::RunConfig BaseConfig(int iters, uint64_t seed) {
+  pr::RunConfig config = pr::PaperSimConfig();
+  config.run.num_workers = kNumWorkers;
+  config.run.batch_size = 8;
+  config.run.model = {pr::ProxyModelSpec::Kind::kMlp, {16}, 8};
+  config.run.topology = pr::Topology::Uniform(2, kNumWorkers / 2);
+  config.sim.accuracy_threshold = -1.0;  // run the full budget
+  config.sim.eval_every = 1u << 30;      // one evaluation at the end
+  config.run.seed = seed;
   // The update budget consumes N x iters gradients whatever the strategy
-  // incorporates per update (mirrors train/run.cc's DerivedUpdateBudget).
-  config.training.max_updates = static_cast<size_t>(iters);
+  // incorporates per update (see RunCell).
+  config.sim.max_updates = static_cast<size_t>(iters);
   return config;
 }
 
@@ -79,30 +79,30 @@ struct CellResult {
   bool deadlocked = false;
 };
 
-CellResult RunCell(const pr::ExperimentConfig& base, pr::StrategyKind kind,
+CellResult RunCell(const pr::RunConfig& base, pr::StrategyKind kind,
                    const pr::ScenarioSpec& scenario, double time_cap) {
-  pr::ExperimentConfig config = base;
+  pr::RunConfig config = base;
   config.strategy.kind = kind;
   config.strategy.group_size = kGroupSize;
-  config.training.scenario = scenario;
-  config.training.max_sim_seconds = time_cap;
+  config.run.scenario = scenario;
+  config.sim.max_sim_seconds = time_cap;
   const size_t budget =
-      static_cast<size_t>(static_cast<double>(config.training.max_updates) *
+      static_cast<size_t>(static_cast<double>(config.sim.max_updates) *
                               kNumWorkers / PerUpdateGradients(kind) +
                           0.5);
-  config.training.max_updates = budget < 1 ? 1 : budget;
-  config.training.eval_every = config.training.max_updates + 1;
+  config.sim.max_updates = budget < 1 ? 1 : budget;
+  config.sim.eval_every = config.sim.max_updates + 1;
 
-  const pr::SimRunResult result = pr::RunExperiment(config);
+  const pr::RunResult result = pr::StartRun(config, pr::EngineKind::kSim);
   CellResult cell;
   cell.end_loss = result.curve.empty() ? 0.0 : result.curve.back().loss;
-  cell.sim_seconds = result.sim_seconds;
+  cell.sim_seconds = result.clock_seconds;
   cell.updates = result.updates;
   cell.deadlocked =
-      result.updates == 0 || result.sim_seconds >= 0.999 * time_cap;
+      result.updates == 0 || result.clock_seconds >= 0.999 * time_cap;
 
   const double aborted = result.metrics.counter("fault.aborted_groups");
-  const double wasted = static_cast<double>(result.wasted_gradients) +
+  const double wasted = result.metrics.counter("ps.wasted_gradients") +
                         aborted * PerUpdateGradients(kind);
   const double incorporated =
       static_cast<double>(result.updates) * PerUpdateGradients(kind);
@@ -149,8 +149,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const pr::ExperimentConfig base = BaseConfig(iters, /*seed=*/11);
-  const pr::Topology topology = base.training.topology;
+  const pr::RunConfig base = BaseConfig(iters, /*seed=*/11);
+  const pr::Topology topology = base.run.topology;
 
   // Probe the virtual per-iteration time with a fault-free CON run so the
   // scenario clocks line up with the cost model's.
@@ -285,7 +285,7 @@ int main(int argc, char** argv) {
   // deadlock-free — every run finishes its budget under the time cap.
   int sweep_deadlocks = 0;
   for (int s = 0; s < sweep_seeds; ++s) {
-    pr::ExperimentConfig seeded = BaseConfig(iters, /*seed=*/100 + s);
+    pr::RunConfig seeded = BaseConfig(iters, /*seed=*/100 + s);
     const pr::ScenarioSpec reference =
         Rescale(pr::MakeReferenceTrace(kNumWorkers, topology, iters), step);
     const CellResult cell = RunCell(seeded, pr::StrategyKind::kPReduceConst,

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace pr {
@@ -54,21 +54,21 @@ std::vector<StrategyCell> StrategyCells(bool quick) {
   return cells;
 }
 
-ExperimentConfig CellConfig(const std::string& model, int hl,
+RunConfig CellConfig(const std::string& model, int hl,
                             const StrategyOptions& strategy, uint64_t seed) {
-  ExperimentConfig config;
-  config.training.num_workers = 8;
-  config.training.dataset = "cifar10";
+  RunConfig config = pr::PaperSimConfig();
+  config.run.num_workers = 8;
+  config.run.dataset = pr::SpecForDataset("cifar10");
   // Mild non-IID shards (cloud data skew): staleness then carries *bias*,
   // not just noise, which is the regime where the paper's findings (ER
   // fails, staleness-aware methods matter) reproduce on the proxy task.
-  config.training.dirichlet_alpha = 0.5;
-  config.training.paper_model = model;
-  config.training.hetero = HeteroSpec::GpuSharing(hl);
-  config.training.accuracy_threshold = 0.85;
-  config.training.max_updates = 30000;
-  config.training.eval_every = 25;
-  config.training.seed = seed;
+  config.run.dataset.dirichlet_alpha = 0.5;
+  config.sim.paper_model = model;
+  config.sim.hetero = HeteroSpec::GpuSharing(hl);
+  config.sim.accuracy_threshold = 0.85;
+  config.sim.max_updates = 30000;
+  config.sim.eval_every = 25;
+  config.run.seed = seed;
   config.strategy = strategy;
   return config;
 }
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
       pr::TablePrinter table({"strategy", "run time (s)", "#updates",
                               "per-update (s)", "final acc"});
       for (const auto& cell : pr::StrategyCells(quick)) {
-        pr::ExperimentConfig config =
+        pr::RunConfig config =
             pr::CellConfig(model, hl, cell.options, /*seed=*/17);
         pr::AggregateResult agg = pr::RunExperimentSeeds(config, seeds);
         const bool converged = agg.AllConverged();

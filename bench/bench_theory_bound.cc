@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "core/spectral.h"
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
@@ -19,28 +19,28 @@ namespace {
 /// Mean ||∇F(u_k)||² over the evaluations of one run of exactly
 /// `max_updates` updates.
 double MeanGradNormSq(int p, size_t max_updates, uint64_t seed) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = 8;
-  config.training.model.hidden = {16};
+  pr::RunConfig config = pr::PaperSimConfig();
+  config.run.num_workers = 8;
+  config.run.model.hidden = {16};
   pr::SyntheticSpec spec;
   spec.num_train = 4096;
   spec.num_test = 512;
   spec.dim = 32;
   spec.num_classes = 4;
   spec.separation = 2.8;
-  config.training.custom_dataset = spec;
-  config.training.sgd.learning_rate = 0.02;
-  config.training.sgd.momentum = 0.0;  // Theorem 1 analyses plain SGD
-  config.training.paper_model = "resnet18";
-  config.training.accuracy_threshold = -1.0;
-  config.training.max_updates = max_updates;
-  config.training.eval_every = 25;
-  config.training.record_grad_norm = true;
-  config.training.seed = seed;
+  config.run.dataset = spec;
+  config.run.sgd.learning_rate = 0.02;
+  config.run.sgd.momentum = 0.0;  // Theorem 1 analyses plain SGD
+  config.sim.paper_model = "resnet18";
+  config.sim.accuracy_threshold = -1.0;
+  config.sim.max_updates = max_updates;
+  config.sim.eval_every = 25;
+  config.sim.record_grad_norm = true;
+  config.run.seed = seed;
   config.strategy.kind = pr::StrategyKind::kPReduceConst;
   config.strategy.group_size = p;
 
-  pr::SimRunResult r = pr::RunExperiment(config);
+  pr::RunResult r = pr::StartRun(config, pr::EngineKind::kSim);
   double sum = 0.0;
   for (const auto& pt : r.curve) sum += pt.grad_norm_sq;
   return r.curve.empty() ? 0.0 : sum / static_cast<double>(r.curve.size());

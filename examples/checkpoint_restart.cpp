@@ -49,7 +49,7 @@ pr::RunConfig MakeConfig(const std::string& ckpt_dir) {
   return config;
 }
 
-void PrintResult(const char* label, const pr::ThreadedRunResult& result,
+void PrintResult(const char* label, const pr::RunResult& result,
                  size_t budget) {
   std::printf("%s: final loss %.4f, accuracy %.3f\n", label,
               result.final_loss, result.final_accuracy);
@@ -71,20 +71,18 @@ int main(int argc, char** argv) {
 
   pr::RunManifest manifest;
   std::string manifest_path;
-  pr::ThreadedRunResult result;
+  pr::RunResult result;
   if (pr::FindLatestManifest(ckpt_dir, &manifest, &manifest_path).ok()) {
     std::printf("Resuming from %s (epoch %llu, %llu updates done)...\n",
                 manifest_path.c_str(),
                 static_cast<unsigned long long>(manifest.epoch),
                 static_cast<unsigned long long>(manifest.updates_done));
-    result =
-        pr::ResumeRun(config, pr::EngineKind::kThreaded, manifest_path)
-            .threaded;
+    result = pr::ResumeRun(config, pr::EngineKind::kThreaded, manifest_path);
     PrintResult("resumed run", result, budget);
   } else {
     std::printf("No manifest under %s — starting fresh (pid %d).\n",
                 ckpt_dir.c_str(), static_cast<int>(::getpid()));
-    result = pr::StartRun(config, pr::EngineKind::kThreaded).threaded;
+    result = pr::StartRun(config, pr::EngineKind::kThreaded);
     PrintResult("fresh run", result, budget);
   }
 

@@ -7,32 +7,35 @@
 
 #include <cstdio>
 
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
 
-pr::SimRunResult Run(bool with_churn, pr::StrategyKind kind) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = 8;
-  config.training.dataset = "cifar10";
-  config.training.dirichlet_alpha = 0.5;
-  config.training.paper_model = "resnet18";
-  config.training.hetero = pr::HeteroSpec::GpuSharing(2);
-  config.training.accuracy_threshold = 0.85;
-  config.training.max_updates = 30000;
-  config.training.eval_every = 25;
-  config.training.seed = 19;
+pr::RunResult Run(bool with_churn, pr::StrategyKind kind) {
+  pr::RunConfig config = pr::PaperSimConfig();
+  config.run.num_workers = 8;
+  config.run.dataset = pr::SpecForDataset("cifar10");
+  config.run.dataset.dirichlet_alpha = 0.5;
+  config.sim.paper_model = "resnet18";
+  config.sim.hetero = pr::HeteroSpec::GpuSharing(2);
+  config.sim.accuracy_threshold = 0.85;
+  config.sim.max_updates = 30000;
+  config.sim.eval_every = 25;
+  config.run.seed = 19;
   config.strategy.kind = kind;
   config.strategy.group_size = 3;
   if (with_churn) {
-    config.strategy.churn = {
-        {5.0, 6, /*leave=*/true},    // preemption
-        {8.0, 7, /*leave=*/true},    // second preemption
-        {40.0, 6, /*leave=*/false},  // worker 6 comes back, model ~stale
+    using pr::ScenarioEventKind;
+    config.run.scenario.name = "preemptions";
+    config.run.scenario.events = {
+        // Preemption; worker 6 comes back at t=40s, its model ~stale.
+        {ScenarioEventKind::kDepart, 5.0, 6, -1, /*duration=*/35.0},
+        // Second preemption, for good.
+        {ScenarioEventKind::kDepart, 8.0, 7, -1, /*duration=*/1e9},
     };
   }
-  return pr::RunExperiment(config);
+  return pr::StartRun(config, pr::EngineKind::kSim);
 }
 
 }  // namespace
@@ -52,8 +55,8 @@ int main() {
                    "churn (CON)"},
         std::tuple{true, pr::StrategyKind::kPReduceDynamic,
                    "churn (DYN)"}}) {
-    pr::SimRunResult r = Run(churn, kind);
-    table.AddRow({label, pr::FormatDouble(r.sim_seconds, 1),
+    pr::RunResult r = Run(churn, kind);
+    table.AddRow({label, pr::FormatDouble(r.clock_seconds, 1),
                   std::to_string(r.updates), r.converged ? "yes" : "NO",
                   pr::FormatDouble(r.final_accuracy, 3)});
   }

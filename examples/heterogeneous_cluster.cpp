@@ -4,22 +4,22 @@
 
 #include <cstdio>
 
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
 
-pr::ExperimentConfig BaseConfig() {
-  pr::ExperimentConfig config;
-  config.training.num_workers = 8;
-  config.training.dataset = "cifar10";
-  config.training.dirichlet_alpha = 0.5;
-  config.training.paper_model = "resnet34";
-  config.training.hetero = pr::HeteroSpec::GpuSharing(3);
-  config.training.accuracy_threshold = 0.85;
-  config.training.max_updates = 40000;
-  config.training.eval_every = 25;
-  config.training.seed = 11;
+pr::RunConfig BaseConfig() {
+  pr::RunConfig config = pr::PaperSimConfig();
+  config.run.num_workers = 8;
+  config.run.dataset = pr::SpecForDataset("cifar10");
+  config.run.dataset.dirichlet_alpha = 0.5;
+  config.sim.paper_model = "resnet34";
+  config.sim.hetero = pr::HeteroSpec::GpuSharing(3);
+  config.sim.accuracy_threshold = 0.85;
+  config.sim.max_updates = 40000;
+  config.sim.eval_every = 25;
+  config.run.seed = 11;
   return config;
 }
 
@@ -36,12 +36,12 @@ int main() {
   for (pr::StrategyKind kind :
        {pr::StrategyKind::kAllReduce, pr::StrategyKind::kPReduceConst,
         pr::StrategyKind::kPReduceDynamic}) {
-    pr::ExperimentConfig config = BaseConfig();
+    pr::RunConfig config = BaseConfig();
     config.strategy.kind = kind;
     config.strategy.group_size = 3;
-    pr::SimRunResult result = pr::RunExperiment(config);
+    pr::RunResult result = pr::StartRun(config, pr::EngineKind::kSim);
     table.AddRow({result.strategy,
-                  pr::FormatDouble(result.sim_seconds, 1),
+                  pr::FormatDouble(result.clock_seconds, 1),
                   std::to_string(result.updates),
                   pr::FormatDouble(result.per_update_seconds, 3),
                   pr::FormatDouble(result.final_accuracy, 3),

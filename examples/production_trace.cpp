@@ -4,22 +4,22 @@
 
 #include <cstdio>
 
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
 
-pr::SimRunResult RunTiming(pr::StrategyKind kind) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = 16;
-  config.training.paper_model = "resnet34";
-  config.training.hetero = pr::HeteroSpec::Production();
-  config.training.timing_only = true;
-  config.training.timing_updates = 3000;
-  config.training.seed = 5;
+pr::RunResult RunTiming(pr::StrategyKind kind) {
+  pr::RunConfig config = pr::PaperSimConfig();
+  config.run.num_workers = 16;
+  config.sim.paper_model = "resnet34";
+  config.sim.hetero = pr::HeteroSpec::Production();
+  config.sim.timing_only = true;
+  config.sim.timing_updates = 3000;
+  config.run.seed = 5;
   config.strategy.kind = kind;
   config.strategy.group_size = 4;
-  return pr::RunExperiment(config);
+  return pr::StartRun(config, pr::EngineKind::kSim);
 }
 
 }  // namespace
@@ -34,7 +34,7 @@ int main() {
   double ar_mean = 0.0, pr_mean = 0.0;
   for (pr::StrategyKind kind :
        {pr::StrategyKind::kAllReduce, pr::StrategyKind::kPReduceConst}) {
-    pr::SimRunResult result = RunTiming(kind);
+    pr::RunResult result = RunTiming(kind);
     const pr::SampleSet& intervals = result.update_intervals;
     table.AddRow({result.strategy,
                   pr::FormatDouble(intervals.Mean(), 4),

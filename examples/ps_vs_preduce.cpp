@@ -52,14 +52,14 @@ int main() {
     config.strategy.kind = kind;
     config.strategy.group_size = 2;
     config.strategy.backup_workers = 1;
-    const pr::ThreadedRunResult result =
-        pr::StartRun(config, pr::EngineKind::kThreaded).threaded;
+    const pr::RunResult result =
+        pr::StartRun(config, pr::EngineKind::kThreaded);
     const double fastest =
         *std::min_element(result.worker_finish_seconds.begin(),
                           result.worker_finish_seconds.end());
     table.AddRow({result.strategy,
-                  pr::FormatDouble(result.wall_seconds, 3),
-                  std::to_string(result.group_reduces),
+                  pr::FormatDouble(result.clock_seconds, 3),
+                  std::to_string(result.updates),
                   pr::FormatDouble(result.final_accuracy, 3),
                   pr::FormatDouble(fastest, 3)});
     if (kind == pr::StrategyKind::kPsAsp) {

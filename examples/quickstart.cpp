@@ -15,7 +15,7 @@
 
 namespace {
 
-double FastestFinish(const pr::ThreadedRunResult& result) {
+double FastestFinish(const pr::RunResult& result) {
   return *std::min_element(result.worker_finish_seconds.begin(),
                            result.worker_finish_seconds.end());
 }
@@ -45,14 +45,14 @@ int main() {
               config.run.num_workers, config.strategy.group_size);
   // StartRun is the engine-agnostic entry: the same config also runs under
   // the discrete-event simulator with EngineKind::kSim.
-  pr::RunOutcome outcome = pr::StartRun(config, pr::EngineKind::kThreaded);
-  const pr::ThreadedRunResult& result = outcome.threaded;
+  const pr::RunResult result =
+      pr::StartRun(config, pr::EngineKind::kThreaded);
 
   std::printf("fast worker finished at : %.3f s\n", FastestFinish(result));
   std::printf("straggler finished at   : %.3f s\n",
               result.worker_finish_seconds.back());
   std::printf("group reduces           : %llu\n",
-              static_cast<unsigned long long>(result.group_reduces));
+              static_cast<unsigned long long>(result.updates));
   std::printf("final accuracy          : %.3f\n", result.final_accuracy);
   std::printf("replica spread          : %.4f (L-inf across models)\n",
               result.replica_spread);
@@ -61,8 +61,7 @@ int main() {
   // straggler, so even the fast workers finish at the straggler's pace.
   std::printf("\nSame workload with all-reduce (global barrier)...\n");
   config.strategy.kind = pr::StrategyKind::kAllReduce;
-  const pr::ThreadedRunResult ar =
-      pr::StartRun(config, pr::EngineKind::kThreaded).threaded;
+  const pr::RunResult ar = pr::StartRun(config, pr::EngineKind::kThreaded);
   std::printf("fast worker finished at : %.3f s\n", FastestFinish(ar));
   std::printf("final accuracy          : %.3f\n", ar.final_accuracy);
 

@@ -9,7 +9,8 @@
 
 #include "core/controller.h"
 #include "core/spectral.h"
-#include "train/experiment.h"
+#include "sim/sim_training.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace {
@@ -17,17 +18,17 @@ namespace {
 /// Measures rho from an actual simulated run with the controller recording
 /// every W_k.
 double MeasuredRho(const pr::HeteroSpec& hetero, int n, int p) {
-  pr::ExperimentConfig config;
-  config.training.num_workers = n;
-  config.training.timing_only = true;
-  config.training.timing_updates = 6000;
-  config.training.hetero = hetero;
-  config.training.seed = 3;
+  pr::RunConfig config = pr::PaperSimConfig();
+  config.run.num_workers = n;
+  config.sim.timing_only = true;
+  config.sim.timing_updates = 6000;
+  config.sim.hetero = hetero;
+  config.run.seed = 3;
   config.strategy.kind = pr::StrategyKind::kPReduceConst;
   config.strategy.group_size = p;
   config.strategy.record_sync_matrices = true;
 
-  pr::SimTraining ctx(config.training);
+  pr::SimTraining ctx(config);
   auto strategy = pr::MakeStrategy(config.strategy, &ctx);
   strategy->Start();
   ctx.engine()->RunUntil([&] { return ctx.stopped(); });

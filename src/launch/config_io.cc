@@ -111,11 +111,6 @@ void VisitRunConfig(W& w, Config& c, Topo& topo) {
   w("run.dataset.seed", r.dataset.seed);
   w.List("run.delay", r.worker_delay_seconds,
          [](auto& col, auto& delay) { col(delay); });
-  w.List("run.churn", r.churn, [](auto& col, auto& e) {
-    col(e.worker);
-    col(e.after_iterations);
-    col(e.pause_seconds);
-  });
   // Writers omit an unset checkpoint dir; readers always accept the key.
   if (!W::kWrites || !r.ckpt.dir.empty()) w.Text("run.ckpt.dir", r.ckpt.dir);
   w("run.ckpt.every_iterations", r.ckpt.every_iterations);

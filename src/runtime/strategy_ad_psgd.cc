@@ -46,7 +46,7 @@ class ThreadedAdPsgd : public ThreadedStrategy {
 };
 
 void ThreadedAdPsgd::RunWorker(WorkerContext* ctx) {
-  const ThreadedRunOptions& run = ctx->run();
+  const RunOptions& run = ctx->run();
   const int n = run.num_workers;
   const int me = ctx->worker();
   Endpoint* ep = ctx->endpoint();

@@ -20,7 +20,7 @@ class ThreadedAllReduce : public ThreadedStrategy {
   }
 
   void RunWorker(WorkerContext* ctx) override {
-    const ThreadedRunOptions& run = ctx->run();
+    const RunOptions& run = ctx->run();
     Endpoint* ep = ctx->endpoint();
     MutableSlice params = ctx->params();
     std::vector<float> grad;

@@ -184,7 +184,7 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
 }
 
 void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
-  const ThreadedRunOptions& run = ctx->run();
+  const RunOptions& run = ctx->run();
   const FaultPlan& plan = run.fault;
   const NodeId controller = ctx->service_node();
   Endpoint* ep = ctx->endpoint();
@@ -206,15 +206,10 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
   // This worker's absence windows, in firing order. A trace can schedule
   // several (Poisson churn revisits workers), and an arrive event compiles
   // to a window at iteration 0 — served before the first local step.
-  std::vector<ThreadedChurnEvent> churns;
-  for (const ThreadedChurnEvent& c : run.churn) {
-    if (c.worker == ctx->worker()) churns.push_back(c);
-  }
-  std::sort(churns.begin(), churns.end(),
-            [](const ThreadedChurnEvent& a, const ThreadedChurnEvent& b) {
-              return a.after_iterations < b.after_iterations;
-            });
-  size_t next_churn = 0;
+  const std::vector<ChurnWindow>& windows = ctx->scenario_churn();
+  auto next_window = std::find_if(
+      windows.begin(), windows.end(),
+      [&](const ChurnWindow& c) { return c.worker == ctx->worker(); });
   ScaleDirector* scale = ctx->scale_director();
   double pause_seconds = 0.0;  // the trace windows of the requested pause
   // Asks the core to sit out boundary `k` when trace windows fall due there
@@ -223,13 +218,14 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
   auto plan_pause = [&](size_t k, bool scaled) {
     pause_seconds = 0.0;
     bool due = false;
-    while (next_churn < churns.size() &&
-           churns[next_churn].after_iterations <= k) {
-      if (churns[next_churn].after_iterations == k) {
-        pause_seconds += churns[next_churn].pause_seconds;
+    for (; next_window != windows.end() &&
+           next_window->worker == ctx->worker() &&
+           static_cast<size_t>(next_window->after_iterations) <= k;
+         ++next_window) {
+      if (static_cast<size_t>(next_window->after_iterations) == k) {
+        pause_seconds += next_window->pause_seconds;
         due = true;
       }
-      ++next_churn;
     }
     if (due || (scaled && scale != nullptr &&
                 scale->ShouldPause(ctx->worker()))) {

@@ -100,7 +100,7 @@ void ThreadedServer::RunService(ServiceContext* ctx) {
 }
 
 void ThreadedServer::RunWorker(WorkerContext* ctx) {
-  const ThreadedRunOptions& run = ctx->run();
+  const RunOptions& run = ctx->run();
   const NodeId server = ctx->service_node();
   Endpoint* ep = ctx->endpoint();
   Compressor* comp = ctx->compressor();

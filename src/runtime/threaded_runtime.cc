@@ -11,7 +11,7 @@ namespace pr {
 
 void ValidateRunConfig(const RunConfig& config) {
   const StrategyOptions& strategy = config.strategy;
-  const ThreadedRunOptions& options = config.run;
+  const RunOptions& options = config.run;
   // Centralized PS training degenerates gracefully to one worker; every
   // collective/gossip scheme needs a counterpart.
   PR_CHECK_GE(options.num_workers, IsPsFamily(strategy.kind) ? 1 : 2);
@@ -19,8 +19,6 @@ void ValidateRunConfig(const RunConfig& config) {
     PR_CHECK_GE(strategy.group_size, 2);
     PR_CHECK_LE(strategy.group_size, options.num_workers);
   }
-  PR_CHECK(options.churn.empty() || IsPReduce(strategy.kind))
-      << "elastic churn is a P-Reduce feature";
   PR_CHECK(!options.fault.enabled() || IsPReduce(strategy.kind))
       << "fault plans require the P-Reduce recovery protocol";
   PR_CHECK(!options.ckpt.enabled() || CheckpointSupported(strategy.kind))

@@ -8,24 +8,18 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/ckpt_config.h"
 #include "core/controller.h"
-#include "data/synthetic.h"
-#include "fault/fault_plan.h"
-#include "models/catalog.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "optim/sgd.h"
-#include "scenario/scenario.h"
 #include "sim/timeline.h"
-#include "strategies/strategy.h"
+#include "strategies/run_config.h"
 
 namespace pr {
 
 /// \brief Cross-thread control handle over a live threaded run.
 ///
 /// Created by whoever owns the run (a job service, a signal handler) and
-/// passed in through ThreadedRunOptions::control; the runtime and the
+/// passed in through RunOptions::control; the runtime and the
 /// strategies observe it, the owner drives it. Three facilities:
 ///
 ///  - **Cooperative cancel** (`RequestCancel`): P-Reduce workers poll the
@@ -125,104 +119,8 @@ class WorkerLauncher {
   virtual void JoinAll() = 0;
 };
 
-/// \brief Elastic membership on real threads (P-Reduce only): the worker
-/// Leaves the pool after completing `after_iterations` local iterations,
-/// sleeps for `pause_seconds`, then Rejoins and finishes its budget —
-/// exercising Controller::NotifyWorkerRejoined through the transport path.
-struct ThreadedChurnEvent {
-  int worker = -1;
-  size_t after_iterations = 0;
-  double pause_seconds = 0.01;
-};
-
-/// \brief Configuration for a real (wall-clock, multi-threaded) training run.
-///
-/// This is the prototype-system analogue of the paper's implementation (§4):
-/// each worker is a thread with its own model replica and data shard; the
-/// strategy's central state (P-Reduce controller, PS/ER server), when it has
-/// any, lives on a dedicated service thread; the data plane runs collectives
-/// over the in-process transport. Heterogeneity is injected as per-worker
-/// per-iteration sleeps. Which synchronization scheme runs is selected by
-/// the StrategyOptions half of RunConfig — the same options that drive the
-/// simulator.
-struct ThreadedRunOptions {
-  int num_workers = 4;
-  /// Local iterations per worker (each ends with one synchronization step
-  /// of the selected strategy).
-  size_t iterations_per_worker = 50;
-
-  SgdOptions sgd;
-  size_t batch_size = 32;
-  /// Runnable proxy architecture, constructed through the models catalog
-  /// (the same specs SimTraining uses).
-  ProxyModelSpec model;
-  SyntheticSpec dataset;
-
-  /// Injected per-iteration sleep per worker (seconds); empty = no sleeps.
-  std::vector<double> worker_delay_seconds;
-
-  /// Elastic membership schedule (P-Reduce kinds only).
-  std::vector<ThreadedChurnEvent> churn;
-
-  /// Fault-injection schedule (P-Reduce kinds only): per-edge message
-  /// drop/dup/delay via a FaultyTransport wrapped around the in-proc
-  /// fabric, plus per-worker crash/hang/slowdown events. An enabled plan
-  /// also arms the P-Reduce protocol's deadlines (heartbeat leases,
-  /// lease-based eviction, group abort/retry on a stalled ring); under a
-  /// default-constructed plan the same protocol runs with every wait
-  /// blocking, so none of those reactions can fire.
-  FaultPlan fault;
-
-  /// Cluster placement (nodes × workers). Flat (the default) reproduces the
-  /// historical uniform fabric. A non-flat topology feeds the controller's
-  /// topology-aware group filter / hierarchical scheduling and classifies
-  /// each endpoint's sends into `transport.inter_node_bytes`.
-  Topology topology;
-
-  /// Coordinated checkpointing (CheckpointSupported kinds; see
-  /// ckpt/protocol.h). A run killed after a manifest lands resumes via
-  /// ResumeRun. Disabled by default.
-  CheckpointConfig ckpt;
-
-  /// Trace-driven chaos scenario (P-Reduce kinds only). A non-empty
-  /// scenario is compiled at run start (CompileScenario) and *merged* into
-  /// `fault` and `churn` above: crash/hang/slowdown events become
-  /// iteration-keyed fault events, depart/arrive windows become churn
-  /// events, and partitions are applied on the wall clock by a scheduler
-  /// thread through the severable transport. The compiled scenario.* event
-  /// counters are registered in the run's metrics with names identical to
-  /// the simulator's.
-  ScenarioSpec scenario;
-
-  /// Record a per-worker wall-clock activity timeline (compute/comm/idle
-  /// intervals) comparable to the simulator's Fig. 3 traces.
-  bool record_timeline = false;
-
-  /// Capacity of the structured trace ring buffer (see obs/trace.h);
-  /// 0 disables tracing. Metrics are always collected — they are cheap —
-  /// but traces carry one record per signal/group/push, so they are opt-in.
-  size_t trace_capacity = 0;
-
-  uint64_t seed = 7;
-
-  /// Optional control handle (cancel/abort/liveness — see RunControl).
-  /// Runtime-only: not part of the serialized config.
-  std::shared_ptr<RunControl> control;
-
-  /// Optional thread-donation seam (see WorkerLauncher). Not owned; must
-  /// outlive the run. Runtime-only: not part of the serialized config.
-  WorkerLauncher* launcher = nullptr;
-};
-
-/// \brief A complete threaded-run request: which synchronization scheme
-/// (the same StrategyOptions the simulator consumes) plus how to run it.
-/// Mirrors ExperimentConfig's {strategies, sim} split on the simulator side.
-struct RunConfig {
-  StrategyOptions strategy;
-  ThreadedRunOptions run;
-};
-
-/// \brief Outcome of a threaded run.
+/// \brief Outcome of a threaded run (RunThreaded, WorkerRuntime::Run);
+/// StartRun and ResumeRun return the RunResult built from it.
 ///
 /// Run-level diagnostics (staleness histogram, wasted gradients, stash
 /// high-water) live in `metrics` under the shared metric-name convention
@@ -277,7 +175,7 @@ struct ThreadedRunResult {
 };
 
 /// \brief Checks cross-field invariants of a run request (worker counts,
-/// fault / churn / ckpt support per strategy kind). Aborts on violation.
+/// fault / ckpt support per strategy kind). Aborts on violation.
 /// RunThreaded calls this; out-of-process runners (src/launch) call it once
 /// before spawning workers so misconfigurations fail in the parent.
 void ValidateRunConfig(const RunConfig& config);

@@ -10,7 +10,7 @@ namespace pr {
 
 class ServiceContext;
 class WorkerContext;
-struct ThreadedRunOptions;
+struct RunOptions;
 struct ThreadedRunResult;
 
 /// \brief One synchronization scheme running on real threads.

@@ -82,6 +82,10 @@ WorkerContext::WorkerContext(WorkerRuntime* runtime, int worker)
 
 CkptCoordinator* WorkerContext::ckpt() { return runtime_->ckpt_.get(); }
 
+const std::vector<ChurnWindow>& WorkerContext::scenario_churn() const {
+  return runtime_->churn_;
+}
+
 int WorkerContext::num_workers() const {
   return runtime_->options_.num_workers;
 }
@@ -90,7 +94,7 @@ NodeId WorkerContext::service_node() const {
   return runtime_->options_.num_workers;
 }
 
-const ThreadedRunOptions& WorkerContext::run() const {
+const RunOptions& WorkerContext::run() const {
   return runtime_->options_;
 }
 
@@ -215,7 +219,7 @@ ServiceContext::ServiceContext(WorkerRuntime* runtime)
   }
 }
 
-const ThreadedRunOptions& ServiceContext::run() const {
+const RunOptions& ServiceContext::run() const {
   return runtime_->options_;
 }
 
@@ -259,7 +263,7 @@ const ScenarioMetrics& ServiceContext::scenario_metrics() const {
 // ---------------------------------------------------------------------------
 
 WorkerRuntime::WorkerRuntime(const StrategyOptions& strategy_options,
-                             const ThreadedRunOptions& options)
+                             const RunOptions& options)
     : strategy_options_(strategy_options),
       options_(options),
       // Node num_workers is the service endpoint (unused mailbox for
@@ -270,9 +274,8 @@ WorkerRuntime::WorkerRuntime(const StrategyOptions& strategy_options,
   PR_CHECK_GE(options_.iterations_per_worker, 1u);
   if (options_.scenario.enabled()) {
     // Compile the trace against this run's shape and merge it into the
-    // fault plan / churn schedule before any transport decisions are made:
-    // from here on a scenario run is indistinguishable from a hand-written
-    // chaos run.
+    // fault plan before any transport decisions are made: from here on a
+    // scenario run is indistinguishable from a hand-written chaos run.
     CompiledScenario compiled;
     const Status s =
         CompileScenario(options_.scenario, options_.num_workers,
@@ -280,13 +283,7 @@ WorkerRuntime::WorkerRuntime(const StrategyOptions& strategy_options,
     PR_CHECK(s.ok()) << "scenario '" << options_.scenario.name
                      << "': " << s.message();
     options_.fault = std::move(compiled.fault);
-    for (const ChurnWindow& w : compiled.churn) {
-      ThreadedChurnEvent e;
-      e.worker = w.worker;
-      e.after_iterations = static_cast<size_t>(w.after_iterations);
-      e.pause_seconds = w.pause_seconds;
-      options_.churn.push_back(e);
-    }
+    churn_ = std::move(compiled.churn);
   }
   if (strategy_options_.scale_policy.enabled()) {
     scale_director_ = std::make_unique<ScaleDirector>(options_.num_workers);

@@ -47,7 +47,7 @@ class WorkerContext {
   /// The service thread's transport node id (== num_workers).
   NodeId service_node() const;
 
-  const ThreadedRunOptions& run() const;
+  const RunOptions& run() const;
   const StrategyOptions& strategy_options() const;
   const Model& model() const;
   size_t num_params() const;
@@ -115,6 +115,9 @@ class WorkerContext {
   /// The run's autoscaling pause board, or null when no scale policy is
   /// configured. Workers poll it at iteration boundaries.
   ScaleDirector* scale_director();
+  /// The compiled scenario's depart/arrive windows, every worker's, sorted
+  /// by worker then `after_iterations` (empty without a scenario).
+  const std::vector<ChurnWindow>& scenario_churn() const;
 
  private:
   friend class WorkerRuntime;
@@ -150,7 +153,7 @@ class WorkerContext {
 /// metrics shard.
 class ServiceContext {
  public:
-  const ThreadedRunOptions& run() const;
+  const RunOptions& run() const;
   const StrategyOptions& strategy_options() const;
   const Model& model() const;
   size_t num_params() const;
@@ -208,7 +211,7 @@ class ServiceContext {
 class WorkerRuntime {
  public:
   WorkerRuntime(const StrategyOptions& strategy_options,
-                const ThreadedRunOptions& options);
+                const RunOptions& options);
 
   /// Seeds replicas, velocity, counters, samplers and the controller from
   /// the checkpoint at `manifest_path` (LoadResume). Call before Run().
@@ -243,7 +246,7 @@ class WorkerRuntime {
   RunIdentity CkptIdentity() const;
 
   StrategyOptions strategy_options_;
-  ThreadedRunOptions options_;
+  RunOptions options_;
   TrainTestSplit split_;
   std::unique_ptr<Model> model_;
   std::vector<float> init_;
@@ -272,9 +275,11 @@ class WorkerRuntime {
   std::vector<double> finish_seconds_;
 
   /// Scenario machinery (empty/null unless the run carries a scenario or a
-  /// scale policy). The compiled plan is merged into options_.fault /
-  /// options_.churn at construction; Run() drives the partition schedule
-  /// and the autoscaler from a wall-clock scenario thread.
+  /// scale policy). The compiled plan is merged into options_.fault and its
+  /// churn windows kept in churn_ at construction; Run() drives the
+  /// partition schedule and the autoscaler from a wall-clock scenario
+  /// thread.
+  std::vector<ChurnWindow> churn_;
   std::unique_ptr<ScaleDirector> scale_director_;
   std::atomic<bool> force_ckpt_{false};
   /// Registered by Run() in scenario mode.

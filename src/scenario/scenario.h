@@ -152,8 +152,8 @@ ScenarioSpec MakeReferenceTrace(int num_workers, const Topology& topology,
 
 /// One elastic absence window, engine-agnostic: the worker pauses after
 /// `after_iterations` local steps and stays away `pause_seconds`. The
-/// threaded engine converts these to `ThreadedChurnEvent`s; the simulator
-/// converts them to time-keyed leave/rejoin pairs.
+/// threaded P-Reduce worker pauses on them directly; the simulator turns
+/// them into time-keyed leave/rejoin pairs.
 struct ChurnWindow {
   int worker = -1;
   int after_iterations = 0;

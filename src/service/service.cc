@@ -103,7 +103,7 @@ struct TrainingService::Job {
   bool evicted = false;
   double cancel_deadline = -1.0;  ///< < 0: no cancellation in flight
   std::thread runner;
-  RunOutcome outcome;
+  RunResult outcome;
   bool has_outcome = false;
 };
 
@@ -361,11 +361,8 @@ void TrainingService::RunJob(Job* job) {
     config.run.num_workers = n;
     if (IsPReduce(strategy.kind)) {
       strategy.group_size = std::max(2, std::min(strategy.group_size, n));
-    } else {
-      config.run.churn.clear();
-      if (config.run.fault.enabled()) {
-        config.run.fault = FaultPlan{};
-      }
+    } else if (config.run.fault.enabled()) {
+      config.run.fault = FaultPlan{};
     }
     if (strategy.kind == StrategyKind::kEagerReduce &&
         strategy.er_quorum > n) {
@@ -378,23 +375,16 @@ void TrainingService::RunJob(Job* job) {
     if (!config.run.worker_delay_seconds.empty()) {
       config.run.worker_delay_seconds.resize(static_cast<size_t>(n), 0.0);
     }
-    auto out_of_lease = [n](int worker) { return worker < 0 || worker >= n; };
-    auto& churn = config.run.churn;
-    churn.erase(std::remove_if(churn.begin(), churn.end(),
-                               [&](const ThreadedChurnEvent& e) {
-                                 return out_of_lease(e.worker);
-                               }),
-                churn.end());
     auto& events = config.run.fault.worker_events;
     events.erase(std::remove_if(events.begin(), events.end(),
-                                [&](const WorkerFaultEvent& e) {
-                                  return out_of_lease(e.worker);
+                                [n](const WorkerFaultEvent& e) {
+                                  return e.worker < 0 || e.worker >= n;
                                 }),
                  events.end());
     config.run.control = job->control;
   }
 
-  RunOutcome outcome;
+  RunResult outcome;
   bool ran = false;
   std::unique_ptr<WorkerLauncher> launcher = pool_.MakeLauncher(
       job->lease, job->shard, [this] { return NowSeconds(); });
@@ -487,7 +477,7 @@ JobStatus TrainingService::StatusOfLocked(const Job& job) const {
   if (job.has_outcome) {
     s.final_accuracy = job.outcome.final_accuracy;
     s.final_loss = job.outcome.final_loss;
-    s.sync_rounds = job.outcome.sync_rounds;
+    s.sync_rounds = job.outcome.updates;
   }
   return s;
 }

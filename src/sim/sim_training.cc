@@ -12,17 +12,22 @@
 
 namespace pr {
 
-SimTraining::SimTraining(const SimTrainingOptions& options)
-    : options_(options),
+SimTraining::SimTraining(const RunConfig& config)
+    : config_(config),
+      max_updates_(config.sim.max_updates > 0
+                       ? config.sim.max_updates
+                       : UpdateBudget(config.strategy, config.run.num_workers,
+                                      config.run.iterations_per_worker)),
       metrics_shard_(registry_.NewShard()),
-      trace_(options.trace_capacity),
-      rng_(options.seed) {
-  PR_CHECK_GE(options.num_workers, 1);
-  PR_CHECK_GE(options.batch_size, 1u);
-  PR_CHECK(options.topology.flat() ||
-           options.topology.num_workers() == options.num_workers)
-      << "topology places " << options_.topology.num_workers()
-      << " workers but the run has " << options.num_workers;
+      trace_(config.run.trace_capacity),
+      rng_(config.run.seed) {
+  const RunOptions& run = config_.run;
+  PR_CHECK_GE(run.num_workers, 1);
+  PR_CHECK_GE(run.batch_size, 1u);
+  PR_CHECK(run.topology.flat() ||
+           run.topology.num_workers() == run.num_workers)
+      << "topology places " << run.topology.num_workers()
+      << " workers but the run has " << run.num_workers;
   // Eagerly registered so flat sim runs expose the same transport.* names
   // as topology-aware ones and as the threaded Endpoint.
   metrics_shard_->GetCounter("transport.inter_node_bytes");
@@ -31,27 +36,24 @@ SimTraining::SimTraining(const SimTrainingOptions& options)
   // the result into the fault plan before anything reads it. Depart/arrive
   // windows go to scenario_churn_ for the strategy to schedule in virtual
   // time (the threaded engine walks the same compiled stream).
-  if (options_.scenario.enabled()) {
+  if (run.scenario.enabled()) {
     CompiledScenario compiled;
-    const Status s =
-        CompileScenario(options_.scenario, options_.num_workers,
-                        options_.topology, options_.fault, &compiled);
-    PR_CHECK(s.ok()) << "scenario '" << options_.scenario.name
+    const Status s = CompileScenario(run.scenario, run.num_workers,
+                                     run.topology, run.fault, &compiled);
+    PR_CHECK(s.ok()) << "scenario '" << run.scenario.name
                      << "': " << s.message();
-    options_.fault = std::move(compiled.fault);
+    config_.run.fault = std::move(compiled.fault);
     scenario_churn_ = std::move(compiled.churn);
   }
 
-  SyntheticSpec spec = options.custom_dataset.has_value()
-                           ? *options.custom_dataset
-                           : SpecForDataset(options.dataset);
-  spec.seed = options.seed;  // the run seed controls the data too
+  SyntheticSpec spec = run.dataset;
+  spec.seed = run.seed;  // the run seed controls the data too
   split_ = GenerateSynthetic(spec);
 
-  model_ = MakeProxyModel(options.model, spec.dim, spec.num_classes);
-  cost_ = std::make_unique<CostModel>(LookupPaperModel(options.paper_model),
-                                      options.cost);
-  hetero_ = MakeHeterogeneityModel(options.hetero, options.num_workers,
+  model_ = MakeProxyModel(run.model, spec.dim, spec.num_classes);
+  cost_ = std::make_unique<CostModel>(
+      LookupPaperModel(config_.sim.paper_model), config_.sim.cost);
+  hetero_ = MakeHeterogeneityModel(config_.sim.hetero, run.num_workers,
                                    rng_.Next());
 
   // Single shared initialization copied to all replicas (Alg. 2 requires
@@ -60,35 +62,26 @@ SimTraining::SimTraining(const SimTrainingOptions& options)
   model_->InitParams(&init, &rng_);
 
   Rng shard_rng = rng_.Fork();
-  // The skew knob lives in two places: SimTrainingOptions for sim-native
-  // callers and SyntheticSpec for configs that describe the dataset as one
-  // block (the threaded engine's convention). Options win when both set.
-  const double dirichlet_alpha = options.dirichlet_alpha > 0.0
-                                     ? options.dirichlet_alpha
-                                     : spec.dirichlet_alpha;
+  const size_t n = static_cast<size_t>(run.num_workers);
   std::vector<Shard> shards =
-      dirichlet_alpha > 0.0
+      spec.dirichlet_alpha > 0.0
           ? ShardDatasetDirichlet(split_.train.labels,
-                                  split_.train.num_classes,
-                                  static_cast<size_t>(options.num_workers),
-                                  dirichlet_alpha, &shard_rng)
-          : ShardDataset(split_.train.size(),
-                         static_cast<size_t>(options.num_workers),
-                         &shard_rng);
+                                  split_.train.num_classes, n,
+                                  spec.dirichlet_alpha, &shard_rng)
+          : ShardDataset(split_.train.size(), n, &shard_rng);
 
-  workers_.resize(static_cast<size_t>(options.num_workers));
-  for (int w = 0; w < options.num_workers; ++w) {
-    WorkerState& ws = workers_[static_cast<size_t>(w)];
+  workers_.resize(n);
+  for (size_t w = 0; w < n; ++w) {
+    WorkerState& ws = workers_[w];
     ws.params = init;
     ws.snapshot = init;
-    ws.optimizer = std::make_unique<Sgd>(model_->NumParams(), options.sgd);
+    ws.optimizer = std::make_unique<Sgd>(model_->NumParams(), run.sgd);
     ws.sampler = std::make_unique<BatchSampler>(
-        &split_.train, std::move(shards[static_cast<size_t>(w)]),
-        options.batch_size, rng_.Next());
+        &split_.train, std::move(shards[w]), run.batch_size, rng_.Next());
   }
 
-  if (options.record_timeline) {
-    timeline_ = std::make_unique<Timeline>(options.num_workers);
+  if (run.record_timeline) {
+    timeline_ = std::make_unique<Timeline>(run.num_workers);
   }
   eval_scratch_.resize(model_->NumParams());
 }
@@ -104,7 +97,7 @@ double SimTraining::SampleComputeSeconds(int worker) {
   // Scheduled slowdown faults compound with the ambient heterogeneity: the
   // factor applies while the worker's iteration sits in the event's window
   // (the threaded engine scales the injected compute delay the same way).
-  for (const WorkerFaultEvent& e : options_.fault.worker_events) {
+  for (const WorkerFaultEvent& e : config_.run.fault.worker_events) {
     if (e.worker != worker || e.kind != WorkerFaultEvent::Kind::kSlowdown) {
       continue;
     }
@@ -120,13 +113,13 @@ double SimTraining::SampleComputeSeconds(int worker) {
 
 std::vector<float>& SimTraining::params(int worker) {
   PR_CHECK_GE(worker, 0);
-  PR_CHECK_LT(worker, options_.num_workers);
+  PR_CHECK_LT(worker, num_workers());
   return workers_[static_cast<size_t>(worker)].params;
 }
 
 const std::vector<float>& SimTraining::params(int worker) const {
   PR_CHECK_GE(worker, 0);
-  PR_CHECK_LT(worker, options_.num_workers);
+  PR_CHECK_LT(worker, num_workers());
   return workers_[static_cast<size_t>(worker)].params;
 }
 
@@ -149,7 +142,7 @@ float SimTraining::GradientAt(int worker, const float* at,
   PR_CHECK(grad != nullptr);
   grad->assign(model_->NumParams(), 0.0f);
   ++gradients_computed_;
-  if (options_.timing_only) return 0.0f;
+  if (config_.sim.timing_only) return 0.0f;
   WorkerState& ws = workers_[static_cast<size_t>(worker)];
   Tensor x;
   std::vector<int> y;
@@ -160,7 +153,7 @@ float SimTraining::GradientAt(int worker, const float* at,
 
 Sgd* SimTraining::optimizer(int worker) {
   PR_CHECK_GE(worker, 0);
-  PR_CHECK_LT(worker, options_.num_workers);
+  PR_CHECK_LT(worker, num_workers());
   return workers_[static_cast<size_t>(worker)].optimizer.get();
 }
 
@@ -171,12 +164,14 @@ void SimTraining::LocalStep(int worker, const float* grad, double lr_scale) {
 }
 
 double SimTraining::CurrentLr() const {
-  if (!options_.lr_decay.enabled) return options_.sgd.learning_rate;
+  const LrDecaySpec& decay = config_.sim.lr_decay;
+  const double base = config_.run.sgd.learning_rate;
+  if (!decay.enabled) return base;
   const size_t progress =
-      options_.lr_decay.per_gradient ? gradients_computed_ : updates_;
-  const size_t stage = progress / options_.lr_decay.every_updates;
-  double lr = options_.sgd.learning_rate;
-  for (size_t s = 0; s < stage; ++s) lr *= options_.lr_decay.factor;
+      decay.per_gradient ? gradients_computed_ : updates_;
+  const size_t stage = progress / decay.every_updates;
+  double lr = base;
+  for (size_t s = 0; s < stage; ++s) lr *= decay.factor;
   return lr;
 }
 
@@ -197,23 +192,23 @@ void SimTraining::RecordUpdate() {
   update_intervals_.Add(engine_.now() - last_update_time_);
   last_update_time_ = engine_.now();
 
-  if (options_.timing_only) {
-    if (updates_ >= options_.timing_updates) stopped_ = true;
+  const SimOptions& sim = config_.sim;
+  if (sim.timing_only) {
+    if (updates_ >= sim.timing_updates) stopped_ = true;
     return;
   }
-  if (updates_ % options_.eval_every == 0) MaybeEvaluate();
-  if (updates_ >= options_.max_updates ||
-      engine_.now() >= options_.max_sim_seconds) {
+  if (sim.eval_every > 0 && updates_ % sim.eval_every == 0) MaybeEvaluate();
+  if (updates_ >= max_updates_ || engine_.now() >= sim.max_sim_seconds) {
     stopped_ = true;
   }
 }
 
-Status SimTraining::EnableCheckpoint(const std::string& strategy,
-                                     const std::string& resume_manifest) {
-  PR_CHECK(!options_.timing_only)
+Status SimTraining::EnableCheckpoint(const std::string& resume_manifest) {
+  PR_CHECK(!config_.sim.timing_only)
       << "checkpointing needs real training state to snapshot";
-  const RunIdentity identity{EngineKind::kSim, strategy, options_.num_workers,
-                             num_params(), options_.seed};
+  const RunIdentity identity{EngineKind::kSim,
+                             StrategyKindName(config_.strategy.kind),
+                             num_workers(), num_params(), config_.run.seed};
   if (!resume_manifest.empty()) {
     ResumeState state;
     PR_RETURN_NOT_OK(LoadResume(resume_manifest, identity, &state));
@@ -231,7 +226,7 @@ Status SimTraining::EnableCheckpoint(const std::string& strategy,
     updates_ = state.manifest.updates_done;
     resume_ = std::move(state.manifest);
   }
-  ckpt_ = std::make_unique<CkptCoordinator>(options_.ckpt.dir, identity,
+  ckpt_ = std::make_unique<CkptCoordinator>(config_.run.ckpt.dir, identity,
                                             metrics_shard_, &trace_, resume());
   return Status::OK();
 }
@@ -242,8 +237,8 @@ void SimTraining::CutCheckpoint(
   WorkerState& ws = workers_[static_cast<size_t>(worker)];
   if (ckpt_ == nullptr || completed <= ws.cut_at) return;
   ws.cut_at = completed;
-  const uint64_t epoch = CutEpoch(options_.ckpt, completed, SIZE_MAX);
-  if (epoch == 0 || !SaveCutShard(metrics_shard_, options_.ckpt.dir, epoch,
+  const uint64_t epoch = CutEpoch(config_.run.ckpt, completed, SIZE_MAX);
+  if (epoch == 0 || !SaveCutShard(metrics_shard_, config_.run.ckpt.dir, epoch,
                                   worker,
                                   Slice(ws.params.data(), ws.params.size()),
                                   ws.optimizer->velocity())
@@ -285,7 +280,7 @@ const float* SimTraining::EvalParams() {
   // Default: mean over all replicas (Alg. 2 line 8).
   const size_t n = model_->NumParams();
   std::memset(eval_scratch_.data(), 0, n * sizeof(float));
-  const float w = 1.0f / static_cast<float>(options_.num_workers);
+  const float w = 1.0f / static_cast<float>(num_workers());
   for (const WorkerState& ws : workers_) {
     Axpy(w, ws.params.data(), eval_scratch_.data(), n);
   }
@@ -303,20 +298,20 @@ void SimTraining::MaybeEvaluate() {
   final_accuracy_ = acc;
   final_loss_ = loss;
   CurvePoint point{engine_.now(), updates_, acc, loss, 0.0};
-  if (options_.record_grad_norm) {
+  if (config_.sim.record_grad_norm) {
     point.grad_norm_sq = EvaluateGradientNormSq(*model_, p, split_.train,
                                                 /*max_examples=*/2048);
   }
   curve_.push_back(point);
-  if (options_.accuracy_threshold > 0.0 &&
-      acc >= options_.accuracy_threshold) {
+  if (config_.sim.accuracy_threshold > 0.0 &&
+      acc >= config_.sim.accuracy_threshold) {
     converged_ = true;
     stopped_ = true;
   }
 }
 
 void SimTraining::EvaluateNow() {
-  if (!options_.timing_only) MaybeEvaluate();
+  if (!config_.sim.timing_only) MaybeEvaluate();
 }
 
 void SimTraining::RecordReduceTraffic(size_t p, CompressionKind kind) {
@@ -327,13 +322,13 @@ void SimTraining::RecordReduceTraffic(const std::vector<int>& members,
                                       CompressionKind kind) {
   const double bytes = ChargeGroupAllReduceTraffic(
       num_params(), members.size(), kind, metrics_shard_);
-  if (bytes <= 0.0 || options_.topology.flat()) return;
+  const Topology& topology = config_.run.topology;
+  if (bytes <= 0.0 || topology.flat()) return;
   // Each ring edge carries an equal 1/p share of the group total; credit
   // the node-crossing edges' share to the inter-node counter.
   size_t cross_edges = 0;
   for (size_t i = 0; i < members.size(); ++i) {
-    if (!options_.topology.SameNode(members[i],
-                                    members[(i + 1) % members.size()])) {
+    if (!topology.SameNode(members[i], members[(i + 1) % members.size()])) {
       ++cross_edges;
     }
   }
@@ -344,15 +339,17 @@ void SimTraining::RecordReduceTraffic(const std::vector<int>& members,
   }
 }
 
-SimRunResult SimTraining::BuildResult(const std::string& strategy_name) {
-  SimRunResult result;
+RunResult SimTraining::BuildResult(const std::string& strategy_name) {
+  RunResult result;
+  result.engine = EngineKind::kSim;
   result.strategy = strategy_name;
   result.converged = converged_;
-  result.sim_seconds = engine_.now();
+  result.clock_seconds = engine_.now();
   result.updates = updates_;
   result.per_update_seconds =
       updates_ == 0 ? 0.0 : engine_.now() / static_cast<double>(updates_);
   result.final_accuracy = final_accuracy_;
+  result.final_loss = final_loss_;
   result.best_accuracy = best_accuracy_;
   result.curve = curve_;
   result.update_intervals = update_intervals_;
@@ -364,6 +361,7 @@ SimRunResult SimTraining::BuildResult(const std::string& strategy_name) {
     if (ws.wait_started >= 0.0) wait += engine_.now() - ws.wait_started;
     const double fraction = engine_.now() > 0.0 ? wait / engine_.now() : 0.0;
     idle += fraction;
+    result.worker_iterations.push_back(static_cast<size_t>(ws.iteration));
     const std::string prefix = "worker." + std::to_string(w);
     metrics_shard_->GetCounter(prefix + ".idle_seconds")->Increment(wait);
     metrics_shard_->GetGauge(prefix + ".idle_fraction")->Set(fraction);
@@ -390,8 +388,6 @@ SimRunResult SimTraining::BuildResult(const std::string& strategy_name) {
   // purge counter is always zero — registered for cross-engine name parity.
   metrics_shard_->GetCounter("transport.stash_purged");
   result.metrics = registry_.Snapshot();
-  result.wasted_gradients =
-      static_cast<size_t>(result.metrics.counter("ps.wasted_gradients"));
   result.trace = trace_.Log();
   return result;
 }

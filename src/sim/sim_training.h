@@ -7,14 +7,12 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/ckpt_config.h"
 #include "ckpt/protocol.h"
 #include "common/stats.h"
 #include "compress/codec.h"
+#include "data/dataset.h"
 #include "data/synthetic.h"
-#include "fault/fault_plan.h"
 #include "hetero/hetero.h"
-#include "models/catalog.h"
 #include "models/model.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -23,145 +21,9 @@
 #include "sim/cost_model.h"
 #include "sim/engine.h"
 #include "sim/timeline.h"
+#include "strategies/run_config.h"
 
 namespace pr {
-
-/// \brief One point of a convergence curve (Fig. 7 / Fig. 10 series).
-struct CurvePoint {
-  double time = 0.0;    ///< virtual seconds
-  size_t updates = 0;   ///< global update count at evaluation time
-  double accuracy = 0.0;
-  double loss = 0.0;
-  /// ||∇F(u_k)||² at this evaluation (only when record_grad_norm is set).
-  double grad_norm_sq = 0.0;
-};
-
-/// \brief Step-decay schedule knob for SimTrainingOptions.
-struct LrDecaySpec {
-  bool enabled = false;
-  double factor = 0.1;
-  size_t every_updates = 2000;
-  /// When true, `every_updates` counts *gradients computed* instead of
-  /// global updates. Strategies incorporate different gradient counts per
-  /// update (AR: N, P-Reduce: P, ASP: 1), so a gradient-based schedule is
-  /// the fair analogue of the paper's per-epoch decay.
-  bool per_gradient = false;
-};
-
-/// \brief Full configuration of one simulated training run.
-struct SimTrainingOptions {
-  int num_workers = 8;
-  /// Per-worker mini-batch. The calibrated benches use 8 (small batches
-  /// keep gradient noise high enough that staleness effects are visible on
-  /// the synthetic tasks).
-  size_t batch_size = 8;
-  SgdOptions sgd;
-  LrDecaySpec lr_decay;
-
-  /// Proxy model trained for real under virtual time, constructed through
-  /// the models catalog — the same specs the threaded runtime consumes, so
-  /// both engines name models identically.
-  ProxyModelSpec model = {ProxyModelSpec::Kind::kMlp, {64}, 8};
-
-  /// Synthetic dataset name ("cifar10", "cifar100", "imagenet"), or a fully
-  /// custom spec when `custom_dataset` is set.
-  std::string dataset = "cifar10";
-  std::optional<SyntheticSpec> custom_dataset;
-
-  /// Non-IID sharding: Dirichlet(alpha) class skew per worker. 0 disables
-  /// (IID shuffled shards, the paper's assumption).
-  double dirichlet_alpha = 0.0;
-
-  /// Paper workload whose catalog entry drives the cost model.
-  std::string paper_model = "resnet34";
-  CostModelOptions cost;
-  HeteroSpec hetero;
-
-  /// Cluster placement. Flat (the default) reproduces the historical
-  /// uniform fabric; a non-flat topology stretches cross-node ring edges in
-  /// the cost model and splits traffic accounting into intra/inter-node.
-  Topology topology;
-
-  /// Fault schedule mirrored into virtual time (P-Reduce only): crashes
-  /// trigger lease-horizon eviction, ready-signal drops trigger re-sends,
-  /// slowdown events scale SampleComputeSeconds, controller crash/restart
-  /// events park in-flight signals and rebuild a fresh controller from
-  /// worker re-registration. Hang events and data-plane dup/delay are
-  /// threaded-engine-only; their fault.* counters still register (as zero)
-  /// for cross-engine report parity.
-  FaultPlan fault;
-
-  /// Trace-driven chaos scenario (P-Reduce only). Compiled at run start and
-  /// merged into `fault` plus the strategy's churn schedule: crash/hang/
-  /// slowdown events become iteration-keyed fault events, depart/arrive
-  /// windows become virtual-time leave/rejoin pairs, partitions become
-  /// membership-loss windows applied at their virtual start times. The
-  /// compiled scenario.* counters register with names identical to the
-  /// threaded engine's.
-  ScenarioSpec scenario;
-
-  /// Coordinated checkpointing (CheckpointSupported kinds; see
-  /// ckpt/protocol.h). Disabled by default; unavailable in timing-only mode.
-  CheckpointConfig ckpt;
-
-  /// Convergence criterion: stop when the evaluated model reaches this test
-  /// accuracy. <= 0 disables accuracy-based stopping.
-  double accuracy_threshold = 0.90;
-  size_t max_updates = 100000;
-  double max_sim_seconds = 1e9;
-  size_t eval_every = 25;
-
-  /// Timing-only mode: skip gradient math and evaluation; run exactly
-  /// `timing_updates` updates. Used by pure hardware-efficiency experiments
-  /// (idle-time, scalability sweeps).
-  bool timing_only = false;
-  size_t timing_updates = 1000;
-
-  /// Record ||∇F||² of the evaluated model at every periodic evaluation
-  /// (over a bounded probe of the training set) — the Theorem 1 quantity.
-  bool record_grad_norm = false;
-
-  /// Record a per-worker activity timeline (compute/comm/idle intervals,
-  /// the data behind Fig. 3's Gantt). Supported by the AR and P-Reduce
-  /// strategies; costs memory proportional to the number of intervals.
-  bool record_timeline = false;
-
-  /// Capacity of the structured trace ring buffer (see obs/trace.h);
-  /// 0 disables tracing. Metrics are always collected.
-  size_t trace_capacity = 0;
-
-  uint64_t seed = 1;
-};
-
-/// \brief Result of one simulated run.
-struct SimRunResult {
-  std::string strategy;
-  bool converged = false;
-  double sim_seconds = 0.0;
-  size_t updates = 0;
-  double per_update_seconds = 0.0;
-  double final_accuracy = 0.0;
-  double best_accuracy = 0.0;
-  std::vector<CurvePoint> curve;
-  /// Mean over workers of (idle time waiting on synchronization) /
-  /// (total run time). The green blocks of Fig. 3.
-  double mean_idle_fraction = 0.0;
-  /// Per-update intervals (time between consecutive global updates); the
-  /// per-update-time distribution of Fig. 9.
-  SampleSet update_intervals;
-  /// Total local gradient computations that were discarded (PS-BK drops):
-  /// the run's ps.wasted_gradients counter.
-  size_t wasted_gradients = 0;
-  /// Groups bridged by frozen avoidance (P-Reduce only).
-  uint64_t bridged_groups = 0;
-  uint64_t frozen_detections = 0;
-
-  /// Merged counters/gauges/histograms of the run, under the metric names
-  /// shared with the threaded runtime (controller.*, worker.<i>.*, ps.*,
-  /// run.*, engine.*). Timestamps in `trace` are virtual seconds.
-  MetricsSnapshot metrics;
-  TraceLog trace;
-};
 
 /// \brief Shared state and services for simulated synchronization
 /// strategies.
@@ -171,13 +33,17 @@ struct SimRunResult {
 /// duration, schedules the finish event, and at that event asks for the
 /// actual gradient — so the staleness pattern SGD experiences is exactly
 /// the one induced by simulated timing.
+///
+/// Built from a RunConfig: `run` describes the workload exactly as the
+/// threaded engine reads it, `sim` adds the cost model, heterogeneity and
+/// stop rules. A scenario in `run` is compiled into `run().fault` here.
 class SimTraining {
  public:
-  explicit SimTraining(const SimTrainingOptions& options);
+  explicit SimTraining(const RunConfig& config);
 
   SimEngine* engine() { return &engine_; }
-  const SimTrainingOptions& options() const { return options_; }
-  int num_workers() const { return options_.num_workers; }
+  const RunOptions& run() const { return config_.run; }
+  int num_workers() const { return config_.run.num_workers; }
   const CostModel& cost() const { return *cost_; }
   const Model& model() const { return *model_; }
   size_t num_params() const { return model_->NumParams(); }
@@ -230,12 +96,11 @@ class SimTraining {
     return workers_[static_cast<size_t>(worker)].batches_drawn;
   }
 
-  /// Opts the run into the coordinated checkpoint under `strategy`'s name
-  /// and, given `resume_manifest`, seeds replicas, velocity, counters,
-  /// samplers and the update count from it (LoadResume). Call before the
-  /// strategy is constructed.
-  Status EnableCheckpoint(const std::string& strategy,
-                          const std::string& resume_manifest = "");
+  /// Opts the run into the coordinated checkpoint and, given
+  /// `resume_manifest`, seeds replicas, velocity, counters, samplers and the
+  /// update count from it (LoadResume). Call before the strategy is
+  /// constructed.
+  Status EnableCheckpoint(const std::string& resume_manifest);
 
   /// At `worker`'s synchronization boundary: cuts its shard when local
   /// iteration `completed` is a cut point (CutEpoch), once per count, and
@@ -266,7 +131,7 @@ class SimTraining {
 
   /// The run's compiled scenario churn windows (empty without a scenario).
   /// The P-Reduce strategy schedules each as a virtual-time leave/rejoin
-  /// pair; partition windows live in options().fault.partition_events.
+  /// pair; partition windows live in run().fault.partition_events.
   const std::vector<ChurnWindow>& scenario_churn() const {
     return scenario_churn_;
   }
@@ -292,7 +157,7 @@ class SimTraining {
   MetricsShard* metrics() { return metrics_shard_; }
   TraceRecorder* trace() { return &trace_; }
 
-  /// The activity timeline, or null when record_timeline is off. Idle
+  /// The activity timeline, or null when run().record_timeline is off. Idle
   /// intervals are appended automatically by MarkWaitEnd; strategies record
   /// compute/comm via RecordActivity.
   Timeline* timeline() { return timeline_.get(); }
@@ -314,7 +179,7 @@ class SimTraining {
   void Stop() { stopped_ = true; }
 
   /// Builds the result record; finalizes idle accounting at current time.
-  SimRunResult BuildResult(const std::string& strategy_name);
+  RunResult BuildResult(const std::string& strategy_name);
 
   const Dataset& test_set() const { return split_.test; }
 
@@ -336,7 +201,9 @@ class SimTraining {
   void MaybeEvaluate();
   const float* EvalParams();
 
-  SimTrainingOptions options_;
+  RunConfig config_;
+  /// sim().max_updates, or the run's UpdateBudget when that is 0.
+  size_t max_updates_;
   SimEngine engine_;
   MetricsRegistry registry_;
   MetricsShard* metrics_shard_;  // owned by registry_

@@ -5,6 +5,7 @@
 
 #include "compress/compressor.h"
 #include "sim/cost_model.h"
+#include "sim/sim_training.h"
 #include "strategies/strategy.h"
 
 namespace pr {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "compress/compressor.h"
+#include "sim/sim_training.h"
 #include "strategies/strategy.h"
 
 namespace pr {

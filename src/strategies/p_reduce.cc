@@ -12,19 +12,17 @@ PReduceStrategy::PReduceStrategy(SimTraining* ctx,
                                  const StrategyOptions& options)
     : ctx_(ctx),
       options_(options),
-      scenario_mode_(
-          ScenarioMode(ctx->options().scenario, options.scale_policy)),
-      scenario_metrics_(scenario_mode_
-                            ? RegisterScenarioMetrics(ctx->metrics(),
-                                                      ctx->options().scenario)
-                            : ScenarioMetrics{}),
-      service_(options, ctx->num_workers(), ctx->options().topology,
-               ctx->options().fault, scenario_metrics_,
+      scenario_metrics_(
+          ScenarioMode(ctx->run().scenario, options.scale_policy)
+              ? RegisterScenarioMetrics(ctx->metrics(), ctx->run().scenario)
+              : ScenarioMetrics{}),
+      service_(options, ctx->num_workers(), ctx->run().topology,
+               ctx->run().fault, scenario_metrics_,
                {ctx->metrics(), ctx->trace(),
                 [ctx] { return ctx->engine()->now(); }},
                ctx->resume()) {
   const size_t n = static_cast<size_t>(ctx->num_workers());
-  const FaultPlan& plan = ctx->options().fault;
+  const FaultPlan& plan = ctx->run().fault;
   workers_.reserve(n);
   for (int w = 0; w < ctx->num_workers(); ++w) {
     // A resumed worker continues from its restored counters.
@@ -126,8 +124,7 @@ void PReduceStrategy::Start() {
   }
 
   // Scenario churn windows become virtual-time leave/rejoin pairs. The
-  // handlers are lenient (generated traces overlap windows freely); the
-  // hand-written schedule below keeps its strict invariants.
+  // handlers are lenient: generated traces overlap windows freely.
   for (const ChurnWindow& w : ctx_->scenario_churn()) {
     if (w.time_seconds <= 0.0) {
       ctx_->engine()->ScheduleAt(w.pause_seconds,
@@ -142,7 +139,7 @@ void PReduceStrategy::Start() {
   // A partitioned worker is, in virtual time, a membership loss for the
   // window's duration: its traffic cannot reach the controller or any
   // group, which is exactly what leaving models.
-  for (const PartitionEvent& p : ctx_->options().fault.partition_events) {
+  for (const PartitionEvent& p : ctx_->run().fault.partition_events) {
     ctx_->engine()->ScheduleAt(p.start_seconds, [this, p] {
       if (scenario_metrics_.partitions_applied != nullptr) {
         scenario_metrics_.partitions_applied->Increment();
@@ -158,25 +155,6 @@ void PReduceStrategy::Start() {
     ctx_->engine()->ScheduleAfter(
         std::max(1e-6, scale_policy_->config().interval_seconds),
         [this] { ScalePolicyTick(); });
-  }
-
-  // Elastic membership schedule: leaves take effect at the worker's next
-  // gradient boundary; joins resume the worker with its last-held model.
-  for (const ChurnEvent& event : options_.churn) {
-    PR_CHECK_GE(event.worker, 0);
-    PR_CHECK_LT(event.worker, ctx_->num_workers());
-    ctx_->engine()->ScheduleAt(event.time, [this, event] {
-      PReduceWorker& core = workers_[static_cast<size_t>(event.worker)];
-      const bool paused = core.phase() == PReduceWorker::Phase::kPaused;
-      if (event.leave) {
-        PR_CHECK(!paused && !core.pause_requested())
-            << "leave for already-departed worker";
-        core.RequestPause();
-      } else {
-        PR_CHECK(paused) << "join for already-active worker";
-        Run(event.worker, core.Resume(ctx_->engine()->now()));
-      }
-    });
   }
 }
 
@@ -196,20 +174,8 @@ void PReduceStrategy::OnGradientReady(int worker) {
   std::vector<float> grad;
   ctx_->GradientAtSnapshot(worker, &grad);
   ctx_->LocalStep(worker, grad.data());
-  PReduceWorker& core = workers_[static_cast<size_t>(worker)];
-  Run(worker, core.Boundary(ctx_->engine()->now()));
-  if (core.phase() == PReduceWorker::Phase::kPaused && !scenario_mode_) {
-    // Hand-written churn schedules promise this; scenario traces and the
-    // autoscaler legitimately drive the live set below P (that is what the
-    // degradation gates are for).
-    const int live = static_cast<int>(std::count_if(
-        workers_.begin(), workers_.end(), [](const PReduceWorker& w) {
-          return w.phase() != PReduceWorker::Phase::kPaused &&
-                 w.phase() != PReduceWorker::Phase::kDead;
-        }));
-    PR_CHECK_GE(live, options_.group_size)
-        << "churn dropped the cluster below the group size";
-  }
+  Run(worker,
+      workers_[static_cast<size_t>(worker)].Boundary(ctx_->engine()->now()));
 }
 
 void PReduceStrategy::Run(int worker, WorkerActions actions) {
@@ -233,7 +199,7 @@ void PReduceStrategy::Run(int worker, WorkerActions actions) {
       case WorkerAction::Kind::kDie: {
         // The worker vanishes; the controller's lease verdict is the only
         // cleanup, one eviction horizon later.
-        const FaultPlan& plan = ctx_->options().fault;
+        const FaultPlan& plan = ctx_->run().fault;
         ctx_->engine()->ScheduleAfter(
             plan.lease_seconds * plan.missed_threshold,
             [this, worker] { Apply(service_.Evict(worker)); });
@@ -295,7 +261,7 @@ void PReduceStrategy::Transition(int worker, PReduceWorker::Phase from,
 
 void PReduceStrategy::SendToService(int worker, int kind,
                                     std::vector<int64_t> ints) {
-  const FaultPlan& plan = ctx_->options().fault;
+  const FaultPlan& plan = ctx_->run().fault;
   const int controller = ctx_->num_workers();
   if (plan.has_message_faults() &&
       plan.RollDrop(worker, controller,
@@ -346,12 +312,12 @@ void PReduceStrategy::Join(const std::shared_ptr<const GroupDecision>& group) {
   const std::vector<int>& members = group->members;
   double comm = ctx_->cost().controller_delay() +
                 ctx_->cost().RingAllReduceSeconds(members,
-                                                  ctx_->options().topology);
+                                                  ctx_->run().topology);
   // Deterministic link delays stretch the group the same way the
   // FaultyTransport stretches real chunks: the group-info broadcast waits
   // on the slowest controller->member edge, and every ring step waits on
   // the slowest member->member edge, 2(p-1) steps per reduce.
-  const FaultPlan& fplan = ctx_->options().fault;
+  const FaultPlan& fplan = ctx_->run().fault;
   if (fplan.has_link_delays()) {
     double info_delay = 0.0;
     double worst_edge = 0.0;
@@ -374,7 +340,7 @@ void PReduceStrategy::Join(const std::shared_ptr<const GroupDecision>& group) {
 }
 
 void PReduceStrategy::ScheduleTick(int worker, uint64_t epoch) {
-  const FaultPlan& plan = ctx_->options().fault;
+  const FaultPlan& plan = ctx_->run().fault;
   if (!plan.enabled()) return;  // a disabled plan's waits block
   ctx_->engine()->ScheduleAfter(plan.recv_timeout_seconds,
                                 [this, worker, epoch] { Tick(worker, epoch); });
@@ -478,7 +444,7 @@ void PReduceStrategy::RestartController() {
   // snapshots when the window closes, as the threaded service does.
   service_.BeginRecovery();
   ctx_->engine()->ScheduleAfter(
-      ctx_->options().fault.reregister_window_seconds,
+      ctx_->run().fault.reregister_window_seconds,
       [this] { Apply(service_.EndRecovery()); });
 }
 

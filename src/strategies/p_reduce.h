@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "compress/compressor.h"
+#include "sim/sim_training.h"
 #include "strategies/p_reduce_service.h"
 #include "strategies/p_reduce_worker.h"
 #include "strategies/strategy.h"
@@ -107,11 +108,7 @@ class PReduceStrategy : public Strategy {
 
   SimTraining* ctx_;
   StrategyOptions options_;
-  /// True when the run carries a scenario, a scale policy, or degradation
-  /// gates: deep churn may then legitimately drive the pool below P (never
-  /// set for hand-written churn schedules).
-  bool scenario_mode_ = false;
-  /// Registered in scenario mode; null handles otherwise.
+  /// Registered in scenario mode (ScenarioMode); null handles otherwise.
   ScenarioMetrics scenario_metrics_;
   PReduceService service_;
   std::vector<PReduceWorker> workers_;

@@ -9,10 +9,6 @@
 
 namespace pr {
 
-int EagerReduceQuorum(const StrategyOptions& options, int num_workers) {
-  return options.er_quorum > 0 ? options.er_quorum : num_workers / 2 + 1;
-}
-
 ServerCore::ServerCore(const StrategyOptions& options, int num_workers,
                        std::vector<float> init, const SgdOptions& sgd,
                        Observers observers)

@@ -28,10 +28,6 @@ struct ServerAction {
 };
 using ServerActions = std::vector<ServerAction>;
 
-/// Eager-Reduce's quorum: `er_quorum` when set, else the majority
-/// floor(N/2) + 1 (ServerCore's round target; the sim's update budget).
-int EagerReduceQuorum(const StrategyOptions& options, int num_workers);
-
 /// \brief The central server of the paper's §5.1 baselines (PS-BSP, PS-ASP,
 /// PS-HETE, PS-BK and Eager-Reduce) as one sans-IO state machine that both
 /// engines drive.

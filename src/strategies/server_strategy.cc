@@ -11,7 +11,7 @@ ServerStrategy::ServerStrategy(SimTraining* ctx,
                                const StrategyOptions& options)
     : ctx_(ctx),
       collective_(options.kind == StrategyKind::kEagerReduce),
-      core_(options, ctx->num_workers(), ctx->params(0), ctx->options().sgd,
+      core_(options, ctx->num_workers(), ctx->params(0), ctx->run().sgd,
             {ctx->metrics(), ctx->trace(),
              [ctx] { return ctx->engine()->now(); }}),
       envs_(static_cast<size_t>(ctx->num_workers())),

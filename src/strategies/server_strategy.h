@@ -7,6 +7,7 @@
 
 #include "compress/compressor.h"
 #include "sim/cost_model.h"
+#include "sim/sim_training.h"
 #include "strategies/server_core.h"
 #include "strategies/strategy.h"
 

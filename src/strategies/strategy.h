@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <string>
 
@@ -7,9 +9,10 @@
 #include "compress/codec.h"
 #include "core/controller.h"
 #include "scenario/scale_policy.h"
-#include "sim/sim_training.h"
 
 namespace pr {
+
+class SimTraining;
 
 /// \brief Every synchronization scheme evaluated in the paper (§5.1).
 enum class StrategyKind {
@@ -57,15 +60,6 @@ inline bool CheckpointSupported(StrategyKind kind) {
   return IsPReduce(kind) || kind == StrategyKind::kAllReduce;
 }
 
-/// \brief A membership change during a simulated P-Reduce run (elastic
-/// training): the worker stops participating after its in-flight iteration
-/// (leave) or resumes with whatever parameters it last held (join).
-struct ChurnEvent {
-  double time = 0.0;
-  int worker = -1;
-  bool leave = true;  ///< false = rejoin
-};
-
 /// \brief Strategy-specific knobs.
 struct StrategyOptions {
   StrategyKind kind = StrategyKind::kPReduceConst;
@@ -83,9 +77,6 @@ struct StrategyOptions {
   size_t history_window = 0;
   /// Record W_k matrices for spectral diagnostics (small N only).
   bool record_sync_matrices = false;
-  /// Elastic membership schedule (P-Reduce only). The active worker count
-  /// must never drop below group_size.
-  std::vector<ChurnEvent> churn;
   /// P-Reduce ablation: also average the members' momentum buffers during
   /// a group reduce. The paper's prototype averages only parameters
   /// (momentum stays local); merging optimizer state is the natural
@@ -108,6 +99,46 @@ struct StrategyOptions {
   /// sustained membership loss. Serialized as `strategy.scale_policy.*`.
   ScalePolicyConfig scale_policy;
 };
+
+/// Eager-Reduce's quorum: `er_quorum` when set, else the majority
+/// floor(N/2) + 1 (ServerCore's round target; UpdateBudget's ER divisor).
+inline int EagerReduceQuorum(const StrategyOptions& options, int num_workers) {
+  return options.er_quorum > 0 ? options.er_quorum : num_workers / 2 + 1;
+}
+
+/// Global updates that consume the gradient budget num_workers x
+/// iterations_per_worker: an AR, PS-BSP or PS-BK round takes N gradients,
+/// a P-Reduce group P, an Eager-Reduce round its quorum, an AD-PSGD pair 2
+/// and an asynchronous push 1. The simulator stops there unless the run
+/// caps its updates itself.
+inline size_t UpdateBudget(const StrategyOptions& options, int num_workers,
+                           size_t iterations_per_worker) {
+  int per_update = 1;
+  switch (options.kind) {
+    case StrategyKind::kAllReduce:
+    case StrategyKind::kPsBsp:
+    case StrategyKind::kPsBackup:
+      per_update = num_workers;
+      break;
+    case StrategyKind::kPReduceConst:
+    case StrategyKind::kPReduceDynamic:
+      per_update = std::max(1, options.group_size);
+      break;
+    case StrategyKind::kEagerReduce:
+      per_update = EagerReduceQuorum(options, num_workers);
+      break;
+    case StrategyKind::kAdPsgd:
+      per_update = 2;
+      break;
+    case StrategyKind::kPsAsp:
+    case StrategyKind::kPsHete:
+      break;
+  }
+  const double updates = static_cast<double>(num_workers) *
+                         static_cast<double>(iterations_per_worker) /
+                         per_update;
+  return static_cast<size_t>(std::max(1.0, updates + 0.5));
+}
 
 /// \brief A synchronization strategy driving a simulated training run.
 ///

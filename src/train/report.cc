@@ -86,40 +86,19 @@ bool WriteTextFile(const std::string& path, const std::string& content) {
   return static_cast<bool>(out);
 }
 
-namespace {
-
-void WriteRunReportBody(JsonWriter* w, const std::string& strategy,
-                        const char* clock_key, double clock_seconds,
-                        size_t updates, double final_accuracy,
-                        const MetricsSnapshot& metrics,
-                        const TraceLog& trace) {
-  w->BeginObject();
-  w->Key("strategy").String(strategy);
-  w->Key(clock_key).Number(clock_seconds);
-  w->Key("updates").UInt(updates);
-  w->Key("final_accuracy").Number(final_accuracy);
-  w->Key("metrics");
-  WriteMetricsSnapshot(w, metrics);
-  w->Key("trace");
-  WriteTraceLog(w, trace);
-  w->EndObject();
-}
-
-}  // namespace
-
-std::string RunReportJson(const ThreadedRunResult& result) {
+std::string RunReportJson(const RunResult& result) {
   JsonWriter w;
-  WriteRunReportBody(&w, result.strategy, "wall_seconds",
-                     result.wall_seconds, result.group_reduces,
-                     result.final_accuracy, result.metrics, result.trace);
-  return w.str();
-}
-
-std::string RunReportJson(const SimRunResult& result) {
-  JsonWriter w;
-  WriteRunReportBody(&w, result.strategy, "sim_seconds", result.sim_seconds,
-                     result.updates, result.final_accuracy, result.metrics,
-                     result.trace);
+  w.BeginObject();
+  w.Key("strategy").String(result.strategy);
+  w.Key(result.engine == EngineKind::kSim ? "sim_seconds" : "wall_seconds")
+      .Number(result.clock_seconds);
+  w.Key("updates").UInt(result.updates);
+  w.Key("final_accuracy").Number(result.final_accuracy);
+  w.Key("metrics");
+  WriteMetricsSnapshot(&w, result.metrics);
+  w.Key("trace");
+  WriteTraceLog(&w, result.trace);
+  w.EndObject();
   return w.str();
 }
 

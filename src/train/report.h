@@ -3,8 +3,7 @@
 #include <string>
 #include <vector>
 
-#include "runtime/threaded_runtime.h"
-#include "sim/sim_training.h"
+#include "strategies/run_config.h"
 
 namespace pr {
 
@@ -43,13 +42,11 @@ bool WriteCsv(const std::string& path,
 /// Writes `content` verbatim to `path`. Returns false on IO error.
 bool WriteTextFile(const std::string& path, const std::string& content);
 
-/// JSON report of one threaded run: headline numbers ("strategy",
-/// "wall_seconds", "updates", "final_accuracy") plus the full "metrics"
-/// snapshot and "trace" log under the shared observability naming.
-std::string RunReportJson(const ThreadedRunResult& result);
-
-/// Same for a simulated run ("sim_seconds" instead of "wall_seconds"); the
-/// metric names inside "metrics" match the threaded report by construction.
-std::string RunReportJson(const SimRunResult& result);
+/// JSON report of one run: headline numbers ("strategy", the clock,
+/// "updates", "final_accuracy") plus the full "metrics" snapshot and
+/// "trace" log under the shared observability naming. The clock key names
+/// the engine's clock: "wall_seconds" for a threaded run, "sim_seconds" for
+/// a simulated one.
+std::string RunReportJson(const RunResult& result);
 
 }  // namespace pr

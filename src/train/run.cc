@@ -1,116 +1,69 @@
 #include "train/run.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "runtime/threaded_strategy.h"
 #include "runtime/worker_runtime.h"
-#include "strategies/server_core.h"
+#include "sim/sim_training.h"
 
 namespace pr {
 namespace {
 
-/// Global updates the sim engine should run to consume the same gradient
-/// budget the threaded engine would (num_workers x iterations_per_worker).
-size_t DerivedUpdateBudget(const RunConfig& config) {
-  const double total_gradients =
-      static_cast<double>(config.run.num_workers) *
-      static_cast<double>(config.run.iterations_per_worker);
-  double per_update = 1.0;
-  switch (config.strategy.kind) {
-    case StrategyKind::kAllReduce:
-    case StrategyKind::kPsBsp:
-    case StrategyKind::kPsBackup:
-      per_update = static_cast<double>(config.run.num_workers);
-      break;
-    case StrategyKind::kPReduceConst:
-    case StrategyKind::kPReduceDynamic:
-      per_update = static_cast<double>(std::max(1, config.strategy.group_size));
-      break;
-    case StrategyKind::kEagerReduce:
-      per_update = static_cast<double>(
-          EagerReduceQuorum(config.strategy, config.run.num_workers));
-      break;
-    case StrategyKind::kAdPsgd:
-      per_update = 2.0;
-      break;
-    case StrategyKind::kPsAsp:
-    case StrategyKind::kPsHete:
-      per_update = 1.0;
-      break;
-  }
-  const double updates = total_gradients / per_update;
-  return static_cast<size_t>(std::max(1.0, updates + 0.5));
-}
-
-RunOutcome FromThreaded(ThreadedRunResult result) {
-  RunOutcome out;
+RunResult FromThreaded(ThreadedRunResult result) {
+  RunResult out;
   out.engine = EngineKind::kThreaded;
-  out.strategy = result.strategy;
+  out.strategy = std::move(result.strategy);
   out.clock_seconds = result.wall_seconds;
-  out.sync_rounds = result.group_reduces;
+  out.updates = result.group_reduces;
   out.final_accuracy = result.final_accuracy;
   out.final_loss = result.final_loss;
-  out.metrics = result.metrics;
-  out.trace = result.trace;
-  out.threaded = std::move(result);
+  out.worker_iterations = std::move(result.worker_iterations);
+  out.controller_stats = result.controller_stats;
+  out.metrics = std::move(result.metrics);
+  out.trace = std::move(result.trace);
+  out.worker_finish_seconds = std::move(result.worker_finish_seconds);
+  out.replica_spread = result.replica_spread;
+  out.final_params = std::move(result.final_params);
   return out;
 }
 
-RunOutcome FromSim(SimRunResult result) {
-  RunOutcome out;
-  out.engine = EngineKind::kSim;
-  out.strategy = result.strategy;
-  out.clock_seconds = result.sim_seconds;
-  out.sync_rounds = result.updates;
-  out.final_accuracy = result.final_accuracy;
-  out.final_loss = result.curve.empty() ? 0.0 : result.curve.back().loss;
-  out.metrics = result.metrics;
-  out.trace = result.trace;
-  out.sim = std::move(result);
-  return out;
+/// One simulated run, resumed from `resume_manifest` when it is non-empty.
+RunResult RunSim(const RunConfig& config, const std::string& resume_manifest) {
+  SimTraining ctx(config);
+  const std::string strategy_name = StrategyKindName(config.strategy.kind);
+  if (config.run.ckpt.enabled() || !resume_manifest.empty()) {
+    PR_CHECK(CheckpointSupported(config.strategy.kind))
+        << "strategy " << strategy_name
+        << " does not support coordinated checkpointing";
+    const Status s = ctx.EnableCheckpoint(resume_manifest);
+    PR_CHECK(s.ok()) << "resuming from " << resume_manifest << ": "
+                     << s.message();
+  }
+  std::unique_ptr<Strategy> strategy = MakeStrategy(config.strategy, &ctx);
+  strategy->Start();
+  ctx.engine()->RunUntil([&] { return ctx.stopped(); },
+                         config.sim.max_sim_seconds);
+  // Final evaluation if the run ended between periodic evals.
+  ctx.EvaluateNow();
+  RunResult result = ctx.BuildResult(strategy_name);
+  result.controller_stats = strategy->controller_stats();
+  return result;
 }
 
 }  // namespace
 
-ExperimentConfig ToExperimentConfig(const RunConfig& config) {
-  ExperimentConfig out;
-  out.strategy = config.strategy;
-  SimTrainingOptions& t = out.training;
-  const ThreadedRunOptions& r = config.run;
-  t.num_workers = r.num_workers;
-  t.batch_size = r.batch_size;
-  t.sgd = r.sgd;
-  t.model = r.model;
-  t.custom_dataset = r.dataset;
-  t.fault = r.fault;
-  t.scenario = r.scenario;
-  t.topology = r.topology;
-  t.ckpt = r.ckpt;
-  t.seed = r.seed;
-  t.trace_capacity = r.trace_capacity;
-  t.record_timeline = r.record_timeline;
-  // Budget-driven stop, matching the threaded engine's semantics: no
-  // accuracy early-exit, one evaluation at the end.
-  t.accuracy_threshold = -1.0;
-  t.max_updates = DerivedUpdateBudget(config);
-  t.eval_every = t.max_updates + 1;
-  return out;
-}
-
-RunOutcome StartRun(const RunConfig& config, EngineKind engine) {
+RunResult StartRun(const RunConfig& config, EngineKind engine) {
   switch (engine) {
     case EngineKind::kThreaded:
       return FromThreaded(RunThreaded(config));
     case EngineKind::kSim:
-      return FromSim(RunExperiment(ToExperimentConfig(config)));
+      return RunSim(config, "");
   }
   PR_CHECK(false) << "unknown engine kind";
-  return RunOutcome{};
+  return RunResult{};
 }
 
-RunOutcome ResumeRun(const RunConfig& config, EngineKind engine,
-                     const std::string& manifest_path) {
+RunResult ResumeRun(const RunConfig& config, EngineKind engine,
+                    const std::string& manifest_path) {
   switch (engine) {
     case EngineKind::kThreaded: {
       ValidateRunConfig(config);
@@ -122,11 +75,50 @@ RunOutcome ResumeRun(const RunConfig& config, EngineKind engine,
           runtime.Run(MakeThreadedStrategy(config.strategy).get()));
     }
     case EngineKind::kSim:
-      return FromSim(
-          RestoreSimRun(ToExperimentConfig(config), manifest_path));
+      return RunSim(config, manifest_path);
   }
   PR_CHECK(false) << "unknown engine kind";
-  return RunOutcome{};
+  return RunResult{};
+}
+
+RunConfig PaperSimConfig() {
+  RunConfig config;
+  config.run.num_workers = 8;
+  config.run.batch_size = 8;
+  config.run.model = {ProxyModelSpec::Kind::kMlp, {64}, 8};
+  config.run.dataset = SpecForDataset("cifar10");
+  config.run.seed = 1;
+  config.sim.accuracy_threshold = 0.9;
+  config.sim.max_updates = 100000;
+  config.sim.eval_every = 25;
+  return config;
+}
+
+AggregateResult RunExperimentSeeds(const RunConfig& config,
+                                   size_t num_seeds) {
+  PR_CHECK_GE(num_seeds, 1u);
+  AggregateResult agg;
+  agg.num_runs = num_seeds;
+  for (size_t s = 0; s < num_seeds; ++s) {
+    RunConfig cfg = config;
+    cfg.run.seed = config.run.seed + s;
+    RunResult run = StartRun(cfg, EngineKind::kSim);
+    agg.strategy = run.strategy;
+    if (run.converged) ++agg.num_converged;
+    agg.mean_run_time += run.clock_seconds;
+    agg.mean_updates += static_cast<double>(run.updates);
+    agg.mean_per_update += run.per_update_seconds;
+    agg.mean_final_accuracy += run.final_accuracy;
+    agg.mean_idle_fraction += run.mean_idle_fraction;
+    agg.runs.push_back(std::move(run));
+  }
+  const double inv = 1.0 / static_cast<double>(num_seeds);
+  agg.mean_run_time *= inv;
+  agg.mean_updates *= inv;
+  agg.mean_per_update *= inv;
+  agg.mean_final_accuracy *= inv;
+  agg.mean_idle_fraction *= inv;
+  return agg;
 }
 
 }  // namespace pr

@@ -1,60 +1,54 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
-#include "ckpt/manifest.h"
 #include "runtime/threaded_runtime.h"
-#include "train/experiment.h"
+#include "strategies/run_config.h"
 
 namespace pr {
 
-/// \brief Engine-agnostic outcome of a run started through StartRun.
+/// \brief Executes `config` end-to-end on the chosen engine.
 ///
-/// The shared fields mean the same thing under either engine (metric names
-/// already match by construction); the engine-specific records are kept in
-/// full for callers that need detail, with exactly one of them populated.
-struct RunOutcome {
-  EngineKind engine = EngineKind::kThreaded;
-  /// Display name of the strategy that ran ("CON", "AR", "PS-BSP", ...).
-  std::string strategy;
-  /// Wall-clock seconds (threaded) or virtual seconds (sim) to completion.
-  double clock_seconds = 0.0;
-  /// Global synchronizations performed (group reduces / rounds / pushes).
-  uint64_t sync_rounds = 0;
-  double final_accuracy = 0.0;
-  double final_loss = 0.0;
-  /// Merged metrics + trace under the cross-engine naming convention.
-  MetricsSnapshot metrics;
-  TraceLog trace;
+/// The threaded engine runs RunThreaded. The simulator runs until its stop
+/// rule fires: the update budget (SimOptions::max_updates, else
+/// UpdateBudget), the accuracy threshold or the virtual-time cap.
+RunResult StartRun(const RunConfig& config,
+                   EngineKind engine = EngineKind::kThreaded);
 
-  /// Engine-specific detail; valid only for the matching `engine`.
-  ThreadedRunResult threaded;
-  SimRunResult sim;
+/// \brief Resumes `config` from a checkpoint manifest written by an earlier
+/// run of the same configuration on the same engine; LoadResume's checks
+/// (ckpt/protocol.h) failing aborts. A resumed simulation restarts its
+/// virtual clock at 0, so clock_seconds covers only the remaining work.
+RunResult ResumeRun(const RunConfig& config, EngineKind engine,
+                    const std::string& manifest_path);
+
+/// \brief The simulated cell the paper benches are calibrated on
+/// (EXPERIMENTS.md): 8 workers, a per-worker batch of 8 (small batches keep
+/// gradient noise high enough that staleness effects show on the synthetic
+/// tasks), an MLP with one hidden layer of 64 on the CIFAR10-like task,
+/// seed 1, stopping at 90% test accuracy or 100000 updates, evaluated every
+/// 25 updates. Callers override what their experiment varies.
+RunConfig PaperSimConfig();
+
+/// \brief Seed-averaged metrics over repeated simulated runs of one cell
+/// (the paper averages five runs per cell).
+struct AggregateResult {
+  std::string strategy;
+  size_t num_runs = 0;
+  size_t num_converged = 0;
+  double mean_run_time = 0.0;        ///< virtual seconds to stop
+  double mean_updates = 0.0;
+  double mean_per_update = 0.0;
+  double mean_final_accuracy = 0.0;
+  double mean_idle_fraction = 0.0;
+  std::vector<RunResult> runs;
+
+  bool AllConverged() const { return num_converged == num_runs; }
 };
 
-/// \brief Maps a threaded-run request onto the simulator's configuration.
-///
-/// Workers, batch size, SGD options, model spec, dataset spec, fault plan,
-/// checkpoint config, seed, and observability knobs carry over directly.
-/// The simulator stops on an update budget rather than per-worker iteration
-/// counts, so the threaded gradient budget (num_workers x
-/// iterations_per_worker) is converted into the equivalent number of global
-/// updates for the strategy kind (AR/PS rounds consume N gradients each,
-/// P-Reduce groups consume group_size, AD-PSGD pairs consume 2, asynchronous
-/// pushes consume 1). Accuracy-based stopping is disabled: a facade run
-/// executes its budget, like the threaded engine does.
-ExperimentConfig ToExperimentConfig(const RunConfig& config);
-
-/// \brief Unified run entry: executes `config` end-to-end on the chosen
-/// engine and returns the engine-agnostic outcome. RunThreaded/RunExperiment
-/// remain as the engine-specific entry points beneath this facade.
-RunOutcome StartRun(const RunConfig& config,
-                    EngineKind engine = EngineKind::kThreaded);
-
-/// \brief Unified resume entry: resumes `config` from a checkpoint manifest
-/// written by an earlier run of the same configuration on the same engine;
-/// LoadResume's checks (ckpt/protocol.h) failing aborts.
-RunOutcome ResumeRun(const RunConfig& config, EngineKind engine,
-                     const std::string& manifest_path);
+/// \brief Simulates `num_seeds` replicas of the cell with run seeds seed,
+/// seed+1, ...
+AggregateResult RunExperimentSeeds(const RunConfig& config, size_t num_seeds);
 
 }  // namespace pr

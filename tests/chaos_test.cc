@@ -6,7 +6,7 @@
 #include "fault/fault_plan.h"
 #include "runtime/threaded_runtime.h"
 #include "sim/sim_training.h"
-#include "train/experiment.h"
+#include "train/run.h"
 #include "train/report.h"
 
 namespace pr {
@@ -18,7 +18,13 @@ namespace {
 constexpr int kWorkers = 8;
 constexpr int kGroupSize = 4;
 constexpr int kCrashWorker = 5;
-constexpr int kCrashAfter = 3;
+// The crash fires in the crash worker's first group. The service groups a
+// signal only while P workers are active and releases it once fewer remain,
+// so a crash keyed to a later group is skipped whenever the crash worker
+// falls behind until the other seven have finished: a few dropped ring
+// segments (each aborted group costs it ~0.2 s) were enough under load.
+// The first group forms while all eight workers are still active.
+constexpr int kCrashAfter = 0;
 constexpr double kDropProb = 0.01;
 constexpr size_t kIterations = 8;
 
@@ -66,7 +72,7 @@ void CheckReportJson(const std::string& json, const std::string& engine) {
 
 void RunThreadedChaos(uint64_t seed, StrategyKind kind) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
-  ThreadedRunResult result = RunThreaded(ChaosConfig(seed, kind));
+  RunResult result = StartRun(ChaosConfig(seed, kind), EngineKind::kThreaded);
 
   // The run completed (no deadlock) and the controller noticed the death.
   EXPECT_GE(result.metrics.counter("fault.evictions"), 1.0);
@@ -163,6 +169,17 @@ TEST(ChaosTest, WorkerWakingAfterItsPeersLeftIsServed) {
             plan.max_verdict_wait_seconds);
 }
 
+// A depart window pausing `worker` for `pause` seconds after `k` local
+// iterations (its scenario counts one second per iteration).
+ScenarioEvent DepartAfter(int worker, size_t k, double pause) {
+  ScenarioEvent e;
+  e.kind = ScenarioEventKind::kDepart;
+  e.time = static_cast<double>(k);
+  e.worker = worker;
+  e.duration = pause;
+  return e;
+}
+
 // Pause and Rejoin are best-effort sends: a dropped Rejoin, or a Ready that
 // overtakes its Rejoin, reaches the service while it still holds the worker
 // as paused. Such a Ready is an implicit rejoin, like one from an evicted
@@ -176,10 +193,11 @@ RunConfig PausedReadyConfig(uint64_t seed, const EdgeFaultSpec& to_service) {
   config.run.worker_delay_seconds.assign(kN, 0.001);
   config.run.fault = FaultPlan{};
   config.run.fault.seed = seed;
+  config.run.scenario.expected_iteration_seconds = 1.0;
   for (int w = 0; w < kN; ++w) {
     config.run.fault.edges[{w, kN}] = to_service;
     for (size_t k = 5 + static_cast<size_t>(w); k < 40; k += 7) {
-      config.run.churn.push_back({w, k, 0.005});
+      config.run.scenario.events.push_back(DepartAfter(w, k, 0.005));
     }
   }
   return config;
@@ -234,23 +252,23 @@ TEST(ChaosTest, SlowdownFaultStretchesCompute) {
 // Simulated engine: same plan, same metric names, virtual time.
 // ---------------------------------------------------------------------------
 
-SimRunResult RunSimChaos(uint64_t seed) {
-  ExperimentConfig config;
-  config.training.num_workers = kWorkers;
-  config.training.max_updates = 80;
-  config.training.accuracy_threshold = -1.0;
-  config.training.seed = seed;
-  config.training.fault =
+RunResult RunSimChaos(uint64_t seed) {
+  RunConfig config = PaperSimConfig();
+  config.run.num_workers = kWorkers;
+  config.sim.max_updates = 80;
+  config.sim.accuracy_threshold = -1.0;
+  config.run.seed = seed;
+  config.run.fault =
       MakeChaosPlan(seed, kCrashWorker, kCrashAfter, kDropProb);
   config.strategy.kind = StrategyKind::kPReduceConst;
   config.strategy.group_size = kGroupSize;
-  return RunExperiment(config);
+  return StartRun(config, EngineKind::kSim);
 }
 
 TEST(ChaosTest, SimulatorMirrorsCrashRecoveryAcrossSeeds) {
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    SimRunResult result = RunSimChaos(seed);
+    RunResult result = RunSimChaos(seed);
     // The crashed worker was evicted in virtual time, its group aborted,
     // and the run still made progress afterwards.
     EXPECT_GE(result.metrics.counter("fault.evictions"), 1.0);
@@ -331,14 +349,14 @@ TEST(ChaosTest, ThreadedPermanentControllerCrashFinishesLocally) {
   }
 }
 
-SimRunResult RunSimFailover(uint64_t seed, bool restart) {
-  ExperimentConfig config;
-  config.training.num_workers = kWorkers;
-  config.training.max_updates = 60;
-  config.training.accuracy_threshold = -1.0;
-  config.training.seed = seed;
-  config.training.sgd.learning_rate = kFailoverLr;
-  config.training.fault =
+RunResult RunSimFailover(uint64_t seed, bool restart) {
+  RunConfig config = PaperSimConfig();
+  config.run.num_workers = kWorkers;
+  config.sim.max_updates = 60;
+  config.sim.accuracy_threshold = -1.0;
+  config.run.seed = seed;
+  config.run.sgd.learning_rate = kFailoverLr;
+  config.run.fault =
       restart ? MakeControllerRestartPlan(seed, /*after_groups=*/5,
                                           /*down_seconds=*/0.2,
                                           /*drop_prob=*/0.0)
@@ -346,23 +364,23 @@ SimRunResult RunSimFailover(uint64_t seed, bool restart) {
                                         /*drop_prob=*/0.0);
   config.strategy.kind = StrategyKind::kPReduceConst;
   config.strategy.group_size = kGroupSize;
-  return RunExperiment(config);
+  return StartRun(config, EngineKind::kSim);
 }
 
 TEST(ChaosTest, SimulatorMirrorsControllerRestart) {
   for (uint64_t seed = 1; seed <= 2; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    SimRunResult with_failover = RunSimFailover(seed, /*restart=*/true);
+    RunResult with_failover = RunSimFailover(seed, /*restart=*/true);
 
-    ExperimentConfig clean_config;
-    clean_config.training.num_workers = kWorkers;
-    clean_config.training.max_updates = 60;
-    clean_config.training.accuracy_threshold = -1.0;
-    clean_config.training.seed = seed;
-    clean_config.training.sgd.learning_rate = kFailoverLr;
+    RunConfig clean_config = PaperSimConfig();
+    clean_config.run.num_workers = kWorkers;
+    clean_config.sim.max_updates = 60;
+    clean_config.sim.accuracy_threshold = -1.0;
+    clean_config.run.seed = seed;
+    clean_config.run.sgd.learning_rate = kFailoverLr;
     clean_config.strategy.kind = StrategyKind::kPReduceConst;
     clean_config.strategy.group_size = kGroupSize;
-    SimRunResult uninterrupted = RunExperiment(clean_config);
+    RunResult uninterrupted = StartRun(clean_config, EngineKind::kSim);
 
     EXPECT_EQ(with_failover.metrics.counter("controller.failovers"), 1.0);
     EXPECT_GE(with_failover.metrics.counter("controller.reregistrations"),
@@ -378,7 +396,7 @@ TEST(ChaosTest, SimulatorMirrorsControllerRestart) {
 }
 
 TEST(ChaosTest, SimulatorPermanentControllerCrashStallsUpdates) {
-  SimRunResult result = RunSimFailover(7, /*restart=*/false);
+  RunResult result = RunSimFailover(7, /*restart=*/false);
   // Signals die at the severed endpoint; with nobody to form groups the
   // update counter freezes and the run winds down short of its budget.
   EXPECT_GE(result.metrics.counter("fault.severed_drops"), 1.0);
@@ -388,10 +406,10 @@ TEST(ChaosTest, SimulatorPermanentControllerCrashStallsUpdates) {
 }
 
 TEST(ChaosTest, SimulatorControllerFailoverIsDeterministic) {
-  SimRunResult a = RunSimFailover(9, /*restart=*/true);
-  SimRunResult b = RunSimFailover(9, /*restart=*/true);
+  RunResult a = RunSimFailover(9, /*restart=*/true);
+  RunResult b = RunSimFailover(9, /*restart=*/true);
   EXPECT_EQ(a.updates, b.updates);
-  EXPECT_EQ(a.sim_seconds, b.sim_seconds);
+  EXPECT_EQ(a.clock_seconds, b.clock_seconds);
   EXPECT_EQ(a.metrics.counter("controller.reregistrations"),
             b.metrics.counter("controller.reregistrations"));
   EXPECT_EQ(a.metrics.counter("fault.severed_drops"),
@@ -403,22 +421,22 @@ TEST(ChaosTest, SimControllerStatsSurviveRestart) {
   // agrees with the controller.* counters all incarnations increment.
   for (uint64_t seed : {2u, 3u}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
-    ExperimentConfig config;
-    config.training.num_workers = 6;
-    config.training.max_updates = 60;
-    config.training.accuracy_threshold = -1.0;
-    config.training.seed = seed;
-    config.training.sgd.learning_rate = kFailoverLr;
-    config.training.fault =
+    RunConfig config = PaperSimConfig();
+    config.run.num_workers = 6;
+    config.sim.max_updates = 60;
+    config.sim.accuracy_threshold = -1.0;
+    config.run.seed = seed;
+    config.run.sgd.learning_rate = kFailoverLr;
+    config.run.fault =
         MakeControllerRestartPlan(seed, /*after_groups=*/5,
                                   /*down_seconds=*/0.2, /*drop_prob=*/0.0);
     config.strategy.kind = StrategyKind::kPReduceConst;
     config.strategy.group_size = 2;
-    const SimRunResult result = RunExperiment(config);
+    const RunResult result = StartRun(config, EngineKind::kSim);
     ASSERT_EQ(result.metrics.counter("controller.failovers"), 1.0);
-    EXPECT_EQ(static_cast<double>(result.frozen_detections),
+    EXPECT_EQ(static_cast<double>(result.controller_stats.frozen_detections),
               result.metrics.counter("controller.frozen_detections"));
-    EXPECT_EQ(static_cast<double>(result.bridged_groups),
+    EXPECT_EQ(static_cast<double>(result.controller_stats.bridged_groups),
               result.metrics.counter("controller.bridged_groups"));
   }
 }
@@ -426,7 +444,7 @@ TEST(ChaosTest, SimControllerStatsSurviveRestart) {
 TEST(ChaosTest, FailoverMetricNamesMatchAcrossEngines) {
   ThreadedRunResult threaded =
       RunThreaded(ThreadedFailoverConfig(1, /*restart=*/true));
-  SimRunResult sim = RunSimFailover(1, /*restart=*/true);
+  RunResult sim = RunSimFailover(1, /*restart=*/true);
   for (const char* name :
        {"controller.failovers", "controller.reregistrations",
         "fault.severed_drops"}) {
@@ -482,19 +500,19 @@ TEST(ChaosTest, ThreadedCompressedChaosKeepsLossParity) {
 }
 
 TEST(ChaosTest, SimulatorCompressedChaosKeepsLossParity) {
-  ExperimentConfig config;
-  config.training.num_workers = kWorkers;
-  config.training.max_updates = 80;
-  config.training.accuracy_threshold = -1.0;
-  config.training.seed = 5;
-  config.training.fault =
+  RunConfig config = PaperSimConfig();
+  config.run.num_workers = kWorkers;
+  config.sim.max_updates = 80;
+  config.sim.accuracy_threshold = -1.0;
+  config.run.seed = 5;
+  config.run.fault =
       MakeChaosPlan(5, kCrashWorker, kCrashAfter, kDropProb);
   config.strategy.kind = StrategyKind::kPReduceConst;
   config.strategy.group_size = kGroupSize;
-  SimRunResult plain_run = RunExperiment(config);
+  RunResult plain_run = StartRun(config, EngineKind::kSim);
 
   config.strategy.compression = CompressionKind::kInt8;
-  SimRunResult compressed_run = RunExperiment(config);
+  RunResult compressed_run = StartRun(config, EngineKind::kSim);
 
   // Quantization perturbs values, never virtual time: the schedule, the
   // fault story, and the update budget are identical.
@@ -525,12 +543,12 @@ TEST(ChaosTest, SimulatorCompressedChaosKeepsLossParity) {
 // ring, whose segment waits only time out on a silent peer, a ring whose
 // members have all joined gets no ticks, so no member sends GroupStuck.
 TEST(ChaosTest, SimulatorLongHealthyRingIsNeverAborted) {
-  ExperimentConfig config;
-  config.training.num_workers = kWorkers;
-  config.training.max_updates = 30;
-  config.training.accuracy_threshold = -1.0;
-  config.training.seed = 4;
-  FaultPlan& plan = config.training.fault;
+  RunConfig config = PaperSimConfig();
+  config.run.num_workers = kWorkers;
+  config.sim.max_updates = 30;
+  config.sim.accuracy_threshold = -1.0;
+  config.run.seed = 4;
+  FaultPlan& plan = config.run.fault;
   plan.force_fault_tolerant = true;
   for (int a = 0; a < kWorkers; ++a) {
     for (int b = 0; b < kWorkers; ++b) {
@@ -540,17 +558,17 @@ TEST(ChaosTest, SimulatorLongHealthyRingIsNeverAborted) {
   ASSERT_GT(6 * 0.03, plan.stuck_report_ticks * plan.recv_timeout_seconds);
   config.strategy.kind = StrategyKind::kPReduceConst;
   config.strategy.group_size = kGroupSize;
-  const SimRunResult result = RunExperiment(config);
+  const RunResult result = StartRun(config, EngineKind::kSim);
 
   EXPECT_EQ(result.updates, 30u);
   EXPECT_EQ(result.metrics.counter("fault.aborted_groups"), 0.0);
 }
 
 TEST(ChaosTest, SimulatorChaosIsDeterministic) {
-  SimRunResult a = RunSimChaos(9);
-  SimRunResult b = RunSimChaos(9);
+  RunResult a = RunSimChaos(9);
+  RunResult b = RunSimChaos(9);
   EXPECT_EQ(a.updates, b.updates);
-  EXPECT_EQ(a.sim_seconds, b.sim_seconds);
+  EXPECT_EQ(a.clock_seconds, b.clock_seconds);
   EXPECT_EQ(a.metrics.counter("fault.evictions"),
             b.metrics.counter("fault.evictions"));
   EXPECT_EQ(a.metrics.counter("fault.aborted_groups"),

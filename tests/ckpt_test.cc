@@ -11,7 +11,6 @@
 #include "ckpt/manifest.h"
 #include "ckpt/protocol.h"
 #include "runtime/threaded_runtime.h"
-#include "train/experiment.h"
 #include "train/run.h"
 
 namespace pr {
@@ -171,8 +170,7 @@ TEST(CkptRestoreTest, AllReduceRestoreIsBitForBitIdentical) {
   ASSERT_TRUE(FindLatestManifest(dir.path(), &latest, &manifest_path).ok());
   EXPECT_EQ(latest.epoch, 2u);  // cuts at k=3 and k=6; k=9 ends the run
 
-  ThreadedRunResult restored =
-      ResumeRun(config, EngineKind::kThreaded, manifest_path).threaded;
+  RunResult restored = ResumeRun(config, EngineKind::kThreaded, manifest_path);
   // The acceptance bar: a restored AR run must replay the exact remaining
   // iterations — same batches, same averaged gradients, same momentum — so
   // the final parameters match the never-interrupted run bit for bit.
@@ -199,8 +197,7 @@ TEST(CkptRestoreTest, PReduceRestoreFinishesTheBudget) {
   EXPECT_EQ(latest.strategy, "CON");
   EXPECT_EQ(latest.engine, "threaded");
 
-  ThreadedRunResult restored =
-      ResumeRun(config, EngineKind::kThreaded, manifest_path).threaded;
+  RunResult restored = ResumeRun(config, EngineKind::kThreaded, manifest_path);
   // Metric continuity: iteration counters resume at the restored counts, so
   // a resumed run reports the same totals as an uninterrupted one.
   for (size_t iters : restored.worker_iterations) {
@@ -209,7 +206,7 @@ TEST(CkptRestoreTest, PReduceRestoreFinishesTheBudget) {
   EXPECT_EQ(restored.metrics.counter("worker.0.iterations"),
             static_cast<double>(config.run.iterations_per_worker));
   EXPECT_EQ(restored.metrics.counter("ckpt.restore_count"), 1.0);
-  EXPECT_GT(restored.group_reduces, 0u);
+  EXPECT_GT(restored.updates, 0u);
 }
 
 TEST(CkptRestoreTest, RestoreRejectsMismatchedStrategy) {
@@ -231,14 +228,14 @@ TEST(CkptRestoreTest, RestoreRejectsMismatchedStrategy) {
 // Simulated engine: checkpoint + restore determinism.
 // ---------------------------------------------------------------------------
 
-ExperimentConfig SmallSimConfig(StrategyKind kind, const std::string& dir) {
-  ExperimentConfig config;
-  config.training.num_workers = 6;
-  config.training.max_updates = 40;
-  config.training.accuracy_threshold = -1.0;
-  config.training.seed = 5;
-  config.training.ckpt.dir = dir;
-  config.training.ckpt.every_iterations = 10;
+RunConfig SmallSimConfig(StrategyKind kind, const std::string& dir) {
+  RunConfig config = PaperSimConfig();
+  config.run.num_workers = 6;
+  config.sim.max_updates = 40;
+  config.sim.accuracy_threshold = -1.0;
+  config.run.seed = 5;
+  config.run.ckpt.dir = dir;
+  config.run.ckpt.every_iterations = 10;
   config.strategy.kind = kind;
   config.strategy.group_size = 3;
   return config;
@@ -246,9 +243,9 @@ ExperimentConfig SmallSimConfig(StrategyKind kind, const std::string& dir) {
 
 TEST(CkptRestoreTest, SimRestoreIsDeterministic) {
   CkptDir dir("sim_det");
-  const ExperimentConfig config =
+  const RunConfig config =
       SmallSimConfig(StrategyKind::kPReduceConst, dir.path());
-  SimRunResult full = RunExperiment(config);
+  RunResult full = StartRun(config, EngineKind::kSim);
   ASSERT_GE(full.metrics.counter("ckpt.manifests_written"), 1.0);
   EXPECT_EQ(full.updates, 40u);
 
@@ -257,13 +254,13 @@ TEST(CkptRestoreTest, SimRestoreIsDeterministic) {
   ASSERT_TRUE(FindLatestManifest(dir.path(), &latest, &manifest_path).ok());
   EXPECT_EQ(latest.engine, "sim");
 
-  SimRunResult a = RestoreSimRun(config, manifest_path);
-  SimRunResult b = RestoreSimRun(config, manifest_path);
+  RunResult a = ResumeRun(config, EngineKind::kSim, manifest_path);
+  RunResult b = ResumeRun(config, EngineKind::kSim, manifest_path);
   // The simulator is deterministic in (seed, restored state): two restores
   // of one manifest must replay identically, down to the virtual clock.
   EXPECT_EQ(a.updates, 40u);
   EXPECT_EQ(a.updates, b.updates);
-  EXPECT_EQ(a.sim_seconds, b.sim_seconds);
+  EXPECT_EQ(a.clock_seconds, b.clock_seconds);
   EXPECT_EQ(a.final_accuracy, b.final_accuracy);
   EXPECT_EQ(a.metrics.counter("controller.groups_formed"),
             b.metrics.counter("controller.groups_formed"));
@@ -272,15 +269,15 @@ TEST(CkptRestoreTest, SimRestoreIsDeterministic) {
 
 TEST(CkptRestoreTest, SimAllReduceCheckpoints) {
   CkptDir dir("sim_ar");
-  const ExperimentConfig config =
+  const RunConfig config =
       SmallSimConfig(StrategyKind::kAllReduce, dir.path());
-  SimRunResult full = RunExperiment(config);
+  RunResult full = StartRun(config, EngineKind::kSim);
   ASSERT_GE(full.metrics.counter("ckpt.manifests_written"), 1.0);
 
   RunManifest latest;
   std::string manifest_path;
   ASSERT_TRUE(FindLatestManifest(dir.path(), &latest, &manifest_path).ok());
-  SimRunResult restored = RestoreSimRun(config, manifest_path);
+  RunResult restored = ResumeRun(config, EngineKind::kSim, manifest_path);
   EXPECT_EQ(restored.updates, 40u);
   EXPECT_EQ(restored.metrics.counter("ckpt.restore_count"), 1.0);
   // The barrier cut holds the whole run state: the restored run replays the
@@ -300,8 +297,9 @@ TEST(CkptRestoreTest, CkptMetricNamesMatchAcrossEngines) {
   CkptDir sdir("parity_sim");
   ThreadedRunResult threaded = RunThreaded(
       SmallThreadedConfig(StrategyKind::kAllReduce, tdir.path()));
-  SimRunResult sim =
-      RunExperiment(SmallSimConfig(StrategyKind::kPReduceConst, sdir.path()));
+  RunResult sim =
+      StartRun(SmallSimConfig(StrategyKind::kPReduceConst, sdir.path()),
+               EngineKind::kSim);
 
   for (const char* name : {"ckpt.manifests_written", "ckpt.restore_count"}) {
     EXPECT_TRUE(threaded.metrics.counters.count(name) != 0)
@@ -335,7 +333,7 @@ TEST(CkptRestoreTest, SaveSecondsSamplesEveryFileWritten) {
       CkptDir dir("save_seconds_" + where);
       RunConfig config = SmallThreadedConfig(kind, dir.path());
       config.run.trace_capacity = 1 << 12;
-      const RunOutcome run = StartRun(config, engine);
+      const RunResult run = StartRun(config, engine);
       const double manifests = run.metrics.counter("ckpt.manifests_written");
       ASSERT_GE(manifests, 1.0);
 

@@ -6,7 +6,7 @@
 #include "models/convnet.h"
 #include "optim/sgd.h"
 #include "tensor/ops.h"
-#include "train/experiment.h"
+#include "train/run.h"
 
 namespace pr {
 namespace {
@@ -118,25 +118,25 @@ TEST(ConvNetTest, TrainsOnSeparableData) {
 }
 
 TEST(ConvNetProxyTest, SimTrainingRunsWithConvProxy) {
-  ExperimentConfig config;
-  config.training.num_workers = 4;
-  config.training.model.kind = ProxyModelSpec::Kind::kConvNet;
-  config.training.model.conv_filters = 4;
+  RunConfig config = PaperSimConfig();
+  config.run.num_workers = 4;
+  config.run.model.kind = ProxyModelSpec::Kind::kConvNet;
+  config.run.model.conv_filters = 4;
   SyntheticSpec spec;
   spec.num_train = 512;
   spec.num_test = 256;
   spec.dim = 36;  // square
   spec.num_classes = 4;
   spec.separation = 4.0;
-  config.training.custom_dataset = spec;
-  config.training.accuracy_threshold = 0.8;
-  config.training.max_updates = 3000;
-  config.training.eval_every = 20;
-  config.training.seed = 7;
+  config.run.dataset = spec;
+  config.sim.accuracy_threshold = 0.8;
+  config.sim.max_updates = 3000;
+  config.sim.eval_every = 20;
+  config.run.seed = 7;
   config.strategy.kind = StrategyKind::kPReduceConst;
   config.strategy.group_size = 2;
 
-  SimRunResult result = RunExperiment(config);
+  RunResult result = StartRun(config, EngineKind::kSim);
   EXPECT_TRUE(result.converged) << "final acc " << result.final_accuracy;
 }
 

@@ -4,86 +4,87 @@
 #include <gtest/gtest.h>
 
 #include "core/spectral.h"
-#include "train/experiment.h"
+#include "sim/sim_training.h"
+#include "train/run.h"
 
 namespace pr {
 namespace {
 
-ExperimentConfig BaseConfig() {
-  ExperimentConfig config;
-  config.training.num_workers = 8;
-  config.training.model.hidden = {16};
-  config.training.batch_size = 16;
+RunConfig BaseConfig() {
+  RunConfig config = PaperSimConfig();
+  config.run.num_workers = 8;
+  config.run.model.hidden = {16};
+  config.run.batch_size = 16;
   SyntheticSpec spec;
   spec.num_train = 2048;
   spec.num_test = 512;
   spec.dim = 16;
   spec.num_classes = 4;
   spec.separation = 3.0;
-  config.training.custom_dataset = spec;
-  config.training.paper_model = "resnet34";
-  config.training.accuracy_threshold = 0.9;
-  config.training.max_updates = 8000;
-  config.training.eval_every = 25;
-  config.training.seed = 21;
+  config.run.dataset = spec;
+  config.sim.paper_model = "resnet34";
+  config.sim.accuracy_threshold = 0.9;
+  config.sim.max_updates = 8000;
+  config.sim.eval_every = 25;
+  config.run.seed = 21;
   config.strategy.group_size = 3;
   return config;
 }
 
 TEST(IntegrationTest, PReduceBeatsAllReduceUnderHeterogeneity) {
   // The paper's headline: under HL>1, P-Reduce's total run time beats AR.
-  ExperimentConfig ar = BaseConfig();
+  RunConfig ar = BaseConfig();
   ar.strategy.kind = StrategyKind::kAllReduce;
-  ar.training.hetero = HeteroSpec::GpuSharing(3);
-  ExperimentConfig con = BaseConfig();
+  ar.sim.hetero = HeteroSpec::GpuSharing(3);
+  RunConfig con = BaseConfig();
   con.strategy.kind = StrategyKind::kPReduceConst;
-  con.training.hetero = HeteroSpec::GpuSharing(3);
+  con.sim.hetero = HeteroSpec::GpuSharing(3);
 
-  auto r_ar = RunExperiment(ar);
-  auto r_con = RunExperiment(con);
+  auto r_ar = StartRun(ar, EngineKind::kSim);
+  auto r_con = StartRun(con, EngineKind::kSim);
   ASSERT_TRUE(r_ar.converged);
   ASSERT_TRUE(r_con.converged);
-  EXPECT_LT(r_con.sim_seconds, r_ar.sim_seconds);
+  EXPECT_LT(r_con.clock_seconds, r_ar.clock_seconds);
 }
 
 TEST(IntegrationTest, PReducePerUpdateTimeWellBelowAllReduce) {
-  ExperimentConfig ar = BaseConfig();
+  RunConfig ar = BaseConfig();
   ar.strategy.kind = StrategyKind::kAllReduce;
-  ar.training.hetero = HeteroSpec::GpuSharing(3);
-  ExperimentConfig con = BaseConfig();
+  ar.sim.hetero = HeteroSpec::GpuSharing(3);
+  RunConfig con = BaseConfig();
   con.strategy.kind = StrategyKind::kPReduceConst;
-  con.training.hetero = HeteroSpec::GpuSharing(3);
+  con.sim.hetero = HeteroSpec::GpuSharing(3);
 
-  auto r_ar = RunExperiment(ar);
-  auto r_con = RunExperiment(con);
+  auto r_ar = StartRun(ar, EngineKind::kSim);
+  auto r_con = StartRun(con, EngineKind::kSim);
   EXPECT_LT(r_con.per_update_seconds, 0.5 * r_ar.per_update_seconds);
 }
 
 TEST(IntegrationTest, PReduceNeedsMoreUpdatesButLessTime) {
   // Table 1 shape: #updates(P-Reduce) > #updates(AR), run time smaller.
-  ExperimentConfig ar = BaseConfig();
+  RunConfig ar = BaseConfig();
   ar.strategy.kind = StrategyKind::kAllReduce;
-  ar.training.hetero = HeteroSpec::GpuSharing(3);
-  ExperimentConfig con = BaseConfig();
+  ar.sim.hetero = HeteroSpec::GpuSharing(3);
+  RunConfig con = BaseConfig();
   con.strategy.kind = StrategyKind::kPReduceConst;
-  con.training.hetero = HeteroSpec::GpuSharing(3);
+  con.sim.hetero = HeteroSpec::GpuSharing(3);
 
-  auto r_ar = RunExperiment(ar);
-  auto r_con = RunExperiment(con);
+  auto r_ar = StartRun(ar, EngineKind::kSim);
+  auto r_con = StartRun(con, EngineKind::kSim);
   ASSERT_TRUE(r_ar.converged);
   ASSERT_TRUE(r_con.converged);
   EXPECT_GT(r_con.updates, r_ar.updates);
 }
 
 TEST(IntegrationTest, MeasuredRhoMatchesClosedFormInHomogeneousRun) {
-  ExperimentConfig config = BaseConfig();
+  RunConfig config = BaseConfig();
   config.strategy.kind = StrategyKind::kPReduceConst;
   config.strategy.group_size = 3;
   config.strategy.record_sync_matrices = true;
-  config.training.timing_only = true;
-  config.training.timing_updates = 8000;
+  config.sim.timing_only = true;
+  config.sim.timing_updates = 8000;
 
-  SimTraining ctx(config.training);
+  SimTraining ctx(config);
   auto strategy = MakeStrategy(config.strategy, &ctx);
   strategy->Start();
   ctx.engine()->RunUntil([&] { return ctx.stopped(); });
@@ -95,16 +96,16 @@ TEST(IntegrationTest, MeasuredRhoMatchesClosedFormInHomogeneousRun) {
 
 TEST(IntegrationTest, HeterogeneityRaisesMeasuredRho) {
   auto measure = [](const HeteroSpec& hetero) {
-    ExperimentConfig config;
-    config.training.num_workers = 4;
-    config.training.timing_only = true;
-    config.training.timing_updates = 6000;
-    config.training.hetero = hetero;
-    config.training.seed = 9;
+    RunConfig config = PaperSimConfig();
+    config.run.num_workers = 4;
+    config.sim.timing_only = true;
+    config.sim.timing_updates = 6000;
+    config.sim.hetero = hetero;
+    config.run.seed = 9;
     config.strategy.kind = StrategyKind::kPReduceConst;
     config.strategy.group_size = 2;
     config.strategy.record_sync_matrices = true;
-    SimTraining ctx(config.training);
+    SimTraining ctx(config);
     auto strategy = MakeStrategy(config.strategy, &ctx);
     strategy->Start();
     ctx.engine()->RunUntil([&] { return ctx.stopped(); });
@@ -124,20 +125,20 @@ TEST(IntegrationTest, FrozenAvoidanceKeepsAccuracyUnderAdversarialDelays) {
   spec.sharing_level = 2;
   spec.jitter_sigma = 0.001;  // nearly deterministic -> stable pairing
 
-  ExperimentConfig on = BaseConfig();
-  on.training.num_workers = 4;
+  RunConfig on = BaseConfig();
+  on.run.num_workers = 4;
   on.strategy.kind = StrategyKind::kPReduceConst;
   on.strategy.group_size = 2;
-  on.training.hetero = spec;
+  on.sim.hetero = spec;
   on.strategy.frozen_avoidance = true;
-  auto r_on = RunExperiment(on);
+  auto r_on = StartRun(on, EngineKind::kSim);
   EXPECT_TRUE(r_on.converged);
 }
 
 TEST(IntegrationTest, CurvesAreMonotoneInTimeAndUpdates) {
-  ExperimentConfig config = BaseConfig();
+  RunConfig config = BaseConfig();
   config.strategy.kind = StrategyKind::kPReduceConst;
-  auto result = RunExperiment(config);
+  auto result = StartRun(config, EngineKind::kSim);
   ASSERT_GE(result.curve.size(), 2u);
   for (size_t i = 1; i < result.curve.size(); ++i) {
     EXPECT_GE(result.curve[i].time, result.curve[i - 1].time);
@@ -146,20 +147,20 @@ TEST(IntegrationTest, CurvesAreMonotoneInTimeAndUpdates) {
 }
 
 TEST(IntegrationTest, ScalingWorkersReducesTimeToAccuracyForPReduce) {
-  ExperimentConfig small = BaseConfig();
+  RunConfig small = BaseConfig();
   small.strategy.kind = StrategyKind::kPReduceConst;
-  small.training.num_workers = 2;
+  small.run.num_workers = 2;
   small.strategy.group_size = 2;
-  ExperimentConfig large = BaseConfig();
+  RunConfig large = BaseConfig();
   large.strategy.kind = StrategyKind::kPReduceConst;
-  large.training.num_workers = 8;
+  large.run.num_workers = 8;
   large.strategy.group_size = 2;
 
-  auto r_small = RunExperiment(small);
-  auto r_large = RunExperiment(large);
+  auto r_small = StartRun(small, EngineKind::kSim);
+  auto r_large = StartRun(large, EngineKind::kSim);
   ASSERT_TRUE(r_small.converged);
   ASSERT_TRUE(r_large.converged);
-  EXPECT_LT(r_large.sim_seconds, r_small.sim_seconds);
+  EXPECT_LT(r_large.clock_seconds, r_small.clock_seconds);
 }
 
 }  // namespace

@@ -87,7 +87,6 @@ RunConfig FancyConfig() {
   config.run.dataset.dirichlet_alpha = 0.3;
   config.run.dataset.seed = 1234;
   config.run.worker_delay_seconds = {0.001, 0.002, 0.0, 0.004, 0.0, 0.0, 0.1};
-  config.run.churn.push_back({/*worker=*/2, /*after_iterations=*/10, 0.05});
   config.run.ckpt.dir = "/tmp/some ckpt dir";
   config.run.ckpt.every_iterations = 16;
   // Ragged placement: 7 workers over 3 nodes, plus off-default link costs.
@@ -265,7 +264,6 @@ run.delay 0.0040000000000000001
 run.delay 0
 run.delay 0
 run.delay 0.10000000000000001
-run.churn 2 10 0.050000000000000003
 run.ckpt.dir /tmp/some ckpt dir
 run.ckpt.every_iterations 16
 topology.inter_cost 5.5
@@ -334,7 +332,7 @@ constexpr char kFancyJson[] =
     R"(,"run.dataset.label_noise":0.05,"run.dataset.dirichlet_alpha":0.3)"
     R"(,"run.dataset.seed":1234)"
     R"(,"run.delay":[[0.001],[0.002],[0],[0.004],[0],[0],[0.1]])"
-    R"(,"run.churn":[[2,10,0.05]],"run.ckpt.dir":"/tmp/some ckpt dir")"
+    R"(,"run.ckpt.dir":"/tmp/some ckpt dir")"
     R"(,"run.ckpt.every_iterations":16)"
     R"(,"topology.inter_cost":5.5,"topology.inter_latency_factor":2.25)"
     R"(,"topology.node":[[0,1,2],[3,4],[5,6]],"fault.seed":17)"
@@ -679,7 +677,7 @@ TEST(ConfigJsonTest, RejectsMistypedValues) {
                    R"({"prconfig": 1, "run.num_workers": 1e10})", &parsed)
                    .ok());
   EXPECT_FALSE(
-      RunConfigFromJson(R"({"prconfig": 1, "run.churn": [[1.5, 2, 0.1]]})",
+      RunConfigFromJson(R"({"prconfig": 1, "run.model.hidden": [[1.5]]})",
                         &parsed)
           .ok());
   // An integral double is an integer.

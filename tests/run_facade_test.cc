@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <map>
 #include <string>
 
 #include "ckpt/manifest.h"
@@ -37,41 +39,107 @@ TEST(EngineKindTest, NamesRoundTrip) {
 
 TEST(StartRunTest, ThreadedOutcomeMatchesDirectEntryPoint) {
   const RunConfig config = SmallConfig();
-  RunOutcome outcome = StartRun(config, EngineKind::kThreaded);
+  RunResult outcome = StartRun(config, EngineKind::kThreaded);
   EXPECT_EQ(outcome.engine, EngineKind::kThreaded);
   EXPECT_EQ(outcome.strategy, "CON");
-  EXPECT_GT(outcome.sync_rounds, 0u);
+  EXPECT_GT(outcome.updates, 0u);
   EXPECT_GT(outcome.clock_seconds, 0.0);
-  // The engine-specific record is the full ThreadedRunResult.
-  ASSERT_EQ(outcome.threaded.worker_iterations.size(), 3u);
-  for (size_t iterations : outcome.threaded.worker_iterations) {
+  ASSERT_EQ(outcome.worker_iterations.size(), 3u);
+  for (size_t iterations : outcome.worker_iterations) {
     EXPECT_EQ(iterations, 6u);
   }
-  EXPECT_DOUBLE_EQ(outcome.final_accuracy, outcome.threaded.final_accuracy);
+  EXPECT_DOUBLE_EQ(static_cast<double>(outcome.updates),
+                   outcome.metrics.counter("run.updates"));
   EXPECT_GT(outcome.metrics.counter("worker.0.iterations"), 0.0);
 }
 
 TEST(StartRunTest, SimEngineRunsTheSameConfig) {
   const RunConfig config = SmallConfig();
-  RunOutcome outcome = StartRun(config, EngineKind::kSim);
+  RunResult outcome = StartRun(config, EngineKind::kSim);
   EXPECT_EQ(outcome.engine, EngineKind::kSim);
   EXPECT_EQ(outcome.strategy, "CON");
   // 3 workers x 6 iterations / group_size 2 = 9 global updates.
-  EXPECT_EQ(outcome.sync_rounds, 9u);
+  EXPECT_EQ(outcome.updates, 9u);
   EXPECT_GT(outcome.clock_seconds, 0.0);
-  EXPECT_EQ(outcome.sim.updates, outcome.sync_rounds);
+  EXPECT_DOUBLE_EQ(static_cast<double>(outcome.updates),
+                   outcome.metrics.counter("run.updates"));
 }
 
 TEST(StartRunTest, SimBudgetMatchesStrategySemantics) {
   RunConfig config = SmallConfig();
-  config.strategy.kind = StrategyKind::kAllReduce;
+  config.strategy.backup_workers = 1;
+  auto sim_updates = [&](StrategyKind kind) {
+    config.strategy.kind = kind;
+    return StartRun(config, EngineKind::kSim).updates;
+  };
   // 3 x 6 gradients / 3 per round = 6 rounds.
-  EXPECT_EQ(ToExperimentConfig(config).training.max_updates, 6u);
-  config.strategy.kind = StrategyKind::kPsAsp;
-  EXPECT_EQ(ToExperimentConfig(config).training.max_updates, 18u);
+  EXPECT_EQ(sim_updates(StrategyKind::kAllReduce), 6u);
+  EXPECT_EQ(sim_updates(StrategyKind::kPsAsp), 18u);
   // Eager-Reduce rounds close at the majority quorum floor(3/2) + 1 = 2.
-  config.strategy.kind = StrategyKind::kEagerReduce;
-  EXPECT_EQ(ToExperimentConfig(config).training.max_updates, 9u);
+  EXPECT_EQ(sim_updates(StrategyKind::kEagerReduce), 9u);
+  // A gossip exchange averages a pair: 18 / 2.
+  EXPECT_EQ(sim_updates(StrategyKind::kAdPsgd), 9u);
+  // A backup-worker round counts against all N workers' budgets.
+  EXPECT_EQ(sim_updates(StrategyKind::kPsBackup), 6u);
+  // Dynamic partial reduce forms groups of P = 2, like CON.
+  EXPECT_EQ(sim_updates(StrategyKind::kPReduceDynamic), 9u);
+}
+
+std::map<std::string, double> ScenarioCounters(const MetricsSnapshot& m) {
+  std::map<std::string, double> out;
+  for (const auto& [name, value] : m.counters) {
+    if (name.rfind("scenario.", 0) == 0) out[name] = value;
+  }
+  return out;
+}
+
+size_t CountEvents(const TraceLog& trace, TraceEventKind kind, int worker) {
+  return static_cast<size_t>(std::count_if(
+      trace.events.begin(), trace.events.end(), [&](const TraceEvent& e) {
+        return e.kind == kind && e.worker == worker;
+      }));
+}
+
+TEST(StartRunTest, ScenarioChurnRunsOnBothEngines) {
+  RunConfig config = SmallConfig();
+  config.run.num_workers = 4;
+  config.run.iterations_per_worker = 8;
+  config.run.trace_capacity = 4096;
+  // Scenario time is virtual seconds in the simulator and maps to
+  // iterations (one per 1/32 s, exactly) in the threaded engine. A cheap
+  // compute model makes a simulated step about that long, so both windows
+  // outlast a step on both engines: worker 1 departs after 3 iterations for
+  // 0.1 s, worker 2 joins 1/16 s into the run.
+  config.sim.cost.compute_scale = 0.01;
+  const double step = 1.0 / 32.0;
+  config.run.scenario.expected_iteration_seconds = step;
+  config.run.scenario.events = {
+      {ScenarioEventKind::kDepart, 3 * step, /*worker=*/1, /*node=*/-1,
+       /*duration=*/0.1},
+      {ScenarioEventKind::kArrive, 2 * step, /*worker=*/2},
+  };
+  const RunResult threaded = StartRun(config, EngineKind::kThreaded);
+  const RunResult sim = StartRun(config, EngineKind::kSim);
+
+  const std::map<std::string, double> counters =
+      ScenarioCounters(threaded.metrics);
+  EXPECT_EQ(counters.at("scenario.departs"), 1.0);
+  EXPECT_EQ(counters.at("scenario.arrives"), 1.0);
+  EXPECT_EQ(counters, ScenarioCounters(sim.metrics));
+  for (const RunResult* r : {&threaded, &sim}) {
+    SCOPED_TRACE(EngineKindName(r->engine));
+    // Both windows took effect: each worker left the pool and came back.
+    for (int worker : {1, 2}) {
+      EXPECT_GE(CountEvents(r->trace, TraceEventKind::kChurnLeave, worker),
+                1u);
+      EXPECT_GE(CountEvents(r->trace, TraceEventKind::kChurnRejoin, worker),
+                1u);
+    }
+  }
+  ASSERT_EQ(threaded.worker_iterations.size(), 4u);
+  for (size_t iterations : threaded.worker_iterations) {
+    EXPECT_EQ(iterations, 8u);
+  }
 }
 
 TEST(ResumeRunTest, ThreadedResumeContinuesFromManifest) {
@@ -82,20 +150,20 @@ TEST(ResumeRunTest, ThreadedResumeContinuesFromManifest) {
   RunConfig config = SmallConfig();
   config.run.ckpt.dir = dir;
   config.run.ckpt.every_iterations = 2;
-  RunOutcome first = StartRun(config, EngineKind::kThreaded);
+  RunResult first = StartRun(config, EngineKind::kThreaded);
   EXPECT_GT(first.final_accuracy, 0.0);
 
   RunManifest manifest;
   std::string manifest_path;
   Status found = FindLatestManifest(dir, &manifest, &manifest_path);
   ASSERT_TRUE(found.ok()) << found.message();
-  RunOutcome resumed =
+  RunResult resumed =
       ResumeRun(config, EngineKind::kThreaded, manifest_path);
   EXPECT_EQ(resumed.engine, EngineKind::kThreaded);
   // The resumed run restores from the last epoch and finishes the budget.
   EXPECT_EQ(resumed.metrics.counter("ckpt.restore_count"), 1.0);
-  ASSERT_EQ(resumed.threaded.worker_iterations.size(), 3u);
-  for (size_t iterations : resumed.threaded.worker_iterations) {
+  ASSERT_EQ(resumed.worker_iterations.size(), 3u);
+  for (size_t iterations : resumed.worker_iterations) {
     EXPECT_EQ(iterations, 6u);
   }
   std::filesystem::remove_all(dir);
@@ -111,7 +179,7 @@ TEST(ResumeRunTest, SimResumeContinuesFromManifest) {
   config.run.ckpt.dir = dir;
   config.run.ckpt.every_iterations = 2;
   // The sim cuts on the same key as the threaded engine.
-  RunOutcome first = StartRun(config, EngineKind::kSim);
+  RunResult first = StartRun(config, EngineKind::kSim);
   EXPECT_GE(first.metrics.counter("ckpt.manifests_written"), 1.0);
 
   RunManifest manifest;
@@ -119,12 +187,12 @@ TEST(ResumeRunTest, SimResumeContinuesFromManifest) {
   Status found = FindLatestManifest(dir, &manifest, &manifest_path);
   ASSERT_TRUE(found.ok()) << found.message();
   EXPECT_EQ(manifest.engine, "sim");
-  RunOutcome resumed = ResumeRun(config, EngineKind::kSim, manifest_path);
+  RunResult resumed = ResumeRun(config, EngineKind::kSim, manifest_path);
   EXPECT_EQ(resumed.engine, EngineKind::kSim);
   EXPECT_EQ(resumed.metrics.counter("ckpt.restore_count"), 1.0);
   // The resumed run picks up the update count at the cut and finishes the
   // same budget.
-  EXPECT_EQ(resumed.sim.updates, first.sim.updates);
+  EXPECT_EQ(resumed.updates, first.updates);
   std::filesystem::remove_all(dir);
 }
 

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "data/synthetic.h"
 #include "models/catalog.h"
+#include "models/model.h"
 #include "runtime/threaded_runtime.h"
 
 namespace pr {
@@ -111,7 +112,7 @@ TEST(RuntimePsTest, PsMetricsAccountForEveryPush) {
 
 /// Test-set loss of the initial model a run of `run` starts from: the same
 /// seed, dataset and model the runtime builds before training.
-double InitialLoss(const ThreadedRunOptions& run) {
+double InitialLoss(const RunOptions& run) {
   Rng rng(run.seed);
   SyntheticSpec spec = run.dataset;
   spec.seed = run.seed;

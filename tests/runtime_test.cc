@@ -6,13 +6,13 @@
 #include <vector>
 
 #include "runtime/threaded_runtime.h"
-#include "train/experiment.h"
+#include "train/run.h"
 
 namespace pr {
 namespace {
 
-ThreadedRunOptions SmallOptions() {
-  ThreadedRunOptions opt;
+RunOptions SmallOptions() {
+  RunOptions opt;
   opt.num_workers = 4;
   opt.iterations_per_worker = 30;
   opt.model.hidden = {16};
@@ -34,7 +34,7 @@ StrategyOptions Strat(StrategyKind kind, int group_size = 2) {
 }
 
 ThreadedRunResult RunPair(const StrategyOptions& strategy,
-                      const ThreadedRunOptions& run) {
+                      const RunOptions& run) {
   RunConfig config;
   config.strategy = strategy;
   config.run = run;
@@ -86,7 +86,7 @@ TEST(ThreadedRuntimeTest, LargerGroupSizeFewerReduces) {
 TEST(ThreadedRuntimeTest, DynamicModeRuns) {
   StrategyOptions strat = Strat(StrategyKind::kPReduceDynamic);
   strat.dynamic.alpha = 0.5;
-  ThreadedRunOptions opt = SmallOptions();
+  RunOptions opt = SmallOptions();
   opt.worker_delay_seconds = {0.0, 0.0, 0.0, 0.003};  // a straggler
   ThreadedRunResult result = RunPair(strat, opt);
   EXPECT_EQ(result.strategy, "DYN");
@@ -95,7 +95,7 @@ TEST(ThreadedRuntimeTest, DynamicModeRuns) {
 }
 
 TEST(ThreadedRuntimeTest, StragglerDoesNotBlockPReduceCompletion) {
-  ThreadedRunOptions opt = SmallOptions();
+  RunOptions opt = SmallOptions();
   opt.iterations_per_worker = 15;
   opt.worker_delay_seconds = {0.0, 0.0, 0.0, 0.01};
   ThreadedRunResult result =
@@ -113,7 +113,7 @@ TEST(ThreadedRuntimeTest, ControllerStatsPropagated) {
 }
 
 TEST(ThreadedRuntimeTest, FastWorkersFinishEarlyUnderPReduce) {
-  ThreadedRunOptions opt = SmallOptions();
+  RunOptions opt = SmallOptions();
   opt.iterations_per_worker = 25;
   opt.worker_delay_seconds = {0.001, 0.001, 0.001, 0.008};
   ThreadedRunResult pr_run =
@@ -136,7 +136,7 @@ TEST(ThreadedRuntimeTest, AdversarialSpeedClassesDoNotDeadlock) {
   // (queue held until a cross-component signal or departure) is exercised
   // constantly. The run must terminate with every worker completing, even
   // though holds and Leaves race at the end.
-  ThreadedRunOptions opt = SmallOptions();
+  RunOptions opt = SmallOptions();
   opt.iterations_per_worker = 25;
   opt.worker_delay_seconds = {0.0, 0.0, 0.003, 0.003};
   ThreadedRunResult result =
@@ -148,7 +148,7 @@ TEST(ThreadedRuntimeTest, AdversarialSpeedClassesDoNotDeadlock) {
 TEST(ThreadedRuntimeTest, RepeatedRunsTerminate) {
   // Shake out rare interleavings in the termination protocol.
   for (int trial = 0; trial < 10; ++trial) {
-    ThreadedRunOptions opt = SmallOptions();
+    RunOptions opt = SmallOptions();
     opt.iterations_per_worker = 8;
     opt.seed = 100 + static_cast<uint64_t>(trial);
     ThreadedRunResult result =
@@ -158,7 +158,7 @@ TEST(ThreadedRuntimeTest, RepeatedRunsTerminate) {
 }
 
 TEST(ThreadedRuntimeTest, ManyWorkersSmokeTest) {
-  ThreadedRunOptions opt = SmallOptions();
+  RunOptions opt = SmallOptions();
   opt.num_workers = 8;
   opt.iterations_per_worker = 12;
   ThreadedRunResult result =
@@ -188,7 +188,7 @@ TEST(ThreadedRuntimeTest, AdPsgdCompletesAndLearns) {
 }
 
 TEST(ThreadedRuntimeTest, PsHeteLearnsAndVersionsPerPush) {
-  ThreadedRunOptions opt = SmallOptions();
+  RunOptions opt = SmallOptions();
   opt.iterations_per_worker = 60;
   opt.worker_delay_seconds = {0.0, 0.0, 0.0, 0.002};
   ThreadedRunResult result =
@@ -202,7 +202,7 @@ TEST(ThreadedRuntimeTest, PsHeteLearnsAndVersionsPerPush) {
 TEST(ThreadedRuntimeTest, PsBackupDropsStaleGradients) {
   StrategyOptions strat = Strat(StrategyKind::kPsBackup);
   strat.backup_workers = 1;
-  ThreadedRunOptions opt = SmallOptions();
+  RunOptions opt = SmallOptions();
   opt.iterations_per_worker = 20;
   opt.worker_delay_seconds = {0.0, 0.0, 0.0, 0.004};
   ThreadedRunResult result = RunPair(strat, opt);
@@ -237,7 +237,7 @@ TEST(ThreadedRuntimeTest, EveryStrategyKindRunsOnThreads) {
   for (StrategyKind kind : kinds) {
     StrategyOptions strat = Strat(kind);
     strat.backup_workers = 1;
-    ThreadedRunOptions opt = SmallOptions();
+    RunOptions opt = SmallOptions();
     opt.iterations_per_worker = 6;
     opt.worker_delay_seconds = {0.0, 0.0, 0.001, 0.002};
     ThreadedRunResult result = RunPair(strat, opt);
@@ -254,10 +254,12 @@ TEST(ThreadedRuntimeTest, EveryStrategyKindRunsOnThreads) {
 TEST(ThreadedRuntimeTest, ElasticWorkerPausesAndRejoins) {
   // Worker 1 leaves the pool mid-run, naps, and rejoins through
   // Controller::NotifyWorkerRejoined — the run must finish every budget.
-  ThreadedRunOptions opt = SmallOptions();
-  opt.churn.push_back(ThreadedChurnEvent{/*worker=*/1,
-                                         /*after_iterations=*/5,
-                                         /*pause_seconds=*/0.02});
+  RunOptions opt = SmallOptions();
+  // Scenario time counts iterations: worker 1 departs after 5 of them.
+  opt.scenario.expected_iteration_seconds = 1.0;
+  opt.scenario.events.push_back({ScenarioEventKind::kDepart, /*time=*/5.0,
+                                 /*worker=*/1, /*node=*/-1,
+                                 /*duration=*/0.02});
   ThreadedRunResult result =
       RunPair(Strat(StrategyKind::kPReduceConst), opt);
   for (size_t iters : result.worker_iterations) EXPECT_EQ(iters, 30u);
@@ -268,7 +270,7 @@ TEST(ThreadedRuntimeTest, ElasticWorkerPausesAndRejoins) {
 }
 
 TEST(ThreadedRuntimeTest, ConvNetTrainsOnThreads) {
-  ThreadedRunOptions opt = SmallOptions();
+  RunOptions opt = SmallOptions();
   opt.model.kind = ProxyModelSpec::Kind::kConvNet;
   opt.model.conv_filters = 8;  // dataset dim 16 -> 4x4 single-channel
   ThreadedRunResult result =
@@ -278,7 +280,7 @@ TEST(ThreadedRuntimeTest, ConvNetTrainsOnThreads) {
 }
 
 TEST(ThreadedRuntimeTest, TimelineRecordsWorkerActivity) {
-  ThreadedRunOptions opt = SmallOptions();
+  RunOptions opt = SmallOptions();
   opt.iterations_per_worker = 10;
   opt.record_timeline = true;
   opt.worker_delay_seconds = {0.001, 0.001, 0.001, 0.002};
@@ -343,13 +345,13 @@ TEST(ThreadedRuntimeTest, SimAndThreadedShareMetricNames) {
   ThreadedRunResult threaded =
       RunPair(Strat(StrategyKind::kPReduceConst), SmallOptions());
 
-  ExperimentConfig sim;
-  sim.training.num_workers = 4;
-  sim.training.max_updates = 60;
-  sim.training.accuracy_threshold = -1.0;
+  RunConfig sim = PaperSimConfig();
+  sim.run.num_workers = 4;
+  sim.sim.max_updates = 60;
+  sim.sim.accuracy_threshold = -1.0;
   sim.strategy.kind = StrategyKind::kPReduceConst;
   sim.strategy.group_size = 2;
-  SimRunResult simulated = RunExperiment(sim);
+  RunResult simulated = StartRun(sim, EngineKind::kSim);
 
   const char* shared_counters[] = {
       "controller.signals_received", "controller.groups_formed",
@@ -394,20 +396,20 @@ TEST(ThreadedRuntimeTest, SimChargesTheThreadedRingTrafficPerReduce) {
        {CompressionKind::kNone, CompressionKind::kInt8}) {
     StrategyOptions strat = Strat(StrategyKind::kAllReduce);
     strat.compression = codec;
-    ThreadedRunOptions opt = SmallOptions();
+    RunOptions opt = SmallOptions();
     opt.num_workers = 2;
     opt.iterations_per_worker = 2;
     opt.model.hidden = {256, 256};
     ThreadedRunResult threaded = RunPair(strat, opt);
 
-    ExperimentConfig sim;
-    sim.training.num_workers = 2;
-    sim.training.max_updates = 3;
-    sim.training.accuracy_threshold = -1.0;
-    sim.training.model = opt.model;
-    sim.training.custom_dataset = opt.dataset;
+    RunConfig sim = PaperSimConfig();
+    sim.run.num_workers = 2;
+    sim.sim.max_updates = 3;
+    sim.sim.accuracy_threshold = -1.0;
+    sim.run.model = opt.model;
+    sim.run.dataset = opt.dataset;
     sim.strategy = strat;
-    SimRunResult simulated = RunExperiment(sim);
+    RunResult simulated = StartRun(sim, EngineKind::kSim);
 
     ASSERT_EQ(threaded.group_reduces, 2u);
     ASSERT_GT(simulated.updates, 0u);
@@ -430,18 +432,18 @@ TEST(ThreadedRuntimeTest, TopologyMetricsAgreeAcrossEngines) {
   strat.hierarchy.enabled = true;
   strat.hierarchy.cross_period = 2;
 
-  ThreadedRunOptions opt = SmallOptions();
+  RunOptions opt = SmallOptions();
   ASSERT_TRUE(Topology::FromNodes({{0, 1}, {2, 3}}, &opt.topology).ok());
   ThreadedRunResult threaded = RunPair(strat, opt);
 
-  ExperimentConfig sim;
-  sim.training.num_workers = 4;
-  sim.training.max_updates = 60;
-  sim.training.accuracy_threshold = -1.0;
+  RunConfig sim = PaperSimConfig();
+  sim.run.num_workers = 4;
+  sim.sim.max_updates = 60;
+  sim.sim.accuracy_threshold = -1.0;
   ASSERT_TRUE(
-      Topology::FromNodes({{0, 1}, {2, 3}}, &sim.training.topology).ok());
+      Topology::FromNodes({{0, 1}, {2, 3}}, &sim.run.topology).ok());
   sim.strategy = strat;
-  SimRunResult simulated = RunExperiment(sim);
+  RunResult simulated = StartRun(sim, EngineKind::kSim);
 
   for (const auto* r : {&threaded.metrics, &simulated.metrics}) {
     EXPECT_GT(r->counter("topo.intra_node_groups"), 0.0);
@@ -458,7 +460,7 @@ TEST(ThreadedRuntimeTest, TopologyMetricsAgreeAcrossEngines) {
 }
 
 TEST(ThreadedRuntimeTest, TraceDisabledByDefaultAndBoundedWhenOn) {
-  ThreadedRunOptions opt = SmallOptions();
+  RunOptions opt = SmallOptions();
   ThreadedRunResult off =
       RunPair(Strat(StrategyKind::kPReduceConst), opt);
   EXPECT_TRUE(off.trace.events.empty());
@@ -476,7 +478,7 @@ TEST(ThreadedRuntimeTest, TraceDisabledByDefaultAndBoundedWhenOn) {
 }
 
 TEST(ThreadedRuntimeTest, TimelineOffByDefault) {
-  ThreadedRunOptions opt = SmallOptions();
+  RunOptions opt = SmallOptions();
   opt.iterations_per_worker = 5;
   ThreadedRunResult result =
       RunPair(Strat(StrategyKind::kAllReduce), opt);

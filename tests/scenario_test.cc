@@ -464,8 +464,8 @@ std::set<std::string> ScenarioCounterNames(const MetricsSnapshot& metrics) {
 
 TEST(ScenarioReplayTest, ReferenceTraceReplaysInBothEnginesWithNameParity) {
   const RunConfig config = ReferenceRunConfig(5);
-  const RunOutcome threaded = StartRun(config, EngineKind::kThreaded);
-  const RunOutcome sim = StartRun(config, EngineKind::kSim);
+  const RunResult threaded = StartRun(config, EngineKind::kThreaded);
+  const RunResult sim = StartRun(config, EngineKind::kSim);
 
   // Both engines expose the identical scenario.* counter name set.
   const std::set<std::string> threaded_names =
@@ -495,17 +495,17 @@ TEST(ScenarioReplayTest, ReferenceTraceReplaysInBothEnginesWithNameParity) {
 
   // The threaded run completed: every worker (departures rejoin) finished
   // its full budget.
-  for (size_t iters : threaded.threaded.worker_iterations) {
+  for (size_t iters : threaded.worker_iterations) {
     EXPECT_EQ(iters, config.run.iterations_per_worker);
   }
-  EXPECT_GT(sim.sync_rounds, 0u);
+  EXPECT_GT(sim.updates, 0u);
 }
 
 TEST(ScenarioReplayTest, SimReplayIsDeterministicAcrossRepeatsAndSeeds) {
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     const RunConfig config = ReferenceRunConfig(seed);
-    const RunOutcome a = StartRun(config, EngineKind::kSim);
-    const RunOutcome b = StartRun(config, EngineKind::kSim);
+    const RunResult a = StartRun(config, EngineKind::kSim);
+    const RunResult b = StartRun(config, EngineKind::kSim);
     EXPECT_EQ(a.final_loss, b.final_loss) << "seed " << seed;
     EXPECT_EQ(a.clock_seconds, b.clock_seconds) << "seed " << seed;
     EXPECT_EQ(a.metrics.counters, b.metrics.counters) << "seed " << seed;
@@ -525,9 +525,9 @@ TEST(ScenarioReplayTest, SimAutoscaleShrinksOnSustainedIdle) {
   config.strategy.scale_policy.min_workers = 2;
   config.strategy.scale_policy.interval_seconds = 0.02;
 
-  const RunOutcome outcome = StartRun(config, EngineKind::kSim);
+  const RunResult outcome = StartRun(config, EngineKind::kSim);
   EXPECT_GE(outcome.metrics.counter("scenario.scale.shrink"), 1.0);
-  EXPECT_GT(outcome.sync_rounds, 0u);
+  EXPECT_GT(outcome.updates, 0u);
 }
 
 // Scenario traces are authored in scenario-seconds; the simulator runs on
@@ -537,7 +537,7 @@ TEST(ScenarioReplayTest, SimAutoscaleShrinksOnSustainedIdle) {
 double ProbeSimStepSeconds(RunConfig config) {
   config.run.scenario = ScenarioSpec();
   config.strategy.scale_policy = ScalePolicyConfig();
-  const RunOutcome probe = StartRun(config, EngineKind::kSim);
+  const RunResult probe = StartRun(config, EngineKind::kSim);
   EXPECT_GT(probe.clock_seconds, 0.0);
   return probe.clock_seconds /
          static_cast<double>(config.run.iterations_per_worker);
@@ -568,9 +568,9 @@ TEST(ScenarioReplayTest, SimDegradesToSmallGroupsUnderChurn) {
   // Two workers gone for most of the run: only 2 live < P = 3.
   config.run.scenario = TwoWorkerOutageSpec("churn-degrade", step);
 
-  const RunOutcome outcome = StartRun(config, EngineKind::kSim);
+  const RunResult outcome = StartRun(config, EngineKind::kSim);
   EXPECT_GE(outcome.metrics.counter("scenario.degrade.small_groups"), 1.0);
-  EXPECT_GT(outcome.sync_rounds, 0u);
+  EXPECT_GT(outcome.updates, 0u);
 }
 
 TEST(ScenarioReplayTest, SimTakesLocalStepsBelowLivenessFloor) {
@@ -580,9 +580,9 @@ TEST(ScenarioReplayTest, SimTakesLocalStepsBelowLivenessFloor) {
   const double step = ProbeSimStepSeconds(config);
   config.run.scenario = TwoWorkerOutageSpec("floor-degrade", step);
 
-  const RunOutcome outcome = StartRun(config, EngineKind::kSim);
+  const RunResult outcome = StartRun(config, EngineKind::kSim);
   EXPECT_GE(outcome.metrics.counter("scenario.degrade.local_steps"), 1.0);
-  EXPECT_GT(outcome.sync_rounds, 0u);
+  EXPECT_GT(outcome.updates, 0u);
 }
 
 TEST(ScenarioReplayTest, ThreadedAutoscaleShrinksAndStillCompletes) {
@@ -595,10 +595,10 @@ TEST(ScenarioReplayTest, ThreadedAutoscaleShrinksAndStillCompletes) {
   config.strategy.scale_policy.min_workers = 2;
   config.strategy.scale_policy.interval_seconds = 0.02;
 
-  const RunOutcome outcome = StartRun(config, EngineKind::kThreaded);
+  const RunResult outcome = StartRun(config, EngineKind::kThreaded);
   EXPECT_GE(outcome.metrics.counter("scenario.scale.shrink"), 1.0);
   // Paused workers resume (deadline-bounded) and finish their budgets.
-  for (size_t iters : outcome.threaded.worker_iterations) {
+  for (size_t iters : outcome.worker_iterations) {
     EXPECT_EQ(iters, config.run.iterations_per_worker);
   }
 }

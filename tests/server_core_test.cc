@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "sim/sim_training.h"
 #include "strategies/server_core.h"
 #include "train/run.h"
 
@@ -450,7 +451,7 @@ TEST(ServerEngineParityTest, PsMetricNamesAndTraceEventsMatchAcrossEngines) {
                             StrategyKind::kPsHete, StrategyKind::kPsBackup}) {
     const RunConfig config = SmallConfig(kind);
     for (EngineKind engine : {EngineKind::kThreaded, EngineKind::kSim}) {
-      const RunOutcome run = StartRun(config, engine);
+      const RunResult run = StartRun(config, engine);
       const std::string where =
           StrategyKindName(kind) + " on " + EngineKindName(engine);
       for (const char* name : {"ps.versions", "ps.wasted_gradients"}) {
@@ -469,22 +470,22 @@ TEST(ServerEngineParityTest, PsMetricNamesAndTraceEventsMatchAcrossEngines) {
 TEST(ServerEngineParityTest, EagerReduceTracesOneReduceEndPerRound) {
   const RunConfig config = SmallConfig(StrategyKind::kEagerReduce);
   for (EngineKind engine : {EngineKind::kThreaded, EngineKind::kSim}) {
-    const RunOutcome run = StartRun(config, engine);
-    ASSERT_GT(run.sync_rounds, 0u) << EngineKindName(engine);
+    const RunResult run = StartRun(config, engine);
+    ASSERT_GT(run.updates, 0u) << EngineKindName(engine);
     EXPECT_EQ(run.trace.dropped, 0u);
     EXPECT_EQ(CountEvents(run.trace, TraceEventKind::kReduceEnd),
-              run.sync_rounds)
+              run.updates)
         << EngineKindName(engine);
   }
 }
 
 /// One simulated run of `config`: its result and worker 0's final model.
 struct SimRun {
-  SimRunResult result;
+  RunResult result;
   std::vector<float> params;
 };
-SimRun RunSim(const ExperimentConfig& config) {
-  SimTraining ctx(config.training);
+SimRun RunSim(const RunConfig& config) {
+  SimTraining ctx(config);
   std::unique_ptr<Strategy> strategy = MakeStrategy(config.strategy, &ctx);
   strategy->Start();
   ctx.engine()->RunUntil([&] { return ctx.stopped(); });
@@ -499,8 +500,8 @@ TEST(ServerEngineParityTest, SimulatedPsTrainsThroughTheCodec) {
     SCOPED_TRACE(StrategyKindName(kind));
     RunConfig config = SmallConfig(kind);
     config.run.iterations_per_worker = 30;
-    const ExperimentConfig fp32 = ToExperimentConfig(config);
-    ExperimentConfig int8 = fp32;
+    const RunConfig fp32 = config;
+    RunConfig int8 = fp32;
     int8.strategy.compression = CompressionKind::kInt8;
     const SimRun plain = RunSim(fp32);
     const SimRun compressed = RunSim(int8);
@@ -513,7 +514,7 @@ TEST(ServerEngineParityTest, SimulatedPsTrainsThroughTheCodec) {
     EXPECT_GE(m.counter("compress.bytes_in") / m.counter("compress.bytes_out"),
               3.0);
     // The threaded CompressedStrategyTest bound: int8 still learns.
-    const SimTraining fresh(fp32.training);
+    const SimTraining fresh(fp32);
     const double initial =
         EvaluateLoss(fresh.model(), fresh.params(0).data(), fresh.test_set());
     ASSERT_FALSE(compressed.result.curve.empty());

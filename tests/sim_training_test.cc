@@ -3,24 +3,25 @@
 #include <cmath>
 
 #include "sim/sim_training.h"
+#include "train/run.h"
 
 namespace pr {
 namespace {
 
-SimTrainingOptions SmallOptions() {
-  SimTrainingOptions opt;
-  opt.num_workers = 4;
-  opt.model.hidden = {16};
-  opt.batch_size = 16;
+RunConfig SmallOptions() {
+  RunConfig opt = PaperSimConfig();
+  opt.run.num_workers = 4;
+  opt.run.model.hidden = {16};
+  opt.run.batch_size = 16;
   SyntheticSpec spec;
   spec.num_train = 512;
   spec.num_test = 128;
   spec.dim = 16;
   spec.num_classes = 4;
-  opt.custom_dataset = spec;
-  opt.eval_every = 10;
-  opt.max_updates = 1000;
-  opt.seed = 2;
+  opt.run.dataset = spec;
+  opt.sim.eval_every = 10;
+  opt.sim.max_updates = 1000;
+  opt.run.seed = 2;
   return opt;
 }
 
@@ -32,8 +33,8 @@ TEST(SimTrainingTest, ReplicasStartIdentical) {
 }
 
 TEST(SimTrainingTest, ComputeTimesArePositiveAndHeterogeneityAware) {
-  SimTrainingOptions opt = SmallOptions();
-  opt.hetero = HeteroSpec::GpuSharing(2);
+  RunConfig opt = SmallOptions();
+  opt.sim.hetero = HeteroSpec::GpuSharing(2);
   SimTraining ctx(opt);
   double shared = 0.0, dedicated = 0.0;
   for (int i = 0; i < 500; ++i) {
@@ -76,7 +77,7 @@ TEST(SimTrainingTest, RecordUpdateCountsAndIntervals) {
   while (ctx.engine()->RunOne()) {
   }
   EXPECT_EQ(ctx.updates(), 2u);
-  SimRunResult result = ctx.BuildResult("test");
+  RunResult result = ctx.BuildResult("test");
   ASSERT_EQ(result.update_intervals.size(), 2u);
   EXPECT_DOUBLE_EQ(result.update_intervals.samples()[0], 1.0);
   EXPECT_DOUBLE_EQ(result.update_intervals.samples()[1], 2.0);
@@ -84,18 +85,18 @@ TEST(SimTrainingTest, RecordUpdateCountsAndIntervals) {
 }
 
 TEST(SimTrainingTest, StopsAtMaxUpdates) {
-  SimTrainingOptions opt = SmallOptions();
-  opt.max_updates = 5;
-  opt.accuracy_threshold = 2.0;  // unreachable
+  RunConfig opt = SmallOptions();
+  opt.sim.max_updates = 5;
+  opt.sim.accuracy_threshold = 2.0;  // unreachable
   SimTraining ctx(opt);
   for (int i = 0; i < 10; ++i) ctx.RecordUpdate();
   EXPECT_TRUE(ctx.stopped());
 }
 
 TEST(SimTrainingTest, TimingOnlySkipsMathAndStopsAtBudget) {
-  SimTrainingOptions opt = SmallOptions();
-  opt.timing_only = true;
-  opt.timing_updates = 7;
+  RunConfig opt = SmallOptions();
+  opt.sim.timing_only = true;
+  opt.sim.timing_updates = 7;
   SimTraining ctx(opt);
   std::vector<float> grad;
   const float loss = ctx.GradientAtSnapshot(0, &grad);
@@ -103,24 +104,24 @@ TEST(SimTrainingTest, TimingOnlySkipsMathAndStopsAtBudget) {
   for (float g : grad) EXPECT_EQ(g, 0.0f);
   for (int i = 0; i < 7; ++i) ctx.RecordUpdate();
   EXPECT_TRUE(ctx.stopped());
-  SimRunResult result = ctx.BuildResult("t");
+  RunResult result = ctx.BuildResult("t");
   EXPECT_EQ(result.updates, 7u);
   EXPECT_TRUE(result.curve.empty());
 }
 
 TEST(SimTrainingTest, ConvergenceStopsAtThreshold) {
-  SimTrainingOptions opt = SmallOptions();
-  opt.accuracy_threshold = -1.0;  // disabled
+  RunConfig opt = SmallOptions();
+  opt.sim.accuracy_threshold = -1.0;  // disabled
   SimTraining ctx(opt);
   ctx.EvaluateNow();
   EXPECT_FALSE(ctx.stopped());
 
-  SimTrainingOptions opt2 = SmallOptions();
-  opt2.accuracy_threshold = 0.01;  // trivially reached even untrained
+  RunConfig opt2 = SmallOptions();
+  opt2.sim.accuracy_threshold = 0.01;  // trivially reached even untrained
   SimTraining ctx2(opt2);
   ctx2.EvaluateNow();
   EXPECT_TRUE(ctx2.stopped());
-  SimRunResult r = ctx2.BuildResult("t");
+  RunResult r = ctx2.BuildResult("t");
   EXPECT_TRUE(r.converged);
 }
 
@@ -131,7 +132,7 @@ TEST(SimTrainingTest, EvalProviderOverridesDefault) {
   std::vector<float> zeros(ctx.num_params(), 0.0f);
   ctx.SetEvalProvider([&]() { return zeros.data(); });
   ctx.EvaluateNow();
-  SimRunResult r = ctx.BuildResult("t");
+  RunResult r = ctx.BuildResult("t");
   ASSERT_FALSE(r.curve.empty());
   EXPECT_NEAR(r.curve.back().loss, std::log(4.0), 0.05);
 }
@@ -142,7 +143,7 @@ TEST(SimTrainingTest, WaitAccountingAccumulates) {
   ctx.engine()->ScheduleAt(4.0, [&] { ctx.MarkWaitEnd(0); });
   while (ctx.engine()->RunOne()) {
   }
-  SimRunResult r = ctx.BuildResult("t");
+  RunResult r = ctx.BuildResult("t");
   // Worker 0 waited 3 of 4 seconds; others none. Mean = 0.75/4.
   EXPECT_NEAR(r.mean_idle_fraction, 0.75 / 4.0, 1e-9);
 }
@@ -153,7 +154,7 @@ TEST(SimTrainingTest, UnfinishedWaitCountsUpToEnd) {
   ctx.engine()->ScheduleAt(4.0, [] {});
   while (ctx.engine()->RunOne()) {
   }
-  SimRunResult r = ctx.BuildResult("t");
+  RunResult r = ctx.BuildResult("t");
   EXPECT_NEAR(r.mean_idle_fraction, (2.0 / 4.0) / 4.0, 1e-9);
 }
 
@@ -169,14 +170,14 @@ TEST(SimTrainingTest, IterationCounters) {
 }
 
 TEST(SimTrainingTest, LrDecayAppliedByUpdateCount) {
-  SimTrainingOptions opt = SmallOptions();
-  opt.lr_decay.enabled = true;
-  opt.lr_decay.factor = 0.1;
-  opt.lr_decay.every_updates = 2;
-  opt.sgd.learning_rate = 1.0;
-  opt.sgd.momentum = 0.0;
-  opt.sgd.weight_decay = 0.0;
-  opt.accuracy_threshold = -1.0;
+  RunConfig opt = SmallOptions();
+  opt.sim.lr_decay.enabled = true;
+  opt.sim.lr_decay.factor = 0.1;
+  opt.sim.lr_decay.every_updates = 2;
+  opt.run.sgd.learning_rate = 1.0;
+  opt.run.sgd.momentum = 0.0;
+  opt.run.sgd.weight_decay = 0.0;
+  opt.sim.accuracy_threshold = -1.0;
   SimTraining ctx(opt);
 
   std::vector<float> grad(ctx.num_params(), 1.0f);

@@ -18,7 +18,7 @@
 #include "runtime/threaded_runtime.h"
 #include "runtime/threaded_strategy.h"
 #include "runtime/worker_runtime.h"
-#include "train/experiment.h"
+#include "train/run.h"
 
 namespace pr {
 namespace {
@@ -207,14 +207,14 @@ TEST(SocketFabricTest, ConSharedFamiliesPresentInSimToo) {
   const RunConfig config = SmallConfig(StrategyKind::kPReduceConst);
   ThreadedRunResult socket_run = RunOverSockets(config);
 
-  ExperimentConfig sim_config;
-  sim_config.training.num_workers = 3;
-  sim_config.training.max_updates = 20;
-  sim_config.training.accuracy_threshold = -1.0;
-  sim_config.training.seed = 11;
+  RunConfig sim_config = PaperSimConfig();
+  sim_config.run.num_workers = 3;
+  sim_config.sim.max_updates = 20;
+  sim_config.sim.accuracy_threshold = -1.0;
+  sim_config.run.seed = 11;
   sim_config.strategy.kind = StrategyKind::kPReduceConst;
   sim_config.strategy.group_size = 2;
-  SimRunResult sim_run = RunExperiment(sim_config);
+  RunResult sim_run = StartRun(sim_config, EngineKind::kSim);
 
   for (const char* name :
        {"transport.bytes_sent", "transport.bytes_received",

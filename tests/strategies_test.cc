@@ -2,57 +2,65 @@
 
 #include <cmath>
 
-#include "train/experiment.h"
+#include "sim/sim_training.h"
+#include "train/run.h"
 
 namespace pr {
 namespace {
 
 /// Small, fast configuration shared across strategy tests.
-ExperimentConfig SmallConfig(StrategyKind kind) {
-  ExperimentConfig config;
-  config.training.num_workers = 4;
-  config.training.model.hidden = {16};
-  config.training.batch_size = 16;
+RunConfig SmallConfig(StrategyKind kind) {
+  RunConfig config = PaperSimConfig();
+  config.run.num_workers = 4;
+  config.run.model.hidden = {16};
+  config.run.batch_size = 16;
   SyntheticSpec spec;
   spec.num_train = 1024;
   spec.num_test = 512;
   spec.dim = 16;
   spec.num_classes = 4;
   spec.separation = 3.0;
-  config.training.custom_dataset = spec;
-  config.training.paper_model = "resnet18";
-  config.training.accuracy_threshold = 0.9;
-  config.training.max_updates = 6000;
-  config.training.eval_every = 20;
-  config.training.seed = 3;
+  config.run.dataset = spec;
+  config.sim.paper_model = "resnet18";
+  config.sim.accuracy_threshold = 0.9;
+  config.sim.max_updates = 6000;
+  config.sim.eval_every = 20;
+  config.run.seed = 3;
   config.strategy.kind = kind;
   config.strategy.group_size = 2;
   config.strategy.backup_workers = 1;
   return config;
 }
 
-ExperimentConfig TimingConfig(StrategyKind kind, int n,
-                              const HeteroSpec& hetero, size_t updates) {
-  ExperimentConfig config;
-  config.training.num_workers = n;
-  config.training.timing_only = true;
-  config.training.timing_updates = updates;
-  config.training.hetero = hetero;
-  config.training.paper_model = "resnet34";
-  config.training.seed = 7;
+RunConfig TimingConfig(StrategyKind kind, int n, const HeteroSpec& hetero,
+                       size_t updates) {
+  RunConfig config = PaperSimConfig();
+  config.run.num_workers = n;
+  config.sim.timing_only = true;
+  config.sim.timing_updates = updates;
+  config.sim.hetero = hetero;
+  config.sim.paper_model = "resnet34";
+  config.run.seed = 7;
   config.strategy.kind = kind;
   config.strategy.group_size = 3;
   config.strategy.backup_workers = n / 4 + 1;
   return config;
 }
 
+/// Departure of `worker` at virtual second `time` for `duration` seconds.
+ScenarioEvent Depart(double time, int worker, double duration) {
+  return {ScenarioEventKind::kDepart, time, worker, /*node=*/-1, duration};
+}
+/// A departure that outlasts every run here.
+constexpr double kForGood = 1e9;
+
 class AllStrategiesTest : public ::testing::TestWithParam<StrategyKind> {};
 
 TEST_P(AllStrategiesTest, ConvergesToThresholdOrReportsHonestly) {
-  ExperimentConfig config = SmallConfig(GetParam());
-  SimRunResult result = RunExperiment(config);
+  RunConfig config = SmallConfig(GetParam());
+  RunResult result = StartRun(config, EngineKind::kSim);
   EXPECT_GT(result.updates, 0u);
-  EXPECT_GT(result.sim_seconds, 0.0);
+  EXPECT_GT(result.clock_seconds, 0.0);
   // Every strategy except Eager-Reduce should reach 90% on this easy task.
   if (GetParam() != StrategyKind::kEagerReduce) {
     EXPECT_TRUE(result.converged)
@@ -64,11 +72,11 @@ TEST_P(AllStrategiesTest, ConvergesToThresholdOrReportsHonestly) {
 
 TEST_P(AllStrategiesTest, DeterministicInSeed) {
   // Timing-only runs are cheap; determinism must hold bit-for-bit.
-  ExperimentConfig config =
+  RunConfig config =
       TimingConfig(GetParam(), 4, HeteroSpec::Production(), 200);
-  SimRunResult a = RunExperiment(config);
-  SimRunResult b = RunExperiment(config);
-  EXPECT_EQ(a.sim_seconds, b.sim_seconds);
+  RunResult a = StartRun(config, EngineKind::kSim);
+  RunResult b = StartRun(config, EngineKind::kSim);
+  EXPECT_EQ(a.clock_seconds, b.clock_seconds);
   EXPECT_EQ(a.updates, b.updates);
 }
 
@@ -105,18 +113,22 @@ TEST(StrategyNamesTest, AllDistinct) {
 
 TEST(AllReduceSemanticsTest, RoundTimeTracksSlowestWorker) {
   // Under GPU sharing (HL=2) the straggler sets the AR round time.
-  auto hom = RunExperiment(TimingConfig(StrategyKind::kAllReduce, 4,
-                                        HeteroSpec::Homogeneous(), 200));
-  auto het = RunExperiment(TimingConfig(StrategyKind::kAllReduce, 4,
-                                        HeteroSpec::GpuSharing(2), 200));
+  auto hom = StartRun(TimingConfig(StrategyKind::kAllReduce, 4,
+                                   HeteroSpec::Homogeneous(), 200),
+                      EngineKind::kSim);
+  auto het = StartRun(TimingConfig(StrategyKind::kAllReduce, 4,
+                                   HeteroSpec::GpuSharing(2), 200),
+                      EngineKind::kSim);
   EXPECT_GT(het.per_update_seconds, 1.5 * hom.per_update_seconds);
 }
 
 TEST(PReduceSemanticsTest, LessSensitiveToStragglersThanAllReduce) {
-  auto ar_h = RunExperiment(TimingConfig(StrategyKind::kAllReduce, 8,
-                                         HeteroSpec::GpuSharing(3), 400));
-  auto pr_h = RunExperiment(TimingConfig(StrategyKind::kPReduceConst, 8,
-                                         HeteroSpec::GpuSharing(3), 400));
+  auto ar_h = StartRun(TimingConfig(StrategyKind::kAllReduce, 8,
+                                    HeteroSpec::GpuSharing(3), 400),
+                       EngineKind::kSim);
+  auto pr_h = StartRun(TimingConfig(StrategyKind::kPReduceConst, 8,
+                                    HeteroSpec::GpuSharing(3), 400),
+                       EngineKind::kSim);
   // Normalize per-update times by gradients incorporated per update:
   // AR incorporates N per update, P-Reduce incorporates P.
   const double ar_per_grad = ar_h.per_update_seconds / 8.0;
@@ -125,10 +137,12 @@ TEST(PReduceSemanticsTest, LessSensitiveToStragglersThanAllReduce) {
 }
 
 TEST(PReduceSemanticsTest, IdleFractionFarBelowAllReduce) {
-  auto ar = RunExperiment(TimingConfig(StrategyKind::kAllReduce, 8,
-                                       HeteroSpec::GpuSharing(3), 300));
-  auto pred = RunExperiment(TimingConfig(StrategyKind::kPReduceConst, 8,
-                                         HeteroSpec::GpuSharing(3), 300));
+  auto ar = StartRun(TimingConfig(StrategyKind::kAllReduce, 8,
+                                  HeteroSpec::GpuSharing(3), 300),
+                     EngineKind::kSim);
+  auto pred = StartRun(TimingConfig(StrategyKind::kPReduceConst, 8,
+                                    HeteroSpec::GpuSharing(3), 300),
+                       EngineKind::kSim);
   EXPECT_LT(pred.mean_idle_fraction, ar.mean_idle_fraction);
 }
 
@@ -141,27 +155,27 @@ TEST(PReduceSemanticsTest, UpdateCadenceScalesWithGroupSize) {
   auto p4 = TimingConfig(StrategyKind::kPReduceConst, 8,
                          HeteroSpec::Homogeneous(), 400);
   p4.strategy.group_size = 4;
-  auto r2 = RunExperiment(p2);
-  auto r4 = RunExperiment(p4);
+  auto r2 = StartRun(p2, EngineKind::kSim);
+  auto r4 = StartRun(p4, EngineKind::kSim);
   EXPECT_GT(r4.per_update_seconds, 1.5 * r2.per_update_seconds);
 }
 
 TEST(MomentumAveragingTest, ConvergesWithMergedOptimizerState) {
-  ExperimentConfig config = SmallConfig(StrategyKind::kPReduceConst);
+  RunConfig config = SmallConfig(StrategyKind::kPReduceConst);
   config.strategy.average_momentum = true;
-  SimRunResult result = RunExperiment(config);
+  RunResult result = StartRun(config, EngineKind::kSim);
   EXPECT_TRUE(result.converged);
 }
 
 TEST(MomentumAveragingTest, ChangesTrajectory) {
   // Same seed, with vs without momentum merging: trajectories must differ
   // (the knob is actually wired through).
-  ExperimentConfig base = SmallConfig(StrategyKind::kPReduceConst);
-  base.training.accuracy_threshold = -1.0;
-  base.training.max_updates = 60;
-  ExperimentConfig merged = base;
+  RunConfig base = SmallConfig(StrategyKind::kPReduceConst);
+  base.sim.accuracy_threshold = -1.0;
+  base.sim.max_updates = 60;
+  RunConfig merged = base;
   merged.strategy.average_momentum = true;
-  SimTraining a(base.training), b(merged.training);
+  SimTraining a(base), b(merged);
   auto sa = MakeStrategy(base.strategy, &a);
   auto sb = MakeStrategy(merged.strategy, &b);
   sa->Start();
@@ -172,42 +186,42 @@ TEST(MomentumAveragingTest, ChangesTrajectory) {
 }
 
 TEST(ElasticMembershipTest, LeaveAndRejoinKeepsTrainingConverging) {
-  ExperimentConfig config = SmallConfig(StrategyKind::kPReduceConst);
-  config.training.num_workers = 6;
+  RunConfig config = SmallConfig(StrategyKind::kPReduceConst);
+  config.run.num_workers = 6;
   config.strategy.group_size = 2;
   // Worker 5 leaves early and rejoins later with its (stale) model.
-  config.strategy.churn = {{2.0, 5, /*leave=*/true},
-                           {30.0, 5, /*leave=*/false}};
-  SimRunResult result = RunExperiment(config);
+  config.run.scenario.events = {Depart(2.0, 5, /*duration=*/28.0)};
+  RunResult result = StartRun(config, EngineKind::kSim);
   EXPECT_TRUE(result.converged) << "final acc " << result.final_accuracy;
 }
 
 TEST(ElasticMembershipTest, PermanentDeparturesStillConverge) {
-  ExperimentConfig config = SmallConfig(StrategyKind::kPReduceDynamic);
-  config.training.num_workers = 6;
+  RunConfig config = SmallConfig(StrategyKind::kPReduceDynamic);
+  config.run.num_workers = 6;
   config.strategy.group_size = 2;
-  config.strategy.churn = {{1.0, 4, true}, {3.0, 5, true}};
-  SimRunResult result = RunExperiment(config);
+  config.run.scenario.events = {Depart(1.0, 4, kForGood),
+                                 Depart(3.0, 5, kForGood)};
+  RunResult result = StartRun(config, EngineKind::kSim);
   EXPECT_TRUE(result.converged);
 }
 
 TEST(ElasticMembershipTest, TimingOnlyChurnKeepsCadence) {
-  ExperimentConfig config =
+  RunConfig config =
       TimingConfig(StrategyKind::kPReduceConst, 6, HeteroSpec::Homogeneous(),
                    400);
   config.strategy.group_size = 2;
-  config.strategy.churn = {{10.0, 0, true}, {40.0, 0, false}};
-  SimRunResult result = RunExperiment(config);
+  config.run.scenario.events = {Depart(10.0, 0, /*duration=*/30.0)};
+  RunResult result = StartRun(config, EngineKind::kSim);
   EXPECT_EQ(result.updates, 400u);
 }
 
 TEST(OverlapSemanticsTest, OverlapSpeedsUpAllReduceOnly) {
   auto run = [](StrategyKind kind, double overlap) {
-    ExperimentConfig config =
+    RunConfig config =
         TimingConfig(kind, 8, HeteroSpec::Homogeneous(), 200);
-    config.training.paper_model = "vgg19";  // comm-heavy
-    config.training.cost.gradient_overlap = overlap;
-    return RunExperiment(config).sim_seconds;
+    config.sim.paper_model = "vgg19";  // comm-heavy
+    config.sim.cost.gradient_overlap = overlap;
+    return StartRun(config, EngineKind::kSim).clock_seconds;
   };
   // AR aggregates gradients: overlap hides most of its collective.
   EXPECT_LT(run(StrategyKind::kAllReduce, 0.9),
@@ -218,27 +232,28 @@ TEST(OverlapSemanticsTest, OverlapSpeedsUpAllReduceOnly) {
 }
 
 TEST(PsBackupSemanticsTest, DropsStragglerGradients) {
-  auto result = RunExperiment(TimingConfig(StrategyKind::kPsBackup, 8,
-                                           HeteroSpec::GpuSharing(3), 400));
-  EXPECT_GT(result.wasted_gradients, 0u);
+  auto result = StartRun(TimingConfig(StrategyKind::kPsBackup, 8,
+                                      HeteroSpec::GpuSharing(3), 400),
+                         EngineKind::kSim);
+  EXPECT_GT(result.metrics.counter("ps.wasted_gradients"), 0.0);
 }
 
 TEST(PsBackupSemanticsTest, NoWasteWithoutBackupsInHomogeneousCluster) {
   auto config = TimingConfig(StrategyKind::kPsBackup, 4,
                              HeteroSpec::Homogeneous(), 200);
   config.strategy.backup_workers = 0;
-  auto result = RunExperiment(config);
-  EXPECT_EQ(result.wasted_gradients, 0u);
+  auto result = StartRun(config, EngineKind::kSim);
+  EXPECT_EQ(result.metrics.counter("ps.wasted_gradients"), 0.0);
 }
 
 TEST(PReduceSemanticsTest, FrozenAvoidanceStatsSurface) {
   auto config = TimingConfig(StrategyKind::kPReduceConst, 4,
                              HeteroSpec::Homogeneous(), 500);
   config.strategy.group_size = 2;
-  auto result = RunExperiment(config);
+  auto result = StartRun(config, EngineKind::kSim);
   // Stats plumbed through (bridging may or may not trigger here; the
   // adversarial case is covered in controller_test).
-  EXPECT_GE(result.frozen_detections, 0u);
+  EXPECT_GE(result.controller_stats.frozen_detections, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -251,8 +266,8 @@ TEST(StatisticalSemanticsTest, AsyncNeedsMoreUpdatesThanBsp) {
   // gradient counts to convergence: ASP >= BSP's N * rounds is not
   // guaranteed on an easy task, but ASP should need at least as many
   // gradients.
-  auto bsp = RunExperiment(SmallConfig(StrategyKind::kPsBsp));
-  auto asp = RunExperiment(SmallConfig(StrategyKind::kPsAsp));
+  auto bsp = StartRun(SmallConfig(StrategyKind::kPsBsp), EngineKind::kSim);
+  auto asp = StartRun(SmallConfig(StrategyKind::kPsAsp), EngineKind::kSim);
   ASSERT_TRUE(bsp.converged);
   ASSERT_TRUE(asp.converged);
   // ASP counts one update per worker push; BSP one per N-gradient round.
@@ -260,17 +275,17 @@ TEST(StatisticalSemanticsTest, AsyncNeedsMoreUpdatesThanBsp) {
 }
 
 TEST(StatisticalSemanticsTest, EagerReducePlateausBelowStrictThreshold) {
-  ExperimentConfig config = SmallConfig(StrategyKind::kEagerReduce);
-  config.training.hetero = HeteroSpec::GpuSharing(2);
-  config.training.accuracy_threshold = 0.93;
-  config.training.max_updates = 4000;
-  auto er = RunExperiment(config);
+  RunConfig config = SmallConfig(StrategyKind::kEagerReduce);
+  config.sim.hetero = HeteroSpec::GpuSharing(2);
+  config.sim.accuracy_threshold = 0.93;
+  config.sim.max_updates = 4000;
+  auto er = StartRun(config, EngineKind::kSim);
 
-  ExperimentConfig ar_config = SmallConfig(StrategyKind::kAllReduce);
-  ar_config.training.hetero = HeteroSpec::GpuSharing(2);
-  ar_config.training.accuracy_threshold = 0.93;
-  ar_config.training.max_updates = 4000;
-  auto ar = RunExperiment(ar_config);
+  RunConfig ar_config = SmallConfig(StrategyKind::kAllReduce);
+  ar_config.sim.hetero = HeteroSpec::GpuSharing(2);
+  ar_config.sim.accuracy_threshold = 0.93;
+  ar_config.sim.max_updates = 4000;
+  auto ar = StartRun(ar_config, EngineKind::kSim);
 
   EXPECT_TRUE(ar.converged);
   EXPECT_LT(er.best_accuracy, ar.best_accuracy + 1e-9);
@@ -279,7 +294,8 @@ TEST(StatisticalSemanticsTest, EagerReducePlateausBelowStrictThreshold) {
 TEST(StatisticalSemanticsTest, PReduceReplicasReachConsensusAccuracy) {
   // After convergence, the averaged model must actually be good — the
   // consensus across replicas is what Alg. 2 line 8 evaluates.
-  auto result = RunExperiment(SmallConfig(StrategyKind::kPReduceConst));
+  auto result =
+      StartRun(SmallConfig(StrategyKind::kPReduceConst), EngineKind::kSim);
   ASSERT_TRUE(result.converged);
   EXPECT_GE(result.final_accuracy, 0.9);
 }
@@ -291,15 +307,15 @@ TEST(StatisticalSemanticsTest, DynamicWeightsHelpUnderSevereStaleness) {
   severe.kind = HeteroSpec::Kind::kGpuSharing;
   severe.sharing_level = 2;
 
-  ExperimentConfig con = SmallConfig(StrategyKind::kPReduceConst);
-  con.training.hetero = severe;
-  con.training.seed = 13;
-  ExperimentConfig dyn = SmallConfig(StrategyKind::kPReduceDynamic);
-  dyn.training.hetero = severe;
-  dyn.training.seed = 13;
+  RunConfig con = SmallConfig(StrategyKind::kPReduceConst);
+  con.sim.hetero = severe;
+  con.run.seed = 13;
+  RunConfig dyn = SmallConfig(StrategyKind::kPReduceDynamic);
+  dyn.sim.hetero = severe;
+  dyn.run.seed = 13;
 
-  auto rc = RunExperiment(con);
-  auto rd = RunExperiment(dyn);
+  auto rc = StartRun(con, EngineKind::kSim);
+  auto rd = StartRun(dyn, EngineKind::kSim);
   ASSERT_TRUE(rc.converged);
   ASSERT_TRUE(rd.converged);
   // The effect is statistical at this tiny scale; assert DYN stays in the
@@ -313,10 +329,10 @@ TEST(StatisticalSemanticsTest, AllReduceMatchesSequentialLargeBatchSgd) {
   // AR with N workers is equivalent to one worker with an N-fold batch: all
   // replicas stay identical. Verify replicas remain equal by checking the
   // evaluated accuracy equals a single replica's accuracy.
-  ExperimentConfig config = SmallConfig(StrategyKind::kAllReduce);
-  config.training.max_updates = 50;
-  config.training.accuracy_threshold = -1.0;
-  SimTraining ctx(config.training);
+  RunConfig config = SmallConfig(StrategyKind::kAllReduce);
+  config.sim.max_updates = 50;
+  config.sim.accuracy_threshold = -1.0;
+  SimTraining ctx(config);
   auto strategy = MakeStrategy(config.strategy, &ctx);
   strategy->Start();
   ctx.engine()->RunUntil([&] { return ctx.stopped(); });
@@ -326,11 +342,11 @@ TEST(StatisticalSemanticsTest, AllReduceMatchesSequentialLargeBatchSgd) {
 }
 
 TEST(StatisticalSemanticsTest, PReduceGroupMembersLeaveWithEqualModels) {
-  ExperimentConfig config = SmallConfig(StrategyKind::kPReduceConst);
+  RunConfig config = SmallConfig(StrategyKind::kPReduceConst);
   config.strategy.group_size = 4;  // P = N: every reduce merges everyone
-  config.training.max_updates = 9;
-  config.training.accuracy_threshold = -1.0;
-  SimTraining ctx(config.training);
+  config.sim.max_updates = 9;
+  config.sim.accuracy_threshold = -1.0;
+  SimTraining ctx(config);
   auto strategy = MakeStrategy(config.strategy, &ctx);
   strategy->Start();
   ctx.engine()->RunUntil([&] { return ctx.stopped(); });
@@ -355,14 +371,14 @@ TEST(StatisticalSemanticsTest, PsHeteDampsStaleUpdates) {
   // the threshold in no more updates than ASP, seed-for-seed, on average.
   int hete_wins = 0;
   for (uint64_t seed : {3u, 4u, 5u}) {
-    ExperimentConfig asp = SmallConfig(StrategyKind::kPsAsp);
-    asp.training.hetero = HeteroSpec::GpuSharing(2);
-    asp.training.seed = seed;
-    ExperimentConfig hete = SmallConfig(StrategyKind::kPsHete);
-    hete.training.hetero = HeteroSpec::GpuSharing(2);
-    hete.training.seed = seed;
-    auto ra = RunExperiment(asp);
-    auto rh = RunExperiment(hete);
+    RunConfig asp = SmallConfig(StrategyKind::kPsAsp);
+    asp.sim.hetero = HeteroSpec::GpuSharing(2);
+    asp.run.seed = seed;
+    RunConfig hete = SmallConfig(StrategyKind::kPsHete);
+    hete.sim.hetero = HeteroSpec::GpuSharing(2);
+    hete.run.seed = seed;
+    auto ra = StartRun(asp, EngineKind::kSim);
+    auto rh = StartRun(hete, EngineKind::kSim);
     if (rh.converged &&
         (!ra.converged || rh.updates <= ra.updates * 12 / 10)) {
       ++hete_wins;

@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "sim/sim_training.h"
 #include "sim/timeline.h"
-#include "train/experiment.h"
+#include "train/run.h"
 
 namespace pr {
 namespace {
@@ -54,15 +55,15 @@ TEST(TimelineTest, RenderHasOneRowPerWorker) {
 }
 
 TEST(TimelineIntegrationTest, AllReduceTimelineCoversRun) {
-  ExperimentConfig config;
-  config.training.num_workers = 3;
-  config.training.timing_only = true;
-  config.training.timing_updates = 50;
-  config.training.record_timeline = true;
-  config.training.seed = 3;
+  RunConfig config = PaperSimConfig();
+  config.run.num_workers = 3;
+  config.sim.timing_only = true;
+  config.sim.timing_updates = 50;
+  config.run.record_timeline = true;
+  config.run.seed = 3;
   config.strategy.kind = StrategyKind::kAllReduce;
 
-  SimTraining ctx(config.training);
+  SimTraining ctx(config);
   auto strategy = MakeStrategy(config.strategy, &ctx);
   strategy->Start();
   ctx.engine()->RunUntil([&] { return ctx.stopped(); });
@@ -91,16 +92,16 @@ TEST(TimelineIntegrationTest, AllReduceTimelineCoversRun) {
 
 TEST(TimelineIntegrationTest, PReduceIdleBelowAllReduceUnderStraggler) {
   auto run = [](StrategyKind kind, int p) {
-    ExperimentConfig config;
-    config.training.num_workers = 3;
-    config.training.timing_only = true;
-    config.training.timing_updates = 300;
-    config.training.record_timeline = true;
-    config.training.hetero = HeteroSpec::FixedFactors({2.0, 1.0, 1.0});
-    config.training.seed = 9;
+    RunConfig config = PaperSimConfig();
+    config.run.num_workers = 3;
+    config.sim.timing_only = true;
+    config.sim.timing_updates = 300;
+    config.run.record_timeline = true;
+    config.sim.hetero = HeteroSpec::FixedFactors({2.0, 1.0, 1.0});
+    config.run.seed = 9;
     config.strategy.kind = kind;
     config.strategy.group_size = p;
-    SimTraining ctx(config.training);
+    SimTraining ctx(config);
     auto strategy = MakeStrategy(config.strategy, &ctx);
     strategy->Start();
     ctx.engine()->RunUntil([&] { return ctx.stopped(); });
@@ -115,11 +116,11 @@ TEST(TimelineIntegrationTest, PReduceIdleBelowAllReduceUnderStraggler) {
 }
 
 TEST(TimelineIntegrationTest, DisabledByDefault) {
-  ExperimentConfig config;
-  config.training.num_workers = 2;
-  config.training.timing_only = true;
-  config.training.timing_updates = 5;
-  SimTraining ctx(config.training);
+  RunConfig config = PaperSimConfig();
+  config.run.num_workers = 2;
+  config.sim.timing_only = true;
+  config.sim.timing_updates = 5;
+  SimTraining ctx(config);
   EXPECT_EQ(ctx.timeline(), nullptr);
 }
 
