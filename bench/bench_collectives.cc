@@ -72,7 +72,7 @@ AlgoResult RunAlgo(const std::string& name, size_t p, size_t n, int reps,
     for (size_t i = 0; i < p; ++i) {
       threads.emplace_back([&, i] {
         pr::Endpoint ep(&transport, members[i]);
-        ep.AttachObservers(metrics, "", nullptr, nullptr);
+        ep.AttachObservers(metrics, nullptr, nullptr, nullptr);
         pr::Status status = fn(&ep, i, data[i].data());
         if (!status.ok()) {
           std::fprintf(stderr, "%s failed: %s\n", name.c_str(),

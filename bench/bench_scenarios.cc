@@ -55,20 +55,6 @@ pr::RunConfig BaseConfig(int iters, uint64_t seed) {
   return config;
 }
 
-/// Gradients one global update incorporates, for the wasted fraction.
-double PerUpdateGradients(pr::StrategyKind kind) {
-  switch (kind) {
-    case pr::StrategyKind::kAllReduce:
-    case pr::StrategyKind::kPsBsp:
-      return kNumWorkers;
-    case pr::StrategyKind::kPReduceConst:
-    case pr::StrategyKind::kPReduceDynamic:
-      return kGroupSize;
-    default:
-      return 1.0;
-  }
-}
-
 struct CellResult {
   double end_loss = 0.0;
   double end_loss_delta = 0.0;
@@ -86,9 +72,13 @@ CellResult RunCell(const pr::RunConfig& base, pr::StrategyKind kind,
   config.strategy.group_size = kGroupSize;
   config.run.scenario = scenario;
   config.sim.max_sim_seconds = time_cap;
+  // Gradients one global update incorporates, for the budget and the
+  // wasted fraction.
+  const double per_update =
+      pr::GradientsPerUpdate(config.strategy, kNumWorkers);
   const size_t budget =
       static_cast<size_t>(static_cast<double>(config.sim.max_updates) *
-                              kNumWorkers / PerUpdateGradients(kind) +
+                              kNumWorkers / per_update +
                           0.5);
   config.sim.max_updates = budget < 1 ? 1 : budget;
   config.sim.eval_every = config.sim.max_updates + 1;
@@ -103,9 +93,9 @@ CellResult RunCell(const pr::RunConfig& base, pr::StrategyKind kind,
 
   const double aborted = result.metrics.counter("fault.aborted_groups");
   const double wasted = result.metrics.counter("ps.wasted_gradients") +
-                        aborted * PerUpdateGradients(kind);
+                        aborted * per_update;
   const double incorporated =
-      static_cast<double>(result.updates) * PerUpdateGradients(kind);
+      static_cast<double>(result.updates) * per_update;
   cell.wasted_gradient_fraction =
       wasted + incorporated > 0.0 ? wasted / (wasted + incorporated) : 0.0;
   return cell;

@@ -5,18 +5,21 @@
 #include <filesystem>
 #include <utility>
 
+#include "obs/metric_table.h"
+
 namespace pr {
 namespace {
 
 /// Runs `write` and observes its wall-clock latency as one ckpt.save_seconds
 /// sample: both engines time the real file I/O, whatever their own clock.
-Status Timed(MetricsShard* metrics, const std::function<Status()>& write) {
+Status Timed(Histogram* save_seconds, const std::function<Status()>& write) {
   const auto begin = std::chrono::steady_clock::now();
   const Status s = write();
-  metrics->GetHistogram("ckpt.save_seconds", CkptSaveSecondsBuckets())
-      ->Observe(std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - begin)
-                    .count());
+  if (save_seconds != nullptr) {
+    save_seconds->Observe(std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - begin)
+                              .count());
+  }
   return s;
 }
 
@@ -33,7 +36,7 @@ uint64_t CutEpoch(const CheckpointConfig& config, size_t k, size_t budget,
 Status SaveCutShard(MetricsShard* metrics, const std::string& dir,
                     uint64_t epoch, int worker, Slice params,
                     const std::vector<float>& velocity) {
-  return Timed(metrics, [&] {
+  return Timed(metrics->Get(metric::kCkptSaveSeconds), [&] {
     return SaveWorkerShard(ShardPath(dir, epoch, worker), params,
                            Slice(velocity.data(), velocity.size()));
   });
@@ -43,18 +46,18 @@ CkptCoordinator::CkptCoordinator(std::string dir, const RunIdentity& identity,
                                  MetricsShard* metrics, TraceRecorder* trace,
                                  const RunManifest* resume)
     : dir_(std::move(dir)),
-      metrics_(metrics),
+      save_seconds_(metrics->Get(metric::kCkptSaveSeconds)),
       trace_(trace),
-      manifests_written_(metrics->GetCounter("ckpt.manifests_written")) {
+      manifests_written_(metrics->Get(metric::kCkptManifestsWritten)) {
   header_.engine = EngineKindName(identity.engine);
   header_.strategy = identity.strategy;
   header_.num_workers = identity.num_workers;
   header_.num_params = identity.num_params;
   header_.seed = identity.seed;
-  metrics->GetHistogram("ckpt.save_seconds", CkptSaveSecondsBuckets());
-  Counter* restores = metrics->GetCounter("ckpt.restore_count");
   if (resume != nullptr) {
-    restores->Increment();
+    if (Counter* restores = metrics->Get(metric::kCkptRestoreCount)) {
+      restores->Increment();
+    }
     last_written_ = resume->epoch;
   }
 }
@@ -80,7 +83,7 @@ bool CkptCoordinator::Report(uint64_t epoch, const ManifestWorker& report,
   // manifest as the restore point.
   last_written_ = epoch;
   pending_.erase(pending_.begin(), pending_.upper_bound(epoch));
-  if (!Timed(metrics_, [&] { return SaveManifest(dir_, m); }).ok()) {
+  if (!Timed(save_seconds_, [&] { return SaveManifest(dir_, m); }).ok()) {
     return false;
   }
   manifests_written_->Increment();

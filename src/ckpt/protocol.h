@@ -84,7 +84,7 @@ class CkptCoordinator {
  private:
   std::string dir_;
   RunManifest header_;  ///< the identity fields every manifest carries
-  MetricsShard* metrics_;
+  Histogram* save_seconds_;
   TraceRecorder* trace_;
   Counter* manifests_written_;
   uint64_t last_written_ = 0;

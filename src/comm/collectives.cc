@@ -329,17 +329,15 @@ Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
       });
 }
 
-double ChargeGroupAllReduceTraffic(size_t n, size_t p, CompressionKind kind,
-                                   MetricsShard* metrics,
-                                   size_t segment_floats) {
-  PR_CHECK(metrics != nullptr);
+RingTraffic GroupAllReduceTraffic(size_t n, size_t p, CompressionKind kind,
+                                  size_t segment_floats) {
   PR_CHECK_GE(segment_floats, size_t{1});
-  if (p < 2) return 0.0;
+  RingTraffic traffic;
+  if (p < 2) return traffic;
   const bool raw = kind == CompressionKind::kNone;
   // One circulation of every segment of every chunk.
   double raw_bytes = 0.0;
   double wire_bytes = 0.0;
-  double copies = 0.0;
   for (size_t chunk = 0; chunk < p; ++chunk) {
     (void)ForEachSegment(n, p, chunk, segment_floats,
                          [&](size_t, size_t b, size_t e) {
@@ -348,27 +346,19 @@ double ChargeGroupAllReduceTraffic(size_t n, size_t p, CompressionKind kind,
                            wire_bytes += static_cast<double>(
                                EncodedBlobBytes(kind, e - b));
                            // Raw: the step-0 copy of a non-empty segment.
-                           if (raw && e > b) copies += 1.0;
+                           if (raw && e > b) traffic.payload_copies += 1.0;
                            return Status::OK();
                          });
   }
   // Each segment crosses P-1 ring edges in each of the two phases.
-  const double bytes = 2.0 * static_cast<double>(p - 1) * wire_bytes;
-  metrics->GetCounter("transport.bytes_sent")->Increment(bytes);
-  metrics->GetCounter("transport.bytes_received")->Increment(bytes);
-  metrics->GetCounter("transport.payload_copies")->Increment(copies);
+  traffic.bytes = 2.0 * static_cast<double>(p - 1) * wire_bytes;
   if (!raw) {
     // Each segment is encoded P times: by the P-1 reduce-scatter senders
     // (the last hop keeps its sum) and once by its all-gather owner.
-    Counter* in = metrics->GetCounter("compress.bytes_in");
-    Counter* out = metrics->GetCounter("compress.bytes_out");
-    in->Increment(static_cast<double>(p) * raw_bytes);
-    out->Increment(static_cast<double>(p) * wire_bytes);
-    if (out->value() > 0.0) {
-      metrics->GetGauge("compress.ratio")->Set(in->value() / out->value());
-    }
+    traffic.codec_bytes_in = static_cast<double>(p) * raw_bytes;
+    traffic.codec_bytes_out = static_cast<double>(p) * wire_bytes;
   }
-  return bytes;
+  return traffic;
 }
 
 Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,

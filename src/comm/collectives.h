@@ -7,7 +7,6 @@
 #include "comm/transport.h"
 #include "common/status.h"
 #include "compress/codec.h"
-#include "obs/metrics.h"
 
 namespace pr {
 
@@ -109,20 +108,23 @@ Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
                               const RingDeadline& deadline = {},
                               size_t segment_floats = kDefaultSegmentFloats);
 
-/// \brief The traffic GroupWeightedAllReduce moves when `p` members reduce
-/// `n` floats under codec `kind`, summed over the members and walked from
-/// the ring's own chunk and segment layout.
-///
-/// Charges `metrics` under the names each member's Endpoint and Compressor
-/// count: transport.bytes_sent and transport.bytes_received (every segment
-/// crosses P-1 edges per phase), transport.payload_copies (raw: one per
-/// non-empty segment), and under compression compress.bytes_in/bytes_out
-/// (P encodes per segment) with the compress.ratio gauge. Returns the bytes
-/// sent; a group of fewer than two members moves nothing.
-double ChargeGroupAllReduceTraffic(size_t n, size_t p, CompressionKind kind,
-                                   MetricsShard* metrics,
-                                   size_t segment_floats =
-                                       kDefaultSegmentFloats);
+/// \brief What GroupWeightedAllReduce moves when `p` members reduce `n`
+/// floats under codec `kind`, summed over the members and walked from the
+/// ring's own chunk and segment layout, in the units each member's Endpoint
+/// and Compressor count. A group of fewer than two members moves nothing.
+struct RingTraffic {
+  /// transport.bytes_sent, and as much received: every segment crosses P-1
+  /// edges per phase.
+  double bytes = 0.0;
+  /// transport.payload_copies: raw, one per non-empty segment.
+  double payload_copies = 0.0;
+  /// compress.bytes_in / bytes_out: P encodes per segment (0 when raw).
+  double codec_bytes_in = 0.0;
+  double codec_bytes_out = 0.0;
+};
+RingTraffic GroupAllReduceTraffic(
+    size_t n, size_t p, CompressionKind kind,
+    size_t segment_floats = kDefaultSegmentFloats);
 
 /// Compatibility overload over a whole vector.
 Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,

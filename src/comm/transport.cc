@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "common/check.h"
+#include "obs/metric_table.h"
 
 namespace pr {
 
@@ -56,34 +57,28 @@ Endpoint::Endpoint(Transport* transport, NodeId me)
   PR_CHECK_LT(me, transport->num_nodes());
 }
 
-void Endpoint::AttachObservers(MetricsShard* metrics, const std::string& scope,
+void Endpoint::AttachObservers(MetricsShard* metrics, Gauge* scoped_stash,
                                TraceRecorder* trace,
                                std::function<double()> now) {
   trace_ = trace;
   now_ = std::move(now);
+  scoped_stash_gauge_ = scoped_stash;
   if (metrics != nullptr) {
-    sent_counter_ = metrics->GetCounter("transport.messages_sent");
-    received_counter_ = metrics->GetCounter("transport.messages_received");
-    bytes_sent_counter_ = metrics->GetCounter("transport.bytes_sent");
-    bytes_received_counter_ = metrics->GetCounter("transport.bytes_received");
-    payload_copies_counter_ = metrics->GetCounter("transport.payload_copies");
-    stash_purged_counter_ = metrics->GetCounter("transport.stash_purged");
-    // Eagerly registered (even without a classifier) so flat runs expose
-    // the same metric names as topology-aware ones — cross-engine parity
-    // tests diff the full name set.
-    inter_node_bytes_counter_ =
-        metrics->GetCounter("transport.inter_node_bytes");
-    stash_gauge_ = metrics->GetGauge("transport.stash_high_water");
-    if (!scope.empty()) {
-      scoped_stash_gauge_ = metrics->GetGauge(scope + ".stash_high_water");
-    }
+    sent_counter_ = metrics->Get(metric::kTransportMessagesSent);
+    received_counter_ = metrics->Get(metric::kTransportMessagesReceived);
+    bytes_sent_counter_ = metrics->Get(metric::kTransportBytesSent);
+    bytes_received_counter_ = metrics->Get(metric::kTransportBytesReceived);
+    payload_copies_counter_ = metrics->Get(metric::kTransportPayloadCopies);
+    stash_purged_counter_ = metrics->Get(metric::kTransportStashPurged);
+    inter_node_bytes_counter_ = metrics->Get(metric::kTransportInterNodeBytes);
+    stash_gauge_ = metrics->Get(metric::kTransportStashHighWater);
     // Publish the current mark immediately: on a fresh endpoint this is a
     // no-op, while a re-attached endpoint that skipped ResetDiagnostics()
     // visibly charges its stale high-water to the new scope instead of
     // silently dropping it until the next stash growth.
     if (stash_high_water_ > 0) {
       const double hw = static_cast<double>(stash_high_water_);
-      stash_gauge_->SetMax(hw);
+      if (stash_gauge_ != nullptr) stash_gauge_->SetMax(hw);
       if (scoped_stash_gauge_ != nullptr) scoped_stash_gauge_->SetMax(hw);
     }
   }

@@ -128,16 +128,13 @@ class Endpoint {
 
   /// Attaches observability sinks (all optional; pass null to skip).
   ///
-  /// `metrics` receives the `transport.messages_sent` /
-  /// `transport.messages_received` / `transport.bytes_sent` /
-  /// `transport.bytes_received` / `transport.payload_copies` /
-  /// `transport.stash_purged` counters and
-  /// the `transport.stash_high_water` gauge; when `scope` is non-empty, a
-  /// per-endpoint `<scope>.stash_high_water` gauge is published too (e.g.
-  /// scope "worker.3"). `trace` gets a kStashHighWater event stamped with
-  /// `now()` each time the stash grows to a new maximum. Call before the
-  /// endpoint's thread starts receiving.
-  void AttachObservers(MetricsShard* metrics, const std::string& scope,
+  /// `metrics` receives the transport.* counters and the
+  /// `transport.stash_high_water` gauge; `scoped_stash`, when non-null, is
+  /// this endpoint's own high-water gauge (e.g. `worker.3.stash_high_water`).
+  /// `trace` gets a kStashHighWater event stamped with `now()` each time the
+  /// stash grows to a new maximum. Call before the endpoint's thread starts
+  /// receiving.
+  void AttachObservers(MetricsShard* metrics, Gauge* scoped_stash,
                        TraceRecorder* trace, std::function<double()> now);
 
   /// Detaches the observers and zeroes the per-endpoint stash diagnostics

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "obs/metric_table.h"
 
 namespace pr {
 
@@ -13,9 +14,9 @@ Compressor::Compressor(CompressionKind kind) : kind_(kind) {
 
 void Compressor::AttachMetrics(MetricsShard* metrics) {
   if (metrics == nullptr) return;
-  bytes_in_ = metrics->GetCounter("compress.bytes_in");
-  bytes_out_ = metrics->GetCounter("compress.bytes_out");
-  ratio_ = metrics->GetGauge("compress.ratio");
+  bytes_in_ = metrics->Get(metric::kCompressBytesIn);
+  bytes_out_ = metrics->Get(metric::kCompressBytesOut);
+  ratio_ = metrics->Get(metric::kCompressRatio);
 }
 
 void Compressor::EnsureResidual(size_t end) {

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "obs/metric_table.h"
 
 namespace pr {
 namespace {
@@ -49,19 +50,15 @@ void Controller::AttachObservers(MetricsShard* metrics, TraceRecorder* trace,
   trace_ = trace;
   now_ = std::move(now);
   if (metrics != nullptr) {
-    signals_counter_ = metrics->GetCounter("controller.signals_received");
-    groups_counter_ = metrics->GetCounter("controller.groups_formed");
-    bridged_counter_ = metrics->GetCounter("controller.bridged_groups");
-    frozen_counter_ = metrics->GetCounter("controller.frozen_detections");
-    holds_counter_ = metrics->GetCounter("controller.holds");
-    // Eagerly registered so both engines expose the topo.* names even on
-    // flat runs (metric-name parity is asserted cross-engine).
-    cross_node_counter_ = metrics->GetCounter("topo.cross_node_groups");
-    intra_node_counter_ = metrics->GetCounter("topo.intra_node_groups");
-    pending_high_water_ =
-        metrics->GetGauge("controller.pending_signals_high_water");
-    decision_latency_ = metrics->GetHistogram(
-        "controller.decision_latency_seconds", DecisionLatencyBuckets());
+    signals_counter_ = metrics->Get(metric::kControllerSignalsReceived);
+    groups_counter_ = metrics->Get(metric::kControllerGroupsFormed);
+    bridged_counter_ = metrics->Get(metric::kControllerBridgedGroups);
+    frozen_counter_ = metrics->Get(metric::kControllerFrozenDetections);
+    holds_counter_ = metrics->Get(metric::kControllerHolds);
+    cross_node_counter_ = metrics->Get(metric::kTopoCrossNodeGroups);
+    intra_node_counter_ = metrics->Get(metric::kTopoIntraNodeGroups);
+    pending_high_water_ = metrics->Get(metric::kControllerPendingHighWater);
+    decision_latency_ = metrics->Get(metric::kControllerDecisionLatency);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "obs/metric_table.h"
 
 namespace pr {
 
@@ -55,10 +56,10 @@ void FaultyTransport::AttachObservers(MetricsShard* metrics,
   trace_ = trace;
   now_ = std::move(now);
   if (metrics != nullptr) {
-    drop_counter_ = metrics->GetCounter("fault.injected_drops");
-    dup_counter_ = metrics->GetCounter("fault.injected_dups");
-    delay_counter_ = metrics->GetCounter("fault.injected_delays");
-    severed_counter_ = metrics->GetCounter("fault.severed_drops");
+    drop_counter_ = metrics->Get(metric::kFaultInjectedDrops);
+    dup_counter_ = metrics->Get(metric::kFaultInjectedDups);
+    delay_counter_ = metrics->Get(metric::kFaultInjectedDelays);
+    severed_counter_ = metrics->Get(metric::kFaultSeveredDrops);
   }
 }
 

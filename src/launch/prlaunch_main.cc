@@ -29,6 +29,7 @@
 #include "launch/config_io.h"
 #include "launch/launcher.h"
 #include "launch/process_runner.h"
+#include "obs/metric_table.h"
 #include "runtime/threaded_runtime.h"
 #include "scenario/scenario.h"
 #include "strategies/strategy.h"
@@ -304,10 +305,9 @@ int LauncherMain(int argc, char** argv) {
         !options.kill.armed()) {
       // All-Reduce is deterministic, so the copy counters must agree
       // exactly — the zero-copy guarantee of the socket send path.
-      const double socket_copies =
-          result.metrics.counter("transport.payload_copies");
-      const double inproc_copies =
-          baseline.metrics.counter("transport.payload_copies");
+      const char* copies = metric::kTransportPayloadCopies.name;
+      const double socket_copies = result.metrics.counter(copies);
+      const double inproc_copies = baseline.metrics.counter(copies);
       std::printf("PRLAUNCH_COPIES socket=%.0f inproc=%.0f\n", socket_copies,
                   inproc_copies);
       if (socket_copies != inproc_copies) {

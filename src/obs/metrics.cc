@@ -19,6 +19,19 @@ void AtomicAdd(std::atomic<double>* target, double delta) {
 
 }  // namespace
 
+std::string MetricName(std::string_view pattern, std::string_view slot) {
+  const size_t open = pattern.find('<');
+  PR_CHECK_EQ(open == std::string_view::npos, slot.empty())
+      << "metric " << pattern << " given slot '" << slot << "'";
+  if (slot.empty()) return std::string(pattern);
+  const size_t close = pattern.find('>', open);
+  PR_CHECK(close != std::string_view::npos) << "metric " << pattern;
+  std::string name(pattern.substr(0, open));
+  name += slot;
+  name += pattern.substr(close + 1);
+  return name;
+}
+
 void Counter::Increment(double delta) { AtomicAdd(&value_, delta); }
 
 void Gauge::SetMax(double value) {
@@ -121,7 +134,7 @@ Histogram* MetricsShard::GetHistogram(const std::string& name,
 
 MetricsShard* MetricsRegistry::NewShard() {
   std::lock_guard<std::mutex> lock(mu_);
-  shards_.push_back(std::unique_ptr<MetricsShard>(new MetricsShard()));
+  shards_.push_back(std::unique_ptr<MetricsShard>(new MetricsShard(this)));
   return shards_.back().get();
 }
 
@@ -198,6 +211,12 @@ const std::vector<double>& CkptSaveSecondsBuckets() {
   // everything from a tiny proxy-model shard on tmpfs to a slow disk.
   static const std::vector<double> kBuckets = {
       1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0};
+  return kBuckets;
+}
+
+const std::vector<double>& QueueDelayBuckets() {
+  static const std::vector<double> kBuckets = {
+      0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0};
   return kBuckets;
 }
 

@@ -6,6 +6,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace pr {
@@ -97,6 +99,61 @@ struct MetricsSnapshot {
 /// reports into one run-level snapshot with the usual metric names.
 MetricsSnapshot MergeSnapshots(const std::vector<MetricsSnapshot>& parts);
 
+/// \brief When a run registers a metric. Each entry of the metric table
+/// (obs/metric_table.h) names one gate; a run opens the gates its
+/// configuration and engine call for and registers every entry they open.
+enum class MetricGate : uint8_t {
+  kAlways,       ///< every run, on both engines
+  kController,   ///< the P-Reduce kinds (the controller)
+  kServer,       ///< the ServerCore kinds: Eager-Reduce and the PS family
+  kFault,        ///< an enabled fault plan, a compiled scenario's included
+  kScenario,     ///< ScenarioMode: a scenario, scale policy or degradation
+  kCkpt,         ///< coordinated checkpointing, or a resumed run
+  kCompression,  ///< a gradient codec
+  kThreaded,     ///< the threaded engine only
+  kSim,          ///< the simulator only
+  kService,      ///< the training service, not a run
+};
+
+/// \brief A set of open gates; kAlways is always open.
+class MetricGates {
+ public:
+  MetricGates& Open(MetricGate gate, bool when = true) {
+    if (when) bits_ |= 1u << static_cast<unsigned>(gate);
+    return *this;
+  }
+  bool open(MetricGate gate) const {
+    return (bits_ >> static_cast<unsigned>(gate) & 1u) != 0;
+  }
+  static MetricGates All() {
+    MetricGates all;
+    all.bits_ = ~0u;
+    return all;
+  }
+
+ private:
+  uint32_t bits_ = 1u;  // kAlways
+};
+
+/// \brief One metric, declared once in obs/metric_table.h: its name, the
+/// gate that registers it and, for a Histogram, its bucket bounds. `T` is
+/// the instrument (Counter, Gauge or Histogram). The name may hold one slot
+/// -- `<i>` (a worker id), `<tenant>` or `<state>` -- that the instrument
+/// site fills.
+template <typename T>
+struct MetricDef {
+  using Instrument = T;
+  const char* name;
+  MetricGate gate;
+  const std::vector<double>& (*buckets)() = nullptr;
+};
+
+/// `pattern` with its slot replaced by `slot`; `slot` must be non-empty
+/// exactly when the pattern has one.
+std::string MetricName(std::string_view pattern, std::string_view slot = {});
+
+class MetricsRegistry;
+
 /// \brief One thread's (or one subsystem's) set of instruments.
 ///
 /// Instruments are created on first Get*; the returned handles stay valid
@@ -115,9 +172,22 @@ class MetricsShard {
   Histogram* GetHistogram(const std::string& name,
                           std::vector<double> upper_bounds);
 
+  /// The instrument `def` declares, its slot filled with `slot`; null when
+  /// the registry's run did not open `def`'s gate.
+  template <typename T>
+  T* Get(const MetricDef<T>& def, std::string_view slot = {});
+  /// `def`'s `<i>` instrument for `worker`.
+  template <typename T>
+  T* Get(const MetricDef<T>& def, int worker) {
+    return Get(def, std::to_string(worker));
+  }
+
  private:
   friend class MetricsRegistry;
-  MetricsShard() = default;
+  explicit MetricsShard(const MetricsRegistry* registry)
+      : registry_(registry) {}
+
+  const MetricsRegistry* registry_;
 
   mutable std::mutex mu_;  // guards the maps, not the instruments
   std::map<std::string, std::unique_ptr<Counter>> counters_;
@@ -140,12 +210,35 @@ class MetricsRegistry {
   /// Creates a shard owned by the registry. Thread-safe.
   MetricsShard* NewShard();
 
+  /// Opens `gates` for every shard of this registry and registers, at zero
+  /// in a new shard (returned), each metric-table entry they open: a `<i>`
+  /// entry once per worker in [0, num_workers), an entry with another slot
+  /// on first use. Call once at run start, before the run's threads. A
+  /// registry never opened hands out every instrument.
+  MetricsShard* Open(MetricGates gates, int num_workers);
+
   MetricsSnapshot Snapshot() const;
 
  private:
+  friend class MetricsShard;
+  MetricGates gates_ = MetricGates::All();
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<MetricsShard>> shards_;
 };
+
+template <typename T>
+T* MetricsShard::Get(const MetricDef<T>& def, std::string_view slot) {
+  if (!registry_->gates_.open(def.gate)) return nullptr;
+  std::string name = MetricName(def.name, slot);
+  if constexpr (std::is_same_v<T, Histogram>) {
+    return GetHistogram(name, def.buckets());
+  } else if constexpr (std::is_same_v<T, Gauge>) {
+    return GetGauge(name);
+  } else {
+    static_assert(std::is_same_v<T, Counter>);
+    return GetCounter(name);
+  }
+}
 
 /// Canonical buckets for controller decision latency (seconds): 100 ns up
 /// to 10 ms. Shared by the simulator and threaded paths so the metric is
@@ -158,5 +251,8 @@ const std::vector<double>& StalenessBuckets();
 
 /// Canonical buckets for ckpt.save_seconds (checkpoint write latency).
 const std::vector<double>& CkptSaveSecondsBuckets();
+
+/// Buckets for service.queue_delay_seconds (submit to lease).
+const std::vector<double>& QueueDelayBuckets();
 
 }  // namespace pr

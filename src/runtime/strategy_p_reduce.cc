@@ -81,7 +81,6 @@ void ThreadedPReduce::RunService(ServiceContext* ctx) {
   const double lease =
       ft ? plan.lease_seconds : std::numeric_limits<double>::infinity();
   PReduceService service(options_, n, ctx->run().topology, plan,
-                         ctx->scenario_metrics(),
                          {ctx->metrics(), ctx->trace(),
                           [ctx] { return ctx->Now(); }},
                          ctx->resume());

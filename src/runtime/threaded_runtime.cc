@@ -35,16 +35,6 @@ void ValidateRunConfig(const RunConfig& config) {
   PR_CHECK_GE(strategy.group_cost_budget, 0.0);
 }
 
-std::vector<double> ThreadedRunResult::worker_idle_fraction() const {
-  std::vector<double> out;
-  out.reserve(worker_iterations.size());
-  for (size_t w = 0; w < worker_iterations.size(); ++w) {
-    out.push_back(
-        metrics.gauge("worker." + std::to_string(w) + ".idle_fraction"));
-  }
-  return out;
-}
-
 ThreadedRunResult RunThreaded(const RunConfig& config) {
   ValidateRunConfig(config);
   std::unique_ptr<ThreadedStrategy> impl = MakeThreadedStrategy(config.strategy);

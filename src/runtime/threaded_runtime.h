@@ -168,10 +168,6 @@ struct ThreadedRunResult {
   /// final_loss were computed on). Restore-determinism tests compare this
   /// bit-for-bit between a resumed run and a never-interrupted one.
   std::vector<float> final_params;
-
-  /// Per-worker idle fractions (`worker.<i>.idle_fraction` gauges): seconds
-  /// spent blocked on synchronization divided by the worker's active span.
-  std::vector<double> worker_idle_fraction() const;
 };
 
 /// \brief Checks cross-field invariants of a run request (worker counts,

@@ -12,13 +12,6 @@
 #include "tensor/ops.h"
 
 namespace pr {
-namespace {
-
-std::string WorkerMetric(int worker, const char* suffix) {
-  return "worker." + std::to_string(worker) + "." + suffix;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // WorkerContext
@@ -32,14 +25,11 @@ WorkerContext::WorkerContext(WorkerRuntime* runtime, int worker)
       rng_(runtime->worker_seeds_[static_cast<size_t>(worker)]),
       delay_seconds_(0.0),
       metrics_(runtime->registry_.NewShard()),
-      iterations_counter_(
-          metrics_->GetCounter(WorkerMetric(worker, "iterations"))),
+      iterations_counter_(metrics_->Get(metric::kWorkerIterations, worker)),
       compute_seconds_counter_(
-          metrics_->GetCounter(WorkerMetric(worker, "compute_seconds"))),
-      comm_seconds_counter_(
-          metrics_->GetCounter(WorkerMetric(worker, "comm_seconds"))),
-      idle_seconds_counter_(
-          metrics_->GetCounter(WorkerMetric(worker, "idle_seconds"))) {
+          metrics_->Get(metric::kWorkerComputeSeconds, worker)),
+      comm_seconds_counter_(metrics_->Get(metric::kWorkerCommSeconds, worker)),
+      idle_seconds_counter_(metrics_->Get(metric::kWorkerIdleSeconds, worker)) {
   const auto& delays = runtime->options_.worker_delay_seconds;
   if (!delays.empty()) {
     PR_CHECK_EQ(delays.size(),
@@ -51,8 +41,9 @@ WorkerContext::WorkerContext(WorkerRuntime* runtime, int worker)
       slowdown_events_.push_back(e);
     }
   }
-  endpoint_.AttachObservers(metrics_, "worker." + std::to_string(worker),
-                            &runtime->trace_, [this] { return Now(); });
+  endpoint_.AttachObservers(
+      metrics_, metrics_->Get(metric::kWorkerStashHighWater, worker),
+      &runtime->trace_, [this] { return Now(); });
   if (!runtime->options_.topology.flat()) {
     // Captured by value: the classifier must outlive rebinds of the runtime's
     // options. The controller endpoint (id == num_workers) maps to node 0.
@@ -200,8 +191,9 @@ ServiceContext::ServiceContext(WorkerRuntime* runtime)
     : runtime_(runtime),
       endpoint_(runtime->fabric_, runtime->options_.num_workers),
       metrics_(runtime->registry_.NewShard()) {
-  endpoint_.AttachObservers(metrics_, "service", &runtime->trace_,
-                            [this] { return Now(); });
+  endpoint_.AttachObservers(metrics_,
+                            metrics_->Get(metric::kServiceStashHighWater),
+                            &runtime->trace_, [this] { return Now(); });
   if (!runtime->options_.topology.flat()) {
     // The controller endpoint sits on node 0 by convention (NodeOf clamps
     // out-of-range ids), so cross-node control traffic is counted against
@@ -254,10 +246,6 @@ bool ServiceContext::workers_returned() const {
   return runtime_->running_workers_.load(std::memory_order_acquire) == 0;
 }
 
-const ScenarioMetrics& ServiceContext::scenario_metrics() const {
-  return runtime_->scenario_metrics_;
-}
-
 // ---------------------------------------------------------------------------
 // WorkerRuntime
 // ---------------------------------------------------------------------------
@@ -303,7 +291,7 @@ WorkerRuntime::WorkerRuntime(const StrategyOptions& strategy_options,
 
   Rng rng(options_.seed);
   SyntheticSpec spec = options_.dataset;
-  spec.seed = options_.seed;
+  spec.seed = DataSeed(options_);
   split_ = GenerateSynthetic(spec);
   model_ = MakeProxyModel(options_.model, spec.dim, spec.num_classes);
 
@@ -384,6 +372,9 @@ ThreadedRunResult WorkerRuntime::Run(ThreadedStrategy* strategy) {
   PR_CHECK(strategy != nullptr);
   const int n = options_.num_workers;
   start_ = std::chrono::steady_clock::now();
+  MetricsShard* run_shard =
+      RegisterRunMetrics(&registry_, strategy_options_, options_,
+                         EngineKind::kThreaded, resume_.has_value());
   if (faulty_ != nullptr) {
     faulty_->AttachObservers(registry_.NewShard(), &trace_,
                              [this] { return NowSeconds(); });
@@ -395,11 +386,13 @@ ThreadedRunResult WorkerRuntime::Run(ThreadedStrategy* strategy) {
   }
 
   const ScalePolicyConfig& scale_cfg = strategy_options_.scale_policy;
-  if (ScenarioMode(options_.scenario, scale_cfg)) {
-    scenario_metrics_ =
-        RegisterScenarioMetrics(registry_.NewShard(), options_.scenario);
-  }
-  const ScenarioMetrics& sm = scenario_metrics_;
+  // The scenario thread's handles; null outside scenario mode (a
+  // hand-written fault plan can still carry partitions).
+  Counter* partitions_applied =
+      run_shard->Get(metric::kScenarioPartitionsApplied);
+  Counter* forced_ckpts = run_shard->Get(metric::kScenarioForcedCkpts);
+  Counter* scale_grow = run_shard->Get(metric::kScenarioScaleGrow);
+  Counter* scale_shrink = run_shard->Get(metric::kScenarioScaleShrink);
 
   // The workers this process actually runs (all of them unless RestrictTo
   // carved out a multi-process slice).
@@ -468,12 +461,12 @@ ThreadedRunResult WorkerRuntime::Run(ThreadedStrategy* strategy) {
           const PartitionAction& a = actions[next_action];
           if (a.sever) {
             faulty_->SeverNode(a.worker);
-            if (sm.partitions_applied != nullptr) {
-              sm.partitions_applied->Increment();
+            if (partitions_applied != nullptr) {
+              partitions_applied->Increment();
             }
             if (a.forces_ckpt && !forcing) {
-              ckpt_baseline =
-                  registry_.Snapshot().counter("ckpt.manifests_written");
+              ckpt_baseline = registry_.Snapshot().counter(
+                  metric::kCkptManifestsWritten.name);
               forcing = true;
               force_ckpt_.store(true, std::memory_order_release);
             }
@@ -483,12 +476,13 @@ ThreadedRunResult WorkerRuntime::Run(ThreadedStrategy* strategy) {
           ++next_action;
         }
         if (forcing && registry_.Snapshot().counter(
-                           "ckpt.manifests_written") > ckpt_baseline) {
+                           metric::kCkptManifestsWritten.name) >
+                           ckpt_baseline) {
           // First manifest since the partition began: the forced cut
           // landed, stand the gate down.
           force_ckpt_.store(false, std::memory_order_release);
           forcing = false;
-          sm.forced_ckpts->Increment();
+          forced_ckpts->Increment();
         }
         if (drive_policy && now >= next_tick) {
           ScaleSample sample;
@@ -503,8 +497,8 @@ ThreadedRunResult WorkerRuntime::Run(ThreadedStrategy* strategy) {
               idle_delta, now - last_sample, sample.active_workers);
           last_sample = now;
           const int delta = scale_director_->SetTarget(policy.Decide(sample));
-          if (delta > 0) sm.scale_grow->Increment(delta);
-          if (delta < 0) sm.scale_shrink->Increment(-delta);
+          if (delta > 0) scale_grow->Increment(delta);
+          if (delta < 0) scale_shrink->Increment(-delta);
           next_tick += scale_cfg.interval_seconds;
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -630,9 +624,8 @@ ThreadedRunResult WorkerRuntime::Run(ThreadedStrategy* strategy) {
 
   // Run-level metrics. Every worker thread has joined, so reading their
   // counters and deriving the idle fractions here is race-free.
-  MetricsShard* shard = registry_.NewShard();
-  shard->GetGauge("run.wall_seconds")->Set(wall);
-  shard->GetCounter("run.updates")
+  run_shard->Get(metric::kRunWallSeconds)->Set(wall);
+  run_shard->Get(metric::kRunUpdates)
       ->Increment(static_cast<double>(result.group_reduces));
   for (size_t i = 0; i < locals.size(); ++i) {
     const int w = locals[i];
@@ -641,7 +634,7 @@ ThreadedRunResult WorkerRuntime::Run(ThreadedStrategy* strategy) {
                               ? finish_seconds_[static_cast<size_t>(w)]
                               : wall;
     const double idle = ctx.idle_seconds_counter_->value();
-    shard->GetGauge(WorkerMetric(w, "idle_fraction"))
+    run_shard->Get(metric::kWorkerIdleFraction, w)
         ->Set(active > 0.0 ? idle / active : 0.0);
   }
   result.metrics = registry_.Snapshot();

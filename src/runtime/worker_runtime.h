@@ -182,8 +182,6 @@ class ServiceContext {
   const RunManifest* resume() const;
   /// The run's checkpoint coordinator (null when unused).
   CkptCoordinator* ckpt();
-  /// The run's scenario.* handles; null handles outside scenario mode.
-  const ScenarioMetrics& scenario_metrics() const;
   /// True once every worker body this process runs has returned (always,
   /// in a multi-process run's service-only slice).
   bool workers_returned() const;
@@ -282,8 +280,6 @@ class WorkerRuntime {
   std::vector<ChurnWindow> churn_;
   std::unique_ptr<ScaleDirector> scale_director_;
   std::atomic<bool> force_ckpt_{false};
-  /// Registered by Run() in scenario mode.
-  ScenarioMetrics scenario_metrics_;
 
   /// Resume state (empty on a fresh run) and the checkpoint coordinator
   /// (built by Run() when the run checkpoints or resumed).

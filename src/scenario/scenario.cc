@@ -8,6 +8,7 @@
 #include "common/line_reader.h"
 #include "common/rng.h"
 #include "obs/json.h"
+#include "obs/metric_table.h"
 
 namespace pr {
 namespace {
@@ -420,8 +421,8 @@ ScenarioSpec MakeReferenceTrace(int num_workers, const Topology& topology,
   return spec;
 }
 
-std::vector<std::pair<std::string, double>> ScenarioMetricCounts(
-    const ScenarioSpec& spec) {
+std::vector<std::pair<const MetricDef<Counter>*, double>>
+ScenarioMetricCounts(const ScenarioSpec& spec) {
   double departs = 0, arrives = 0, slowdowns = 0, crashes = 0, hangs = 0,
          partitions = 0;
   for (const ScenarioEvent& e : spec.events) {
@@ -435,13 +436,13 @@ std::vector<std::pair<std::string, double>> ScenarioMetricCounts(
     }
   }
   return {
-      {"scenario.events_total", static_cast<double>(spec.events.size())},
-      {"scenario.departs", departs},
-      {"scenario.arrives", arrives},
-      {"scenario.slowdowns", slowdowns},
-      {"scenario.crashes", crashes},
-      {"scenario.hangs", hangs},
-      {"scenario.partitions", partitions},
+      {&metric::kScenarioEventsTotal, static_cast<double>(spec.events.size())},
+      {&metric::kScenarioDeparts, departs},
+      {&metric::kScenarioArrives, arrives},
+      {&metric::kScenarioSlowdowns, slowdowns},
+      {&metric::kScenarioCrashes, crashes},
+      {&metric::kScenarioHangs, hangs},
+      {&metric::kScenarioPartitions, partitions},
   };
 }
 
@@ -535,7 +536,6 @@ Status CompileScenario(const ScenarioSpec& spec, int num_workers,
               return a.start_seconds < b.start_seconds;
             });
   if (compiled.fault.seed == 0) compiled.fault.seed = spec.seed;
-  compiled.counts = ScenarioMetricCounts(spec);
   *out = std::move(compiled);
   return Status::OK();
 }

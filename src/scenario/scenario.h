@@ -8,6 +8,7 @@
 #include "common/enum_names.h"
 #include "common/status.h"
 #include "fault/fault_plan.h"
+#include "obs/metrics.h"
 #include "topo/topology.h"
 
 namespace pr {
@@ -166,12 +167,9 @@ struct ChurnWindow {
 /// - `fault` carries iteration-keyed crash/hang/slowdown events and timed
 ///   partition windows merged *into* the run's existing fault plan.
 /// - `churn` carries depart/arrive absence windows.
-/// - `counts` are the scenario.* metric values both engines register, in a
-///   fixed order, so cross-engine metric-name parity is structural.
 struct CompiledScenario {
   FaultPlan fault;
   std::vector<ChurnWindow> churn;
-  std::vector<std::pair<std::string, double>> counts;
 };
 
 /// Compiles `spec` against a run shape. `base` is the run's existing fault
@@ -182,11 +180,10 @@ Status CompileScenario(const ScenarioSpec& spec, int num_workers,
                        const Topology& topology, const FaultPlan& base,
                        CompiledScenario* out);
 
-/// The scenario.* metric names and their compiled values for `spec`
-/// (events_total plus one per-kind counter). Engines register these
-/// eagerly — including zeros — so both engines always expose the same
-/// scenario.* name set.
-std::vector<std::pair<std::string, double>> ScenarioMetricCounts(
-    const ScenarioSpec& spec);
+/// The scenario.* compile counters and their values for `spec`
+/// (events_total plus one per-kind counter, zeros included); both engines
+/// add them at run start (RegisterRunMetrics).
+std::vector<std::pair<const MetricDef<Counter>*, double>>
+ScenarioMetricCounts(const ScenarioSpec& spec);
 
 }  // namespace pr

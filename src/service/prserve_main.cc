@@ -19,6 +19,7 @@
 
 #include "common/check.h"
 #include "obs/json.h"
+#include "obs/metric_table.h"
 #include "service/job_spec.h"
 #include "service/service.h"
 #include "train/report.h"
@@ -192,7 +193,7 @@ int Run(int argc, char** argv) {
       "prserve: %d/%d jobs completed on a %d-worker pool "
       "(utilization %.2f)\n",
       completed, submitted, pool,
-      snapshot.gauge("service.pool.utilization"));
+      snapshot.gauge(metric::kServicePoolUtilization.name));
   return completed == submitted ? 0 : 1;
 }
 

@@ -6,15 +6,10 @@
 
 #include "common/check.h"
 #include "obs/json.h"
+#include "obs/metric_table.h"
 
 namespace pr {
 namespace {
-
-const std::vector<double>& QueueDelayBuckets() {
-  static const std::vector<double> buckets = {0.001, 0.003, 0.01, 0.03, 0.1,
-                                              0.3,   1.0,   3.0,  10.0, 30.0};
-  return buckets;
-}
 
 double SteadySeconds() {
   return std::chrono::duration<double>(
@@ -111,7 +106,8 @@ TrainingService::TrainingService(ServiceOptions options)
     : options_(std::move(options)),
       start_seconds_(SteadySeconds()),
       pool_(options_.pool_size) {
-  shard_ = registry_.NewShard();
+  shard_ = registry_.Open(MetricGates().Open(MetricGate::kService),
+                          /*num_workers=*/0);
   for (const auto& [tenant, weight] : options_.tenant_weights) {
     queue_.SetTenantWeight(tenant, weight);
   }
@@ -199,7 +195,7 @@ Status TrainingService::Submit(const JobSpec& spec, int64_t* id) {
   entry.min_workers = spec.engine == EngineKind::kSim ? 1 : spec.min_workers;
   entry.enqueue_seconds = job->submit_seconds;
   queue_.Push(entry);
-  shard_->GetCounter("service.jobs_submitted")->Increment();
+  shard_->Get(metric::kServiceJobsSubmitted)->Increment();
   *id = job->id;
   jobs_.emplace(job->id, std::move(job));
   cv_.notify_all();
@@ -255,14 +251,12 @@ void TrainingService::SchedulerLoop() {
       WorkerPool::Lease lease;
       PR_CHECK(pool_.TryLease(job->id, min_slots, max_slots, &lease));
       queue_.ChargeUsage(job->spec.tenant, lease.size());
-      shard_
-          ->GetCounter("service.tenant." + job->spec.tenant + ".leases")
+      const std::string& tenant = job->spec.tenant;
+      shard_->Get(metric::kServiceTenantLeases, tenant)
           ->Increment(lease.size());
-      shard_->GetCounter("service.tenant." + job->spec.tenant + ".jobs")
-          ->Increment();
+      shard_->Get(metric::kServiceTenantJobs, tenant)->Increment();
       const double now = NowSeconds();
-      shard_
-          ->GetHistogram("service.queue_delay_seconds", QueueDelayBuckets())
+      shard_->Get(metric::kServiceQueueDelay)
           ->Observe(now - job->submit_seconds);
       job->state = JobState::kRunning;
       job->start_seconds = now;
@@ -324,14 +318,13 @@ void TrainingService::PolicyTickLocked(double now) {
   const int desired = scale_policy_->Decide(sample);
   if (desired > lease_cap_) {
     ++lease_cap_;
-    shard_->GetCounter("service.scale.grow")->Increment();
+    shard_->Get(metric::kServiceScaleGrow)->Increment();
     cv_.notify_all();  // the scheduler may now admit wider leases
   } else if (desired < lease_cap_) {
     --lease_cap_;
-    shard_->GetCounter("service.scale.shrink")->Increment();
+    shard_->Get(metric::kServiceScaleShrink)->Increment();
   }
-  shard_->GetGauge("service.scale.lease_cap")
-      ->Set(static_cast<double>(lease_cap_));
+  shard_->Get(metric::kServiceLeaseCap)->Set(static_cast<double>(lease_cap_));
 }
 
 void TrainingService::RunJob(Job* job) {
@@ -340,7 +333,7 @@ void TrainingService::RunJob(Job* job) {
   const int n = job->lease.size();
   const bool sim = job->spec.engine == EngineKind::kSim;
 
-  // Per-job data shard: same task distribution, disjoint draw.
+  // Per-job data shard: DataSeed shifts the data draw by the shard.
   config.run.dataset.seed += static_cast<uint64_t>(
       job->spec.data_shard < 0 ? 0 : job->spec.data_shard);
   // Per-job checkpoint isolation: jobs never share a manifest directory.
@@ -417,9 +410,7 @@ void TrainingService::RunJob(Job* job) {
     } else {
       job->state = JobState::kCompleted;
     }
-    shard_
-        ->GetCounter(std::string("service.jobs_") +
-                     JobStateName(job->state))
+    shard_->Get(metric::kServiceJobsByState, JobStateName(job->state))
         ->Increment();
   }
   cv_.notify_all();
@@ -439,7 +430,8 @@ Status TrainingService::Cancel(int64_t id) {
     PR_CHECK(queue_.Remove(id));
     job->state = JobState::kCancelled;
     job->finish_seconds = NowSeconds();
-    shard_->GetCounter("service.jobs_cancelled")->Increment();
+    shard_->Get(metric::kServiceJobsByState, JobStateName(job->state))
+        ->Increment();
     cv_.notify_all();
     return Status::OK();
   }
@@ -518,6 +510,10 @@ void TrainingService::Drain() {
 
 MetricsSnapshot TrainingService::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
+  shard_->Get(metric::kServicePoolSize)->Set(static_cast<double>(pool_.size()));
+  shard_->Get(metric::kServicePoolUtilization)->Set(pool_.BusyFraction());
+  shard_->Get(metric::kServiceQueueLength)
+      ->Set(static_cast<double>(queue_.size()));
   MetricsSnapshot out = registry_.Snapshot();
   for (const auto& [id, job] : jobs_) {
     const std::string prefix = "job." + std::to_string(id) + ".";
@@ -528,9 +524,6 @@ MetricsSnapshot TrainingService::Snapshot() const {
       PrefixInto(job->outcome.metrics, prefix, &out);
     }
   }
-  out.gauges["service.pool.size"] = static_cast<double>(pool_.size());
-  out.gauges["service.pool.utilization"] = pool_.BusyFraction();
-  out.gauges["service.queue.length"] = static_cast<double>(queue_.size());
   return out;
 }
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "obs/metric_table.h"
 
 namespace pr {
 
@@ -118,7 +119,8 @@ void WorkerPool::AgentLoop(int slot) {
     if (task.shard != nullptr) {
       std::function<double()> now =
           task.now ? task.now : [] { return 0.0; };
-      ep.AttachObservers(task.shard, "pool." + std::to_string(slot),
+      ep.AttachObservers(task.shard,
+                         task.shard->Get(metric::kPoolStashHighWater, slot),
                          /*trace=*/nullptr, std::move(now));
     }
     {

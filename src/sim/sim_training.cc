@@ -12,7 +12,8 @@
 
 namespace pr {
 
-SimTraining::SimTraining(const RunConfig& config)
+SimTraining::SimTraining(const RunConfig& config,
+                         const std::string& resume_manifest)
     : config_(config),
       max_updates_(config.sim.max_updates > 0
                        ? config.sim.max_updates
@@ -28,10 +29,6 @@ SimTraining::SimTraining(const RunConfig& config)
            run.topology.num_workers() == run.num_workers)
       << "topology places " << run.topology.num_workers()
       << " workers but the run has " << run.num_workers;
-  // Eagerly registered so flat sim runs expose the same transport.* names
-  // as topology-aware ones and as the threaded Endpoint.
-  metrics_shard_->GetCounter("transport.inter_node_bytes");
-
   // Chaos scenario: compile the trace against this run's shape and merge
   // the result into the fault plan before anything reads it. Depart/arrive
   // windows go to scenario_churn_ for the strategy to schedule in virtual
@@ -45,9 +42,20 @@ SimTraining::SimTraining(const RunConfig& config)
     config_.run.fault = std::move(compiled.fault);
     scenario_churn_ = std::move(compiled.churn);
   }
+  const bool resuming = !resume_manifest.empty();
+  RegisterRunMetrics(&registry_, config_.strategy, config_.run,
+                     EngineKind::kSim, resuming);
+  MetricsShard* m = metrics_shard_;
+  traffic_ = {m->Get(metric::kTransportBytesSent),
+              m->Get(metric::kTransportBytesReceived),
+              m->Get(metric::kTransportPayloadCopies),
+              m->Get(metric::kTransportInterNodeBytes),
+              m->Get(metric::kCompressBytesIn),
+              m->Get(metric::kCompressBytesOut),
+              m->Get(metric::kCompressRatio)};
 
   SyntheticSpec spec = run.dataset;
-  spec.seed = run.seed;  // the run seed controls the data too
+  spec.seed = DataSeed(run);
   split_ = GenerateSynthetic(spec);
 
   model_ = MakeProxyModel(run.model, spec.dim, spec.num_classes);
@@ -84,6 +92,15 @@ SimTraining::SimTraining(const RunConfig& config)
     timeline_ = std::make_unique<Timeline>(run.num_workers);
   }
   eval_scratch_.resize(model_->NumParams());
+
+  if (run.ckpt.enabled() || resuming) {
+    PR_CHECK(CheckpointSupported(config_.strategy.kind))
+        << "strategy " << StrategyKindName(config_.strategy.kind)
+        << " does not support coordinated checkpointing";
+    const Status s = EnableCheckpoint(resume_manifest);
+    PR_CHECK(s.ok()) << "resuming from " << resume_manifest << ": "
+                     << s.message();
+  }
 }
 
 void SimTraining::RecordActivity(int worker, WorkerActivity activity,
@@ -314,14 +331,27 @@ void SimTraining::EvaluateNow() {
   if (!config_.sim.timing_only) MaybeEvaluate();
 }
 
+double SimTraining::ChargeReduceTraffic(size_t p, CompressionKind kind) {
+  const RingTraffic t = GroupAllReduceTraffic(num_params(), p, kind);
+  traffic_.bytes_sent->Increment(t.bytes);
+  traffic_.bytes_received->Increment(t.bytes);
+  traffic_.payload_copies->Increment(t.payload_copies);
+  if (traffic_.codec_bytes_in != nullptr && t.codec_bytes_out > 0.0) {
+    traffic_.codec_bytes_in->Increment(t.codec_bytes_in);
+    traffic_.codec_bytes_out->Increment(t.codec_bytes_out);
+    traffic_.codec_ratio->Set(traffic_.codec_bytes_in->value() /
+                              traffic_.codec_bytes_out->value());
+  }
+  return t.bytes;
+}
+
 void SimTraining::RecordReduceTraffic(size_t p, CompressionKind kind) {
-  (void)ChargeGroupAllReduceTraffic(num_params(), p, kind, metrics_shard_);
+  (void)ChargeReduceTraffic(p, kind);
 }
 
 void SimTraining::RecordReduceTraffic(const std::vector<int>& members,
                                       CompressionKind kind) {
-  const double bytes = ChargeGroupAllReduceTraffic(
-      num_params(), members.size(), kind, metrics_shard_);
+  const double bytes = ChargeReduceTraffic(members.size(), kind);
   const Topology& topology = config_.run.topology;
   if (bytes <= 0.0 || topology.flat()) return;
   // Each ring edge carries an equal 1/p share of the group total; credit
@@ -334,8 +364,8 @@ void SimTraining::RecordReduceTraffic(const std::vector<int>& members,
   }
   if (cross_edges > 0) {
     const double per_edge = bytes / static_cast<double>(members.size());
-    metrics_shard_->GetCounter("transport.inter_node_bytes")
-        ->Increment(per_edge * static_cast<double>(cross_edges));
+    traffic_.inter_node_bytes->Increment(per_edge *
+                                         static_cast<double>(cross_edges));
   }
 }
 
@@ -362,31 +392,21 @@ RunResult SimTraining::BuildResult(const std::string& strategy_name) {
     const double fraction = engine_.now() > 0.0 ? wait / engine_.now() : 0.0;
     idle += fraction;
     result.worker_iterations.push_back(static_cast<size_t>(ws.iteration));
-    const std::string prefix = "worker." + std::to_string(w);
-    metrics_shard_->GetCounter(prefix + ".idle_seconds")->Increment(wait);
-    metrics_shard_->GetGauge(prefix + ".idle_fraction")->Set(fraction);
-    metrics_shard_->GetCounter(prefix + ".iterations")
+    const int i = static_cast<int>(w);
+    metrics_shard_->Get(metric::kWorkerIdleSeconds, i)->Increment(wait);
+    metrics_shard_->Get(metric::kWorkerIdleFraction, i)->Set(fraction);
+    metrics_shard_->Get(metric::kWorkerIterations, i)
         ->Increment(static_cast<double>(ws.iteration));
   }
   result.mean_idle_fraction = idle / static_cast<double>(workers_.size());
 
-  // Run-level metrics under the names shared with the threaded runtime
-  // (run.sim_seconds takes wall_seconds' place: the engines differ exactly
-  // in which clock they advance).
-  metrics_shard_->GetGauge("run.sim_seconds")->Set(engine_.now());
-  metrics_shard_->GetCounter("run.updates")
+  // run.sim_seconds takes run.wall_seconds' place: the engines differ
+  // exactly in which clock they advance.
+  metrics_shard_->Get(metric::kRunSimSeconds)->Set(engine_.now());
+  metrics_shard_->Get(metric::kRunUpdates)
       ->Increment(static_cast<double>(updates_));
-  metrics_shard_->GetCounter("engine.events_processed")
+  metrics_shard_->Get(metric::kEngineEventsProcessed)
       ->Increment(static_cast<double>(engine_.events_processed()));
-  // Traffic counters exist in every snapshot (zero when a strategy moved no
-  // payloads), matching the threaded engine where the Endpoint registers
-  // them unconditionally.
-  metrics_shard_->GetCounter("transport.bytes_sent");
-  metrics_shard_->GetCounter("transport.bytes_received");
-  metrics_shard_->GetCounter("transport.payload_copies");
-  // The sim has no out-of-order stash (event delivery is ordered), so the
-  // purge counter is always zero — registered for cross-engine name parity.
-  metrics_shard_->GetCounter("transport.stash_purged");
   result.metrics = registry_.Snapshot();
   result.trace = trace_.Log();
   return result;

@@ -37,9 +37,13 @@ namespace pr {
 /// Built from a RunConfig: `run` describes the workload exactly as the
 /// threaded engine reads it, `sim` adds the cost model, heterogeneity and
 /// stop rules. A scenario in `run` is compiled into `run().fault` here.
+/// A run with `run.ckpt` enabled, or given `resume_manifest`, joins the
+/// coordinated checkpoint; the manifest seeds replicas, velocity, counters,
+/// samplers and the update count (LoadResume's checks failing aborts).
 class SimTraining {
  public:
-  explicit SimTraining(const RunConfig& config);
+  explicit SimTraining(const RunConfig& config,
+                       const std::string& resume_manifest = "");
 
   SimEngine* engine() { return &engine_; }
   const RunOptions& run() const { return config_.run; }
@@ -96,17 +100,11 @@ class SimTraining {
     return workers_[static_cast<size_t>(worker)].batches_drawn;
   }
 
-  /// Opts the run into the coordinated checkpoint and, given
-  /// `resume_manifest`, seeds replicas, velocity, counters, samplers and the
-  /// update count from it (LoadResume). Call before the strategy is
-  /// constructed.
-  Status EnableCheckpoint(const std::string& resume_manifest);
-
   /// At `worker`'s synchronization boundary: cuts its shard when local
   /// iteration `completed` is a cut point (CutEpoch), once per count, and
   /// reports it; `stamp` adds the controller's state. With `barrier`
-  /// (All-Reduce) worker 0's shard stands for every worker. No-op without
-  /// EnableCheckpoint.
+  /// (All-Reduce) worker 0's shard stands for every worker. No-op outside a
+  /// checkpointed run.
   void CutCheckpoint(int worker, int64_t iteration, size_t completed,
                      const std::function<void(RunManifest*)>& stamp,
                      bool barrier = false);
@@ -136,24 +134,24 @@ class SimTraining {
     return scenario_churn_;
   }
 
-  /// Accounts the traffic a `p`-member group reduce over the full model
-  /// moves on the threaded engine's data plane, under the same transport.*
-  /// and compress.* names: ChargeGroupAllReduceTraffic, the ring's own
-  /// traffic model, walked from the ring's chunk and segment layout.
+  /// Charges the traffic a `p`-member group reduce over the full model
+  /// moves on the threaded engine's data plane to the transport.* and
+  /// compress.* instruments the threaded Endpoints and Compressors count:
+  /// GroupAllReduceTraffic, the ring's own traffic model.
   void RecordReduceTraffic(size_t p,
                            CompressionKind kind = CompressionKind::kNone);
 
   /// Member-aware variant: additionally splits the ring traffic over the
   /// run topology, crediting the share moved over node-crossing ring edges
-  /// to `transport.inter_node_bytes` (same name the threaded Endpoint
-  /// maintains). Each of the group's ring edges carries an equal 1/p share
-  /// of the total, which is exact for the segmented ring's uniform chunking.
+  /// to `transport.inter_node_bytes`. Each of the group's ring edges
+  /// carries an equal 1/p share of the total, which is exact for the
+  /// segmented ring's uniform chunking.
   void RecordReduceTraffic(const std::vector<int>& members,
                            CompressionKind kind = CompressionKind::kNone);
 
   /// The run's metrics shard (the simulator is single-threaded, so one
-  /// shard serves every strategy) and trace recorder. Strategies register
-  /// their instruments here under the shared naming convention.
+  /// shard serves every strategy) and trace recorder. Strategies fetch
+  /// their instruments here through the metric table.
   MetricsShard* metrics() { return metrics_shard_; }
   TraceRecorder* trace() { return &trace_; }
 
@@ -198,6 +196,21 @@ class SimTraining {
     double total_wait = 0.0;
   };
 
+  /// The handles RecordReduceTraffic charges; the compress.* ones are null
+  /// without a codec.
+  struct TrafficMetrics {
+    Counter* bytes_sent = nullptr;
+    Counter* bytes_received = nullptr;
+    Counter* payload_copies = nullptr;
+    Counter* inter_node_bytes = nullptr;
+    Counter* codec_bytes_in = nullptr;
+    Counter* codec_bytes_out = nullptr;
+    Gauge* codec_ratio = nullptr;
+  };
+
+  Status EnableCheckpoint(const std::string& resume_manifest);
+  /// Charges one group reduce; returns the bytes sent.
+  double ChargeReduceTraffic(size_t p, CompressionKind kind);
   void MaybeEvaluate();
   const float* EvalParams();
 
@@ -207,6 +220,7 @@ class SimTraining {
   SimEngine engine_;
   MetricsRegistry registry_;
   MetricsShard* metrics_shard_;  // owned by registry_
+  TrafficMetrics traffic_;
   TraceRecorder trace_;
   Rng rng_;
   TrainTestSplit split_;
@@ -219,7 +233,7 @@ class SimTraining {
   std::function<const float*()> eval_provider_;
   std::vector<float> eval_scratch_;
 
-  /// Checkpoint wiring (see EnableCheckpoint).
+  /// Checkpoint wiring.
   std::unique_ptr<CkptCoordinator> ckpt_;
   std::optional<RunManifest> resume_;
 

@@ -12,15 +12,18 @@ PReduceStrategy::PReduceStrategy(SimTraining* ctx,
                                  const StrategyOptions& options)
     : ctx_(ctx),
       options_(options),
-      scenario_metrics_(
-          ScenarioMode(ctx->run().scenario, options.scale_policy)
-              ? RegisterScenarioMetrics(ctx->metrics(), ctx->run().scenario)
-              : ScenarioMetrics{}),
       service_(options, ctx->num_workers(), ctx->run().topology,
-               ctx->run().fault, scenario_metrics_,
+               ctx->run().fault,
                {ctx->metrics(), ctx->trace(),
                 [ctx] { return ctx->engine()->now(); }},
-               ctx->resume()) {
+               ctx->resume()),
+      injected_drops_(ctx->metrics()->Get(metric::kFaultInjectedDrops)),
+      injected_delays_(ctx->metrics()->Get(metric::kFaultInjectedDelays)),
+      severed_drops_(ctx->metrics()->Get(metric::kFaultSeveredDrops)),
+      partitions_applied_(
+          ctx->metrics()->Get(metric::kScenarioPartitionsApplied)),
+      scale_grow_(ctx->metrics()->Get(metric::kScenarioScaleGrow)),
+      scale_shrink_(ctx->metrics()->Get(metric::kScenarioScaleShrink)) {
   const size_t n = static_cast<size_t>(ctx->num_workers());
   const FaultPlan& plan = ctx->run().fault;
   workers_.reserve(n);
@@ -90,7 +93,7 @@ void PReduceStrategy::ScalePolicyTick() {
           !core.pause_requested() && !envs_[i].scale_paused) {
         envs_[i].scale_paused = true;
         core.RequestPause();
-        scenario_metrics_.scale_shrink->Increment();
+        scale_shrink_->Increment();
         break;
       }
     }
@@ -101,7 +104,7 @@ void PReduceStrategy::ScalePolicyTick() {
       if (!envs_[i].scale_paused) continue;
       envs_[i].scale_paused = false;
       ScenarioRejoin(w);
-      scenario_metrics_.scale_grow->Increment();
+      scale_grow_->Increment();
       break;
     }
   }
@@ -141,9 +144,7 @@ void PReduceStrategy::Start() {
   // group, which is exactly what leaving models.
   for (const PartitionEvent& p : ctx_->run().fault.partition_events) {
     ctx_->engine()->ScheduleAt(p.start_seconds, [this, p] {
-      if (scenario_metrics_.partitions_applied != nullptr) {
-        scenario_metrics_.partitions_applied->Increment();
-      }
+      if (partitions_applied_ != nullptr) partitions_applied_->Increment();
       ScenarioLeave(p.worker);
     });
     ctx_->engine()->ScheduleAt(p.start_seconds + p.duration_seconds,
@@ -268,7 +269,7 @@ void PReduceStrategy::SendToService(int worker, int kind,
                     envs_[static_cast<size_t>(worker)].send_seq++)) {
     // Mirror the worker->controller edge of the threaded fabric; the core's
     // re-sends recover.
-    service_.fault_metrics().injected_drops->Increment();
+    injected_drops_->Increment();
     return;
   }
   // The hop pays any deterministic link latency the plan lists on that
@@ -278,13 +279,13 @@ void PReduceStrategy::SendToService(int worker, int kind,
   const double link = plan.LinkDelay(worker, controller);
   if (link > 0.0) {
     hop += link;
-    service_.fault_metrics().injected_delays->Increment();
+    injected_delays_->Increment();
   }
   ctx_->engine()->ScheduleAfter(
       hop, [this, worker, kind, ints = std::move(ints)] {
         if (service_.down()) {
           // The message dies at the severed endpoint.
-          service_.fault_metrics().severed_drops->Increment();
+          severed_drops_->Increment();
           return;
         }
         Apply(service_.Receive(worker, kind, ints));
@@ -332,7 +333,7 @@ void PReduceStrategy::Join(const std::shared_ptr<const GroupDecision>& group) {
         info_delay + 2.0 * static_cast<double>(p - 1) * worst_edge;
     if (stall > 0.0) {
       comm += stall;
-      service_.fault_metrics().injected_delays->Increment();
+      injected_delays_->Increment();
     }
   }
   ctx_->engine()->ScheduleAfter(

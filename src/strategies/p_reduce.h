@@ -108,9 +108,15 @@ class PReduceStrategy : public Strategy {
 
   SimTraining* ctx_;
   StrategyOptions options_;
-  /// Registered in scenario mode (ScenarioMode); null handles otherwise.
-  ScenarioMetrics scenario_metrics_;
   PReduceService service_;
+  // fault.* and scenario.* handles; null when the run's gates leave them
+  // closed.
+  Counter* injected_drops_;
+  Counter* injected_delays_;
+  Counter* severed_drops_;
+  Counter* partitions_applied_;
+  Counter* scale_grow_;
+  Counter* scale_shrink_;
   std::vector<PReduceWorker> workers_;
   std::vector<WorkerEnv> envs_;
   std::map<uint64_t, Ring> rings_;

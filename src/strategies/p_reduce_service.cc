@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "obs/metric_table.h"
 
 namespace pr {
 namespace {
@@ -82,54 +83,14 @@ ControlMessage EncodeServiceAction(const ServiceAction& action) {
   return m;
 }
 
-FaultMetrics RegisterFaultMetrics(MetricsShard* metrics) {
-  FaultMetrics m;
-  m.injected_drops = metrics->GetCounter("fault.injected_drops");
-  metrics->GetCounter("fault.injected_dups");  // only the injector counts it
-  m.injected_delays = metrics->GetCounter("fault.injected_delays");
-  m.severed_drops = metrics->GetCounter("fault.severed_drops");
-  m.retries = metrics->GetCounter("fault.retries");
-  m.evictions = metrics->GetCounter("fault.evictions");
-  m.aborted_groups = metrics->GetCounter("fault.aborted_groups");
-  m.heartbeats = metrics->GetCounter("fault.heartbeats");
-  m.failovers = metrics->GetCounter("controller.failovers");
-  m.reregistrations = metrics->GetCounter("controller.reregistrations");
-  return m;
-}
-
-bool ScenarioMode(const ScenarioSpec& scenario,
-                  const ScalePolicyConfig& scale_policy) {
-  return scenario.enabled() || scale_policy.enabled() ||
-         scale_policy.degradation_enabled();
-}
-
-ScenarioMetrics RegisterScenarioMetrics(MetricsShard* metrics,
-                                        const ScenarioSpec& scenario) {
-  for (const auto& [name, count] : ScenarioMetricCounts(scenario)) {
-    metrics->GetCounter(name)->Increment(count);
-  }
-  ScenarioMetrics m;
-  m.partitions_applied = metrics->GetCounter("scenario.partitions_applied");
-  m.scale_grow = metrics->GetCounter("scenario.scale.grow");
-  m.scale_shrink = metrics->GetCounter("scenario.scale.shrink");
-  m.small_groups = metrics->GetCounter("scenario.degrade.small_groups");
-  m.local_steps = metrics->GetCounter("scenario.degrade.local_steps");
-  m.forced_ckpts = metrics->GetCounter("scenario.degrade.forced_ckpts");
-  return m;
-}
-
 PReduceService::PReduceService(const StrategyOptions& options,
                                int num_workers, const Topology& topology,
-                               const FaultPlan& plan,
-                               const ScenarioMetrics& scenario,
-                               Observers observers,
+                               const FaultPlan& plan, Observers observers,
                                const RunManifest* resume)
     : controller_options_(
           ControllerOptionsFrom(options, num_workers, topology)),
       stuck_abort_reports_(plan.stuck_abort_reports),
       observers_(std::move(observers)),
-      small_groups_(scenario.small_groups),
-      local_steps_(scenario.local_steps),
       min_p_(options.scale_policy.min_group_size > 0
                  ? std::max(2, std::min(options.scale_policy.min_group_size,
                                         options.group_size))
@@ -137,8 +98,14 @@ PReduceService::PReduceService(const StrategyOptions& options,
       liveness_floor_(options.scale_policy.liveness_floor),
       outages_(plan.controller_events),
       workers_(static_cast<size_t>(num_workers)) {
-  if (plan.enabled() && observers_.metrics != nullptr) {
-    fault_ = RegisterFaultMetrics(observers_.metrics);
+  if (MetricsShard* m = observers_.metrics) {
+    aborted_groups_ = m->Get(metric::kFaultAbortedGroups);
+    heartbeats_ = m->Get(metric::kFaultHeartbeats);
+    evictions_ = m->Get(metric::kFaultEvictions);
+    failovers_ = m->Get(metric::kControllerFailovers);
+    reregistrations_ = m->Get(metric::kControllerReregistrations);
+    small_groups_ = m->Get(metric::kScenarioSmallGroups);
+    local_steps_ = m->Get(metric::kScenarioLocalSteps);
   }
   std::stable_sort(
       outages_.begin(), outages_.end(),
@@ -303,7 +270,7 @@ void PReduceService::AbortGroup(uint64_t group_id, int dead,
   if (it == in_flight_.end()) return;
   const InFlightGroup f = std::move(it->second);
   in_flight_.erase(it);
-  Bump(fault_.aborted_groups);
+  Bump(aborted_groups_);
   Trace(TraceEventKind::kGroupAborted, -1, static_cast<int64_t>(group_id));
   for (int m : f.group->members) {
     if (f.done.count(m) != 0) continue;  // completed before the stall
@@ -454,7 +421,7 @@ ServiceActions PReduceService::Rejoin(int worker) {
 
 void PReduceService::Heartbeat(int worker) {
   if (!serving()) return;
-  Bump(fault_.heartbeats);
+  Bump(heartbeats_);
   Trace(TraceEventKind::kHeartbeat, worker);
 }
 
@@ -499,7 +466,7 @@ ServiceActions PReduceService::Reregister(const ReregisterSnapshot& snapshot) {
   if (down() || workers_[static_cast<size_t>(worker)].member == Member::kLeft) {
     return out;
   }
-  Bump(fault_.reregistrations);
+  Bump(reregistrations_);
   Trace(TraceEventKind::kWorkerReregister, worker, snapshot.iteration);
   out.push_back(Action(ServiceAction::Kind::kReregisterAck, worker));
   if (serving()) {
@@ -522,7 +489,7 @@ ServiceActions PReduceService::Reregister(const ReregisterSnapshot& snapshot) {
 ServiceActions PReduceService::Evict(int worker) {
   ServiceActions out;
   if (!active(worker)) return out;
-  Bump(fault_.evictions);
+  Bump(evictions_);
   Trace(TraceEventKind::kWorkerEvicted, worker);
   Worker& w = workers_[static_cast<size_t>(worker)];
   if (serving() && w.wait == Wait::kInGroup) {
@@ -555,7 +522,7 @@ ControllerFaultEvent PReduceService::Crash() {
 
 void PReduceService::BeginRecovery() {
   PR_CHECK(down());
-  Bump(fault_.failovers);
+  Bump(failovers_);
   Trace(TraceEventKind::kControllerRestart, -1,
         static_cast<int64_t>(next_outage_));
   AccumulateControllerStats(controller_->stats(), &retired_stats_);

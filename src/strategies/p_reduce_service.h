@@ -36,42 +36,6 @@ constexpr int kKindReregisterAck = 12;  ///< service: snapshot recorded
 constexpr int kKindCkptReport = 13;     ///< worker: {epoch, iteration, done}
 constexpr int kKindWorkersReturned = 14;  ///< the last local body returned
 
-/// \brief The fault.* family plus controller.failovers and
-/// controller.reregistrations. Fault-tolerant runs register every name, so a
-/// chaos run's report carries them even when an injector never fired.
-struct FaultMetrics {
-  Counter* injected_drops = nullptr;
-  Counter* injected_delays = nullptr;
-  Counter* severed_drops = nullptr;
-  Counter* retries = nullptr;
-  Counter* evictions = nullptr;
-  Counter* aborted_groups = nullptr;
-  Counter* heartbeats = nullptr;
-  Counter* failovers = nullptr;
-  Counter* reregistrations = nullptr;
-};
-FaultMetrics RegisterFaultMetrics(MetricsShard* metrics);
-
-/// \brief The scenario.* family's runtime counters.
-struct ScenarioMetrics {
-  Counter* partitions_applied = nullptr;
-  Counter* scale_grow = nullptr;
-  Counter* scale_shrink = nullptr;
-  Counter* small_groups = nullptr;  ///< scenario.degrade.small_groups
-  Counter* local_steps = nullptr;   ///< scenario.degrade.local_steps
-  Counter* forced_ckpts = nullptr;  ///< scenario.degrade.forced_ckpts
-};
-
-/// True when a run carries a scenario, a scale policy or degradation gates;
-/// such a run registers the scenario.* family.
-bool ScenarioMode(const ScenarioSpec& scenario,
-                  const ScalePolicyConfig& scale_policy);
-
-/// Registers the scenario.* family: `scenario`'s compile counts (zeros
-/// included) and the scale/degrade counters.
-ScenarioMetrics RegisterScenarioMetrics(MetricsShard* metrics,
-                                        const ScenarioSpec& scenario);
-
 /// A worker's protocol state, re-announced to a restarted controller.
 struct ReregisterSnapshot {
   int worker = -1;
@@ -143,8 +107,7 @@ class PReduceService {
   /// history window and group-id counter.
   PReduceService(const StrategyOptions& options, int num_workers,
                  const Topology& topology, const FaultPlan& plan,
-                 const ScenarioMetrics& scenario, Observers observers,
-                 const RunManifest* resume = nullptr);
+                 Observers observers, const RunManifest* resume = nullptr);
 
   /// Decodes one worker message (a kKind* and its ints) into the matching
   /// input below; malformed or unknown messages are dropped.
@@ -183,8 +146,6 @@ class PReduceService {
   /// ends when this reaches zero.
   int remaining() const;
   uint64_t groups_formed() const { return groups_formed_; }
-  /// The fault.* handles (null outside fault-tolerant runs).
-  const FaultMetrics& fault_metrics() const { return fault_; }
   /// The current controller incarnation.
   const Controller& controller() const { return *controller_; }
   /// Stats summed over every controller incarnation.
@@ -238,7 +199,13 @@ class PReduceService {
   ControllerOptions controller_options_;
   int stuck_abort_reports_ = 0;
   Observers observers_;
-  FaultMetrics fault_;
+  // The fault.* and scenario.degrade.* handles; null when the run's gates
+  // leave them closed.
+  Counter* aborted_groups_ = nullptr;
+  Counter* heartbeats_ = nullptr;
+  Counter* evictions_ = nullptr;
+  Counter* failovers_ = nullptr;
+  Counter* reregistrations_ = nullptr;
   Counter* small_groups_ = nullptr;
   Counter* local_steps_ = nullptr;
   int min_p_ = 0;  ///< the smallest group worth forming

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/metric_table.h"
+
 namespace pr {
 namespace {
 
@@ -30,8 +32,8 @@ PReduceWorker::PReduceWorker(int worker, const StrategyOptions& options,
       trace_(observers.trace),
       iteration_(iteration),
       completed_(completed) {
-  if (plan.enabled() && observers.metrics != nullptr) {
-    retries_ = RegisterFaultMetrics(observers.metrics).retries;
+  if (observers.metrics != nullptr) {
+    retries_ = observers.metrics->Get(metric::kFaultRetries);
   }
 }
 

@@ -12,6 +12,7 @@
 #include "fault/fault_plan.h"
 #include "hetero/hetero.h"
 #include "models/catalog.h"
+#include "obs/metric_table.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optim/sgd.h"
@@ -40,7 +41,8 @@ struct RunOptions {
   size_t batch_size = 32;
   ProxyModelSpec model;
   /// The synthetic task and its partitioning (`dirichlet_alpha`); drawn
-  /// with the run seed.
+  /// with DataSeed: the run seed, shifted by `dataset.seed`'s distance from
+  /// its default (the job service's data shards).
   SyntheticSpec dataset;
   /// Injected per-iteration sleep per worker (seconds); empty = no sleeps.
   /// Threaded engine only.
@@ -111,6 +113,59 @@ struct RunConfig {
   RunOptions run;
   SimOptions sim;
 };
+
+/// The seed both engines draw the synthetic data with: the run seed,
+/// offset by `run.dataset.seed - SyntheticSpec().seed`. A run that leaves
+/// `dataset.seed` at its default draws with the run seed itself; the job
+/// service adds a job's data shard to `dataset.seed`.
+inline uint64_t DataSeed(const RunOptions& run) {
+  return run.seed + (run.dataset.seed - SyntheticSpec().seed);
+}
+
+/// True when a run carries a scenario, a scale policy or degradation gates;
+/// such a run opens the scenario.* gate.
+inline bool ScenarioMode(const ScenarioSpec& scenario,
+                         const ScalePolicyConfig& scale_policy) {
+  return scenario.enabled() || scale_policy.enabled() ||
+         scale_policy.degradation_enabled();
+}
+
+/// The metric gates (obs/metric_table.h) a run opens on `engine`. `run` is
+/// the compiled run, so a scenario merged into its fault plan opens the
+/// fault gate; `resumed` opens the checkpoint gate without a checkpoint
+/// directory.
+inline MetricGates RunMetricGates(const StrategyOptions& strategy,
+                                  const RunOptions& run, EngineKind engine,
+                                  bool resumed) {
+  const StrategyKind kind = strategy.kind;
+  return MetricGates()
+      .Open(MetricGate::kController, IsPReduce(kind))
+      .Open(MetricGate::kServer,
+            IsPsFamily(kind) || kind == StrategyKind::kEagerReduce)
+      .Open(MetricGate::kFault, run.fault.enabled())
+      .Open(MetricGate::kScenario,
+            ScenarioMode(run.scenario, strategy.scale_policy))
+      .Open(MetricGate::kCkpt, run.ckpt.enabled() || resumed)
+      .Open(MetricGate::kCompression,
+            strategy.compression != CompressionKind::kNone)
+      .Open(MetricGate::kThreaded, engine == EngineKind::kThreaded)
+      .Open(MetricGate::kSim, engine == EngineKind::kSim);
+}
+
+/// Opens `registry` with the run's gates and registers every metric they
+/// open, the scenario's compile counts included. Both engines call it once
+/// at run start; returns the shard holding the registrations.
+inline MetricsShard* RegisterRunMetrics(MetricsRegistry* registry,
+                                        const StrategyOptions& strategy,
+                                        const RunOptions& run,
+                                        EngineKind engine, bool resumed) {
+  MetricsShard* shard = registry->Open(
+      RunMetricGates(strategy, run, engine, resumed), run.num_workers);
+  for (const auto& [def, count] : ScenarioMetricCounts(run.scenario)) {
+    if (Counter* c = shard->Get(*def)) c->Increment(count);
+  }
+  return shard;
+}
 
 /// \brief One point of a simulated convergence curve (Fig. 7 / Fig. 10).
 struct CurvePoint {

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "obs/metric_table.h"
 #include "tensor/ops.h"
 
 namespace pr {
@@ -44,10 +45,9 @@ ServerCore::ServerCore(const StrategyOptions& options, int num_workers,
       PR_CHECK(false) << StrategyKindName(kind_) << " has no central server";
   }
   if (synchronous()) round_sum_.assign(model_.size(), 0.0f);
-  versions_ = observers_.metrics->GetCounter("ps.versions");
-  wasted_ = observers_.metrics->GetCounter("ps.wasted_gradients");
-  staleness_ = observers_.metrics->GetHistogram("ps.push_staleness",
-                                                StalenessBuckets());
+  versions_ = observers_.metrics->Get(metric::kPsVersions);
+  wasted_ = observers_.metrics->Get(metric::kPsWastedGradients);
+  staleness_ = observers_.metrics->Get(metric::kPsPushStaleness);
 }
 
 bool ServerCore::synchronous() const {

@@ -101,42 +101,43 @@ struct StrategyOptions {
 };
 
 /// Eager-Reduce's quorum: `er_quorum` when set, else the majority
-/// floor(N/2) + 1 (ServerCore's round target; UpdateBudget's ER divisor).
+/// floor(N/2) + 1 (ServerCore's round target; GradientsPerUpdate's ER value).
 inline int EagerReduceQuorum(const StrategyOptions& options, int num_workers) {
   return options.er_quorum > 0 ? options.er_quorum : num_workers / 2 + 1;
 }
 
-/// Global updates that consume the gradient budget num_workers x
-/// iterations_per_worker: an AR, PS-BSP or PS-BK round takes N gradients,
-/// a P-Reduce group P, an Eager-Reduce round its quorum, an AD-PSGD pair 2
-/// and an asynchronous push 1. The simulator stops there unless the run
-/// caps its updates itself.
-inline size_t UpdateBudget(const StrategyOptions& options, int num_workers,
-                           size_t iterations_per_worker) {
-  int per_update = 1;
+/// Gradients one global update incorporates: N for an AR, PS-BSP or PS-BK
+/// round, P for a P-Reduce group, the quorum for an Eager-Reduce round, 2
+/// for an AD-PSGD pair and 1 for an asynchronous push.
+inline int GradientsPerUpdate(const StrategyOptions& options,
+                              int num_workers) {
   switch (options.kind) {
     case StrategyKind::kAllReduce:
     case StrategyKind::kPsBsp:
     case StrategyKind::kPsBackup:
-      per_update = num_workers;
-      break;
+      return num_workers;
     case StrategyKind::kPReduceConst:
     case StrategyKind::kPReduceDynamic:
-      per_update = std::max(1, options.group_size);
-      break;
+      return std::max(1, options.group_size);
     case StrategyKind::kEagerReduce:
-      per_update = EagerReduceQuorum(options, num_workers);
-      break;
+      return EagerReduceQuorum(options, num_workers);
     case StrategyKind::kAdPsgd:
-      per_update = 2;
-      break;
+      return 2;
     case StrategyKind::kPsAsp:
     case StrategyKind::kPsHete:
       break;
   }
+  return 1;
+}
+
+/// Global updates that consume the gradient budget num_workers x
+/// iterations_per_worker at GradientsPerUpdate each. The simulator stops
+/// there unless the run caps its updates itself.
+inline size_t UpdateBudget(const StrategyOptions& options, int num_workers,
+                           size_t iterations_per_worker) {
   const double updates = static_cast<double>(num_workers) *
                          static_cast<double>(iterations_per_worker) /
-                         per_update;
+                         GradientsPerUpdate(options, num_workers);
   return static_cast<size_t>(std::max(1.0, updates + 0.5));
 }
 

@@ -28,16 +28,8 @@ RunResult FromThreaded(ThreadedRunResult result) {
 
 /// One simulated run, resumed from `resume_manifest` when it is non-empty.
 RunResult RunSim(const RunConfig& config, const std::string& resume_manifest) {
-  SimTraining ctx(config);
+  SimTraining ctx(config, resume_manifest);
   const std::string strategy_name = StrategyKindName(config.strategy.kind);
-  if (config.run.ckpt.enabled() || !resume_manifest.empty()) {
-    PR_CHECK(CheckpointSupported(config.strategy.kind))
-        << "strategy " << strategy_name
-        << " does not support coordinated checkpointing";
-    const Status s = ctx.EnableCheckpoint(resume_manifest);
-    PR_CHECK(s.ok()) << "resuming from " << resume_manifest << ": "
-                     << s.message();
-  }
   std::unique_ptr<Strategy> strategy = MakeStrategy(config.strategy, &ctx);
   strategy->Start();
   ctx.engine()->RunUntil([&] { return ctx.stopped(); },

@@ -47,17 +47,6 @@ RunConfig ChaosConfig(uint64_t seed, StrategyKind kind) {
   return config;
 }
 
-void CheckFaultMetricNames(const MetricsSnapshot& metrics,
-                           const std::string& engine) {
-  for (const char* name :
-       {"fault.injected_drops", "fault.injected_dups",
-        "fault.injected_delays", "fault.evictions", "fault.aborted_groups",
-        "fault.retries"}) {
-    EXPECT_TRUE(metrics.counters.count(name) != 0)
-        << engine << " run report is missing " << name;
-  }
-}
-
 void CheckReportJson(const std::string& json, const std::string& engine) {
   for (const char* name : {"fault.injected_drops", "fault.evictions",
                            "fault.aborted_groups", "fault.retries"}) {
@@ -93,8 +82,7 @@ void RunThreadedChaos(uint64_t seed, StrategyKind kind) {
     }
   }
 
-  // The full fault.* family shows up in the metrics and the JSON report.
-  CheckFaultMetricNames(result.metrics, "threaded");
+  // The fault.* family shows up in the JSON report.
   CheckReportJson(RunReportJson(result), "threaded");
 }
 
@@ -274,7 +262,6 @@ TEST(ChaosTest, SimulatorMirrorsCrashRecoveryAcrossSeeds) {
     EXPECT_GE(result.metrics.counter("fault.evictions"), 1.0);
     EXPECT_GE(result.metrics.counter("fault.aborted_groups"), 1.0);
     EXPECT_GT(result.updates, 0u);
-    CheckFaultMetricNames(result.metrics, "sim");
     CheckReportJson(RunReportJson(result), "sim");
   }
 }
@@ -438,20 +425,6 @@ TEST(ChaosTest, SimControllerStatsSurviveRestart) {
               result.metrics.counter("controller.frozen_detections"));
     EXPECT_EQ(static_cast<double>(result.controller_stats.bridged_groups),
               result.metrics.counter("controller.bridged_groups"));
-  }
-}
-
-TEST(ChaosTest, FailoverMetricNamesMatchAcrossEngines) {
-  ThreadedRunResult threaded =
-      RunThreaded(ThreadedFailoverConfig(1, /*restart=*/true));
-  RunResult sim = RunSimFailover(1, /*restart=*/true);
-  for (const char* name :
-       {"controller.failovers", "controller.reregistrations",
-        "fault.severed_drops"}) {
-    EXPECT_TRUE(threaded.metrics.counters.count(name) != 0)
-        << "threaded run report is missing " << name;
-    EXPECT_TRUE(sim.metrics.counters.count(name) != 0)
-        << "sim run report is missing " << name;
   }
 }
 

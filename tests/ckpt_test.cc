@@ -289,29 +289,6 @@ TEST(CkptRestoreTest, SimAllReduceCheckpoints) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-engine metric-name parity for the ckpt.* family.
-// ---------------------------------------------------------------------------
-
-TEST(CkptRestoreTest, CkptMetricNamesMatchAcrossEngines) {
-  CkptDir tdir("parity_threaded");
-  CkptDir sdir("parity_sim");
-  ThreadedRunResult threaded = RunThreaded(
-      SmallThreadedConfig(StrategyKind::kAllReduce, tdir.path()));
-  RunResult sim =
-      StartRun(SmallSimConfig(StrategyKind::kPReduceConst, sdir.path()),
-               EngineKind::kSim);
-
-  for (const char* name : {"ckpt.manifests_written", "ckpt.restore_count"}) {
-    EXPECT_TRUE(threaded.metrics.counters.count(name) != 0)
-        << "threaded run report is missing " << name;
-    EXPECT_TRUE(sim.metrics.counters.count(name) != 0)
-        << "sim run report is missing " << name;
-  }
-  ASSERT_NE(threaded.metrics.histogram("ckpt.save_seconds"), nullptr);
-  ASSERT_NE(sim.metrics.histogram("ckpt.save_seconds"), nullptr);
-}
-
-// ---------------------------------------------------------------------------
 // One definition of ckpt.save_seconds and kCkptSaved for both engines.
 // ---------------------------------------------------------------------------
 

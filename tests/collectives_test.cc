@@ -448,7 +448,7 @@ class RingTrafficTest
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
 
 TEST_P(RingTrafficTest, ModelMatchesCountedTraffic) {
-  // ChargeGroupAllReduceTraffic against what the members' Endpoints and
+  // GroupAllReduceTraffic against what the members' Endpoints and
   // Compressors count on a real ring, raw and under every codec. Segments
   // of 7 floats make most chunks span several segments; n < P leaves some
   // chunks empty.
@@ -466,7 +466,7 @@ TEST_P(RingTrafficTest, ModelMatchesCountedTraffic) {
     auto data = MakeInputs(p, n, 61);
     InProcTransport transport(static_cast<int>(p));
     RunMembers(&transport, members, [&](size_t i, Endpoint* ep) {
-      ep->AttachObservers(shards[i], "", nullptr, nullptr);
+      ep->AttachObservers(shards[i], nullptr, nullptr, nullptr);
       Compressor comp(codec);
       comp.AttachMetrics(shards[i]);
       ASSERT_TRUE(GroupWeightedAllReduce(ep, members, weights, i, 1,
@@ -475,20 +475,17 @@ TEST_P(RingTrafficTest, ModelMatchesCountedTraffic) {
                       .ok());
     });
 
-    MetricsRegistry modeled;
-    const double bytes = ChargeGroupAllReduceTraffic(n, p, codec,
-                                                     modeled.NewShard(),
-                                                     segment);
+    const RingTraffic model = GroupAllReduceTraffic(n, p, codec, segment);
     const MetricsSnapshot real = counted.Snapshot();
-    const MetricsSnapshot model = modeled.Snapshot();
-    EXPECT_EQ(bytes, real.counter("transport.bytes_sent"));
-    for (const char* name :
-         {"transport.bytes_sent", "transport.bytes_received",
-          "transport.payload_copies", "compress.bytes_in",
-          "compress.bytes_out"}) {
-      EXPECT_EQ(model.counter(name), real.counter(name))
-          << name << " codec " << CompressionKindName(codec);
-    }
+    const std::string where = CompressionKindName(codec);
+    EXPECT_EQ(model.bytes, real.counter("transport.bytes_sent")) << where;
+    EXPECT_EQ(model.bytes, real.counter("transport.bytes_received")) << where;
+    EXPECT_EQ(model.payload_copies, real.counter("transport.payload_copies"))
+        << where;
+    EXPECT_EQ(model.codec_bytes_in, real.counter("compress.bytes_in"))
+        << where;
+    EXPECT_EQ(model.codec_bytes_out, real.counter("compress.bytes_out"))
+        << where;
   }
 }
 
@@ -499,11 +496,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(4, 64), std::make_tuple(5, 333)));
 
 TEST(RingTrafficTest, SingleMemberMovesNothing) {
-  MetricsRegistry registry;
-  EXPECT_EQ(ChargeGroupAllReduceTraffic(100, 1, CompressionKind::kInt8,
-                                        registry.NewShard()),
-            0.0);
-  EXPECT_EQ(registry.Snapshot().counter("transport.bytes_sent"), 0.0);
+  const RingTraffic t = GroupAllReduceTraffic(100, 1, CompressionKind::kInt8);
+  EXPECT_EQ(t.bytes, 0.0);
+  EXPECT_EQ(t.codec_bytes_out, 0.0);
 }
 
 TEST(CollectivesTest, VectorShorterThanGroupStillReduces) {

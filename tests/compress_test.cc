@@ -584,7 +584,7 @@ TEST(CompressedCollectiveTest, CompressedWireBytesAreSmaller) {
   {
     auto data = inputs;
     RunMembers(&t1, members, [&](size_t i, Endpoint* ep) {
-      ep->AttachObservers(plain_registry.NewShard(), "", nullptr, nullptr);
+      ep->AttachObservers(plain_registry.NewShard(), nullptr, nullptr, nullptr);
       ASSERT_TRUE(
           GroupWeightedAllReduce(ep, members, weights, i, 1, &data[i]).ok());
     });
@@ -599,7 +599,7 @@ TEST(CompressedCollectiveTest, CompressedWireBytesAreSmaller) {
     }
     auto data = inputs;
     RunMembers(&t2, members, [&](size_t i, Endpoint* ep) {
-      ep->AttachObservers(int8_registry.NewShard(), "", nullptr, nullptr);
+      ep->AttachObservers(int8_registry.NewShard(), nullptr, nullptr, nullptr);
       ASSERT_TRUE(GroupWeightedAllReduce(ep, members, weights, i, 1,
                                          data[i].data(), n, comps[i].get())
                       .ok());

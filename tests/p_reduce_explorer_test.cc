@@ -104,8 +104,7 @@ class Explorer {
       options.scale_policy.liveness_floor = config.n - 1;
     }
     service_ = std::make_unique<PReduceService>(
-        options, config.n, Topology(), plan_, ScenarioMetrics{},
-        PReduceService::Observers{});
+        options, config.n, Topology(), plan_, PReduceService::Observers{});
     const size_t budget = 4 + Below(5);
     drops_left_ = static_cast<int>(Below(6));
     dups_left_ = static_cast<int>(Below(4));

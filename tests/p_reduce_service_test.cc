@@ -3,7 +3,7 @@
 #include <string>
 
 #include "core/controller.h"
-#include "obs/metrics.h"
+#include "obs/metric_table.h"
 #include "strategies/p_reduce_service.h"
 
 namespace pr {
@@ -56,11 +56,9 @@ TEST(PReduceServiceTest, GatesAreAFunctionOfTheLiveWorkerCount) {
     options.scale_policy.liveness_floor = row.liveness_floor;
     MetricsRegistry registry;
     MetricsShard* shard = registry.NewShard();
-    const ScenarioMetrics metrics =
-        RegisterScenarioMetrics(shard, ScenarioSpec{});
     FaultPlan plan;
     plan.controller_events.push_back(ControllerFaultEvent{});
-    PReduceService service(options, 8, Topology(), plan, metrics,
+    PReduceService service(options, 8, Topology(), plan,
                            {shard, nullptr, nullptr});
 
     // Departures learned during an outage reach the restarted controller
@@ -71,7 +69,7 @@ TEST(PReduceServiceTest, GatesAreAFunctionOfTheLiveWorkerCount) {
     service.BeginRecovery();
     EXPECT_TRUE(service.EndRecovery().empty());
     EXPECT_EQ(service.controller().effective_group_size(), row.effective_p);
-    EXPECT_EQ(metrics.small_groups->value(),
+    EXPECT_EQ(shard->Get(metric::kScenarioSmallGroups)->value(),
               row.effective_p < row.group_size ? 1.0 : 0.0);
 
     // A lone ready signal is queued, or released at once by the gates.
@@ -81,7 +79,7 @@ TEST(PReduceServiceTest, GatesAreAFunctionOfTheLiveWorkerCount) {
     } else {
       EXPECT_TRUE(IsRelease(answer, 0));
     }
-    EXPECT_EQ(metrics.local_steps->value(),
+    EXPECT_EQ(shard->Get(metric::kScenarioLocalSteps)->value(),
               row.verdict == Verdict::kLocalStep ? 1.0 : 0.0);
   }
 }
@@ -95,8 +93,7 @@ StrategyOptions Con(int group_size) {
 // Pause and Rejoin are best-effort: a Ready from a worker the service holds
 // as paused is an implicit rejoin, never a signal from a departed worker.
 TEST(PReduceServiceTest, ReadyFromPausedWorkerRejoinsIt) {
-  PReduceService service(Con(2), 4, Topology(), FaultPlan{},
-                         ScenarioMetrics{}, {});
+  PReduceService service(Con(2), 4, Topology(), FaultPlan{}, {});
   EXPECT_TRUE(service.Pause(1).empty());
   EXPECT_FALSE(service.active(1));
   EXPECT_TRUE(service.Ready(1, 6).empty());
@@ -113,8 +110,7 @@ TEST(PReduceServiceTest, ReadyFromPausedWorkerRejoinsIt) {
 // A late copy of a Ready whose iteration a completed group consumed (for
 // example one delayed past the worker's next Pause) is stale.
 TEST(PReduceServiceTest, ConsumedReadyIsNeverGroupedTwice) {
-  PReduceService service(Con(2), 2, Topology(), FaultPlan{},
-                         ScenarioMetrics{}, {});
+  PReduceService service(Con(2), 2, Topology(), FaultPlan{}, {});
   EXPECT_TRUE(service.Ready(0, 3).empty());
   const ServiceActions formed = service.Ready(1, 3);
   ASSERT_EQ(formed.size(), 2u);
@@ -138,8 +134,7 @@ TEST(PReduceServiceTest, ConsumedReadyIsNeverGroupedTwice) {
 // Ready for it gets the Release again and is never queued, so it cannot be
 // grouped after the worker moved on.
 TEST(PReduceServiceTest, ReleasedReadyIsAnsweredAgainNotRequeued) {
-  PReduceService service(Con(2), 3, Topology(), FaultPlan{},
-                         ScenarioMetrics{}, {});
+  PReduceService service(Con(2), 3, Topology(), FaultPlan{}, {});
   EXPECT_TRUE(service.Ready(0, 5).empty());
   service.Pause(1);
   const ServiceActions released = service.Pause(2);  // the pool drops below P

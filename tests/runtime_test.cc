@@ -333,15 +333,11 @@ TEST(ThreadedRuntimeTest, RunLevelMetricsPublished) {
     EXPECT_GE(idle, 0.0);
     EXPECT_LE(idle, 1.0);
   }
-  // Convenience accessor mirrors the gauges.
-  const std::vector<double> idle = result.worker_idle_fraction();
-  ASSERT_EQ(idle.size(), 4u);
 }
 
 TEST(ThreadedRuntimeTest, SimAndThreadedShareMetricNames) {
-  // The acceptance criterion for the observability layer: both engines
-  // publish the controller, per-worker, and run-level families under
-  // identical names, so a dashboard built on one works on the other.
+  // Both engines count the controller, per-worker, run-level and data-plane
+  // families (MetricSchemaTest pins the name sets themselves).
   ThreadedRunResult threaded =
       RunPair(Strat(StrategyKind::kPReduceConst), SmallOptions());
 
@@ -362,30 +358,9 @@ TEST(ThreadedRuntimeTest, SimAndThreadedShareMetricNames) {
     EXPECT_GT(threaded.metrics.counter(name), 0.0) << "threaded: " << name;
     EXPECT_GT(simulated.metrics.counter(name), 0.0) << "sim: " << name;
   }
-  for (int w = 0; w < 4; ++w) {
-    const std::string gauge =
-        "worker." + std::to_string(w) + ".idle_fraction";
-    EXPECT_TRUE(threaded.metrics.gauges.count(gauge)) << gauge;
-    EXPECT_TRUE(simulated.metrics.gauges.count(gauge)) << gauge;
-  }
-  // Same decision-latency histogram instrument under both engines (measured
-  // on the real clock in both — the controller does real work either way).
-  EXPECT_NE(
-      threaded.metrics.histogram("controller.decision_latency_seconds"),
-      nullptr);
-  EXPECT_NE(
-      simulated.metrics.histogram("controller.decision_latency_seconds"),
-      nullptr);
-  // Engine-specific wall clocks keep distinct names on purpose.
+  // Engine-specific clocks keep distinct names on purpose.
   EXPECT_GT(threaded.metrics.gauge("run.wall_seconds"), 0.0);
   EXPECT_GT(simulated.metrics.gauge("run.sim_seconds"), 0.0);
-  // Topology instruments are registered eagerly, so even these flat runs
-  // expose the names (at zero) — a dashboard never sees a missing series.
-  for (const char* name : {"topo.cross_node_groups", "topo.intra_node_groups",
-                           "transport.inter_node_bytes"}) {
-    EXPECT_TRUE(threaded.metrics.counters.count(name)) << "threaded: " << name;
-    EXPECT_TRUE(simulated.metrics.counters.count(name)) << "sim: " << name;
-  }
 }
 
 TEST(ThreadedRuntimeTest, SimChargesTheThreadedRingTrafficPerReduce) {

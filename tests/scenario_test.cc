@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -257,16 +256,14 @@ TEST(ScenarioCompileTest, ReferenceTraceExpandsNodeEventsAndCounts) {
             WorkerFaultEvent::Kind::kSlowdown);
 
   // Compile counts are the authored per-kind totals, not the expansion.
-  const auto counts = ScenarioMetricCounts(spec);
-  EXPECT_EQ(compiled.counts, counts);
-  for (const auto& [name, value] : counts) {
-    if (name == "scenario.events_total") {
+  for (const auto& [def, value] : ScenarioMetricCounts(spec)) {
+    if (def == &metric::kScenarioEventsTotal) {
       EXPECT_EQ(value, 3.0);
-    } else if (name == "scenario.departs") {
+    } else if (def == &metric::kScenarioDeparts) {
       EXPECT_EQ(value, 2.0);
-    } else if (name == "scenario.slowdowns") {
+    } else if (def == &metric::kScenarioSlowdowns) {
       EXPECT_EQ(value, 1.0);
-    } else if (name == "scenario.crashes") {
+    } else if (def == &metric::kScenarioCrashes) {
       EXPECT_EQ(value, 0.0);
     }
   }
@@ -454,43 +451,17 @@ RunConfig ReferenceRunConfig(uint64_t seed) {
   return config;
 }
 
-std::set<std::string> ScenarioCounterNames(const MetricsSnapshot& metrics) {
-  std::set<std::string> names;
-  for (const auto& [name, value] : metrics.counters) {
-    if (name.rfind("scenario.", 0) == 0) names.insert(name);
-  }
-  return names;
-}
-
 TEST(ScenarioReplayTest, ReferenceTraceReplaysInBothEnginesWithNameParity) {
   const RunConfig config = ReferenceRunConfig(5);
   const RunResult threaded = StartRun(config, EngineKind::kThreaded);
   const RunResult sim = StartRun(config, EngineKind::kSim);
 
-  // Both engines expose the identical scenario.* counter name set.
-  const std::set<std::string> threaded_names =
-      ScenarioCounterNames(threaded.metrics);
-  const std::set<std::string> sim_names = ScenarioCounterNames(sim.metrics);
-  EXPECT_FALSE(threaded_names.empty());
-  EXPECT_EQ(threaded_names, sim_names);
-
   // The compile counts agree with the authored trace on both sides.
-  for (const auto& [name, value] :
+  for (const auto& [def, value] :
        ScenarioMetricCounts(config.run.scenario)) {
-    EXPECT_EQ(threaded.metrics.counter(name), value)
-        << "threaded " << name;
-    EXPECT_EQ(sim.metrics.counter(name), value) << "sim " << name;
-  }
-
-  // The fault.* family is present under both engines too.
-  for (const char* name :
-       {"fault.injected_drops", "fault.injected_dups",
-        "fault.injected_delays", "fault.evictions", "fault.aborted_groups",
-        "fault.retries"}) {
-    EXPECT_TRUE(threaded.metrics.counters.count(name) != 0)
-        << "threaded missing " << name;
-    EXPECT_TRUE(sim.metrics.counters.count(name) != 0)
-        << "sim missing " << name;
+    EXPECT_EQ(threaded.metrics.counter(def->name), value)
+        << "threaded " << def->name;
+    EXPECT_EQ(sim.metrics.counter(def->name), value) << "sim " << def->name;
   }
 
   // The threaded run completed: every worker (departures rejoin) finished

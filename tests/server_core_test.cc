@@ -454,12 +454,7 @@ TEST(ServerEngineParityTest, PsMetricNamesAndTraceEventsMatchAcrossEngines) {
       const RunResult run = StartRun(config, engine);
       const std::string where =
           StrategyKindName(kind) + " on " + EngineKindName(engine);
-      for (const char* name : {"ps.versions", "ps.wasted_gradients"}) {
-        EXPECT_TRUE(run.metrics.counters.count(name) != 0)
-            << where << " is missing " << name;
-      }
-      EXPECT_NE(run.metrics.histogram("ps.push_staleness"), nullptr)
-          << where << " is missing ps.push_staleness";
+      EXPECT_GT(run.metrics.counter("ps.versions"), 0.0) << where;
       EXPECT_EQ(run.trace.dropped, 0u);
       EXPECT_GT(CountEvents(run.trace, TraceEventKind::kPsPull), 0u) << where;
       EXPECT_GT(CountEvents(run.trace, TraceEventKind::kPsPush), 0u) << where;

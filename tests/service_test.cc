@@ -12,6 +12,7 @@
 #include "service/job_spec.h"
 #include "service/service.h"
 #include "service/worker_pool.h"
+#include "train/run.h"
 
 namespace pr {
 namespace {
@@ -224,6 +225,28 @@ TEST(ServiceTest, RunsJobsToCompletionWithIsolatedMetrics) {
   EXPECT_EQ(snapshot.counter("service.jobs_completed"), 2.0);
   EXPECT_GE(snapshot.gauge("service.pool.utilization"), 0.0);
   EXPECT_EQ(snapshot.gauge("service.pool.size"), 4.0);
+}
+
+TEST(ServiceTest, DataShardSelectsTheDataASimJobTrainsOn) {
+  ServiceOptions options;
+  options.pool_size = 2;
+  TrainingService service(options);
+  JobSpec spec = SmallThreadedJob("t");
+  spec.engine = EngineKind::kSim;
+  int64_t shard0 = 0;
+  int64_t shard1 = 0;
+  ASSERT_TRUE(service.Submit(spec, &shard0).ok());
+  spec.data_shard = 1;
+  ASSERT_TRUE(service.Submit(spec, &shard1).ok());
+  service.Drain();
+
+  const JobStatus a = MustInspect(&service, shard0);
+  const JobStatus b = MustInspect(&service, shard1);
+  ASSERT_EQ(a.state, JobState::kCompleted);
+  ASSERT_EQ(b.state, JobState::kCompleted);
+  // Shard 0 draws the data the same run draws outside the service.
+  EXPECT_EQ(a.final_loss, StartRun(spec.config, EngineKind::kSim).final_loss);
+  EXPECT_NE(a.final_loss, b.final_loss);
 }
 
 TEST(ServiceTest, FairShareSkewsAdmissionTowardWeightedTenant) {

@@ -203,29 +203,6 @@ TEST(SocketFabricTest, ConMetricNamesMatchInProcExactly) {
   EXPECT_TRUE(socket_run.metrics.counters.count("transport.stash_purged"));
 }
 
-TEST(SocketFabricTest, ConSharedFamiliesPresentInSimToo) {
-  const RunConfig config = SmallConfig(StrategyKind::kPReduceConst);
-  ThreadedRunResult socket_run = RunOverSockets(config);
-
-  RunConfig sim_config = PaperSimConfig();
-  sim_config.run.num_workers = 3;
-  sim_config.sim.max_updates = 20;
-  sim_config.sim.accuracy_threshold = -1.0;
-  sim_config.run.seed = 11;
-  sim_config.strategy.kind = StrategyKind::kPReduceConst;
-  sim_config.strategy.group_size = 2;
-  RunResult sim_run = StartRun(sim_config, EngineKind::kSim);
-
-  for (const char* name :
-       {"transport.bytes_sent", "transport.bytes_received",
-        "transport.payload_copies", "transport.stash_purged", "run.updates"}) {
-    EXPECT_TRUE(socket_run.metrics.counters.count(name))
-        << "socket run is missing " << name;
-    EXPECT_TRUE(sim_run.metrics.counters.count(name))
-        << "sim run is missing " << name;
-  }
-}
-
 TEST(SocketFabricTest, AllReduceIsBitwiseIdenticalAndZeroCopy) {
   const RunConfig config = SmallConfig(StrategyKind::kAllReduce);
   ThreadedRunResult socket_run = RunOverSockets(config);
@@ -263,12 +240,6 @@ TEST(SocketFabricTest, ChaosSuiteRunsUnchangedOverSockets) {
   // fabric and the recovery protocol reacted — same events, same names.
   EXPECT_GE(result.metrics.counter("fault.evictions"), 1.0);
   EXPECT_GE(result.metrics.counter("fault.aborted_groups"), 0.0);
-  for (const char* name :
-       {"fault.injected_drops", "fault.injected_dups", "fault.injected_delays",
-        "fault.evictions", "fault.aborted_groups", "fault.retries"}) {
-    EXPECT_TRUE(result.metrics.counters.count(name))
-        << "socket chaos run is missing " << name;
-  }
   ASSERT_EQ(result.worker_iterations.size(), 6u);
   EXPECT_LT(result.worker_iterations[4], 8u) << "crashed worker kept going";
   for (size_t w = 0; w < 6; ++w) {

@@ -296,7 +296,7 @@ TEST(TransportTest, StashPurgesAreCounted) {
   Endpoint a(&transport, 0), b(&transport, 1), c(&transport, 2);
   MetricsRegistry registry;
   MetricsShard* mc = registry.NewShard();
-  c.AttachObservers(mc, "", nullptr, nullptr);
+  c.AttachObservers(mc, nullptr, nullptr, nullptr);
 
   ASSERT_TRUE(a.Send(2, /*tag=*/1, /*kind=*/101, {0}).ok());
   ASSERT_TRUE(a.Send(2, /*tag=*/1, /*kind=*/101, {1}).ok());
@@ -316,7 +316,8 @@ TEST(TransportTest, ResetDiagnosticsClearsHighWaterBetweenAttachments) {
   Endpoint a(&transport, 0), b(&transport, 1), c(&transport, 2);
   MetricsRegistry job_a_registry;
   MetricsShard* job_a = job_a_registry.NewShard();
-  c.AttachObservers(job_a, "job_a", nullptr, nullptr);
+  c.AttachObservers(job_a, job_a->GetGauge("job_a.stash_high_water"), nullptr,
+                    nullptr);
 
   // Two strays from node 0 park while c selectively receives from node 1.
   ASSERT_TRUE(a.Send(2, /*tag=*/1, /*kind=*/101, {0}).ok());
@@ -334,7 +335,8 @@ TEST(TransportTest, ResetDiagnosticsClearsHighWaterBetweenAttachments) {
   // The next tenant's scope starts clean and only counts its own strays.
   MetricsRegistry job_b_registry;
   MetricsShard* job_b = job_b_registry.NewShard();
-  c.AttachObservers(job_b, "job_b", nullptr, nullptr);
+  c.AttachObservers(job_b, job_b->GetGauge("job_b.stash_high_water"), nullptr,
+                    nullptr);
   EXPECT_EQ(job_b->GetGauge("job_b.stash_high_water")->value(), 0.0);
   ASSERT_TRUE(a.Send(2, /*tag=*/1, /*kind=*/101, {2}).ok());
   ASSERT_TRUE(b.Send(2, /*tag=*/6, /*kind=*/1, {}).ok());
@@ -351,7 +353,8 @@ TEST(TransportTest, SkippedResetChargesStaleHighWaterToNewScope) {
   Endpoint a(&transport, 0), b(&transport, 1), c(&transport, 2);
   MetricsRegistry job_a_registry;
   MetricsShard* job_a = job_a_registry.NewShard();
-  c.AttachObservers(job_a, "job_a", nullptr, nullptr);
+  c.AttachObservers(job_a, job_a->GetGauge("job_a.stash_high_water"), nullptr,
+                    nullptr);
   ASSERT_TRUE(a.Send(2, /*tag=*/1, /*kind=*/101, {0}).ok());
   ASSERT_TRUE(a.Send(2, /*tag=*/1, /*kind=*/101, {1}).ok());
   ASSERT_TRUE(b.Send(2, /*tag=*/5, /*kind=*/1, {}).ok());
@@ -363,7 +366,8 @@ TEST(TransportTest, SkippedResetChargesStaleHighWaterToNewScope) {
   // surfacing only after the next stash growth.
   MetricsRegistry job_b_registry;
   MetricsShard* job_b = job_b_registry.NewShard();
-  c.AttachObservers(job_b, "job_b", nullptr, nullptr);
+  c.AttachObservers(job_b, job_b->GetGauge("job_b.stash_high_water"), nullptr,
+                    nullptr);
   EXPECT_EQ(job_b->GetGauge("job_b.stash_high_water")->value(), 2.0);
   EXPECT_EQ(job_b->GetGauge("transport.stash_high_water")->value(), 2.0);
 }
@@ -411,8 +415,8 @@ TEST(TransportTest, ByteCountersTrackPayloadTraffic) {
   MetricsRegistry registry;
   MetricsShard* ma = registry.NewShard();
   MetricsShard* mb = registry.NewShard();
-  a.AttachObservers(ma, "", nullptr, nullptr);
-  b.AttachObservers(mb, "", nullptr, nullptr);
+  a.AttachObservers(ma, nullptr, nullptr, nullptr);
+  b.AttachObservers(mb, nullptr, nullptr, nullptr);
 
   ASSERT_TRUE(a.Send(1, 1, 1, {}, std::vector<float>{1.0f, 2.0f, 3.0f}).ok());
   ASSERT_TRUE(a.Send(1, 2, 1, {}).ok());  // control message: no payload bytes
@@ -435,7 +439,7 @@ TEST(TransportTest, BroadcastCopiesPayloadOnce) {
   Endpoint root(&transport, 0);
   MetricsRegistry registry;
   MetricsShard* metrics = registry.NewShard();
-  root.AttachObservers(metrics, "", nullptr, nullptr);
+  root.AttachObservers(metrics, nullptr, nullptr, nullptr);
 
   std::vector<float> model(256, 1.25f);
   Buffer payload = root.MakePayload(model.data(), model.size());
@@ -460,7 +464,7 @@ TEST(TransportTest, SharedPayloadSendDoesNotCountACopy) {
   Endpoint a(&transport, 0);
   MetricsRegistry registry;
   MetricsShard* metrics = registry.NewShard();
-  a.AttachObservers(metrics, "", nullptr, nullptr);
+  a.AttachObservers(metrics, nullptr, nullptr, nullptr);
 
   std::vector<float> v = {1.0f, 2.0f};
   Buffer payload = a.MakePayload(v.data(), v.size());
