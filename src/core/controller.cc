@@ -84,12 +84,15 @@ bool Controller::QueueSpansComponents() const {
   return false;
 }
 
-bool Controller::BridgeEventuallyPossible() const {
+bool Controller::AnotherComponentCanGroupAlone() const {
   const SyncGraph graph = history_.BuildSyncGraph();
-  const int first = graph.ComponentOf(pending_.front().worker);
+  const int queued = graph.ComponentOf(pending_.front().worker);
+  // Component ids are worker ids (union-find roots), so N slots suffice.
+  std::vector<int> live(static_cast<size_t>(options_.num_workers), 0);
   for (int w = 0; w < options_.num_workers; ++w) {
-    if (!departed_[static_cast<size_t>(w)] &&
-        graph.ComponentOf(w) != first) {
+    const int c = graph.ComponentOf(w);
+    if (!departed_[static_cast<size_t>(w)] && c != queued &&
+        ++live[static_cast<size_t>(c)] >= effective_group_size_) {
       return true;
     }
   }
@@ -186,10 +189,12 @@ std::vector<GroupDecision> Controller::TryFormGroups() {
         // cross-node merges bridge the intra-node cliques, so a frozen
         // window graph is the expected steady state rather than a hazard.
         if (!hierarchical_ && !QueueSpansComponents() &&
-            BridgeEventuallyPossible()) {
+            AnotherComponentCanGroupAlone()) {
           // Hold: the queued workers cannot bridge the frozen components
-          // yet, but a live worker from another component will signal (or
-          // depart) eventually, re-triggering this check.
+          // yet, and another component could keep grouping by itself. One
+          // of its workers will signal (or depart), re-triggering this
+          // check. A smaller component needs no hold: each of its signals
+          // must be grouped with an outside worker, i.e. bridged.
           RecordHold();
           break;
         }

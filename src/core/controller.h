@@ -112,11 +112,12 @@ class Controller {
   /// Ingests one ready signal; returns the groups formed by it (usually
   /// zero or one).
   ///
-  /// When frozen avoidance detects a disconnected sync-graph and the queue
-  /// holds only workers from a single component, formation is *held* until
-  /// a signal from another component arrives — the filter "interacts with
-  /// the signal queue" (§4) to guarantee a bridging group. The signal that
-  /// finally bridges can therefore release several held groups at once.
+  /// When frozen avoidance detects a disconnected sync-graph, the queue
+  /// holds only workers from a single component, and another component has
+  /// at least P live workers, formation is *held* until a signal from
+  /// another component arrives — the filter "interacts with the signal
+  /// queue" (§4) to guarantee a bridging group. The signal that finally
+  /// bridges can therefore release several held groups at once.
   std::vector<GroupDecision> OnReadySignal(int worker, int64_t iteration);
 
   /// Marks a worker as departed (it will send no more ready signals until
@@ -132,6 +133,8 @@ class Controller {
 
   /// Number of signals currently queued.
   size_t PendingSignals() const { return pending_.size(); }
+  /// The queued signals, oldest first.
+  const std::deque<ReadySignal>& pending() const { return pending_; }
 
   /// Removes and returns all queued signals. Used by the runtime's
   /// termination protocol: when fewer than P workers remain active, queued
@@ -177,10 +180,10 @@ class Controller {
   /// of the history sync-graph (a bridging group is possible right now).
   bool QueueSpansComponents() const;
 
-  /// True when some *live* (not departed) worker sits in a different
-  /// component than the queued ones — i.e. holding the queue can
-  /// eventually yield a bridging group.
-  bool BridgeEventuallyPossible() const;
+  /// True when some component other than the queued workers' has at least
+  /// the effective P live (not departed) workers, i.e. it could form groups
+  /// by itself and stay isolated unless the queue is held for it.
+  bool AnotherComponentCanGroupAlone() const;
 
   /// True when every queued signal comes from one node and another node
   /// still has a live worker, i.e. holding a due cross-node merge can

@@ -127,6 +127,20 @@ TEST(ControllerTest, BridgedScheduleKeepsSyncGraphConnectedOverTime) {
   EXPECT_TRUE(global.IsConnected());
 }
 
+// Feeds one ready signal per entry, in the given order; returns all formed
+// groups.
+std::vector<GroupDecision> FeedRound(Controller* c,
+                                     const std::vector<int>& order,
+                                     int64_t iteration) {
+  std::vector<GroupDecision> formed;
+  for (int w : order) {
+    for (GroupDecision& d : c->OnReadySignal(w, iteration)) {
+      formed.push_back(std::move(d));
+    }
+  }
+  return formed;
+}
+
 TEST(ControllerTest, HeldSignalsReleaseWhenBridgeArrives) {
   // Freeze the history on pairs {0,1}/{2,3}, then have 0 and 1 queue: the
   // controller must hold them (single component) and release with a
@@ -158,26 +172,24 @@ TEST(ControllerTest, HeldSignalsReleaseWhenBridgeArrives) {
 }
 
 TEST(ControllerTest, DepartureReleasesHold) {
-  Controller c(BasicOptions(4, 2));
-  // Freeze on {0,1},{2,3},{0,1}.
-  c.OnReadySignal(0, 1);
-  c.OnReadySignal(1, 1);
-  c.OnReadySignal(2, 1);
-  c.OnReadySignal(3, 1);
-  c.OnReadySignal(0, 2);
-  c.OnReadySignal(1, 2);
+  // N=5, P=2 (window T=4). Freeze on {0,1,2} | {3,4}: the queue {3,4} is
+  // held while {0,1,2} keeps P live workers, and released at once when a
+  // departure leaves it one.
+  Controller c(BasicOptions(5, 2));
+  FeedRound(&c, {0, 1, 1, 2, 3, 4, 0, 2}, 1);
   ASSERT_TRUE(c.history().IsFrozen());
-  EXPECT_TRUE(c.OnReadySignal(2, 2).empty());
-  EXPECT_TRUE(c.OnReadySignal(3, 2).empty());  // held, waiting for 0 or 1
+  ASSERT_EQ(c.history().BuildSyncGraph().NumComponents(), 2u);
+  EXPECT_TRUE(c.OnReadySignal(3, 2).empty());
+  EXPECT_TRUE(c.OnReadySignal(4, 2).empty());  // held for {0,1,2}
 
-  // Workers 0 and 1 leave: bridging becomes impossible; the hold must
-  // release {2,3} rather than deadlock.
+  // {1,2} can still group by itself: the hold stands.
   EXPECT_TRUE(c.NotifyWorkerLeft(0).empty());
+  EXPECT_EQ(c.PendingSignals(), 2u);
+  // One live worker left in {0,1,2}: its every signal will be bridged, so
+  // the held queue forms at once.
   auto decisions = c.NotifyWorkerLeft(1);
   ASSERT_EQ(decisions.size(), 1u);
-  std::set<int> members(decisions[0].members.begin(),
-                        decisions[0].members.end());
-  EXPECT_EQ(members, (std::set<int>{2, 3}));
+  EXPECT_EQ(decisions[0].members, (std::vector<int>{3, 4}));
 }
 
 TEST(ControllerTest, RejoinedWorkerParticipatesAgain) {
@@ -196,25 +208,71 @@ TEST(ControllerTest, RejoinedWorkerParticipatesAgain) {
 }
 
 TEST(ControllerTest, RejoinRestoresHoldSemantics) {
-  // After departures made bridging impossible, a rejoin makes the
-  // controller hold single-component queues again.
+  // Departures left {0,1} unable to group by itself; once both rejoin it
+  // can again, and the controller holds single-component queues again.
   Controller c(BasicOptions(4, 2));
-  // Freeze on {0,1},{2,3},{0,1}.
-  c.OnReadySignal(0, 1);
-  c.OnReadySignal(1, 1);
-  c.OnReadySignal(2, 1);
-  c.OnReadySignal(3, 1);
-  c.OnReadySignal(0, 2);
-  c.OnReadySignal(1, 2);
+  FeedRound(&c, {0, 1, 2, 3, 0, 1}, 1);  // freeze on {0,1},{2,3},{0,1}
   ASSERT_TRUE(c.history().IsFrozen());
   c.NotifyWorkerLeft(0);
   c.NotifyWorkerLeft(1);
-  c.NotifyWorkerRejoined(0);  // worker 0 is back: bridge possible again
+  c.NotifyWorkerRejoined(0);  // one live worker in {0,1}: no hold
   EXPECT_TRUE(c.OnReadySignal(2, 2).empty());
-  EXPECT_TRUE(c.OnReadySignal(3, 2).empty());  // held, waiting for 0
+  auto released = c.OnReadySignal(3, 2);
+  ASSERT_EQ(released.size(), 1u);
+  EXPECT_FALSE(released[0].bridged);
+
+  c.NotifyWorkerRejoined(1);  // {0,1} has P live workers again
+  ASSERT_TRUE(c.history().IsFrozen());
+  EXPECT_TRUE(c.OnReadySignal(2, 3).empty());
+  EXPECT_TRUE(c.OnReadySignal(3, 3).empty());  // held, waiting for 0 or 1
   auto d = c.OnReadySignal(0, 3);
   ASSERT_EQ(d.size(), 1u);
   EXPECT_TRUE(d[0].bridged);
+}
+
+TEST(ControllerTest, LoneStragglerDoesNotHoldFastWorkers) {
+  // N=4, P=2 (window T=3), worker 3 a straggler: the window freezes on the
+  // fast component {0,1,2}. Worker 3 cannot group by itself, so the fast
+  // workers' queue forms at once, and 3's next signal is bridged.
+  MetricsRegistry registry;
+  Controller c(BasicOptions(4, 2));
+  c.AttachObservers(registry.NewShard(), nullptr, [] { return 0.0; });
+  FeedRound(&c, {0, 1, 1, 2, 0, 2}, 1);  // {0,1},{1,2},{0,2}
+  ASSERT_TRUE(c.history().IsFrozen());
+  EXPECT_TRUE(c.OnReadySignal(0, 2).empty());
+  auto fast = c.OnReadySignal(1, 2);
+  ASSERT_EQ(fast.size(), 1u);
+  EXPECT_EQ(fast[0].members, (std::vector<int>{0, 1}));
+  EXPECT_FALSE(fast[0].bridged);
+
+  EXPECT_TRUE(c.OnReadySignal(3, 1).empty());
+  auto slow = c.OnReadySignal(2, 2);
+  ASSERT_EQ(slow.size(), 1u);
+  EXPECT_EQ(slow[0].members, (std::vector<int>{3, 2}));
+  EXPECT_TRUE(slow[0].bridged);
+  EXPECT_GT(c.stats().frozen_detections, 0u);
+  EXPECT_EQ(registry.Snapshot().counter("controller.holds"), 0.0);
+}
+
+TEST(ControllerTest, HoldOnlyForAComponentOfPLiveWorkers) {
+  // N=6, P=3 (window T=3), the queue {0,1,2} in a frozen window. Another
+  // component of 2 workers cannot group by itself: no hold. One of 3 can:
+  // hold until one of its workers signals.
+  Controller small(BasicOptions(6, 3));
+  small.Restore({{{0, 1, 2}, {3, 4}, {0, 1, 2}}, 1});
+  ASSERT_TRUE(small.history().IsFrozen());
+  auto formed = FeedRound(&small, {0, 1, 2}, 1);
+  ASSERT_EQ(formed.size(), 1u);
+  EXPECT_FALSE(formed[0].bridged);
+
+  Controller large(BasicOptions(6, 3));
+  large.Restore({{{0, 1, 2}, {3, 4, 5}, {0, 1, 2}}, 1});
+  ASSERT_TRUE(large.history().IsFrozen());
+  EXPECT_TRUE(FeedRound(&large, {0, 1, 2}, 1).empty());
+  auto bridged = large.OnReadySignal(4, 1);
+  ASSERT_EQ(bridged.size(), 1u);
+  EXPECT_EQ(bridged[0].members, (std::vector<int>{0, 1, 4}));
+  EXPECT_TRUE(bridged[0].bridged);
 }
 
 TEST(ControllerTest, RandomArrivalsProduceDoublyStochasticExpectation) {
@@ -283,20 +341,6 @@ ControllerOptions HierOptions(int cross_period) {
   opt.hierarchy.enabled = true;
   opt.hierarchy.cross_period = cross_period;
   return opt;
-}
-
-// Feeds one ready signal per worker in the given order; returns all formed
-// groups.
-std::vector<GroupDecision> FeedRound(Controller* c,
-                                     const std::vector<int>& order,
-                                     int64_t iteration) {
-  std::vector<GroupDecision> formed;
-  for (int w : order) {
-    for (GroupDecision& d : c->OnReadySignal(w, iteration)) {
-      formed.push_back(std::move(d));
-    }
-  }
-  return formed;
 }
 
 TEST(ControllerHierarchyTest, HoldsUntilNodeCompleteGroupArrives) {

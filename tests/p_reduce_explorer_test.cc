@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/sync_graph.h"
 #include "core/sync_matrix.h"
 #include "fault/failure_detector.h"
 #include "strategies/p_reduce_service.h"
@@ -466,7 +467,34 @@ class Explorer {
                " out of sync");
         }
       }
+      // (g) The controller holds a queue of P or more signals only while
+      // the window is frozen, the queue lies in one component, and another
+      // component has P live workers that could group by themselves.
+      const Controller& c = service_->controller();
+      const int p = c.effective_group_size();
+      if (c.pending().size() >= static_cast<size_t>(p) && !HoldJustified(c)) {
+        Fail("controller held " + std::to_string(c.pending().size()) +
+             " signals with P=" + std::to_string(p) + " and no reason");
+      }
     }
+  }
+
+  bool HoldJustified(const Controller& c) const {
+    if (!c.history().IsFrozen()) return false;
+    const SyncGraph graph = c.history().BuildSyncGraph();
+    const int queued = graph.ComponentOf(c.pending().front().worker);
+    for (const ReadySignal& s : c.pending()) {
+      if (graph.ComponentOf(s.worker) != queued) return false;
+    }
+    std::map<int, int> live;
+    for (int w = 0; w < config_.n; ++w) {
+      const int comp = graph.ComponentOf(w);
+      if (!c.departed(w) && comp != queued &&
+          ++live[comp] >= c.effective_group_size()) {
+        return true;
+      }
+    }
+    return false;
   }
 
   ExploreConfig config_;

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <queue>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/controller.h"
 #include "core/spectral.h"
 #include "topo/topology.h"
@@ -189,6 +194,52 @@ TEST(SpectralTest, HierarchicalExpectationKeepsTheoremOneGap) {
   const double lipschitz_l = 10.0;
   EXPECT_TRUE(HierarchyWithinFlatBound(gamma, lipschitz_l, n, p, rho_flat,
                                        rho_hier));
+}
+
+/// Drives a flat P=2 controller in virtual time through a straggler
+/// schedule: the N-1 fast workers step 1.0 with seeded +-10% jitter, worker
+/// N-1 steps 6.0, and every reduce takes 0.3. A worker signals when its step
+/// ends and starts the next step when its group's reduce ends. Stops once
+/// `groups` groups have formed (or when no worker is left running) and
+/// returns the measured rho of E[W_k].
+double StragglerScheduleRho(int n, uint64_t groups, uint64_t seed) {
+  ControllerOptions opt;
+  opt.num_workers = n;
+  opt.group_size = 2;
+  opt.record_sync_matrices = true;
+  Controller c(opt);
+  Rng rng(seed);
+  auto step = [&](int w) { return w == n - 1 ? 6.0 : rng.Uniform(0.9, 1.1); };
+  using Signal = std::pair<double, int>;  // (virtual time, worker)
+  std::priority_queue<Signal, std::vector<Signal>, std::greater<Signal>> next;
+  for (int w = 0; w < n; ++w) next.push({step(w), w});
+  std::vector<int64_t> iteration(static_cast<size_t>(n), 0);
+  while (c.stats().groups_formed < groups && !next.empty()) {
+    const auto [now, w] = next.top();
+    next.pop();
+    for (const GroupDecision& d :
+         c.OnReadySignal(w, ++iteration[static_cast<size_t>(w)])) {
+      for (int m : d.members) next.push({now + 0.3 + step(m), m});
+    }
+  }
+  EXPECT_GE(c.stats().groups_formed, groups) << "schedule stalled";
+  EXPECT_GT(c.stats().bridged_groups, 0u);
+  return SpectralRho(c.ExpectedSyncMatrix());
+}
+
+// Fast workers are not held for a straggler that cannot group by itself;
+// its signals are bridged as they arrive. The measured E[W_k] must still
+// have a spectral gap and meet the Theorem 1 learning-rate condition (Eq. 7)
+// that the homogeneous schedule meets.
+TEST(SpectralTest, StragglerScheduleKeepsTheoremOneGap) {
+  for (int n : {4, 8}) {
+    const double rho = StragglerScheduleRho(n, 4000, 11);
+    EXPECT_LT(rho, 1.0) << "n=" << n;
+    const size_t workers = static_cast<size_t>(n);
+    EXPECT_TRUE(HierarchyWithinFlatBound(1e-3, 10.0, workers, 2,
+                                         HomogeneousRho(workers, 2), rho))
+        << "n=" << n << " rho=" << rho;
+  }
 }
 
 }  // namespace
