@@ -12,9 +12,15 @@
 
 namespace {
 
-pr::RunResult Run(bool with_churn, pr::StrategyKind kind) {
+constexpr int kWorkers = 8;
+constexpr int kGroupSize = 3;
+
+// `step` is the trace's iteration scale (0 runs without churn): scenario
+// time lands on local iterations, so the trace is authored in seconds of a
+// simulated step.
+pr::RunResult Run(double step, pr::StrategyKind kind) {
   pr::RunConfig config = pr::PaperSimConfig();
-  config.run.num_workers = 8;
+  config.run.num_workers = kWorkers;
   config.run.dataset = pr::SpecForDataset("cifar10");
   config.run.dataset.dirichlet_alpha = 0.5;
   config.sim.paper_model = "resnet18";
@@ -24,10 +30,11 @@ pr::RunResult Run(bool with_churn, pr::StrategyKind kind) {
   config.sim.eval_every = 25;
   config.run.seed = 19;
   config.strategy.kind = kind;
-  config.strategy.group_size = 3;
-  if (with_churn) {
+  config.strategy.group_size = kGroupSize;
+  if (step > 0.0) {
     using pr::ScenarioEventKind;
     config.run.scenario.name = "preemptions";
+    config.run.scenario.expected_iteration_seconds = step;
     config.run.scenario.events = {
         // Preemption; worker 6 comes back at t=40s, its model ~stale.
         {ScenarioEventKind::kDepart, 5.0, 6, -1, /*duration=*/35.0},
@@ -48,18 +55,19 @@ int main() {
 
   pr::TablePrinter table({"scenario", "run time (s)", "#updates",
                           "converged", "final acc"});
-  for (auto [churn, kind, label] :
-       {std::tuple{false, pr::StrategyKind::kPReduceConst,
-                   "stable membership (CON)"},
-        std::tuple{true, pr::StrategyKind::kPReduceConst,
-                   "churn (CON)"},
-        std::tuple{true, pr::StrategyKind::kPReduceDynamic,
-                   "churn (DYN)"}}) {
-    pr::RunResult r = Run(churn, kind);
+  auto add = [&](const char* label, const pr::RunResult& r) {
     table.AddRow({label, pr::FormatDouble(r.clock_seconds, 1),
                   std::to_string(r.updates), r.converged ? "yes" : "NO",
                   pr::FormatDouble(r.final_accuracy, 3)});
-  }
+  };
+  const pr::RunResult stable = Run(0.0, pr::StrategyKind::kPReduceConst);
+  add("stable membership (CON)", stable);
+  // The stable run's simulated step: its clock over the local iterations a
+  // worker ran (P gradients per update, over N workers).
+  const double step = stable.clock_seconds * kWorkers /
+                      (static_cast<double>(stable.updates) * kGroupSize);
+  add("churn (CON)", Run(step, pr::StrategyKind::kPReduceConst));
+  add("churn (DYN)", Run(step, pr::StrategyKind::kPReduceDynamic));
   table.Print();
   std::printf(
       "\nTraining continues through departures (groups simply form among\n"

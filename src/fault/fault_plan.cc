@@ -39,6 +39,22 @@ bool FaultPlan::has_link_delays() const {
   return false;
 }
 
+double FaultPlan::SlowdownFactor(int worker, size_t completed) const {
+  double factor = 1.0;
+  for (const WorkerFaultEvent& e : worker_events) {
+    if (e.worker != worker || e.kind != WorkerFaultEvent::Kind::kSlowdown) {
+      continue;
+    }
+    const size_t start = static_cast<size_t>(e.after_iterations);
+    if (completed >= start &&
+        (e.slowdown_iterations == 0 ||
+         completed < start + static_cast<size_t>(e.slowdown_iterations))) {
+      factor *= e.slowdown_factor;
+    }
+  }
+  return factor;
+}
+
 const EdgeFaultSpec& FaultPlan::EdgeSpec(int from, int to) const {
   auto it = edges.find({from, to});
   return it != edges.end() ? it->second : default_edge;

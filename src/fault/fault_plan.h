@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -186,6 +187,10 @@ struct FaultPlan {
   /// True when the plan schedules at least one network partition (switches
   /// the threaded runtime to the severable transport).
   bool has_partitions() const;
+
+  /// The product of `worker`'s slowdown windows over its next local step,
+  /// after `completed` local iterations (1 outside them), on both engines.
+  double SlowdownFactor(int worker, size_t completed) const;
 
   const EdgeFaultSpec& EdgeSpec(int from, int to) const;
 

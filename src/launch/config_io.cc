@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 #include <string_view>
 #include <type_traits>
 #include <utility>
@@ -17,6 +18,7 @@ namespace {
 using Check = bool (*)(double);
 bool Positive(double v) { return v > 0.0; }
 bool NonNegative(double v) { return v >= 0.0; }
+using TokenCheck = bool (*)(const std::string&);
 
 // Topology keeps its fields private, so the table reads and writes this
 // mirror. Readers apply it after the last record, which validates the node
@@ -51,7 +53,8 @@ void EdgeColumns(Col& col, Spec& spec) {
 //   w.Text(key, string)              the rest of the line (may hold spaces).
 //
 // `columns(col, ...)` lists a line's values in order: col(field), col(enum,
-// names), col(double, check), or col(ints) for a variable-length tail.
+// names), col(double, check), col(string, token check), or col(ints) for a
+// variable-length tail.
 // Config is const for the writers and mutable for the readers.
 template <class W, class Config, class Topo>
 void VisitRunConfig(W& w, Config& c, Topo& topo) {
@@ -174,7 +177,7 @@ void VisitRunConfig(W& w, Config& c, Topo& topo) {
   // Chaos scenario: the header fields always serialize; events mirror the
   // standalone `prtrace 1` dialect's event grammar, positionally.
   auto& sc = r.scenario;
-  w.Text("scenario.name", sc.name);
+  w("scenario.name", sc.name, IsNameToken);
   w("scenario.seed", sc.seed);
   w("scenario.expected_iteration_seconds", sc.expected_iteration_seconds,
     Positive);
@@ -226,6 +229,7 @@ struct TextWriter {
     }
   }
   void operator()(double v, Check) { (*this)(v); }
+  void operator()(const std::string& v, TokenCheck) { out << ' ' << v; }
   template <class E, size_t N>
   void operator()(E v, const EnumName<E> (&names)[N]) {
     out << ' ' << NameOf(names, v);
@@ -273,6 +277,7 @@ struct JsonOut {
     }
   }
   void operator()(double v, Check) { json.Number(v); }
+  void operator()(const std::string& v, TokenCheck) { json.String(v); }
   template <class E, size_t N>
   void operator()(E v, const EnumName<E> (&names)[N]) {
     json.String(NameOf(names, v));
@@ -304,6 +309,9 @@ class JsonRow {
       *out = flag == 1;
     } else if constexpr (std::is_integral_v<T>) {
       return JsonInt(*v, What(), out);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (!v->is_string()) return Bad();
+      *out = v->string_value();
     } else {
       if (!v->is_number()) return Bad();
       *out = v->number_value();
@@ -447,6 +455,10 @@ class ConfigReader {
     if (status_.ok()) status_ = src_->TakeAll(&v);
   }
   void operator()(double& v, Check check) {
+    (*this)(v);
+    if (status_.ok() && !check(v)) status_ = src_->Bad();
+  }
+  void operator()(std::string& v, TokenCheck check) {
     (*this)(v);
     if (status_.ok() && !check(v)) status_ = src_->Bad();
   }

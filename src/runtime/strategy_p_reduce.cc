@@ -198,46 +198,20 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
   // a lost message, and a shut-down fabric shows up in closed().
   const bool ft = plan.enabled();
   const double tick = ft ? plan.recv_timeout_seconds : -1.0;
+  // The core sits out the trace's churn windows as they fall due.
   PReduceWorker core(ctx->worker(), options_, plan,
                      {ctx->metrics(), ctx->trace()}, ctx->resume_iteration(),
-                     ctx->start_iteration(), run.iterations_per_worker);
-
-  // This worker's absence windows, in firing order. A trace can schedule
-  // several (Poisson churn revisits workers), and an arrive event compiles
-  // to a window at iteration 0 — served before the first local step.
-  const std::vector<ChurnWindow>& windows = ctx->scenario_churn();
-  auto next_window = std::find_if(
-      windows.begin(), windows.end(),
-      [&](const ChurnWindow& c) { return c.worker == ctx->worker(); });
+                     ctx->start_iteration(), run.iterations_per_worker,
+                     ctx->scenario_churn());
   ScaleDirector* scale = ctx->scale_director();
-  double pause_seconds = 0.0;  // the trace windows of the requested pause
-  // Asks the core to sit out boundary `k` when trace windows fall due there
-  // (windows behind a resume's start point are skipped) or, with `scaled`,
-  // when the autoscaler flags this worker out.
-  auto plan_pause = [&](size_t k, bool scaled) {
-    pause_seconds = 0.0;
-    bool due = false;
-    for (; next_window != windows.end() &&
-           next_window->worker == ctx->worker() &&
-           static_cast<size_t>(next_window->after_iterations) <= k;
-         ++next_window) {
-      if (static_cast<size_t>(next_window->after_iterations) == k) {
-        pause_seconds += next_window->pause_seconds;
-        due = true;
-      }
-    }
-    if (due || (scaled && scale != nullptr &&
-                scale->ShouldPause(ctx->worker()))) {
-      core.RequestPause();
-    }
-  };
   // Naps through the trace windows, then through the autoscaler's verdict.
   // That wait is bounded (lease-like) so a policy stuck at its minimum can
   // never deadlock the run's termination.
   const double scale_pause_budget =
       8.0 * ctx->strategy_options().scale_policy.interval_seconds;
   auto sit_out = [&] {
-    std::this_thread::sleep_for(std::chrono::duration<double>(pause_seconds));
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(core.pause_seconds()));
     if (scale == nullptr) return;
     const double deadline = ctx->Now() + scale_pause_budget;
     while (scale->ShouldPause(ctx->worker()) && ctx->Now() < deadline &&
@@ -375,7 +349,6 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
     }
   };
 
-  plan_pause(ctx->start_iteration(), /*scaled=*/false);  // arrive windows
   if (!drive(core.Start())) return;
   for (;;) {
     if (run.control != nullptr && run.control->cancel_requested()) {
@@ -387,7 +360,9 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
     ctx->ComputeGradient(params.data(), &grad);
     ctx->sgd()->Step(grad.data(), params.data(), params.size());
     const size_t k = core.completed() + 1;
-    plan_pause(k, /*scaled=*/true);
+    if (scale != nullptr && scale->ShouldPause(ctx->worker())) {
+      core.RequestPause();
+    }
     if (!drive(core.Boundary(ctx->Now()))) return;
     // Checkpoint cut (CutEpoch), reported to the controller's coordinator.
     const uint64_t epoch = CutEpoch(run.ckpt, k, run.iterations_per_worker,

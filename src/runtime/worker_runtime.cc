@@ -36,11 +36,6 @@ WorkerContext::WorkerContext(WorkerRuntime* runtime, int worker)
                 static_cast<size_t>(runtime->options_.num_workers));
     delay_seconds_ = delays[static_cast<size_t>(worker)];
   }
-  for (const WorkerFaultEvent& e : runtime->options_.fault.worker_events) {
-    if (e.worker == worker && e.kind == WorkerFaultEvent::Kind::kSlowdown) {
-      slowdown_events_.push_back(e);
-    }
-  }
   endpoint_.AttachObservers(
       metrics_, metrics_->Get(metric::kWorkerStashHighWater, worker),
       &runtime->trace_, [this] { return Now(); });
@@ -115,21 +110,13 @@ float WorkerContext::ComputeGradient(const float* at,
                                                                &batch_y_);
   const float loss =
       runtime_->model_->LossAndGradient(at, batch_x_, batch_y_, grad->data());
-  double sleep_seconds = delay_seconds_;
-  for (const WorkerFaultEvent& e : slowdown_events_) {
-    const size_t start = static_cast<size_t>(e.after_iterations);
-    const bool in_window =
-        completed_iterations_ >= start &&
-        (e.slowdown_iterations == 0 ||
-         completed_iterations_ <
-             start + static_cast<size_t>(e.slowdown_iterations));
-    if (!in_window) continue;
-    // The slowdown factor scales the worker's injected compute delay; with
-    // no configured delay it scales a 1 ms nominal tick so the fault is
-    // still observable on fast proxy models.
-    const double base = delay_seconds_ > 0.0 ? delay_seconds_ : 1e-3;
-    sleep_seconds += (e.slowdown_factor - 1.0) * base;
-  }
+  // A slowdown factor scales the worker's injected compute delay; with no
+  // configured delay it scales a 1 ms nominal tick so the fault is still
+  // observable on fast proxy models.
+  const double slowdown =
+      runtime_->options_.fault.SlowdownFactor(worker_, completed_iterations_);
+  const double base = delay_seconds_ > 0.0 ? delay_seconds_ : 1e-3;
+  const double sleep_seconds = delay_seconds_ + (slowdown - 1.0) * base;
   if (sleep_seconds > 0.0) {
     std::this_thread::sleep_for(std::chrono::duration<double>(sleep_seconds));
   }
@@ -260,19 +247,9 @@ WorkerRuntime::WorkerRuntime(const StrategyOptions& strategy_options,
       trace_(options.trace_capacity) {
   PR_CHECK_GE(options_.num_workers, 1);
   PR_CHECK_GE(options_.iterations_per_worker, 1u);
-  if (options_.scenario.enabled()) {
-    // Compile the trace against this run's shape and merge it into the
-    // fault plan before any transport decisions are made: from here on a
-    // scenario run is indistinguishable from a hand-written chaos run.
-    CompiledScenario compiled;
-    const Status s =
-        CompileScenario(options_.scenario, options_.num_workers,
-                        options_.topology, options_.fault, &compiled);
-    PR_CHECK(s.ok()) << "scenario '" << options_.scenario.name
-                     << "': " << s.message();
-    options_.fault = std::move(compiled.fault);
-    churn_ = std::move(compiled.churn);
-  }
+  // Before any transport decision: from here on a scenario run is
+  // indistinguishable from a hand-written chaos run.
+  churn_ = CompileRunScenario(&options_);
   if (strategy_options_.scale_policy.enabled()) {
     scale_director_ = std::make_unique<ScaleDirector>(options_.num_workers);
   }
@@ -485,16 +462,14 @@ ThreadedRunResult WorkerRuntime::Run(ThreadedStrategy* strategy) {
           forced_ckpts->Increment();
         }
         if (drive_policy && now >= next_tick) {
-          ScaleSample sample;
-          sample.active_workers = scale_director_->active();
           double idle_delta = 0.0;
           for (size_t i = 0; i < ctxs.size(); ++i) {
             const double idle = ctxs[i]->idle_seconds_counter_->value();
             idle_delta += idle - last_idle[i];
             last_idle[i] = idle;
           }
-          sample.mean_idle_fraction = MeanIdleFraction(
-              idle_delta, now - last_sample, sample.active_workers);
+          const ScaleSample sample =
+              scale_director_->Sample(idle_delta, now - last_sample);
           last_sample = now;
           const int delta = scale_director_->SetTarget(policy.Decide(sample));
           if (delta > 0) scale_grow->Increment(delta);

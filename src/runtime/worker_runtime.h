@@ -135,8 +135,6 @@ class WorkerContext {
   size_t completed_iterations_ = 0;
   size_t start_iteration_ = 0;
   int64_t resume_iteration_ = 0;
-  /// This worker's scheduled slowdown faults (copied from the run's plan).
-  std::vector<WorkerFaultEvent> slowdown_events_;
   Tensor batch_x_;
   std::vector<int> batch_y_;
   std::vector<TimelineInterval> intervals_;

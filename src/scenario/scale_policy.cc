@@ -103,7 +103,16 @@ int ScaleDirector::active() const {
   return live;
 }
 
-int ScaleDirector::SetTarget(int target) {
+ScaleSample ScaleDirector::Sample(double idle_delta_seconds,
+                                  double span_seconds) const {
+  ScaleSample sample;
+  sample.active_workers = active();
+  sample.mean_idle_fraction = MeanIdleFraction(
+      idle_delta_seconds, span_seconds, sample.active_workers);
+  return sample;
+}
+
+int ScaleDirector::SetTarget(int target, std::vector<int>* released) {
   target = std::max(1, std::min(target, num_workers_));
   std::lock_guard<std::mutex> lock(mu_);
   int live = 0;
@@ -129,6 +138,7 @@ int ScaleDirector::SetTarget(int target) {
       p.store(false, std::memory_order_release);
       ++live;
       ++delta;
+      if (released != nullptr) released->push_back(w);
     }
   }
   return delta;

@@ -65,8 +65,8 @@ struct ScalePolicyConfig {
 
 /// \brief One observation of the run, engine-agnostic. The threaded engine
 /// samples the live metrics registry on the wall clock; the simulator
-/// samples its counters on virtual-time ticks. Both build the idle fraction
-/// with MeanIdleFraction.
+/// samples its counters on virtual-time ticks. Both build it with
+/// ScaleDirector::Sample.
 struct ScaleSample {
   double mean_idle_fraction = 0.0;
   int active_workers = 0;
@@ -104,10 +104,10 @@ class ScalePolicy {
 
 /// \brief Thread-safe pause board between a scaling driver and worker loops.
 ///
-/// The driver (the runtime's scenario thread) calls SetTarget with the
-/// policy's desired live count; the board pauses the highest-id workers
-/// first and resumes them in reverse, so the surviving set is always a
-/// prefix — deterministic given the same decision stream. Workers poll
+/// Either engine's policy tick calls SetTarget with the policy's desired
+/// live count; the board pauses the highest-id workers first and resumes
+/// them in reverse, so the surviving set is always a prefix —
+/// deterministic given the same decision stream. Workers poll
 /// ShouldPause(me) at iteration boundaries and route through the same
 /// kKindPause / kKindRejoin elastic paths a trace-driven departure uses.
 class ScaleDirector {
@@ -122,12 +122,16 @@ class ScaleDirector {
 
   /// Driver side: adjusts the paused set toward `target` active workers
   /// (clamped to [1, num_workers]). Returns the signed change in the active
-  /// count (positive = workers resumed, negative = workers paused).
-  int SetTarget(int target);
+  /// count (positive = workers resumed, negative = workers paused) and, with
+  /// `released`, appends the workers it resumed.
+  int SetTarget(int target, std::vector<int>* released = nullptr);
 
   /// Active (unpaused) workers in the director's view. The trace may pause
   /// more behind its back; this tracks only policy-driven pauses.
   int active() const;
+
+  /// The policy's sample over one span: active() and MeanIdleFraction.
+  ScaleSample Sample(double idle_delta_seconds, double span_seconds) const;
 
  private:
   int num_workers_;

@@ -13,16 +13,6 @@
 namespace pr {
 namespace {
 
-bool IsNameToken(const std::string& name) {
-  if (name.empty()) return false;
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == '-' || c == '.';
-    if (!ok) return false;
-  }
-  return true;
-}
-
 Status JsonNumber(const JsonValue& value, const char* field, double* out) {
   if (!value.is_number()) {
     return Status::InvalidArgument(std::string("scenario json: bad event ") +
@@ -217,6 +207,16 @@ Status LoadScenario(const std::string& path, ScenarioSpec* out) {
   PR_RETURN_NOT_OK(ReadTextFile(path, &text));
   return IsJsonObjectText(text) ? ScenarioFromJson(text, out)
                                 : ParseScenario(text, out);
+}
+
+bool IsNameToken(const std::string& name) {
+  if (name.empty()) return false;
+  for (char c : name) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '_' || c == '-' || c == '.';
+    if (!ok) return false;
+  }
+  return true;
 }
 
 Status ValidateScenario(const ScenarioSpec& spec, int num_workers,
@@ -472,7 +472,6 @@ Status CompileScenario(const ScenarioSpec& spec, int num_workers,
           window.worker = worker;
           window.after_iterations = TimeToIteration(authored.time, eis);
           window.pause_seconds = authored.duration;
-          window.time_seconds = authored.time;
           compiled.churn.push_back(window);
           break;
         }
@@ -482,7 +481,6 @@ Status CompileScenario(const ScenarioSpec& spec, int num_workers,
           window.worker = worker;
           window.after_iterations = 0;
           window.pause_seconds = authored.time;
-          window.time_seconds = 0.0;
           compiled.churn.push_back(window);
           break;
         }

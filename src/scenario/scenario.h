@@ -15,12 +15,12 @@ namespace pr {
 
 /// \brief One timed churn/fault event in a scenario trace.
 ///
-/// Events are expressed in *scenario time* (seconds from run start). The
-/// compiler maps scenario time onto the engines' native clocks: virtual
-/// seconds in the simulator, iteration indices (via
-/// `ScenarioSpec::expected_iteration_seconds`) for iteration-keyed faults in
-/// the threaded engine, and wall-clock offsets for the threaded partition
-/// scheduler. Events target either a single `worker`, or — for the
+/// Events are expressed in *scenario time* (seconds from run start). On
+/// both engines a worker event (depart, arrive, slowdown, crash, hang) lands
+/// on the local iteration `time / ScenarioSpec::expected_iteration_seconds`;
+/// window lengths and partitions run on the engine's clock (wall seconds
+/// threaded, virtual seconds simulated). Events target a single `worker`,
+/// or — for the
 /// correlated rack-wide shapes the production traces show — a whole
 /// topology `node` (every worker placed on that node receives the event).
 enum class ScenarioEventKind {
@@ -43,10 +43,10 @@ struct ScenarioEvent {
 
 /// \brief A deterministic churn trace: named, seeded, and replayable.
 ///
-/// `expected_iteration_seconds` is the scale that converts scenario time
-/// into iteration indices for iteration-keyed fault injection; it should
-/// approximate one training step's duration under the run's delay model so
-/// both engines hit the same iterations.
+/// `expected_iteration_seconds` converts scenario time into local
+/// iterations; it should approximate one training step's duration on the
+/// engine that runs the trace (the simulator's as a fault-free probe run
+/// measures it).
 struct ScenarioSpec {
   std::string name = "scenario";
   uint64_t seed = 1;
@@ -86,6 +86,10 @@ Status ScenarioFromJson(const std::string& json, ScenarioSpec* out);
 
 /// Loads either dialect from a file, sniffing JSON by a leading '{'.
 Status LoadScenario(const std::string& path, ScenarioSpec* out);
+
+/// True for a trace name every dialect accepts: one token of letters,
+/// digits, '_', '-' and '.'.
+bool IsNameToken(const std::string& name);
 
 /// Structural validation against a concrete run: event targets must resolve
 /// (worker in [0, num_workers), node in [0, topology.num_nodes()) with a
@@ -151,15 +155,14 @@ ScenarioSpec MakeReferenceTrace(int num_workers, const Topology& topology,
 // Compilation: a scenario becomes engine-native event streams.
 // ---------------------------------------------------------------------------
 
-/// One elastic absence window, engine-agnostic: the worker pauses after
-/// `after_iterations` local steps and stays away `pause_seconds`. The
-/// threaded P-Reduce worker pauses on them directly; the simulator turns
-/// them into time-keyed leave/rejoin pairs.
+/// One elastic absence window, engine-agnostic: the worker sits out once
+/// it has completed `after_iterations` local steps (0: before its first)
+/// and stays away `pause_seconds` on the engine's clock. Engines hand them
+/// to the P-Reduce worker cores, which decide when each one falls due.
 struct ChurnWindow {
   int worker = -1;
   int after_iterations = 0;
   double pause_seconds = 0.0;
-  double time_seconds = 0.0;  ///< original scenario time, for virtual clocks
 };
 
 /// A compiled scenario: everything the engines consume.

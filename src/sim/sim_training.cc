@@ -29,19 +29,7 @@ SimTraining::SimTraining(const RunConfig& config,
            run.topology.num_workers() == run.num_workers)
       << "topology places " << run.topology.num_workers()
       << " workers but the run has " << run.num_workers;
-  // Chaos scenario: compile the trace against this run's shape and merge
-  // the result into the fault plan before anything reads it. Depart/arrive
-  // windows go to scenario_churn_ for the strategy to schedule in virtual
-  // time (the threaded engine walks the same compiled stream).
-  if (run.scenario.enabled()) {
-    CompiledScenario compiled;
-    const Status s = CompileScenario(run.scenario, run.num_workers,
-                                     run.topology, run.fault, &compiled);
-    PR_CHECK(s.ok()) << "scenario '" << run.scenario.name
-                     << "': " << s.message();
-    config_.run.fault = std::move(compiled.fault);
-    scenario_churn_ = std::move(compiled.churn);
-  }
+  scenario_churn_ = CompileRunScenario(&config_.run);
   const bool resuming = !resume_manifest.empty();
   RegisterRunMetrics(&registry_, config_.strategy, config_.run,
                      EngineKind::kSim, resuming);
@@ -109,23 +97,12 @@ void SimTraining::RecordActivity(int worker, WorkerActivity activity,
 }
 
 double SimTraining::SampleComputeSeconds(int worker) {
-  double slowdown =
-      hetero_->Sample(worker, iteration(worker));
-  // Scheduled slowdown faults compound with the ambient heterogeneity: the
-  // factor applies while the worker's iteration sits in the event's window
-  // (the threaded engine scales the injected compute delay the same way).
-  for (const WorkerFaultEvent& e : config_.run.fault.worker_events) {
-    if (e.worker != worker || e.kind != WorkerFaultEvent::Kind::kSlowdown) {
-      continue;
-    }
-    const int64_t it = iteration(worker);
-    const int64_t start = e.after_iterations;
-    if (it >= start && (e.slowdown_iterations == 0 ||
-                        it < start + e.slowdown_iterations)) {
-      slowdown *= e.slowdown_factor;
-    }
-  }
-  return cost_->ComputeSeconds(slowdown);
+  // Scheduled slowdown faults compound with the ambient heterogeneity over
+  // the worker's next local step (the threaded engine scales its injected
+  // compute delay by the same factor).
+  return cost_->ComputeSeconds(
+      hetero_->Sample(worker, iteration(worker)) *
+      config_.run.fault.SlowdownFactor(worker, completed(worker)));
 }
 
 std::vector<float>& SimTraining::params(int worker) {
@@ -159,12 +136,12 @@ float SimTraining::GradientAt(int worker, const float* at,
   PR_CHECK(grad != nullptr);
   grad->assign(model_->NumParams(), 0.0f);
   ++gradients_computed_;
-  if (config_.sim.timing_only) return 0.0f;
   WorkerState& ws = workers_[static_cast<size_t>(worker)];
+  ++ws.completed;
+  if (config_.sim.timing_only) return 0.0f;
   Tensor x;
   std::vector<int> y;
   ws.sampler->NextBatch(&x, &y);
-  ++ws.batches_drawn;
   return model_->LossAndGradient(at, x, y, grad->data());
 }
 
@@ -236,9 +213,9 @@ Status SimTraining::EnableCheckpoint(const std::string& resume_manifest) {
       *ws.optimizer->mutable_velocity() = std::move(restored.velocity);
       ws.iteration = restored.iteration;
       ws.sampler->Skip(restored.completed);
-      ws.batches_drawn = static_cast<size_t>(restored.completed);
-      ws.cut_at = ws.batches_drawn;
-      gradients_computed_ += ws.batches_drawn;
+      ws.completed = static_cast<size_t>(restored.completed);
+      ws.cut_at = ws.completed;
+      gradients_computed_ += ws.completed;
     }
     updates_ = state.manifest.updates_done;
     resume_ = std::move(state.manifest);

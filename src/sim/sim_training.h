@@ -54,7 +54,7 @@ class SimTraining {
   Rng* rng() { return &rng_; }
 
   /// Samples the duration of `worker`'s next local computation (base
-  /// compute time x heterogeneity slowdown).
+  /// compute time x heterogeneity x FaultPlan::SlowdownFactor).
   double SampleComputeSeconds(int worker);
 
   /// Worker-replica parameter access.
@@ -95,9 +95,9 @@ class SimTraining {
   void RecordUpdate();
   size_t updates() const { return updates_; }
 
-  /// Mini-batches `worker` has drawn: its completed local iterations.
-  size_t batches_drawn(int worker) const {
-    return workers_[static_cast<size_t>(worker)].batches_drawn;
+  /// Local iterations `worker` has completed (gradients computed).
+  size_t completed(int worker) const {
+    return workers_[static_cast<size_t>(worker)].completed;
   }
 
   /// At `worker`'s synchronization boundary: cuts its shard when local
@@ -127,9 +127,9 @@ class SimTraining {
     return workers_[static_cast<size_t>(worker)].total_wait;
   }
 
-  /// The run's compiled scenario churn windows (empty without a scenario).
-  /// The P-Reduce strategy schedules each as a virtual-time leave/rejoin
-  /// pair; partition windows live in run().fault.partition_events.
+  /// The run's compiled scenario churn windows (empty without a scenario),
+  /// handed to the P-Reduce worker cores; partition windows live in
+  /// run().fault.partition_events.
   const std::vector<ChurnWindow>& scenario_churn() const {
     return scenario_churn_;
   }
@@ -188,9 +188,9 @@ class SimTraining {
     std::unique_ptr<Sgd> optimizer;
     std::unique_ptr<BatchSampler> sampler;
     int64_t iteration = 0;
-    /// Mini-batches drawn so far; a restore fast-forwards the sampler by
+    /// Local iterations completed; a restore fast-forwards the sampler by
     /// this count so the resumed run draws the batches the original would.
-    size_t batches_drawn = 0;
+    size_t completed = 0;
     size_t cut_at = 0;  ///< the completed count last considered for a cut
     double wait_started = -1.0;  ///< -1 when not waiting
     double total_wait = 0.0;

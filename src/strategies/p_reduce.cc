@@ -1,6 +1,7 @@
 #include "strategies/p_reduce.h"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "common/check.h"
@@ -32,7 +33,9 @@ PReduceStrategy::PReduceStrategy(SimTraining* ctx,
     workers_.emplace_back(w, options, plan,
                           PReduceWorker::Observers{ctx->metrics(),
                                                    ctx->trace()},
-                          ctx->iteration(w), ctx->batches_drawn(w));
+                          ctx->iteration(w), ctx->completed(w),
+                          std::numeric_limits<size_t>::max(),
+                          ctx->scenario_churn());
   }
   envs_.resize(n);
 
@@ -49,21 +52,19 @@ PReduceStrategy::PReduceStrategy(SimTraining* ctx,
   if (options.scale_policy.enabled()) {
     scale_policy_ = std::make_unique<ScalePolicy>(options.scale_policy,
                                                   ctx->num_workers());
+    scale_director_ = std::make_unique<ScaleDirector>(ctx->num_workers());
   }
 }
 
-void PReduceStrategy::ScenarioLeave(int worker) {
-  // Takes effect at the gradient boundary; the core ignores it while
-  // paused (overlapping windows) or dead (a crash outliving them).
-  workers_[static_cast<size_t>(worker)].RequestPause();
-}
-
-void PReduceStrategy::ScenarioRejoin(int worker) {
-  const size_t w = static_cast<size_t>(worker);
-  if (envs_[w].scale_paused) return;  // the autoscaler owns this pause now
-  // A leave that never reached a boundary (window shorter than one step)
-  // is cancelled instead of rejoining twice.
-  Run(worker, workers_[w].Resume(ctx_->engine()->now()));
+void PReduceStrategy::MaybeResume(int worker) {
+  const WorkerEnv& env = envs_[static_cast<size_t>(worker)];
+  const double now = ctx_->engine()->now();
+  if (env.partitions > 0 || now < env.window_end ||
+      (scale_director_ != nullptr && scale_director_->ShouldPause(worker))) {
+    return;
+  }
+  // A pause that never reached a boundary is cancelled instead.
+  Run(worker, workers_[static_cast<size_t>(worker)].Resume(now));
 }
 
 void PReduceStrategy::ScalePolicyTick() {
@@ -73,90 +74,51 @@ void PReduceStrategy::ScalePolicyTick() {
   for (int w = 0; w < ctx_->num_workers(); ++w) {
     wait_total += ctx_->worker_wait_seconds(w);
   }
-  ScaleSample sample;
-  sample.active_workers = service_.active_count();
-  sample.mean_idle_fraction =
-      MeanIdleFraction(wait_total - last_wait_total_, now - last_tick_time_,
-                       sample.active_workers);
+  const ScaleSample sample = scale_director_->Sample(
+      wait_total - last_wait_total_, now - last_tick_time_);
   last_wait_total_ = wait_total;
   last_tick_time_ = now;
+  // Victims pause at their next boundary (OnGradientReady asks the
+  // director, as the threaded worker does); released ones come back now.
+  std::vector<int> released;
+  const int delta =
+      scale_director_->SetTarget(scale_policy_->Decide(sample), &released);
+  if (delta > 0) scale_grow_->Increment(delta);
+  if (delta < 0) scale_shrink_->Increment(-delta);
+  for (int w : released) MaybeResume(w);
+  ScheduleScaleTick();
+}
 
-  const int target = scale_policy_->Decide(sample);
-  if (target < sample.active_workers) {
-    // Shed the highest-id active worker: the surviving set stays a prefix,
-    // matching the threaded ScaleDirector's deterministic order.
-    for (int w = ctx_->num_workers() - 1; w >= 0; --w) {
-      const size_t i = static_cast<size_t>(w);
-      PReduceWorker& core = workers_[i];
-      if (service_.active(w) && core.phase() != PReduceWorker::Phase::kDead &&
-          core.phase() != PReduceWorker::Phase::kPaused &&
-          !core.pause_requested() && !envs_[i].scale_paused) {
-        envs_[i].scale_paused = true;
-        core.RequestPause();
-        scale_shrink_->Increment();
-        break;
-      }
-    }
-  } else if (target > sample.active_workers) {
-    // Readmit the lowest-id policy-paused worker.
-    for (int w = 0; w < ctx_->num_workers(); ++w) {
-      const size_t i = static_cast<size_t>(w);
-      if (!envs_[i].scale_paused) continue;
-      envs_[i].scale_paused = false;
-      ScenarioRejoin(w);
-      scale_grow_->Increment();
-      break;
-    }
-  }
+void PReduceStrategy::ScheduleScaleTick() {
+  // Floor keeps a malformed zero interval from wedging the event queue at
+  // one timestamp.
   ctx_->engine()->ScheduleAfter(
       std::max(1e-6, scale_policy_->config().interval_seconds),
       [this] { ScalePolicyTick(); });
 }
 
 void PReduceStrategy::Start() {
-  // Scenario arrive windows (time 0) hold their workers out before the
-  // first compute event is ever scheduled.
-  for (const ChurnWindow& w : ctx_->scenario_churn()) {
-    if (w.time_seconds <= 0.0) {
-      workers_[static_cast<size_t>(w.worker)].RequestPause();
-    }
-  }
-
   for (int w = 0; w < ctx_->num_workers(); ++w) {
     Run(w, workers_[static_cast<size_t>(w)].Start());
   }
-
-  // Scenario churn windows become virtual-time leave/rejoin pairs. The
-  // handlers are lenient: generated traces overlap windows freely.
-  for (const ChurnWindow& w : ctx_->scenario_churn()) {
-    if (w.time_seconds <= 0.0) {
-      ctx_->engine()->ScheduleAt(w.pause_seconds,
-                                 [this, w] { ScenarioRejoin(w.worker); });
-    } else {
-      ctx_->engine()->ScheduleAt(w.time_seconds,
-                                 [this, w] { ScenarioLeave(w.worker); });
-      ctx_->engine()->ScheduleAt(w.time_seconds + w.pause_seconds,
-                                 [this, w] { ScenarioRejoin(w.worker); });
-    }
-  }
   // A partitioned worker is, in virtual time, a membership loss for the
   // window's duration: its traffic cannot reach the controller or any
-  // group, which is exactly what leaving models.
+  // group, which is exactly what leaving models. The handlers are lenient:
+  // the core ignores a request while paused (overlapping windows) or dead.
   for (const PartitionEvent& p : ctx_->run().fault.partition_events) {
-    ctx_->engine()->ScheduleAt(p.start_seconds, [this, p] {
+    const int w = p.worker;
+    ctx_->engine()->ScheduleAt(p.start_seconds, [this, w] {
       if (partitions_applied_ != nullptr) partitions_applied_->Increment();
-      ScenarioLeave(p.worker);
+      ++envs_[static_cast<size_t>(w)].partitions;
+      workers_[static_cast<size_t>(w)].RequestPause();
     });
     ctx_->engine()->ScheduleAt(p.start_seconds + p.duration_seconds,
-                               [this, p] { ScenarioRejoin(p.worker); });
+                               [this, w] {
+                                 --envs_[static_cast<size_t>(w)].partitions;
+                                 MaybeResume(w);
+                               });
   }
-  if (scale_policy_ != nullptr) {
-    // Floor keeps a malformed zero interval from wedging the event queue
-    // at one timestamp.
-    ctx_->engine()->ScheduleAfter(
-        std::max(1e-6, scale_policy_->config().interval_seconds),
-        [this] { ScalePolicyTick(); });
-  }
+  if (scale_policy_ != nullptr) ScheduleScaleTick();
 }
 
 void PReduceStrategy::BeginCompute(int worker) {
@@ -175,8 +137,11 @@ void PReduceStrategy::OnGradientReady(int worker) {
   std::vector<float> grad;
   ctx_->GradientAtSnapshot(worker, &grad);
   ctx_->LocalStep(worker, grad.data());
-  Run(worker,
-      workers_[static_cast<size_t>(worker)].Boundary(ctx_->engine()->now()));
+  PReduceWorker& core = workers_[static_cast<size_t>(worker)];
+  if (scale_director_ != nullptr && scale_director_->ShouldPause(worker)) {
+    core.RequestPause();
+  }
+  Run(worker, core.Boundary(ctx_->engine()->now()));
 }
 
 void PReduceStrategy::Run(int worker, WorkerActions actions) {
@@ -256,6 +221,13 @@ void PReduceStrategy::Transition(int worker, PReduceWorker::Phase from,
   ++env.epoch;  // a pending tick belongs to the phase that ended
   if (to == Phase::kWaiting || to == Phase::kReducing) {
     ScheduleTick(worker, env.epoch);
+  }
+  if (to == Phase::kPaused) {
+    // The core's windows set the length (0 for a requested pause).
+    env.window_end =
+        now + workers_[static_cast<size_t>(worker)].pause_seconds();
+    ctx_->engine()->ScheduleAt(env.window_end,
+                               [this, worker] { MaybeResume(worker); });
   }
   if (controller_gone_) MaybeStopWithoutController();
 }

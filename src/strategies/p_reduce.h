@@ -49,7 +49,8 @@ class PReduceStrategy : public Strategy {
     double since = 0.0;  ///< when the current phase began
     /// Drop-roll sequence on the worker->controller edge.
     uint64_t send_seq = 0;
-    bool scale_paused = false;  ///< paused by the autoscaler, not the trace
+    double window_end = 0.0;  ///< when the current pause's windows end
+    int partitions = 0;       ///< partition windows open on the worker
   };
   /// The analytic ring of one group: it completes `comm` seconds after its
   /// last member joins, unless a member stopped first.
@@ -95,16 +96,14 @@ class PReduceStrategy : public Strategy {
   void MaybeCrashController();
   void RestartController();
 
-  /// Scenario-driven membership changes are *lenient*: a leave for an
-  /// already-absent (or crashed) worker is a no-op, a rejoin for an active
-  /// worker just cancels its pending leave. Generated traces can overlap
-  /// windows; the engines must diverge on none of them.
-  void ScenarioLeave(int worker);
-  void ScenarioRejoin(int worker);
+  /// Ends `worker`'s pause once its windows ended, no partition holds it
+  /// and the autoscaler lets it go (a pause not begun is cancelled).
+  void MaybeResume(int worker);
   /// One autoscaler tick in virtual time: samples the workers' wait-seconds
-  /// delta, feeds the policy, and pauses/readmits workers through the
-  /// scenario churn paths. Reschedules itself every interval.
+  /// delta, feeds the policy, moves the ScaleDirector's target and
+  /// schedules the next tick (ScheduleScaleTick).
   void ScalePolicyTick();
+  void ScheduleScaleTick();
 
   SimTraining* ctx_;
   StrategyOptions options_;
@@ -135,6 +134,7 @@ class PReduceStrategy : public Strategy {
   double last_wait_total_ = 0.0;
   double last_tick_time_ = 0.0;
   std::unique_ptr<ScalePolicy> scale_policy_;
+  std::unique_ptr<ScaleDirector> scale_director_;
 };
 
 }  // namespace pr

@@ -19,7 +19,8 @@ WorkerAction Act(WorkerAction::Kind kind) {
 PReduceWorker::PReduceWorker(int worker, const StrategyOptions& options,
                              const FaultPlan& plan, Observers observers,
                              int64_t iteration, size_t completed,
-                             size_t budget)
+                             size_t budget,
+                             const std::vector<ChurnWindow>& windows)
     : worker_(worker),
       dynamic_(options.kind == StrategyKind::kPReduceDynamic),
       plan_(plan),
@@ -34,6 +35,9 @@ PReduceWorker::PReduceWorker(int worker, const StrategyOptions& options,
       completed_(completed) {
   if (observers.metrics != nullptr) {
     retries_ = observers.metrics->Get(metric::kFaultRetries);
+  }
+  for (const ChurnWindow& w : windows) {
+    if (w.worker == worker) windows_.push_back(w);
   }
 }
 
@@ -118,10 +122,28 @@ void PReduceWorker::Leave(WorkerActions* out) {
   Send(kKindLeave, {}, out);
 }
 
+bool PReduceWorker::TakeDueWindows() {
+  bool due = false;
+  pause_seconds_ = 0.0;
+  // Windows due at one count (Poisson churn overlaps them) make one pause.
+  for (; next_window_ < windows_.size() &&
+         static_cast<size_t>(windows_[next_window_].after_iterations) <=
+             completed_;
+       ++next_window_) {
+    const ChurnWindow& w = windows_[next_window_];
+    if (static_cast<size_t>(w.after_iterations) == completed_) {
+      pause_seconds_ += w.pause_seconds;
+      due = true;
+    }
+  }
+  return due;
+}
+
 void PReduceWorker::Continue(double now, bool signal, WorkerActions* out) {
+  const bool window_due = TakeDueWindows();
   if (completed_ >= budget_) {
     Leave(out);
-  } else if (pause_requested_) {
+  } else if (pause_requested_ || window_due) {
     pause_requested_ = false;
     resume_signals_ = signal;
     SetPhase(Phase::kPaused, out);

@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "scenario/scenario.h"
 #include "strategies/p_reduce_service.h"
 
 namespace pr {
@@ -58,7 +59,10 @@ using WorkerActions = std::vector<WorkerAction>;
 /// iteration counter, GroupInfo dedup by ascending id, Abort id adoption,
 /// the Ready re-send and re-registration backoff, the two liveness valves,
 /// the completed-group window, DYN iteration adoption and the retry
-/// accounting. Time arrives as `now`. Every timed rule fires on a WaitTick
+/// accounting, and the churn windows: it sits out each as it falls due and
+/// reports how long (pause_seconds), which the engine waits on its own
+/// clock before it calls Resume. Time arrives as `now`. Every timed rule
+/// fires on a WaitTick
 /// or RingTick, which engines deliver only under an enabled fault plan, so a
 /// fault-free run waits as long as it takes. A ring gets RingTicks only
 /// while it stalls (a segment wait timed out), never while it makes
@@ -75,18 +79,21 @@ class PReduceWorker {
 
   /// `iteration` and `completed` are the protocol iteration and the local
   /// iterations already done (non-zero on a resumed run); the worker leaves
-  /// after `budget` local iterations.
+  /// after `budget` local iterations. Of `windows`, sorted by
+  /// `after_iterations` (CompileScenario's order), it keeps this worker's.
   PReduceWorker(int worker, const StrategyOptions& options,
                 const FaultPlan& plan, Observers observers,
                 int64_t iteration = 0, size_t completed = 0,
-                size_t budget = std::numeric_limits<size_t>::max());
+                size_t budget = std::numeric_limits<size_t>::max(),
+                const std::vector<ChurnWindow>& windows = {});
 
   /// Before the first local step: leave when the budget is already spent,
-  /// sit out a requested pause, or proceed.
+  /// sit out a due window or a requested pause, or proceed.
   WorkerActions Start();
   /// The local step of the next iteration is done.
   WorkerActions Boundary(double now);
-  /// Sit out at the next boundary instead of signaling.
+  /// Sit out at the next boundary instead of signaling, until the engine's
+  /// Resume (the autoscaler's verdict, a simulated partition).
   void RequestPause();
   /// The pause is over: rejoin and carry on. Before the pause began it just
   /// cancels the request.
@@ -114,7 +121,8 @@ class PReduceWorker {
   int64_t iteration() const { return iteration_; }
   /// Local iterations completed.
   size_t completed() const { return completed_; }
-  bool pause_requested() const { return pause_requested_; }
+  /// The current pause's length: its due windows' summed pause_seconds.
+  double pause_seconds() const { return pause_seconds_; }
   /// True once a verdict wait under controller faults gave up on the
   /// controller; later waits then only probe briefly.
   bool controller_lost() const { return controller_lost_; }
@@ -122,9 +130,12 @@ class PReduceWorker {
   const GroupDecision& group() const { return *group_; }
 
  private:
-  /// Leaves at the budget, pauses on request, else waits for this
-  /// boundary's verdict (`signal`) or proceeds.
+  /// Leaves at the budget, pauses on a due window or a request, else waits
+  /// for this boundary's verdict (`signal`) or proceeds.
   void Continue(double now, bool signal, WorkerActions* out);
+  /// Takes the windows due at completed() into pause_seconds_, skipping
+  /// those a resumed start passed; true when any fell due.
+  bool TakeDueWindows();
   void SetPhase(Phase phase, WorkerActions* out);
   void Leave(WorkerActions* out);
   void BeginWait(double now, WorkerActions* out);
@@ -143,6 +154,8 @@ class PReduceWorker {
   /// locally; under controller faults it covers a full outage.
   const double full_wait_;
   const size_t budget_;
+  std::vector<ChurnWindow> windows_;  ///< this worker's, in firing order
+  size_t next_window_ = 0;
   Counter* retries_ = nullptr;
   TraceRecorder* trace_ = nullptr;
 
@@ -150,6 +163,7 @@ class PReduceWorker {
   int64_t iteration_;
   size_t completed_;
   bool pause_requested_ = false;
+  double pause_seconds_ = 0.0;
   bool resume_signals_ = false;  ///< paused at a boundary, not at start
   uint64_t last_group_id_ = 0;
   std::shared_ptr<const GroupDecision> group_;

@@ -3,10 +3,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/ckpt_config.h"
 #include "ckpt/manifest.h"
+#include "common/check.h"
 #include "common/stats.h"
 #include "data/synthetic.h"
 #include "fault/fault_plan.h"
@@ -57,9 +59,9 @@ struct RunOptions {
   /// ResumeRun). Disabled by default.
   CheckpointConfig ckpt;
   /// Trace-driven chaos (P-Reduce kinds only), the one description of
-  /// churn. Compiled at run start and merged into `fault`; depart/arrive
-  /// windows pause workers, after `after_iterations` local steps on the
-  /// threaded engine and at the window's virtual time in the simulator.
+  /// churn. Compiled at run start (CompileRunScenario) and merged into
+  /// `fault`; worker events land on local iterations on both engines, and
+  /// window lengths and partitions run on the engine's clock.
   ScenarioSpec scenario;
   /// Record a per-worker compute/comm/idle timeline (Fig. 3).
   bool record_timeline = false;
@@ -165,6 +167,20 @@ inline MetricsShard* RegisterRunMetrics(MetricsRegistry* registry,
     if (Counter* c = shard->Get(*def)) c->Increment(count);
   }
   return shard;
+}
+
+/// Compiles `run->scenario` into `run->fault` (an invalid one aborts the
+/// run) and returns its churn windows for the P-Reduce worker cores. Both
+/// engines call it once at construction, before anything reads the plan.
+inline std::vector<ChurnWindow> CompileRunScenario(RunOptions* run) {
+  if (!run->scenario.enabled()) return {};
+  CompiledScenario compiled;
+  const Status s = CompileScenario(run->scenario, run->num_workers,
+                                   run->topology, run->fault, &compiled);
+  PR_CHECK(s.ok()) << "scenario '" << run->scenario.name
+                   << "': " << s.message();
+  run->fault = std::move(compiled.fault);
+  return std::move(compiled.churn);
 }
 
 /// \brief One point of a simulated convergence curve (Fig. 7 / Fig. 10).

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -239,6 +241,47 @@ TEST(ChaosTest, SlowdownFaultStretchesCompute) {
 // ---------------------------------------------------------------------------
 // Simulated engine: same plan, same metric names, virtual time.
 // ---------------------------------------------------------------------------
+
+// Both engines key a slowdown window on the worker's completed local
+// iterations. DYN fast-forwards a group's members to the group's max
+// iteration, so a window keyed on that counter would fire early (or be
+// jumped over) on a slow worker, whose counter the fast-forward moves most.
+TEST(ChaosTest, SimDynSlowdownWindowKeysOnLocalIterations) {
+  RunConfig config = PaperSimConfig();
+  config.run.num_workers = 4;
+  config.sim.timing_only = true;
+  config.sim.timing_updates = 60;
+  config.sim.hetero = HeteroSpec::FixedFactors({3.0, 1.0, 1.0, 1.0});
+  config.run.record_timeline = true;
+  config.strategy.kind = StrategyKind::kPReduceDynamic;
+  config.strategy.group_size = 2;
+  // Worker 0's 7th local step (after 6) runs 10x longer.
+  WorkerFaultEvent event;
+  event.worker = 0;
+  event.kind = WorkerFaultEvent::Kind::kSlowdown;
+  event.after_iterations = 6;
+  event.slowdown_iterations = 1;
+  event.slowdown_factor = 10.0;
+  config.run.fault.worker_events.push_back(event);
+
+  SimTraining ctx(config);
+  std::unique_ptr<Strategy> strategy = MakeStrategy(config.strategy, &ctx);
+  strategy->Start();
+  ctx.engine()->RunUntil([&] { return ctx.stopped(); });
+  std::vector<double> steps;  // worker 0's compute durations, in order
+  for (const TimelineInterval& i : ctx.timeline()->intervals()) {
+    if (i.worker == 0 && i.activity == WorkerActivity::kCompute) {
+      steps.push_back(i.duration());
+    }
+  }
+  ASSERT_GT(steps.size(), 8u);
+  EXPECT_EQ(std::max_element(steps.begin(), steps.end()) - steps.begin(), 6);
+  for (size_t k = 0; k < steps.size(); ++k) {
+    if (k != 6) {
+      EXPECT_LT(5.0 * steps[k], steps[6]) << "step " << k;
+    }
+  }
+}
 
 RunResult RunSimChaos(uint64_t seed) {
   RunConfig config = PaperSimConfig();

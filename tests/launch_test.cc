@@ -444,6 +444,25 @@ TEST(ConfigIoTest, RejectsMalformedScenarioAndPolicyLines) {
   EXPECT_EQ(parsed.run.scenario.events[0].kind, ScenarioEventKind::kCrash);
 }
 
+// A trace name is one token in prconfig as in prtrace: a spaced name fails
+// where it is read, not when the run compiles its scenario.
+TEST(ConfigIoTest, ScenarioNameIsOneToken) {
+  RunConfig parsed;
+  EXPECT_FALSE(
+      ParseRunConfig("prconfig 1\nscenario.name rack outage\n", &parsed).ok());
+  EXPECT_FALSE(RunConfigFromJson(
+                   R"({"prconfig": 1, "scenario.name": "rack outage"})",
+                   &parsed)
+                   .ok());
+  EXPECT_FALSE(
+      RunConfigFromJson(R"({"prconfig": 1, "scenario.name": 7})", &parsed)
+          .ok());
+  ASSERT_TRUE(
+      ParseRunConfig("prconfig 1\nscenario.name rack-outage.v2\n", &parsed)
+          .ok());
+  EXPECT_EQ(parsed.run.scenario.name, "rack-outage.v2");
+}
+
 TEST(ConfigIoTest, DefaultConfigRoundTrips) {
   const RunConfig config;
   const std::string text = SerializeRunConfig(config);
@@ -613,7 +632,7 @@ TEST(ConfigJsonTest, RandomConfigsRoundTripThroughJson) {
     }
     if (coin()) {
       ScenarioSpec& sc = config.run.scenario;
-      sc.name = "trace " + std::to_string(rng() % 100);  // space survives
+      sc.name = "trace-" + std::to_string(rng() % 100);
       sc.seed = rng() % (uint64_t{1} << 50);
       sc.expected_iteration_seconds =
           static_cast<double>(1 + rng() % 100) / 1000.0;

@@ -4,10 +4,11 @@
 // in-flight network, in the wire form both engines use: worker messages
 // reach the service through PReduceService::Receive, service messages are
 // encoded with EncodeServiceAction and decoded by PReduceWorker::Receive. The
-// explorer keeps only the environment: compute and pause timers, the
-// network, the threaded pump's lease detector, a controller crash with
-// restart, and an abstract ring per group that completes once every member
-// has joined and none has left. At every step a seeded RNG picks the next
+// explorer keeps only the environment: compute and pause timers (a core's
+// churn windows last pause_seconds() ticks), the network, the threaded
+// pump's lease detector, a controller crash with restart, and an abstract
+// ring per group that completes once every member has joined and none has
+// left. At every step a seeded RNG picks the next
 // delivery (any message the recipient would take now, so delivery order is
 // arbitrary), a drop, a duplicate, or a clock tick. After every step the
 // explorer asserts the protocol invariants, and every schedule must let
@@ -112,13 +113,16 @@ class Explorer {
     envs_.resize(static_cast<size_t>(config.n));
     cores_.reserve(static_cast<size_t>(config.n));
     for (int w = 0; w < config.n; ++w) {
-      cores_.emplace_back(w, options, plan_, PReduceWorker::Observers{}, 0,
-                          0, budget);
-      Env& env = envs_[static_cast<size_t>(w)];
+      // Half the workers sit out one churn window, an arrive window (due
+      // at Start) included.
+      std::vector<ChurnWindow> windows;
       if (Below(2) == 0) {
-        env.pause_at = 1 + Below(budget - 1);
-        env.pause_ticks = 1 + static_cast<int>(Below(3));
+        windows.push_back({w, static_cast<int>(Below(budget)),
+                           1.0 + static_cast<double>(Below(3))});
       }
+      envs_[static_cast<size_t>(w)].windows = windows.size();
+      cores_.emplace_back(w, options, plan_, PReduceWorker::Observers{}, 0,
+                          0, budget, windows);
     }
     StartLeases();
     log_.reserve(1 << 14);
@@ -132,7 +136,19 @@ class Explorer {
   bool Run() {
     constexpr int kMaxSteps = 60000;
     for (int step = 0; step < kMaxSteps && failure_.empty(); ++step) {
-      if (AllFinished()) return true;
+      if (AllFinished()) {
+        // Every window lies inside the budget, so each one paused its core.
+        for (int w = 0; w < config_.n; ++w) {
+          const Env& env = envs_[static_cast<size_t>(w)];
+          if (env.pauses != env.windows) {
+            Fail("worker " + std::to_string(w) + " paused " +
+                 std::to_string(env.pauses) + " times for " +
+                 std::to_string(env.windows) + " windows");
+            return false;
+          }
+        }
+        return true;
+      }
       Step();
       if (failure_.empty()) CheckInvariants();
     }
@@ -147,9 +163,9 @@ class Explorer {
   using Phase = PReduceWorker::Phase;
   /// The environment of one worker core.
   struct Env {
-    int timer = 0;        ///< ticks left computing or paused
-    size_t pause_at = 0;  ///< the boundary that pauses (0: none)
-    int pause_ticks = 0;
+    int timer = 0;       ///< ticks left computing or paused
+    size_t windows = 0;  ///< churn windows the core was built with
+    size_t pauses = 0;   ///< pauses the core began
     uint64_t last_started = 0;  ///< the last group the core started
   };
   /// A message on the wire, in its encoded form.
@@ -249,6 +265,13 @@ class Explorer {
         case WorkerAction::Kind::kProceed:
           envs_[static_cast<size_t>(w)].timer = ComputeTicks();
           break;
+        case WorkerAction::Kind::kPhaseChange:
+          if (a.to == Phase::kPaused) {
+            Env& env = envs_[static_cast<size_t>(w)];
+            env.timer = static_cast<int>(core.pause_seconds());
+            ++env.pauses;
+          }
+          break;
         case WorkerAction::Kind::kSleep:
         case WorkerAction::Kind::kDie:
           Fail("worker " + std::to_string(w) + " ran an unarmed fault");
@@ -307,9 +330,7 @@ class Explorer {
     switch (core.phase()) {
       case Phase::kComputing:
         if (--env.timer > 0) break;
-        if (core.completed() + 1 == env.pause_at) core.RequestPause();
         Run(w, core.Boundary(clock_));
-        if (core.phase() == Phase::kPaused) env.timer = env.pause_ticks;
         break;
       case Phase::kPaused:
         if (--env.timer <= 0) Run(w, core.Resume(clock_));

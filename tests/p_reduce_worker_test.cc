@@ -263,6 +263,73 @@ TEST(PReduceWorkerTest, PausesBudgetsAndCrashes) {
   EXPECT_TRUE(Has(leave, Kind::kSend, kKindLeave));
 }
 
+// The core owns the churn windows: it sits out each at the boundary (or,
+// for an arrive window, the Start) where its completed count falls due,
+// and reports how long the engine should wait.
+TEST(PReduceWorkerTest, WindowPausesAtItsBoundaryForItsLength) {
+  const std::vector<ChurnWindow> windows = {
+      {1, 2, 0.5},  // another worker's: ignored
+      {0, 2, 0.25},
+      {0, 2, 0.5},  // due at the same count: one pause, lengths add up
+      {0, 4, 1.0},
+  };
+  PReduceWorker core(0, Con(), FaultPlan{}, {}, 0, 0, /*budget=*/10,
+                     windows);
+  EXPECT_TRUE(Has(core.Start(), Kind::kProceed));
+  EXPECT_TRUE(Has(core.Boundary(0.0), Kind::kSend, kKindReady));
+  core.Receive(0.0, kKindRelease, {1});
+  const WorkerActions pause = core.Boundary(0.0);
+  EXPECT_TRUE(Has(pause, Kind::kSend, kKindPause));
+  EXPECT_FALSE(Has(pause, Kind::kSend, kKindReady));
+  EXPECT_EQ(core.phase(), Phase::kPaused);
+  EXPECT_DOUBLE_EQ(core.pause_seconds(), 0.75);
+  // Back from a boundary pause the worker signals that boundary at once.
+  const WorkerActions back = core.Resume(1.0);
+  EXPECT_TRUE(Has(back, Kind::kSend, kKindRejoin));
+  EXPECT_TRUE(Has(back, Kind::kSend, kKindReady));
+  EXPECT_DOUBLE_EQ(core.pause_seconds(), 0.0);
+  core.Receive(1.0, kKindRelease, {2});
+  EXPECT_TRUE(Has(core.Boundary(1.0), Kind::kSend, kKindReady));
+  core.Receive(1.0, kKindRelease, {3});
+  EXPECT_TRUE(Has(core.Boundary(1.0), Kind::kSend, kKindPause));
+  EXPECT_DOUBLE_EQ(core.pause_seconds(), 1.0);
+  // A requested pause has no length of its own: its requester ends it.
+  core.Resume(2.0);
+  core.Receive(2.0, kKindRelease, {4});
+  core.RequestPause();
+  EXPECT_TRUE(Has(core.Boundary(2.0), Kind::kSend, kKindPause));
+  EXPECT_DOUBLE_EQ(core.pause_seconds(), 0.0);
+}
+
+TEST(PReduceWorkerTest, ArriveWindowHoldsTheWorkerOutAtStart) {
+  PReduceWorker core(0, Con(), FaultPlan{}, {}, 0, 0, /*budget=*/10,
+                     {{0, 0, 0.5}});
+  const WorkerActions start = core.Start();
+  EXPECT_TRUE(Has(start, Kind::kSend, kKindPause));
+  EXPECT_FALSE(Has(start, Kind::kProceed));
+  EXPECT_EQ(core.phase(), Phase::kPaused);
+  EXPECT_DOUBLE_EQ(core.pause_seconds(), 0.5);
+  // Back from a pause at Start the worker computes its first step.
+  const WorkerActions back = core.Resume(0.5);
+  EXPECT_TRUE(Has(back, Kind::kSend, kKindRejoin));
+  EXPECT_TRUE(Has(back, Kind::kProceed));
+  EXPECT_FALSE(Has(back, Kind::kSend, kKindReady));
+}
+
+TEST(PReduceWorkerTest, ResumedStartSkipsWindowsBehindIt) {
+  // Resumed after 3 local iterations: the windows at 1 and 2 are history,
+  // the one at 5 still falls due.
+  PReduceWorker core(0, Con(), FaultPlan{}, {}, /*iteration=*/3,
+                     /*completed=*/3, /*budget=*/10,
+                     {{0, 1, 0.5}, {0, 2, 0.5}, {0, 5, 0.25}});
+  EXPECT_TRUE(Has(core.Start(), Kind::kProceed));
+  EXPECT_TRUE(Has(core.Boundary(0.0), Kind::kSend, kKindReady));
+  core.Receive(0.0, kKindRelease, {4});
+  EXPECT_TRUE(Has(core.Boundary(0.0), Kind::kSend, kKindPause));
+  EXPECT_EQ(core.completed(), 5u);
+  EXPECT_DOUBLE_EQ(core.pause_seconds(), 0.25);
+}
+
 // Engines charge idle and comm time from the core's kPhaseChange actions,
 // so every input reports the one phase change it makes, and only that.
 TEST(PReduceWorkerTest, EveryInputReportsItsOnePhaseChange) {

@@ -105,35 +105,42 @@ TEST(StartRunTest, ScenarioChurnRunsOnBothEngines) {
   config.run.num_workers = 4;
   config.run.iterations_per_worker = 8;
   config.run.trace_capacity = 4096;
-  // Scenario time is virtual seconds in the simulator and maps to
-  // iterations (one per 1/32 s, exactly) in the threaded engine. A cheap
-  // compute model makes a simulated step about that long, so both windows
-  // outlast a step on both engines: worker 1 departs after 3 iterations for
-  // 0.1 s, worker 2 joins 1/16 s into the run.
-  config.sim.cost.compute_scale = 0.01;
+  // Scenario time means local iterations for every worker event on both
+  // engines (one per 1/32 s here); a window's length runs on the engine's
+  // clock. The default cost model makes a simulated step far longer than
+  // any window below, and each window still takes effect: worker 1 departs
+  // after 3 iterations for 0.1 s, worker 2 joins 1/16 s into the run, and
+  // worker 3 (after 5 iterations) and worker 0 (at the start) sit out
+  // 1/128 s.
   const double step = 1.0 / 32.0;
+  const double blip = 1.0 / 128.0;
   config.run.scenario.expected_iteration_seconds = step;
   config.run.scenario.events = {
       {ScenarioEventKind::kDepart, 3 * step, /*worker=*/1, /*node=*/-1,
        /*duration=*/0.1},
       {ScenarioEventKind::kArrive, 2 * step, /*worker=*/2},
+      {ScenarioEventKind::kDepart, 5 * step, /*worker=*/3, /*node=*/-1,
+       /*duration=*/blip},
+      {ScenarioEventKind::kArrive, blip, /*worker=*/0},
   };
   const RunResult threaded = StartRun(config, EngineKind::kThreaded);
   const RunResult sim = StartRun(config, EngineKind::kSim);
 
   const std::map<std::string, double> counters =
       ScenarioCounters(threaded.metrics);
-  EXPECT_EQ(counters.at("scenario.departs"), 1.0);
-  EXPECT_EQ(counters.at("scenario.arrives"), 1.0);
+  EXPECT_EQ(counters.at("scenario.departs"), 2.0);
+  EXPECT_EQ(counters.at("scenario.arrives"), 2.0);
   EXPECT_EQ(counters, ScenarioCounters(sim.metrics));
   for (const RunResult* r : {&threaded, &sim}) {
     SCOPED_TRACE(EngineKindName(r->engine));
-    // Both windows took effect: each worker left the pool and came back.
-    for (int worker : {1, 2}) {
+    // Every window took effect: each worker left the pool and came back.
+    for (int worker : {0, 1, 2, 3}) {
       EXPECT_GE(CountEvents(r->trace, TraceEventKind::kChurnLeave, worker),
-                1u);
+                1u)
+          << "worker " << worker;
       EXPECT_GE(CountEvents(r->trace, TraceEventKind::kChurnRejoin, worker),
-                1u);
+                1u)
+          << "worker " << worker;
     }
   }
   ASSERT_EQ(threaded.worker_iterations.size(), 4u);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "sim/sim_training.h"
 #include "train/run.h"
@@ -47,12 +50,39 @@ RunConfig TimingConfig(StrategyKind kind, int n, const HeteroSpec& hetero,
   return config;
 }
 
-/// Departure of `worker` at virtual second `time` for `duration` seconds.
+/// Departure of `worker` at scenario second `time` for `duration` seconds.
 ScenarioEvent Depart(double time, int worker, double duration) {
   return {ScenarioEventKind::kDepart, time, worker, /*node=*/-1, duration};
 }
 /// A departure that outlasts every run here.
 constexpr double kForGood = 1e9;
+
+/// Runs `config` with `events` on the simulator. Scenario time lands on
+/// local iterations, so the trace's iteration scale is the simulated step a
+/// churn-free probe run measures (bench_scenarios calibrates the same way):
+/// its virtual clock over the local iterations a worker ran, P gradients
+/// per update over N workers. Each departure must have fired.
+RunResult RunWithChurn(RunConfig config, std::vector<ScenarioEvent> events) {
+  const RunResult probe = StartRun(config, EngineKind::kSim);
+  const double iterations = static_cast<double>(probe.updates) *
+                            config.strategy.group_size /
+                            config.run.num_workers;
+  config.run.scenario.expected_iteration_seconds =
+      probe.clock_seconds / iterations;
+  config.run.scenario.events = std::move(events);
+  config.run.trace_capacity = 1 << 16;
+  RunResult result = StartRun(config, EngineKind::kSim);
+  for (const ScenarioEvent& e : config.run.scenario.events) {
+    EXPECT_TRUE(std::any_of(result.trace.events.begin(),
+                            result.trace.events.end(),
+                            [&](const TraceEvent& t) {
+                              return t.kind == TraceEventKind::kChurnLeave &&
+                                     t.worker == e.worker;
+                            }))
+        << "worker " << e.worker << "'s departure never fired";
+  }
+  return result;
+}
 
 class AllStrategiesTest : public ::testing::TestWithParam<StrategyKind> {};
 
@@ -190,8 +220,8 @@ TEST(ElasticMembershipTest, LeaveAndRejoinKeepsTrainingConverging) {
   config.run.num_workers = 6;
   config.strategy.group_size = 2;
   // Worker 5 leaves early and rejoins later with its (stale) model.
-  config.run.scenario.events = {Depart(2.0, 5, /*duration=*/28.0)};
-  RunResult result = StartRun(config, EngineKind::kSim);
+  RunResult result =
+      RunWithChurn(config, {Depart(2.0, 5, /*duration=*/28.0)});
   EXPECT_TRUE(result.converged) << "final acc " << result.final_accuracy;
 }
 
@@ -199,9 +229,8 @@ TEST(ElasticMembershipTest, PermanentDeparturesStillConverge) {
   RunConfig config = SmallConfig(StrategyKind::kPReduceDynamic);
   config.run.num_workers = 6;
   config.strategy.group_size = 2;
-  config.run.scenario.events = {Depart(1.0, 4, kForGood),
-                                 Depart(3.0, 5, kForGood)};
-  RunResult result = StartRun(config, EngineKind::kSim);
+  RunResult result = RunWithChurn(
+      config, {Depart(1.0, 4, kForGood), Depart(3.0, 5, kForGood)});
   EXPECT_TRUE(result.converged);
 }
 
@@ -210,8 +239,8 @@ TEST(ElasticMembershipTest, TimingOnlyChurnKeepsCadence) {
       TimingConfig(StrategyKind::kPReduceConst, 6, HeteroSpec::Homogeneous(),
                    400);
   config.strategy.group_size = 2;
-  config.run.scenario.events = {Depart(10.0, 0, /*duration=*/30.0)};
-  RunResult result = StartRun(config, EngineKind::kSim);
+  RunResult result =
+      RunWithChurn(config, {Depart(10.0, 0, /*duration=*/30.0)});
   EXPECT_EQ(result.updates, 400u);
 }
 
