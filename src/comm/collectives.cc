@@ -77,8 +77,9 @@ Compressor* ActiveCodec(Compressor* compressor) {
 
 /// Receives segment (step, chunk, j) of a segmented-ring conversation from
 /// `left`, selecting it by all six fields so duplicates and reorderings
-/// cannot be consumed out of turn. Cancelled on shutdown; Timeout once the
-/// deadline's tick callback gives up.
+/// cannot be consumed out of turn. The segment is due (the left peer sends
+/// it as soon as it has its own), so the wait spins before it parks.
+/// Cancelled on shutdown; Timeout once the deadline's tick callback gives up.
 Status RecvSegment(Endpoint* ep, NodeId left, uint64_t tag, int kind,
                    size_t step, size_t chunk, size_t j,
                    const RingDeadline& deadline, Buffer* out) {
@@ -90,7 +91,7 @@ Status RecvSegment(Endpoint* ep, NodeId left, uint64_t tag, int kind,
   };
   while (true) {
     std::optional<Envelope> env =
-        ep->RecvWhereFor(match, deadline.recv_timeout_seconds);
+        ep->RecvWhereFor(match, deadline.recv_timeout_seconds, RecvWait::kDue);
     if (env.has_value()) {
       *out = std::move(env->payload);
       return Status::OK();

@@ -349,15 +349,13 @@ Status SocketTransport::Send(NodeId to, Envelope env) {
   return Status::OK();
 }
 
-std::optional<Envelope> SocketTransport::Recv(NodeId me) {
-  PR_CHECK(is_local(me));
-  return inboxes_[static_cast<size_t>(me)]->Pop();
-}
-
 std::optional<Envelope> SocketTransport::RecvFor(NodeId me,
-                                                 double timeout_seconds) {
+                                                 double timeout_seconds,
+                                                 double spin_seconds,
+                                                 bool* parked) {
   PR_CHECK(is_local(me));
-  return inboxes_[static_cast<size_t>(me)]->PopFor(timeout_seconds);
+  return inboxes_[static_cast<size_t>(me)]->PopFor(timeout_seconds,
+                                                   spin_seconds, parked);
 }
 
 std::optional<Envelope> SocketTransport::TryRecv(NodeId me) {
@@ -445,17 +443,14 @@ Status SocketFabric::Send(NodeId to, Envelope env) {
   return nodes_[static_cast<size_t>(from)]->Send(to, std::move(env));
 }
 
-std::optional<Envelope> SocketFabric::Recv(NodeId me) {
-  PR_CHECK_GE(me, 0);
-  PR_CHECK_LT(me, num_nodes_);
-  return nodes_[static_cast<size_t>(me)]->Recv(me);
-}
-
 std::optional<Envelope> SocketFabric::RecvFor(NodeId me,
-                                              double timeout_seconds) {
+                                              double timeout_seconds,
+                                              double spin_seconds,
+                                              bool* parked) {
   PR_CHECK_GE(me, 0);
   PR_CHECK_LT(me, num_nodes_);
-  return nodes_[static_cast<size_t>(me)]->RecvFor(me, timeout_seconds);
+  return nodes_[static_cast<size_t>(me)]->RecvFor(me, timeout_seconds,
+                                                  spin_seconds, parked);
 }
 
 std::optional<Envelope> SocketFabric::TryRecv(NodeId me) {

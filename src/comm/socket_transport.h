@@ -78,10 +78,12 @@ class SocketTransport : public Transport {
   /// Send/Recv; remote peers may start later (dials retry).
   Status Start();
 
+  using Transport::RecvFor;
+
   int num_nodes() const override { return num_nodes_; }
   Status Send(NodeId to, Envelope env) override;
-  std::optional<Envelope> Recv(NodeId me) override;
-  std::optional<Envelope> RecvFor(NodeId me, double timeout_seconds) override;
+  std::optional<Envelope> RecvFor(NodeId me, double timeout_seconds,
+                                  double spin_seconds, bool* parked) override;
   std::optional<Envelope> TryRecv(NodeId me) override;
   bool closed() const override {
     return closed_.load(std::memory_order_acquire);
@@ -163,10 +165,12 @@ class SocketFabric : public Transport {
 
   Status Start();
 
+  using Transport::RecvFor;
+
   int num_nodes() const override { return num_nodes_; }
   Status Send(NodeId to, Envelope env) override;
-  std::optional<Envelope> Recv(NodeId me) override;
-  std::optional<Envelope> RecvFor(NodeId me, double timeout_seconds) override;
+  std::optional<Envelope> RecvFor(NodeId me, double timeout_seconds,
+                                  double spin_seconds, bool* parked) override;
   std::optional<Envelope> TryRecv(NodeId me) override;
   bool closed() const override;
   void Shutdown() override;

@@ -26,17 +26,14 @@ Status InProcTransport::Send(NodeId to, Envelope env) {
   return Status::OK();
 }
 
-std::optional<Envelope> InProcTransport::Recv(NodeId me) {
-  PR_CHECK_GE(me, 0);
-  PR_CHECK_LT(me, num_nodes_);
-  return mailboxes_[static_cast<size_t>(me)]->Pop();
-}
-
 std::optional<Envelope> InProcTransport::RecvFor(NodeId me,
-                                                 double timeout_seconds) {
+                                                 double timeout_seconds,
+                                                 double spin_seconds,
+                                                 bool* parked) {
   PR_CHECK_GE(me, 0);
   PR_CHECK_LT(me, num_nodes_);
-  return mailboxes_[static_cast<size_t>(me)]->PopFor(timeout_seconds);
+  return mailboxes_[static_cast<size_t>(me)]->PopFor(timeout_seconds,
+                                                     spin_seconds, parked);
 }
 
 std::optional<Envelope> InProcTransport::TryRecv(NodeId me) {
@@ -71,6 +68,8 @@ void Endpoint::AttachObservers(MetricsShard* metrics, Gauge* scoped_stash,
     payload_copies_counter_ = metrics->Get(metric::kTransportPayloadCopies);
     stash_purged_counter_ = metrics->Get(metric::kTransportStashPurged);
     inter_node_bytes_counter_ = metrics->Get(metric::kTransportInterNodeBytes);
+    recv_spun_counter_ = metrics->Get(metric::kTransportRecvSpun);
+    recv_parked_counter_ = metrics->Get(metric::kTransportRecvParked);
     stash_gauge_ = metrics->Get(metric::kTransportStashHighWater);
     // Publish the current mark immediately: on a fresh endpoint this is a
     // no-op, while a re-attached endpoint that skipped ResetDiagnostics()
@@ -93,6 +92,8 @@ void Endpoint::ResetDiagnostics() {
   payload_copies_counter_ = nullptr;
   stash_purged_counter_ = nullptr;
   inter_node_bytes_counter_ = nullptr;
+  recv_spun_counter_ = nullptr;
+  recv_parked_counter_ = nullptr;
   is_inter_node_ = nullptr;
   stash_gauge_ = nullptr;
   scoped_stash_gauge_ = nullptr;
@@ -174,44 +175,50 @@ Buffer Endpoint::MakePayload(const float* data, size_t n) {
 }
 
 std::optional<Envelope> Endpoint::RecvWhere(
-    const std::function<bool(const Envelope&)>& match, double timeout_seconds) {
+    const std::function<bool(const Envelope&)>& match, double timeout_seconds,
+    RecvWait wait) {
+  using Clock = std::chrono::steady_clock;
+  const auto after = [start = Clock::now()](double seconds) {
+    return start + std::chrono::duration_cast<Clock::duration>(
+                       std::chrono::duration<double>(seconds));
+  };
+  const bool due = wait == RecvWait::kDue;
+  bool parked = false;
+  const auto done = [&](std::optional<Envelope> env) {
+    if (due) {
+      Counter* counter = parked ? recv_parked_counter_ : recv_spun_counter_;
+      if (counter != nullptr) counter->Increment();
+    }
+    if (env.has_value()) NoteReceived(*env);
+    return env;
+  };
   for (auto it = stash_.begin(); it != stash_.end(); ++it) {
     if (match(*it)) {
       Envelope env = std::move(*it);
       stash_.erase(it);
-      NoteReceived(env);
-      return env;
+      return done(std::move(env));
     }
   }
   const bool bounded = timeout_seconds >= 0.0;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(bounded ? timeout_seconds : 0.0));
+  const Clock::time_point deadline = after(bounded ? timeout_seconds : 0.0);
+  const Clock::time_point spin_end = after(due ? kDueSpinSeconds : 0.0);
   while (true) {
-    std::optional<Envelope> env;
-    if (bounded) {
-      const double left =
-          std::chrono::duration<double>(deadline -
-                                        std::chrono::steady_clock::now())
-              .count();
-      if (left <= 0.0) return std::nullopt;
-      env = transport_->RecvFor(me_, left);
-      // A timed-out wait and a closed-and-drained mailbox both surface as
-      // nullopt here; either way the deadline loop decides, so fall through
-      // unless the fabric is closed (no more messages will ever arrive).
-      if (!env.has_value()) {
-        if (transport_->closed()) return std::nullopt;
-        continue;
-      }
-    } else {
-      env = transport_->Recv(me_);
-      if (!env.has_value()) return std::nullopt;
+    const Clock::time_point now = Clock::now();
+    const double left =
+        bounded ? std::chrono::duration<double>(deadline - now).count() : -1.0;
+    if (bounded && left <= 0.0) return done(std::nullopt);
+    const double spin =
+        std::max(0.0, std::chrono::duration<double>(spin_end - now).count());
+    std::optional<Envelope> env =
+        transport_->RecvFor(me_, left, spin, &parked);
+    // A timed-out wait and a closed-and-drained mailbox both surface as
+    // nullopt; only a closed fabric (no more messages will ever arrive) or
+    // an unbounded wait ends here, a timeout goes round the deadline check.
+    if (!env.has_value()) {
+      if (!bounded || transport_->closed()) return done(std::nullopt);
+      continue;
     }
-    if (match(*env)) {
-      NoteReceived(*env);
-      return env;
-    }
+    if (match(*env)) return done(std::move(env));
     stash_.push_back(std::move(*env));
     NoteStashed();
   }
@@ -239,25 +246,15 @@ std::optional<Envelope> Endpoint::RecvFrom(NodeId from) {
 }
 
 std::optional<Envelope> Endpoint::RecvFromFor(NodeId from,
-                                              double timeout_seconds) {
+                                              double timeout_seconds,
+                                              RecvWait wait) {
   return RecvWhere([&](const Envelope& env) { return env.from == from; },
-                   timeout_seconds);
+                   timeout_seconds, wait);
 }
 
-std::optional<Envelope> Endpoint::RecvAny() {
-  if (!stash_.empty()) {
-    Envelope env = std::move(stash_.front());
-    stash_.pop_front();
-    NoteReceived(env);
-    return env;
-  }
-  std::optional<Envelope> env = transport_->Recv(me_);
-  if (env.has_value()) NoteReceived(*env);
-  return env;
-}
+std::optional<Envelope> Endpoint::RecvAny() { return RecvAnyFor(-1.0); }
 
 std::optional<Envelope> Endpoint::RecvAnyFor(double timeout_seconds) {
-  if (timeout_seconds < 0.0) return RecvAny();
   if (!stash_.empty()) {
     Envelope env = std::move(stash_.front());
     stash_.pop_front();
@@ -270,8 +267,9 @@ std::optional<Envelope> Endpoint::RecvAnyFor(double timeout_seconds) {
 }
 
 std::optional<Envelope> Endpoint::RecvWhereFor(
-    const std::function<bool(const Envelope&)>& match, double timeout_seconds) {
-  return RecvWhere(match, timeout_seconds);
+    const std::function<bool(const Envelope&)>& match, double timeout_seconds,
+    RecvWait wait) {
+  return RecvWhere(match, timeout_seconds, wait);
 }
 
 std::optional<Envelope> Endpoint::TryTakeStashed(

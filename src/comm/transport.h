@@ -63,15 +63,23 @@ class Transport {
   /// Shutdown().
   virtual Status Send(NodeId to, Envelope env) = 0;
 
-  /// Blocking receive of the next mailbox message for `me`; nullopt after
-  /// Shutdown() once drained.
-  virtual std::optional<Envelope> Recv(NodeId me) = 0;
+  /// Timed receive of the next mailbox message for `me`: nullopt on timeout
+  /// as well as after Shutdown() once drained; callers distinguish via
+  /// closed(). A negative `timeout_seconds` means no deadline. The wait
+  /// spins on the mailbox for up to `spin_seconds` (never past its deadline)
+  /// before it parks, and sets `*parked`, when non-null, to true if it
+  /// parked. Endpoint passes a spin only for a due reply (RecvWait::kDue).
+  virtual std::optional<Envelope> RecvFor(NodeId me, double timeout_seconds,
+                                          double spin_seconds,
+                                          bool* parked) = 0;
 
-  /// Bounded-wait receive: nullopt on timeout as well as after shutdown;
-  /// callers distinguish via closed(). `timeout_seconds` must be >= 0; the
-  /// Endpoint *For receives map a negative (no-deadline) timeout to Recv.
-  virtual std::optional<Envelope> RecvFor(NodeId me,
-                                          double timeout_seconds) = 0;
+  /// RecvFor that parks at once.
+  std::optional<Envelope> RecvFor(NodeId me, double timeout_seconds) {
+    return RecvFor(me, timeout_seconds, 0.0, nullptr);
+  }
+
+  /// Blocking receive; nullopt after Shutdown() once drained.
+  std::optional<Envelope> Recv(NodeId me) { return RecvFor(me, -1.0); }
 
   /// Non-blocking receive.
   virtual std::optional<Envelope> TryRecv(NodeId me) = 0;
@@ -93,10 +101,12 @@ class InProcTransport : public Transport {
  public:
   explicit InProcTransport(int num_nodes);
 
+  using Transport::RecvFor;
+
   int num_nodes() const override { return num_nodes_; }
   Status Send(NodeId to, Envelope env) override;
-  std::optional<Envelope> Recv(NodeId me) override;
-  std::optional<Envelope> RecvFor(NodeId me, double timeout_seconds) override;
+  std::optional<Envelope> RecvFor(NodeId me, double timeout_seconds,
+                                  double spin_seconds, bool* parked) override;
   std::optional<Envelope> TryRecv(NodeId me) override;
   bool closed() const override {
     return closed_.load(std::memory_order_acquire);
@@ -108,6 +118,22 @@ class InProcTransport : public Transport {
   std::vector<std::unique_ptr<BlockingQueue<Envelope>>> mailboxes_;
   std::atomic<bool> closed_{false};
 };
+
+/// How a selective receive waits once its message has not arrived yet.
+enum class RecvWait : uint8_t {
+  /// Park on the mailbox's condition variable at once.
+  kPark,
+  /// The protocol says the message is due (a ring segment from a group peer,
+  /// a group verdict after Ready): spin on the mailbox for up to
+  /// kDueSpinSeconds, then park.
+  kDue,
+};
+
+/// The spin budget of one due receive. Sized from measured due waits
+/// (DESIGN.md §5e, "How a receive waits"): most verdict waits end within
+/// 2 ms, and a shorter budget lets one parked member's wake-up delay push
+/// its ring neighbours' waits past the budget too.
+inline constexpr double kDueSpinSeconds = 0.002;
 
 /// \brief A node's view of the transport with out-of-order stashing.
 ///
@@ -208,7 +234,9 @@ class Endpoint {
 
   /// Deadline variant of RecvFrom (same timeout semantics as
   /// RecvMatchingFor; negative = no deadline, blocks like RecvFrom).
-  std::optional<Envelope> RecvFromFor(NodeId from, double timeout_seconds);
+  /// `wait` kDue spins before parking (see RecvWait).
+  std::optional<Envelope> RecvFromFor(NodeId from, double timeout_seconds,
+                                      RecvWait wait = RecvWait::kPark);
 
   /// Blocks for any message (stash first, then mailbox).
   std::optional<Envelope> RecvAny();
@@ -222,10 +250,10 @@ class Endpoint {
   /// passes (negative = no deadline, as for RecvMatchingFor). The segmented
   /// ring collectives use this to match on payload fields (step, chunk,
   /// segment), so a duplicated segment cannot be mistaken for the next
-  /// one.
+  /// one. `wait` kDue spins before parking (see RecvWait).
   std::optional<Envelope> RecvWhereFor(
       const std::function<bool(const Envelope&)>& match,
-      double timeout_seconds);
+      double timeout_seconds, RecvWait wait = RecvWait::kPark);
 
   /// Removes and returns the oldest stashed message satisfying `match`
   /// without touching the mailbox. Lets a blocked conversation notice
@@ -260,10 +288,12 @@ class Endpoint {
  private:
   /// Blocks until a message satisfying `match` arrives, checking the stash
   /// in one pass first and parking every non-matching mailbox message.
-  /// A negative `timeout_seconds` means no deadline.
+  /// A negative `timeout_seconds` means no deadline. A kDue wait spins for
+  /// kDueSpinSeconds in all, however many non-matching messages it stashes,
+  /// and counts once in transport.recv_spun or transport.recv_parked.
   std::optional<Envelope> RecvWhere(
       const std::function<bool(const Envelope&)>& match,
-      double timeout_seconds = -1.0);
+      double timeout_seconds = -1.0, RecvWait wait = RecvWait::kPark);
 
   void NoteStashed();
   void NoteReceived(const Envelope& env);
@@ -283,6 +313,8 @@ class Endpoint {
   Counter* payload_copies_counter_ = nullptr;
   Counter* stash_purged_counter_ = nullptr;
   Counter* inter_node_bytes_counter_ = nullptr;
+  Counter* recv_spun_counter_ = nullptr;
+  Counter* recv_parked_counter_ = nullptr;
   std::function<bool(NodeId)> is_inter_node_;
   Gauge* stash_gauge_ = nullptr;
   Gauge* scoped_stash_gauge_ = nullptr;

@@ -42,11 +42,13 @@ class FaultyTransport : public Transport {
   void AttachObservers(MetricsShard* metrics, TraceRecorder* trace,
                        std::function<double()> now);
 
+  using Transport::RecvFor;
+
   int num_nodes() const override { return inner_->num_nodes(); }
   Status Send(NodeId to, Envelope env) override;
-  std::optional<Envelope> Recv(NodeId me) override { return inner_->Recv(me); }
-  std::optional<Envelope> RecvFor(NodeId me, double timeout_seconds) override {
-    return inner_->RecvFor(me, timeout_seconds);
+  std::optional<Envelope> RecvFor(NodeId me, double timeout_seconds,
+                                  double spin_seconds, bool* parked) override {
+    return inner_->RecvFor(me, timeout_seconds, spin_seconds, parked);
   }
   std::optional<Envelope> TryRecv(NodeId me) override {
     return inner_->TryRecv(me);

@@ -37,6 +37,8 @@ namespace pr {
   X(kTransportMessagesReceived, Counter, "transport.messages_received", \
     kThreaded) \
   X(kTransportStashHighWater, Gauge, "transport.stash_high_water", kThreaded) \
+  X(kTransportRecvSpun, Counter, "transport.recv_spun", kThreaded) \
+  X(kTransportRecvParked, Counter, "transport.recv_parked", kThreaded) \
   X(kControllerSignalsReceived, Counter, "controller.signals_received", \
     kController) \
   X(kControllerGroupsFormed, Counter, "controller.groups_formed", kController) \

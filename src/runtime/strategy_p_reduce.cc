@@ -225,12 +225,18 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
   // is comm, aborted rings included.
   bool stop_reduce = false;
   double since = 0.0;  // when the core's current phase began
+  // A verdict wait spins only while this worker's last one ended inside the
+  // spin budget: behind a slow controller link every verdict is late, and
+  // spinning for it would only burn a core.
+  bool verdict_due = true;
   auto execute = [&](WorkerActions& actions) -> bool {
     for (WorkerAction& a : actions) {
       switch (a.kind) {
         case WorkerAction::Kind::kPhaseChange:
           if (a.from == WorkerPhase::kWaiting) {
-            ctx->RecordIdle(since, ctx->Now());
+            const double now = ctx->Now();
+            ctx->RecordIdle(since, now);
+            verdict_due = now - since <= kDueSpinSeconds;
           }
           if (a.from == WorkerPhase::kReducing) {
             ctx->RecordComm(since, ctx->Now());
@@ -322,7 +328,9 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
           actions = core.Resume(ctx->Now());
           break;
         case WorkerPhase::kWaiting: {
-          std::optional<Envelope> env = ep->RecvFromFor(controller, tick);
+          std::optional<Envelope> env = ep->RecvFromFor(
+              controller, tick,
+              verdict_due ? RecvWait::kDue : RecvWait::kPark);
           if (!env.has_value()) {
             if (ep->closed()) return false;
             actions = core.WaitTick(ctx->Now());

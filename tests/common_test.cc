@@ -393,5 +393,77 @@ TEST(BlockingQueueTest, ConcurrentProducersConsumersDeliverAll) {
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
 
+
+// ---------------------------------------------------------------------------
+// Spin-then-park waits (BlockingQueue::PopFor with a spin budget)
+// ---------------------------------------------------------------------------
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+TEST(SpinWaitTest, ItemPushedMidSpinIsReturnedWithoutParking) {
+  BlockingQueue<int> q;
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    q.Push(7);
+  });
+  // The spin budget outlasts the producer's nap by far, so the item lands
+  // while the consumer spins and it never parks.
+  bool parked = false;
+  std::optional<int> v = q.PopFor(/*timeout_seconds=*/30.0,
+                                  /*spin_seconds=*/20.0, &parked);
+  producer.join();
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(*v, 7);
+  EXPECT_FALSE(parked);
+}
+
+TEST(SpinWaitTest, CloseEndsASpinningWaitWithNullopt) {
+  BlockingQueue<int> q;
+  std::thread closer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    q.Close();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  bool parked = false;
+  EXPECT_FALSE(q.PopFor(30.0, 20.0, &parked).has_value());
+  closer.join();
+  EXPECT_LT(SecondsSince(start), 10.0);
+  EXPECT_FALSE(parked);
+  EXPECT_TRUE(q.closed());
+}
+
+TEST(SpinWaitTest, TimeoutBelowTheSpinBudgetEndsTheWaitOnTime) {
+  BlockingQueue<int> q;
+  const auto start = std::chrono::steady_clock::now();
+  bool parked = false;
+  EXPECT_FALSE(q.PopFor(/*timeout_seconds=*/0.001, /*spin_seconds=*/20.0,
+                        &parked)
+                   .has_value());
+  // Returns by its own deadline, far short of the spin budget, and a wait
+  // whose deadline falls inside the spin never parks.
+  EXPECT_LT(SecondsSince(start), 5.0);
+  EXPECT_FALSE(parked);
+  EXPECT_FALSE(q.closed());
+}
+
+TEST(SpinWaitTest, WaitOutlastingTheSpinParksAndStillGetsItsItem) {
+  BlockingQueue<int> q;
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    q.Push(3);
+  });
+  bool parked = false;
+  std::optional<int> v =
+      q.PopFor(/*timeout_seconds=*/-1.0, /*spin_seconds=*/0.001, &parked);
+  producer.join();
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(*v, 3);
+  EXPECT_TRUE(parked);
+}
+
 }  // namespace
 }  // namespace pr

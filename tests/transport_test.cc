@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "comm/transport.h"
+#include "obs/metric_table.h"
 
 namespace pr {
 namespace {
@@ -489,6 +491,117 @@ TEST(TransportTest, CrossThreadDelivery) {
     EXPECT_EQ(env->ints[0], i);
   }
   sender.join();
+}
+
+// ---------------------------------------------------------------------------
+// Due receives: spin before parking
+// ---------------------------------------------------------------------------
+
+// Records the spin budget of every RecvFor the endpoint makes.
+class SpinRecordingTransport : public InProcTransport {
+ public:
+  using InProcTransport::InProcTransport;
+
+  std::optional<Envelope> RecvFor(NodeId me, double timeout_seconds,
+                                  double spin_seconds, bool* parked) override {
+    spins.push_back(spin_seconds);
+    return InProcTransport::RecvFor(me, timeout_seconds, spin_seconds,
+                                    parked);
+  }
+
+  std::vector<double> spins;
+};
+
+double RecvCount(MetricsShard* shard, const MetricDef<Counter>& def) {
+  return shard->Get(def)->value();
+}
+
+TEST(SpinWaitTest, AnySourceReceivesNeverSpin) {
+  SpinRecordingTransport transport(2);
+  Endpoint a(&transport, 0), b(&transport, 1);
+  // The controller-restart drain: empty the mailbox without waiting.
+  ASSERT_TRUE(a.Send(1, 0, 1, {}).ok());
+  while (b.RecvAnyFor(0.0).has_value()) {
+  }
+  EXPECT_FALSE(b.RecvAnyFor(0.001).has_value());
+  ASSERT_TRUE(a.Send(1, 0, 1, {}).ok());
+  ASSERT_TRUE(b.RecvAny().has_value());
+  // A selective receive that is not due parks at once too.
+  ASSERT_TRUE(a.Send(1, 0, 1, {}).ok());
+  ASSERT_TRUE(b.RecvFromFor(0, 1.0).has_value());
+  ASSERT_FALSE(transport.spins.empty());
+  for (double spin : transport.spins) EXPECT_EQ(spin, 0.0);
+
+  // A due receive asks for the cap, never more.
+  transport.spins.clear();
+  ASSERT_TRUE(a.Send(1, 0, 1, {}).ok());
+  ASSERT_TRUE(b.RecvFromFor(0, 1.0, RecvWait::kDue).has_value());
+  ASSERT_EQ(transport.spins.size(), 1u);
+  EXPECT_GT(transport.spins[0], 0.0);
+  EXPECT_LE(transport.spins[0], kDueSpinSeconds);
+}
+
+TEST(SpinWaitTest, SpinningRecvWhereStashesNonMatchesInFifoOrder) {
+  InProcTransport transport(3);
+  Endpoint a(&transport, 0), b(&transport, 1), c(&transport, 2);
+  MetricsRegistry registry;
+  MetricsShard* mc = registry.NewShard();
+  c.AttachObservers(mc, nullptr, nullptr, nullptr);
+  // Strays from a arrive while c spins for b's message.
+  std::thread sender([&] {
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(a.Send(2, /*tag=*/1, /*kind=*/5, {i}).ok());
+    }
+    ASSERT_TRUE(b.Send(2, /*tag=*/2, /*kind=*/9, {}).ok());
+  });
+  auto got = c.RecvWhereFor([](const Envelope& e) { return e.kind == 9; },
+                            -1.0, RecvWait::kDue);
+  sender.join();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->from, 1);
+  EXPECT_EQ(c.stash_size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    auto env = c.RecvAny();
+    ASSERT_TRUE(env.has_value());
+    EXPECT_EQ(env->ints[0], i);
+  }
+  // One due receive, counted once whether it spun or parked.
+  EXPECT_EQ(RecvCount(mc, metric::kTransportRecvSpun) +
+                RecvCount(mc, metric::kTransportRecvParked),
+            1.0);
+}
+
+TEST(SpinWaitTest, DueReceivesCountWhetherTheyParked) {
+  InProcTransport transport(2);
+  Endpoint a(&transport, 0), b(&transport, 1);
+  MetricsRegistry registry;
+  MetricsShard* mb = registry.NewShard();
+  b.AttachObservers(mb, nullptr, nullptr, nullptr);
+  // Already in the mailbox: no wait, so no park.
+  ASSERT_TRUE(a.Send(1, 0, 1, {}).ok());
+  ASSERT_TRUE(b.RecvFromFor(0, -1.0, RecvWait::kDue).has_value());
+  EXPECT_EQ(RecvCount(mb, metric::kTransportRecvSpun), 1.0);
+  // Silent past the spin budget: the wait parks, then times out.
+  EXPECT_FALSE(
+      b.RecvFromFor(0, 4 * kDueSpinSeconds, RecvWait::kDue).has_value());
+  EXPECT_EQ(RecvCount(mb, metric::kTransportRecvParked), 1.0);
+  // Receives that are not due are not counted.
+  ASSERT_TRUE(a.Send(1, 0, 1, {}).ok());
+  ASSERT_TRUE(b.RecvFromFor(0, -1.0).has_value());
+  EXPECT_EQ(RecvCount(mb, metric::kTransportRecvSpun), 1.0);
+  EXPECT_EQ(RecvCount(mb, metric::kTransportRecvParked), 1.0);
+}
+
+TEST(SpinWaitTest, ShutdownEndsASpinningDueReceive) {
+  InProcTransport transport(2);
+  Endpoint b(&transport, 1);
+  std::thread closer([&] {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    transport.Shutdown();
+  });
+  EXPECT_FALSE(b.RecvFromFor(0, -1.0, RecvWait::kDue).has_value());
+  EXPECT_TRUE(b.closed());
+  closer.join();
 }
 
 }  // namespace
