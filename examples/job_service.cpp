@@ -25,7 +25,7 @@ pr::JobSpec MakeJob(const std::string& tenant, int index, bool sim) {
   spec.engine = sim ? pr::EngineKind::kSim : pr::EngineKind::kThreaded;
   spec.min_workers = sim ? 1 : 2;
   spec.max_workers = sim ? 1 : 3;
-  spec.data_shard = index;  // shifts the dataset seed per job
+  spec.data_shard = index;  // each job its own draw of the same task
 
   pr::RunConfig& config = spec.config;
   config.strategy.kind = sim ? pr::StrategyKind::kPsAsp

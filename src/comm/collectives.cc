@@ -277,13 +277,13 @@ Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
   // place (it is uniquely owned on arrival) and forward the same handle, so
   // the only payload materializations are the step-0 copies of this
   // member's own chunk; the final hop's reduced buffers are retained for
-  // the all-gather. Encoded hops decode, accumulate and re-encode; each
-  // re-encode's loss goes to this member's error-feedback residual at those
-  // positions. partial += mine performs the classic ring's per-element
-  // additions (float addition commutes), so raw results are bitwise
-  // identical to RingWeightedAllReduce.
+  // the all-gather. Encoded hops decode, accumulate and re-encode in one
+  // pass (EncodeRangeSum), and the last one decodes and adds straight into
+  // `data`; each re-encode's loss goes to this member's error-feedback
+  // residual at those positions. partial + mine performs the classic ring's
+  // per-element additions (float addition commutes), so raw results are
+  // bitwise identical to RingWeightedAllReduce.
   std::vector<Buffer> retained;
-  std::vector<float> scratch;
   PR_RETURN_NOT_OK(phase(
       kKindSegRsChunk, my_index,
       [&](size_t, size_t b, size_t e) {
@@ -300,15 +300,8 @@ Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
           }
           return Status::OK();
         }
-        scratch.resize(len);
-        PR_RETURN_NOT_OK(codec->DecodeInto(*got, scratch.data(), len));
-        if (len > 0) Axpy(1.0f, data + b, scratch.data(), len);
-        if (last) {
-          std::copy(scratch.begin(), scratch.end(), data + b);
-        } else {
-          *got = codec->EncodeRange(scratch.data(), b, len);
-        }
-        return Status::OK();
+        if (last) return codec->DecodeAddInto(*got, data + b, len);
+        return codec->EncodeRangeSum(data + b, *got, b, len, got);
       }));
 
   // All-gather: the owner starts its chunk round. Raw, that re-circulates

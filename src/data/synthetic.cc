@@ -102,10 +102,12 @@ TrainTestSplit GenerateSynthetic(const SyntheticSpec& spec) {
     Scale(static_cast<float>(spec.separation) / norm, row, spec.dim);
   }
 
+  Rng shard_rng(spec.seed ^ (0x9e3779b97f4a7c15ull * spec.shard));
+  Rng* samples = spec.shard == 0 ? &rng : &shard_rng;
   TrainTestSplit split;
-  split.train = Generate(centers, spec, spec.num_train, &rng,
+  split.train = Generate(centers, spec, spec.num_train, samples,
                          /*apply_label_noise=*/true);
-  split.test = Generate(centers, spec, spec.num_test, &rng,
+  split.test = Generate(centers, spec, spec.num_test, samples,
                         /*apply_label_noise=*/false);
   return split;
 }

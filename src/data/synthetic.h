@@ -42,6 +42,11 @@ struct SyntheticSpec {
   /// distribution and its partitioning.
   double dirichlet_alpha = 0.0;
   uint64_t seed = 42;
+  /// Data shard (the job service's `data_shard`): the class centers always
+  /// come from `seed`; shard 0 draws the samples from the centers' stream,
+  /// and shard s > 0 from a stream of its own, so shards are disjoint draws
+  /// of one task.
+  uint64_t shard = 0;
 };
 
 /// \brief Canned specs shaped after the paper's datasets.

@@ -255,7 +255,7 @@ Status Launch(const LaunchOptions& options, LaunchResult* result) {
   for (float& v : merged.averaged_params) v *= inv;
 
   SyntheticSpec spec = config.run.dataset;
-  spec.seed = config.run.seed;
+  spec.seed = DataSeed(config.run);
   TrainTestSplit split = GenerateSynthetic(spec);
   std::unique_ptr<Model> model =
       MakeProxyModel(config.run.model, spec.dim, spec.num_classes);

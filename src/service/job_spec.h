@@ -30,9 +30,9 @@ struct JobSpec {
   int min_workers = 1;
   /// The lease never exceeds this many workers.
   int max_workers = 1;
-  /// Data-shard selector: added to `run.dataset.seed`, which shifts the
-  /// seed the synthetic data is drawn with (DataSeed); shard 0 draws what
-  /// the run draws outside the service.
+  /// Data-shard selector (`run.dataset.shard`): every shard trains on the
+  /// same synthetic task, each on its own draw of samples; shard 0 draws
+  /// what the run draws outside the service.
   int data_shard = 0;
   /// Which engine executes the run (sim jobs occupy one pool worker).
   EngineKind engine = EngineKind::kThreaded;

@@ -333,8 +333,8 @@ void TrainingService::RunJob(Job* job) {
   const int n = job->lease.size();
   const bool sim = job->spec.engine == EngineKind::kSim;
 
-  // Per-job data shard: DataSeed shifts the data draw by the shard.
-  config.run.dataset.seed += static_cast<uint64_t>(
+  // Per-job data shard: the same task, a disjoint draw of its samples.
+  config.run.dataset.shard = static_cast<uint64_t>(
       job->spec.data_shard < 0 ? 0 : job->spec.data_shard);
   // Per-job checkpoint isolation: jobs never share a manifest directory.
   if (!CheckpointSupported(config.strategy.kind)) {

@@ -44,7 +44,7 @@ struct RunOptions {
   ProxyModelSpec model;
   /// The synthetic task and its partitioning (`dirichlet_alpha`); drawn
   /// with DataSeed: the run seed, shifted by `dataset.seed`'s distance from
-  /// its default (the job service's data shards).
+  /// its default.
   SyntheticSpec dataset;
   /// Injected per-iteration sleep per worker (seconds); empty = no sleeps.
   /// Threaded engine only.
@@ -118,8 +118,7 @@ struct RunConfig {
 
 /// The seed both engines draw the synthetic data with: the run seed,
 /// offset by `run.dataset.seed - SyntheticSpec().seed`. A run that leaves
-/// `dataset.seed` at its default draws with the run seed itself; the job
-/// service adds a job's data shard to `dataset.seed`.
+/// `dataset.seed` at its default draws with the run seed itself.
 inline uint64_t DataSeed(const RunOptions& run) {
   return run.seed + (run.dataset.seed - SyntheticSpec().seed);
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "data/synthetic.h"
@@ -154,6 +155,40 @@ TEST(SyntheticTest, DeterministicInSeed) {
     EXPECT_EQ(a.train.features.data()[i], b.train.features.data()[i]);
   }
   EXPECT_EQ(a.train.labels, b.train.labels);
+}
+
+TEST(SyntheticTest, ShardsShareCentersAndDrawDifferentSamples) {
+  // Without noise every feature row is its class center, so equal rows per
+  // label mean equal centers.
+  SyntheticSpec spec;
+  spec.num_classes = 4;
+  spec.dim = 6;
+  spec.num_train = 200;
+  spec.num_test = 20;
+  spec.noise = 0.0;
+  spec.seed = 5;
+  const TrainTestSplit base = GenerateSynthetic(spec);
+  spec.shard = 1;
+  const TrainTestSplit other = GenerateSynthetic(spec);
+
+  std::vector<const float*> center(4, nullptr);
+  for (size_t i = 0; i < base.train.labels.size(); ++i) {
+    center[static_cast<size_t>(base.train.labels[i])] =
+        base.train.features.Row(i);
+  }
+  for (const TrainTestSplit* split : {&base, &other}) {
+    for (size_t i = 0; i < split->train.labels.size(); ++i) {
+      const float* want =
+          center[static_cast<size_t>(split->train.labels[i])];
+      ASSERT_NE(want, nullptr);
+      EXPECT_EQ(std::memcmp(want, split->train.features.Row(i),
+                            spec.dim * sizeof(float)),
+                0)
+          << "row " << i << " is not its class center";
+    }
+  }
+  EXPECT_NE(base.train.labels, other.train.labels)
+      << "shard 1 drew the same samples as shard 0";
 }
 
 TEST(SyntheticTest, DifferentSeedsDiffer) {
