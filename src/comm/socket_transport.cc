@@ -7,6 +7,7 @@
 #include <signal.h>
 #include <stdio.h>
 #include <string.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -16,7 +17,6 @@
 #include <cstring>
 #include <thread>
 
-#include "comm/wire.h"
 #include "common/check.h"
 
 namespace pr {
@@ -38,96 +38,93 @@ void SetNoDelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+/// A node's listener address: Unix-domain or TCP.
+struct SockAddr {
+  struct sockaddr_storage storage;
+  socklen_t len = 0;
+  int family() const { return storage.ss_family; }
+  const struct sockaddr* get() const {
+    return reinterpret_cast<const struct sockaddr*>(&storage);
+  }
+};
+
+SockAddr UnixAddr(const std::string& path) {
+  SockAddr out{};
+  auto* addr = reinterpret_cast<struct sockaddr_un*>(&out.storage);
+  addr->sun_family = AF_UNIX;
+  PR_CHECK_LT(path.size(), sizeof(addr->sun_path));
+  std::memcpy(addr->sun_path, path.c_str(), path.size() + 1);
+  out.len = sizeof(struct sockaddr_un);
+  return out;
+}
+
+/// Port 0 binds an ephemeral port.
+SockAddr TcpAddr(const std::string& host, int port) {
+  SockAddr out{};
+  auto* addr = reinterpret_cast<struct sockaddr_in*>(&out.storage);
+  addr->sin_family = AF_INET;
+  addr->sin_addr.s_addr = ::inet_addr(host.c_str());
+  addr->sin_port = htons(static_cast<uint16_t>(port));
+  out.len = sizeof(struct sockaddr_in);
+  return out;
+}
+
+/// `what` and the current errno as an Internal status; closes `fd` if open.
+Status SysError(const std::string& what, int fd = -1) {
+  Status status = Status::Internal(what + ": " + strerror(errno));
+  if (fd >= 0) ::close(fd);
+  return status;
+}
+
 }  // namespace
 
-SocketTransport::SocketTransport(const SocketConfig& config,
-                                 std::vector<NodeId> local_nodes,
+SocketTransport::SocketTransport(const SocketConfig& config, NodeId node,
                                  int num_nodes)
-    : config_(config), local_nodes_(std::move(local_nodes)),
-      num_nodes_(num_nodes) {
-  PR_CHECK_GE(num_nodes_, 1);
+    : config_(config), node_(node), num_nodes_(num_nodes) {
+  PR_CHECK_GE(node_, 0);
+  PR_CHECK_LT(node_, num_nodes_);
   PR_CHECK(!config_.dir.empty());
-  inboxes_.resize(static_cast<size_t>(num_nodes_));
-  for (NodeId id : local_nodes_) {
-    PR_CHECK_GE(id, 0);
-    PR_CHECK_LT(id, num_nodes_);
-    PR_CHECK(inboxes_[static_cast<size_t>(id)] == nullptr);
-    inboxes_[static_cast<size_t>(id)] =
-        std::make_unique<BlockingQueue<Envelope>>();
-  }
   peers_.resize(static_cast<size_t>(num_nodes_));
   for (auto& p : peers_) p = std::make_unique<Peer>();
 }
 
 SocketTransport::~SocketTransport() { Shutdown(); }
 
-bool SocketTransport::is_local(NodeId id) const {
-  return id >= 0 && id < num_nodes_ &&
-         inboxes_[static_cast<size_t>(id)] != nullptr;
-}
-
 std::string SocketTransport::AddressPath(NodeId id) const {
   return config_.dir + "/node-" + std::to_string(id) +
          (config_.tcp ? ".port" : ".sock");
 }
 
-Status SocketTransport::BindListener(NodeId id, int* out_fd) {
-  const std::string path = AddressPath(id);
-  int fd = -1;
-  if (!config_.tcp) {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return Status::Internal("socket: " + std::string(strerror(errno)));
-    struct sockaddr_un addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    PR_CHECK_LT(path.size(), sizeof(addr.sun_path));
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    ::unlink(path.c_str());  // stale socket from a previous incarnation
-    if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
-        0) {
-      ::close(fd);
-      return Status::Internal("bind " + path + ": " + strerror(errno));
-    }
-  } else {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return Status::Internal("socket: " + std::string(strerror(errno)));
+Status SocketTransport::BindListener(int* out_fd) {
+  const std::string path = AddressPath(node_);
+  const SockAddr addr =
+      config_.tcp ? TcpAddr(config_.host, 0) : UnixAddr(path);
+  const int fd =
+      ::socket(addr.family(), SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) return SysError("socket");
+  if (config_.tcp) {
     int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    struct sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = ::inet_addr(config_.host.c_str());
-    addr.sin_port = 0;  // ephemeral; advertised via the port file
-    if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
-        0) {
-      ::close(fd);
-      return Status::Internal("bind: " + std::string(strerror(errno)));
-    }
+  } else {
+    ::unlink(path.c_str());  // stale socket from a previous incarnation
   }
-  if (::listen(fd, 128) < 0) {
-    ::close(fd);
-    return Status::Internal("listen: " + std::string(strerror(errno)));
-  }
+  if (::bind(fd, addr.get(), addr.len) < 0) return SysError("bind " + path, fd);
+  if (::listen(fd, 128) < 0) return SysError("listen", fd);
   if (config_.tcp) {
     struct sockaddr_in bound;
     socklen_t len = sizeof(bound);
     if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&bound), &len) <
         0) {
-      ::close(fd);
-      return Status::Internal("getsockname: " + std::string(strerror(errno)));
+      return SysError("getsockname", fd);
     }
     // Atomic advertise: dialers must never read a half-written port file.
     const std::string tmp = path + ".tmp";
     FILE* f = ::fopen(tmp.c_str(), "w");
-    if (f == nullptr) {
-      ::close(fd);
-      return Status::Internal("open " + tmp + ": " + strerror(errno));
-    }
+    if (f == nullptr) return SysError("open " + tmp, fd);
     ::fprintf(f, "%d\n", static_cast<int>(ntohs(bound.sin_port)));
     ::fclose(f);
     if (::rename(tmp.c_str(), path.c_str()) != 0) {
-      ::close(fd);
-      return Status::Internal("rename " + path + ": " + strerror(errno));
+      return SysError("rename " + path, fd);
     }
   }
   *out_fd = fd;
@@ -139,64 +136,81 @@ Status SocketTransport::Start() {
   // A peer dying mid-conversation must surface as a failed write, not a
   // process-killing SIGPIPE.
   ::signal(SIGPIPE, SIG_IGN);
-  listen_fds_.resize(local_nodes_.size(), -1);
-  for (size_t i = 0; i < local_nodes_.size(); ++i) {
-    Status status = BindListener(local_nodes_[i], &listen_fds_[i]);
-    if (!status.ok()) return status;
-  }
-  for (size_t i = 0; i < local_nodes_.size(); ++i) {
-    accept_threads_.emplace_back(&SocketTransport::AcceptLoop, this,
-                                 local_nodes_[i], listen_fds_[i]);
-  }
+  PR_RETURN_NOT_OK(BindListener(&listen_fd_));
+  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) return SysError("eventfd");
+  poll_thread_ = std::thread(&SocketTransport::PollLoop, this);
   started_.store(true);
   return Status::OK();
 }
 
-void SocketTransport::RegisterConnFd(int fd) {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  conn_fds_.push_back(fd);
-  conn_threads_.emplace_back(&SocketTransport::ReadLoop, this, fd);
-}
-
-void SocketTransport::AcceptLoop(NodeId id, int listen_fd) {
-  (void)id;
+void SocketTransport::PollLoop() {
+  std::vector<struct pollfd> watch;
+  std::unique_lock<std::mutex> lock(progress_mu_);
   while (!closed_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;  // listener shut down (or unrecoverable)
-    }
-    if (closed_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      break;
-    }
-    if (config_.tcp) SetNoDelay(fd);
-    RegisterConnFd(fd);
+    watch.assign({{wake_fd_, POLLIN, 0}, {listen_fd_, POLLIN, 0}});
+    for (const Conn& conn : conns_) watch.push_back({conn.fd, POLLIN, 0});
+    // No poll set holds the retired fds any more: their numbers may now be
+    // reused.
+    for (int fd : retired_fds_) ::close(fd);
+    retired_fds_.clear();
+    lock.unlock();
+    if (::poll(watch.data(), watch.size(), -1) < 0 && errno != EINTR) return;
+    lock.lock();
+    Progress(/*accept=*/true);
   }
 }
 
-void SocketTransport::ReadLoop(int fd) {
+void SocketTransport::Progress(bool accept) {
+  if (closed_.load(std::memory_order_acquire)) return;
+  ready_.clear();
+  for (const Conn& conn : conns_) ready_.push_back({conn.fd, POLLIN, 0});
+  if (accept) ready_.push_back({listen_fd_, POLLIN, 0});
+  if (ready_.empty() || ::poll(ready_.data(), ready_.size(), 0) <= 0) return;
+  size_t kept = 0;
+  for (size_t i = 0; i < conns_.size(); ++i) {
+    if (ready_[i].revents != 0 && !Drain(&conns_[i])) {
+      retired_fds_.push_back(conns_[i].fd);
+    } else {
+      if (kept != i) conns_[kept] = std::move(conns_[i]);
+      ++kept;
+    }
+  }
+  conns_.resize(kept);
+  if (!accept || ready_.back().revents == 0) return;
+  while (true) {
+    const int fd =
+        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0 && (errno == EINTR || errno == ECONNABORTED)) continue;
+    if (fd < 0) return;  // EAGAIN: nothing left to accept
+    if (config_.tcp) SetNoDelay(fd);
+    conns_.push_back({fd, FrameReader()});
+  }
+}
+
+bool SocketTransport::Drain(Conn* conn) {
   while (true) {
     NodeId to = -1;
     Envelope env;
-    Status status = ReadFrameFd(fd, &to, &env);
+    bool complete = false;
+    Status status = conn->reader.Read(conn->fd, &to, &env, &complete);
     if (!status.ok()) {
       // Clean close (Cancelled) is normal teardown. Anything else is a torn
-      // frame or corruption: the peer died mid-write or the stream is
-      // garbage. Either way the connection is done; the peer's silence is
-      // what upper layers (leases) react to.
+      // frame or garbage. Either way the connection is done; the peer's
+      // silence is what upper layers (leases) react to.
       if (status.code() != StatusCode::kCancelled &&
           !closed_.load(std::memory_order_acquire)) {
         torn_frames_.fetch_add(1);
       }
-      return;
+      return false;
     }
+    if (!complete) return true;
     frames_received_.fetch_add(1);
     if (!is_local(to)) {
       misroutes_.fetch_add(1);
       continue;
     }
-    inboxes_[static_cast<size_t>(to)]->Push(std::move(env));
+    inbox_.Push(std::move(env));
   }
 }
 
@@ -217,9 +231,8 @@ double JitteredBackoff(double base_seconds, double jitter_fraction,
 }
 
 uint64_t SocketTransport::JitterSalt(NodeId to) const {
-  const uint64_t me =
-      local_nodes_.empty() ? 0 : static_cast<uint64_t>(local_nodes_[0]);
-  return (me << 32) ^ static_cast<uint64_t>(static_cast<uint32_t>(to));
+  return (static_cast<uint64_t>(node_) << 32) ^
+         static_cast<uint64_t>(static_cast<uint32_t>(to));
 }
 
 int SocketTransport::DialWithRetry(NodeId to, double window_seconds) {
@@ -230,45 +243,23 @@ int SocketTransport::DialWithRetry(NodeId to, double window_seconds) {
   double backoff = config_.backoff_initial_seconds;
   while (true) {
     if (closed_.load(std::memory_order_acquire)) return -1;
-    int fd = -1;
-    if (!config_.tcp) {
-      fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      if (fd >= 0) {
-        struct sockaddr_un addr;
-        std::memset(&addr, 0, sizeof(addr));
-        addr.sun_family = AF_UNIX;
-        PR_CHECK_LT(path.size(), sizeof(addr.sun_path));
-        std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-        if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                      sizeof(addr)) == 0) {
-          dials_.fetch_add(1);
-          return fd;
-        }
-        ::close(fd);
-      }
-    } else {
-      int port = -1;
+    int port = 0;
+    if (config_.tcp) {
       if (FILE* f = ::fopen(path.c_str(), "r")) {
-        if (::fscanf(f, "%d", &port) != 1) port = -1;
+        if (::fscanf(f, "%d", &port) != 1) port = 0;
         ::fclose(f);
       }
-      if (port > 0) {
-        fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd >= 0) {
-          struct sockaddr_in addr;
-          std::memset(&addr, 0, sizeof(addr));
-          addr.sin_family = AF_INET;
-          addr.sin_addr.s_addr = ::inet_addr(config_.host.c_str());
-          addr.sin_port = htons(static_cast<uint16_t>(port));
-          if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                        sizeof(addr)) == 0) {
-            SetNoDelay(fd);
-            dials_.fetch_add(1);
-            return fd;
-          }
-          ::close(fd);
-        }
+    }
+    if (!config_.tcp || port > 0) {
+      const SockAddr addr =
+          config_.tcp ? TcpAddr(config_.host, port) : UnixAddr(path);
+      const int fd = ::socket(addr.family(), SOCK_STREAM, 0);
+      if (fd >= 0 && ::connect(fd, addr.get(), addr.len) == 0) {
+        if (config_.tcp) SetNoDelay(fd);
+        dials_.fetch_add(1);
+        return fd;
       }
+      if (fd >= 0) ::close(fd);
     }
     const double left = window_seconds - (Now() - start);
     if (left <= 0.0) return -1;
@@ -321,10 +312,8 @@ Status SocketTransport::Send(NodeId to, Envelope env) {
     return Status::FailedPrecondition("Send: transport is shut down");
   }
   if (is_local(to)) {
-    if (!inboxes_[static_cast<size_t>(to)]->Push(std::move(env))) {
-      return Status::FailedPrecondition("Send: transport is shut down");
-    }
-    return Status::OK();
+    if (inbox_.Push(std::move(env))) return Status::OK();
+    return Status::FailedPrecondition("Send: transport is shut down");
   }
   Peer* peer = peers_[static_cast<size_t>(to)].get();
   std::lock_guard<std::mutex> lock(peer->mu);
@@ -354,13 +343,30 @@ std::optional<Envelope> SocketTransport::RecvFor(NodeId me,
                                                  double spin_seconds,
                                                  bool* parked) {
   PR_CHECK(is_local(me));
-  return inboxes_[static_cast<size_t>(me)]->PopFor(timeout_seconds,
-                                                   spin_seconds, parked);
+  // A due receive reads its own connections while it spins, unless the poll
+  // loop (or another receiver) is draining them right now.
+  const double start = Now();
+  const double spin = timeout_seconds >= 0.0
+                          ? std::min(spin_seconds, timeout_seconds)
+                          : spin_seconds;
+  while (spin > 0.0 && !inbox_.closed() && Now() - start < spin) {
+    if (std::optional<Envelope> env = inbox_.TryPop()) return env;
+    std::unique_lock<std::mutex> lock(progress_mu_, std::try_to_lock);
+    if (lock.owns_lock()) {
+      Progress(/*accept=*/false);
+    } else {
+      CpuRelax();
+    }
+  }
+  if (timeout_seconds >= 0.0) {
+    timeout_seconds = std::max(0.0, timeout_seconds - (Now() - start));
+  }
+  return inbox_.PopFor(timeout_seconds, 0.0, parked);
 }
 
 std::optional<Envelope> SocketTransport::TryRecv(NodeId me) {
   PR_CHECK(is_local(me));
-  return inboxes_[static_cast<size_t>(me)]->TryPop();
+  return inbox_.TryPop();
 }
 
 void SocketTransport::Shutdown() {
@@ -374,30 +380,25 @@ void SocketTransport::Shutdown() {
     }
   }
   std::lock_guard<std::mutex> lock(shutdown_mu_);
-  for (auto& box : inboxes_) {
-    if (box) box->Close();
+  inbox_.Close();
+  if (poll_thread_.joinable()) {
+    const uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+    poll_thread_.join();
   }
-  for (int fd : listen_fds_) {
-    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (auto& t : accept_threads_) {
-    if (t.joinable()) t.join();
-  }
-  accept_threads_.clear();
   {
-    std::lock_guard<std::mutex> conn_lock(conn_mu_);
-    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    // A receiver mid-drain finishes before its fds close.
+    std::lock_guard<std::mutex> progress_lock(progress_mu_);
+    for (const Conn& conn : conns_) ::close(conn.fd);
+    conns_.clear();
+    for (int fd : retired_fds_) ::close(fd);
+    retired_fds_.clear();
   }
-  for (auto& t : conn_threads_) {
-    if (t.joinable()) t.join();
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    if (!config_.tcp) ::unlink(AddressPath(node_).c_str());
   }
-  conn_threads_.clear();
-  for (int fd : conn_fds_) ::close(fd);
-  conn_fds_.clear();
-  for (int fd : listen_fds_) {
-    if (fd >= 0) ::close(fd);
-  }
-  listen_fds_.clear();
+  if (wake_fd_ >= 0) ::close(wake_fd_);
   for (auto& peer : peers_) {
     std::lock_guard<std::mutex> peer_lock(peer->mu);
     if (peer->fd >= 0) {
@@ -406,18 +407,13 @@ void SocketTransport::Shutdown() {
       peer->fd = -1;
     }
   }
-  if (!config_.tcp) {
-    for (NodeId id : local_nodes_) ::unlink(AddressPath(id).c_str());
-  }
 }
 
 SocketFabric::SocketFabric(const SocketConfig& config, int num_nodes)
     : num_nodes_(num_nodes) {
   nodes_.reserve(static_cast<size_t>(num_nodes));
   for (NodeId id = 0; id < num_nodes; ++id) {
-    nodes_.push_back(
-        std::make_unique<SocketTransport>(config, std::vector<NodeId>{id},
-                                          num_nodes));
+    nodes_.push_back(std::make_unique<SocketTransport>(config, id, num_nodes));
   }
 }
 

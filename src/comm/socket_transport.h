@@ -1,5 +1,7 @@
 #pragma once
 
+#include <poll.h>
+
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -8,6 +10,7 @@
 #include <vector>
 
 #include "comm/transport.h"
+#include "comm/wire.h"
 #include "common/status.h"
 
 namespace pr {
@@ -49,15 +52,23 @@ struct SocketConfig {
 double JitteredBackoff(double base_seconds, double jitter_fraction,
                        uint64_t salt, uint64_t attempt);
 
-/// \brief A Transport over real sockets for the node(s) hosted in this
-/// process.
+/// \brief A Transport over real sockets for the one node hosted here.
 ///
-/// Each local node owns a listener; an accept thread spawns one reader
-/// thread per inbound connection, which decodes frames (comm/wire.h) and
-/// routes them by the frame's `to` field into per-node inboxes — the same
-/// BlockingQueue mailboxes InProcTransport uses, so Recv semantics are
+/// The node owns a listener. One poll loop per transport owns the listen fd
+/// and every accepted connection, all non-blocking, plus an eventfd that
+/// wakes it for shutdown. It reads frames incrementally (FrameReader in
+/// comm/wire.h) and pushes them into the node's inbox, the same
+/// BlockingQueue mailbox InProcTransport uses, so Recv semantics are
 /// identical. Connections are unidirectional: the connection manager dials
 /// the destination's listener on first send and keeps the socket for reuse.
+///
+/// A due receive (a positive spin budget, RecvWait::kDue) drains the
+/// readable connections itself while it spins, so a frame goes from the
+/// sender's writev to the thread that waits for it with no hand-off. One
+/// progress mutex admits one drainer at a time, the poll loop or a
+/// receiver, which keeps each connection's frames in order; a receiver that
+/// finds it taken spins on the inbox. The poll loop drains whenever nobody
+/// else does, so a Send never blocks on a node that is not receiving.
 ///
 /// Failure model: a send to a peer that cannot be (re)dialed, or whose
 /// connection breaks mid-write, is silently dropped after a bounded-backoff
@@ -68,14 +79,13 @@ double JitteredBackoff(double base_seconds, double jitter_fraction,
 /// FaultyTransport.
 class SocketTransport : public Transport {
  public:
-  /// `local_nodes` are the node ids hosted by this process; ids outside the
-  /// list are remote and reached via `config.dir` rendezvous.
-  SocketTransport(const SocketConfig& config, std::vector<NodeId> local_nodes,
-                  int num_nodes);
+  /// Hosts node `node` of a `num_nodes` world; every other id is remote and
+  /// reached via `config.dir` rendezvous.
+  SocketTransport(const SocketConfig& config, NodeId node, int num_nodes);
   ~SocketTransport() override;
 
-  /// Binds and starts listening for every local node. Call once before any
-  /// Send/Recv; remote peers may start later (dials retry).
+  /// Binds the node's listener and starts the poll loop. Call once before
+  /// any Send/Recv; remote peers may start later (dials retry).
   Status Start();
 
   using Transport::RecvFor;
@@ -90,7 +100,7 @@ class SocketTransport : public Transport {
   }
   void Shutdown() override;
 
-  bool is_local(NodeId id) const;
+  bool is_local(NodeId id) const { return id == node_; }
 
   /// Connection-manager diagnostics (plain counters, not MetricsShard
   /// entries: the metric-name set must stay identical across engines).
@@ -99,6 +109,8 @@ class SocketTransport : public Transport {
   uint64_t send_drops() const { return send_drops_.load(); }
   uint64_t torn_frames() const { return torn_frames_.load(); }
   uint64_t frames_received() const { return frames_received_.load(); }
+  /// Frames that arrived addressed to another node; they are dropped.
+  uint64_t misroutes() const { return misroutes_.load(); }
 
  private:
   struct Peer {
@@ -110,8 +122,14 @@ class SocketTransport : public Transport {
     uint64_t down_attempts = 0;  // jitter stream position for this peer
   };
 
+  /// An accepted inbound connection and its partly read frame.
+  struct Conn {
+    int fd = -1;
+    FrameReader reader;
+  };
+
   std::string AddressPath(NodeId id) const;
-  Status BindListener(NodeId id, int* out_fd);
+  Status BindListener(int* out_fd);
   /// Dials `to`'s listener, retrying with bounded backoff for up to
   /// `window_seconds`. Returns the connected fd or -1.
   int DialWithRetry(NodeId to, double window_seconds);
@@ -122,22 +140,31 @@ class SocketTransport : public Transport {
   /// Salt for this transport's jitter stream toward `to`: distinct
   /// (dialer, target) pairs draw uncorrelated backoff sequences.
   uint64_t JitterSalt(NodeId to) const;
-  void AcceptLoop(NodeId id, int listen_fd);
-  void ReadLoop(int fd);
-  void RegisterConnFd(int fd);
+
+  void PollLoop();
+  /// Reads every readable connection into the inbox and, when
+  /// `accept` is set, accepts pending connections. Caller holds
+  /// progress_mu_.
+  void Progress(bool accept);
+  /// Reads `conn` until it would block. False when the stream ended.
+  bool Drain(Conn* conn);
 
   SocketConfig config_;
-  std::vector<NodeId> local_nodes_;
+  NodeId node_;
   int num_nodes_;
-  // inboxes_[i] is non-null only for local nodes.
-  std::vector<std::unique_ptr<BlockingQueue<Envelope>>> inboxes_;
-  std::vector<int> listen_fds_;  // parallel to local_nodes_
+  BlockingQueue<Envelope> inbox_;
   std::vector<std::unique_ptr<Peer>> peers_;  // per destination node
-  std::vector<std::thread> accept_threads_;
+  int listen_fd_ = -1;
+  int wake_fd_ = -1;  // eventfd: wakes the poll loop for shutdown
+  std::thread poll_thread_;
 
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;
+  // The one drainer at a time holds progress_mu_, which guards the rest.
+  std::mutex progress_mu_;
+  std::vector<Conn> conns_;
+  std::vector<struct pollfd> ready_;  // Progress's scratch poll set
+  // Connections that ended, kept open until the poll loop has dropped them
+  // from its poll set, so it never polls an fd number that was reused.
+  std::vector<int> retired_fds_;
   std::mutex shutdown_mu_;
 
   std::atomic<bool> started_{false};

@@ -5,6 +5,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -75,6 +76,27 @@ bool CheckPreamble(const uint8_t* data, uint32_t* header_bytes,
   return true;
 }
 
+/// Parses the header section `h` (`header_bytes` long, already sized by
+/// CheckPreamble) into `to` and every Envelope field but the payload.
+/// `false` means corrupt.
+bool ParseHeader(const uint8_t* h, uint32_t header_bytes, uint8_t encoding,
+                 NodeId* to, Envelope* env, std::string* error) {
+  const uint32_t num_ints = Get<uint32_t>(h + 20);
+  if (kWireHeaderFixedBytes + 8ull * num_ints != header_bytes) {
+    return Fail(error, "num_ints inconsistent with header_bytes");
+  }
+  *to = static_cast<NodeId>(Get<int32_t>(h));
+  env->from = static_cast<NodeId>(Get<int32_t>(h + 4));
+  env->tag = Get<uint64_t>(h + 8);
+  env->kind = static_cast<int>(Get<int32_t>(h + 16));
+  env->encoding = encoding;
+  env->ints.resize(num_ints);
+  for (uint32_t i = 0; i < num_ints; ++i) {
+    env->ints[i] = Get<int64_t>(h + kWireHeaderFixedBytes + 8ull * i);
+  }
+  return true;
+}
+
 }  // namespace
 
 std::vector<uint8_t> EncodeFrameHeader(NodeId to, const Envelope& env) {
@@ -136,20 +158,9 @@ WireDecode DecodeFrame(const uint8_t* data, size_t size, NodeId* to,
                        static_cast<size_t>(payload_floats) * sizeof(float);
   if (size < total) return WireDecode::kNeedMore;
 
-  const uint8_t* h = data + kWirePreambleBytes;
-  const uint32_t num_ints = Get<uint32_t>(h + 20);
-  if (kWireHeaderFixedBytes + 8ull * num_ints != header_bytes) {
-    Fail(error, "num_ints inconsistent with header_bytes");
+  if (!ParseHeader(data + kWirePreambleBytes, header_bytes, encoding, to, env,
+                   error)) {
     return WireDecode::kCorrupt;
-  }
-  *to = static_cast<NodeId>(Get<int32_t>(h));
-  env->from = static_cast<NodeId>(Get<int32_t>(h + 4));
-  env->tag = Get<uint64_t>(h + 8);
-  env->kind = static_cast<int>(Get<int32_t>(h + 16));
-  env->encoding = encoding;
-  env->ints.resize(num_ints);
-  for (uint32_t i = 0; i < num_ints; ++i) {
-    env->ints[i] = Get<int64_t>(h + kWireHeaderFixedBytes + 8ull * i);
   }
   if (payload_floats > 0) {
     std::vector<float> payload(payload_floats);
@@ -194,73 +205,75 @@ Status WriteFrameFd(int fd, NodeId to, const Envelope& env) {
   return Status::OK();
 }
 
-namespace {
-
-/// Reads exactly `n` bytes. `*got` reports progress so the caller can tell a
-/// clean EOF (got == 0 on the first section) from a torn frame.
-Status ReadExact(int fd, uint8_t* out, size_t n, size_t* got) {
-  *got = 0;
-  while (*got < n) {
-    const ssize_t r = ::read(fd, out + *got, n - *got);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unavailable(std::string("read: ") + strerror(errno));
-    }
-    if (r == 0) return Status::Unavailable("eof");
-    *got += static_cast<size_t>(r);
-  }
-  return Status::OK();
+void FrameReader::Reset() {
+  head_.resize(kWirePreambleBytes + kWireHeaderFixedBytes);
+  head_got_ = 0;
+  sized_ = false;
+  payload_ = std::vector<float>();
+  payload_got_ = 0;
 }
 
-}  // namespace
-
-Status ReadFrameFd(int fd, NodeId* to, Envelope* env) {
-  uint8_t preamble[kWirePreambleBytes];
-  size_t got = 0;
-  Status status = ReadExact(fd, preamble, kWirePreambleBytes, &got);
-  if (!status.ok()) {
-    if (got == 0) return Status::Cancelled("connection closed");
-    return Status::Unavailable("torn frame: eof in preamble");
+Status FrameReader::Read(int fd, NodeId* to, Envelope* env, bool* complete) {
+  *complete = false;
+  while (true) {
+    const size_t payload_bytes = payload_.size() * sizeof(float);
+    struct iovec iov[2];
+    int iovcnt = 0;
+    if (head_got_ < head_.size()) {
+      iov[iovcnt].iov_base = head_.data() + head_got_;
+      iov[iovcnt++].iov_len = head_.size() - head_got_;
+    }
+    if (payload_got_ < payload_bytes) {
+      iov[iovcnt].iov_base =
+          reinterpret_cast<uint8_t*>(payload_.data()) + payload_got_;
+      iov[iovcnt++].iov_len = payload_bytes - payload_got_;
+    }
+    if (iovcnt == 0) {
+      // sized_ holds here: an unsized head always has bytes left to read.
+      std::string why;
+      if (!ParseHeader(head_.data() + kWirePreambleBytes,
+                       static_cast<uint32_t>(head_.size() - kWirePreambleBytes),
+                       encoding_, to, env, &why)) {
+        return Status::InvalidArgument("corrupt frame: " + why);
+      }
+      env->payload = payload_.empty() ? Buffer()
+                                      : Buffer::FromVector(std::move(payload_));
+      Reset();
+      *complete = true;
+      return Status::OK();
+    }
+    const ssize_t n = ::readv(fd, iov, iovcnt);
+    const bool mid_frame = head_got_ > 0;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return Status::OK();
+    }
+    if (n <= 0) {
+      if (!mid_frame) return Status::Cancelled("connection closed");
+      return Status::Unavailable(
+          head_got_ < kWirePreambleBytes ? "torn frame: eof in preamble"
+          : head_got_ < head_.size()     ? "torn frame: eof in header"
+                                         : "torn frame: eof in payload");
+    }
+    const size_t head_part =
+        std::min(static_cast<size_t>(n), head_.size() - head_got_);
+    head_got_ += head_part;
+    payload_got_ += static_cast<size_t>(n) - head_part;
+    if (!sized_ && head_got_ >= kWirePreambleBytes) {
+      uint32_t header_bytes = 0;
+      uint32_t payload_floats = 0;
+      std::string why;
+      if (!CheckPreamble(head_.data(), &header_bytes, &payload_floats,
+                         &encoding_, &why)) {
+        return Status::InvalidArgument("corrupt frame: " + why);
+      }
+      head_.resize(kWirePreambleBytes + header_bytes);
+      // The vector that will back the Buffer is the read destination, so
+      // the floats land in their final home directly.
+      payload_.resize(payload_floats);
+      sized_ = true;
+    }
   }
-  uint32_t header_bytes = 0;
-  uint32_t payload_floats = 0;
-  uint8_t encoding = 0;
-  std::string why;
-  if (!CheckPreamble(preamble, &header_bytes, &payload_floats, &encoding,
-                     &why)) {
-    return Status::InvalidArgument("corrupt frame: " + why);
-  }
-  std::vector<uint8_t> header(header_bytes);
-  status = ReadExact(fd, header.data(), header_bytes, &got);
-  if (!status.ok()) return Status::Unavailable("torn frame: eof in header");
-  const uint32_t num_ints = Get<uint32_t>(header.data() + 20);
-  if (kWireHeaderFixedBytes + 8ull * num_ints != header_bytes) {
-    return Status::InvalidArgument(
-        "corrupt frame: num_ints inconsistent with header_bytes");
-  }
-  *to = static_cast<NodeId>(Get<int32_t>(header.data()));
-  env->from = static_cast<NodeId>(Get<int32_t>(header.data() + 4));
-  env->tag = Get<uint64_t>(header.data() + 8);
-  env->kind = static_cast<int>(Get<int32_t>(header.data() + 16));
-  env->encoding = encoding;
-  env->ints.resize(num_ints);
-  for (uint32_t i = 0; i < num_ints; ++i) {
-    env->ints[i] =
-        Get<int64_t>(header.data() + kWireHeaderFixedBytes + 8ull * i);
-  }
-  if (payload_floats > 0) {
-    // Single allocation: the vector that will back the Buffer is the read
-    // destination, so the floats land in their final home directly.
-    std::vector<float> payload(payload_floats);
-    status = ReadExact(fd, reinterpret_cast<uint8_t*>(payload.data()),
-                       static_cast<size_t>(payload_floats) * sizeof(float),
-                       &got);
-    if (!status.ok()) return Status::Unavailable("torn frame: eof in payload");
-    env->payload = Buffer::FromVector(std::move(payload));
-  } else {
-    env->payload = Buffer();
-  }
-  return Status::OK();
 }
 
 }  // namespace pr

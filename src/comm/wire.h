@@ -81,12 +81,37 @@ WireDecode DecodeFrame(const uint8_t* data, size_t size, NodeId* to,
 /// writes; no payload copy on this path.
 Status WriteFrameFd(int fd, NodeId to, const Envelope& env);
 
-/// Reads one frame from `fd`. The payload is read straight into a single
-/// fresh allocation that becomes env->payload (no intermediate buffer).
-/// Distinguishes stream endings:
-///   Cancelled       clean EOF at a frame boundary (peer closed politely)
-///   Unavailable     EOF or error mid-frame (torn frame: peer died)
-///   InvalidArgument corrupt preamble/header (protocol violation)
-Status ReadFrameFd(int fd, NodeId* to, Envelope* env);
+/// \brief Incremental reader of one connection's frame stream.
+///
+/// Read() takes only what the fd has, so on a non-blocking fd it never
+/// waits, and it keeps a partly read frame across calls. The preamble and
+/// header land in a small buffer reused from frame to frame; once the
+/// preamble names the payload size, the payload is read straight into the
+/// allocation that becomes env->payload (no intermediate buffer). Frames
+/// are validated exactly as DecodeFrame validates them.
+class FrameReader {
+ public:
+  /// Reads from `fd` until one frame is complete or the fd has no more
+  /// bytes. Sets `*complete` and fills `to`/`env` when a frame was read; OK
+  /// with `*complete` false means the fd would block, so call again once it
+  /// is readable. The stream endings:
+  ///   Cancelled       clean EOF at a frame boundary (peer closed politely)
+  ///   Unavailable     EOF or error mid-frame (torn frame: peer died)
+  ///   InvalidArgument corrupt preamble/header (protocol violation)
+  Status Read(int fd, NodeId* to, Envelope* env, bool* complete);
+
+ private:
+  void Reset();
+
+  // Preamble + header. Before the preamble is checked only the smallest
+  // possible head is asked for, so a read never runs into the payload.
+  std::vector<uint8_t> head_ =
+      std::vector<uint8_t>(kWirePreambleBytes + kWireHeaderFixedBytes);
+  size_t head_got_ = 0;
+  bool sized_ = false;  // preamble checked; head_ and payload_ sized
+  uint8_t encoding_ = 0;
+  std::vector<float> payload_;
+  size_t payload_got_ = 0;  // bytes
+};
 
 }  // namespace pr

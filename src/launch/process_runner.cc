@@ -35,7 +35,7 @@ Status RunNode(const NodeRunOptions& options) {
 
   // The fabric hosts exactly this process's node; everything else is a
   // remote peer reached through the connection manager.
-  SocketTransport fabric(options.socket, {options.node}, num_workers + 1);
+  SocketTransport fabric(options.socket, options.node, num_workers + 1);
   PR_RETURN_NOT_OK(fabric.Start());
 
   WorkerRuntime runtime(config.strategy, config.run);

@@ -1,11 +1,14 @@
 #include "comm/socket_transport.h"
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -14,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "comm/wire.h"
 #include "fault/fault_plan.h"
 #include "runtime/threaded_runtime.h"
 #include "runtime/threaded_strategy.h"
@@ -52,8 +56,8 @@ void PairSendRecv(bool tcp) {
   SocketConfig config;
   config.dir = dir.path;
   config.tcp = tcp;
-  SocketTransport a(config, {0}, 2);
-  SocketTransport b(config, {1}, 2);
+  SocketTransport a(config, 0, 2);
+  SocketTransport b(config, 1, 2);
   ASSERT_TRUE(a.Start().ok());
   ASSERT_TRUE(b.Start().ok());
 
@@ -92,7 +96,7 @@ TEST(SocketTransportTest, SendToAbsentPeerDropsSilently) {
   SocketConfig config;
   config.dir = dir.path;
   config.connect_window_seconds = 0.05;  // nobody is coming
-  SocketTransport a(config, {0}, 2);
+  SocketTransport a(config, 0, 2);
   ASSERT_TRUE(a.Start().ok());
 
   // A dead host is silent, not an error: the send succeeds and vanishes.
@@ -110,9 +114,9 @@ TEST(SocketTransportTest, ReconnectsAfterPeerRestart) {
   config.dir = dir.path;
   config.redial_window_seconds = 0.05;
 
-  SocketTransport a(config, {0}, 2);
+  SocketTransport a(config, 0, 2);
   ASSERT_TRUE(a.Start().ok());
-  auto b = std::make_unique<SocketTransport>(config, std::vector<NodeId>{1}, 2);
+  auto b = std::make_unique<SocketTransport>(config, 1, 2);
   ASSERT_TRUE(b->Start().ok());
   ASSERT_TRUE(a.Send(1, MakeEnvelope(0, 1, 0, {}, {})).ok());
   ASSERT_TRUE(b->RecvFor(1, 5.0).has_value());
@@ -124,7 +128,7 @@ TEST(SocketTransportTest, ReconnectsAfterPeerRestart) {
   // The peer comes back (same address). The connection manager must redial
   // within its bounded backoff and deliver again; sends in the gap are
   // dropped silently.
-  b = std::make_unique<SocketTransport>(config, std::vector<NodeId>{1}, 2);
+  b = std::make_unique<SocketTransport>(config, 1, 2);
   ASSERT_TRUE(b->Start().ok());
   bool delivered = false;
   const auto deadline =
@@ -141,6 +145,153 @@ TEST(SocketTransportTest, ReconnectsAfterPeerRestart) {
   EXPECT_GE(a.reconnects(), 1u);
   a.Shutdown();
   b->Shutdown();
+}
+
+// A bare client of `node`'s listener: a peer's outbound stream without the
+// connection manager, so a test can write any bytes it likes.
+int DialRaw(const std::string& dir, NodeId node) {
+  const std::string path = dir + "/node-" + std::to_string(node) + ".sock";
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  struct sockaddr_un addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                           sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+void WriteAll(int fd, const std::vector<uint8_t>& bytes, size_t n) {
+  ASSERT_EQ(::write(fd, bytes.data(), n), static_cast<ssize_t>(n));
+}
+
+// Polls `done` for up to 5 s.
+bool Eventually(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(SocketTransportTest, HalfFrameThenCloseCountsOneTornFrame) {
+  SockDir dir;
+  SocketConfig config;
+  config.dir = dir.path;
+  SocketTransport a(config, 0, 2);
+  ASSERT_TRUE(a.Start().ok());
+  const std::vector<uint8_t> frame =
+      EncodeFrame(/*to=*/0, MakeEnvelope(1, 3, 2, {4}, {9.0f, 8.0f, 7.0f}));
+
+  // A close at a frame boundary is a polite end of stream.
+  int fd = DialRaw(dir.path, 0);
+  ASSERT_GE(fd, 0);
+  WriteAll(fd, frame, frame.size());
+  ::close(fd);
+  ASSERT_TRUE(a.RecvFor(0, 5.0).has_value());
+
+  // The peer dies halfway through a frame.
+  fd = DialRaw(dir.path, 0);
+  ASSERT_GE(fd, 0);
+  WriteAll(fd, frame, frame.size() / 2);
+  ::close(fd);
+  EXPECT_TRUE(Eventually([&] { return a.torn_frames() >= 1; }));
+  // Give a wrongly counted clean close time to show up too.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(a.torn_frames(), 1u);
+  EXPECT_EQ(a.frames_received(), 1u);
+  EXPECT_FALSE(a.TryRecv(0).has_value());
+  a.Shutdown();
+}
+
+TEST(SocketTransportTest, FrameForAnotherNodeIsDroppedAndCounted) {
+  SockDir dir;
+  SocketConfig config;
+  config.dir = dir.path;
+  SocketTransport a(config, 0, 3);
+  ASSERT_TRUE(a.Start().ok());
+  std::vector<uint8_t> stream =
+      EncodeFrame(/*to=*/2, MakeEnvelope(1, /*tag=*/1, 0, {}, {1.0f}));
+  const std::vector<uint8_t> mine =
+      EncodeFrame(/*to=*/0, MakeEnvelope(1, /*tag=*/2, 0, {}, {2.0f}));
+  stream.insert(stream.end(), mine.begin(), mine.end());
+  const int fd = DialRaw(dir.path, 0);
+  ASSERT_GE(fd, 0);
+  WriteAll(fd, stream, stream.size());
+
+  // Frames on one connection are handled in order, so the misrouted one
+  // has been counted by the time the next one arrives.
+  std::optional<Envelope> got = a.RecvFor(0, 5.0);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->tag, 2u);
+  EXPECT_EQ(a.misroutes(), 1u);
+  EXPECT_EQ(a.frames_received(), 2u);
+  EXPECT_FALSE(a.TryRecv(0).has_value());
+  ::close(fd);
+  a.Shutdown();
+}
+
+TEST(SocketTransportTest, LargeSendToIdleReceiverReturnsAndArrivesLater) {
+  SockDir dir;
+  SocketConfig config;
+  config.dir = dir.path;
+  SocketTransport a(config, 0, 2);
+  SocketTransport b(config, 1, 2);
+  ASSERT_TRUE(a.Start().ok());
+  ASSERT_TRUE(b.Start().ok());
+
+  // 4 MiB is far more than a socket buffer holds: Send returns only
+  // because b's poll loop drains while b's own thread receives nothing.
+  std::vector<float> big(1u << 20);
+  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<float>(i);
+  ASSERT_TRUE(a.Send(1, MakeEnvelope(0, 9, 1, {}, big)).ok());
+  EXPECT_EQ(a.send_drops(), 0u);
+
+  std::optional<Envelope> got = b.RecvFor(1, 5.0, kDueSpinSeconds, nullptr);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->tag, 9u);
+  ASSERT_EQ(got->payload.size(), big.size());
+  EXPECT_EQ(std::memcmp(got->payload.data(), big.data(),
+                        big.size() * sizeof(float)),
+            0);
+  a.Shutdown();
+  b.Shutdown();
+}
+
+TEST(SocketTransportTest, DueReceivesKeepEachConnectionInOrder) {
+  SockDir dir;
+  SocketConfig config;
+  config.dir = dir.path;
+  SocketTransport a(config, 0, 2);
+  SocketTransport b(config, 1, 2);
+  ASSERT_TRUE(a.Start().ok());
+  ASSERT_TRUE(b.Start().ok());
+
+  // The sender races b's receiving thread, which drains its own
+  // connection while it spins, against b's poll loop.
+  constexpr uint64_t kFrames = 500;
+  std::thread sender([&] {
+    for (uint64_t tag = 0; tag < kFrames; ++tag) {
+      ASSERT_TRUE(
+          a.Send(1, MakeEnvelope(0, tag, 0, {}, std::vector<float>(tag % 64)))
+              .ok());
+    }
+  });
+  for (uint64_t tag = 0; tag < kFrames; ++tag) {
+    std::optional<Envelope> got =
+        b.RecvFor(1, 5.0, tag % 2 == 0 ? kDueSpinSeconds : 0.0, nullptr);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->tag, tag);
+    EXPECT_EQ(got->payload.size(), tag % 64);
+  }
+  sender.join();
+  a.Shutdown();
+  b.Shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -297,6 +448,40 @@ TEST(SocketFabricTest, ControllerFailoverRunsUnchangedOverSockets) {
     EXPECT_EQ(result.worker_iterations[w], 8u)
         << "worker " << w << " lost iterations to the failover";
   }
+}
+
+int CountThreads() {
+  int n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(SocketFabricTest, EachNodeAddsOnlyItsPollLoopThread) {
+  const int before = CountThreads();
+  SockDir dir;
+  SocketConfig config;
+  config.dir = dir.path;
+  constexpr int kNodes = 5;
+  SocketFabric fabric(config, kNodes);
+  ASSERT_TRUE(fabric.Start().ok());
+  // Every node dials every other, so each listener accepts 4 connections.
+  for (NodeId from = 0; from < kNodes; ++from) {
+    for (NodeId to = 0; to < kNodes; ++to) {
+      if (to != from) {
+        ASSERT_TRUE(fabric.Send(to, MakeEnvelope(from, 1, 0, {}, {1.0f})).ok());
+      }
+    }
+  }
+  for (NodeId me = 0; me < kNodes; ++me) {
+    for (int i = 0; i < kNodes - 1; ++i) {
+      ASSERT_TRUE(fabric.RecvFor(me, 5.0).has_value());
+    }
+  }
+  EXPECT_LE(CountThreads() - before, kNodes);
+  fabric.Shutdown();
 }
 
 }  // namespace

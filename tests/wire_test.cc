@@ -1,11 +1,13 @@
 #include "comm/wire.h"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,6 +38,17 @@ void ExpectBitIdentical(const Envelope& a, const Envelope& b) {
                           a.payload.size() * sizeof(float)),
               0);
   }
+}
+
+// Reads one frame with `reader`. The pipes below are blocking, so each
+// Read returns a whole frame or the stream's end.
+Status ReadOne(FrameReader* reader, int fd, NodeId* to, Envelope* env) {
+  bool complete = false;
+  Status status;
+  while (status.ok() && !complete) {
+    status = reader->Read(fd, to, env, &complete);
+  }
+  return status;
 }
 
 TEST(WireTest, RoundTripBitIdentity) {
@@ -274,7 +287,8 @@ TEST(WireTest, EncodingTagSurvivesFdRoundTrip) {
 
   NodeId to = -1;
   Envelope decoded;
-  ASSERT_TRUE(ReadFrameFd(fds[0], &to, &decoded).ok());
+  FrameReader reader;
+  ASSERT_TRUE(ReadOne(&reader, fds[0], &to, &decoded).ok());
   EXPECT_EQ(decoded.encoding, static_cast<uint8_t>(CompressionKind::kTopK));
   ExpectBitIdentical(env, decoded);
   ::close(fds[0]);
@@ -291,7 +305,8 @@ TEST(WireTest, CorruptEncodingTagOnFdStreamIsInvalidArgument) {
   ::close(fds[1]);
   NodeId to = -1;
   Envelope decoded;
-  Status corrupt = ReadFrameFd(fds[0], &to, &decoded);
+  FrameReader reader;
+  Status corrupt = ReadOne(&reader, fds[0], &to, &decoded);
   EXPECT_EQ(corrupt.code(), StatusCode::kInvalidArgument);
   ::close(fds[0]);
 }
@@ -308,14 +323,15 @@ TEST(WireTest, FdRoundTripAndCleanEof) {
 
   NodeId to = -1;
   Envelope decoded;
-  ASSERT_TRUE(ReadFrameFd(fds[0], &to, &decoded).ok());
+  FrameReader reader;
+  ASSERT_TRUE(ReadOne(&reader, fds[0], &to, &decoded).ok());
   EXPECT_EQ(decoded.from, 5);
   ExpectBitIdentical(first, decoded);
-  ASSERT_TRUE(ReadFrameFd(fds[0], &to, &decoded).ok());
+  ASSERT_TRUE(ReadOne(&reader, fds[0], &to, &decoded).ok());
   EXPECT_EQ(decoded.from, 6);
 
   // Writer closed at a frame boundary: a polite end of stream.
-  Status eof = ReadFrameFd(fds[0], &to, &decoded);
+  Status eof = ReadOne(&reader, fds[0], &to, &decoded);
   EXPECT_EQ(eof.code(), StatusCode::kCancelled);
   ::close(fds[0]);
 }
@@ -333,7 +349,8 @@ TEST(WireTest, TornFrameIsUnavailable) {
 
   NodeId to = -1;
   Envelope decoded;
-  Status torn = ReadFrameFd(fds[0], &to, &decoded);
+  FrameReader reader;
+  Status torn = ReadOne(&reader, fds[0], &to, &decoded);
   EXPECT_EQ(torn.code(), StatusCode::kUnavailable);
   ::close(fds[0]);
 }
@@ -347,9 +364,65 @@ TEST(WireTest, CorruptStreamIsInvalidArgument) {
   ::close(fds[1]);
   NodeId to = -1;
   Envelope decoded;
-  Status corrupt = ReadFrameFd(fds[0], &to, &decoded);
+  FrameReader reader;
+  Status corrupt = ReadOne(&reader, fds[0], &to, &decoded);
   EXPECT_EQ(corrupt.code(), StatusCode::kInvalidArgument);
   ::close(fds[0]);
+}
+
+TEST(WireTest, FramesSplitAtEveryByteReadIdentically) {
+  // Two back-to-back frames arrive in two writes, split at every byte
+  // boundary: the reader must stop wherever the bytes run out and resume
+  // exactly there.
+  const Envelope first = MakeEnvelope(/*from=*/5, /*tag=*/11, /*kind=*/3,
+                                      {1, -2}, {0.5f, -0.0f, 7.0f});
+  Envelope second = MakeEnvelope(/*from=*/6, /*tag=*/12, /*kind=*/4, {},
+                                 {1.0f, 2.0f});
+  second.encoding = static_cast<uint8_t>(CompressionKind::kInt8);
+  std::vector<uint8_t> stream = EncodeFrame(/*to=*/0, first);
+  const std::vector<uint8_t> tail = EncodeFrame(/*to=*/2, second);
+  stream.insert(stream.end(), tail.begin(), tail.end());
+  const std::pair<NodeId, const Envelope*> want[] = {{0, &first},
+                                                     {2, &second}};
+
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds), 0);
+  for (size_t split = 0; split <= stream.size(); ++split) {
+    SCOPED_TRACE("split at byte " + std::to_string(split));
+    FrameReader reader;
+    std::vector<std::pair<NodeId, Envelope>> got;
+    const auto drain = [&] {
+      while (true) {
+        NodeId to = -1;
+        Envelope env;
+        bool complete = false;
+        const Status status = reader.Read(fds[0], &to, &env, &complete);
+        ASSERT_TRUE(status.ok()) << status.ToString();
+        if (!complete) return;
+        got.emplace_back(to, std::move(env));
+      }
+    };
+    ASSERT_EQ(::write(fds[1], stream.data(), split),
+              static_cast<ssize_t>(split));
+    drain();
+    ASSERT_EQ(::write(fds[1], stream.data() + split, stream.size() - split),
+              static_cast<ssize_t>(stream.size() - split));
+    drain();
+    ASSERT_EQ(got.size(), 2u);
+    for (size_t i = 0; i < 2; ++i) {
+      const Envelope& sent = *want[i].second;
+      const Envelope& read = got[i].second;
+      EXPECT_EQ(got[i].first, want[i].first);
+      EXPECT_EQ(read.from, sent.from);
+      EXPECT_EQ(read.tag, sent.tag);
+      EXPECT_EQ(read.kind, sent.kind);
+      EXPECT_EQ(read.ints, sent.ints);
+      EXPECT_EQ(read.encoding, sent.encoding);
+      ExpectBitIdentical(sent, read);
+    }
+  }
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 }  // namespace
