@@ -18,6 +18,7 @@
 #include <thread>
 
 #include "common/check.h"
+#include "common/logging.h"
 
 namespace pr {
 
@@ -36,44 +37,6 @@ void SleepFor(double seconds) {
 void SetNoDelay(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-/// A node's listener address: Unix-domain or TCP.
-struct SockAddr {
-  struct sockaddr_storage storage;
-  socklen_t len = 0;
-  int family() const { return storage.ss_family; }
-  const struct sockaddr* get() const {
-    return reinterpret_cast<const struct sockaddr*>(&storage);
-  }
-};
-
-SockAddr UnixAddr(const std::string& path) {
-  SockAddr out{};
-  auto* addr = reinterpret_cast<struct sockaddr_un*>(&out.storage);
-  addr->sun_family = AF_UNIX;
-  PR_CHECK_LT(path.size(), sizeof(addr->sun_path));
-  std::memcpy(addr->sun_path, path.c_str(), path.size() + 1);
-  out.len = sizeof(struct sockaddr_un);
-  return out;
-}
-
-/// Port 0 binds an ephemeral port.
-SockAddr TcpAddr(const std::string& host, int port) {
-  SockAddr out{};
-  auto* addr = reinterpret_cast<struct sockaddr_in*>(&out.storage);
-  addr->sin_family = AF_INET;
-  addr->sin_addr.s_addr = ::inet_addr(host.c_str());
-  addr->sin_port = htons(static_cast<uint16_t>(port));
-  out.len = sizeof(struct sockaddr_in);
-  return out;
-}
-
-/// `what` and the current errno as an Internal status; closes `fd` if open.
-Status SysError(const std::string& what, int fd = -1) {
-  Status status = Status::Internal(what + ": " + strerror(errno));
-  if (fd >= 0) ::close(fd);
-  return status;
 }
 
 }  // namespace
@@ -97,34 +60,61 @@ std::string SocketTransport::AddressPath(NodeId id) const {
 
 Status SocketTransport::BindListener(int* out_fd) {
   const std::string path = AddressPath(node_);
-  const SockAddr addr =
-      config_.tcp ? TcpAddr(config_.host, 0) : UnixAddr(path);
-  const int fd =
-      ::socket(addr.family(), SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) return SysError("socket");
-  if (config_.tcp) {
+  int fd = -1;
+  if (!config_.tcp) {
+    fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    if (fd < 0) return Status::Internal("socket: " + std::string(strerror(errno)));
+    struct sockaddr_un addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sun_family = AF_UNIX;
+    PR_CHECK_LT(path.size(), sizeof(addr.sun_path));
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    ::unlink(path.c_str());  // stale socket from a previous incarnation
+    if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
+        0) {
+      ::close(fd);
+      return Status::Internal("bind " + path + ": " + strerror(errno));
+    }
+  } else {
+    fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    if (fd < 0) return Status::Internal("socket: " + std::string(strerror(errno)));
     int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  } else {
-    ::unlink(path.c_str());  // stale socket from a previous incarnation
+    struct sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = ::inet_addr(config_.host.c_str());
+    addr.sin_port = 0;  // ephemeral; advertised via the port file
+    if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) <
+        0) {
+      ::close(fd);
+      return Status::Internal("bind: " + std::string(strerror(errno)));
+    }
   }
-  if (::bind(fd, addr.get(), addr.len) < 0) return SysError("bind " + path, fd);
-  if (::listen(fd, 128) < 0) return SysError("listen", fd);
+  if (::listen(fd, 128) < 0) {
+    ::close(fd);
+    return Status::Internal("listen: " + std::string(strerror(errno)));
+  }
   if (config_.tcp) {
     struct sockaddr_in bound;
     socklen_t len = sizeof(bound);
     if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&bound), &len) <
         0) {
-      return SysError("getsockname", fd);
+      ::close(fd);
+      return Status::Internal("getsockname: " + std::string(strerror(errno)));
     }
     // Atomic advertise: dialers must never read a half-written port file.
     const std::string tmp = path + ".tmp";
     FILE* f = ::fopen(tmp.c_str(), "w");
-    if (f == nullptr) return SysError("open " + tmp, fd);
+    if (f == nullptr) {
+      ::close(fd);
+      return Status::Internal("open " + tmp + ": " + strerror(errno));
+    }
     ::fprintf(f, "%d\n", static_cast<int>(ntohs(bound.sin_port)));
     ::fclose(f);
     if (::rename(tmp.c_str(), path.c_str()) != 0) {
-      return SysError("rename " + path, fd);
+      ::close(fd);
+      return Status::Internal("rename " + path + ": " + strerror(errno));
     }
   }
   *out_fd = fd;
@@ -138,7 +128,9 @@ Status SocketTransport::Start() {
   ::signal(SIGPIPE, SIG_IGN);
   PR_RETURN_NOT_OK(BindListener(&listen_fd_));
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake_fd_ < 0) return SysError("eventfd");
+  if (wake_fd_ < 0) {
+    return Status::Internal("eventfd: " + std::string(strerror(errno)));
+  }
   poll_thread_ = std::thread(&SocketTransport::PollLoop, this);
   started_.store(true);
   return Status::OK();
@@ -148,7 +140,8 @@ void SocketTransport::PollLoop() {
   std::vector<struct pollfd> watch;
   std::unique_lock<std::mutex> lock(progress_mu_);
   while (!closed_.load(std::memory_order_acquire)) {
-    watch.assign({{wake_fd_, POLLIN, 0}, {listen_fd_, POLLIN, 0}});
+    watch.assign({{wake_fd_, POLLIN, 0}});
+    if (accepting_) watch.push_back({listen_fd_, POLLIN, 0});
     for (const Conn& conn : conns_) watch.push_back({conn.fd, POLLIN, 0});
     // No poll set holds the retired fds any more: their numbers may now be
     // reused.
@@ -157,7 +150,7 @@ void SocketTransport::PollLoop() {
     lock.unlock();
     if (::poll(watch.data(), watch.size(), -1) < 0 && errno != EINTR) return;
     lock.lock();
-    Progress(/*accept=*/true);
+    Progress(/*accept=*/accepting_);
   }
 }
 
@@ -182,7 +175,16 @@ void SocketTransport::Progress(bool accept) {
     const int fd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0 && (errno == EINTR || errno == ECONNABORTED)) continue;
-    if (fd < 0) return;  // EAGAIN: nothing left to accept
+    if (fd < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (fd < 0) {
+      // Out of fds or the like: the listener stays readable, so polling it
+      // again would spin. Stop accepting, as a node whose listener died.
+      PR_LOG_WARNING << "node " << node_
+                     << " stops accepting connections: accept4: "
+                     << strerror(errno);
+      accepting_ = false;
+      return;
+    }
     if (config_.tcp) SetNoDelay(fd);
     conns_.push_back({fd, FrameReader()});
   }
@@ -243,23 +245,45 @@ int SocketTransport::DialWithRetry(NodeId to, double window_seconds) {
   double backoff = config_.backoff_initial_seconds;
   while (true) {
     if (closed_.load(std::memory_order_acquire)) return -1;
-    int port = 0;
-    if (config_.tcp) {
+    int fd = -1;
+    if (!config_.tcp) {
+      fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      if (fd >= 0) {
+        struct sockaddr_un addr;
+        std::memset(&addr, 0, sizeof(addr));
+        addr.sun_family = AF_UNIX;
+        PR_CHECK_LT(path.size(), sizeof(addr.sun_path));
+        std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+        if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                      sizeof(addr)) == 0) {
+          dials_.fetch_add(1);
+          return fd;
+        }
+        ::close(fd);
+      }
+    } else {
+      int port = -1;
       if (FILE* f = ::fopen(path.c_str(), "r")) {
-        if (::fscanf(f, "%d", &port) != 1) port = 0;
+        if (::fscanf(f, "%d", &port) != 1) port = -1;
         ::fclose(f);
       }
-    }
-    if (!config_.tcp || port > 0) {
-      const SockAddr addr =
-          config_.tcp ? TcpAddr(config_.host, port) : UnixAddr(path);
-      const int fd = ::socket(addr.family(), SOCK_STREAM, 0);
-      if (fd >= 0 && ::connect(fd, addr.get(), addr.len) == 0) {
-        if (config_.tcp) SetNoDelay(fd);
-        dials_.fetch_add(1);
-        return fd;
+      if (port > 0) {
+        fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        if (fd >= 0) {
+          struct sockaddr_in addr;
+          std::memset(&addr, 0, sizeof(addr));
+          addr.sin_family = AF_INET;
+          addr.sin_addr.s_addr = ::inet_addr(config_.host.c_str());
+          addr.sin_port = htons(static_cast<uint16_t>(port));
+          if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                        sizeof(addr)) == 0) {
+            SetNoDelay(fd);
+            dials_.fetch_add(1);
+            return fd;
+          }
+          ::close(fd);
+        }
       }
-      if (fd >= 0) ::close(fd);
     }
     const double left = window_seconds - (Now() - start);
     if (left <= 0.0) return -1;
@@ -350,7 +374,9 @@ std::optional<Envelope> SocketTransport::RecvFor(NodeId me,
                           ? std::min(spin_seconds, timeout_seconds)
                           : spin_seconds;
   while (spin > 0.0 && !inbox_.closed() && Now() - start < spin) {
-    if (std::optional<Envelope> env = inbox_.TryPop()) return env;
+    if (inbox_.unlocked_size() > 0) {
+      if (std::optional<Envelope> env = inbox_.TryPop()) return env;
+    }
     std::unique_lock<std::mutex> lock(progress_mu_, std::try_to_lock);
     if (lock.owns_lock()) {
       Progress(/*accept=*/false);

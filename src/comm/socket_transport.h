@@ -161,6 +161,7 @@ class SocketTransport : public Transport {
   // The one drainer at a time holds progress_mu_, which guards the rest.
   std::mutex progress_mu_;
   std::vector<Conn> conns_;
+  bool accepting_ = true;  // false once accept failed for good
   std::vector<struct pollfd> ready_;  // Progress's scratch poll set
   // Connections that ended, kept open until the poll loop has dropped them
   // from its poll set, so it never polls an fd number that was reused.

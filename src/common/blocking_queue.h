@@ -116,6 +116,10 @@ class BlockingQueue {
     return items_.size();
   }
 
+  /// The item count read without the lock, as a spinning pop reads it: a
+  /// cheap test before TryPop that leaves the lock to producers.
+  size_t unlocked_size() const { return count_; }
+
  private:
   /// Caller holds mutex_.
   std::optional<T> PopLocked() {

@@ -1,5 +1,7 @@
 #include "comm/socket_transport.h"
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -292,6 +294,46 @@ TEST(SocketTransportTest, DueReceivesKeepEachConnectionInOrder) {
   sender.join();
   a.Shutdown();
   b.Shutdown();
+}
+
+double ProcessCpuSeconds() {
+  struct rusage usage;
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         1e-6 * static_cast<double>(usage.ru_utime.tv_usec +
+                                    usage.ru_stime.tv_usec);
+}
+
+TEST(SocketTransportTest, ListenerThatCannotAcceptIsNotPolledAgain) {
+  SockDir dir;
+  SocketConfig config;
+  config.dir = dir.path;
+  SocketTransport a(config, 0, 2);
+  ASSERT_TRUE(a.Start().ok());
+
+  // Leave the process one free fd number, which the client below takes.
+  // The accept that follows fails with EMFILE and the connection stays
+  // queued, so the listener stays readable until the limit is lifted.
+  const int lowest_free = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  struct rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  struct rlimit tight = saved;
+  tight.rlim_cur = static_cast<rlim_t>(lowest_free) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+  const int fd = DialRaw(dir.path, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  // A poll loop that kept the listener in its poll set would spin here.
+  const double cpu_before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double cpu_spent = ProcessCpuSeconds() - cpu_before;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_GE(fd, 0);
+  EXPECT_LT(cpu_spent, 0.1);
+  ::close(fd);
+  a.Shutdown();
 }
 
 // ---------------------------------------------------------------------------
