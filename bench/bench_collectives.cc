@@ -46,10 +46,19 @@ struct AlgoResult {
 
 using MemberFn = std::function<pr::Status(pr::Endpoint*, size_t, float*)>;
 
-/// Runs `reps` all-reduces of `n` floats across `p` member threads and
-/// returns the best per-rep wall time plus per-rep transport counters.
-AlgoResult RunAlgo(const std::string& name, size_t p, size_t n, int reps,
-                   const MemberFn& fn) {
+struct Algo {
+  std::string name;
+  MemberFn fn;
+};
+
+/// Runs `reps` rounds of one all-reduce of `n` floats per algorithm across
+/// `p` member threads and returns, per algorithm, the best per-rep wall
+/// time plus per-rep transport counters. Each round runs every algorithm
+/// once, starting one further along the list each round, so all of them
+/// sample the same stretch of machine state and a ratio of two best times
+/// compares the code, not the moment it ran.
+std::vector<AlgoResult> RunAlgos(const std::vector<Algo>& algos, size_t p,
+                                 size_t n, int reps) {
   std::vector<pr::NodeId> members;
   for (size_t i = 0; i < p; ++i) members.push_back(static_cast<int>(i));
 
@@ -59,39 +68,46 @@ AlgoResult RunAlgo(const std::string& name, size_t p, size_t n, int reps,
     for (auto& x : v) x = static_cast<float>(rng.Normal(0.0, 1.0));
   }
 
-  AlgoResult result;
-  result.algo = name;
-  result.seconds = 1e30;
-  for (int rep = 0; rep < reps; ++rep) {
-    auto data = base;
-    pr::InProcTransport transport(static_cast<int>(p));
-    pr::MetricsRegistry registry;
-    pr::MetricsShard* metrics = registry.NewShard();
-    const auto begin = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    for (size_t i = 0; i < p; ++i) {
-      threads.emplace_back([&, i] {
-        pr::Endpoint ep(&transport, members[i]);
-        ep.AttachObservers(metrics, nullptr, nullptr, nullptr);
-        pr::Status status = fn(&ep, i, data[i].data());
-        if (!status.ok()) {
-          std::fprintf(stderr, "%s failed: %s\n", name.c_str(),
-                       status.message().c_str());
-          std::abort();
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      begin)
-            .count();
-    result.seconds = std::min(result.seconds, secs);
-    result.bytes_sent = metrics->GetCounter("transport.bytes_sent")->value();
-    result.payload_copies =
-        metrics->GetCounter("transport.payload_copies")->value();
+  std::vector<AlgoResult> results(algos.size());
+  for (size_t a = 0; a < algos.size(); ++a) {
+    results[a].algo = algos[a].name;
+    results[a].seconds = 1e30;
   }
-  return result;
+  for (int rep = 0; rep < reps; ++rep) {
+    for (size_t r = 0; r < algos.size(); ++r) {
+      const size_t a = (static_cast<size_t>(rep) + r) % algos.size();
+      const Algo& algo = algos[a];
+      AlgoResult& result = results[a];
+      auto data = base;
+      pr::InProcTransport transport(static_cast<int>(p));
+      pr::MetricsRegistry registry;
+      pr::MetricsShard* metrics = registry.NewShard();
+      const auto begin = std::chrono::steady_clock::now();
+      std::vector<std::thread> threads;
+      for (size_t i = 0; i < p; ++i) {
+        threads.emplace_back([&, i] {
+          pr::Endpoint ep(&transport, members[i]);
+          ep.AttachObservers(metrics, nullptr, nullptr, nullptr);
+          pr::Status status = algo.fn(&ep, i, data[i].data());
+          if (!status.ok()) {
+            std::fprintf(stderr, "%s failed: %s\n", algo.name.c_str(),
+                         status.message().c_str());
+            std::abort();
+          }
+        });
+      }
+      for (auto& t : threads) t.join();
+      const double secs =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        begin)
+              .count();
+      result.seconds = std::min(result.seconds, secs);
+      result.bytes_sent = metrics->GetCounter("transport.bytes_sent")->value();
+      result.payload_copies =
+          metrics->GetCounter("transport.payload_copies")->value();
+    }
+  }
+  return results;
 }
 
 const pr::CompressionKind kCodecs[] = {
@@ -207,10 +223,11 @@ int main(int argc, char** argv) {
                                         n);
     };
 
-    std::vector<AlgoResult> results;
-    results.push_back(RunAlgo("leader", members, n, reps, leader));
-    results.push_back(RunAlgo("ring", members, n, reps, ring));
-    results.push_back(RunAlgo("segmented_ring", members, n, reps, segmented));
+    const std::vector<AlgoResult> results =
+        RunAlgos({{"leader", leader},
+                  {"ring", ring},
+                  {"segmented_ring", segmented}},
+                 members, n, reps);
     const double ring_seconds = results[1].seconds;
 
     json.BeginObject();
@@ -263,8 +280,9 @@ int main(int argc, char** argv) {
       return pr::GroupWeightedAllReduce(ep, ids, weights, i, /*tag=*/1, data,
                                         compress_floats, comps[i].get());
     };
-    AlgoResult r = RunAlgo(pr::CompressionKindName(codec), members,
-                           compress_floats, reps, compressed);
+    const AlgoResult r =
+        RunAlgos({{pr::CompressionKindName(codec), compressed}}, members,
+                 compress_floats, reps)[0];
     if (codec == pr::CompressionKind::kNone) none_bytes = r.bytes_sent;
     const double ratio = r.bytes_sent > 0.0 ? none_bytes / r.bytes_sent : 0.0;
     if (codec == pr::CompressionKind::kFp16) fp16_ratio = ratio;

@@ -1,6 +1,7 @@
 #include "comm/collectives.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/check.h"
 #include "compress/compressor.h"
@@ -16,6 +17,7 @@ constexpr int kKindRsChunk = 103;
 constexpr int kKindAgChunk = 105;
 constexpr int kKindSegRsChunk = 108;
 constexpr int kKindSegAgChunk = 109;
+constexpr int kKindSegNack = 110;  // {kind, step, chunk, segment}
 
 Status ValidateGroup(const std::vector<NodeId>& members, size_t my_index) {
   if (members.empty()) {
@@ -78,30 +80,63 @@ Compressor* ActiveCodec(Compressor* compressor) {
 /// Receives segment (step, chunk, j) of a segmented-ring conversation from
 /// `left`, selecting it by all six fields so duplicates and reorderings
 /// cannot be consumed out of turn. The segment is due (the left peer sends
-/// it as soon as it has its own), so the wait spins before it parks.
-/// Cancelled on shutdown; Timeout once the deadline's tick callback gives up.
+/// it as soon as it has its own), so the wait spins before it parks. With
+/// a `resender` (a deadline is set), the wait answers every NACK that
+/// arrives meanwhile and sends one for its own segment on each timeout
+/// tick; NACKs never reset the tick's clock. Cancelled on shutdown; Timeout
+/// once the deadline's tick or wake callback gives up.
 Status RecvSegment(Endpoint* ep, NodeId left, uint64_t tag, int kind,
                    size_t step, size_t chunk, size_t j,
-                   const RingDeadline& deadline, Buffer* out) {
-  const auto match = [&](const Envelope& e) {
+                   const RingDeadline& deadline, RingResender* resender,
+                   Buffer* out) {
+  const auto segment = [&](const Envelope& e) {
     return e.from == left && e.tag == tag && e.kind == kind &&
            e.ints.size() == 3 && e.ints[0] == static_cast<int64_t>(step) &&
            e.ints[1] == static_cast<int64_t>(chunk) &&
            e.ints[2] == static_cast<int64_t>(j);
   };
+  const auto match = [&](const Envelope& e) {
+    return segment(e) || (resender != nullptr && RingResender::IsNack(e)) ||
+           (deadline.wakes_on && deadline.wakes_on(e));
+  };
+  using Clock = std::chrono::steady_clock;
+  const double tick = deadline.recv_timeout_seconds;
+  const auto next_tick = [tick] {
+    return Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(tick));
+  };
+  Clock::time_point tick_at = next_tick();
   while (true) {
-    std::optional<Envelope> env =
-        ep->RecvWhereFor(match, deadline.recv_timeout_seconds, RecvWait::kDue);
+    const double wait =
+        tick < 0.0 ? -1.0
+                   : std::max(0.0, std::chrono::duration<double>(
+                                       tick_at - Clock::now())
+                                       .count());
+    std::optional<Envelope> env = ep->RecvWhereFor(match, wait, RecvWait::kDue);
     if (env.has_value()) {
-      *out = std::move(env->payload);
-      return Status::OK();
+      if (segment(*env)) {
+        *out = std::move(env->payload);
+        return Status::OK();
+      }
+      if (resender != nullptr && RingResender::IsNack(*env)) {
+        resender->Answer(ep, *env);
+      } else if (!deadline.on_wake(*env)) {
+        return Status::Timeout("ring all-reduce abandoned on a wake");
+      }
+      continue;
     }
-    if (ep->closed() || deadline.recv_timeout_seconds < 0.0) {
+    if (ep->closed() || tick < 0.0) {
       return Status::Cancelled("transport shut down during ring all-reduce");
+    }
+    if (resender != nullptr) {
+      (void)ep->Send(left, tag, kKindSegNack,
+                     {kind, static_cast<int64_t>(step),
+                      static_cast<int64_t>(chunk), static_cast<int64_t>(j)});
     }
     if (deadline.on_tick && !deadline.on_tick()) {
       return Status::Timeout("ring all-reduce abandoned at its deadline");
     }
+    tick_at = next_tick();
   }
 }
 
@@ -146,6 +181,57 @@ Status RingPhase(Endpoint* ep, const std::vector<NodeId>& members,
 }
 
 }  // namespace
+
+bool RingResender::IsNack(const Envelope& env) {
+  return env.kind == kKindSegNack && env.ints.size() == 4;
+}
+
+void RingResender::Begin(NodeId right, uint64_t tag, uint8_t encoding) {
+  right_ = right;
+  tag_ = tag;
+  encoding_ = encoding;
+  sent_.clear();
+}
+
+void RingResender::Keep(int kind, size_t step, size_t chunk, size_t j,
+                        const Buffer& payload) {
+  sent_.push_back({kind, static_cast<int64_t>(step),
+                   static_cast<int64_t>(chunk), static_cast<int64_t>(j),
+                   payload, nullptr, 0});
+}
+
+void RingResender::KeepRange(int kind, size_t step, size_t chunk, size_t j,
+                             const float* source, size_t len) {
+  sent_.push_back({kind, static_cast<int64_t>(step),
+                   static_cast<int64_t>(chunk), static_cast<int64_t>(j),
+                   Buffer(), source, len});
+}
+
+void RingResender::Release(int kind, size_t chunk, size_t j) {
+  std::erase_if(sent_, [&](const Sent& s) {
+    return s.kind == kind && s.chunk == static_cast<int64_t>(chunk) &&
+           s.j == static_cast<int64_t>(j);
+  });
+}
+
+bool RingResender::Answer(Endpoint* ep, const Envelope& nack) {
+  if (!IsNack(nack) || nack.from != right_ || nack.tag != tag_) return false;
+  for (const Sent& s : sent_) {
+    if (s.kind == nack.ints[0] && s.step == nack.ints[1] &&
+        s.chunk == nack.ints[2] && s.j == nack.ints[3]) {
+      Buffer payload = s.source != nullptr ? ep->MakePayload(s.source, s.len)
+                                           : s.payload;
+      if (!ep->Send(right_, tag_, s.kind, {s.step, s.chunk, s.j},
+                    std::move(payload), encoding_)
+               .ok()) {
+        return false;
+      }
+      if (resends_ != nullptr) resends_->Increment();
+      return true;
+    }
+  }
+  return false;
+}
 
 Status LeaderWeightedAllReduce(Endpoint* ep,
                                const std::vector<NodeId>& members,
@@ -235,8 +321,27 @@ Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
   const NodeId right = members[(my_index + 1) % p];
   const NodeId left = members[(my_index + p - 1) % p];
   const uint8_t enc = PayloadEncoding(codec);
+  // Under a deadline every send is kept for a NACK (RingResender); without
+  // one nothing is kept and no block is ever shared.
+  RingResender local;
+  RingResender* resender = nullptr;
+  if (deadline.recv_timeout_seconds >= 0.0) {
+    resender = deadline.resender != nullptr ? deadline.resender : &local;
+    resender->Begin(right, tag, enc);
+  }
   auto send_seg = [&](int kind, size_t step, size_t chunk, size_t j,
                       Buffer b) -> Status {
+    if (resender != nullptr) {
+      auto [cb, ce] = ChunkBounds(n, p, chunk);
+      const size_t begin = cb + j * segment_floats;
+      if (codec == nullptr && kind == kKindSegRsChunk && step == 0) {
+        // A copy of `data` that no hop writes before the release.
+        resender->KeepRange(kind, step, chunk, j, data + begin,
+                            std::min(segment_floats, ce - begin));
+      } else {
+        resender->Keep(kind, step, chunk, j, b);
+      }
+    }
     return ep->Send(right, tag, kind,
                     {static_cast<int64_t>(step), static_cast<int64_t>(chunk),
                      static_cast<int64_t>(j)},
@@ -263,7 +368,12 @@ Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
           [&](size_t j, size_t b, size_t e) -> Status {
             Buffer got;
             PR_RETURN_NOT_OK(RecvSegment(ep, left, tag, kind, step, chunk, j,
-                                         deadline, &got));
+                                         deadline, resender, &got));
+            // This all-gather segment carries our reduce-scatter segment of
+            // the same position, so the right neighbour has that one.
+            if (resender != nullptr && kind == kKindSegAgChunk) {
+              resender->Release(kKindSegRsChunk, chunk, j);
+            }
             PR_RETURN_NOT_OK(hop(&got, b, e - b, last));
             if (last) return Status::OK();
             return send_seg(kind, step + 1, chunk, j, std::move(got));
@@ -284,7 +394,7 @@ Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
   // per-element additions (float addition commutes), so raw results are
   // bitwise identical to RingWeightedAllReduce.
   std::vector<Buffer> retained;
-  PR_RETURN_NOT_OK(phase(
+  Status status = phase(
       kKindSegRsChunk, my_index,
       [&](size_t, size_t b, size_t e) {
         return codec != nullptr ? codec->EncodeRange(data + b, b, e - b)
@@ -293,6 +403,14 @@ Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
       [&](Buffer* got, size_t b, size_t len, bool last) -> Status {
         if (codec == nullptr) {
           if (got->size() != len) return SegmentLengthMismatch();
+          // A block its sender still holds (kept for a NACK, or duplicated
+          // in flight) is immutable, and a last hop's block is kept for the
+          // all-gather's NACKs when there is a resender: accumulate into a
+          // counted copy. The kept block is then this member's own
+          // allocation, and the sender's is freed now, not a ring later.
+          if (got->ever_shared() || (last && resender != nullptr)) {
+            *got = ep->MakePayload(got->data(), len);
+          }
           if (len > 0) Axpy(1.0f, data + b, got->mutable_data(), len);
           if (last) {
             if (len > 0) std::copy(got->data(), got->data() + len, data + b);
@@ -302,25 +420,31 @@ Status GroupWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
         }
         if (last) return codec->DecodeAddInto(*got, data + b, len);
         return codec->EncodeRangeSum(data + b, *got, b, len, got);
-      }));
+      });
 
   // All-gather: the owner starts its chunk round. Raw, that re-circulates
   // the retained buffers (zero materializations); encoded, the owner
   // encodes once and publishes the decoded values locally. Every later hop
   // copies or decodes into place and forwards the same payload unchanged,
   // so all members publish bitwise the same values.
-  return phase(
-      kKindSegAgChunk, (my_index + 1) % p,
-      [&](size_t j, size_t b, size_t e) {
-        return codec != nullptr ? codec->EncodeRangePublish(data + b, b, e - b)
-                                : std::move(retained.at(j));
-      },
-      [&](Buffer* got, size_t b, size_t len, bool) -> Status {
-        if (codec != nullptr) return codec->DecodeInto(*got, data + b, len);
-        if (got->size() != len) return SegmentLengthMismatch();
-        if (len > 0) std::copy(got->data(), got->data() + len, data + b);
-        return Status::OK();
-      });
+  if (status.ok()) {
+    status = phase(
+        kKindSegAgChunk, (my_index + 1) % p,
+        [&](size_t j, size_t b, size_t e) {
+          return codec != nullptr
+                     ? codec->EncodeRangePublish(data + b, b, e - b)
+                     : std::move(retained.at(j));
+        },
+        [&](Buffer* got, size_t b, size_t len, bool) -> Status {
+          if (codec != nullptr) return codec->DecodeInto(*got, data + b, len);
+          if (got->size() != len) return SegmentLengthMismatch();
+          if (len > 0) std::copy(got->data(), got->data() + len, data + b);
+          return Status::OK();
+        });
+  }
+  // An abandoned ring's segments are nobody's to resend.
+  if (!status.ok() && resender != nullptr) resender->Clear();
+  return status;
 }
 
 RingTraffic GroupAllReduceTraffic(size_t n, size_t p, CompressionKind kind,

@@ -48,18 +48,86 @@ Status RingWeightedAllReduce(Endpoint* ep, const std::vector<NodeId>& members,
                              size_t my_index, uint64_t tag,
                              std::vector<float>* data);
 
-/// \brief Optional receive deadline for the segmented ring.
+/// \brief The segments one member sent in its latest segmented ring, kept
+/// so that a NACK from its right neighbour is answered by resending the
+/// same refcounted handle.
+///
+/// GroupWeightedAllReduce clears the store as a ring starts and keeps each
+/// segment it sends. It releases a kept reduce-scatter segment once the
+/// all-gather segment of the same chunk and index arrives, because that
+/// segment's value includes the released one, so the right neighbour had
+/// it. The all-gather sends stay until the next ring starts, so a member
+/// that has left the ring can still answer a NACK for its last hop.
+///
+/// Holding a handle marks its block shared: the right neighbour's raw
+/// reduce-scatter hop then accumulates into a counted copy
+/// (transport.payload_copies) instead of the received block. A raw
+/// reduce-scatter segment a member sends from its own vector is therefore
+/// kept as that range instead (KeepRange), which stays unchanged until the
+/// segment's release, and a resend copies it afresh.
+class RingResender {
+ public:
+  /// `resends`, when non-null, counts every resent segment
+  /// (fault.segment_resends).
+  explicit RingResender(Counter* resends = nullptr) : resends_(resends) {}
+
+  /// True for a segmented ring's NACK, whatever its ring.
+  static bool IsNack(const Envelope& env);
+
+  /// Resends the kept segment `nack` names, when `nack` comes from the kept
+  /// ring's right neighbour and the segment is still kept. Anything else is
+  /// dropped. Returns whether it resent.
+  bool Answer(Endpoint* ep, const Envelope& nack);
+
+  // The ring's side.
+  void Begin(NodeId right, uint64_t tag, uint8_t encoding);
+  void Keep(int kind, size_t step, size_t chunk, size_t j,
+            const Buffer& payload);
+  void KeepRange(int kind, size_t step, size_t chunk, size_t j,
+                 const float* source, size_t len);
+  void Release(int kind, size_t chunk, size_t j);
+  void Clear() { sent_.clear(); }
+
+ private:
+  struct Sent {
+    int kind;
+    int64_t step, chunk, j;
+    Buffer payload;
+    const float* source;  // KeepRange: resend a copy of these `len` floats
+    size_t len;
+  };
+
+  Counter* resends_;
+  NodeId right_ = -1;
+  uint64_t tag_ = 0;
+  uint8_t encoding_ = 0;
+  std::vector<Sent> sent_;
+};
+
+/// \brief Optional receive deadline for the segmented ring, and with it the
+/// ring's loss recovery.
 ///
 /// The default (negative timeout) is no deadline: every segment receive
-/// blocks until the segment arrives or the transport shuts down. With a
-/// non-negative `recv_timeout_seconds`, a segment wait that stays silent
-/// that long calls `on_tick` and then keeps waiting; `on_tick` returning
-/// false abandons the reduce with a kTimeout status, distinct from the
-/// kCancelled a shutdown returns. The fault-tolerant P-Reduce worker hangs
-/// its lease upkeep, stuck reports and abort checks on this tick.
+/// blocks until the segment arrives or the transport shuts down, and the
+/// ring keeps nothing. With a non-negative `recv_timeout_seconds`, a
+/// segment wait that stays silent that long sends a NACK for the segment to
+/// its left neighbour, calls `on_tick` and then keeps waiting; `on_tick`
+/// returning false abandons the reduce with a kTimeout status, distinct
+/// from the kCancelled a shutdown returns. Every segment wait also answers
+/// its right neighbour's NACKs from `resender` (a ring-local store when
+/// null), so a lost segment costs one tick and one hop, not the group. A
+/// message `wakes_on` accepts ends the wait at once and goes to `on_wake`,
+/// which abandons the reduce the same way when it returns false. The
+/// fault-tolerant P-Reduce worker hangs its lease upkeep and stuck reports
+/// on the tick and its group's Abort on the wake; the stuck report, and the
+/// controller's Abort that answers it, are the backstop for a dead peer or a
+/// segment lost again and again.
 struct RingDeadline {
   double recv_timeout_seconds = -1.0;
   std::function<bool()> on_tick;
+  std::function<bool(const Envelope&)> wakes_on;
+  std::function<bool(const Envelope&)> on_wake;
+  RingResender* resender = nullptr;
 };
 
 /// Segment granularity (in floats) for the pipelined ring: 32Ki floats =
@@ -96,7 +164,8 @@ inline constexpr size_t kDefaultSegmentFloats = size_t{1} << 15;
 ///
 /// Each receive selects its segment by (left neighbour, tag, kind, step,
 /// chunk, segment), so a duplicated or reordered delivery is parked or
-/// ignored rather than consumed out of turn; `deadline` bounds the waits.
+/// ignored rather than consumed out of turn; `deadline` bounds the waits
+/// and, when set, recovers a lost segment by NACK and resend.
 /// A wrong-length segment returns InvalidArgument.
 ///
 /// `data` may be null only when n == 0. Every chunk circulates at least one

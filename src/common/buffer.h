@@ -88,6 +88,12 @@ class Buffer {
     return block_ ? block_->data : std::vector<float>();
   }
 
+  /// True when a second handle to the block was ever made, so that
+  /// mutable_data() clones it first.
+  bool ever_shared() const {
+    return block_ && block_->ever_shared.load(std::memory_order_relaxed);
+  }
+
   /// True when at least one other Buffer shares the block. Approximate
   /// under concurrent release, exact in single-threaded tests.
   bool shared() const { return block_.use_count() > 1; }

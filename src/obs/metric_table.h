@@ -66,6 +66,7 @@ namespace pr {
   X(kFaultEvictions, Counter, "fault.evictions", kFault) \
   X(kFaultAbortedGroups, Counter, "fault.aborted_groups", kFault) \
   X(kFaultHeartbeats, Counter, "fault.heartbeats", kFault) \
+  X(kFaultSegmentResends, Counter, "fault.segment_resends", kFault) \
   X(kControllerFailovers, Counter, "controller.failovers", kFault) \
   X(kControllerReregistrations, Counter, "controller.reregistrations", kFault) \
   X(kScenarioEventsTotal, Counter, "scenario.events_total", kScenario) \

@@ -12,6 +12,7 @@
 #include "common/check.h"
 #include "fault/failure_detector.h"
 #include "fault/fault_plan.h"
+#include "obs/metric_table.h"
 #include "runtime/threaded_strategies.h"
 #include "runtime/worker_runtime.h"
 #include "strategies/p_reduce_service.h"
@@ -229,6 +230,12 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
   // spin budget: behind a slow controller link every verdict is late, and
   // spinning for it would only burn a core.
   bool verdict_due = true;
+  // Under a fault plan the ring keeps its sends for NACKs (RingResender),
+  // and they stay here until the next ring starts: the verdict wait answers
+  // a NACK for this worker's last hop after it has left the ring.
+  RingResender resender(ctx->metrics() != nullptr
+                            ? ctx->metrics()->Get(metric::kFaultSegmentResends)
+                            : nullptr);
   auto execute = [&](WorkerActions& actions) -> bool {
     for (WorkerAction& a : actions) {
       switch (a.kind) {
@@ -247,7 +254,13 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
           (void)ep->Send(controller, 0, a.message, std::move(a.ints));
           break;
         case WorkerAction::Kind::kStartReduce:
-          if (ft) backup = params.ToVector();
+          if (ft) {
+            backup.assign(params.begin(), params.end());  // reuses its block
+            // What peers sent for older groups (late resends) is stale.
+            ep->PurgeStash([&](const Envelope& e) {
+              return e.from != controller && e.tag < a.group->group_id;
+            });
+          }
           ctx->trace()->Record(ctx->Now(), TraceEventKind::kReduceStart,
                                ctx->worker(),
                                static_cast<int64_t>(a.group->group_id));
@@ -281,30 +294,32 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
   };
 
   // The group's ring. Under a fault plan its segment waits carry a
-  // deadline, and each timeout tick hands the core either the group's
-  // parked Abort or a ring tick (lease renewal, stuck reports, the stall
-  // valve); the core's kStopReduce ends the ring with a timeout.
+  // deadline and recover a lost segment by NACK and resend. The group's
+  // Abort wakes the wait at once, and each timeout tick hands the core a
+  // ring tick (lease renewal, stuck reports, the stall valve); the core's
+  // kStopReduce ends the ring with a timeout.
   auto reduce = [&]() -> Status {
     const GroupDecision& g = core.group();
     const size_t my_index = static_cast<size_t>(
         std::find(g.members.begin(), g.members.end(), ctx->worker()) -
         g.members.begin());
+    // Hands the core's actions to execute(); false ends the ring.
+    auto step = [&](WorkerActions actions) {
+      stop_reduce = false;
+      execute(actions);
+      return !stop_reduce;
+    };
     RingDeadline deadline;
     if (ft) {
       deadline.recv_timeout_seconds = plan.recv_timeout_seconds;
-      deadline.on_tick = [&] {
-        std::optional<Envelope> abort =
-            ep->TryTakeStashed([&](const Envelope& e) {
-              return e.from == controller && core.Deliverable(e.kind, e.ints);
-            });
-        WorkerActions actions =
-            abort.has_value()
-                ? core.Receive(ctx->Now(), abort->kind, abort->ints)
-                : core.RingTick(ctx->Now());
-        stop_reduce = false;
-        execute(actions);
-        return !stop_reduce;
+      deadline.on_tick = [&] { return step(core.RingTick(ctx->Now())); };
+      deadline.wakes_on = [&](const Envelope& e) {
+        return e.from == controller && core.Deliverable(e.kind, e.ints);
       };
+      deadline.on_wake = [&](const Envelope& e) {
+        return step(core.Receive(ctx->Now(), e.kind, e.ints));
+      };
+      deadline.resender = &resender;
     }
     return GroupWeightedAllReduce(ep, g.members, g.weights, my_index,
                                   g.group_id, params.data(), params.size(),
@@ -328,9 +343,30 @@ void ThreadedPReduce::RunWorker(WorkerContext* ctx) {
           actions = core.Resume(ctx->Now());
           break;
         case WorkerPhase::kWaiting: {
-          std::optional<Envelope> env = ep->RecvFromFor(
-              controller, tick,
-              verdict_due ? RecvWait::kDue : RecvWait::kPark);
+          // Every NACK, and a peer's late segment for this worker's last
+          // ring or an older one, is taken here, never stashed, and does not
+          // restart the tick: a NACK is answered, or dropped when its
+          // segment is not kept (the peer NACKs again on its next tick), and
+          // a late segment is dropped.
+          const auto until = std::chrono::steady_clock::now() +
+                             std::chrono::duration<double>(tick);
+          std::optional<Envelope> env;
+          for (;;) {
+            const double left =
+                tick < 0.0 ? -1.0
+                           : std::max(0.0, std::chrono::duration<double>(
+                                               until -
+                                               std::chrono::steady_clock::now())
+                                               .count());
+            env = ep->RecvWhereFor(
+                [&](const Envelope& e) {
+                  return e.from == controller || RingResender::IsNack(e) ||
+                         e.tag <= core.last_group_id();
+                },
+                left, verdict_due ? RecvWait::kDue : RecvWait::kPark);
+            if (!env.has_value() || env->from == controller) break;
+            resender.Answer(ep, *env);
+          }
           if (!env.has_value()) {
             if (ep->closed()) return false;
             actions = core.WaitTick(ctx->Now());

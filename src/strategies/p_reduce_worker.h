@@ -128,6 +128,9 @@ class PReduceWorker {
   bool controller_lost() const { return controller_lost_; }
   /// The group being reduced (kReducing).
   const GroupDecision& group() const { return *group_; }
+  /// The newest group id this worker has seen (GroupInfo or Abort); group
+  /// ids ascend, so a peer's message tagged at or below it is stale.
+  uint64_t last_group_id() const { return last_group_id_; }
 
  private:
   /// Leaves at the budget, pauses on a due window or a request, else waits

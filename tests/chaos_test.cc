@@ -110,6 +110,36 @@ TEST(ChaosTest, DropsActuallyInjected) {
   EXPECT_GT(total_drops, 0.0);
 }
 
+TEST(ChaosTest, ThreadedLostSegmentsAreResent) {
+  // Two workers, P = 2: every group is both of them, and only the edge
+  // between them loses messages, so each loss is a ring segment or a NACK.
+  // Half the segments are all-gather sends, each its sender's last hop: the
+  // sender has left the ring when the NACK comes and answers it from its
+  // verdict wait, where it waits for its partner's Ready. About 5% of the
+  // rings lose such a hop; without that answer each would abort. The one
+  // abort allowed is the final ring's, whose sender may have finished and
+  // left.
+  constexpr size_t kIters = 150;
+  RunConfig config = ChaosConfig(4, StrategyKind::kPReduceConst);
+  config.strategy.group_size = 2;
+  config.run.num_workers = 2;
+  config.run.iterations_per_worker = kIters;
+  config.run.worker_delay_seconds.assign(2, 0.001);
+  FaultPlan& plan = config.run.fault;
+  plan = FaultPlan{};
+  plan.seed = 4;
+  // Three ticks before the first stuck report leave a resend time to land
+  // under a sanitizer too.
+  plan.recv_timeout_seconds = 0.02;
+  plan.edges[{0, 1}].drop_prob = 0.05;
+  plan.edges[{1, 0}].drop_prob = 0.05;
+  ThreadedRunResult result = RunThreaded(config);
+  EXPECT_GT(result.metrics.counter("fault.injected_drops"), 0.0);
+  EXPECT_GT(result.metrics.counter("fault.segment_resends"), 0.0);
+  EXPECT_LE(result.metrics.counter("fault.aborted_groups"), 1.0);
+  for (size_t iters : result.worker_iterations) EXPECT_EQ(iters, kIters);
+}
+
 TEST(ChaosTest, HungWorkerIsEvictedAndReadmitted) {
   RunConfig config = ChaosConfig(3, StrategyKind::kPReduceConst);
   config.run.fault.worker_events.clear();  // keep the drops, swap the crash

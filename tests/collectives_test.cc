@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <thread>
 
@@ -440,6 +442,129 @@ TEST(SegmentedRingTest, DeadlineAbortsRingOnDroppedSegments) {
     EXPECT_EQ(codes[i], StatusCode::kTimeout) << "member " << i;
     EXPECT_EQ(ticks[i], 3) << "member " << i;
   }
+}
+
+/// Forwards to `inner` but drops exactly the k-th segment message (a ring
+/// message with three ints; a NACK carries four), counted from 0 across
+/// every sender.
+class DropNthSegment : public Transport {
+ public:
+  DropNthSegment(Transport* inner, int k) : inner_(inner), k_(k) {}
+
+  using Transport::RecvFor;
+  int num_nodes() const override { return inner_->num_nodes(); }
+  Status Send(NodeId to, Envelope env) override {
+    if (env.ints.size() == 3 && seen_.fetch_add(1) == k_) return Status::OK();
+    return inner_->Send(to, std::move(env));
+  }
+  std::optional<Envelope> RecvFor(NodeId me, double timeout_seconds,
+                                  double spin_seconds, bool* parked) override {
+    return inner_->RecvFor(me, timeout_seconds, spin_seconds, parked);
+  }
+  std::optional<Envelope> TryRecv(NodeId me) override {
+    return inner_->TryRecv(me);
+  }
+  bool closed() const override { return inner_->closed(); }
+  void Shutdown() override { inner_->Shutdown(); }
+  int segments_seen() const { return seen_.load(); }
+
+ private:
+  Transport* inner_;
+  const int k_;
+  std::atomic<int> seen_{0};
+};
+
+TEST(SegmentedRingTest, DroppedSegmentIsResentNotAborted) {
+  // Every segment message of the ring is lost once, one run per message,
+  // the last all-gather hops included: their sender has already returned
+  // and answers the NACK from its resender afterwards, as the P-Reduce
+  // worker does from its verdict wait. Each ring completes without a
+  // timeout and every member is bitwise equal to the fault-free run.
+  const size_t n = 40;
+  for (size_t p : {size_t{2}, size_t{3}, size_t{4}}) {
+    std::vector<NodeId> members;
+    for (size_t i = 0; i < p; ++i) members.push_back(static_cast<NodeId>(i));
+    std::vector<double> weights(p);
+    for (size_t i = 0; i < p; ++i) weights[i] = 0.1 + 0.2 * double(i);
+    const auto inputs = MakeInputs(p, n, 67 + p);
+    for (CompressionKind codec :
+         {CompressionKind::kNone, CompressionKind::kInt8}) {
+      InProcTransport clean_fabric(static_cast<int>(p));
+      DropNthSegment counting(&clean_fabric, -1);
+      const auto clean =
+          RunRingOver(&counting, members, weights, inputs, codec);
+      const int messages = counting.segments_seen();
+      ASSERT_GT(messages, 0);
+      for (int k = 0; k < messages; ++k) {
+        InProcTransport inner(static_cast<int>(p));
+        DropNthSegment lossy(&inner, k);
+        auto data = inputs;
+        std::atomic<size_t> finished{0};
+        Counter resends;
+        RunMembers(&lossy, members, [&](size_t i, Endpoint* ep) {
+          Compressor comp(codec);
+          RingResender resender(&resends);
+          RingDeadline deadline;
+          deadline.recv_timeout_seconds = 0.002;
+          int ticks = 0;
+          deadline.on_tick = [&ticks] { return ++ticks < 2500; };
+          deadline.resender = &resender;
+          const Status s = GroupWeightedAllReduce(
+              ep, members, weights, i, 1, data[i].data(), n, &comp, deadline,
+              /*segment_floats=*/7);
+          EXPECT_TRUE(s.ok()) << "p " << p << " k " << k << ": "
+                              << s.ToString();
+          finished.fetch_add(1);
+          while (finished.load() < p) {
+            std::optional<Envelope> nack =
+                ep->RecvWhereFor(RingResender::IsNack, 0.001);
+            if (nack.has_value()) resender.Answer(ep, *nack);
+          }
+        });
+        EXPECT_GE(resends.value(), 1.0) << "p " << p << " k " << k;
+        for (size_t i = 0; i < p; ++i) {
+          for (size_t j = 0; j < n; ++j) {
+            ASSERT_EQ(data[i][j], clean[i][j])
+                << "p " << p << " k " << k << " member " << i << " elem "
+                << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SegmentedRingTest, WakeEndsRingAtOnce) {
+  // A survivor waits on a peer that never joins its ring. The group's
+  // Abort, sent by a third node mid-wait, ends the ring within one tick of
+  // its arrival, not at the next timeout tick.
+  const std::vector<NodeId> members = {0, 1};
+  const double tick = 1.0;
+  InProcTransport transport(3);
+  Endpoint survivor(&transport, 0);
+  Endpoint controller(&transport, 2);
+  std::vector<float> data(16, 1.0f);
+  RingDeadline deadline;
+  deadline.recv_timeout_seconds = tick;
+  deadline.on_tick = [] { return true; };
+  deadline.wakes_on = [](const Envelope& e) {
+    return e.from == 2 && e.kind == 10;
+  };
+  deadline.on_wake = [](const Envelope&) { return false; };
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point sent_at;
+  std::thread abort([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    sent_at = Clock::now();
+    ASSERT_TRUE(controller.Send(0, 0, 10, {1, -1}).ok());
+  });
+  const Status s = GroupWeightedAllReduce(&survivor, members, {0.5, 0.5}, 0,
+                                          1, data.data(), data.size(),
+                                          nullptr, deadline);
+  const Clock::time_point ended = Clock::now();
+  abort.join();
+  EXPECT_EQ(s.code(), StatusCode::kTimeout);
+  EXPECT_LT(std::chrono::duration<double>(ended - sent_at).count(), tick);
 }
 
 // --- Ring traffic model ----------------------------------------------------
